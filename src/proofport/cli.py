@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Iterable, Optional, TextIO
 
 from . import omdoc
 from .errors import (
@@ -33,7 +33,9 @@ from .importers import (
     recover_source_refs,
 )
 from .kernel import (
+    DEFAULT_CONFIG,
     Config,
+    Declaration,
     DependsOn,
     Ident,
     Library,
@@ -45,16 +47,6 @@ from .kernel import (
 from .morphisms import check_morphism, translate
 from .ontology import extract_triples, transitive_uses, used_by, write_ntriples
 
-COMMANDS = (
-    "check",
-    "import",
-    "export-omdoc",
-    "export-rdf",
-    "deps",
-    "used-by",
-    "translate",
-    "stats",
-)
 FORMATS = ("toyhol-json", "toyset-xml", "omdoc")
 PROOF_STYLES = ("omitted", "dependsOn", "term")
 
@@ -65,9 +57,8 @@ class CliConfig:
     input: str
     output: Optional[str] = None
     format: Optional[str] = None
-    eta_enabled: bool = True
+    checker: Config = DEFAULT_CONFIG
     include_proof_uses: bool = False
-    reduction_budget: int = 100000
     source_dir: Optional[str] = None
     allow_empty: bool = False
     ident: Optional[str] = None
@@ -75,14 +66,6 @@ class CliConfig:
     morphism: Optional[str] = None
     theorem: Optional[str] = None
     skip_check: bool = False
-
-    def kernel_config(self) -> Config:
-        return Config(
-            eta_enabled=self.eta_enabled,
-            include_proof_uses=self.include_proof_uses,
-            reduction_budget=self.reduction_budget,
-            source_dir=self.source_dir,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +159,8 @@ def parse_cli(argv: list[str]) -> CliConfig:
         input=ns.input,
         output=getattr(ns, "output", None),
         format=ns.format,
-        eta_enabled=ns.eta,
+        checker=Config(eta_enabled=ns.eta, reduction_budget=ns.reduction_budget),
         include_proof_uses=ns.include_proof_uses,
-        reduction_budget=ns.reduction_budget,
         source_dir=ns.source_dir,
         allow_empty=ns.allow_empty,
         ident=getattr(ns, "ident", None),
@@ -223,10 +205,10 @@ def _load(cfg: CliConfig, guard_empty: bool) -> tuple[Library, list[str]]:
     fmt = cfg.format or _infer_format(cfg.input)
     failures: list[str] = []
     if fmt == "toyhol-json":
-        lib, report = import_toyhol(parse_toyhol(data), allow_empty=cfg.allow_empty)
+        lib, report = import_toyhol(parse_toyhol(data), cfg.allow_empty, cfg.checker)
         failures = [f"{e.subject}\t{e.message}" for e in report.failures]
     elif fmt == "toyset-xml":
-        lib, report = import_toyset(parse_toyset(data), allow_empty=cfg.allow_empty)
+        lib, report = import_toyset(parse_toyset(data), cfg.allow_empty, cfg.checker)
         failures = [f"{e.subject}\t{e.message}" for e in report.failures]
     else:
         lib = omdoc.parse(data)
@@ -244,25 +226,28 @@ def _load(cfg: CliConfig, guard_empty: bool) -> tuple[Library, list[str]]:
 # commands
 
 
+def _proof_styles(decls: Iterable[Declaration]) -> dict[str, int]:
+    """How many of `decls` carry each proof style of PROOF_STYLES."""
+    styles = {s: 0 for s in PROOF_STYLES}
+    for d in decls:
+        match d.proof:
+            case Omitted():
+                styles["omitted"] += 1
+            case DependsOn(_):
+                styles["dependsOn"] += 1
+            case ProofTerm(_):
+                styles["term"] += 1
+    return styles
+
+
 def _check_rows(lib: Library, cfg: CliConfig, out: TextIO) -> int:
     """Per-theory check report; returns the total failure count."""
-    config = cfg.kernel_config()
-    total = failed = 0
+    failed = 0
     for th in lib.theories:
-        report = check_theory(lib, th.name, config)
+        report = check_theory(lib, th.name, cfg.checker)
         ok = sum(1 for r in report.results if r.ok)
         bad = [r for r in report.results if not r.ok]
-        styles = {s: 0 for s in PROOF_STYLES}
-        for d in th.decls:
-            match d.proof:
-                case Omitted():
-                    styles["omitted"] += 1
-                case DependsOn(_):
-                    styles["dependsOn"] += 1
-                case ProofTerm(_):
-                    styles["term"] += 1
-                case _:
-                    pass
+        styles = _proof_styles(th.decls)
         out.write(
             f"theory\t{th.name.name}\tdeclarations\t{len(report.results)}"
             f"\tchecked\t{ok}\tfailed\t{len(bad)}"
@@ -271,7 +256,6 @@ def _check_rows(lib: Library, cfg: CliConfig, out: TextIO) -> int:
         )
         for r in bad:
             out.write(f"failure\t{r.subject}\t{r.message}\n")
-        total += len(report.results)
         failed += len(bad)
     return failed
 
@@ -309,11 +293,10 @@ def run_export_rdf(cfg: CliConfig, out: TextIO) -> int:
     lib, import_failures = _load(cfg, guard_empty=False)
     checked = False
     if not cfg.skip_check:
-        config = cfg.kernel_config()
         clean = all(
             r.ok
             for th in lib.theories
-            for r in check_theory(lib, th.name, config).results
+            for r in check_theory(lib, th.name, cfg.checker).results
         )
         checked = clean and not import_failures
     store = extract_triples(lib, checked=checked, include_proof_uses=cfg.include_proof_uses)
@@ -358,14 +341,13 @@ def run_translate(cfg: CliConfig, out: TextIO) -> int:
         raise UnknownIdent(f"statement {cfg.theorem} not found")
     if decl.tp is None:
         raise UnknownIdent(f"{cfg.theorem} has no statement to translate")
-    config = cfg.kernel_config()
-    report = check_morphism(lib, m, config)
+    report = check_morphism(lib, m, cfg.checker)
     bad = [r for r in report.results if not r.ok]
     if bad:
         for r in bad:
             out.write(f"failure\t{r.subject}\t{r.message}\n")
         return 1
-    translated = translate(lib, m, decl.tp, config)
+    translated = translate(lib, m, decl.tp)
     out.write(f"{decl.name} : {format_term(translated)}\n")
     return 0
 
@@ -376,19 +358,10 @@ def run_stats(cfg: CliConfig, out: TextIO) -> int:
     lib, _ = _load(cfg, guard_empty=False)
     decls = [d for th in lib.theories for d in th.decls]
     kinds = {k: 0 for k in KINDS}
-    styles = {s: 0 for s in PROOF_STYLES}
+    styles = _proof_styles(decls)
     with_src = 0
     for d in decls:
         kinds[d.meta.kind] += 1
-        match d.proof:
-            case Omitted():
-                styles["omitted"] += 1
-            case DependsOn(_):
-                styles["dependsOn"] += 1
-            case ProofTerm(_):
-                styles["term"] += 1
-            case _:
-                pass
         if d.meta.source_ref is not None:
             with_src += 1
     store = extract_triples(lib, include_proof_uses=cfg.include_proof_uses)
@@ -408,24 +381,20 @@ def run_stats(cfg: CliConfig, out: TextIO) -> int:
 # entry point
 
 
+COMMANDS = {
+    "check": run_check,
+    "import": run_import,
+    "export-omdoc": run_export_omdoc,
+    "export-rdf": run_export_rdf,
+    "deps": run_deps,
+    "used-by": run_used_by,
+    "translate": run_translate,
+    "stats": run_stats,
+}
+
+
 def run(cfg: CliConfig, out: TextIO) -> int:
-    if cfg.command == "check":
-        return run_check(cfg, out)
-    if cfg.command == "import":
-        return run_import(cfg, out)
-    if cfg.command == "export-omdoc":
-        return run_export_omdoc(cfg, out)
-    if cfg.command == "export-rdf":
-        return run_export_rdf(cfg, out)
-    if cfg.command == "deps":
-        return run_deps(cfg, out)
-    if cfg.command == "used-by":
-        return run_used_by(cfg, out)
-    if cfg.command == "translate":
-        return run_translate(cfg, out)
-    if cfg.command == "stats":
-        return run_stats(cfg, out)
-    raise AssertionError(f"unroutable command {cfg.command!r}")
+    return COMMANDS[cfg.command](cfg, out)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

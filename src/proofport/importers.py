@@ -10,9 +10,13 @@ constants, first-order formulas, second-order axiom schemes, and
 definition records that expand through the bundled func-definition
 pattern. Imported theories live under folSoft.
 
-Both importers collect per-declaration failures into an ImportReport
-and keep the successes. A nonempty document that yields no declarations
-at all is treated as a broken export and rejected.
+Both importers run through one driver. It walks the theories in
+document order, merges the names of included theories into each
+theory's environment, converts each record with the format's converter
+and kernel-checks the result against everything imported so far, under
+the caller's checker Config. Per-declaration failures are collected into
+an ImportReport and the successes kept. A nonempty document that yields
+no declarations at all is treated as a broken export and rejected.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 import re
 import xml.etree.ElementTree as ET
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Union
 
@@ -42,7 +47,9 @@ from .errors import (
     UnsupportedVersion,
 )
 from .kernel import (
+    DEFAULT_CONFIG,
     Apply,
+    Config,
     Const,
     Context,
     Declaration,
@@ -52,6 +59,7 @@ from .kernel import (
     Library,
     Metadata,
     Omitted,
+    Proof,
     SourceRef,
     Term,
     Theory,
@@ -773,7 +781,7 @@ def _where(t: SurfaceTerm) -> str:
 
 
 # ---------------------------------------------------------------------------
-# toyhol import
+# the import driver, shared by both formats
 
 _LOGICS = logic_library()
 
@@ -782,51 +790,47 @@ class _TheoryBuilder:
     """Accumulates checked declarations for one imported theory."""
 
     def __init__(self, ns: str, name: str, meta_theory: Ident,
-                 includes: tuple[Ident, ...], done: list[Theory]):
+                 includes: tuple[Ident, ...], done: list[Theory], config: Config):
         self.ns = ns
         self.name = name
         self.ident = theory_ident(ns, name)
         self.meta_theory = meta_theory
         self.includes = includes
         self.done = done
+        self.config = config
         self.decls: list[Declaration] = []
 
     def ident_for(self, local: str) -> Ident:
         return Ident(self.ns, self.name, local)
 
     def snapshot(self, extra: tuple[Declaration, ...] = ()) -> Library:
-        cur = Theory(
-            self.ident,
-            meta_theory=self.meta_theory,
-            includes=self.includes,
-            decls=tuple(self.decls) + extra,
-        )
-        return Library(self.ns, tuple(self.done) + (cur,), deps=(_LOGICS,))
+        return Library(self.ns, tuple(self.done) + (self.theory(extra),), deps=(_LOGICS,))
 
     def try_add(self, cands: tuple[Declaration, ...]) -> None:
         """Check candidates in the current snapshot; raise on failure."""
-        report = check_theory(self.snapshot(cands), self.ident)
+        report = check_theory(self.snapshot(cands), self.ident, self.config)
         new = {c.name for c in cands}
         for res in report.results:
             if res.subject in new and not res.ok:
                 raise CheckError(f"{res.subject.name}: {res.message}")
         self.decls.extend(cands)
 
-    def finish(self) -> Theory:
+    def theory(self, extra: tuple[Declaration, ...] = ()) -> Theory:
+        """The theory as built so far, plus `extra`."""
         return Theory(
             self.ident,
             meta_theory=self.meta_theory,
             includes=self.includes,
-            decls=tuple(self.decls),
+            decls=tuple(self.decls) + extra,
         )
 
 
 def _resolve_includes(
-    record: TheoryRecord, by_name: dict[str, Theory], ns: str
+    record: TheoryRecord, imported: Mapping[str, object], ns: str
 ) -> tuple[Ident, ...]:
     out = []
     for inc in record.includes:
-        if inc not in by_name:
+        if inc not in imported:
             raise UnknownIdent(f"included theory {inc}")
         out.append(theory_ident(ns, inc))
     return tuple(out)
@@ -853,47 +857,49 @@ def _meta(rec: DeclRecord, kind: str) -> Metadata:
     )
 
 
-def import_toyhol(
-    doc: ToyholDoc, allow_empty: bool = False
-) -> tuple[Library, ImportReport]:
-    """Build a holChurch-based Library from a parsed toyhol document.
+# The names a theory sees, by category ("consts", "stmts", ...): category ->
+# local name -> what the name binds. Each format picks its own categories.
+Env = dict[str, dict[str, object]]
 
-    Declarations are converted and kernel-checked one at a time; a
-    failure is recorded in the report and the declaration dropped, the
-    rest continue. Raises EmptyCorpus when a document with records ends
-    up contributing nothing (unless allow_empty).
+
+def _import(
+    doc: Union[ToyholDoc, ToysetDoc],
+    ns: str,
+    meta_theory: Ident,
+    convert: Callable,
+    allow_empty: bool,
+    config: Config,
+) -> tuple[Library, ImportReport]:
+    """Convert and kernel-check every record of `doc`, one at a time.
+
+    `convert(rec, ident, env, builder)` returns the record's candidate
+    declarations and the (category, binding) its name adds to `env` once
+    they check; `env` starts as the merged environments of the included
+    theories. A failure is recorded in the report and the record
+    dropped; the rest continue. Raises EmptyCorpus when a document with
+    records ends up contributing nothing (unless allow_empty).
     """
     entries: list[ImportEntry] = []
     done: list[Theory] = []
-    by_name: dict[str, Theory] = {}
+    envs: dict[str, Env] = {}
     records = {t.name: t for t in doc.theories}
-    # per-theory surface environments for the annotation inference:
-    # term name -> (surface type, declaring ident)
-    type_envs: dict[str, dict[str, Ident]] = {}
-    term_envs: dict[str, dict[str, tuple[SurfaceType, Ident]]] = {}
-    stmt_names: dict[str, dict[str, Ident]] = {}
-    total_records = 0
 
     for trec in doc.theories:
-        total_records += len(trec.decls)
         try:
-            includes = _resolve_includes(trec, by_name, TOYHOL_NS)
+            includes = _resolve_includes(trec, envs, ns)
         except UnknownIdent as err:
             entries.append(ImportEntry(trec.name, False, f"UnknownIdent: {err}"))
             continue
-        builder = _TheoryBuilder(TOYHOL_NS, trec.name, HOL_CHURCH, includes, done)
-        base_types: dict[str, Ident] = {}
-        terms: dict[str, tuple[SurfaceType, Ident]] = {}
-        stmts: dict[str, Ident] = {}
+        builder = _TheoryBuilder(ns, trec.name, meta_theory, includes, done, config)
+        env: Env = defaultdict(dict)
         for inc in reversed(_included_names(trec, records)):
-            base_types.update(type_envs.get(inc, {}))
-            terms.update(term_envs.get(inc, {}))
-            stmts.update(stmt_names.get(inc, {}))
+            for category, bound in envs.get(inc, {}).items():
+                env[category].update(bound)
 
         for rec in trec.decls:
             ident = builder.ident_for(rec.name)
             try:
-                cands, env_type = _toyhol_decl(rec, ident, terms, base_types, stmts)
+                cands, (category, binding) = convert(rec, ident, env, builder)
                 builder.try_add(cands)
             except CheckError as err:
                 entries.append(
@@ -901,37 +907,43 @@ def import_toyhol(
                 )
                 continue
             entries.append(ImportEntry(str(ident), True))
-            if rec.kind == "type":
-                base_types[rec.name] = ident
-            elif env_type is not None:
-                terms[rec.name] = (env_type, ident)
-            elif rec.kind in ("axiom", "theorem"):
-                stmts[rec.name] = ident
+            env[category][rec.name] = binding
 
-        th = builder.finish()
-        done.append(th)
-        by_name[trec.name] = th
-        type_envs[trec.name] = base_types
-        term_envs[trec.name] = terms
-        stmt_names[trec.name] = stmts
+        done.append(builder.theory())
+        envs[trec.name] = env
 
-    lib = Library(TOYHOL_NS, tuple(done), deps=(_LOGICS,))
-    ndecls = sum(len(t.decls) for t in done)
-    if total_records > 0 and ndecls == 0 and not allow_empty:
+    lib = Library(ns, tuple(done), deps=(_LOGICS,))
+    has_records = any(t.decls for t in doc.theories)
+    if has_records and not any(t.decls for t in done) and not allow_empty:
         raise EmptyCorpus("document has records but the import produced nothing")
     return lib, ImportReport(tuple(entries))
 
 
+# ---------------------------------------------------------------------------
+# toyhol import
+
+
+def import_toyhol(
+    doc: ToyholDoc, allow_empty: bool = False, config: Config = DEFAULT_CONFIG
+) -> tuple[Library, ImportReport]:
+    """Build a holChurch-based Library from a parsed toyhol document.
+
+    Declarations are converted and kernel-checked one at a time under
+    `config`; a failure is recorded in the report and the declaration
+    dropped, the rest continue. Raises EmptyCorpus when a document with
+    records ends up contributing nothing (unless allow_empty).
+    """
+    return _import(doc, TOYHOL_NS, HOL_CHURCH, _toyhol_decl, allow_empty, config)
+
+
 def _toyhol_decl(
-    rec: DeclRecord,
-    ident: Ident,
-    terms: dict[str, tuple[SurfaceType, Ident]],
-    base_types: dict[str, Ident],
-    stmts: dict[str, Ident],
-) -> tuple[tuple[Declaration, ...], Optional[SurfaceType]]:
-    """Convert one record; also returns the surface type to record in
-    the inference environment (constants and definitions only)."""
-    env = {n: st for n, (st, _) in terms.items()}
+    rec: DeclRecord, ident: Ident, env: Env, builder: _TheoryBuilder
+) -> tuple[tuple[Declaration, ...], tuple[str, object]]:
+    """Convert one record. Its name binds a base type, a term with its
+    surface type for the annotation inference, or a statement."""
+    base_types = env["types"]
+    terms = env["terms"]
+    stypes = {n: st for n, (st, _) in terms.items()}
 
     def resolver(name: str) -> Optional[Term]:
         if name in terms:
@@ -939,16 +951,16 @@ def _toyhol_decl(
         return None
 
     if rec.kind == "type":
-        return (Declaration(ident, tp=_HOL_TP, meta=_meta(rec, "type")),), None
+        return (Declaration(ident, tp=_HOL_TP, meta=_meta(rec, "type")),), ("types", ident)
     if rec.kind == "constant":
         tp_term = _stype_term(rec.tp, base_types)
         decl = Declaration(
             ident, tp=Apply(_HOL_TM, tp_term), meta=_meta(rec, "constant")
         )
-        return (decl,), rec.tp
+        return (decl,), ("terms", (rec.tp, ident))
     if rec.kind == "definition":
         term, inferred = infer_church_annotations(
-            env, rec.definiens, base_types, resolver
+            stypes, rec.definiens, base_types, resolver
         )
         declared = rec.tp if rec.tp is not None else inferred
         tp_term = _stype_term(declared, base_types)
@@ -958,26 +970,25 @@ def _toyhol_decl(
             definiens=term,
             meta=_meta(rec, "definition"),
         )
-        return (decl,), declared
+        return (decl,), ("terms", (declared, ident))
     # axiom or theorem: the type field is a formula
-    term, ftype = infer_church_annotations(env, rec.tp, base_types, resolver)
+    term, ftype = infer_church_annotations(stypes, rec.tp, base_types, resolver)
     uni = _Unifier()
     uni.unify(ftype, _BOOL_T, rec.name)
-    if rec.kind == "axiom":
-        decl = Declaration(
-            ident, tp=Apply(_HOL_DED, term), proof=Omitted(), meta=_meta(rec, "axiom")
-        )
-        return (decl,), None
+    proof = _depends_on(rec, env["stmts"])
+    decl = Declaration(ident, tp=Apply(_HOL_DED, term), proof=proof, meta=_meta(rec, rec.kind))
+    return (decl,), ("stmts", ident)
+
+
+def _depends_on(rec: DeclRecord, stmts: Mapping[str, Ident]) -> Proof:
+    """The proof of an axiom or theorem record: its resolved deps, or
+    Omitted when it lists none (an axiom never does)."""
     ids = []
     for dep in rec.deps:
         if dep not in stmts:
             raise UnknownIdent(f"dependency {dep}")
         ids.append(stmts[dep])
-    proof = DependsOn(tuple(ids)) if ids else Omitted()
-    decl = Declaration(
-        ident, tp=Apply(_HOL_DED, term), proof=proof, meta=_meta(rec, "theorem")
-    )
-    return (decl,), None
+    return DependsOn(tuple(ids)) if ids else Omitted()
 
 
 def _stype_term(st: SurfaceType, base_types: Mapping[str, Ident]) -> Term:
@@ -1032,6 +1043,9 @@ def func_definition_pattern() -> Pattern:
     return Pattern(pid("func-definition"), Context().extend("value", _FOL_SET), body)
 
 
+_FUNC_DEFINITION = func_definition_pattern()
+
+
 def _fol_term(
     t: SurfaceTerm, scope: list[str], consts: Mapping[str, Ident], where: str
 ) -> Term:
@@ -1074,7 +1088,7 @@ def _pvar_type(arity: int) -> Term:
 
 
 def import_toyset(
-    doc: ToysetDoc, allow_empty: bool = False
+    doc: ToysetDoc, allow_empty: bool = False, config: Config = DEFAULT_CONFIG
 ) -> tuple[Library, ImportReport]:
     """Build a folSoft-based Library from a parsed toyset document.
 
@@ -1082,84 +1096,22 @@ def import_toyset(
     prefix; definition records expand through the func-definition
     pattern. Failure handling matches import_toyhol.
     """
-    entries: list[ImportEntry] = []
-    done: list[Theory] = []
-    by_name: dict[str, Theory] = {}
-    records = {t.name: t for t in doc.theories}
-    const_envs: dict[str, dict[str, Ident]] = {}
-    stmt_envs: dict[str, dict[str, Ident]] = {}
-    funcdef = func_definition_pattern()
-    registry = {funcdef.name: funcdef}
-    total_records = 0
-
-    for trec in doc.theories:
-        total_records += len(trec.decls)
-        try:
-            includes = _resolve_includes(trec, by_name, TOYSET_NS)
-        except UnknownIdent as err:
-            entries.append(ImportEntry(trec.name, False, f"UnknownIdent: {err}"))
-            continue
-        builder = _TheoryBuilder(TOYSET_NS, trec.name, FOL_SOFT, includes, done)
-        consts: dict[str, Ident] = {}
-        stmts: dict[str, Ident] = {}
-        for inc in reversed(_included_names(trec, records)):
-            consts.update(const_envs.get(inc, {}))
-            stmts.update(stmt_envs.get(inc, {}))
-
-        for rec in trec.decls:
-            ident = builder.ident_for(rec.name)
-            try:
-                cands = _toyset_decl(rec, ident, consts, stmts, builder, registry)
-                builder.try_add(cands)
-            except CheckError as err:
-                entries.append(
-                    ImportEntry(str(ident), False, f"{type(err).__name__}: {err}")
-                )
-                continue
-            entries.append(ImportEntry(str(ident), True))
-            if rec.kind == "constant":
-                consts[rec.name] = ident
-            elif rec.kind == "definition":
-                # the generated constant is name/fn
-                consts[rec.name] = cands[0].name
-            elif rec.kind in ("axiom", "theorem", "scheme"):
-                stmts[rec.name] = ident
-
-        th = builder.finish()
-        done.append(th)
-        by_name[trec.name] = th
-        const_envs[trec.name] = consts
-        stmt_envs[trec.name] = stmts
-
-    lib = Library(TOYSET_NS, tuple(done), deps=(_LOGICS,))
-    ndecls = sum(len(t.decls) for t in done)
-    if total_records > 0 and ndecls == 0 and not allow_empty:
-        raise EmptyCorpus("document has records but the import produced nothing")
-    return lib, ImportReport(tuple(entries))
+    return _import(doc, TOYSET_NS, FOL_SOFT, _toyset_decl, allow_empty, config)
 
 
 def _toyset_decl(
-    rec: DeclRecord,
-    ident: Ident,
-    consts: dict[str, Ident],
-    stmts: dict[str, Ident],
-    builder: _TheoryBuilder,
-    registry: dict[Ident, Pattern],
-) -> tuple[Declaration, ...]:
+    rec: DeclRecord, ident: Ident, env: Env, builder: _TheoryBuilder
+) -> tuple[tuple[Declaration, ...], tuple[str, object]]:
+    """Convert one record. Its name binds a set constant (for a definition,
+    the generated `name/fn`) or a statement."""
+    consts = env["consts"]
     if rec.kind == "constant":
-        return (Declaration(ident, tp=_FOL_SET, meta=_meta(rec, "constant")),)
+        return (Declaration(ident, tp=_FOL_SET, meta=_meta(rec, "constant")),), ("consts", ident)
     if rec.kind in ("axiom", "theorem"):
-        formula = _fol_term(rec.tp, [], consts, rec.name)
-        tp = Apply(_FOL_DED, formula)
-        if rec.kind == "axiom":
-            return (Declaration(ident, tp=tp, proof=Omitted(), meta=_meta(rec, "axiom")),)
-        ids = []
-        for dep in rec.deps:
-            if dep not in stmts:
-                raise UnknownIdent(f"dependency {dep}")
-            ids.append(stmts[dep])
-        proof = DependsOn(tuple(ids)) if ids else Omitted()
-        return (Declaration(ident, tp=tp, proof=proof, meta=_meta(rec, "theorem")),)
+        tp = Apply(_FOL_DED, _fol_term(rec.tp, [], consts, rec.name))
+        proof = _depends_on(rec, env["stmts"])
+        decl = Declaration(ident, tp=tp, proof=proof, meta=_meta(rec, rec.kind))
+        return (decl,), ("stmts", ident)
     if rec.kind == "scheme":
         ctx = Context()
         pnames = []
@@ -1168,16 +1120,15 @@ def _toyset_decl(
             pnames.append(pname)
         formula = _fol_term(rec.tp, pnames, consts, rec.name)
         sd = SchematicDecl(ctx, Apply(_FOL_DED, formula))
-        return (
-            Declaration(
-                ident, tp=close_toplevel(sd), proof=Omitted(), meta=_meta(rec, "axiom")
-            ),
+        decl = Declaration(
+            ident, tp=close_toplevel(sd), proof=Omitted(), meta=_meta(rec, "axiom")
         )
+        return (decl,), ("stmts", ident)
     if rec.kind == "definition":
         value = _fol_term(rec.definiens, [], consts, rec.name)
-        pattern_name = Ident(LOGIC_NS, "patterns", "func-definition")
-        inst = PatternInstance(ident, pattern_name, (value,))
-        decls = elaborate_pattern(builder.snapshot(), inst, registry)
+        inst = PatternInstance(ident, _FUNC_DEFINITION.name, (value,))
+        registry = {_FUNC_DEFINITION.name: _FUNC_DEFINITION}
+        decls = elaborate_pattern(builder.snapshot(), inst, registry, builder.config)
         out = []
         for d in decls:
             meta = replace(
@@ -1187,7 +1138,7 @@ def _toyset_decl(
                 notation=rec.notation,
             )
             out.append(replace(d, meta=meta))
-        return tuple(out)
+        return tuple(out), ("consts", out[0].name)
     raise SchemaViolation(rec.kind, "unknown record kind")
 
 

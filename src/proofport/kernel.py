@@ -18,7 +18,7 @@ All values here are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (
     CheckError,
@@ -348,40 +348,50 @@ class Library:
 
 @dataclass(frozen=True)
 class Config:
-    """Tunable behavior shared by the whole pipeline."""
+    """Checker settings, shared by every stage that type-checks."""
 
     eta_enabled: bool = True
-    include_proof_uses: bool = False
     reduction_budget: int = 100000
-    source_dir: Optional[str] = None
 
 
 DEFAULT_CONFIG = Config()
 
 
 # ---------------------------------------------------------------------------
-# substitution
+# traversal and substitution
+
+
+def rebuild(t: Term, leaf: Callable[[Term, int], Term], k: int = 0) -> Term:
+    """Rebuild `t` with every Var and Const node replaced by leaf(node, j).
+
+    `j` is `k` plus the number of binders between the root and the node.
+    A node whose children all come back unchanged (`is`) is returned
+    itself, so a leaf that changes nothing returns `t` without a copy.
+    """
+    match t:
+        case Var() | Const():
+            return leaf(t, k)
+        case Apply(x, y) | SubType(x, y) | SubIn(x, y):
+            x2 = rebuild(x, leaf, k)
+            y2 = rebuild(y, leaf, k)
+            return t if x2 is x and y2 is y else type(t)(x2, y2)
+        case Lambda(h, d, b) | Pi(h, d, b):
+            d2 = rebuild(d, leaf, k)
+            b2 = rebuild(b, leaf, k + 1)
+            return t if d2 is d and b2 is b else type(t)(h, d2, b2)
+        case SubOut(e):
+            e2 = rebuild(e, leaf, k)
+            return t if e2 is e else SubOut(e2)
+    return t
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every free index at or above `cutoff`."""
-    match t:
-        case Var(k):
-            return Var(k + by) if k >= cutoff else t
-        case Apply(f, a):
-            return Apply(shift(f, by, cutoff), shift(a, by, cutoff))
-        case Lambda(h, d, b):
-            return Lambda(h, shift(d, by, cutoff), shift(b, by, cutoff + 1))
-        case Pi(h, d, c):
-            return Pi(h, shift(d, by, cutoff), shift(c, by, cutoff + 1))
-        case SubType(b, p):
-            return SubType(shift(b, by, cutoff), shift(p, by, cutoff))
-        case SubIn(e, w):
-            return SubIn(shift(e, by, cutoff), shift(w, by, cutoff))
-        case SubOut(e):
-            return SubOut(shift(e, by, cutoff))
-        case _:
-            return t
+
+    def leaf(node: Term, k: int) -> Term:
+        return Var(node.index + by) if isinstance(node, Var) and node.index >= k else node
+
+    return rebuild(t, leaf, cutoff)
 
 
 def substitute(t: Term, depth: int, s: Term) -> Term:
@@ -391,25 +401,19 @@ def substitute(t: Term, depth: int, s: Term) -> Term:
     consumed); `s` is shifted as it moves under binders. This is exactly
     the beta contraction when called with depth 0 on a redex body.
     """
-    match t:
-        case Var(k):
-            if k == depth:
-                return s
-            return Var(k - 1) if k > depth else t
-        case Apply(f, a):
-            return Apply(substitute(f, depth, s), substitute(a, depth, s))
-        case Lambda(h, d, b):
-            return Lambda(h, substitute(d, depth, s), substitute(b, depth + 1, shift(s, 1)))
-        case Pi(h, d, c):
-            return Pi(h, substitute(d, depth, s), substitute(c, depth + 1, shift(s, 1)))
-        case SubType(b, p):
-            return SubType(substitute(b, depth, s), substitute(p, depth, s))
-        case SubIn(e, w):
-            return SubIn(substitute(e, depth, s), substitute(w, depth, s))
-        case SubOut(e):
-            return SubOut(substitute(e, depth, s))
-        case _:
-            return t
+    shifted = {depth: s}  # k -> s moved under the k - depth binders above Var(k)
+
+    def leaf(node: Term, k: int) -> Term:
+        if isinstance(node, Var):
+            if node.index == k:
+                if k not in shifted:
+                    shifted[k] = shift(s, k - depth)
+                return shifted[k]
+            if node.index > k:
+                return Var(node.index - 1)
+        return node
+
+    return rebuild(t, leaf, depth)
 
 
 def map_consts(t: Term, fn) -> Term:
@@ -418,45 +422,25 @@ def map_consts(t: Term, fn) -> Term:
     Replacement terms must be closed; they are spliced in without index
     adjustment.
     """
-    match t:
-        case Const(c):
-            repl = fn(c)
-            return t if repl is None else repl
-        case Apply(f, a):
-            return Apply(map_consts(f, fn), map_consts(a, fn))
-        case Lambda(h, d, b):
-            return Lambda(h, map_consts(d, fn), map_consts(b, fn))
-        case Pi(h, d, b):
-            return Pi(h, map_consts(d, fn), map_consts(b, fn))
-        case SubType(b, p):
-            return SubType(map_consts(b, fn), map_consts(p, fn))
-        case SubIn(e, w):
-            return SubIn(map_consts(e, fn), map_consts(w, fn))
-        case SubOut(e):
-            return SubOut(map_consts(e, fn))
-        case _:
-            return t
+
+    def leaf(node: Term, k: int) -> Term:
+        repl = fn(node.ident) if isinstance(node, Const) else None
+        return node if repl is None else repl
+
+    return rebuild(t, leaf)
 
 
-def constants_of(t: Term) -> Iterator[Ident]:
+def constants_of(t: Term) -> list[Ident]:
     """All constant identifiers in `t`, left to right, with repeats."""
-    match t:
-        case Const(c):
-            yield c
-        case Apply(f, a):
-            yield from constants_of(f)
-            yield from constants_of(a)
-        case Lambda(_, d, b) | Pi(_, d, b):
-            yield from constants_of(d)
-            yield from constants_of(b)
-        case SubType(b, p):
-            yield from constants_of(b)
-            yield from constants_of(p)
-        case SubIn(e, w):
-            yield from constants_of(e)
-            yield from constants_of(w)
-        case SubOut(e):
-            yield from constants_of(e)
+    out: list[Ident] = []
+
+    def leaf(node: Term, k: int) -> Term:
+        if isinstance(node, Const):
+            out.append(node.ident)
+        return node
+
+    rebuild(t, leaf)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -851,21 +835,16 @@ def format_term(t: Term, names: tuple[str, ...] = ()) -> str:
 
 
 def _mentions(t: Term, k: int) -> bool:
-    match t:
-        case Var(i):
-            return i == k
-        case Apply(f, a):
-            return _mentions(f, k) or _mentions(a, k)
-        case Lambda(_, d, b) | Pi(_, d, b):
-            return _mentions(d, k) or _mentions(b, k + 1)
-        case SubType(b, p):
-            return _mentions(b, k) or _mentions(p, k)
-        case SubIn(e, w):
-            return _mentions(e, k) or _mentions(w, k)
-        case SubOut(e):
-            return _mentions(e, k)
-        case _:
-            return False
+    """Whether Var(k) occurs free in `t`."""
+    hits: list[Term] = []
+
+    def leaf(node: Term, j: int) -> Term:
+        if isinstance(node, Var) and node.index == j:
+            hits.append(node)
+        return node
+
+    rebuild(t, leaf, k)
+    return bool(hits)
 
 
 def _bind_name(hint: str, names: list[str]) -> str:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from dataclasses import dataclass, field
 
-from .errors import Mismatch, UnassignedConstant, UnknownIdent
+from .errors import CheckError, Mismatch, UnassignedConstant, UnknownIdent
 from .kernel import (
     CheckReport,
     CheckResult,
@@ -57,12 +57,6 @@ class Morphism:
                 raise ValueError(f"{self.name}: duplicate assignment for {c}")
             seen.add(c)
 
-    def assignment(self, c: Ident) -> Optional[Term]:
-        for ident, term in self.assignments:
-            if ident == c:
-                return term
-        return None
-
 
 def _domain(lib: Library, m: Morphism) -> dict[Ident, Declaration]:
     if lib.find_theory(m.source) is None:
@@ -72,7 +66,7 @@ def _domain(lib: Library, m: Morphism) -> dict[Ident, Declaration]:
     return {d.name: d for d in flatten(lib, m.source)}
 
 
-def translate(lib: Library, m: Morphism, t: Term, config: Config = DEFAULT_CONFIG) -> Term:
+def translate(lib: Library, m: Morphism, t: Term) -> Term:
     """Homomorphic image of `t` under `m`.
 
     Constants with an assignment are replaced by it, defined domain
@@ -118,9 +112,9 @@ def check_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG) -
             results.append(CheckResult(c, False, "assigned constant has no type"))
             continue
         try:
-            expected = translate(lib, m, d.tp, config)
+            expected = translate(lib, m, d.tp)
             check(lib, Context(), term, expected, config)
-        except Exception as err:  # collected, not raised
+        except CheckError as err:  # collected, not raised
             results.append(CheckResult(c, False, f"{type(err).__name__}: {err}"))
             continue
         results.append(CheckResult(c, True))
@@ -155,7 +149,7 @@ def install_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG)
         decls.append(
             Declaration(
                 Ident(name.namespace, name.module, f"{m.name.name}/{d.name.name}"),
-                tp=translate(lib, m, d.tp, config),
+                tp=translate(lib, m, d.tp),
                 proof=DependsOn((d.name, m.name)),
                 meta=Metadata(kind="theorem", origin=m.name),
             )

@@ -414,11 +414,10 @@ def test_flag_parsing_maps_to_config():
             "--allow-empty",
         ]
     )
-    kc = cfg.kernel_config()
-    assert kc.eta_enabled is False
-    assert kc.include_proof_uses is True
-    assert kc.reduction_budget == 7
-    assert kc.source_dir == "src"
+    assert cfg.checker.eta_enabled is False
+    assert cfg.include_proof_uses is True
+    assert cfg.checker.reduction_budget == 7
+    assert cfg.source_dir == "src"
     assert cfg.allow_empty is True
 
 

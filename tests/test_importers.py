@@ -3,6 +3,7 @@ source-reference scanner, each against an independent bookkeeping or
 hand-derived oracle."""
 
 import copy
+import inspect
 import json
 import random
 from pathlib import Path
@@ -18,6 +19,7 @@ from generators import (
     surface_library,
     surface_resolve,
 )
+from proofport import importers
 from proofport.elaboration import builtin_patterns
 from proofport.encodings import (
     FOL_SOFT,
@@ -56,6 +58,7 @@ from proofport.importers import (
 )
 from proofport.kernel import (
     Apply,
+    Config,
     Const,
     Context,
     Declaration,
@@ -465,6 +468,23 @@ def test_toyset_fixture_imports_and_checks():
     assert report.ok
     assert [t.meta_theory for t in lib.theories] == [FOL_SOFT]
     assert all(r.ok for r in check_library(lib))
+
+
+def test_importers_check_with_the_given_config(monkeypatch):
+    cfg = Config(eta_enabled=False, reduction_budget=7)
+    seen: dict[str, list] = {"check_theory": [], "elaborate_pattern": []}
+    for name, calls in seen.items():
+        real = getattr(importers, name)
+
+        def spy(*args, real=real, calls=calls, **kwargs):
+            calls.append(inspect.signature(real).bind(*args, **kwargs).arguments.get("config"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(importers, name, spy)
+    import_toyhol(parse_toyhol(load("core.toyhol.json")), True, cfg)
+    import_toyset(parse_toyset(load("sets.toyset.xml")), True, cfg)
+    assert seen["check_theory"] and seen["elaborate_pattern"]
+    assert all(c is cfg for calls in seen.values() for c in calls)
 
 
 def test_toyset_scheme_closes_over_predicate():

@@ -55,11 +55,13 @@ from proofport.kernel import (
     apps,
     check,
     check_theory,
+    constants_of,
     equal,
     flatten,
     fn_type,
     format_term,
     infer,
+    map_consts,
     shift,
     substitute,
     theory_ident,
@@ -122,6 +124,41 @@ def test_substitute_matches_named_oracle_on_random_terms():
         t = gen_scoped(rng, nfree)
         s = gen_scoped(rng, max(nfree - 1, 0))
         _check_against_named_oracle(t, depth, s, nfree)
+
+
+# ---------------------------------------------------------------------------
+# the shared traversal
+
+
+def test_traversals_return_unchanged_terms_themselves():
+    rng = random.Random(103)
+    for _ in range(200):
+        t = gen_scoped(rng, rng.randint(0, 3))
+        assert map_consts(t, lambda c: None) is t
+        closed = gen_scoped(rng, 0)
+        assert shift(closed, 5) is closed
+        assert substitute(closed, 0, gen_scoped(rng, rng.randint(0, 3))) is closed
+
+
+def test_shift_then_unshift_is_identity():
+    rng = random.Random(107)
+    for _ in range(200):
+        nfree = rng.randint(0, 4)
+        t = gen_scoped(rng, nfree)
+        a, c = rng.randint(0, 3), rng.randint(0, nfree)
+        assert shift(shift(t, a, c), -a, c) == t
+
+
+def test_constants_of_commutes_with_renaming():
+    def rename(c: Ident) -> Ident:
+        # not injective, so repeats must survive the renaming
+        return _i("zero") if c.name == "one" else Ident(NS, "renamed", c.name)
+
+    rng = random.Random(109)
+    for _ in range(200):
+        t = gen_scoped(rng, rng.randint(0, 3))
+        renamed = map_consts(t, lambda c: Const(rename(c)))
+        assert constants_of(renamed) == [rename(c) for c in constants_of(t)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from proofport import morphisms
 from proofport.encodings import FOL_SOFT, fol_ident, logic_library
 from proofport.errors import Mismatch, UnassignedConstant, UnknownIdent
 from proofport.kernel import (
@@ -252,6 +253,24 @@ def test_check_morphism_flags_exactly_the_bad_assignment():
     report = check_morphism(ALGEBRA, bad)
     assert not report.ok
     assert [r.subject for r in report.failures] == [_i("monoid", "op")]
+
+
+def test_check_morphism_collects_check_errors_only(monkeypatch):
+    def failing(exc):
+        def check_stub(*args, **kwargs):
+            raise exc
+
+        return check_stub
+
+    monkeypatch.setattr(morphisms, "check", failing(Mismatch("planted")))
+    report = check_morphism(ALGEBRA, TO_INT)
+    assert [(r.subject, r.message) for r in report.failures] == [
+        (_i("monoid", "e"), "Mismatch: planted"),
+        (_i("monoid", "op"), "Mismatch: planted"),
+    ]
+    monkeypatch.setattr(morphisms, "check", failing(TypeError("a bug")))
+    with pytest.raises(TypeError, match="a bug"):
+        check_morphism(ALGEBRA, TO_INT)
 
 
 def test_check_morphism_reports_gap():
