@@ -26,6 +26,7 @@ from .errors import (
     UnknownIdent,
 )
 from .importers import (
+    ImportReport,
     import_toyhol,
     import_toyset,
     parse_toyhol,
@@ -34,6 +35,7 @@ from .importers import (
 )
 from .kernel import (
     DEFAULT_CONFIG,
+    KINDS,
     Config,
     Declaration,
     DependsOn,
@@ -47,7 +49,14 @@ from .kernel import (
 from .morphisms import check_morphism, translate
 from .ontology import extract_triples, transitive_uses, used_by, write_ntriples
 
-FORMATS = ("toyhol-json", "toyset-xml", "omdoc")
+# format name -> parse and import of the input bytes. The readers are looked
+# up by name on every call, so a rebinding of `parse_toyhol` is seen here.
+_READERS = {
+    "toyhol-json": lambda data, cfg: import_toyhol(parse_toyhol(data), cfg.allow_empty, cfg.checker),
+    "toyset-xml": lambda data, cfg: import_toyset(parse_toyset(data), cfg.allow_empty, cfg.checker),
+    "omdoc": lambda data, cfg: (omdoc.parse(data), ImportReport(())),
+}
+FORMATS = tuple(_READERS)
 PROOF_STYLES = ("omitted", "dependsOn", "term")
 
 
@@ -72,43 +81,57 @@ class CliConfig:
 # argument handling
 
 
-def _env_bool(name: str, default: bool) -> bool:
-    v = os.environ.get(name)
-    if v is None:
-        return default
-    return v.strip().lower() in ("1", "true", "yes", "on")
+def _format(text: str) -> str:
+    if text not in FORMATS:
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {FORMATS})")
+    return text
 
 
-def _env_int(name: str, default: int) -> int:
-    v = os.environ.get(name)
-    return default if v is None else int(v)
+def _budget(text: str) -> int:
+    if not text.strip().removeprefix("+").isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _boolean(text: str) -> bool:
+    value = text.strip().lower()
+    if value not in _TRUE + _FALSE:
+        raise argparse.ArgumentTypeError(f"expected one of {'/'.join(_TRUE + _FALSE)}, got {text!r}")
+    return value in _TRUE
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="input file path")
+    # An OAF_* value is a string default, which argparse converts with
+    # `type` as it does a command-line value. BooleanOptionalAction never
+    # converts its own flag, so its `type` is set afterwards.
     common.add_argument(
         "--format",
         choices=FORMATS,
+        type=_format,
         default=os.environ.get("OAF_FORMAT"),
         help="input format; inferred from the file suffix when omitted",
     )
     common.add_argument(
         "--eta",
         action=argparse.BooleanOptionalAction,
-        default=_env_bool("OAF_ETA_ENABLED", True),
+        default=os.environ.get("OAF_ETA_ENABLED", True),
         help="enable eta in definitional equality",
-    )
+    ).type = _boolean
     common.add_argument(
         "--include-proof-uses",
         action=argparse.BooleanOptionalAction,
-        default=_env_bool("OAF_INCLUDE_PROOF_USES", False),
+        default=os.environ.get("OAF_INCLUDE_PROOF_USES", False),
         help="count constants inside proof terms as uses",
-    )
+    ).type = _boolean
     common.add_argument(
         "--reduction-budget",
-        type=int,
-        default=_env_int("OAF_REDUCTION_BUDGET", 100000),
+        type=_budget,
+        default=os.environ.get("OAF_REDUCTION_BUDGET", DEFAULT_CONFIG.reduction_budget),
         help="reduction step budget",
     )
     common.add_argument(
@@ -119,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--allow-empty",
         action=argparse.BooleanOptionalAction,
-        default=_env_bool("OAF_ALLOW_EMPTY", False),
+        default=os.environ.get("OAF_ALLOW_EMPTY", False),
         help="accept nonempty input that yields zero declarations",
-    )
+    ).type = _boolean
 
     parser = argparse.ArgumentParser(
         prog="proofport", description="proof library interchange pipeline"
@@ -202,16 +225,8 @@ def _load(cfg: CliConfig, guard_empty: bool) -> tuple[Library, list[str]]:
         data = Path(cfg.input).read_bytes()
     except OSError as err:
         raise Malformed(str(err)) from err
-    fmt = cfg.format or _infer_format(cfg.input)
-    failures: list[str] = []
-    if fmt == "toyhol-json":
-        lib, report = import_toyhol(parse_toyhol(data), cfg.allow_empty, cfg.checker)
-        failures = [f"{e.subject}\t{e.message}" for e in report.failures]
-    elif fmt == "toyset-xml":
-        lib, report = import_toyset(parse_toyset(data), cfg.allow_empty, cfg.checker)
-        failures = [f"{e.subject}\t{e.message}" for e in report.failures]
-    else:
-        lib = omdoc.parse(data)
+    lib, report = _READERS[cfg.format or _infer_format(cfg.input)](data, cfg)
+    failures = [f"{e.subject}\t{e.message}" for e in report.failures]
     if cfg.source_dir is not None:
         lib, _ = recover_source_refs(lib, _read_sources(cfg.source_dir))
     decls = sum(len(th.decls) for th in lib.theories)
@@ -353,8 +368,6 @@ def run_translate(cfg: CliConfig, out: TextIO) -> int:
 
 
 def run_stats(cfg: CliConfig, out: TextIO) -> int:
-    from .kernel import KINDS
-
     lib, _ = _load(cfg, guard_empty=False)
     decls = [d for th in lib.theories for d in th.decls]
     kinds = {k: 0 for k in KINDS}

@@ -3,8 +3,12 @@
 Two families matter to callers: CheckError covers semantic failures
 (typing, name resolution, reduction budgets), FormatError covers
 rejected input documents. The command line maps the families to exit
-codes 1 and 2 respectively.
+codes 1 and 2 respectively. The strict-reading primitives that every
+input reader shares live next to the format errors they raise.
 """
+
+import xml.etree.ElementTree as ET
+from typing import Mapping
 
 
 class ProofportError(Exception):
@@ -109,3 +113,41 @@ class UnsupportedVersion(FormatError):
 
 class EmptyCorpus(FormatError):
     """An operation that needs content received none."""
+
+
+# ---------------------------------------------------------------------------
+# strict reading, shared by every input format
+
+
+def check_keys(obj: Mapping, path: str, required: tuple[str, ...],
+               optional: tuple[str, ...] = (), noun: str = "attribute") -> Mapping:
+    """`obj` (a JSON object or an XML attrib), once it is known to hold every
+    `required` key and no key outside `required` and `optional`; a violation
+    is a SchemaViolation at `path.key`."""
+    for key in obj:
+        if key not in required and key not in optional:
+            raise SchemaViolation(f"{path}.{key}" if path else key, f"unknown {noun}")
+    for key in required:
+        if key not in obj:
+            raise SchemaViolation(f"{path}.{key}" if path else key, f"missing {noun}")
+    return obj
+
+
+def check_version(version: str, supported: str) -> None:
+    if version != supported:
+        raise UnsupportedVersion(version)
+
+
+def read_xml(data: bytes, tag: str, attrs: tuple[str, ...], version: str) -> ET.Element:
+    """The root element of UTF-8 XML `data`: a `<tag>` with exactly the
+    attributes `attrs`, among them a `version` equal to `version`."""
+    try:
+        root = ET.fromstring(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise Malformed(str(err)) from err
+    except ET.ParseError as err:
+        raise Malformed(str(err), err.position[0] if err.position else None) from err
+    if root.tag != tag:
+        raise SchemaViolation(root.tag, f"root element must be <{tag}>")
+    check_version(check_keys(root.attrib, tag, attrs)["version"], version)
+    return root

@@ -26,7 +26,7 @@ import re
 import xml.etree.ElementTree as ET
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .elaboration import (
     Pattern,
@@ -44,7 +44,9 @@ from .errors import (
     SchemaViolation,
     UnificationFailure,
     UnknownIdent,
-    UnsupportedVersion,
+    check_keys,
+    check_version,
+    read_xml,
 )
 from .kernel import (
     DEFAULT_CONFIG,
@@ -154,13 +156,9 @@ class TheoryRecord:
 
 
 @dataclass(frozen=True)
-class ToyholDoc:
-    version: str
-    theories: tuple[TheoryRecord, ...]
+class ExportDoc:
+    """A parsed toyhol or toyset export."""
 
-
-@dataclass(frozen=True)
-class ToysetDoc:
     version: str
     theories: tuple[TheoryRecord, ...]
 
@@ -189,213 +187,202 @@ class ImportReport:
 # toyhol JSON parsing
 
 
-def _fail(path: str, message: str = "") -> SchemaViolation:
-    return SchemaViolation(path, message)
-
-
 def _get_str(obj: dict, key: str, path: str) -> str:
-    if key not in obj:
-        raise _fail(f"{path}.{key}" if path else key, "missing")
-    v = obj[key]
+    v = obj.get(key)
     if not isinstance(v, str) or not v:
-        raise _fail(f"{path}.{key}" if path else key, "expected nonempty string")
+        message = "expected nonempty string" if key in obj else "missing"
+        raise SchemaViolation(f"{path}.{key}" if path else key, message)
     return v
-
-
-def _check_keys(obj: dict, allowed: set, path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise _fail(f"{path}.{key}" if path else key, "unknown field")
 
 
 def _parse_surface_type(obj, path: str) -> SurfaceType:
     if isinstance(obj, str):
         if not obj:
-            raise _fail(path, "empty type name")
+            raise SchemaViolation(path, "empty type name")
         return SBase(obj)
     if isinstance(obj, dict):
-        _check_keys(obj, {"arrow"}, path)
+        check_keys(obj, path, (), ("arrow",), "field")
         arrow = obj.get("arrow")
         if not isinstance(arrow, list) or len(arrow) != 2:
-            raise _fail(f"{path}.arrow", "expected a two-element list")
+            raise SchemaViolation(f"{path}.arrow", "expected a two-element list")
         return SArrow(
             _parse_surface_type(arrow[0], f"{path}.arrow[0]"),
             _parse_surface_type(arrow[1], f"{path}.arrow[1]"),
         )
-    raise _fail(path, "expected a type")
+    raise SchemaViolation(path, "expected a type")
 
 
 def _parse_surface_term(obj, path: str) -> SurfaceTerm:
     if not isinstance(obj, dict):
-        raise _fail(path, "expected a term object")
+        raise SchemaViolation(path, "expected a term object")
     if "name" in obj:
-        _check_keys(obj, {"name"}, path)
+        check_keys(obj, path, (), ("name",), "field")
         return SName(_get_str(obj, "name", path))
     if "app" in obj:
-        _check_keys(obj, {"app"}, path)
+        check_keys(obj, path, (), ("app",), "field")
         pair = obj["app"]
         if not isinstance(pair, list) or len(pair) != 2:
-            raise _fail(f"{path}.app", "expected a two-element list")
+            raise SchemaViolation(f"{path}.app", "expected a two-element list")
         return SApp(
             _parse_surface_term(pair[0], f"{path}.app[0]"),
             _parse_surface_term(pair[1], f"{path}.app[1]"),
         )
-    for head, cls in (("abs", SAbs), ("forall", None)):
+    for head in ("abs", "forall"):
         if head in obj:
-            _check_keys(obj, {head}, path)
+            check_keys(obj, path, (), (head,), "field")
             inner = obj[head]
             if not isinstance(inner, dict):
-                raise _fail(f"{path}.{head}", "expected an object")
-            _check_keys(inner, {"var", "annot", "body"}, f"{path}.{head}")
+                raise SchemaViolation(f"{path}.{head}", "expected an object")
+            check_keys(inner, f"{path}.{head}", (), ("var", "annot", "body"), "field")
             var = _get_str(inner, "var", f"{path}.{head}")
             annot = None
             if "annot" in inner:
                 annot = _parse_surface_type(inner["annot"], f"{path}.{head}.annot")
             body = _parse_surface_term(inner.get("body"), f"{path}.{head}.body")
-            if cls is SAbs:
+            if head == "abs":
                 return SAbs(var, annot, body)
             return SBinder("forall", var, annot, body)
-    raise _fail(path, "unknown term constructor")
+    raise SchemaViolation(path, "unknown term constructor")
 
 
 _DECL_KINDS = ("type", "constant", "definition", "axiom", "theorem")
+_TOYHOL_DECL_FIELDS = ("kind", "name", "type", "definiens", "deps", "src", "notation", "comment")
 
 
 def _parse_src(obj, path: str) -> SourceRef:
     if not isinstance(obj, dict):
-        raise _fail(path, "expected an object")
-    _check_keys(obj, {"file", "line", "col"}, path)
+        raise SchemaViolation(path, "expected an object")
+    check_keys(obj, path, (), ("file", "line", "col"), "field")
     f = _get_str(obj, "file", path)
     for key in ("line", "col"):
         if not isinstance(obj.get(key), int) or obj[key] < 1:
-            raise _fail(f"{path}.{key}", "expected a positive integer")
+            raise SchemaViolation(f"{path}.{key}", "expected a positive integer")
     return SourceRef(f, obj["line"], obj["col"], obj["line"], obj["col"])
 
 
 def _parse_toyhol_decl(obj, path: str) -> DeclRecord:
     if not isinstance(obj, dict):
-        raise _fail(path, "expected an object")
-    _check_keys(
-        obj,
-        {"kind", "name", "type", "definiens", "deps", "src", "notation", "comment"},
-        path,
-    )
+        raise SchemaViolation(path, "expected an object")
+    check_keys(obj, path, (), _TOYHOL_DECL_FIELDS, "field")
     kind = _get_str(obj, "kind", path)
     if kind not in _DECL_KINDS:
-        raise _fail(f"{path}.kind", f"unknown kind {kind!r}")
+        raise SchemaViolation(f"{path}.kind", f"unknown kind {kind!r}")
     name = _get_str(obj, "name", path)
 
     tp = None
     if kind == "type":
         if "type" in obj:
-            raise _fail(f"{path}.type", "base types carry no type field")
+            raise SchemaViolation(f"{path}.type", "base types carry no type field")
     elif kind in ("constant", "definition"):
         if "type" in obj:
             tp = _parse_surface_type(obj["type"], f"{path}.type")
         elif kind == "constant":
-            raise _fail(f"{path}.type", "missing")
+            raise SchemaViolation(f"{path}.type", "missing")
     else:
         if "type" not in obj:
-            raise _fail(f"{path}.type", "missing")
+            raise SchemaViolation(f"{path}.type", "missing")
         tp = _parse_surface_term(obj["type"], f"{path}.type")
 
     definiens = None
     if "definiens" in obj:
         if kind != "definition":
-            raise _fail(f"{path}.definiens", f"not allowed for kind {kind!r}")
+            raise SchemaViolation(f"{path}.definiens", f"not allowed for kind {kind!r}")
         definiens = _parse_surface_term(obj["definiens"], f"{path}.definiens")
     elif kind == "definition":
-        raise _fail(f"{path}.definiens", "missing")
+        raise SchemaViolation(f"{path}.definiens", "missing")
 
     deps: tuple[str, ...] = ()
     if "deps" in obj:
         if kind != "theorem":
-            raise _fail(f"{path}.deps", f"not allowed for kind {kind!r}")
+            raise SchemaViolation(f"{path}.deps", f"not allowed for kind {kind!r}")
         raw = obj["deps"]
         if not isinstance(raw, list) or not all(isinstance(d, str) and d for d in raw):
-            raise _fail(f"{path}.deps", "expected a list of names")
+            raise SchemaViolation(f"{path}.deps", "expected a list of names")
         deps = tuple(raw)
 
     src = _parse_src(obj["src"], f"{path}.src") if "src" in obj else None
     notation = obj.get("notation")
     if notation is not None and not isinstance(notation, str):
-        raise _fail(f"{path}.notation", "expected a string")
+        raise SchemaViolation(f"{path}.notation", "expected a string")
     comment = obj.get("comment")
     if comment is not None and not isinstance(comment, str):
-        raise _fail(f"{path}.comment", "expected a string")
+        raise SchemaViolation(f"{path}.comment", "expected a string")
     return DeclRecord(kind, name, tp, definiens, deps, src, notation, comment)
 
 
-def _parse_theories(raw, parse_decl) -> tuple[TheoryRecord, ...]:
-    theories = []
-    seen = set()
+def _theory_records(theories: Iterable, parse_decl: Callable) -> tuple[TheoryRecord, ...]:
+    """The theory records of (path, name, includes, [(path, raw decl)]) items,
+    with unique theory names and unique declaration names per theory."""
+    out: dict[str, TheoryRecord] = {}
+    for path, name, includes, decls in theories:
+        if name in out:
+            raise SchemaViolation(f"{path}.name", f"duplicate theory {name!r}")
+        records: dict[str, DeclRecord] = {}
+        for dpath, raw in decls:
+            rec = parse_decl(raw, dpath)
+            if rec.name in records:
+                raise SchemaViolation(f"{dpath}.name", f"duplicate {rec.name!r}")
+            records[rec.name] = rec
+        out[name] = TheoryRecord(name, tuple(records.values()), includes)
+    return tuple(out.values())
+
+
+def _toyhol_theories(raw: list):
     for i, th in enumerate(raw):
         path = f"theories[{i}]"
         if not isinstance(th, dict):
-            raise _fail(path, "expected an object")
-        _check_keys(th, {"name", "decls", "includes"}, path)
+            raise SchemaViolation(path, "expected an object")
+        check_keys(th, path, (), ("name", "decls", "includes"), "field")
         name = _get_str(th, "name", path)
-        if name in seen:
-            raise _fail(f"{path}.name", f"duplicate theory {name!r}")
-        seen.add(name)
         includes = th.get("includes", [])
         if not isinstance(includes, list) or not all(
             isinstance(x, str) and x for x in includes
         ):
-            raise _fail(f"{path}.includes", "expected a list of names")
-        decls_raw = th.get("decls")
-        if not isinstance(decls_raw, list):
-            raise _fail(f"{path}.decls", "missing or not a list")
-        decls = []
-        names = set()
-        for j, d in enumerate(decls_raw):
-            rec = parse_decl(d, f"{path}.decls[{j}]")
-            if rec.name in names:
-                raise _fail(f"{path}.decls[{j}].name", f"duplicate {rec.name!r}")
-            names.add(rec.name)
-            decls.append(rec)
-        theories.append(TheoryRecord(name, tuple(decls), tuple(includes)))
-    return tuple(theories)
+            raise SchemaViolation(f"{path}.includes", "expected a list of names")
+        decls = th.get("decls")
+        if not isinstance(decls, list):
+            raise SchemaViolation(f"{path}.decls", "missing or not a list")
+        yield path, name, tuple(includes), [(f"{path}.decls[{j}]", d) for j, d in enumerate(decls)]
 
 
-def parse_toyhol(data: bytes) -> ToyholDoc:
+def parse_toyhol(data: bytes) -> ExportDoc:
     """Parse and strictly validate a toyhol JSON export."""
     try:
         obj = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        line = getattr(err, "lineno", None)
-        raise Malformed(str(err), line) from err
+        raise Malformed(str(err), getattr(err, "lineno", None)) from err
     if not isinstance(obj, dict):
-        raise _fail("", "top level must be an object")
-    _check_keys(obj, {"version", "theories"}, "")
+        raise SchemaViolation("", "top level must be an object")
+    check_keys(obj, "", (), ("version", "theories"), "field")
     version = _get_str(obj, "version", "")
-    if version != SUPPORTED_VERSION:
-        raise UnsupportedVersion(version)
+    check_version(version, SUPPORTED_VERSION)
     raw = obj.get("theories")
     if not isinstance(raw, list):
-        raise _fail("theories", "missing or not a list")
-    return ToyholDoc(version, _parse_theories(raw, _parse_toyhol_decl))
+        raise SchemaViolation("theories", "missing or not a list")
+    return ExportDoc(version, _theory_records(_toyhol_theories(raw), _parse_toyhol_decl))
 
 
 # ---------------------------------------------------------------------------
 # toyset XML parsing
 
 _FOL_BINARY = ("in", "eq", "and", "or", "impl")
+_TOYSET_COMMON = ("name", "src", "notation", "comment")
 
 
-def _xml_keys(elem: ET.Element, allowed: set, path: str) -> None:
-    for key in elem.attrib:
-        if key not in allowed:
-            raise _fail(f"{path}.{key}", "unknown attribute")
+def _required(elem: ET.Element, key: str, path: str) -> str:
+    value = elem.get(key)
+    if not value:
+        raise SchemaViolation(f"{path}.{key}", "missing")
+    return value
 
 
 def _parse_fol_formula(elem: ET.Element, path: str) -> SurfaceTerm:
     tag = elem.tag
     kids = list(elem)
     if tag in _FOL_BINARY:
-        _xml_keys(elem, set(), path)
+        check_keys(elem.attrib, path, ())
         if len(kids) != 2:
-            raise _fail(path, f"{tag} takes two subformulas")
+            raise SchemaViolation(path, f"{tag} takes two subformulas")
         return SApp(
             SApp(
                 SName(tag),
@@ -404,163 +391,127 @@ def _parse_fol_formula(elem: ET.Element, path: str) -> SurfaceTerm:
             _parse_fol_formula(kids[1], f"{path}.{tag}[1]"),
         )
     if tag == "not":
-        _xml_keys(elem, set(), path)
+        check_keys(elem.attrib, path, ())
         if len(kids) != 1:
-            raise _fail(path, "not takes one subformula")
+            raise SchemaViolation(path, "not takes one subformula")
         return SApp(SName("not"), _parse_fol_formula(kids[0], f"{path}.not[0]"))
     if tag == "forall":
-        _xml_keys(elem, {"var"}, path)
-        var = elem.get("var")
-        if not var:
-            raise _fail(f"{path}.var", "missing")
+        check_keys(elem.attrib, path, (), ("var",))
+        var = _required(elem, "var", path)
         if len(kids) != 1:
-            raise _fail(path, "forall takes one subformula")
+            raise SchemaViolation(path, "forall takes one subformula")
         return SBinder("forall", var, None, _parse_fol_formula(kids[0], f"{path}.forall[0]"))
     if tag in ("var", "const"):
-        _xml_keys(elem, {"name"}, path)
+        check_keys(elem.attrib, path, (), ("name",))
         if kids:
-            raise _fail(path, f"{tag} takes no children")
-        name = elem.get("name")
-        if not name:
-            raise _fail(f"{path}.name", "missing")
+            raise SchemaViolation(path, f"{tag} takes no children")
+        name = _required(elem, "name", path)
         # bound variables and constants share the name syntax; scoping
         # during import tells them apart
         return SName(name)
     if tag == "papp":
-        _xml_keys(elem, {"name"}, path)
-        name = elem.get("name")
-        if not name:
-            raise _fail(f"{path}.name", "missing")
+        check_keys(elem.attrib, path, (), ("name",))
+        name = _required(elem, "name", path)
         t: SurfaceTerm = SName(name)
         for k, kid in enumerate(kids):
             t = SApp(t, _parse_fol_formula(kid, f"{path}.papp[{k}]"))
         return t
-    raise _fail(path, f"unknown element <{tag}>")
+    raise SchemaViolation(path, f"unknown element <{tag}>")
 
 
 def _parse_src_attr(value: str, path: str) -> SourceRef:
     parts = value.rsplit(":", 2)
     if len(parts) != 3:
-        raise _fail(path, "expected file:line:col")
+        raise SchemaViolation(path, "expected file:line:col")
     f, line, col = parts
     try:
         ln, co = int(line), int(col)
     except ValueError:
-        raise _fail(path, "line/col must be integers") from None
+        raise SchemaViolation(path, "line/col must be integers") from None
     if not f or ln < 1 or co < 1:
-        raise _fail(path, "expected file:line:col with positive positions")
+        raise SchemaViolation(path, "expected file:line:col with positive positions")
     return SourceRef(f, ln, co, ln, co)
 
 
 def _parse_toyset_decl(elem: ET.Element, path: str) -> DeclRecord:
     tag = elem.tag
-    common = {"name", "src", "notation", "comment"}
-    name = elem.get("name")
-    if not name:
-        raise _fail(f"{path}.name", "missing")
+    name = _required(elem, "name", path)
     src = _parse_src_attr(elem.get("src"), f"{path}.src") if elem.get("src") else None
     notation = elem.get("notation")
     comment = elem.get("comment")
     kids = list(elem)
 
     if tag == "constant":
-        _xml_keys(elem, common, path)
+        check_keys(elem.attrib, path, (), _TOYSET_COMMON)
         if kids:
-            raise _fail(path, "constant takes no children")
+            raise SchemaViolation(path, "constant takes no children")
         return DeclRecord("constant", name, src=src, notation=notation, comment=comment)
     if tag in ("axiom", "theorem"):
-        allowed = common | ({"deps"} if tag == "theorem" else set())
-        _xml_keys(elem, allowed, path)
+        allowed = _TOYSET_COMMON + (("deps",) if tag == "theorem" else ())
+        check_keys(elem.attrib, path, (), allowed)
         if len(kids) != 1:
-            raise _fail(path, f"{tag} takes exactly one formula")
+            raise SchemaViolation(path, f"{tag} takes exactly one formula")
         deps = tuple((elem.get("deps") or "").split()) if tag == "theorem" else ()
         formula = _parse_fol_formula(kids[0], f"{path}.{tag}")
         return DeclRecord(tag, name, formula, deps=deps, src=src, notation=notation, comment=comment)
     if tag == "scheme":
-        _xml_keys(elem, common, path)
+        check_keys(elem.attrib, path, (), _TOYSET_COMMON)
         pvars = []
         formula = None
         for k, kid in enumerate(kids):
             kpath = f"{path}.scheme[{k}]"
             if kid.tag == "pvar":
                 if formula is not None:
-                    raise _fail(kpath, "pvar after formula")
-                _xml_keys(kid, {"name", "arity"}, kpath)
-                pname = kid.get("name")
-                if not pname:
-                    raise _fail(f"{kpath}.name", "missing")
+                    raise SchemaViolation(kpath, "pvar after formula")
+                check_keys(kid.attrib, kpath, (), ("name", "arity"))
+                pname = _required(kid, "name", kpath)
                 try:
                     arity = int(kid.get("arity", "1"))
                 except ValueError:
-                    raise _fail(f"{kpath}.arity", "expected an integer") from None
+                    raise SchemaViolation(f"{kpath}.arity", "expected an integer") from None
                 if arity < 0:
-                    raise _fail(f"{kpath}.arity", "negative arity")
+                    raise SchemaViolation(f"{kpath}.arity", "negative arity")
                 pvars.append((pname, arity))
             elif formula is None:
                 formula = _parse_fol_formula(kid, kpath)
             else:
-                raise _fail(kpath, "more than one formula")
+                raise SchemaViolation(kpath, "more than one formula")
         if formula is None:
-            raise _fail(path, "scheme needs a formula")
+            raise SchemaViolation(path, "scheme needs a formula")
         return DeclRecord(
             "scheme", name, formula, src=src, notation=notation, comment=comment,
             pvars=tuple(pvars),
         )
     if tag == "definition":
-        _xml_keys(elem, common, path)
+        check_keys(elem.attrib, path, (), _TOYSET_COMMON)
         if len(kids) != 1 or kids[0].tag != "value":
-            raise _fail(path, "definition takes exactly one <value>")
+            raise SchemaViolation(path, "definition takes exactly one <value>")
+        check_keys(kids[0].attrib, f"{path}.value", ())
         vkids = list(kids[0])
         if len(vkids) != 1:
-            raise _fail(f"{path}.value", "expected one term")
+            raise SchemaViolation(f"{path}.value", "expected one term")
         value = _parse_fol_formula(vkids[0], f"{path}.value")
         return DeclRecord(
             "definition", name, definiens=value, src=src, notation=notation, comment=comment
         )
-    raise _fail(path, f"unknown element <{tag}>")
+    raise SchemaViolation(path, f"unknown element <{tag}>")
 
 
-def parse_toyset(data: bytes) -> ToysetDoc:
-    """Parse and strictly validate a toyset XML export."""
-    try:
-        root = ET.fromstring(data.decode("utf-8"))
-    except UnicodeDecodeError as err:
-        raise Malformed(str(err)) from err
-    except ET.ParseError as err:
-        line = err.position[0] if err.position else None
-        raise Malformed(str(err), line) from err
-    if root.tag != "export":
-        raise _fail(root.tag, "root element must be <export>")
-    _xml_keys(root, {"version"}, "export")
-    version = root.get("version")
-    if not version:
-        raise _fail("export.version", "missing")
-    if version != SUPPORTED_VERSION:
-        raise UnsupportedVersion(version)
-    theories = []
-    seen = set()
+def _toyset_theories(root: ET.Element):
     for i, th in enumerate(root):
         path = f"theory[{i}]"
         if th.tag != "theory":
-            raise _fail(path, f"unknown element <{th.tag}>")
-        _xml_keys(th, {"name", "includes"}, path)
-        name = th.get("name")
-        if not name:
-            raise _fail(f"{path}.name", "missing")
-        if name in seen:
-            raise _fail(f"{path}.name", f"duplicate theory {name!r}")
-        seen.add(name)
+            raise SchemaViolation(path, f"unknown element <{th.tag}>")
+        check_keys(th.attrib, path, (), ("name", "includes"))
+        name = _required(th, "name", path)
         includes = tuple((th.get("includes") or "").split())
-        decls = []
-        names = set()
-        for j, d in enumerate(th):
-            rec = _parse_toyset_decl(d, f"{path}.decl[{j}]")
-            if rec.name in names:
-                raise _fail(f"{path}.decl[{j}].name", f"duplicate {rec.name!r}")
-            names.add(rec.name)
-            decls.append(rec)
-        theories.append(TheoryRecord(name, tuple(decls), includes))
-    return ToysetDoc(version, tuple(theories))
+        yield path, name, includes, [(f"{path}.decl[{j}]", d) for j, d in enumerate(th)]
+
+
+def parse_toyset(data: bytes) -> ExportDoc:
+    """Parse and strictly validate a toyset XML export."""
+    root = read_xml(data, "export", ("version",), SUPPORTED_VERSION)
+    return ExportDoc(SUPPORTED_VERSION, _theory_records(_toyset_theories(root), _parse_toyset_decl))
 
 
 # ---------------------------------------------------------------------------
@@ -681,17 +632,7 @@ def infer_church_annotations(
     resolver = resolve or _default_resolve
 
     def tt(st: SurfaceType, owner: str) -> Term:
-        st = uni.zonk(st, owner)
-        match st:
-            case SBase("bool"):
-                return _HOL_BOOL
-            case SBase(n):
-                if n not in bases:
-                    raise UnknownIdent(f"base type {n}")
-                return Const(bases[n])
-            case SArrow(d, c):
-                return apps(_HOL_ARROW, tt(d, owner), tt(c, owner))
-        raise AmbiguousType(owner)
+        return _stype_term(uni.zonk(st, owner), bases)
 
     def logical(name: str, scope: list[tuple[str, SurfaceType]]) -> bool:
         return name in ("impl", "eq") and name not in env and not any(
@@ -863,7 +804,7 @@ Env = dict[str, dict[str, object]]
 
 
 def _import(
-    doc: Union[ToyholDoc, ToysetDoc],
+    doc: ExportDoc,
     ns: str,
     meta_theory: Ident,
     convert: Callable,
@@ -924,7 +865,7 @@ def _import(
 
 
 def import_toyhol(
-    doc: ToyholDoc, allow_empty: bool = False, config: Config = DEFAULT_CONFIG
+    doc: ExportDoc, allow_empty: bool = False, config: Config = DEFAULT_CONFIG
 ) -> tuple[Library, ImportReport]:
     """Build a holChurch-based Library from a parsed toyhol document.
 
@@ -1088,7 +1029,7 @@ def _pvar_type(arity: int) -> Term:
 
 
 def import_toyset(
-    doc: ToysetDoc, allow_empty: bool = False, config: Config = DEFAULT_CONFIG
+    doc: ExportDoc, allow_empty: bool = False, config: Config = DEFAULT_CONFIG
 ) -> tuple[Library, ImportReport]:
     """Build a folSoft-based Library from a parsed toyset document.
 

@@ -449,15 +449,14 @@ def constants_of(t: Term) -> list[Ident]:
 _SUBOUT = object()  # spine marker: the position under a SubOut eliminator
 
 
-def whnf(lib: Optional[Library], t: Term, config: Optional[Config] = None) -> Term:
+def whnf(lib: Optional[Library], t: Term, config: Config = DEFAULT_CONFIG) -> Term:
     """Weak head normal form.
 
     Reduces beta redexes, unfolds constants with a definiens, and
     cancels SubOut(SubIn(t, p)) to t, until the head is stuck. Raises
     ReductionDepthExceeded past the configured step budget.
     """
-    cfg = config or DEFAULT_CONFIG
-    budget = cfg.reduction_budget
+    budget = config.reduction_budget
     steps = 0
     spine: list = []  # arguments and _SUBOUT markers, innermost last
     head = t
@@ -506,7 +505,7 @@ def equal(
     ctx: Context,
     t1: Term,
     t2: Term,
-    config: Optional[Config] = None,
+    config: Config = DEFAULT_CONFIG,
 ) -> bool:
     """Definitional equality: beta, delta, eta, and witness irrelevance.
 
@@ -514,8 +513,7 @@ def equal(
     needs; it is accepted for interface symmetry with infer/check.
     """
     del ctx
-    cfg = config or DEFAULT_CONFIG
-    return _conv(lib, t1, t2, cfg)
+    return _conv(lib, t1, t2, config)
 
 
 def _conv(lib: Optional[Library], a: Term, b: Term, cfg: Config) -> bool:
@@ -564,14 +562,13 @@ def infer(
     lib: Optional[Library],
     ctx: Context,
     t: Term,
-    config: Optional[Config] = None,
+    config: Config = DEFAULT_CONFIG,
 ) -> Term:
     """Synthesize the type of `t`.
 
     Binder domains are not sort-checked here; declaration-level checking
     (check_theory) enforces that declared classifiers are types or kinds.
     """
-    cfg = config or DEFAULT_CONFIG
     match t:
         case Var(k):
             return shift(ctx.lookup(k).tp, k + 1)
@@ -581,34 +578,34 @@ def infer(
                 raise UnknownIdent(str(c))
             if d.tp is not None:
                 return d.tp
-            return infer(lib, Context(), d.definiens, cfg)
+            return infer(lib, Context(), d.definiens, config)
         case TypeKind():
             raise NotTyped("the kind 'type' has no type")
         case Apply(f, a):
-            ft = whnf(lib, infer(lib, ctx, f, cfg), cfg)
+            ft = whnf(lib, infer(lib, ctx, f, config), config)
             match ft:
                 case Pi(_, dom, cod):
-                    check(lib, ctx, a, dom, cfg)
+                    check(lib, ctx, a, dom, config)
                     return substitute(cod, 0, a)
                 case _:
                     raise NotAFunction(f"cannot apply a term of type {format_term(ft)}")
         case Lambda(h, d, b):
-            bt = infer(lib, ctx.extend(h, d), b, cfg)
+            bt = infer(lib, ctx.extend(h, d), b, config)
             return Pi(h, d, bt)
         case Pi(h, d, c):
-            sort = infer(lib, ctx.extend(h, d), c, cfg)
-            if not equal(lib, ctx, sort, TypeKind(), cfg):
+            sort = infer(lib, ctx.extend(h, d), c, config)
+            if not equal(lib, ctx, sort, TypeKind(), config):
                 raise Mismatch("Pi codomain is not a type")
             return TypeKind()
         case SubType(b, p):
-            if not equal(lib, ctx, infer(lib, ctx, b, cfg), TypeKind(), cfg):
+            if not equal(lib, ctx, infer(lib, ctx, b, config), TypeKind(), config):
                 raise Mismatch("subtype base is not a type")
-            check(lib, ctx, p, Pi("x", b, TypeKind()), cfg)
+            check(lib, ctx, p, Pi("x", b, TypeKind()), config)
             return TypeKind()
         case SubIn(_, _):
             raise NotTyped("subtype introduction needs an expected subtype")
         case SubOut(e):
-            et = whnf(lib, infer(lib, ctx, e, cfg), cfg)
+            et = whnf(lib, infer(lib, ctx, e, config), config)
             match et:
                 case SubType(base, _):
                     return base
@@ -622,28 +619,27 @@ def check(
     ctx: Context,
     t: Term,
     expected: Term,
-    config: Optional[Config] = None,
+    config: Config = DEFAULT_CONFIG,
 ) -> None:
     """Check `t` against `expected` (which must itself classify)."""
-    cfg = config or DEFAULT_CONFIG
-    exp = whnf(lib, expected, cfg)
+    exp = whnf(lib, expected, config)
     match (t, exp):
         case (Lambda(h, d, b), Pi(_, pd, pc)):
             # annotation and expected domain must agree definitionally
-            if not equal(lib, ctx, d, pd, cfg):
+            if not equal(lib, ctx, d, pd, config):
                 raise Mismatch(
                     f"lambda domain {format_term(d)} vs expected {format_term(pd)}"
                 )
-            check(lib, ctx.extend(h, pd), b, pc, cfg)
+            check(lib, ctx.extend(h, pd), b, pc, config)
             return
         case (SubIn(e, w), SubType(base, pred)):
-            check(lib, ctx, e, base, cfg)
-            check(lib, ctx, w, whnf(lib, Apply(pred, e), cfg), cfg)
+            check(lib, ctx, e, base, config)
+            check(lib, ctx, w, whnf(lib, Apply(pred, e), config), config)
             return
-    actual = infer(lib, ctx, t, cfg)
-    if equal(lib, ctx, actual, exp, cfg):
+    actual = infer(lib, ctx, t, config)
+    if equal(lib, ctx, actual, exp, config):
         return
-    if isinstance(exp, SubType) and equal(lib, ctx, actual, exp.base, cfg):
+    if isinstance(exp, SubType) and equal(lib, ctx, actual, exp.base, config):
         raise SubtypeWitnessMissing(
             f"term of base type {format_term(exp.base)} needs an explicit witness"
         )
@@ -654,17 +650,16 @@ def check_kind(
     lib: Optional[Library],
     ctx: Context,
     k: Term,
-    config: Optional[Config] = None,
+    config: Config = DEFAULT_CONFIG,
 ) -> None:
     """Validate a kind: a Pi telescope of proper types ending in TypeKind."""
-    cfg = config or DEFAULT_CONFIG
     match k:
         case TypeKind():
             return
         case Pi(h, d, c):
-            if not equal(lib, ctx, infer(lib, ctx, d, cfg), TypeKind(), cfg):
+            if not equal(lib, ctx, infer(lib, ctx, d, config), TypeKind(), config):
                 raise Mismatch(f"kind domain is not a type: {format_term(d)}")
-            check_kind(lib, ctx.extend(h, d), c, cfg)
+            check_kind(lib, ctx.extend(h, d), c, config)
             return
     raise NotTyped(f"not a kind: {format_term(k)}")
 
@@ -783,14 +778,13 @@ def _check_declaration(
             pass
 
 
-def check_theory(lib: Library, th: Ident, config: Optional[Config] = None) -> CheckReport:
+def check_theory(lib: Library, th: Ident, config: Config = DEFAULT_CONFIG) -> CheckReport:
     """Check every declaration the theory itself makes.
 
     Included theories are assumed checked separately; a Cycle in the
     include graph is raised, everything else is collected per
     declaration.
     """
-    cfg = config or DEFAULT_CONFIG
     theory = lib.find_theory(th)
     if theory is None:
         raise UnknownIdent(f"theory {th} not found")
@@ -809,14 +803,14 @@ def check_theory(lib: Library, th: Ident, config: Optional[Config] = None) -> Ch
         results.append(CheckResult(th, False, f"duplicate declaration {dup}"))
     for decl in theory.decls:
         try:
-            _check_declaration(lib, decl, visible, cfg)
+            _check_declaration(lib, decl, visible, config)
             results.append(CheckResult(decl.name, True))
         except CheckError as err:
             results.append(CheckResult(decl.name, False, f"{type(err).__name__}: {err}"))
     return CheckReport(th, tuple(results))
 
 
-def check_library(lib: Library, config: Optional[Config] = None) -> list[CheckReport]:
+def check_library(lib: Library, config: Config = DEFAULT_CONFIG) -> list[CheckReport]:
     return [check_theory(lib, th.name, config) for th in lib.theories]
 
 

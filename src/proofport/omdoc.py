@@ -15,9 +15,10 @@ index alone is authoritative; the hint is for human readers.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Optional
+from typing import Mapping, Optional
 
-from .errors import DanglingIdent, Malformed, SchemaViolation, UnsupportedVersion
+from .encodings import logic_library
+from .errors import DanglingIdent, SchemaViolation, check_keys, read_xml
 from .kernel import (
     Apply,
     Const,
@@ -290,70 +291,59 @@ def serialize(lib: Library) -> bytes:
 # parsing
 
 
-def _fail(path: str, message: str = "") -> SchemaViolation:
-    return SchemaViolation(path, message)
-
-
-def _attrs(elem: ET.Element, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    for key in elem.attrib:
-        if key not in required and key not in optional:
-            raise _fail(f"{path}.{key}", "unknown attribute")
-    out = {}
-    for key in required:
-        if key not in elem.attrib:
-            raise _fail(f"{path}.{key}", "missing attribute")
-        out[key] = elem.attrib[key]
-    for key in optional:
-        if key in elem.attrib:
-            out[key] = elem.attrib[key]
-    return out
-
-
 def _no_text(elem: ET.Element, path: str) -> None:
     if elem.text is not None and elem.text.strip():
-        raise _fail(path, "unexpected text content")
+        raise SchemaViolation(path, "unexpected text content")
     for kid in elem:
         if kid.tail is not None and kid.tail.strip():
-            raise _fail(path, "unexpected text content")
+            raise SchemaViolation(path, "unexpected text content")
+
+
+def _leaf(elem: ET.Element, path: str, required: tuple[str, ...]) -> Mapping[str, str]:
+    """The attributes of an element that takes no children."""
+    check_keys(elem.attrib, path, required)
+    if len(elem):
+        raise SchemaViolation(path, f"{elem.tag} takes no children")
+    return elem.attrib
 
 
 def _ident(text: str, path: str) -> Ident:
     try:
         return Ident.parse(text)
     except ValueError as err:
-        raise _fail(path, str(err)) from None
+        raise SchemaViolation(path, str(err)) from None
 
 
 def _int_attr(value: str, path: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise _fail(path, "expected an integer") from None
+        raise SchemaViolation(path, "expected an integer") from None
 
 
 def _parse_term(elem: ET.Element, path: str) -> Term:
     tag = elem.tag
     kids = list(elem)
     if tag == "OMS":
-        a = _attrs(elem, path, ("name",))
+        a = check_keys(elem.attrib, path, ("name",))
         _no_text(elem, path)
         if kids:
-            raise _fail(path, "OMS takes no children")
+            raise SchemaViolation(path, "OMS takes no children")
         return Const(_ident(a["name"], f"{path}.name"))
     if tag == "OMV":
-        a = _attrs(elem, path, ("index",), ("hint",))
+        a = check_keys(elem.attrib, path, ("index",), ("hint",))
         _no_text(elem, path)
         if kids:
-            raise _fail(path, "OMV takes no children")
+            raise SchemaViolation(path, "OMV takes no children")
         index = _int_attr(a["index"], f"{path}.index")
         if index < 0:
-            raise _fail(f"{path}.index", "negative index")
+            raise SchemaViolation(f"{path}.index", "negative index")
         return Var(index)
     if tag == "OMA":
-        _attrs(elem, path, ())
+        check_keys(elem.attrib, path, ())
         _no_text(elem, path)
         if len(kids) < 2:
-            raise _fail(path, "OMA needs a head and at least one argument")
+            raise SchemaViolation(path, "OMA needs a head and at least one argument")
         parts = [
             _parse_term(k, f"{path}.{k.tag}[{i}]") for i, k in enumerate(kids)
         ]
@@ -362,14 +352,14 @@ def _parse_term(elem: ET.Element, path: str) -> Term:
             t = Apply(t, arg)
         return t
     if tag == "OMBIND":
-        a = _attrs(elem, path, ("binder",), ("var",))
+        a = check_keys(elem.attrib, path, ("binder",), ("var",))
         _no_text(elem, path)
         binder = a["binder"]
         parts = [_parse_term(k, f"{path}.{k.tag}[{i}]") for i, k in enumerate(kids)]
 
         def arity(n: int) -> None:
             if len(parts) != n:
-                raise _fail(path, f"binder {binder} takes {n} children")
+                raise SchemaViolation(path, f"binder {binder} takes {n} children")
 
         if binder in ("lambda", "pi"):
             arity(2)
@@ -377,7 +367,7 @@ def _parse_term(elem: ET.Element, path: str) -> Term:
             cls = Lambda if binder == "lambda" else Pi
             return cls(var, parts[0], parts[1])
         if "var" in a:
-            raise _fail(f"{path}.var", f"binder {binder} takes no variable")
+            raise SchemaViolation(f"{path}.var", f"binder {binder} takes no variable")
         if binder == "type":
             arity(0)
             return TypeKind()
@@ -390,19 +380,19 @@ def _parse_term(elem: ET.Element, path: str) -> Term:
         if binder == "subout":
             arity(1)
             return SubOut(parts[0])
-        raise _fail(f"{path}.binder", f"unknown binder {binder!r}")
-    raise _fail(path, f"unknown element <{tag}>")
+        raise SchemaViolation(f"{path}.binder", f"unknown binder {binder!r}")
+    raise SchemaViolation(path, f"unknown element <{tag}>")
 
 
 def _one_term_child(elem: ET.Element, path: str) -> Term:
     kids = list(elem)
     if len(kids) != 1:
-        raise _fail(path, "expected exactly one term")
+        raise SchemaViolation(path, "expected exactly one term")
     return _parse_term(kids[0], f"{path}.{kids[0].tag}")
 
 
 def _parse_metadata(elem: ET.Element, path: str):
-    a = _attrs(elem, path, (), ("origin",))
+    a = check_keys(elem.attrib, path, (), ("origin",))
     origin = _ident(a["origin"], f"{path}.origin") if "origin" in a else None
     source_ref = None
     comments: list[str] = []
@@ -411,10 +401,8 @@ def _parse_metadata(elem: ET.Element, path: str):
         kpath = f"{path}.{kid.tag}[{i}]"
         if kid.tag == "srcref":
             if source_ref is not None:
-                raise _fail(kpath, "duplicate srcref")
-            ka = _attrs(kid, kpath, ("file", "sl", "sc", "el", "ec"))
-            if list(kid):
-                raise _fail(kpath, "srcref takes no children")
+                raise SchemaViolation(kpath, "duplicate srcref")
+            ka = _leaf(kid, kpath, ("file", "sl", "sc", "el", "ec"))
             try:
                 source_ref = SourceRef(
                     ka["file"],
@@ -424,57 +412,51 @@ def _parse_metadata(elem: ET.Element, path: str):
                     _int_attr(ka["ec"], f"{kpath}.ec"),
                 )
             except ValueError as err:
-                raise _fail(kpath, str(err)) from None
+                raise SchemaViolation(kpath, str(err)) from None
         elif kid.tag == "comment":
-            _attrs(kid, kpath, ())
-            if list(kid):
-                raise _fail(kpath, "comment takes no children")
+            _leaf(kid, kpath, ())
             comments.append(kid.text or "")
         elif kid.tag == "notation":
             if notation is not None:
-                raise _fail(kpath, "duplicate notation")
-            _attrs(kid, kpath, ())
-            if list(kid):
-                raise _fail(kpath, "notation takes no children")
+                raise SchemaViolation(kpath, "duplicate notation")
+            _leaf(kid, kpath, ())
             notation = kid.text or ""
         else:
-            raise _fail(kpath, f"unknown element <{kid.tag}>")
+            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     return origin, source_ref, tuple(comments), notation
 
 
 def _parse_proof(elem: ET.Element, path: str) -> Proof:
-    a = _attrs(elem, path, ("style",))
+    a = check_keys(elem.attrib, path, ("style",))
     _no_text(elem, path)
     style = a["style"]
     kids = list(elem)
     if style == "omitted":
         if kids:
-            raise _fail(path, "omitted proof takes no children")
+            raise SchemaViolation(path, "omitted proof takes no children")
         return Omitted()
     if style == "dependsOn":
         ids = []
         for i, kid in enumerate(kids):
             kpath = f"{path}.{kid.tag}[{i}]"
             if kid.tag != "ref":
-                raise _fail(kpath, f"unknown element <{kid.tag}>")
-            ka = _attrs(kid, kpath, ("name",))
-            if list(kid):
-                raise _fail(kpath, "ref takes no children")
+                raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
+            ka = _leaf(kid, kpath, ("name",))
             ids.append(_ident(ka["name"], f"{kpath}.name"))
         try:
             return DependsOn(tuple(ids))
         except ValueError as err:
-            raise _fail(path, str(err)) from None
+            raise SchemaViolation(path, str(err)) from None
     if style == "term":
         return ProofTerm(_one_term_child(elem, path))
-    raise _fail(f"{path}.style", f"unknown proof style {style!r}")
+    raise SchemaViolation(f"{path}.style", f"unknown proof style {style!r}")
 
 
 def _parse_constant(elem: ET.Element, path: str, namespace: str, module: str) -> Declaration:
-    a = _attrs(elem, path, ("name", "kind"))
+    a = check_keys(elem.attrib, path, ("name", "kind"))
     _no_text(elem, path)
     if a["kind"] not in KINDS:
-        raise _fail(f"{path}.kind", f"unknown kind {a['kind']!r}")
+        raise SchemaViolation(f"{path}.kind", f"unknown kind {a['kind']!r}")
     tp = definiens = proof = None
     origin = source_ref = notation = None
     comments: tuple[str, ...] = ()
@@ -482,14 +464,14 @@ def _parse_constant(elem: ET.Element, path: str, namespace: str, module: str) ->
     for kid in elem:
         kpath = f"{path}.{kid.tag}"
         if kid.tag in seen:
-            raise _fail(kpath, f"duplicate <{kid.tag}>")
+            raise SchemaViolation(kpath, f"duplicate <{kid.tag}>")
         seen.add(kid.tag)
         if kid.tag == "type":
-            _attrs(kid, kpath, ())
+            check_keys(kid.attrib, kpath, ())
             _no_text(kid, kpath)
             tp = _one_term_child(kid, kpath)
         elif kid.tag == "definition":
-            _attrs(kid, kpath, ())
+            check_keys(kid.attrib, kpath, ())
             _no_text(kid, kpath)
             definiens = _one_term_child(kid, kpath)
         elif kid.tag == "proof":
@@ -498,7 +480,7 @@ def _parse_constant(elem: ET.Element, path: str, namespace: str, module: str) ->
             _no_text(kid, kpath)
             origin, source_ref, comments, notation = _parse_metadata(kid, kpath)
         else:
-            raise _fail(kpath, f"unknown element <{kid.tag}>")
+            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     try:
         name = Ident(namespace, module, a["name"])
         meta = Metadata(
@@ -510,11 +492,11 @@ def _parse_constant(elem: ET.Element, path: str, namespace: str, module: str) ->
         )
         return Declaration(name, tp=tp, definiens=definiens, proof=proof, meta=meta)
     except ValueError as err:
-        raise _fail(path, str(err)) from None
+        raise SchemaViolation(path, str(err)) from None
 
 
 def _parse_theory(elem: ET.Element, path: str, namespace: str) -> Theory:
-    a = _attrs(elem, path, ("name",), ("meta",))
+    a = check_keys(elem.attrib, path, ("name",), ("meta",))
     _no_text(elem, path)
     meta_theory = _ident(a["meta"], f"{path}.meta") if "meta" in a else None
     includes = []
@@ -523,15 +505,13 @@ def _parse_theory(elem: ET.Element, path: str, namespace: str) -> Theory:
         kpath = f"{path}.{kid.tag}[{i}]"
         if kid.tag == "include":
             if decls:
-                raise _fail(kpath, "includes must precede constants")
-            ka = _attrs(kid, kpath, ("from",))
-            if list(kid):
-                raise _fail(kpath, "include takes no children")
+                raise SchemaViolation(kpath, "includes must precede constants")
+            ka = _leaf(kid, kpath, ("from",))
             includes.append(_ident(ka["from"], f"{kpath}.from"))
         elif kid.tag == "constant":
             decls.append(_parse_constant(kid, kpath, namespace, a["name"]))
         else:
-            raise _fail(kpath, f"unknown element <{kid.tag}>")
+            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     try:
         return Theory(
             theory_ident(namespace, a["name"]),
@@ -540,18 +520,18 @@ def _parse_theory(elem: ET.Element, path: str, namespace: str) -> Theory:
             decls=tuple(decls),
         )
     except ValueError as err:
-        raise _fail(path, str(err)) from None
+        raise SchemaViolation(path, str(err)) from None
 
 
 def _parse_morphism(elem: ET.Element, path: str) -> Morphism:
-    a = _attrs(elem, path, ("name", "from", "to"))
+    a = check_keys(elem.attrib, path, ("name", "from", "to"))
     _no_text(elem, path)
     assignments = []
     for i, kid in enumerate(elem):
         kpath = f"{path}.{kid.tag}[{i}]"
         if kid.tag != "assignment":
-            raise _fail(kpath, f"unknown element <{kid.tag}>")
-        ka = _attrs(kid, kpath, ("name",))
+            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
+        ka = check_keys(kid.attrib, kpath, ("name",))
         _no_text(kid, kpath)
         assignments.append(
             (_ident(ka["name"], f"{kpath}.name"), _one_term_child(kid, kpath))
@@ -564,7 +544,7 @@ def _parse_morphism(elem: ET.Element, path: str) -> Morphism:
             tuple(assignments),
         )
     except ValueError as err:
-        raise _fail(path, str(err)) from None
+        raise SchemaViolation(path, str(err)) from None
 
 
 def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
@@ -574,36 +554,23 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
     references resolve for later checking or re-serialization; by
     default the bundled logic encodings.
     """
-    from .encodings import logic_library
-
-    try:
-        root = ET.fromstring(data.decode("utf-8"))
-    except UnicodeDecodeError as err:
-        raise Malformed(str(err)) from err
-    except ET.ParseError as err:
-        line = err.position[0] if err.position else None
-        raise Malformed(str(err), line) from err
-    if root.tag != "omdoc":
-        raise _fail(root.tag, "root element must be <omdoc>")
-    a = _attrs(root, "omdoc", ("version", "namespace"))
+    root = read_xml(data, "omdoc", ("version", "namespace"), OMDOC_VERSION)
     _no_text(root, "omdoc")
-    if a["version"] != OMDOC_VERSION:
-        raise UnsupportedVersion(a["version"])
-    namespace = a["namespace"]
+    namespace = root.get("namespace")
     theories = []
     morphisms = []
     for i, kid in enumerate(root):
         kpath = f"omdoc.{kid.tag}[{i}]"
         if kid.tag == "theory":
             if morphisms:
-                raise _fail(kpath, "theories must precede morphisms")
+                raise SchemaViolation(kpath, "theories must precede morphisms")
             theories.append(_parse_theory(kid, kpath, namespace))
         elif kid.tag == "morphism":
             morphisms.append(_parse_morphism(kid, kpath))
         else:
-            raise _fail(kpath, f"unknown element <{kid.tag}>")
+            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     lib_deps = deps if deps is not None else (logic_library(),)
     try:
         return Library(namespace, tuple(theories), tuple(morphisms), deps=lib_deps)
     except ValueError as err:
-        raise _fail("omdoc", str(err)) from None
+        raise SchemaViolation("omdoc", str(err)) from None

@@ -467,6 +467,57 @@ def test_env_format_fills_the_flag(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, "check", str(doc))[0] == 0
 
 
+def usage_error(capsys, *args) -> str:
+    """The message of an argparse usage error, after checking its exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_env_format_outside_the_choices_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("OAF_FORMAT", "bogus")
+    err = usage_error(capsys, "check", CORE)
+    assert "--format" in err and "'bogus'" in err
+
+
+def test_env_budget_that_is_not_a_number_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("OAF_REDUCTION_BUDGET", "abc")
+    err = usage_error(capsys, "check", CORE)
+    assert "--reduction-budget" in err and "'abc'" in err
+
+
+def test_negative_budget_flag_is_a_usage_error(capsys):
+    err = usage_error(capsys, "check", CORE, "--reduction-budget", "-5")
+    assert "--reduction-budget" in err and "'-5'" in err
+
+
+def test_negative_env_budget_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("OAF_REDUCTION_BUDGET", "-5")
+    err = usage_error(capsys, "check", CORE)
+    assert "--reduction-budget" in err and "'-5'" in err
+
+
+@pytest.mark.parametrize(
+    "var, flag",
+    [
+        ("OAF_ETA_ENABLED", "--eta"),
+        ("OAF_INCLUDE_PROOF_USES", "--include-proof-uses"),
+        ("OAF_ALLOW_EMPTY", "--allow-empty"),
+    ],
+)
+def test_env_boolean_outside_the_spellings_is_a_usage_error(capsys, monkeypatch, var, flag):
+    monkeypatch.setenv(var, "maybe")
+    err = usage_error(capsys, "check", CORE)
+    assert flag in err and "'maybe'" in err
+
+
+def test_env_boolean_spellings(monkeypatch):
+    for text, value in (("1", True), (" Yes ", True), ("on", True), ("OFF", False), ("no", False)):
+        monkeypatch.setenv("OAF_ETA_ENABLED", text)
+        assert parse_cli(["check", "in.json"]).checker.eta_enabled is value
+
+
 # ---------------------------------------------------------------------------
 # end to end
 

@@ -6,6 +6,7 @@ import copy
 import inspect
 import json
 import random
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -46,7 +47,7 @@ from proofport.importers import (
     SName,
     TOYHOL_NS,
     TOYSET_NS,
-    ToyholDoc,
+    ExportDoc,
     func_definition_pattern,
     import_toyhol,
     import_toyset,
@@ -104,7 +105,7 @@ def load(name: str) -> bytes:
 
 def test_parse_empty_doc():
     doc = parse_toyhol(b'{"version": "1", "theories": []}')
-    assert doc == ToyholDoc("1", ())
+    assert doc == ExportDoc("1", ())
 
 
 def test_parse_minimal_fixture():
@@ -461,6 +462,70 @@ def test_toyset_unknown_element_names_it():
     with pytest.raises(SchemaViolation) as exc:
         parse_toyset(xml)
     assert "konstant" in str(exc.value)
+
+
+# every element of sets.toyset.xml in document order, with its error path
+SETS_PATHS = [
+    "export",
+    "theory[0]",
+    "theory[0].decl[0]",
+    "theory[0].decl[1]",
+    "theory[0].decl[1].axiom",
+    "theory[0].decl[1].axiom.forall[0]",
+    "theory[0].decl[1].axiom.forall[0].not[0]",
+    "theory[0].decl[1].axiom.forall[0].not[0].in[0]",
+    "theory[0].decl[1].axiom.forall[0].not[0].in[1]",
+    "theory[0].decl[2]",
+    "theory[0].decl[2].scheme[0]",
+    "theory[0].decl[2].scheme[1]",
+    "theory[0].decl[2].scheme[1].forall[0]",
+    "theory[0].decl[2].scheme[1].forall[0].impl[0]",
+    "theory[0].decl[2].scheme[1].forall[0].impl[0].papp[0]",
+    "theory[0].decl[2].scheme[1].forall[0].impl[1]",
+    "theory[0].decl[2].scheme[1].forall[0].impl[1].papp[0]",
+    "theory[0].decl[3]",
+    "theory[0].decl[3].value",
+    "theory[0].decl[3].value",  # the value's term is reported at the value
+    "theory[0].decl[4]",
+    "theory[0].decl[4].theorem",
+    "theory[0].decl[4].theorem.eq[0]",
+    "theory[0].decl[4].theorem.eq[1]",
+]
+
+
+def _toyset_variant(index: int, mutate) -> bytes:
+    root = ET.fromstring(load("sets.toyset.xml"))
+    mutate(list(root.iter())[index].attrib)
+    return ET.tostring(root)
+
+
+def test_every_mutated_toyset_attribute_is_reported():
+    elements = list(ET.fromstring(load("sets.toyset.xml")).iter())
+    assert len(elements) == len(SETS_PATHS)
+    for index, (elem, path) in enumerate(zip(elements, SETS_PATHS)):
+        with pytest.raises(SchemaViolation) as exc:
+            parse_toyset(_toyset_variant(index, lambda a: a.update(stray="1")))
+        assert exc.value.path == f"{path}.stray"
+        for key in elem.attrib:
+            with pytest.raises(SchemaViolation) as exc:
+                parse_toyset(_toyset_variant(index, lambda a: a.update({key + "x": a.pop(key)})))
+            # either the unknown new attribute or the missing original is named
+            assert exc.value.path in (f"{path}.{key}x", f"{path}.{key}")
+
+    dup_theory = b'<export version="1"><theory name="t"/><theory name="t"/></export>'
+    with pytest.raises(SchemaViolation) as exc:
+        parse_toyset(dup_theory)
+    assert exc.value.path == "theory[1].name"
+    dup_decl = (
+        b'<export version="1"><theory name="t">'
+        b'<constant name="c"/><constant name="c"/></theory></export>'
+    )
+    with pytest.raises(SchemaViolation) as exc:
+        parse_toyset(dup_decl)
+    assert exc.value.path == "theory[0].decl[1].name"
+    with pytest.raises(Malformed) as exc:
+        parse_toyset(b'<export version="1"><theory name="\xff"/></export>')
+    assert exc.value.line is None
 
 
 def test_toyset_fixture_imports_and_checks():
