@@ -215,7 +215,11 @@ def _read_sources(source_dir: str) -> dict[str, str]:
     out = {}
     for p in sorted(root.rglob("*")):
         if p.is_file():
-            out[str(p.relative_to(root))] = p.read_text(encoding="utf-8")
+            rel = str(p.relative_to(root))
+            try:
+                out[rel] = p.read_text(encoding="utf-8")
+            except UnicodeDecodeError as err:
+                raise Malformed(f"{rel}: {err}") from err
     return out
 
 

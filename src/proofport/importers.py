@@ -749,7 +749,7 @@ class _TheoryBuilder:
 
     def try_add(self, cands: tuple[Declaration, ...]) -> None:
         """Check candidates in the current snapshot; raise on failure."""
-        report = check_theory(self.snapshot(cands), self.ident, self.config)
+        report = check_theory(self.snapshot(cands), self.ident, self.config, only=cands)
         new = {c.name for c in cands}
         for res in report.results:
             if res.subject in new and not res.ok:

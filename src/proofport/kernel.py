@@ -18,6 +18,7 @@ All values here are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -288,6 +289,14 @@ class Theory:
         object.__setattr__(self, "includes", tuple(self.includes))
         object.__setattr__(self, "decls", tuple(self.decls))
 
+    @cached_property
+    def _decl_index(self) -> dict[Ident, Declaration]:
+        """The first declaration of each name."""
+        index: dict[Ident, Declaration] = {}
+        for d in self.decls:
+            index.setdefault(d.name, d)
+        return index
+
 
 @dataclass(frozen=True)
 class Library:
@@ -320,23 +329,25 @@ class Library:
             yield lib
             stack.extend(lib.deps)
 
+    @cached_property
+    def _theory_index(self) -> dict[Ident, Theory]:
+        """The first of this library's own theories of each name."""
+        index: dict[Ident, Theory] = {}
+        for th in self.theories:
+            index.setdefault(th.name, th)
+        return index
+
     def find_theory(self, ident: Ident) -> Optional[Theory]:
         for lib in self.libraries():
-            if lib.namespace != ident.namespace:
-                continue
-            for th in lib.theories:
-                if th.name == ident:
+            if lib.namespace == ident.namespace:
+                th = lib._theory_index.get(ident)
+                if th is not None:
                     return th
         return None
 
     def find_decl(self, ident: Ident) -> Optional[Declaration]:
         th = self.find_theory(theory_ident(ident.namespace, ident.module))
-        if th is None:
-            return None
-        for d in th.decls:
-            if d.name == ident:
-                return d
-        return None
+        return None if th is None else th._decl_index.get(ident)
 
     def find_morphism(self, ident: Ident):
         for lib in self.libraries():
@@ -778,9 +789,14 @@ def _check_declaration(
             pass
 
 
-def check_theory(lib: Library, th: Ident, config: Config = DEFAULT_CONFIG) -> CheckReport:
-    """Check every declaration the theory itself makes.
+def check_theory(
+    lib: Library, th: Ident, config: Config = DEFAULT_CONFIG,
+    only: Optional[Iterable[Declaration]] = None,
+) -> CheckReport:
+    """Check every declaration the theory itself makes, or just `only`.
 
+    `only` names declarations of the theory; each is checked against the
+    whole theory, so its verdict is the one a full check gives it.
     Included theories are assumed checked separately; a Cycle in the
     include graph is raised, everything else is collected per
     declaration.
@@ -801,7 +817,7 @@ def check_theory(lib: Library, th: Ident, config: Config = DEFAULT_CONFIG) -> Ch
         seen: set[Ident] = set()
         dup = next(n for n in names if n in seen or seen.add(n))
         results.append(CheckResult(th, False, f"duplicate declaration {dup}"))
-    for decl in theory.decls:
+    for decl in theory.decls if only is None else only:
         try:
             _check_declaration(lib, decl, visible, config)
             results.append(CheckResult(decl.name, True))

@@ -396,6 +396,15 @@ def test_source_dir_recovers_references(tmp_path, capsys):
     assert '<srcref file="bits.hol" sl="2" sc="1"' in text
 
 
+def test_non_utf8_source_file_is_exit_2_naming_the_file(tmp_path, capsys):
+    src = tmp_path / "src"
+    (src / "sub").mkdir(parents=True)
+    (src / "sub" / "bad.hol").write_bytes(b"\xff\xfe c : bool\n")
+    code, _, err = run_cli(capsys, "check", CORE, "--source-dir", str(src))
+    assert code == 2
+    assert err.startswith("error: sub/bad.hol: 'utf-8' codec can't decode")
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 

@@ -20,7 +20,7 @@ from generators import (
     surface_library,
     surface_resolve,
 )
-from proofport import importers
+from proofport import importers, kernel
 from proofport.elaboration import builtin_patterns
 from proofport.encodings import (
     FOL_SOFT,
@@ -550,6 +550,60 @@ def test_importers_check_with_the_given_config(monkeypatch):
     import_toyset(parse_toyset(load("sets.toyset.xml")), True, cfg)
     assert seen["check_theory"] and seen["elaborate_pattern"]
     assert all(c is cfg for calls in seen.values() for c in calls)
+
+
+def _import_inputs() -> list[tuple]:
+    """(importer, document) for the fixtures and for variants with rejected records."""
+    ghost = json.loads(load("core.toyhol.json"))
+    ghost["theories"][0]["decls"][4]["deps"] = ["ghost"]
+    ill_typed = json.loads(load("core.toyhol.json"))
+    ill_typed["theories"][0]["decls"].insert(
+        3, {"kind": "definition", "name": "bad", "type": "bool", "definiens": {"name": "f"}}
+    )
+    not_a_function = load("sets.toyset.xml").replace(
+        b"  </theory>",
+        b'    <theorem name="bad"><forall var="x"><impl><papp name="empty"><var name="x"/></papp>'
+        b'<in><var name="x"/><const name="empty"/></in></impl></forall></theorem>\n  </theory>',
+    )
+    return [
+        (import_toyhol, parse_toyhol(load("core.toyhol.json"))),
+        (import_toyhol, parse_toyhol(load("minimal.toyhol.json"))),
+        (import_toyhol, parse_toyhol(json.dumps(ghost).encode())),
+        (import_toyhol, parse_toyhol(json.dumps(ill_typed).encode())),
+        (import_toyset, parse_toyset(load("sets.toyset.xml"))),
+        (import_toyset, parse_toyset(not_a_function)),
+    ]
+
+
+def test_import_checks_each_record_once(monkeypatch):
+    counts = {"offered": 0, "checked": 0}
+    try_add, check_declaration = importers._TheoryBuilder.try_add, kernel._check_declaration
+
+    def offered(self, cands):
+        counts["offered"] += len(cands)
+        return try_add(self, cands)
+
+    def checked(*args):
+        counts["checked"] += 1
+        return check_declaration(*args)
+
+    monkeypatch.setattr(importers._TheoryBuilder, "try_add", offered)
+    monkeypatch.setattr(kernel, "_check_declaration", checked)
+    for import_doc, doc in _import_inputs():
+        counts.update(offered=0, checked=0)
+        import_doc(doc)
+        assert counts["checked"] == counts["offered"] > 0
+
+
+def test_candidate_only_check_keeps_every_import(monkeypatch):
+    got = [import_doc(doc) for import_doc, doc in _import_inputs()]
+    assert [r.ok for _, r in got] == [True, True, False, False, True, False]
+    check_theory = importers.check_theory
+    monkeypatch.setattr(
+        importers, "check_theory",
+        lambda lib, th, config, only=None: check_theory(lib, th, config),
+    )
+    assert got == [import_doc(doc) for import_doc, doc in _import_inputs()]
 
 
 def test_toyset_scheme_closes_over_predicate():

@@ -6,6 +6,7 @@ iterated to fixpoint, both defined apart from the kernel's machinery.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from generators import (
     NAT,
     NS,
     O,
+    gen_dag_library,
+    gen_library,
     gen_scoped,
     gen_signature,
     gen_term,
@@ -23,6 +26,7 @@ from generators import (
     gen_typed_closed,
     mutate_hints,
 )
+from proofport import omdoc
 from proofport.errors import (
     Cycle,
     Mismatch,
@@ -32,6 +36,7 @@ from proofport.errors import (
     SubtypeWitnessMissing,
     UnknownIdent,
 )
+from proofport.importers import import_toyhol, import_toyset, parse_toyhol, parse_toyset
 from proofport.kernel import (
     Apply,
     Config,
@@ -514,6 +519,72 @@ def test_check_theory_dangling_dependency():
     assert by_name["good"].ok
     assert not by_name["bad"].ok
     assert "UnknownIdent" in by_name["bad"].message
+
+
+def _fixture_libraries() -> list[Library]:
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    return [
+        import_toyhol(parse_toyhol((fixtures / "core.toyhol.json").read_bytes()))[0],
+        import_toyhol(parse_toyhol((fixtures / "minimal.toyhol.json").read_bytes()))[0],
+        import_toyset(parse_toyset((fixtures / "sets.toyset.xml").read_bytes()))[0],
+        omdoc.parse((fixtures / "broken-dep.omdoc.xml").read_bytes()),
+    ]
+
+
+def test_check_theory_only_gives_the_full_verdicts():
+    rng = random.Random(404)
+    libs = _fixture_libraries()
+    libs += [gen_dag_library(rng) for _ in range(30)] + [gen_library(rng) for _ in range(30)]
+    failed = 0
+    for lib in libs:
+        for th in lib.theories:
+            full = check_theory(lib, th.name).results
+            head = tuple(r for r in full if r.subject == th.name)
+            rows = full[len(head):]
+            assert [r.subject for r in rows] == [d.name for d in th.decls]
+            failed += sum(not r.ok for r in rows)
+            for k in range(len(th.decls) + 1):
+                prefix = check_theory(lib, th.name, only=th.decls[:k]).results
+                suffix = check_theory(lib, th.name, only=th.decls[k:]).results
+                assert prefix == head + rows[:k]
+                assert suffix == head + rows[k:]
+    assert failed  # the comparison covers rejected declarations too
+
+
+def test_lookups_return_the_first_match_in_scan_order():
+    ns = "lib://shadow"
+    t, u, w = (theory_ident(ns, m) for m in ("t", "u", "w"))
+
+    def decl(module, name, note):
+        return Declaration(
+            Ident(ns, module, name), tp=TypeKind(), meta=Metadata(kind="type", comments=(note,))
+        )
+
+    first, second = decl("t", "p", "first"), decl("t", "p", "second")
+    main_t = Theory(t, decls=(first, second))
+    later_t = Theory(t, decls=(decl("t", "later", "later theory of the same name"),))
+    dep_t = Theory(t, decls=(decl("t", "ghost", "only in the shadowed theory"),))
+    dep_u = Theory(u, decls=(decl("u", "q", "only in a dependency"),))
+    w_early, w_late = Theory(w), Theory(w, decls=(decl("w", "r", "late"),))
+    elsewhere = Library("lib://elsewhere", (Theory(theory_ident(ns, "v")),))
+    lib = Library(
+        ns,
+        (main_t, later_t),
+        deps=(Library(ns, (w_late,)), Library(ns, (dep_t, dep_u, w_early)), elsewhere),
+    )
+    # libraries() pops its stack, so the last dependency is scanned first
+    assert [len(x.theories) for x in lib.libraries()] == [2, 1, 3, 1]
+    assert lib.find_theory(t) is main_t
+    assert lib.find_decl(first.name) is first
+    assert lib.find_decl(Ident(ns, "t", "ghost")) is None
+    assert lib.find_decl(Ident(ns, "t", "later")) is None
+    assert lib.find_theory(u) is dep_u
+    assert lib.find_decl(Ident(ns, "u", "q")) is dep_u.decls[0]
+    assert lib.find_theory(w) is w_early
+    assert lib.find_decl(Ident(ns, "w", "r")) is None
+    assert lib.find_theory(theory_ident(ns, "v")) is None
+    assert lib.find_theory(theory_ident(ns, "absent")) is None
+    assert lib.find_decl(Ident(ns, "absent", "p")) is None
 
 
 def test_declaration_invariants():
