@@ -48,6 +48,7 @@ from .errors import (
     check_version,
     read_xml,
 )
+from . import kernel
 from .kernel import (
     DEFAULT_CONFIG,
     Apply,
@@ -728,7 +729,13 @@ _LOGICS = logic_library()
 
 
 class _TheoryBuilder:
-    """Accumulates checked declarations for one imported theory."""
+    """Accumulates checked declarations for one imported theory.
+
+    What the theory sees, and its declaration index, are computed once
+    and grow with each accepted record, so an import checks each record
+    against the same visible set as a full `check_theory` without
+    rebuilding it per record.
+    """
 
     def __init__(self, ns: str, name: str, meta_theory: Ident,
                  includes: tuple[Ident, ...], done: list[Theory], config: Config):
@@ -740,21 +747,58 @@ class _TheoryBuilder:
         self.done = done
         self.config = config
         self.decls: list[Declaration] = []
+        self.index: dict[Ident, Declaration] = {}  # the first of self.decls of each name
+        # The names of the include closure and the meta-theory chain, plus
+        # those of every accepted record. None while the full check_theory
+        # has a theory-level row to report (an include that does not
+        # resolve, a duplicate name): each try_add then runs that check.
+        self.visible: Optional[set[Ident]] = None
+        lib = self.snapshot()
+        try:
+            base = kernel.flatten(lib, self.ident)
+            if len({d.name for d in base}) == len(base):
+                self.visible = kernel._visible_idents(lib, self.theory(), base)
+        except CheckError:
+            pass
 
     def ident_for(self, local: str) -> Ident:
         return Ident(self.ns, self.name, local)
 
     def snapshot(self, extra: tuple[Declaration, ...] = ()) -> Library:
-        return Library(self.ns, tuple(self.done) + (self.theory(extra),), deps=(_LOGICS,))
+        """The library imported so far, this theory last with `extra`.
+
+        The theory shares `self.index`, which `try_add` extends by the
+        names of `extra` before it takes the snapshot.
+        """
+        theory = self.theory(extra)
+        vars(theory)["_decl_index"] = self.index  # what the cached_property would build
+        return Library(self.ns, tuple(self.done) + (theory,), deps=(_LOGICS,))
 
     def try_add(self, cands: tuple[Declaration, ...]) -> None:
         """Check candidates in the current snapshot; raise on failure."""
-        report = check_theory(self.snapshot(cands), self.ident, self.config, only=cands)
         new = {c.name for c in cands}
-        for res in report.results:
-            if res.subject in new and not res.ok:
-                raise CheckError(f"{res.subject.name}: {res.message}")
+        index, visible = self.index, self.visible
+        grown = visible is not None and len(new) == len(cands) and visible.isdisjoint(new)
+        if grown:
+            visible |= new
+        added = [c.name for c in cands if index.setdefault(c.name, c) is c]
+        try:
+            report = check_theory(
+                self.snapshot(cands), self.ident, self.config, only=cands,
+                visible=visible if grown else None,
+            )
+            for res in report.results:
+                if res.subject in new and not res.ok:
+                    raise CheckError(f"{res.subject.name}: {res.message}")
+        except CheckError:
+            for n in added:
+                del index[n]
+            if grown:
+                visible -= new
+            raise
         self.decls.extend(cands)
+        if not grown:
+            self.visible = None
 
     def theory(self, extra: tuple[Declaration, ...] = ()) -> Theory:
         """The theory as built so far, plus `extra`."""
@@ -814,7 +858,7 @@ def _import(
     """Convert and kernel-check every record of `doc`, one at a time.
 
     `convert(rec, ident, env, builder)` returns the record's candidate
-    declarations and the (category, binding) its name adds to `env` once
+    declarations and what its name binds in each category of `env` once
     they check; `env` starts as the merged environments of the included
     theories. A failure is recorded in the report and the record
     dropped; the rest continue. Raises EmptyCorpus when a document with
@@ -840,7 +884,7 @@ def _import(
         for rec in trec.decls:
             ident = builder.ident_for(rec.name)
             try:
-                cands, (category, binding) = convert(rec, ident, env, builder)
+                cands, bindings = convert(rec, ident, env, builder)
                 builder.try_add(cands)
             except CheckError as err:
                 entries.append(
@@ -848,7 +892,8 @@ def _import(
                 )
                 continue
             entries.append(ImportEntry(str(ident), True))
-            env[category][rec.name] = binding
+            for category, binding in bindings.items():
+                env[category][rec.name] = binding
 
         done.append(builder.theory())
         envs[trec.name] = env
@@ -879,26 +924,27 @@ def import_toyhol(
 
 def _toyhol_decl(
     rec: DeclRecord, ident: Ident, env: Env, builder: _TheoryBuilder
-) -> tuple[tuple[Declaration, ...], tuple[str, object]]:
-    """Convert one record. Its name binds a base type, a term with its
-    surface type for the annotation inference, or a statement."""
+) -> tuple[tuple[Declaration, ...], dict[str, object]]:
+    """Convert one record. Its name binds a base type, a term (and, in
+    `stypes`, the term's surface type for the annotation inference), or
+    a statement."""
     base_types = env["types"]
     terms = env["terms"]
-    stypes = {n: st for n, (st, _) in terms.items()}
+    stypes = env["stypes"]
 
     def resolver(name: str) -> Optional[Term]:
         if name in terms:
-            return Const(terms[name][1])
+            return Const(terms[name])
         return None
 
     if rec.kind == "type":
-        return (Declaration(ident, tp=_HOL_TP, meta=_meta(rec, "type")),), ("types", ident)
+        return (Declaration(ident, tp=_HOL_TP, meta=_meta(rec, "type")),), {"types": ident}
     if rec.kind == "constant":
         tp_term = _stype_term(rec.tp, base_types)
         decl = Declaration(
             ident, tp=Apply(_HOL_TM, tp_term), meta=_meta(rec, "constant")
         )
-        return (decl,), ("terms", (rec.tp, ident))
+        return (decl,), {"terms": ident, "stypes": rec.tp}
     if rec.kind == "definition":
         term, inferred = infer_church_annotations(
             stypes, rec.definiens, base_types, resolver
@@ -911,14 +957,14 @@ def _toyhol_decl(
             definiens=term,
             meta=_meta(rec, "definition"),
         )
-        return (decl,), ("terms", (declared, ident))
+        return (decl,), {"terms": ident, "stypes": declared}
     # axiom or theorem: the type field is a formula
     term, ftype = infer_church_annotations(stypes, rec.tp, base_types, resolver)
     uni = _Unifier()
     uni.unify(ftype, _BOOL_T, rec.name)
     proof = _depends_on(rec, env["stmts"])
     decl = Declaration(ident, tp=Apply(_HOL_DED, term), proof=proof, meta=_meta(rec, rec.kind))
-    return (decl,), ("stmts", ident)
+    return (decl,), {"stmts": ident}
 
 
 def _depends_on(rec: DeclRecord, stmts: Mapping[str, Ident]) -> Proof:
@@ -1042,17 +1088,17 @@ def import_toyset(
 
 def _toyset_decl(
     rec: DeclRecord, ident: Ident, env: Env, builder: _TheoryBuilder
-) -> tuple[tuple[Declaration, ...], tuple[str, object]]:
+) -> tuple[tuple[Declaration, ...], dict[str, object]]:
     """Convert one record. Its name binds a set constant (for a definition,
     the generated `name/fn`) or a statement."""
     consts = env["consts"]
     if rec.kind == "constant":
-        return (Declaration(ident, tp=_FOL_SET, meta=_meta(rec, "constant")),), ("consts", ident)
+        return (Declaration(ident, tp=_FOL_SET, meta=_meta(rec, "constant")),), {"consts": ident}
     if rec.kind in ("axiom", "theorem"):
         tp = Apply(_FOL_DED, _fol_term(rec.tp, [], consts, rec.name))
         proof = _depends_on(rec, env["stmts"])
         decl = Declaration(ident, tp=tp, proof=proof, meta=_meta(rec, rec.kind))
-        return (decl,), ("stmts", ident)
+        return (decl,), {"stmts": ident}
     if rec.kind == "scheme":
         ctx = Context()
         pnames = []
@@ -1064,7 +1110,7 @@ def _toyset_decl(
         decl = Declaration(
             ident, tp=close_toplevel(sd), proof=Omitted(), meta=_meta(rec, "axiom")
         )
-        return (decl,), ("stmts", ident)
+        return (decl,), {"stmts": ident}
     if rec.kind == "definition":
         value = _fol_term(rec.definiens, [], consts, rec.name)
         inst = PatternInstance(ident, _FUNC_DEFINITION.name, (value,))
@@ -1079,7 +1125,7 @@ def _toyset_decl(
                 notation=rec.notation,
             )
             out.append(replace(d, meta=meta))
-        return tuple(out), ("consts", out[0].name)
+        return tuple(out), {"consts": out[0].name}
     raise SchemaViolation(rec.kind, "unknown record kind")
 
 

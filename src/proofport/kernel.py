@@ -305,6 +305,11 @@ class Library:
     `deps` registers supporting libraries (typically the logic encodings)
     for identifier resolution; it is not part of the library's value and
     is excluded from equality.
+
+    Lookups scan `libraries()` in order and the first match wins. A
+    library, its theories and their tuples are frozen, so the scan order
+    is kept as a tuple and every `find_decl` answer, a miss included, is
+    memoized on the library asked.
     """
 
     namespace: str
@@ -330,6 +335,10 @@ class Library:
             stack.extend(lib.deps)
 
     @cached_property
+    def _scan(self) -> tuple["Library", ...]:
+        return tuple(self.libraries())
+
+    @cached_property
     def _theory_index(self) -> dict[Ident, Theory]:
         """The first of this library's own theories of each name."""
         index: dict[Ident, Theory] = {}
@@ -337,8 +346,12 @@ class Library:
             index.setdefault(th.name, th)
         return index
 
+    @cached_property
+    def _decl_memo(self) -> dict[Ident, Optional[Declaration]]:
+        return {}
+
     def find_theory(self, ident: Ident) -> Optional[Theory]:
-        for lib in self.libraries():
+        for lib in self._scan:
             if lib.namespace == ident.namespace:
                 th = lib._theory_index.get(ident)
                 if th is not None:
@@ -346,11 +359,16 @@ class Library:
         return None
 
     def find_decl(self, ident: Ident) -> Optional[Declaration]:
-        th = self.find_theory(theory_ident(ident.namespace, ident.module))
-        return None if th is None else th._decl_index.get(ident)
+        memo = self._decl_memo
+        try:
+            return memo[ident]
+        except KeyError:
+            th = self.find_theory(theory_ident(ident.namespace, ident.module))
+            d = memo[ident] = None if th is None else th._decl_index.get(ident)
+            return d
 
     def find_morphism(self, ident: Ident):
-        for lib in self.libraries():
+        for lib in self._scan:
             for m in lib.morphisms:
                 if m.name == ident:
                     return m
@@ -378,22 +396,36 @@ def rebuild(t: Term, leaf: Callable[[Term, int], Term], k: int = 0) -> Term:
     `j` is `k` plus the number of binders between the root and the node.
     A node whose children all come back unchanged (`is`) is returned
     itself, so a leaf that changes nothing returns `t` without a copy.
+
+    It dispatches on the exact class, most frequent first, and names each
+    class's fields by hand: this is the kernel's hottest function, and
+    with a structural `match` `constants_of` and `shift` took about 2.5
+    times as long.
     """
-    match t:
-        case Var() | Const():
-            return leaf(t, k)
-        case Apply(x, y) | SubType(x, y) | SubIn(x, y):
-            x2 = rebuild(x, leaf, k)
-            y2 = rebuild(y, leaf, k)
-            return t if x2 is x and y2 is y else type(t)(x2, y2)
-        case Lambda(h, d, b) | Pi(h, d, b):
-            d2 = rebuild(d, leaf, k)
-            b2 = rebuild(b, leaf, k + 1)
-            return t if d2 is d and b2 is b else type(t)(h, d2, b2)
-        case SubOut(e):
-            e2 = rebuild(e, leaf, k)
-            return t if e2 is e else SubOut(e2)
-    return t
+    cls = type(t)
+    if cls is Apply:
+        x, y = t.fn, t.arg
+    elif cls is Const or cls is Var:
+        return leaf(t, k)
+    elif cls is Lambda or cls is Pi:
+        d = t.dom
+        b = t.body if cls is Lambda else t.cod
+        d2 = rebuild(d, leaf, k)
+        b2 = rebuild(b, leaf, k + 1)
+        return t if d2 is d and b2 is b else cls(t.hint, d2, b2)
+    elif cls is SubType:
+        x, y = t.base, t.pred
+    elif cls is SubIn:
+        x, y = t.elem, t.witness
+    elif cls is SubOut:
+        e = t.elem
+        e2 = rebuild(e, leaf, k)
+        return t if e2 is e else SubOut(e2)
+    else:
+        return t
+    x2 = rebuild(x, leaf, k)
+    y2 = rebuild(y, leaf, k)
+    return t if x2 is x and y2 is y else cls(x2, y2)
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
@@ -792,6 +824,7 @@ def _check_declaration(
 def check_theory(
     lib: Library, th: Ident, config: Config = DEFAULT_CONFIG,
     only: Optional[Iterable[Declaration]] = None,
+    visible: Optional[set[Ident]] = None,
 ) -> CheckReport:
     """Check every declaration the theory itself makes, or just `only`.
 
@@ -800,23 +833,29 @@ def check_theory(
     Included theories are assumed checked separately; a Cycle in the
     include graph is raised, everything else is collected per
     declaration.
+
+    `visible` is the theory's visible set, for a caller that keeps it
+    up to date as the theory grows: the include closure is then not
+    flattened, and the caller vouches that it resolves and holds no
+    duplicate name, so the report has no theory-level row.
     """
     theory = lib.find_theory(th)
     if theory is None:
         raise UnknownIdent(f"theory {th} not found")
     results: list[CheckResult] = []
-    try:
-        decls = flatten(lib, th)
-        visible = _visible_idents(lib, theory, decls)
-    except Cycle:
-        raise
-    except CheckError as err:
-        return CheckReport(th, (CheckResult(th, False, str(err)),))
-    names = [d.name for d in decls]
-    if len(set(names)) != len(names):
-        seen: set[Ident] = set()
-        dup = next(n for n in names if n in seen or seen.add(n))
-        results.append(CheckResult(th, False, f"duplicate declaration {dup}"))
+    if visible is None:
+        try:
+            decls = flatten(lib, th)
+            visible = _visible_idents(lib, theory, decls)
+        except Cycle:
+            raise
+        except CheckError as err:
+            return CheckReport(th, (CheckResult(th, False, str(err)),))
+        names = [d.name for d in decls]
+        if len(set(names)) != len(names):
+            seen: set[Ident] = set()
+            dup = next(n for n in names if n in seen or seen.add(n))
+            results.append(CheckResult(th, False, f"duplicate declaration {dup}"))
     for decl in theory.decls if only is None else only:
         try:
             _check_declaration(lib, decl, visible, config)

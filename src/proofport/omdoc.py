@@ -307,11 +307,16 @@ def _leaf(elem: ET.Element, path: str, required: tuple[str, ...]) -> Mapping[str
     return elem.attrib
 
 
-def _ident(text: str, path: str) -> Ident:
-    try:
-        return Ident.parse(text)
-    except ValueError as err:
-        raise SchemaViolation(path, str(err)) from None
+def _ident(text: str, path: str, idents: dict[str, Ident]) -> Ident:
+    """The identifier `text` names; `idents` holds those already read from
+    the same document, so each distinct text is validated once."""
+    ident = idents.get(text)
+    if ident is None:
+        try:
+            ident = idents[text] = Ident.parse(text)
+        except ValueError as err:
+            raise SchemaViolation(path, str(err)) from None
+    return ident
 
 
 def _int_attr(value: str, path: str) -> int:
@@ -321,7 +326,7 @@ def _int_attr(value: str, path: str) -> int:
         raise SchemaViolation(path, "expected an integer") from None
 
 
-def _parse_term(elem: ET.Element, path: str) -> Term:
+def _parse_term(elem: ET.Element, path: str, idents: dict[str, Ident]) -> Term:
     tag = elem.tag
     kids = list(elem)
     if tag == "OMS":
@@ -329,7 +334,7 @@ def _parse_term(elem: ET.Element, path: str) -> Term:
         _no_text(elem, path)
         if kids:
             raise SchemaViolation(path, "OMS takes no children")
-        return Const(_ident(a["name"], f"{path}.name"))
+        return Const(_ident(a["name"], f"{path}.name", idents))
     if tag == "OMV":
         a = check_keys(elem.attrib, path, ("index",), ("hint",))
         _no_text(elem, path)
@@ -345,7 +350,7 @@ def _parse_term(elem: ET.Element, path: str) -> Term:
         if len(kids) < 2:
             raise SchemaViolation(path, "OMA needs a head and at least one argument")
         parts = [
-            _parse_term(k, f"{path}.{k.tag}[{i}]") for i, k in enumerate(kids)
+            _parse_term(k, f"{path}.{k.tag}[{i}]", idents) for i, k in enumerate(kids)
         ]
         t = parts[0]
         for arg in parts[1:]:
@@ -355,7 +360,7 @@ def _parse_term(elem: ET.Element, path: str) -> Term:
         a = check_keys(elem.attrib, path, ("binder",), ("var",))
         _no_text(elem, path)
         binder = a["binder"]
-        parts = [_parse_term(k, f"{path}.{k.tag}[{i}]") for i, k in enumerate(kids)]
+        parts = [_parse_term(k, f"{path}.{k.tag}[{i}]", idents) for i, k in enumerate(kids)]
 
         def arity(n: int) -> None:
             if len(parts) != n:
@@ -384,16 +389,16 @@ def _parse_term(elem: ET.Element, path: str) -> Term:
     raise SchemaViolation(path, f"unknown element <{tag}>")
 
 
-def _one_term_child(elem: ET.Element, path: str) -> Term:
+def _one_term_child(elem: ET.Element, path: str, idents: dict[str, Ident]) -> Term:
     kids = list(elem)
     if len(kids) != 1:
         raise SchemaViolation(path, "expected exactly one term")
-    return _parse_term(kids[0], f"{path}.{kids[0].tag}")
+    return _parse_term(kids[0], f"{path}.{kids[0].tag}", idents)
 
 
-def _parse_metadata(elem: ET.Element, path: str):
+def _parse_metadata(elem: ET.Element, path: str, idents: dict[str, Ident]):
     a = check_keys(elem.attrib, path, (), ("origin",))
-    origin = _ident(a["origin"], f"{path}.origin") if "origin" in a else None
+    origin = _ident(a["origin"], f"{path}.origin", idents) if "origin" in a else None
     source_ref = None
     comments: list[str] = []
     notation = None
@@ -426,7 +431,7 @@ def _parse_metadata(elem: ET.Element, path: str):
     return origin, source_ref, tuple(comments), notation
 
 
-def _parse_proof(elem: ET.Element, path: str) -> Proof:
+def _parse_proof(elem: ET.Element, path: str, idents: dict[str, Ident]) -> Proof:
     a = check_keys(elem.attrib, path, ("style",))
     _no_text(elem, path)
     style = a["style"]
@@ -442,17 +447,19 @@ def _parse_proof(elem: ET.Element, path: str) -> Proof:
             if kid.tag != "ref":
                 raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
             ka = _leaf(kid, kpath, ("name",))
-            ids.append(_ident(ka["name"], f"{kpath}.name"))
+            ids.append(_ident(ka["name"], f"{kpath}.name", idents))
         try:
             return DependsOn(tuple(ids))
         except ValueError as err:
             raise SchemaViolation(path, str(err)) from None
     if style == "term":
-        return ProofTerm(_one_term_child(elem, path))
+        return ProofTerm(_one_term_child(elem, path, idents))
     raise SchemaViolation(f"{path}.style", f"unknown proof style {style!r}")
 
 
-def _parse_constant(elem: ET.Element, path: str, namespace: str, module: str) -> Declaration:
+def _parse_constant(
+    elem: ET.Element, path: str, namespace: str, module: str, idents: dict[str, Ident]
+) -> Declaration:
     a = check_keys(elem.attrib, path, ("name", "kind"))
     _no_text(elem, path)
     if a["kind"] not in KINDS:
@@ -469,16 +476,16 @@ def _parse_constant(elem: ET.Element, path: str, namespace: str, module: str) ->
         if kid.tag == "type":
             check_keys(kid.attrib, kpath, ())
             _no_text(kid, kpath)
-            tp = _one_term_child(kid, kpath)
+            tp = _one_term_child(kid, kpath, idents)
         elif kid.tag == "definition":
             check_keys(kid.attrib, kpath, ())
             _no_text(kid, kpath)
-            definiens = _one_term_child(kid, kpath)
+            definiens = _one_term_child(kid, kpath, idents)
         elif kid.tag == "proof":
-            proof = _parse_proof(kid, kpath)
+            proof = _parse_proof(kid, kpath, idents)
         elif kid.tag == "metadata":
             _no_text(kid, kpath)
-            origin, source_ref, comments, notation = _parse_metadata(kid, kpath)
+            origin, source_ref, comments, notation = _parse_metadata(kid, kpath, idents)
         else:
             raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     try:
@@ -495,10 +502,10 @@ def _parse_constant(elem: ET.Element, path: str, namespace: str, module: str) ->
         raise SchemaViolation(path, str(err)) from None
 
 
-def _parse_theory(elem: ET.Element, path: str, namespace: str) -> Theory:
+def _parse_theory(elem: ET.Element, path: str, namespace: str, idents: dict[str, Ident]) -> Theory:
     a = check_keys(elem.attrib, path, ("name",), ("meta",))
     _no_text(elem, path)
-    meta_theory = _ident(a["meta"], f"{path}.meta") if "meta" in a else None
+    meta_theory = _ident(a["meta"], f"{path}.meta", idents) if "meta" in a else None
     includes = []
     decls = []
     for i, kid in enumerate(elem):
@@ -507,9 +514,9 @@ def _parse_theory(elem: ET.Element, path: str, namespace: str) -> Theory:
             if decls:
                 raise SchemaViolation(kpath, "includes must precede constants")
             ka = _leaf(kid, kpath, ("from",))
-            includes.append(_ident(ka["from"], f"{kpath}.from"))
+            includes.append(_ident(ka["from"], f"{kpath}.from", idents))
         elif kid.tag == "constant":
-            decls.append(_parse_constant(kid, kpath, namespace, a["name"]))
+            decls.append(_parse_constant(kid, kpath, namespace, a["name"], idents))
         else:
             raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     try:
@@ -523,7 +530,7 @@ def _parse_theory(elem: ET.Element, path: str, namespace: str) -> Theory:
         raise SchemaViolation(path, str(err)) from None
 
 
-def _parse_morphism(elem: ET.Element, path: str) -> Morphism:
+def _parse_morphism(elem: ET.Element, path: str, idents: dict[str, Ident]) -> Morphism:
     a = check_keys(elem.attrib, path, ("name", "from", "to"))
     _no_text(elem, path)
     assignments = []
@@ -534,13 +541,13 @@ def _parse_morphism(elem: ET.Element, path: str) -> Morphism:
         ka = check_keys(kid.attrib, kpath, ("name",))
         _no_text(kid, kpath)
         assignments.append(
-            (_ident(ka["name"], f"{kpath}.name"), _one_term_child(kid, kpath))
+            (_ident(ka["name"], f"{kpath}.name", idents), _one_term_child(kid, kpath, idents))
         )
     try:
         return Morphism(
-            _ident(a["name"], f"{path}.name"),
-            _ident(a["from"], f"{path}.from"),
-            _ident(a["to"], f"{path}.to"),
+            _ident(a["name"], f"{path}.name", idents),
+            _ident(a["from"], f"{path}.from", idents),
+            _ident(a["to"], f"{path}.to", idents),
             tuple(assignments),
         )
     except ValueError as err:
@@ -557,6 +564,7 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
     root = read_xml(data, "omdoc", ("version", "namespace"), OMDOC_VERSION)
     _no_text(root, "omdoc")
     namespace = root.get("namespace")
+    idents: dict[str, Ident] = {}
     theories = []
     morphisms = []
     for i, kid in enumerate(root):
@@ -564,9 +572,9 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
         if kid.tag == "theory":
             if morphisms:
                 raise SchemaViolation(kpath, "theories must precede morphisms")
-            theories.append(_parse_theory(kid, kpath, namespace))
+            theories.append(_parse_theory(kid, kpath, namespace, idents))
         elif kid.tag == "morphism":
-            morphisms.append(_parse_morphism(kid, kpath))
+            morphisms.append(_parse_morphism(kid, kpath, idents))
         else:
             raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     lib_deps = deps if deps is not None else (logic_library(),)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Optional
 
 from .errors import Malformed, UnknownIdent
@@ -46,7 +47,13 @@ _IRI_SAFE = frozenset(
 )
 
 
+# one character outside _IRI_SAFE, non-ASCII included
+_IRI_UNSAFE = re.compile("[^" + re.escape("".join(map(chr, sorted(_IRI_SAFE)))) + "]")
+
+
 def _encode_component(s: str) -> str:
+    if _IRI_UNSAFE.search(s) is None:
+        return s
     out = []
     for b in s.encode("utf-8"):
         out.append(chr(b) if b in _IRI_SAFE else f"%{b:02X}")
@@ -153,16 +160,17 @@ def extract_triples(
     store = TripleStore()
     if not lib.theories:
         return store
+    iri = cache(iri_of)  # each identifier is encoded once per call
     status = "checked" if checked else "unchecked"
     store.add(RdfTriple(_encode_component(lib.namespace), ULO_CHECK_STATUS, status, literal=True))
     for th in lib.theories:
-        th_iri = iri_of(th.name)
+        th_iri = iri(th.name)
         for inc in th.includes:
-            store.add(RdfTriple(th_iri, ULO_INCLUDES, iri_of(inc)))
+            store.add(RdfTriple(th_iri, ULO_INCLUDES, iri(inc)))
         if th.meta_theory is not None:
-            store.add(RdfTriple(th_iri, ULO_META_THEORY, iri_of(th.meta_theory)))
+            store.add(RdfTriple(th_iri, ULO_META_THEORY, iri(th.meta_theory)))
         for d in th.decls:
-            d_iri = iri_of(d.name)
+            d_iri = iri(d.name)
             store.add(RdfTriple(th_iri, ULO_DECLARES, d_iri))
             store.add(RdfTriple(d_iri, ULO_KIND, d.meta.kind, literal=True))
             if d.meta.source_ref is not None:
@@ -176,10 +184,10 @@ def extract_triples(
                 if t is None:
                     continue
                 for c in constants_of(t):
-                    store.add(RdfTriple(d_iri, ULO_USES, iri_of(c)))
+                    store.add(RdfTriple(d_iri, ULO_USES, iri(c)))
             if isinstance(d.proof, DependsOn):
                 for dep in d.proof.ids:
-                    store.add(RdfTriple(d_iri, ULO_JUSTIFIED_BY, iri_of(dep)))
+                    store.add(RdfTriple(d_iri, ULO_JUSTIFIED_BY, iri(dep)))
     return store
 
 

@@ -601,9 +601,95 @@ def test_candidate_only_check_keeps_every_import(monkeypatch):
     check_theory = importers.check_theory
     monkeypatch.setattr(
         importers, "check_theory",
-        lambda lib, th, config, only=None: check_theory(lib, th, config),
+        lambda lib, th, config, only=None, **kw: check_theory(lib, th, config),
     )
     assert got == [import_doc(doc) for import_doc, doc in _import_inputs()]
+
+
+def _toyhol_chain(records: int) -> bytes:
+    """Three theories, each including the one before, of `records`
+    records each: a definition chain with an axiom every 4th step."""
+    theories = []
+    for t in range(3):
+        decls = [{"kind": "constant", "name": f"c{t}_0", "type": "bool"}]
+        if t == 0:
+            decls.append({"kind": "constant", "name": "f", "type": {"arrow": ["bool", "bool"]}})
+        prev = {"name": f"c{t}_0"}
+        while len(decls) < records:
+            k = len(decls)
+            if k % 4:
+                decls.append({"kind": "definition", "name": f"c{t}_{k}",
+                              "definiens": {"app": [{"name": "f"}, prev]}})
+                prev = {"name": f"c{t}_{k}"}
+            else:
+                decls.append({"kind": "axiom", "name": f"a{t}_{k}", "type": {
+                    "app": [{"app": [{"name": "eq"}, prev]}, {"app": [{"name": "f"}, prev]}]}})
+        theories.append({"name": f"t{t}", "includes": [f"t{t - 1}"] if t else [], "decls": decls})
+    return json.dumps({"version": "1", "theories": theories}).encode()
+
+
+def _toyset_chain(records: int) -> bytes:
+    """Three toyset theories, each including the one before, of `records`
+    records each: constants, axioms over them and definitions."""
+    lines = ['<export version="1">']
+    for t in range(3):
+        inc = f' includes="t{t - 1}"' if t else ""
+        lines.append(f'<theory name="t{t}"{inc}>')
+        for k in range(records):
+            if k % 3 == 0:
+                lines.append(f'<constant name="c{t}_{k}"/>')
+            elif k % 3 == 1:
+                lines.append(f'<axiom name="a{t}_{k}"><in><const name="c{t}_{k - 1}"/>'
+                             f'<const name="c{t}_{k - 1}"/></in></axiom>')
+            else:
+                lines.append(f'<definition name="d{t}_{k}"><value>'
+                             f'<const name="c{t}_{k - 2}"/></value></definition>')
+        lines.append("</theory>")
+    lines.append("</export>")
+    return "\n".join(lines).encode()
+
+
+def test_import_computes_each_theory_scope_a_constant_number_of_times(monkeypatch):
+    calls = {"flatten": 0, "_visible_idents": 0}
+    for name in calls:
+        real = getattr(kernel, name)
+
+        def spy(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(kernel, name, spy)
+    for import_doc, doc in ((import_toyhol, lambda n: parse_toyhol(_toyhol_chain(n))),
+                            (import_toyset, lambda n: parse_toyset(_toyset_chain(n)))):
+        counted = []
+        for records in (12, 48):
+            calls.update(flatten=0, _visible_idents=0)
+            lib, report = import_doc(doc(records))
+            assert report.ok and sum(len(th.decls) for th in lib.theories) >= 3 * records
+            counted.append(dict(calls))
+        # per theory: one scope, one flatten of its includes, one of its meta-theory
+        assert counted == [{"flatten": 2 * 3, "_visible_idents": 3}] * 2
+
+
+def test_import_after_a_duplicate_name_keeps_the_full_check_verdicts(monkeypatch):
+    # the definition `d` generates a second `d/fn`; from then on a full check
+    # of theory `t` reports the duplicate, in the row of the record named `t`
+    doc = parse_toyset(
+        b'<export version="1"><theory name="t"><constant name="d/fn"/>'
+        b'<definition name="d"><value><const name="d/fn"/></value></definition>'
+        b'<constant name="t"/><constant name="after"/></theory></export>'
+    )
+    got = import_toyset(doc)
+    assert [(e.subject.split("?")[-1], e.ok) for e in got[1].entries] == [
+        ("d/fn", True), ("d", True), ("t", False), ("after", True)
+    ]
+    assert "duplicate declaration" in got[1].entries[2].message
+    check_theory = importers.check_theory
+    monkeypatch.setattr(
+        importers, "check_theory",
+        lambda lib, th, config, only=None, **kw: check_theory(lib, th, config),
+    )
+    assert got == import_toyset(doc)
 
 
 def test_toyset_scheme_closes_over_predicate():

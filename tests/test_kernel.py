@@ -154,6 +154,85 @@ def test_shift_then_unshift_is_identity():
         assert shift(shift(t, a, c), -a, c) == t
 
 
+def _ref_rebuild(t: Term, leaf, k: int = 0) -> Term:
+    """A plain structural recursion that copies every node: the reference
+    for the leaf functions of the kernel's traversal."""
+    match t:
+        case Var() | Const():
+            return leaf(t, k)
+        case Apply(f, a):
+            return Apply(_ref_rebuild(f, leaf, k), _ref_rebuild(a, leaf, k))
+        case Lambda(h, d, b):
+            return Lambda(h, _ref_rebuild(d, leaf, k), _ref_rebuild(b, leaf, k + 1))
+        case Pi(h, d, c):
+            return Pi(h, _ref_rebuild(d, leaf, k), _ref_rebuild(c, leaf, k + 1))
+        case SubType(b, p):
+            return SubType(_ref_rebuild(b, leaf, k), _ref_rebuild(p, leaf, k))
+        case SubIn(e, w):
+            return SubIn(_ref_rebuild(e, leaf, k), _ref_rebuild(w, leaf, k))
+        case SubOut(e):
+            return SubOut(_ref_rebuild(e, leaf, k))
+    return t
+
+
+def _ref_shift(t: Term, by: int, cutoff: int = 0) -> Term:
+    return _ref_rebuild(
+        t, lambda n, k: Var(n.index + by) if isinstance(n, Var) and n.index >= k else n, cutoff
+    )
+
+
+def _ref_substitute(t: Term, depth: int, s: Term) -> Term:
+    def leaf(n: Term, k: int) -> Term:
+        if isinstance(n, Var) and n.index == k:
+            return _ref_shift(s, k - depth)
+        if isinstance(n, Var) and n.index > k:
+            return Var(n.index - 1)
+        return n
+
+    return _ref_rebuild(t, leaf, depth)
+
+
+def _ref_constants(t: Term) -> list[Ident]:
+    out: list[Ident] = []
+
+    def leaf(n: Term, k: int) -> Term:
+        if isinstance(n, Const):
+            out.append(n.ident)
+        return n
+
+    _ref_rebuild(t, leaf)
+    return out
+
+
+def test_traversals_agree_with_a_reference_recursion():
+    def same(a: Term, b: Term) -> bool:
+        return a == b and repr(a) == repr(b)  # repr shows the hints == ignores
+
+    def rename(c: Ident):
+        return None if c.name == "zero" else Const(Ident(NS, "renamed", c.name))
+
+    def rename_leaf(n: Term, k: int) -> Term:
+        return (rename(n.ident) or n) if isinstance(n, Const) else n
+
+    rng = random.Random(113)
+    seen: set[type] = set()
+    for _ in range(300):
+        nfree = rng.randint(0, 3)
+        t = mutate_hints(rng, gen_scoped(rng, nfree, depth=5))
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            seen.add(type(node))
+            stack.extend(v for v in vars(node).values() if isinstance(v, Term))
+        by, cutoff = rng.randint(0, 3), rng.randint(0, nfree)
+        assert same(shift(t, by, cutoff), _ref_shift(t, by, cutoff))
+        s, depth = gen_scoped(rng, rng.randint(0, 2), depth=2), rng.randint(0, 2)
+        assert same(substitute(t, depth, s), _ref_substitute(t, depth, s))
+        assert same(map_consts(t, rename), _ref_rebuild(t, rename_leaf))
+        assert constants_of(t) == _ref_constants(t)
+    assert {Apply, Lambda, Pi, SubType, SubIn, SubOut, Var, Const, TypeKind} <= seen
+
+
 def test_constants_of_commutes_with_renaming():
     def rename(c: Ident) -> Ident:
         # not injective, so repeats must survive the renaming
@@ -551,7 +630,7 @@ def test_check_theory_only_gives_the_full_verdicts():
     assert failed  # the comparison covers rejected declarations too
 
 
-def test_lookups_return_the_first_match_in_scan_order():
+def test_lookups_return_the_first_match_in_scan_order(monkeypatch):
     ns = "lib://shadow"
     t, u, w = (theory_ident(ns, m) for m in ("t", "u", "w"))
 
@@ -585,6 +664,29 @@ def test_lookups_return_the_first_match_in_scan_order():
     assert lib.find_theory(theory_ident(ns, "v")) is None
     assert lib.find_theory(theory_ident(ns, "absent")) is None
     assert lib.find_decl(Ident(ns, "absent", "p")) is None
+
+    # every answer, hits and misses, equals an uncached scan, also once
+    # the memo is warm; then find_decl no longer looks for theories
+    probes = [d.name for x in lib.libraries() for th in x.theories for d in th.decls]
+    probes += [Ident(ns, "absent", "p"), Ident(ns, "t", "nothing"), Ident(ns, "v", "p")]
+    for _ in range(2):
+        for ident in probes:
+            assert lib.find_decl(ident) is _scanned_decl(lib, ident)
+    answers = [lib.find_decl(ident) for ident in probes]
+    assert None in answers and first in answers and second not in answers
+    monkeypatch.setattr(Library, "find_theory", None)
+    assert [lib.find_decl(ident) for ident in probes] == answers
+
+
+def _scanned_decl(lib: Library, ident: Ident):
+    """find_decl by a plain scan: the first theory of that name in a library
+    of that namespace, in `libraries()` order, then its first such declaration."""
+    home = theory_ident(ident.namespace, ident.module)
+    for x in lib.libraries():
+        for th in x.theories:
+            if x.namespace == ident.namespace and th.name == home:
+                return next((d for d in th.decls if d.name == ident), None)
+    return None
 
 
 def test_declaration_invariants():
