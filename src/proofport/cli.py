@@ -288,6 +288,14 @@ def run_check(cfg: CliConfig, out: TextIO) -> int:
     return 1 if failed else 0
 
 
+def _write(path: str, data: bytes) -> None:
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as err:
+        raise Malformed(f"cannot write {path}: {err.strerror or err}") from err
+
+
 def run_import(cfg: CliConfig, out: TextIO) -> int:
     lib, import_failures = _load(cfg, guard_empty=True)
     for th in lib.theories:
@@ -295,7 +303,7 @@ def run_import(cfg: CliConfig, out: TextIO) -> int:
     for row in import_failures:
         out.write(f"failure\t{row}\n")
     if cfg.output is not None:
-        Path(cfg.output).write_bytes(omdoc.serialize(lib))
+        _write(cfg.output, omdoc.serialize(lib))
         out.write(f"written\t{cfg.output}\n")
     return 1 if import_failures else 0
 
@@ -303,7 +311,7 @@ def run_import(cfg: CliConfig, out: TextIO) -> int:
 def run_export_omdoc(cfg: CliConfig, out: TextIO) -> int:
     lib, _ = _load(cfg, guard_empty=False)
     data = omdoc.serialize(lib)
-    Path(cfg.output).write_bytes(data)
+    _write(cfg.output, data)
     out.write(f"written\t{cfg.output}\t{len(data)}\n")
     return 0
 
@@ -320,7 +328,7 @@ def run_export_rdf(cfg: CliConfig, out: TextIO) -> int:
         checked = clean and not import_failures
     store = extract_triples(lib, checked=checked, include_proof_uses=cfg.include_proof_uses)
     data = write_ntriples(store)
-    Path(cfg.output).write_bytes(data)
+    _write(cfg.output, data)
     out.write(f"written\t{cfg.output}\t{len(store)}\n")
     return 0
 

@@ -13,10 +13,11 @@ pattern. Imported theories live under folSoft.
 Both importers run through one driver. It walks the theories in
 document order, merges the names of included theories into each
 theory's environment, converts each record with the format's converter
-and kernel-checks the result against everything imported so far, under
-the caller's checker Config. Per-declaration failures are collected into
-an ImportReport and the successes kept. A nonempty document that yields
-no declarations at all is treated as a broken export and rejected.
+and kernel-checks the result under the caller's checker Config. Each
+theory is checked in one kernel Scope that grows with every accepted
+record. Per-declaration failures are collected into an ImportReport and
+the successes kept. A nonempty document that yields no declarations at
+all is treated as a broken export and rejected.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .errors import (
     check_version,
     read_xml,
 )
-from . import kernel
 from .kernel import (
     DEFAULT_CONFIG,
     Apply,
@@ -63,6 +63,7 @@ from .kernel import (
     Metadata,
     Omitted,
     Proof,
+    Scope,
     SourceRef,
     Term,
     Theory,
@@ -728,86 +729,13 @@ def _where(t: SurfaceTerm) -> str:
 _LOGICS = logic_library()
 
 
-class _TheoryBuilder:
-    """Accumulates checked declarations for one imported theory.
-
-    What the theory sees, and its declaration index, are computed once
-    and grow with each accepted record, so an import checks each record
-    against the same visible set as a full `check_theory` without
-    rebuilding it per record.
-    """
-
-    def __init__(self, ns: str, name: str, meta_theory: Ident,
-                 includes: tuple[Ident, ...], done: list[Theory], config: Config):
-        self.ns = ns
-        self.name = name
-        self.ident = theory_ident(ns, name)
-        self.meta_theory = meta_theory
-        self.includes = includes
-        self.done = done
-        self.config = config
-        self.decls: list[Declaration] = []
-        self.index: dict[Ident, Declaration] = {}  # the first of self.decls of each name
-        # The names of the include closure and the meta-theory chain, plus
-        # those of every accepted record. None while the full check_theory
-        # has a theory-level row to report (an include that does not
-        # resolve, a duplicate name): each try_add then runs that check.
-        self.visible: Optional[set[Ident]] = None
-        lib = self.snapshot()
-        try:
-            base = kernel.flatten(lib, self.ident)
-            if len({d.name for d in base}) == len(base):
-                self.visible = kernel._visible_idents(lib, self.theory(), base)
-        except CheckError:
-            pass
-
-    def ident_for(self, local: str) -> Ident:
-        return Ident(self.ns, self.name, local)
-
-    def snapshot(self, extra: tuple[Declaration, ...] = ()) -> Library:
-        """The library imported so far, this theory last with `extra`.
-
-        The theory shares `self.index`, which `try_add` extends by the
-        names of `extra` before it takes the snapshot.
-        """
-        theory = self.theory(extra)
-        vars(theory)["_decl_index"] = self.index  # what the cached_property would build
-        return Library(self.ns, tuple(self.done) + (theory,), deps=(_LOGICS,))
-
-    def try_add(self, cands: tuple[Declaration, ...]) -> None:
-        """Check candidates in the current snapshot; raise on failure."""
-        new = {c.name for c in cands}
-        index, visible = self.index, self.visible
-        grown = visible is not None and len(new) == len(cands) and visible.isdisjoint(new)
-        if grown:
-            visible |= new
-        added = [c.name for c in cands if index.setdefault(c.name, c) is c]
-        try:
-            report = check_theory(
-                self.snapshot(cands), self.ident, self.config, only=cands,
-                visible=visible if grown else None,
-            )
-            for res in report.results:
-                if res.subject in new and not res.ok:
-                    raise CheckError(f"{res.subject.name}: {res.message}")
-        except CheckError:
-            for n in added:
-                del index[n]
-            if grown:
-                visible -= new
-            raise
-        self.decls.extend(cands)
-        if not grown:
-            self.visible = None
-
-    def theory(self, extra: tuple[Declaration, ...] = ()) -> Theory:
-        """The theory as built so far, plus `extra`."""
-        return Theory(
-            self.ident,
-            meta_theory=self.meta_theory,
-            includes=self.includes,
-            decls=tuple(self.decls) + extra,
-        )
+def _try_add(scope: Scope, cands: tuple[Declaration, ...], config: Config) -> None:
+    """Add the candidates to the scope and check them; undo and raise on a failing row."""
+    undo, new = scope.add(cands), {c.name for c in cands}
+    for res in check_theory(scope, scope.theory.name, config, only=cands).results:
+        if res.subject in new and not res.ok:
+            undo()
+            raise CheckError(f"{res.subject.name}: {res.message}")
 
 
 def _resolve_includes(
@@ -857,7 +785,7 @@ def _import(
 ) -> tuple[Library, ImportReport]:
     """Convert and kernel-check every record of `doc`, one at a time.
 
-    `convert(rec, ident, env, builder)` returns the record's candidate
+    `convert(rec, ident, env, scope, config)` returns the record's candidate
     declarations and what its name binds in each category of `env` once
     they check; `env` starts as the merged environments of the included
     theories. A failure is recorded in the report and the record
@@ -875,17 +803,18 @@ def _import(
         except UnknownIdent as err:
             entries.append(ImportEntry(trec.name, False, f"UnknownIdent: {err}"))
             continue
-        builder = _TheoryBuilder(ns, trec.name, meta_theory, includes, done, config)
+        empty = Theory(theory_ident(ns, trec.name), meta_theory, includes)
+        scope = Scope(Library(ns, tuple(done) + (empty,), deps=(_LOGICS,)), empty.name)
         env: Env = defaultdict(dict)
         for inc in reversed(_included_names(trec, records)):
             for category, bound in envs.get(inc, {}).items():
                 env[category].update(bound)
 
         for rec in trec.decls:
-            ident = builder.ident_for(rec.name)
+            ident = Ident(ns, trec.name, rec.name)
             try:
-                cands, bindings = convert(rec, ident, env, builder)
-                builder.try_add(cands)
+                cands, bindings = convert(rec, ident, env, scope, config)
+                _try_add(scope, cands, config)
             except CheckError as err:
                 entries.append(
                     ImportEntry(str(ident), False, f"{type(err).__name__}: {err}")
@@ -895,7 +824,7 @@ def _import(
             for category, binding in bindings.items():
                 env[category][rec.name] = binding
 
-        done.append(builder.theory())
+        done.append(replace(empty, decls=tuple(scope.decls)))
         envs[trec.name] = env
 
     lib = Library(ns, tuple(done), deps=(_LOGICS,))
@@ -923,7 +852,7 @@ def import_toyhol(
 
 
 def _toyhol_decl(
-    rec: DeclRecord, ident: Ident, env: Env, builder: _TheoryBuilder
+    rec: DeclRecord, ident: Ident, env: Env, scope: Scope, config: Config
 ) -> tuple[tuple[Declaration, ...], dict[str, object]]:
     """Convert one record. Its name binds a base type, a term (and, in
     `stypes`, the term's surface type for the annotation inference), or
@@ -1087,7 +1016,7 @@ def import_toyset(
 
 
 def _toyset_decl(
-    rec: DeclRecord, ident: Ident, env: Env, builder: _TheoryBuilder
+    rec: DeclRecord, ident: Ident, env: Env, scope: Scope, config: Config
 ) -> tuple[tuple[Declaration, ...], dict[str, object]]:
     """Convert one record. Its name binds a set constant (for a definition,
     the generated `name/fn`) or a statement."""
@@ -1115,7 +1044,7 @@ def _toyset_decl(
         value = _fol_term(rec.definiens, [], consts, rec.name)
         inst = PatternInstance(ident, _FUNC_DEFINITION.name, (value,))
         registry = {_FUNC_DEFINITION.name: _FUNC_DEFINITION}
-        decls = elaborate_pattern(builder.snapshot(), inst, registry, builder.config)
+        decls = elaborate_pattern(scope, inst, registry, config)
         out = []
         for d in decls:
             meta = replace(

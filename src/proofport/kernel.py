@@ -12,7 +12,9 @@ bidirectional checker. Theories bundle declarations; libraries bundle
 theories and morphisms and may register dependency libraries for
 cross-library resolution.
 
-All values here are immutable after construction and safe to share.
+All values here are immutable after construction and safe to share,
+except a Scope: what one theory sees while it is built, which grows
+with each declaration added to it.
 """
 
 from __future__ import annotations
@@ -492,7 +494,7 @@ def constants_of(t: Term) -> list[Ident]:
 _SUBOUT = object()  # spine marker: the position under a SubOut eliminator
 
 
-def whnf(lib: Optional[Library], t: Term, config: Config = DEFAULT_CONFIG) -> Term:
+def whnf(lib: Optional[Library | Scope], t: Term, config: Config = DEFAULT_CONFIG) -> Term:
     """Weak head normal form.
 
     Reduces beta redexes, unfolds constants with a definiens, and
@@ -544,7 +546,7 @@ def whnf(lib: Optional[Library], t: Term, config: Config = DEFAULT_CONFIG) -> Te
 
 
 def equal(
-    lib: Optional[Library],
+    lib: Optional[Library | Scope],
     ctx: Context,
     t1: Term,
     t2: Term,
@@ -559,7 +561,7 @@ def equal(
     return _conv(lib, t1, t2, config)
 
 
-def _conv(lib: Optional[Library], a: Term, b: Term, cfg: Config) -> bool:
+def _conv(lib: Optional[Library | Scope], a: Term, b: Term, cfg: Config) -> bool:
     if a == b:  # structural, hint-insensitive
         return True
     a = whnf(lib, a, cfg)
@@ -602,7 +604,7 @@ def is_kind(t: Term) -> bool:
 
 
 def infer(
-    lib: Optional[Library],
+    lib: Optional[Library | Scope],
     ctx: Context,
     t: Term,
     config: Config = DEFAULT_CONFIG,
@@ -658,7 +660,7 @@ def infer(
 
 
 def check(
-    lib: Optional[Library],
+    lib: Optional[Library | Scope],
     ctx: Context,
     t: Term,
     expected: Term,
@@ -690,7 +692,7 @@ def check(
 
 
 def check_kind(
-    lib: Optional[Library],
+    lib: Optional[Library | Scope],
     ctx: Context,
     k: Term,
     config: Config = DEFAULT_CONFIG,
@@ -776,7 +778,7 @@ def _visible_idents(lib: Library, theory: Theory, decls: Iterable[Declaration]) 
     return visible
 
 
-def _is_statement(lib: Library, ident: Ident) -> bool:
+def _is_statement(lib: Library | Scope, ident: Ident) -> bool:
     d = lib.find_decl(ident)
     if d is not None:
         return d.meta.kind in ("axiom", "theorem", "patternInstance")
@@ -784,7 +786,7 @@ def _is_statement(lib: Library, ident: Ident) -> bool:
 
 
 def _check_declaration(
-    lib: Library, decl: Declaration, visible: set[Ident], cfg: Config
+    lib: Library | Scope, decl: Declaration, visible: set[Ident], cfg: Config
 ) -> None:
     terms = [t for t in (decl.tp, decl.definiens) if t is not None]
     if isinstance(decl.proof, ProofTerm):
@@ -821,44 +823,101 @@ def _check_declaration(
             pass
 
 
-def check_theory(
-    lib: Library, th: Ident, config: Config = DEFAULT_CONFIG,
-    only: Optional[Iterable[Declaration]] = None,
-    visible: Optional[set[Ident]] = None,
-) -> CheckReport:
-    """Check every declaration the theory itself makes, or just `only`.
+class Scope:
+    """What one theory sees while it is built; the one mutable kernel value.
 
-    `only` names declarations of the theory; each is checked against the
-    whole theory, so its verdict is the one a full check gives it.
-    Included theories are assumed checked separately; a Cycle in the
-    include graph is raised, everything else is collected per
-    declaration.
-
-    `visible` is the theory's visible set, for a caller that keeps it
-    up to date as the theory grows: the include closure is then not
-    flattened, and the caller vouches that it resolves and holds no
-    duplicate name, so the report has no theory-level row.
+    The visible set of the theory's include closure and meta-theory chain
+    is computed once. `add` appends declarations to `decls`, `visible` and
+    `index`, which `find_decl` consults before the library: the first
+    added declaration of each name it would look up in this theory.
+    `row` is the theory-level row of a full check: an include that does
+    not resolve (`resolved` is then false), or the first repeated name in
+    `flatten` order. The checker takes a Scope wherever it takes a Library.
     """
-    theory = lib.find_theory(th)
-    if theory is None:
-        raise UnknownIdent(f"theory {th} not found")
-    results: list[CheckResult] = []
-    if visible is None:
+
+    def __init__(self, lib: Library, th: Ident):
+        theory = lib.find_theory(th)
+        if theory is None:
+            raise UnknownIdent(f"theory {th} not found")
+        self.lib, self.theory, self.decls = lib, theory, list(theory.decls)
+        self.index: dict[Ident, Declaration] = {}
+        self.names: set[Ident] = set()  # every name in flatten order so far
+        self.visible: set[Ident] = set()
+        self.row: Optional[CheckResult] = None
         try:
-            decls = flatten(lib, th)
-            visible = _visible_idents(lib, theory, decls)
+            flat = flatten(lib, th)
+            self.visible = _visible_idents(lib, theory, flat)
         except Cycle:
             raise
         except CheckError as err:
-            return CheckReport(th, (CheckResult(th, False, str(err)),))
-        names = [d.name for d in decls]
-        if len(set(names)) != len(names):
-            seen: set[Ident] = set()
-            dup = next(n for n in names if n in seen or seen.add(n))
-            results.append(CheckResult(th, False, f"duplicate declaration {dup}"))
-    for decl in theory.decls if only is None else only:
+            flat, self.row = [], CheckResult(th, False, str(err))
+        self.resolved = self.row is None
+        self._note(d.name for d in flat)
+
+    def _note(self, names: Iterable[Ident]) -> list[Ident]:
+        """Append names in flatten order; returns those not seen before."""
+        fresh = []
+        for n in names:
+            if n not in self.names:
+                self.names.add(n)
+                fresh.append(n)
+            elif self.row is None:
+                self.row = CheckResult(self.theory.name, False, f"duplicate declaration {n}")
+        return fresh
+
+    def add(self, decls: Iterable[Declaration]) -> Callable[[], None]:
+        """Append `decls`; returns the undo of this add, valid while it is the last."""
+        decls = tuple(decls)
+        size, row = len(self.decls), self.row
+        self.decls.extend(decls)
+        fresh = self._note(d.name for d in decls)
+        shown = [n for n in fresh if n not in self.visible]
+        self.visible.update(shown)
+        th, own, indexed = self.theory.name, self.theory._decl_index, []
+        for d in decls:
+            n = d.name
+            if n not in own and n not in self.index and theory_ident(n.namespace, n.module) == th:
+                self.index[n] = d
+                indexed.append(n)
+
+        def undo() -> None:
+            del self.decls[size:]
+            self.names.difference_update(fresh)
+            self.visible.difference_update(shown)
+            for n in indexed:
+                del self.index[n]
+            self.row = row
+
+        return undo
+
+    def find_decl(self, ident: Ident) -> Optional[Declaration]:
+        d = self.index.get(ident)
+        return self.lib.find_decl(ident) if d is None else d
+
+    def find_morphism(self, ident: Ident):
+        return self.lib.find_morphism(ident)
+
+
+def check_theory(
+    lib: Library | Scope, th: Ident, config: Config = DEFAULT_CONFIG,
+    only: Optional[Iterable[Declaration]] = None,
+) -> CheckReport:
+    """Check every declaration the theory itself makes, or just `only`.
+
+    `lib` is a Library or the theory's Scope. `only` names declarations
+    of the theory; each is checked against the whole theory, so its
+    verdict is the one a full check gives it. Included theories are
+    assumed checked separately; a Cycle in the include graph is raised,
+    everything else is collected per declaration.
+    """
+    scope = lib if isinstance(lib, Scope) else Scope(lib, th)
+    if not scope.resolved:
+        return CheckReport(th, (scope.row,))
+    results: list[CheckResult] = [] if scope.row is None else [scope.row]
+    lookup = scope if scope.index else scope.lib  # the same answers, one call fewer
+    for decl in scope.decls if only is None else only:
         try:
-            _check_declaration(lib, decl, visible, config)
+            _check_declaration(lookup, decl, scope.visible, config)
             results.append(CheckResult(decl.name, True))
         except CheckError as err:
             results.append(CheckResult(decl.name, False, f"{type(err).__name__}: {err}"))

@@ -112,6 +112,16 @@ def test_missing_file_is_exit_2(tmp_path, capsys):
     assert run_cli(capsys, "check", str(tmp_path / "absent.json"))[0] == 2
 
 
+@pytest.mark.parametrize("command", ["import", "export-omdoc", "export-rdf"])
+@pytest.mark.parametrize("target", ["absent/out.xml", "."])
+def test_unwritable_output_is_exit_2_naming_the_path(tmp_path, capsys, command, target):
+    out = str(tmp_path / target)
+    code, _, err = run_cli(capsys, command, MINIMAL, "--output", out)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out in err
+
+
 def test_uninferrable_format_is_exit_2(tmp_path, capsys):
     doc = tmp_path / "data.bin"
     doc.write_text("mystery")

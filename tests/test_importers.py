@@ -577,17 +577,17 @@ def _import_inputs() -> list[tuple]:
 
 def test_import_checks_each_record_once(monkeypatch):
     counts = {"offered": 0, "checked": 0}
-    try_add, check_declaration = importers._TheoryBuilder.try_add, kernel._check_declaration
+    try_add, check_declaration = importers._try_add, kernel._check_declaration
 
-    def offered(self, cands):
+    def offered(scope, cands, config):
         counts["offered"] += len(cands)
-        return try_add(self, cands)
+        return try_add(scope, cands, config)
 
     def checked(*args):
         counts["checked"] += 1
         return check_declaration(*args)
 
-    monkeypatch.setattr(importers._TheoryBuilder, "try_add", offered)
+    monkeypatch.setattr(importers, "_try_add", offered)
     monkeypatch.setattr(kernel, "_check_declaration", checked)
     for import_doc, doc in _import_inputs():
         counts.update(offered=0, checked=0)
@@ -669,6 +669,25 @@ def test_import_computes_each_theory_scope_a_constant_number_of_times(monkeypatc
             counted.append(dict(calls))
         # per theory: one scope, one flatten of its includes, one of its meta-theory
         assert counted == [{"flatten": 2 * 3, "_visible_idents": 3}] * 2
+
+
+def test_import_resolves_theories_a_constant_number_of_times(monkeypatch):
+    calls = [0]
+    find_theory = Library.find_theory
+
+    def spy(self, ident):
+        calls[0] += 1
+        return find_theory(self, ident)
+
+    monkeypatch.setattr(Library, "find_theory", spy)
+    for import_doc, doc in ((import_toyhol, lambda n: parse_toyhol(_toyhol_chain(n))),
+                            (import_toyset, lambda n: parse_toyset(_toyset_chain(n)))):
+        counted = []
+        for records in (12, 48):
+            calls[0] = 0
+            assert import_doc(doc(records))[1].ok
+            counted.append(calls[0])
+        assert counted[0] == counted[1] > 0
 
 
 def test_import_after_a_duplicate_name_keeps_the_full_check_verdicts(monkeypatch):

@@ -6,6 +6,7 @@ iterated to fixpoint, both defined apart from the kernel's machinery.
 """
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,7 @@ from proofport.kernel import (
     Metadata,
     Omitted,
     Pi,
+    Scope,
     SubIn,
     SubOut,
     SubType,
@@ -628,6 +630,39 @@ def test_check_theory_only_gives_the_full_verdicts():
                 assert prefix == head + rows[:k]
                 assert suffix == head + rows[k:]
     assert failed  # the comparison covers rejected declarations too
+
+
+def _scope_state(scope: Scope) -> tuple:
+    return list(scope.decls), dict(scope.index), set(scope.visible), set(scope.names), scope.row
+
+
+def test_a_growing_scope_gives_the_from_scratch_verdicts():
+    rng = random.Random(505)
+    libs = _fixture_libraries()
+    libs += [gen_dag_library(rng) for _ in range(30)] + [gen_library(rng) for _ in range(30)]
+    libs.append(Library("lib://x", (_tiny_theory("lib://x", "t", includes=("absent",), ntypes=2),)))
+    rows = {"failed": 0, "theory": 0}
+    for lib in libs:
+        for th in lib.theories:
+            def holding(decls, th=th, lib=lib):
+                prefix = replace(th, decls=tuple(decls))
+                return replace(lib, theories=tuple(prefix if t is th else t for t in lib.theories))
+
+            # the theory's declarations, then its first one again: a duplicate name
+            grown = th.decls + th.decls[:1]
+            scope = Scope(holding(()), th.name)
+            for k, d in enumerate(grown):
+                before = _scope_state(scope)
+                undo = scope.add((d,))
+                got = check_theory(scope, th.name, only=(d,))
+                assert got == check_theory(holding(grown[: k + 1]), th.name, only=(d,))
+                rows["failed"] += sum(not r.ok for r in got.results if r.subject != th.name)
+                rows["theory"] += any(r.subject == th.name for r in got.results)
+                undo()
+                assert _scope_state(scope) == before
+                scope.add((d,))
+            assert check_theory(scope, th.name) == check_theory(holding(grown), th.name)
+    assert rows["failed"] and rows["theory"]
 
 
 def test_lookups_return_the_first_match_in_scan_order(monkeypatch):
