@@ -532,13 +532,6 @@ _HOL_DED = Const(hol_ident("ded"))
 
 _BOOL_T = SBase("bool")
 
-LOCAL_NS = "lib://surface"
-
-
-def _default_resolve(name: str) -> Term:
-    return Const(Ident(LOCAL_NS, "local", name))
-
-
 class _Unifier:
     def __init__(self) -> None:
         self.subst: dict[int, SurfaceType] = {}
@@ -615,8 +608,8 @@ def _spine(t: SurfaceTerm) -> tuple[SurfaceTerm, list[SurfaceTerm]]:
 def infer_church_annotations(
     env: Mapping[str, SurfaceType],
     t: SurfaceTerm,
-    base_types: Mapping[str, Ident] | None = None,
-    resolve: Callable[[str], Optional[Term]] | None = None,
+    base_types: Mapping[str, Ident],
+    resolve: Callable[[str], Optional[Term]],
 ) -> tuple[Term, SurfaceType]:
     """Reconstruct the type annotations of the Church representation.
 
@@ -630,11 +623,9 @@ def infer_church_annotations(
     ground type is forced, UnknownIdent for unbound names.
     """
     uni = _Unifier()
-    bases = dict(base_types or {})
-    resolver = resolve or _default_resolve
 
     def tt(st: SurfaceType, owner: str) -> Term:
-        return _stype_term(uni.zonk(st, owner), bases)
+        return _stype_term(uni.zonk(st, owner), base_types)
 
     def logical(name: str, scope: list[tuple[str, SurfaceType]]) -> bool:
         return name in ("impl", "eq") and name not in env and not any(
@@ -650,7 +641,7 @@ def infer_church_annotations(
                         return (lambda: Var(k)), st
                 if x in env:
                     st = env[x]
-                    term = resolver(x)
+                    term = resolve(x)
                     if term is None:
                         raise UnknownIdent(x)
                     return (lambda: term), st
@@ -1137,18 +1128,3 @@ def recover_source_refs(
         new_theories.append(replace(th, decls=tuple(new_decls)))
     out = Library(lib.namespace, tuple(new_theories), lib.morphisms, deps=lib.deps)
     return out, ImportReport(tuple(entries))
-
-
-def safe_filename(name: str) -> str:
-    """Case-insensitive-safe file name: only [a-z0-9._-] survive.
-
-    Everything else, uppercase included, becomes %XX per UTF-8 byte, so
-    names differing only in case map to distinct files everywhere.
-    """
-    out = []
-    for ch in name:
-        if ch.islower() and ch.isascii() or ch.isdigit() or ch in "._-":
-            out.append(ch)
-        else:
-            out.extend(f"%{b:02X}" for b in ch.encode("utf-8"))
-    return "".join(out)

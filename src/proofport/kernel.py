@@ -904,10 +904,12 @@ def check_theory(
 ) -> CheckReport:
     """Check every declaration the theory itself makes, or just `only`.
 
-    `lib` is a Library or the theory's Scope. `only` names declarations
-    of the theory; each is checked against the whole theory, so its
-    verdict is the one a full check gives it. Included theories are
-    assumed checked separately; a Cycle in the include graph is raised,
+    `lib` is a Library or the theory's Scope. A declaration may use only
+    what is declared before it: the names of the declarations being
+    checked are hidden and each comes back once it is checked, so `only`,
+    the declarations last added to the theory in their order, get the
+    verdicts a full check gives them. Included theories are assumed
+    checked separately; a Cycle in the include graph is raised,
     everything else is collected per declaration.
     """
     scope = lib if isinstance(lib, Scope) else Scope(lib, th)
@@ -915,12 +917,18 @@ def check_theory(
         return CheckReport(th, (scope.row,))
     results: list[CheckResult] = [] if scope.row is None else [scope.row]
     lookup = scope if scope.index else scope.lib  # the same answers, one call fewer
-    for decl in scope.decls if only is None else only:
+    todo = scope.decls if only is None else tuple(only)
+    visible = scope.visible
+    hidden = visible.intersection(d.name for d in todo)
+    visible -= hidden
+    for decl in todo:
         try:
-            _check_declaration(lookup, decl, scope.visible, config)
+            _check_declaration(lookup, decl, visible, config)
             results.append(CheckResult(decl.name, True))
         except CheckError as err:
             results.append(CheckResult(decl.name, False, f"{type(err).__name__}: {err}"))
+        if decl.name in hidden:
+            visible.add(decl.name)
     return CheckReport(th, tuple(results))
 
 

@@ -11,7 +11,7 @@ shared meta-theory always map to themselves. Statement declarations
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from dataclasses import dataclass, field
 
@@ -66,6 +66,45 @@ def _domain(lib: Library, m: Morphism) -> dict[Ident, Declaration]:
     return {d.name: d for d in flatten(lib, m.source)}
 
 
+def _translator(lib: Library, m: Morphism) -> Callable[[Term], Term]:
+    """Translation along `m`, each domain definition translated once.
+
+    The images are filled in `flatten` order, so a definiens meets only
+    images already made and no call stack runs along a chain of
+    definitions; splicing the shared images keeps the result a DAG of
+    linear size. A constant whose image cannot be made (an unassigned
+    primitive, or a definition that uses its own or a later domain
+    declaration) stores its CheckError, raised only where it is used.
+    """
+    domain = _domain(lib, m)
+    image: dict[Ident, Optional[Term] | CheckError] = dict(m.assignments)
+    pending = domain.keys() - image.keys()
+
+    def fn(c: Ident) -> Optional[Term]:
+        img = image.get(c)
+        if isinstance(img, CheckError):
+            raise img.with_traceback(None)
+        if img is None and c in pending:
+            raise UnknownIdent(f"{c} is used before its declaration")
+        return img
+
+    for c, d in domain.items():
+        if c in image:  # assigned
+            continue
+        try:
+            if d.definiens is not None:
+                img = map_consts(d.definiens, fn)
+            elif d.meta.kind in STATEMENT_KINDS:
+                img = None
+            else:
+                raise UnassignedConstant(str(c))
+        except CheckError as err:
+            img = err
+        image[c] = img
+        pending.discard(c)
+    return lambda t: map_consts(t, fn)
+
+
 def translate(lib: Library, m: Morphism, t: Term) -> Term:
     """Homomorphic image of `t` under `m`.
 
@@ -73,25 +112,7 @@ def translate(lib: Library, m: Morphism, t: Term) -> Term:
     constants by the translation of their definiens, and everything
     outside the domain (the logic encoding in particular) stays put.
     """
-    domain = _domain(lib, m)
-    asg = dict(m.assignments)
-
-    def fn(c: Ident) -> Optional[Term]:
-        if c in asg:
-            return asg[c]
-        if c not in domain:
-            return None
-        d = domain[c]
-        if d.definiens is not None:
-            return go(d.definiens)
-        if d.meta.kind in STATEMENT_KINDS:
-            return None
-        raise UnassignedConstant(str(c))
-
-    def go(t: Term) -> Term:
-        return map_consts(t, fn)
-
-    return go(t)
+    return _translator(lib, m)(t)
 
 
 def check_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG) -> CheckReport:
@@ -102,6 +123,7 @@ def check_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG) -
     assignment are reported as gaps.
     """
     domain = _domain(lib, m)
+    go = _translator(lib, m)
     results: list[CheckResult] = []
     for c, term in m.assignments:
         d = domain.get(c)
@@ -112,7 +134,7 @@ def check_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG) -
             results.append(CheckResult(c, False, "assigned constant has no type"))
             continue
         try:
-            expected = translate(lib, m, d.tp)
+            expected = go(d.tp)
             check(lib, Context(), term, expected, config)
         except CheckError as err:  # collected, not raised
             results.append(CheckResult(c, False, f"{type(err).__name__}: {err}"))
@@ -141,6 +163,7 @@ def install_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG)
         first = report.failures[0]
         raise Mismatch(f"morphism {m.name} does not check: {first.subject}: {first.message}")
     target = lib.find_theory(m.target)
+    go = _translator(lib, m)
     name = theory_ident(m.name.namespace, m.name.name)
     decls = []
     for d in flatten(lib, m.source):
@@ -149,7 +172,7 @@ def install_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG)
         decls.append(
             Declaration(
                 Ident(name.namespace, name.module, f"{m.name.name}/{d.name.name}"),
-                tp=translate(lib, m, d.tp),
+                tp=go(d.tp),
                 proof=DependsOn((d.name, m.name)),
                 meta=Metadata(kind="theorem", origin=m.name),
             )
@@ -174,9 +197,8 @@ def compose(
             m1.name.module,
             f"{m1.name.name}_then_{m2.name.name}",
         )
-    assignments = tuple(
-        (c, translate(lib, m2, t)) for c, t in m1.assignments
-    )
+    go = _translator(lib, m2)
+    assignments = tuple((c, go(t)) for c, t in m1.assignments)
     return Morphism(name, m1.source, m2.target, assignments)
 
 

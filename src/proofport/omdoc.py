@@ -10,6 +10,11 @@ stays linear in the term node count.
 
 Variables carry their de Bruijn index plus the binder's name hint. The
 index alone is authoritative; the hint is for human readers.
+
+References are verified where they are written: each writer notes the
+identifiers it writes, and `serialize` resolves each distinct one once
+before it returns, raising DanglingIdent for the first that does not
+resolve. The reader resolves nothing; checking does.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from .kernel import (
     Theory,
     TypeKind,
     Var,
-    constants_of,
     theory_ident,
 )
 from .morphisms import Morphism
@@ -78,101 +82,68 @@ def _t(s: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the binder table
+
+# binder class -> (binder name, child fields, whether it binds a variable
+# over its last child); the OMBIND writer and reader both go by it
+_BINDERS: dict[type, tuple[str, tuple[str, ...], bool]] = {
+    Lambda: ("lambda", ("dom", "body"), True),
+    Pi: ("pi", ("dom", "cod"), True),
+    TypeKind: ("type", (), False),
+    SubType: ("sub", ("base", "pred"), False),
+    SubIn: ("subin", ("elem", "witness"), False),
+    SubOut: ("subout", ("elem",), False),
+}
+_BINDER_NAMED = {name: (cls, fields, binds) for cls, (name, fields, binds) in _BINDERS.items()}
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
-
-def _verify_idents(lib: Library) -> None:
-    def need_theory(i: Ident) -> None:
-        if lib.find_theory(i) is None:
-            raise DanglingIdent(f"theory {i}")
-
-    def need_const(i: Ident) -> None:
-        if lib.find_decl(i) is None:
-            raise DanglingIdent(str(i))
-
-    def need_terms(*terms: Optional[Term]) -> None:
-        for t in terms:
-            if t is None:
-                continue
-            for c in constants_of(t):
-                need_const(c)
-
-    for th in lib.theories:
-        if th.meta_theory is not None:
-            need_theory(th.meta_theory)
-        for inc in th.includes:
-            need_theory(inc)
-        for d in th.decls:
-            # origin is provenance, not a reference: it may name a pattern
-            # instance that elaboration replaced with generated decls
-            need_terms(d.tp, d.definiens)
-            match d.proof:
-                case ProofTerm(t):
-                    need_terms(t)
-                case DependsOn(ids):
-                    for i in ids:
-                        if lib.find_decl(i) is None and lib.find_morphism(i) is None:
-                            raise DanglingIdent(str(i))
-                case _:
-                    pass
-    for m in lib.morphisms:
-        need_theory(m.source)
-        need_theory(m.target)
-        for c, t in m.assignments:
-            need_const(c)
-            need_terms(t)
+# Each writer notes the identifiers it writes that must resolve as keys of
+# `refs`, in document order: ("theory", i) for meta, include and morphism
+# endpoints, ("constant", i) for OMS and assignment names, and ("ref", i)
+# for a dependsOn ref, which may also name a morphism.
 
 
-def _term_lines(t: Term, ind: int, lines: list[str], hints: tuple[str, ...]) -> None:
+def _term_lines(t: Term, ind: int, lines: list[str], hints: tuple[str, ...], refs: dict) -> None:
     sp = "  " * ind
-    match t:
-        case Const(c):
-            lines.append(f'{sp}<OMS name="{_a(str(c))}"/>')
-        case Var(i):
-            if i < len(hints):
-                lines.append(f'{sp}<OMV index="{i}" hint="{_a(hints[-1 - i])}"/>')
-            else:
-                lines.append(f'{sp}<OMV index="{i}"/>')
-        case Apply():
-            spine: list[Term] = []
-            head: Term = t
-            while isinstance(head, Apply):
-                spine.append(head.arg)
-                head = head.fn
-            spine.append(head)
-            spine.reverse()
-            lines.append(f"{sp}<OMA>")
-            for part in spine:
-                _term_lines(part, ind + 1, lines, hints)
-            lines.append(f"{sp}</OMA>")
-        case Lambda(h, dom, body):
-            lines.append(f'{sp}<OMBIND binder="lambda" var="{_a(h)}">')
-            _term_lines(dom, ind + 1, lines, hints)
-            _term_lines(body, ind + 1, lines, hints + (h,))
-            lines.append(f"{sp}</OMBIND>")
-        case Pi(h, dom, cod):
-            lines.append(f'{sp}<OMBIND binder="pi" var="{_a(h)}">')
-            _term_lines(dom, ind + 1, lines, hints)
-            _term_lines(cod, ind + 1, lines, hints + (h,))
-            lines.append(f"{sp}</OMBIND>")
-        case TypeKind():
-            lines.append(f'{sp}<OMBIND binder="type"/>')
-        case SubType(base, pred):
-            lines.append(f'{sp}<OMBIND binder="sub">')
-            _term_lines(base, ind + 1, lines, hints)
-            _term_lines(pred, ind + 1, lines, hints)
-            lines.append(f"{sp}</OMBIND>")
-        case SubIn(elem, witness):
-            lines.append(f'{sp}<OMBIND binder="subin">')
-            _term_lines(elem, ind + 1, lines, hints)
-            _term_lines(witness, ind + 1, lines, hints)
-            lines.append(f"{sp}</OMBIND>")
-        case SubOut(elem):
-            lines.append(f'{sp}<OMBIND binder="subout">')
-            _term_lines(elem, ind + 1, lines, hints)
-            lines.append(f"{sp}</OMBIND>")
-        case _:
-            raise AssertionError(f"unserializable term {t!r}")
+    cls = type(t)
+    if cls is Apply:
+        spine: list[Term] = []
+        head: Term = t
+        while isinstance(head, Apply):
+            spine.append(head.arg)
+            head = head.fn
+        spine.append(head)
+        spine.reverse()
+        lines.append(f"{sp}<OMA>")
+        for part in spine:
+            _term_lines(part, ind + 1, lines, hints, refs)
+        lines.append(f"{sp}</OMA>")
+    elif cls is Const:
+        refs["constant", t.ident] = None
+        lines.append(f'{sp}<OMS name="{_a(str(t.ident))}"/>')
+    elif cls is Var:
+        i = t.index
+        if i < len(hints):
+            lines.append(f'{sp}<OMV index="{i}" hint="{_a(hints[-1 - i])}"/>')
+        else:
+            lines.append(f'{sp}<OMV index="{i}"/>')
+    elif cls in _BINDERS:
+        binder, fields, binds = _BINDERS[cls]
+        if not fields:
+            lines.append(f'{sp}<OMBIND binder="{binder}"/>')
+            return
+        var = f' var="{_a(t.hint)}"' if binds else ""
+        lines.append(f'{sp}<OMBIND binder="{binder}"{var}>')
+        for f in fields[:-1]:
+            _term_lines(getattr(t, f), ind + 1, lines, hints, refs)
+        last = getattr(t, fields[-1])
+        _term_lines(last, ind + 1, lines, hints + (t.hint,) if binds else hints, refs)
+        lines.append(f"{sp}</OMBIND>")
+    else:
+        raise AssertionError(f"unserializable term {t!r}")
 
 
 def _metadata_lines(meta: Metadata, ind: int, lines: list[str]) -> None:
@@ -202,17 +173,17 @@ def _metadata_lines(meta: Metadata, ind: int, lines: list[str]) -> None:
     lines.append(f"{sp}</metadata>")
 
 
-def _decl_lines(d: Declaration, ind: int, lines: list[str]) -> None:
+def _decl_lines(d: Declaration, ind: int, lines: list[str], refs: dict) -> None:
     sp = "  " * ind
     lines.append(f'{sp}<constant name="{_a(d.name.name)}" kind="{d.meta.kind}">')
     sp2 = "  " * (ind + 1)
     if d.tp is not None:
         lines.append(f"{sp2}<type>")
-        _term_lines(d.tp, ind + 2, lines, ())
+        _term_lines(d.tp, ind + 2, lines, (), refs)
         lines.append(f"{sp2}</type>")
     if d.definiens is not None:
         lines.append(f"{sp2}<definition>")
-        _term_lines(d.definiens, ind + 2, lines, ())
+        _term_lines(d.definiens, ind + 2, lines, (), refs)
         lines.append(f"{sp2}</definition>")
     match d.proof:
         case Omitted():
@@ -221,23 +192,29 @@ def _decl_lines(d: Declaration, ind: int, lines: list[str]) -> None:
             if ids:
                 lines.append(f'{sp2}<proof style="dependsOn">')
                 for i in ids:
+                    refs["ref", i] = None
                     lines.append(f'{"  " * (ind + 2)}<ref name="{_a(str(i))}"/>')
                 lines.append(f"{sp2}</proof>")
             else:
                 lines.append(f'{sp2}<proof style="dependsOn"/>')
         case ProofTerm(t):
             lines.append(f'{sp2}<proof style="term">')
-            _term_lines(t, ind + 2, lines, ())
+            _term_lines(t, ind + 2, lines, (), refs)
             lines.append(f"{sp2}</proof>")
         case _:
             pass
+    # origin is provenance, not a reference: it may name a pattern
+    # instance that elaboration replaced with generated decls
     _metadata_lines(d.meta, ind + 1, lines)
     lines.append(f"{sp}</constant>")
 
 
-def _theory_lines(th: Theory, ind: int, lines: list[str]) -> None:
+def _theory_lines(th: Theory, ind: int, lines: list[str], refs: dict) -> None:
     sp = "  " * ind
-    meta = f' meta="{_a(str(th.meta_theory))}"' if th.meta_theory is not None else ""
+    meta = ""
+    if th.meta_theory is not None:
+        refs["theory", th.meta_theory] = None
+        meta = f' meta="{_a(str(th.meta_theory))}"'
     head = f'{sp}<theory name="{_a(th.name.name)}"{meta}'
     if not th.includes and not th.decls:
         lines.append(head + "/>")
@@ -245,14 +222,16 @@ def _theory_lines(th: Theory, ind: int, lines: list[str]) -> None:
     lines.append(head + ">")
     sp2 = "  " * (ind + 1)
     for inc in th.includes:
+        refs["theory", inc] = None
         lines.append(f'{sp2}<include from="{_a(str(inc))}"/>')
     for d in th.decls:
-        _decl_lines(d, ind + 1, lines)
+        _decl_lines(d, ind + 1, lines, refs)
     lines.append(f"{sp}</theory>")
 
 
-def _morphism_lines(m: Morphism, ind: int, lines: list[str]) -> None:
+def _morphism_lines(m: Morphism, ind: int, lines: list[str], refs: dict) -> None:
     sp = "  " * ind
+    refs["theory", m.source] = refs["theory", m.target] = None
     head = (
         f'{sp}<morphism name="{_a(str(m.name))}" from="{_a(str(m.source))}"'
         f' to="{_a(str(m.target))}"'
@@ -263,27 +242,35 @@ def _morphism_lines(m: Morphism, ind: int, lines: list[str]) -> None:
     lines.append(head + ">")
     sp2 = "  " * (ind + 1)
     for c, t in m.assignments:
+        refs["constant", c] = None
         lines.append(f'{sp2}<assignment name="{_a(str(c))}">')
-        _term_lines(t, ind + 2, lines, ())
+        _term_lines(t, ind + 2, lines, (), refs)
         lines.append(f"{sp2}</assignment>")
     lines.append(f"{sp}</morphism>")
 
 
 def serialize(lib: Library) -> bytes:
-    """Render the library; raises DanglingIdent when any referenced
-    identifier fails to resolve in the library or its dependencies."""
-    _verify_idents(lib)
+    """Render the library; raises DanglingIdent for the first reference,
+    in document order, that does not resolve in the library or its
+    dependencies."""
     attrs = f'version="{OMDOC_VERSION}" namespace="{_a(lib.namespace)}"'
     lines: list[str] = []
+    refs: dict[tuple[str, Ident], None] = {}
     if not lib.theories and not lib.morphisms:
         lines.append(f"<omdoc {attrs}/>")
     else:
         lines.append(f"<omdoc {attrs}>")
         for th in lib.theories:
-            _theory_lines(th, 1, lines)
+            _theory_lines(th, 1, lines, refs)
         for m in lib.morphisms:
-            _morphism_lines(m, 1, lines)
+            _morphism_lines(m, 1, lines, refs)
         lines.append("</omdoc>")
+    for kind, i in refs:
+        if kind == "theory":
+            if lib.find_theory(i) is None:
+                raise DanglingIdent(f"theory {i}")
+        elif lib.find_decl(i) is None and (kind == "constant" or lib.find_morphism(i) is None):
+            raise DanglingIdent(str(i))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -361,31 +348,14 @@ def _parse_term(elem: ET.Element, path: str, idents: dict[str, Ident]) -> Term:
         _no_text(elem, path)
         binder = a["binder"]
         parts = [_parse_term(k, f"{path}.{k.tag}[{i}]", idents) for i, k in enumerate(kids)]
-
-        def arity(n: int) -> None:
-            if len(parts) != n:
-                raise SchemaViolation(path, f"binder {binder} takes {n} children")
-
-        if binder in ("lambda", "pi"):
-            arity(2)
-            var = a.get("var", "_")
-            cls = Lambda if binder == "lambda" else Pi
-            return cls(var, parts[0], parts[1])
-        if "var" in a:
+        cls, fields, binds = _BINDER_NAMED.get(binder, (None, (), False))
+        if "var" in a and not binds:
             raise SchemaViolation(f"{path}.var", f"binder {binder} takes no variable")
-        if binder == "type":
-            arity(0)
-            return TypeKind()
-        if binder == "sub":
-            arity(2)
-            return SubType(parts[0], parts[1])
-        if binder == "subin":
-            arity(2)
-            return SubIn(parts[0], parts[1])
-        if binder == "subout":
-            arity(1)
-            return SubOut(parts[0])
-        raise SchemaViolation(f"{path}.binder", f"unknown binder {binder!r}")
+        if cls is None:
+            raise SchemaViolation(f"{path}.binder", f"unknown binder {binder!r}")
+        if len(parts) != len(fields):
+            raise SchemaViolation(path, f"binder {binder} takes {len(fields)} children")
+        return cls(a.get("var", "_"), *parts) if binds else cls(*parts)
     raise SchemaViolation(path, f"unknown element <{tag}>")
 
 

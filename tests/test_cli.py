@@ -11,7 +11,7 @@ from test_morphisms import TO_INT, algebra_library
 
 from proofport import omdoc
 from proofport.cli import main, parse_cli
-from proofport.encodings import logic_library
+from proofport.encodings import HOL_CHURCH, hol_ident, logic_library
 from proofport.importers import import_toyhol, parse_toyhol
 from proofport.kernel import (
     Apply,
@@ -21,8 +21,10 @@ from proofport.kernel import (
     Library,
     Metadata,
     Pi,
+    ProofTerm,
     Theory,
     TypeKind,
+    apps,
     flatten,
     format_term,
     theory_ident,
@@ -70,6 +72,31 @@ def test_broken_dependency_is_one_failure(capsys):
     assert code == 1
     assert ("total", "failed", "1") in lines(out)
     assert any(row[0] == "failure" and "ghost" in row[-1] for row in lines(out))
+
+
+def test_a_definition_that_proves_itself_is_a_failure(tmp_path, capsys):
+    ns = "lib://selfproof"
+    a, b, bad = (Ident(ns, "t", n) for n in ("a", "b", "bad"))
+    tm, prop, ded, eq = (Const(hol_ident(n)) for n in ("tm", "bool'", "ded", "eq"))
+    a_eq_b = Apply(ded, apps(eq, prop, Const(a), Const(b)))
+    decls = (
+        Declaration(a, tp=Apply(tm, prop), meta=Metadata(kind="constant")),
+        Declaration(b, tp=Apply(tm, prop), meta=Metadata(kind="constant")),
+        Declaration(bad, tp=a_eq_b, definiens=Const(bad), meta=Metadata(kind="definition")),
+        Declaration(
+            Ident(ns, "t", "a_eq_b"),
+            tp=a_eq_b,
+            proof=ProofTerm(Const(bad)),
+            meta=Metadata(kind="theorem"),
+        ),
+    )
+    th = Theory(theory_ident(ns, "t"), meta_theory=HOL_CHURCH, decls=decls)
+    path = tmp_path / "selfproof.omdoc.xml"
+    path.write_bytes(omdoc.serialize(Library(ns, (th,), deps=(logic_library(),))))
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 1
+    assert ("total", "failed", "1") in lines(out)
+    assert ("failure", str(bad), f"UnknownIdent: {bad}") in lines(out)
 
 
 def test_empty_nonempty_input_hits_the_guard(tmp_path, capsys):

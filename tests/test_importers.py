@@ -55,7 +55,6 @@ from proofport.importers import (
     parse_toyhol,
     parse_toyset,
     recover_source_refs,
-    safe_filename,
 )
 from proofport.kernel import (
     Apply,
@@ -850,22 +849,3 @@ def test_recover_50_generated_files():
             assert ref is not None, decl.name
             assert (ref.file, ref.start_line, ref.start_col) == (fname, line, col)
             assert ref.end_col == col + len(decl.name.name) - 1
-
-
-# ---------------------------------------------------------------------------
-# file names
-
-
-def test_safe_filename_escapes_uppercase():
-    assert safe_filename("bar") == "bar"
-    assert safe_filename("Foo") == "%46oo"
-    assert safe_filename("Nat.Plus") == "%4Eat.%50lus"
-
-
-def test_safe_filename_distinguishes_case():
-    assert safe_filename("Foo") != safe_filename("foo")
-
-
-def test_safe_filename_non_ascii():
-    assert safe_filename("λ") == "%CE%BB"
-    assert safe_filename("a b") == "a%20b"

@@ -8,6 +8,7 @@ iterated to fixpoint, both defined apart from the kernel's machinery.
 import random
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -51,6 +52,7 @@ from proofport.kernel import (
     Metadata,
     Omitted,
     Pi,
+    ProofTerm,
     Scope,
     SubIn,
     SubOut,
@@ -600,6 +602,48 @@ def test_check_theory_dangling_dependency():
     assert by_name["good"].ok
     assert not by_name["bad"].ok
     assert "UnknownIdent" in by_name["bad"].message
+
+
+def _verdicts(ns: str, *decls: Declaration) -> dict[str, Optional[str]]:
+    """name -> failure message (None when it checks) of a one-theory library."""
+    lib = Library(ns, (Theory(theory_ident(ns, "t"), decls=decls),))
+    report = check_theory(lib, theory_ident(ns, "t"))
+    return {r.subject.name: r.message for r in report.results}
+
+
+def test_a_declaration_cannot_prove_itself():
+    ns = "lib://self"
+    p = Declaration(Ident(ns, "t", "p"), tp=TypeKind(), meta=Metadata(kind="type"))
+    bad_ident = Ident(ns, "t", "bad")
+    bad = Declaration(
+        bad_ident, tp=Const(p.name), definiens=Const(bad_ident), meta=Metadata(kind="definition")
+    )
+    thm = Declaration(
+        Ident(ns, "t", "thm"),
+        tp=Const(p.name),
+        proof=ProofTerm(Const(bad_ident)),
+        meta=Metadata(kind="theorem"),
+    )
+    got = _verdicts(ns, p, bad, thm)
+    assert got["bad"] == f"UnknownIdent: {bad_ident}"
+    assert got["p"] is None and got["thm"] is None
+
+
+def test_a_declaration_cannot_use_a_later_one():
+    ns = "lib://fwd"
+    p = Declaration(Ident(ns, "t", "p"), tp=TypeKind(), meta=Metadata(kind="type"))
+    early = Declaration(
+        Ident(ns, "t", "early"),
+        tp=Const(p.name),
+        definiens=Const(Ident(ns, "t", "late")),
+        meta=Metadata(kind="definition"),
+    )
+    late = Declaration(Ident(ns, "t", "late"), tp=Const(p.name), meta=Metadata(kind="constant"))
+    # the same declarations in dependency order check
+    assert set(_verdicts(ns, p, late, early).values()) == {None}
+    got = _verdicts(ns, p, early, late)
+    assert got["early"] == f"UnknownIdent: {late.name}"
+    assert got["late"] is None
 
 
 def _fixture_libraries() -> list[Library]:

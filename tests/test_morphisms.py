@@ -212,6 +212,71 @@ def test_translate_expands_definiens_when_unassigned():
     assert out == Apply(Lambda("x", SET, apps(ADD, Var(0), Var(0))), ZERO)
 
 
+def _extension(name: str, decls) -> Library:
+    """The algebra library plus a theory `name` over the monoid, and toInt
+    extended to it as the morphism `name`."""
+    th = Theory(
+        theory_ident(NS, name),
+        meta_theory=FOL_SOFT,
+        includes=(theory_ident(NS, "monoid"),),
+        decls=tuple(decls),
+    )
+    m = Morphism(_i("morphs", name), th.name, TO_INT.target, TO_INT.assignments)
+    return algebra_library(extra_theories=(th,), morphisms=(m,))
+
+
+def test_a_doubly_shared_chain_translates_each_definition_once(monkeypatch):
+    steps = 60
+    defs = [Declaration(_i("chain", "c0"), tp=SET, definiens=E, meta=Metadata(kind="definition"))]
+    for k in range(1, steps + 1):
+        prev = Const(defs[-1].name)
+        defs.append(
+            Declaration(
+                _i("chain", f"c{k}"),
+                tp=SET,
+                definiens=apps(OP, prev, prev),
+                meta=Metadata(kind="definition"),
+            )
+        )
+    lib = _extension("chain", defs)
+    calls = 0
+    real = morphisms.map_consts
+
+    def spy(t, fn):
+        nonlocal calls
+        calls += 1
+        assert calls <= 4 * steps, "a definition was translated more than once"
+        return real(t, fn)
+
+    monkeypatch.setattr(morphisms, "map_consts", spy)
+    node = translate(lib, lib.morphisms[0], Const(defs[-1].name))
+    for _ in range(steps):  # add x x, with both x the one shared image
+        assert node.fn.fn == ADD and node.fn.arg is node.arg
+        node = node.arg
+    assert node == ZERO
+
+
+def test_an_image_that_cannot_be_made_fails_only_where_it_is_used():
+    loop = _i("loopy", "loop")
+    lib = _extension(
+        "loopy",
+        (
+            Declaration(loop, tp=SET, definiens=apps(OP, Const(loop), E),
+                        meta=Metadata(kind="definition")),
+            Declaration(_i("loopy", "mystery"), tp=SET, meta=Metadata(kind="constant")),
+            Declaration(_i("loopy", "uses"), tp=SET, definiens=Const(_i("loopy", "mystery")),
+                        meta=Metadata(kind="definition")),
+        ),
+    )
+    m = lib.morphisms[0]
+    assert translate(lib, m, apps(OP, E, E)) == apps(ADD, ZERO, ZERO)
+    with pytest.raises(UnknownIdent, match="loop"):
+        translate(lib, m, Const(loop))
+    for name in ("mystery", "uses"):
+        with pytest.raises(UnassignedConstant, match="mystery"):
+            translate(lib, m, Const(_i("loopy", name)))
+
+
 def test_identity_law():
     rng = random.Random(7001)
     ident = identity_morphism(ALGEBRA, theory_ident(NS, "monoid"))

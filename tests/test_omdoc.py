@@ -34,6 +34,7 @@ from proofport.kernel import (
     Theory,
     TypeKind,
     Var,
+    constants_of,
     theory_ident,
 )
 
@@ -342,6 +343,36 @@ def test_binder_arity_is_enforced():
     )
 
 
+OMBIND_PATH = "omdoc.theory[0].constant[0].type.OMBIND"
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        # children first, then a variable where none is bound (an unknown
+        # binder included), then the binder name, then the arity
+        (b'<OMBIND binder="exists" var="x"><OMV index="-1"/></OMBIND>',
+         f"{OMBIND_PATH}.OMV[0].index: negative index"),
+        (b'<OMBIND binder="exists" var="x"/>',
+         f"{OMBIND_PATH}.var: binder exists takes no variable"),
+        (b'<OMBIND binder="exists"><OMV index="0"/></OMBIND>',
+         f"{OMBIND_PATH}.binder: unknown binder 'exists'"),
+        (b'<OMBIND binder="sub" var="y"><OMV index="0"/></OMBIND>',
+         f"{OMBIND_PATH}.var: binder sub takes no variable"),
+        (b'<OMBIND binder="lambda" var="x"><OMV index="0"/></OMBIND>',
+         f"{OMBIND_PATH}: binder lambda takes 2 children"),
+        (b'<OMBIND binder="subout"><OMV index="0"/><OMV index="1"/></OMBIND>',
+         f"{OMBIND_PATH}: binder subout takes 1 children"),
+        (b'<OMBIND binder="type"><OMV index="0"/></OMBIND>',
+         f"{OMBIND_PATH}: binder type takes 0 children"),
+    ],
+)
+def test_malformed_ombind_messages(term, message):
+    with pytest.raises(SchemaViolation) as err:
+        omdoc.parse(_body(b"        " + term + b"\n"))
+    assert str(err.value) == message
+
+
 def test_negative_variable_index_is_rejected():
     expect_schema(_body(b'        <OMV index="-1"/>\n'), "index")
 
@@ -473,6 +504,42 @@ def test_dangling_assignment_key_is_refused():
     )
     with pytest.raises(DanglingIdent, match="phantom"):
         omdoc.serialize(_lib(_decl("a", tp=TypeKind(), kind="type"), morphisms=(m,)))
+
+
+def test_the_first_dangling_reference_in_document_order_is_named():
+    # "zeta" comes first in the document, "alpha" first in any sorted order
+    zeta, alpha = Ident(NS, "t", "zeta"), Ident(NS, "t", "alpha")
+    lib = _lib(
+        _decl("a", tp=Apply(Const(zeta), Const(alpha))),
+        _decl("b", tp=Const(alpha), kind="theorem",
+              proof=DependsOn((Ident(NS, "t", "nowhere"),))),
+    )
+    with pytest.raises(DanglingIdent) as err:
+        omdoc.serialize(lib)
+    assert str(err.value) == str(zeta)
+
+
+def test_serialize_resolves_each_distinct_reference_once(monkeypatch):
+    lib = _import_fixture("core.toyhol.json")
+    distinct: set = set()
+    for th in lib.theories:
+        for d in th.decls:
+            for t in (d.tp, d.definiens, getattr(d.proof, "term", None)):
+                if t is not None:
+                    distinct.update(constants_of(t))
+            distinct.update(getattr(d.proof, "ids", ()))
+    calls = 0
+    real = Library.find_decl
+
+    def counting(self, ident):
+        nonlocal calls
+        calls += 1
+        return real(self, ident)
+
+    monkeypatch.setattr(Library, "find_decl", counting)
+    data = omdoc.serialize(lib)
+    assert data.count(b"<OMS ") > len(distinct)  # repeats exist to be skipped
+    assert 0 < calls <= len(distinct)
 
 
 def test_resolvable_references_pass_the_precheck():
