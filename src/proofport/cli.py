@@ -2,10 +2,10 @@
 
 Every command reads one input file, writes machine-parsable
 tab-separated lines to stdout, and exits 0 on success, 1 on semantic
-check failures, 2 on format or lookup errors. Flags can be preset via
-environment variables prefixed OAF_ (OAF_FORMAT, OAF_ETA_ENABLED,
-OAF_INCLUDE_PROOF_USES, OAF_REDUCTION_BUDGET, OAF_SOURCE_DIR,
-OAF_ALLOW_EMPTY); explicit flags win.
+check failures, 2 on format errors and unresolved command-line names.
+Flags can be preset via environment variables prefixed OAF_ (OAF_FORMAT,
+OAF_ETA_ENABLED, OAF_INCLUDE_PROOF_USES, OAF_REDUCTION_BUDGET,
+OAF_SOURCE_DIR, OAF_ALLOW_EMPTY); explicit flags win.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, TextIO
+from typing import Callable, Iterable, Optional, TextIO
 
 from . import omdoc
 from .errors import (
@@ -47,7 +47,7 @@ from .kernel import (
     format_term,
 )
 from .morphisms import check_morphism, translate
-from .ontology import extract_triples, transitive_uses, used_by, write_ntriples
+from .ontology import TripleStore, extract_triples, transitive_uses, used_by, write_ntriples
 
 # format name -> parse and import of the input bytes. The readers are looked
 # up by name on every call, so a rebinding of `parse_toyhol` is seen here.
@@ -340,34 +340,37 @@ def _parse_ident(text: str) -> Ident:
         raise Malformed(str(err)) from None
 
 
-def run_deps(cfg: CliConfig, out: TextIO) -> int:
+def _run_query(cfg: CliConfig, out: TextIO, query: Callable[[TripleStore, Ident], set[Ident]]) -> int:
+    """Print what `query` finds from `--ident`, sorted; an unknown one is an input error."""
     lib, _ = _load(cfg, guard_empty=False)
     store = extract_triples(lib, include_proof_uses=cfg.include_proof_uses)
-    reached = transitive_uses(store, _parse_ident(cfg.ident))
-    for ident in sorted(str(i) for i in reached):
+    try:
+        found = query(store, _parse_ident(cfg.ident))
+    except UnknownIdent as err:
+        raise Malformed(str(err)) from None
+    for ident in sorted(str(i) for i in found):
         out.write(ident + "\n")
     return 0
+
+
+def run_deps(cfg: CliConfig, out: TextIO) -> int:
+    return _run_query(cfg, out, transitive_uses)
 
 
 def run_used_by(cfg: CliConfig, out: TextIO) -> int:
-    lib, _ = _load(cfg, guard_empty=False)
-    store = extract_triples(lib, include_proof_uses=cfg.include_proof_uses)
-    users = used_by(store, _parse_ident(cfg.ident), cfg.kind)
-    for ident in sorted(str(i) for i in users):
-        out.write(ident + "\n")
-    return 0
+    return _run_query(cfg, out, lambda store, ident: used_by(store, ident, cfg.kind))
 
 
 def run_translate(cfg: CliConfig, out: TextIO) -> int:
     lib, _ = _load(cfg, guard_empty=False)
     m = lib.find_morphism(_parse_ident(cfg.morphism))
     if m is None:
-        raise UnknownIdent(f"morphism {cfg.morphism} not found")
+        raise Malformed(f"morphism {cfg.morphism} not found")
     decl = lib.find_decl(_parse_ident(cfg.theorem))
     if decl is None:
-        raise UnknownIdent(f"statement {cfg.theorem} not found")
+        raise Malformed(f"statement {cfg.theorem} not found")
     if decl.tp is None:
-        raise UnknownIdent(f"{cfg.theorem} has no statement to translate")
+        raise Malformed(f"{cfg.theorem} has no statement to translate")
     report = check_morphism(lib, m, cfg.checker)
     bad = [r for r in report.results if not r.ok]
     if bad:
@@ -426,11 +429,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     cfg = parse_cli(sys.argv[1:] if argv is None else argv)
     try:
         return run(cfg, sys.stdout)
-    except UnknownIdent as err:
-        # names supplied by the user that fail to resolve are input
-        # errors, not library check failures
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except FormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -722,9 +722,9 @@ _LOGICS = logic_library()
 
 def _try_add(scope: Scope, cands: tuple[Declaration, ...], config: Config) -> None:
     """Add the candidates to the scope and check them; undo and raise on a failing row."""
-    undo, new = scope.add(cands), {c.name for c in cands}
+    undo = scope.add(cands)
     for res in check_theory(scope, scope.theory.name, config, only=cands).results:
-        if res.subject in new and not res.ok:
+        if not res.ok:
             undo()
             raise CheckError(f"{res.subject.name}: {res.message}")
 

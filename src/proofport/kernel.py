@@ -235,6 +235,7 @@ class SourceRef:
 
 
 KINDS = ("type", "constant", "definition", "axiom", "theorem", "patternInstance")
+STATEMENT_KINDS = ("axiom", "theorem", "patternInstance")
 
 
 @dataclass(frozen=True)
@@ -280,8 +281,20 @@ class Declaration:
                 raise ValueError(f"{self.name}: kind {kind!r} carries no proof")
 
 
+def _index(items: Iterable, what: str) -> dict[Ident, object]:
+    """`items` by name; a repeated name is a ValueError."""
+    index = {}
+    for x in items:
+        if x.name in index:
+            raise ValueError(f"duplicate {what} {x.name}")
+        index[x.name] = x
+    return index
+
+
 @dataclass(frozen=True)
 class Theory:
+    """Declarations under one theory name; no two share a name."""
+
     name: Ident
     meta_theory: Optional[Ident] = None
     includes: tuple[Ident, ...] = ()
@@ -290,14 +303,7 @@ class Theory:
     def __post_init__(self) -> None:
         object.__setattr__(self, "includes", tuple(self.includes))
         object.__setattr__(self, "decls", tuple(self.decls))
-
-    @cached_property
-    def _decl_index(self) -> dict[Ident, Declaration]:
-        """The first declaration of each name."""
-        index: dict[Ident, Declaration] = {}
-        for d in self.decls:
-            index.setdefault(d.name, d)
-        return index
+        object.__setattr__(self, "_decl_index", _index(self.decls, "declaration"))
 
 
 @dataclass(frozen=True)
@@ -308,7 +314,8 @@ class Library:
     for identifier resolution; it is not part of the library's value and
     is excluded from equality.
 
-    Lookups scan `libraries()` in order and the first match wins. A
+    No two of a library's own theories share a name. Across libraries,
+    lookups scan `libraries()` in order and the first match wins. A
     library, its theories and their tuples are frozen, so the scan order
     is kept as a tuple and every `find_decl` answer, a miss included, is
     memoized on the library asked.
@@ -323,6 +330,7 @@ class Library:
         object.__setattr__(self, "theories", tuple(self.theories))
         object.__setattr__(self, "morphisms", tuple(self.morphisms))
         object.__setattr__(self, "deps", tuple(self.deps))
+        object.__setattr__(self, "_theory_index", _index(self.theories, "theory"))
 
     def libraries(self) -> Iterator["Library"]:
         """This library and its registered dependencies, cycle-safe."""
@@ -339,14 +347,6 @@ class Library:
     @cached_property
     def _scan(self) -> tuple["Library", ...]:
         return tuple(self.libraries())
-
-    @cached_property
-    def _theory_index(self) -> dict[Ident, Theory]:
-        """The first of this library's own theories of each name."""
-        index: dict[Ident, Theory] = {}
-        for th in self.theories:
-            index.setdefault(th.name, th)
-        return index
 
     @cached_property
     def _decl_memo(self) -> dict[Ident, Optional[Declaration]]:
@@ -494,7 +494,7 @@ def constants_of(t: Term) -> list[Ident]:
 _SUBOUT = object()  # spine marker: the position under a SubOut eliminator
 
 
-def whnf(lib: Optional[Library | Scope], t: Term, config: Config = DEFAULT_CONFIG) -> Term:
+def whnf(lib: Library | Scope, t: Term, config: Config = DEFAULT_CONFIG) -> Term:
     """Weak head normal form.
 
     Reduces beta redexes, unfolds constants with a definiens, and
@@ -530,7 +530,7 @@ def whnf(lib: Optional[Library | Scope], t: Term, config: Config = DEFAULT_CONFI
                 spine.pop()
                 head = e
                 continue
-            case Const(c) if lib is not None:
+            case Const(c):
                 d = lib.find_decl(c)
                 if d is not None and d.definiens is not None:
                     steps += 1
@@ -546,7 +546,7 @@ def whnf(lib: Optional[Library | Scope], t: Term, config: Config = DEFAULT_CONFI
 
 
 def equal(
-    lib: Optional[Library | Scope],
+    lib: Library | Scope,
     ctx: Context,
     t1: Term,
     t2: Term,
@@ -561,7 +561,7 @@ def equal(
     return _conv(lib, t1, t2, config)
 
 
-def _conv(lib: Optional[Library | Scope], a: Term, b: Term, cfg: Config) -> bool:
+def _conv(lib: Library | Scope, a: Term, b: Term, cfg: Config) -> bool:
     if a == b:  # structural, hint-insensitive
         return True
     a = whnf(lib, a, cfg)
@@ -604,7 +604,7 @@ def is_kind(t: Term) -> bool:
 
 
 def infer(
-    lib: Optional[Library | Scope],
+    lib: Library | Scope,
     ctx: Context,
     t: Term,
     config: Config = DEFAULT_CONFIG,
@@ -618,7 +618,7 @@ def infer(
         case Var(k):
             return shift(ctx.lookup(k).tp, k + 1)
         case Const(c):
-            d = lib.find_decl(c) if lib is not None else None
+            d = lib.find_decl(c)
             if d is None:
                 raise UnknownIdent(str(c))
             if d.tp is not None:
@@ -660,7 +660,7 @@ def infer(
 
 
 def check(
-    lib: Optional[Library | Scope],
+    lib: Library | Scope,
     ctx: Context,
     t: Term,
     expected: Term,
@@ -692,7 +692,7 @@ def check(
 
 
 def check_kind(
-    lib: Optional[Library | Scope],
+    lib: Library | Scope,
     ctx: Context,
     k: Term,
     config: Config = DEFAULT_CONFIG,
@@ -781,7 +781,7 @@ def _visible_idents(lib: Library, theory: Theory, decls: Iterable[Declaration]) 
 def _is_statement(lib: Library | Scope, ident: Ident) -> bool:
     d = lib.find_decl(ident)
     if d is not None:
-        return d.meta.kind in ("axiom", "theorem", "patternInstance")
+        return d.meta.kind in STATEMENT_KINDS
     return lib.find_morphism(ident) is not None
 
 
@@ -828,11 +828,10 @@ class Scope:
 
     The visible set of the theory's include closure and meta-theory chain
     is computed once. `add` appends declarations to `decls`, `visible` and
-    `index`, which `find_decl` consults before the library: the first
-    added declaration of each name it would look up in this theory.
-    `row` is the theory-level row of a full check: an include that does
-    not resolve (`resolved` is then false), or the first repeated name in
-    `flatten` order. The checker takes a Scope wherever it takes a Library.
+    `index`, which `find_decl` consults before the library: the added
+    declarations it would look up in this theory. `row` is set when an
+    include does not resolve; it is then the one row a full check gives.
+    The checker takes a Scope wherever it takes a Library.
     """
 
     def __init__(self, lib: Library, th: Ident):
@@ -841,52 +840,36 @@ class Scope:
             raise UnknownIdent(f"theory {th} not found")
         self.lib, self.theory, self.decls = lib, theory, list(theory.decls)
         self.index: dict[Ident, Declaration] = {}
-        self.names: set[Ident] = set()  # every name in flatten order so far
-        self.visible: set[Ident] = set()
         self.row: Optional[CheckResult] = None
         try:
-            flat = flatten(lib, th)
-            self.visible = _visible_idents(lib, theory, flat)
+            self.visible = _visible_idents(lib, theory, flatten(lib, th))
         except Cycle:
             raise
-        except CheckError as err:
-            flat, self.row = [], CheckResult(th, False, str(err))
-        self.resolved = self.row is None
-        self._note(d.name for d in flat)
-
-    def _note(self, names: Iterable[Ident]) -> list[Ident]:
-        """Append names in flatten order; returns those not seen before."""
-        fresh = []
-        for n in names:
-            if n not in self.names:
-                self.names.add(n)
-                fresh.append(n)
-            elif self.row is None:
-                self.row = CheckResult(self.theory.name, False, f"duplicate declaration {n}")
-        return fresh
+        except CheckError as err:  # `add` still refuses the theory's own names
+            self.visible, self.row = set(theory._decl_index), CheckResult(th, False, str(err))
 
     def add(self, decls: Iterable[Declaration]) -> Callable[[], None]:
-        """Append `decls`; returns the undo of this add, valid while it is the last."""
-        decls = tuple(decls)
-        size, row = len(self.decls), self.row
-        self.decls.extend(decls)
-        fresh = self._note(d.name for d in decls)
-        shown = [n for n in fresh if n not in self.visible]
-        self.visible.update(shown)
-        th, own, indexed = self.theory.name, self.theory._decl_index, []
+        """Append `decls`; returns the undo of this add, valid while it is the last.
+
+        A name the theory sees already, or one repeated in `decls`, is a
+        CheckError, raised before anything changes.
+        """
+        decls, names = tuple(decls), set()
         for d in decls:
-            n = d.name
-            if n not in own and n not in self.index and theory_ident(n.namespace, n.module) == th:
-                self.index[n] = d
-                indexed.append(n)
+            if d.name in self.visible or d.name in names:
+                raise CheckError(f"duplicate declaration {d.name}")
+            names.add(d.name)
+        th, size = self.theory.name, len(self.decls)
+        self.decls.extend(decls)
+        self.visible.update(names)
+        mine = {d.name: d for d in decls if theory_ident(d.name.namespace, d.name.module) == th}
+        self.index.update(mine)
 
         def undo() -> None:
             del self.decls[size:]
-            self.names.difference_update(fresh)
-            self.visible.difference_update(shown)
-            for n in indexed:
+            self.visible.difference_update(names)
+            for n in mine:
                 del self.index[n]
-            self.row = row
 
         return undo
 
@@ -913,9 +896,9 @@ def check_theory(
     everything else is collected per declaration.
     """
     scope = lib if isinstance(lib, Scope) else Scope(lib, th)
-    if not scope.resolved:
+    if scope.row is not None:
         return CheckReport(th, (scope.row,))
-    results: list[CheckResult] = [] if scope.row is None else [scope.row]
+    results: list[CheckResult] = []
     lookup = scope if scope.index else scope.lib  # the same answers, one call fewer
     todo = scope.decls if only is None else tuple(only)
     visible = scope.visible

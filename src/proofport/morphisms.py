@@ -28,6 +28,7 @@ from .kernel import (
     Ident,
     Library,
     Metadata,
+    STATEMENT_KINDS,
     Term,
     Theory,
     check,
@@ -35,8 +36,6 @@ from .kernel import (
     map_consts,
     theory_ident,
 )
-
-STATEMENT_KINDS = ("axiom", "theorem", "patternInstance")
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,8 @@ def _domain(lib: Library, m: Morphism) -> dict[Ident, Declaration]:
     return {d.name: d for d in flatten(lib, m.source)}
 
 
-def _translator(lib: Library, m: Morphism) -> Callable[[Term], Term]:
-    """Translation along `m`, each domain definition translated once.
+def _translator(m: Morphism, domain: dict[Ident, Declaration]) -> Callable[[Term], Term]:
+    """Translation along `m` over its `_domain`, each definition translated once.
 
     The images are filled in `flatten` order, so a definiens meets only
     images already made and no call stack runs along a chain of
@@ -76,7 +75,6 @@ def _translator(lib: Library, m: Morphism) -> Callable[[Term], Term]:
     primitive, or a definition that uses its own or a later domain
     declaration) stores its CheckError, raised only where it is used.
     """
-    domain = _domain(lib, m)
     image: dict[Ident, Optional[Term] | CheckError] = dict(m.assignments)
     pending = domain.keys() - image.keys()
 
@@ -112,7 +110,7 @@ def translate(lib: Library, m: Morphism, t: Term) -> Term:
     constants by the translation of their definiens, and everything
     outside the domain (the logic encoding in particular) stays put.
     """
-    return _translator(lib, m)(t)
+    return _translator(m, _domain(lib, m))(t)
 
 
 def check_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG) -> CheckReport:
@@ -123,7 +121,7 @@ def check_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG) -
     assignment are reported as gaps.
     """
     domain = _domain(lib, m)
-    go = _translator(lib, m)
+    go = _translator(m, domain)
     results: list[CheckResult] = []
     for c, term in m.assignments:
         d = domain.get(c)
@@ -163,10 +161,11 @@ def install_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG)
         first = report.failures[0]
         raise Mismatch(f"morphism {m.name} does not check: {first.subject}: {first.message}")
     target = lib.find_theory(m.target)
-    go = _translator(lib, m)
+    domain = _domain(lib, m)
+    go = _translator(m, domain)
     name = theory_ident(m.name.namespace, m.name.name)
     decls = []
-    for d in flatten(lib, m.source):
+    for d in domain.values():
         if d.meta.kind != "theorem" or d.tp is None:
             continue
         decls.append(
@@ -177,12 +176,10 @@ def install_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG)
                 meta=Metadata(kind="theorem", origin=m.name),
             )
         )
-    return Theory(
-        name,
-        meta_theory=target.meta_theory,
-        includes=(m.target,),
-        decls=tuple(decls),
-    )
+    try:
+        return Theory(name, meta_theory=target.meta_theory, includes=(m.target,), decls=decls)
+    except ValueError as err:  # two source theorems of one local name
+        raise Mismatch(f"morphism {m.name} cannot be installed: {err}") from None
 
 
 def compose(
@@ -197,7 +194,7 @@ def compose(
             m1.name.module,
             f"{m1.name.name}_then_{m2.name.name}",
         )
-    go = _translator(lib, m2)
+    go = _translator(m2, _domain(lib, m2))
     assignments = tuple((c, go(t)) for c, t in m1.assignments)
     return Morphism(name, m1.source, m2.target, assignments)
 

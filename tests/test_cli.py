@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from test_morphisms import TO_INT, algebra_library
+from test_morphisms import DED, E, EQ, OP, SET, TO_INT, _extension, _i, algebra_library
 
 from proofport import omdoc
 from proofport.cli import main, parse_cli
@@ -20,6 +20,7 @@ from proofport.kernel import (
     Ident,
     Library,
     Metadata,
+    Omitted,
     Pi,
     ProofTerm,
     Theory,
@@ -137,6 +138,49 @@ def test_unsupported_version_is_exit_2(tmp_path, capsys):
 
 def test_missing_file_is_exit_2(tmp_path, capsys):
     assert run_cli(capsys, "check", str(tmp_path / "absent.json"))[0] == 2
+
+
+def _omdoc_theories(*theories: tuple[str, tuple[str, ...]]) -> bytes:
+    """An OMDoc of namespace lib://x: each theory's constants are of type
+    `tm bool'`, except that `bad` names a constant declared nowhere."""
+    def constant(name):
+        tp = "lib://x?t?undefined" if name == "bad" else "lib://logics?holChurch?bool'"
+        return (f'<constant name="{name}" kind="constant"><type><OMA>'
+                f'<OMS name="lib://logics?holChurch?tm"/><OMS name="{tp}"/>'
+                f"</OMA></type></constant>")
+    return (
+        '<omdoc version="1" namespace="lib://x">'
+        + "".join(f'<theory name="{t}" meta="lib://logics?holChurch?holChurch">'
+                  + "".join(constant(c) for c in cs) + "</theory>" for t, cs in theories)
+        + "</omdoc>"
+    ).encode()
+
+
+@pytest.mark.parametrize("command", [("check",), ("export-rdf", "--output", "out.nt")],
+                         ids=["check", "export-rdf"])
+@pytest.mark.parametrize("theories, where", [
+    ((("t", ("c", "d", "c")),), "omdoc.theory[0]: duplicate declaration lib://x?t?c"),
+    ((("t", ("c",)), ("u", ()), ("t", ("bad",))), "omdoc: duplicate theory lib://x?t?t"),
+], ids=["constant", "theory"])
+def test_a_repeated_name_is_exit_2_naming_it(tmp_path, capsys, monkeypatch, command, theories, where):
+    doc = tmp_path / "twice.omdoc.xml"
+    doc.write_bytes(_omdoc_theories(*theories))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, command[0], str(doc), *command[1:])
+    assert (code, out, err) == (2, "", f"error: {where}\n")
+    assert not (tmp_path / "out.nt").exists()
+
+
+def test_a_second_theory_of_one_name_is_not_left_unchecked(tmp_path, capsys):
+    # each theory alone: the first checks, the second fails on `bad`
+    for theories, want in (((("t", ("c",)),), 0), ((("t", ("bad",)),), 1)):
+        doc = tmp_path / "one.omdoc.xml"
+        doc.write_bytes(_omdoc_theories(*theories))
+        assert run_cli(capsys, "check", str(doc))[0] == want
+    doc.write_bytes(_omdoc_theories(("t", ("c",)), ("t", ("bad",))))
+    code, out, err = run_cli(capsys, "check", str(doc))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "lib://x?t?t" in err
 
 
 @pytest.mark.parametrize("command", ["import", "export-omdoc", "export-rdf"])
@@ -388,6 +432,25 @@ def test_translate_broken_morphism_is_exit_1(tmp_path, capsys):
     )
     assert code == 1
     assert any(row[0] == "failure" for row in lines(out))
+
+
+def test_translate_through_a_definition_that_names_itself_is_exit_1(tmp_path, capsys):
+    # the library is at fault, not the names given on the command line
+    loop = _i("loopy", "loop")
+    lib = _extension("loopy", (
+        Declaration(loop, tp=SET, definiens=apps(OP, Const(loop), E),
+                    meta=Metadata(kind="definition")),
+        Declaration(_i("loopy", "about"), tp=Apply(DED, apps(EQ, Const(loop), Const(loop))),
+                    proof=Omitted(), meta=Metadata(kind="axiom")),
+    ))
+    path = tmp_path / "loopy.omdoc.xml"
+    path.write_bytes(omdoc.serialize(lib))
+    code, out, err = run_cli(
+        capsys, "translate", str(path),
+        "--morphism", "lib://algebra?morphs?loopy", "--theorem", "lib://algebra?loopy?about",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {loop} is used before its declaration\n"
 
 
 # ---------------------------------------------------------------------------

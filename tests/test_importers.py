@@ -20,7 +20,7 @@ from generators import (
     surface_library,
     surface_resolve,
 )
-from proofport import importers, kernel
+from proofport import importers, kernel, omdoc
 from proofport.elaboration import builtin_patterns
 from proofport.encodings import (
     FOL_SOFT,
@@ -690,8 +690,8 @@ def test_import_resolves_theories_a_constant_number_of_times(monkeypatch):
 
 
 def test_import_after_a_duplicate_name_keeps_the_full_check_verdicts(monkeypatch):
-    # the definition `d` generates a second `d/fn`; from then on a full check
-    # of theory `t` reports the duplicate, in the row of the record named `t`
+    # the definition `d` generates a second `d/fn`: the record `d` is the one
+    # refused, and the theory written without it checks
     doc = parse_toyset(
         b'<export version="1"><theory name="t"><constant name="d/fn"/>'
         b'<definition name="d"><value><const name="d/fn"/></value></definition>'
@@ -699,9 +699,12 @@ def test_import_after_a_duplicate_name_keeps_the_full_check_verdicts(monkeypatch
     )
     got = import_toyset(doc)
     assert [(e.subject.split("?")[-1], e.ok) for e in got[1].entries] == [
-        ("d/fn", True), ("d", True), ("t", False), ("after", True)
+        ("d/fn", True), ("d", False), ("t", True), ("after", True)
     ]
-    assert "duplicate declaration" in got[1].entries[2].message
+    assert got[1].entries[1].message == (
+        f"CheckError: duplicate declaration {Ident(TOYSET_NS, 't', 'd/fn')}"
+    )
+    assert all(r.ok for r in check_library(omdoc.parse(omdoc.serialize(got[0]))))
     check_theory = importers.check_theory
     monkeypatch.setattr(
         importers, "check_theory",

@@ -6,6 +6,7 @@ iterated to fixpoint, both defined apart from the kernel's machinery.
 """
 
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
@@ -30,6 +31,7 @@ from generators import (
 )
 from proofport import omdoc
 from proofport.errors import (
+    CheckError,
     Cycle,
     Mismatch,
     NotAFunction,
@@ -677,7 +679,7 @@ def test_check_theory_only_gives_the_full_verdicts():
 
 
 def _scope_state(scope: Scope) -> tuple:
-    return list(scope.decls), dict(scope.index), set(scope.visible), set(scope.names), scope.row
+    return list(scope.decls), dict(scope.index), set(scope.visible), scope.row
 
 
 def test_a_growing_scope_gives_the_from_scratch_verdicts():
@@ -692,8 +694,7 @@ def test_a_growing_scope_gives_the_from_scratch_verdicts():
                 prefix = replace(th, decls=tuple(decls))
                 return replace(lib, theories=tuple(prefix if t is th else t for t in lib.theories))
 
-            # the theory's declarations, then its first one again: a duplicate name
-            grown = th.decls + th.decls[:1]
+            grown = th.decls
             scope = Scope(holding(()), th.name)
             for k, d in enumerate(grown):
                 before = _scope_state(scope)
@@ -706,6 +707,12 @@ def test_a_growing_scope_gives_the_from_scratch_verdicts():
                 assert _scope_state(scope) == before
                 scope.add((d,))
             assert check_theory(scope, th.name) == check_theory(holding(grown), th.name)
+            # the first declaration again: refused, and nothing changes
+            before = _scope_state(scope)
+            for d in grown[:1]:
+                with pytest.raises(CheckError, match=re.escape(f"duplicate declaration {d.name}")):
+                    scope.add((d,))
+            assert _scope_state(scope) == before
     assert rows["failed"] and rows["theory"]
 
 
@@ -718,24 +725,22 @@ def test_lookups_return_the_first_match_in_scan_order(monkeypatch):
             Ident(ns, module, name), tp=TypeKind(), meta=Metadata(kind="type", comments=(note,))
         )
 
-    first, second = decl("t", "p", "first"), decl("t", "p", "second")
-    main_t = Theory(t, decls=(first, second))
-    later_t = Theory(t, decls=(decl("t", "later", "later theory of the same name"),))
+    first = decl("t", "p", "first")
+    main_t = Theory(t, decls=(first,))
     dep_t = Theory(t, decls=(decl("t", "ghost", "only in the shadowed theory"),))
     dep_u = Theory(u, decls=(decl("u", "q", "only in a dependency"),))
     w_early, w_late = Theory(w), Theory(w, decls=(decl("w", "r", "late"),))
     elsewhere = Library("lib://elsewhere", (Theory(theory_ident(ns, "v")),))
     lib = Library(
         ns,
-        (main_t, later_t),
+        (main_t,),
         deps=(Library(ns, (w_late,)), Library(ns, (dep_t, dep_u, w_early)), elsewhere),
     )
     # libraries() pops its stack, so the last dependency is scanned first
-    assert [len(x.theories) for x in lib.libraries()] == [2, 1, 3, 1]
+    assert [len(x.theories) for x in lib.libraries()] == [1, 1, 3, 1]
     assert lib.find_theory(t) is main_t
     assert lib.find_decl(first.name) is first
     assert lib.find_decl(Ident(ns, "t", "ghost")) is None
-    assert lib.find_decl(Ident(ns, "t", "later")) is None
     assert lib.find_theory(u) is dep_u
     assert lib.find_decl(Ident(ns, "u", "q")) is dep_u.decls[0]
     assert lib.find_theory(w) is w_early
@@ -752,20 +757,59 @@ def test_lookups_return_the_first_match_in_scan_order(monkeypatch):
         for ident in probes:
             assert lib.find_decl(ident) is _scanned_decl(lib, ident)
     answers = [lib.find_decl(ident) for ident in probes]
-    assert None in answers and first in answers and second not in answers
+    assert None in answers and first in answers
     monkeypatch.setattr(Library, "find_theory", None)
     assert [lib.find_decl(ident) for ident in probes] == answers
 
 
 def _scanned_decl(lib: Library, ident: Ident):
     """find_decl by a plain scan: the first theory of that name in a library
-    of that namespace, in `libraries()` order, then its first such declaration."""
+    of that namespace, in `libraries()` order, then its declaration of that name."""
     home = theory_ident(ident.namespace, ident.module)
     for x in lib.libraries():
         for th in x.theories:
             if x.namespace == ident.namespace and th.name == home:
                 return next((d for d in th.decls if d.name == ident), None)
     return None
+
+
+def test_theory_and_library_reject_a_repeated_name():
+    ns = "lib://rep"
+    c = Declaration(Ident(ns, "t", "c"), tp=TypeKind(), meta=Metadata(kind="type"))
+    with pytest.raises(ValueError, match=r"duplicate declaration lib://rep\?t\?c"):
+        Theory(theory_ident(ns, "t"), decls=(c, replace(c, tp=Const(c.name))))
+    t = Theory(theory_ident(ns, "t"), decls=(c,))
+    with pytest.raises(ValueError, match=r"duplicate theory lib://rep\?t\?t"):
+        Library(ns, (t, Theory(t.name)))
+    # the same theory name in another library only shadows
+    assert Library(ns, (t,), deps=(Library(ns, (Theory(t.name),)),)).find_theory(t.name) is t
+
+
+def test_scope_add_refuses_a_repeated_name_and_changes_nothing():
+    ns = "lib://rep"
+    base = _tiny_theory(ns, "b", ntypes=1)
+    th = _tiny_theory(ns, "t", includes=("b",), ntypes=2)
+    scope = Scope(Library(ns, (base, th)), th.name)
+
+    def fresh(name):
+        return Declaration(Ident(ns, "t", name), tp=TypeKind(), meta=Metadata(kind="type"))
+
+    scope.add((fresh("x"),))
+    before = _scope_state(scope)
+    for repeated in (th.decls[:1], (fresh("x"),), (fresh("y"), fresh("y")), base.decls):
+        with pytest.raises(CheckError, match="duplicate declaration"):
+            scope.add(repeated)
+        assert _scope_state(scope) == before
+    undo = scope.add((fresh("y"),))
+    assert scope.find_decl(Ident(ns, "t", "y")) is not None
+    undo()
+    assert _scope_state(scope) == before
+    # also where an include does not resolve
+    broken = _tiny_theory(ns, "t", includes=("absent",), ntypes=2)
+    scope = Scope(Library(ns, (broken,)), broken.name)
+    assert scope.row is not None
+    with pytest.raises(CheckError, match="duplicate declaration"):
+        scope.add(broken.decls[1:])
 
 
 def test_declaration_invariants():

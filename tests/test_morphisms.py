@@ -5,6 +5,7 @@ out by hand; the law tests compute both sides independently on random
 terms over the source signature."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -404,6 +405,15 @@ def test_install_refuses_broken_morphism():
     )
     with pytest.raises(Mismatch):
         install_morphism(ALGEBRA, bad)
+
+
+def test_install_refuses_two_theorems_of_one_local_name():
+    # `twin` declares a theorem `ee` as the monoid it includes does: both
+    # would be installed as `twin/ee`
+    ee = ALGEBRA.find_decl(_i("monoid", "ee"))
+    lib = _extension("twin", (replace(ee, name=_i("twin", "ee")),))
+    with pytest.raises(Mismatch, match=r"duplicate declaration lib://algebra\?twin\?twin/ee"):
+        install_morphism(lib, lib.morphisms[0])
 
 
 def test_install_no_theorems_yields_plain_extension():
