@@ -26,7 +26,6 @@ from .errors import (
     UnknownIdent,
 )
 from .importers import (
-    ImportReport,
     import_toyhol,
     import_toyset,
     parse_toyhol,
@@ -36,6 +35,8 @@ from .importers import (
 from .kernel import (
     DEFAULT_CONFIG,
     KINDS,
+    CheckReport,
+    CheckResult,
     Config,
     Declaration,
     DependsOn,
@@ -54,7 +55,7 @@ from .ontology import TripleStore, extract_triples, transitive_uses, used_by, wr
 _READERS = {
     "toyhol-json": lambda data, cfg: import_toyhol(parse_toyhol(data), cfg.allow_empty, cfg.checker),
     "toyset-xml": lambda data, cfg: import_toyset(parse_toyset(data), cfg.allow_empty, cfg.checker),
-    "omdoc": lambda data, cfg: (omdoc.parse(data), ImportReport(())),
+    "omdoc": lambda data, cfg: (omdoc.parse(data), CheckReport(())),
 }
 FORMATS = tuple(_READERS)
 PROOF_STYLES = ("omitted", "dependsOn", "term")
@@ -223,14 +224,13 @@ def _read_sources(source_dir: str) -> dict[str, str]:
     return out
 
 
-def _load(cfg: CliConfig, guard_empty: bool) -> tuple[Library, list[str]]:
-    """Load the input as a library plus human-readable import failures."""
+def _load(cfg: CliConfig, guard_empty: bool) -> tuple[Library, tuple[CheckResult, ...]]:
+    """Load the input as a library plus the failing rows of its import."""
     try:
         data = Path(cfg.input).read_bytes()
     except OSError as err:
         raise Malformed(str(err)) from err
     lib, report = _READERS[cfg.format or _infer_format(cfg.input)](data, cfg)
-    failures = [f"{e.subject}\t{e.message}" for e in report.failures]
     if cfg.source_dir is not None:
         lib, _ = recover_source_refs(lib, _read_sources(cfg.source_dir))
     decls = sum(len(th.decls) for th in lib.theories)
@@ -238,7 +238,7 @@ def _load(cfg: CliConfig, guard_empty: bool) -> tuple[Library, list[str]]:
         raise EmptyCorpus(
             f"{cfg.input}: nonempty input produced zero declarations"
         )
-    return lib, failures
+    return lib, report.failures
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +259,18 @@ def _proof_styles(decls: Iterable[Declaration]) -> dict[str, int]:
     return styles
 
 
+def _write_failures(rows: Iterable[CheckResult], out: TextIO) -> None:
+    for r in rows:
+        out.write(f"failure\t{r.subject}\t{r.message}\n")
+
+
 def _check_rows(lib: Library, cfg: CliConfig, out: TextIO) -> int:
     """Per-theory check report; returns the total failure count."""
     failed = 0
     for th in lib.theories:
         report = check_theory(lib, th.name, cfg.checker)
-        ok = sum(1 for r in report.results if r.ok)
-        bad = [r for r in report.results if not r.ok]
+        bad = report.failures
+        ok = len(report.results) - len(bad)
         styles = _proof_styles(th.decls)
         out.write(
             f"theory\t{th.name.name}\tdeclarations\t{len(report.results)}"
@@ -273,16 +278,14 @@ def _check_rows(lib: Library, cfg: CliConfig, out: TextIO) -> int:
             + "".join(f"\t{s}\t{styles[s]}" for s in PROOF_STYLES)
             + "\n"
         )
-        for r in bad:
-            out.write(f"failure\t{r.subject}\t{r.message}\n")
+        _write_failures(bad, out)
         failed += len(bad)
     return failed
 
 
 def run_check(cfg: CliConfig, out: TextIO) -> int:
     lib, import_failures = _load(cfg, guard_empty=True)
-    for row in import_failures:
-        out.write(f"failure\t{row}\n")
+    _write_failures(import_failures, out)
     failed = _check_rows(lib, cfg, out) + len(import_failures)
     out.write(f"total\tfailed\t{failed}\n")
     return 1 if failed else 0
@@ -300,8 +303,7 @@ def run_import(cfg: CliConfig, out: TextIO) -> int:
     lib, import_failures = _load(cfg, guard_empty=True)
     for th in lib.theories:
         out.write(f"imported\t{th.name.name}\t{len(th.decls)}\n")
-    for row in import_failures:
-        out.write(f"failure\t{row}\n")
+    _write_failures(import_failures, out)
     if cfg.output is not None:
         _write(cfg.output, omdoc.serialize(lib))
         out.write(f"written\t{cfg.output}\n")
@@ -371,11 +373,9 @@ def run_translate(cfg: CliConfig, out: TextIO) -> int:
         raise Malformed(f"statement {cfg.theorem} not found")
     if decl.tp is None:
         raise Malformed(f"{cfg.theorem} has no statement to translate")
-    report = check_morphism(lib, m, cfg.checker)
-    bad = [r for r in report.results if not r.ok]
+    bad = check_morphism(lib, m, cfg.checker).failures
     if bad:
-        for r in bad:
-            out.write(f"failure\t{r.subject}\t{r.message}\n")
+        _write_failures(bad, out)
         return 1
     translated = translate(lib, m, decl.tp)
     out.write(f"{decl.name} : {format_term(translated)}\n")

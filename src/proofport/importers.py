@@ -15,7 +15,7 @@ document order, merges the names of included theories into each
 theory's environment, converts each record with the format's converter
 and kernel-checks the result under the caller's checker Config. Each
 theory is checked in one kernel Scope that grows with every accepted
-record. Per-declaration failures are collected into an ImportReport and
+record. Per-declaration failures are collected into a CheckReport and
 the successes kept. A nonempty document that yields no declarations at
 all is treated as a broken export and rejected.
 """
@@ -52,6 +52,8 @@ from .errors import (
 from .kernel import (
     DEFAULT_CONFIG,
     Apply,
+    CheckReport,
+    CheckResult,
     Config,
     Const,
     Context,
@@ -134,7 +136,7 @@ SurfaceTerm = Union[SName, SApp, SAbs, SBinder]
 
 
 # ---------------------------------------------------------------------------
-# documents and reports
+# documents
 
 
 @dataclass(frozen=True)
@@ -163,26 +165,6 @@ class ExportDoc:
 
     version: str
     theories: tuple[TheoryRecord, ...]
-
-
-@dataclass(frozen=True)
-class ImportEntry:
-    subject: str
-    ok: bool
-    message: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ImportReport:
-    entries: tuple[ImportEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    @property
-    def failures(self) -> tuple[ImportEntry, ...]:
-        return tuple(e for e in self.entries if not e.ok)
 
 
 # ---------------------------------------------------------------------------
@@ -720,36 +702,16 @@ def _where(t: SurfaceTerm) -> str:
 _LOGICS = logic_library()
 
 
-def _try_add(scope: Scope, cands: tuple[Declaration, ...], config: Config) -> None:
-    """Add the candidates to the scope and check them; undo and raise on a failing row."""
+def _try_add(
+    scope: Scope, cands: tuple[Declaration, ...], config: Config
+) -> Optional[CheckResult]:
+    """Add the candidates to the scope and check them; undo and return the first failing row."""
     undo = scope.add(cands)
-    for res in check_theory(scope, scope.theory.name, config, only=cands).results:
-        if not res.ok:
-            undo()
-            raise CheckError(f"{res.subject.name}: {res.message}")
-
-
-def _resolve_includes(
-    record: TheoryRecord, imported: Mapping[str, object], ns: str
-) -> tuple[Ident, ...]:
-    out = []
-    for inc in record.includes:
-        if inc not in imported:
-            raise UnknownIdent(f"included theory {inc}")
-        out.append(theory_ident(ns, inc))
-    return tuple(out)
-
-
-def _included_names(record: TheoryRecord, records: dict[str, TheoryRecord]) -> list[str]:
-    seen: list[str] = []
-    stack = list(record.includes)
-    while stack:
-        cur = stack.pop()
-        if cur in seen or cur not in records:
-            continue
-        seen.append(cur)
-        stack.extend(records[cur].includes)
-    return seen
+    bad = check_theory(scope, scope.theory.name, config, only=cands).failures
+    if bad:
+        undo()
+        return bad[0]
+    return None
 
 
 def _meta(rec: DeclRecord, kind: str) -> Metadata:
@@ -773,47 +735,46 @@ def _import(
     convert: Callable,
     allow_empty: bool,
     config: Config,
-) -> tuple[Library, ImportReport]:
+) -> tuple[Library, CheckReport]:
     """Convert and kernel-check every record of `doc`, one at a time.
 
     `convert(rec, ident, env, scope, config)` returns the record's candidate
     declarations and what its name binds in each category of `env` once
-    they check; `env` starts as the merged environments of the included
-    theories. A failure is recorded in the report and the record
-    dropped; the rest continue. Raises EmptyCorpus when a document with
-    records ends up contributing nothing (unless allow_empty).
+    they check; `env` starts as the environments of the included
+    theories merged in order, so a later include wins. A failure is
+    recorded in the report, on the theory when an include did not
+    import, and the record or theory dropped; the rest continue. Raises
+    EmptyCorpus when a document with records ends up contributing
+    nothing (unless allow_empty).
     """
-    entries: list[ImportEntry] = []
+    rows: list[CheckResult] = []
     done: list[Theory] = []
     envs: dict[str, Env] = {}
-    records = {t.name: t for t in doc.theories}
 
     for trec in doc.theories:
-        try:
-            includes = _resolve_includes(trec, envs, ns)
-        except UnknownIdent as err:
-            entries.append(ImportEntry(trec.name, False, f"UnknownIdent: {err}"))
+        th = theory_ident(ns, trec.name)
+        missing = next((inc for inc in trec.includes if inc not in envs), None)
+        if missing is not None:
+            rows.append(CheckResult(th, False, f"UnknownIdent: included theory {missing}"))
             continue
-        empty = Theory(theory_ident(ns, trec.name), meta_theory, includes)
-        scope = Scope(Library(ns, tuple(done) + (empty,), deps=(_LOGICS,)), empty.name)
+        empty = Theory(th, meta_theory, tuple(theory_ident(ns, inc) for inc in trec.includes))
+        scope = Scope(Library(ns, tuple(done) + (empty,), deps=(_LOGICS,)), th)
         env: Env = defaultdict(dict)
-        for inc in reversed(_included_names(trec, records)):
-            for category, bound in envs.get(inc, {}).items():
+        for inc in trec.includes:
+            for category, bound in envs[inc].items():
                 env[category].update(bound)
 
         for rec in trec.decls:
             ident = Ident(ns, trec.name, rec.name)
             try:
                 cands, bindings = convert(rec, ident, env, scope, config)
-                _try_add(scope, cands, config)
+                row = _try_add(scope, cands, config) or CheckResult(ident, True)
             except CheckError as err:
-                entries.append(
-                    ImportEntry(str(ident), False, f"{type(err).__name__}: {err}")
-                )
-                continue
-            entries.append(ImportEntry(str(ident), True))
-            for category, binding in bindings.items():
-                env[category][rec.name] = binding
+                row = CheckResult(ident, False, f"{type(err).__name__}: {err}")
+            rows.append(row)
+            if row.ok:
+                for category, binding in bindings.items():
+                    env[category][rec.name] = binding
 
         done.append(replace(empty, decls=tuple(scope.decls)))
         envs[trec.name] = env
@@ -822,7 +783,7 @@ def _import(
     has_records = any(t.decls for t in doc.theories)
     if has_records and not any(t.decls for t in done) and not allow_empty:
         raise EmptyCorpus("document has records but the import produced nothing")
-    return lib, ImportReport(tuple(entries))
+    return lib, CheckReport(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +792,7 @@ def _import(
 
 def import_toyhol(
     doc: ExportDoc, allow_empty: bool = False, config: Config = DEFAULT_CONFIG
-) -> tuple[Library, ImportReport]:
+) -> tuple[Library, CheckReport]:
     """Build a holChurch-based Library from a parsed toyhol document.
 
     Declarations are converted and kernel-checked one at a time under
@@ -951,6 +912,7 @@ def func_definition_pattern() -> Pattern:
 
 
 _FUNC_DEFINITION = func_definition_pattern()
+_PATTERNS = {_FUNC_DEFINITION.name: _FUNC_DEFINITION}
 
 
 def _fol_term(
@@ -996,7 +958,7 @@ def _pvar_type(arity: int) -> Term:
 
 def import_toyset(
     doc: ExportDoc, allow_empty: bool = False, config: Config = DEFAULT_CONFIG
-) -> tuple[Library, ImportReport]:
+) -> tuple[Library, CheckReport]:
     """Build a folSoft-based Library from a parsed toyset document.
 
     Schemes close over their predicate variables with an explicit Pi
@@ -1034,18 +996,11 @@ def _toyset_decl(
     if rec.kind == "definition":
         value = _fol_term(rec.definiens, [], consts, rec.name)
         inst = PatternInstance(ident, _FUNC_DEFINITION.name, (value,))
-        registry = {_FUNC_DEFINITION.name: _FUNC_DEFINITION}
-        decls = elaborate_pattern(scope, inst, registry, config)
-        out = []
-        for d in decls:
-            meta = replace(
-                d.meta,
-                source_ref=rec.src,
-                comments=(rec.comment,) if rec.comment else (),
-                notation=rec.notation,
-            )
-            out.append(replace(d, meta=meta))
-        return tuple(out), {"consts": out[0].name}
+        out = tuple(
+            replace(d, meta=replace(_meta(rec, d.meta.kind), origin=d.meta.origin))
+            for d in elaborate_pattern(scope, inst, _PATTERNS, config)
+        )
+        return out, {"consts": out[0].name}
     raise SchemaViolation(rec.kind, "unknown record kind")
 
 
@@ -1076,7 +1031,7 @@ def recover_source_refs(
     lib: Library,
     sources: Mapping[str, str],
     markers: tuple[str, ...] = (":=", ":"),
-) -> tuple[Library, ImportReport]:
+) -> tuple[Library, CheckReport]:
     """Attach source locations recovered by scanning exported sources.
 
     Declarations that already carry a SourceRef are untouched. For the
@@ -1087,7 +1042,7 @@ def recover_source_refs(
     """
     # ":" is a prefix of ":=", so sort longest first for the startswith test
     marks = tuple(sorted(markers, key=len, reverse=True))
-    entries: list[ImportEntry] = []
+    rows: list[CheckResult] = []
     new_theories = []
     for th in lib.theories:
         new_decls = []
@@ -1111,20 +1066,16 @@ def recover_source_refs(
                                 col + len(decl.name.name),
                             )
             if found is None:
-                entries.append(
-                    ImportEntry(str(decl.name), False, "no source location found")
-                )
+                rows.append(CheckResult(decl.name, False, "no source location found"))
                 new_decls.append(decl)
             else:
                 if hits > 1:
-                    entries.append(
-                        ImportEntry(
-                            str(decl.name), True, f"{hits} candidate locations, first taken"
-                        )
+                    rows.append(
+                        CheckResult(decl.name, True, f"{hits} candidate locations, first taken")
                     )
                 new_decls.append(
                     replace(decl, meta=replace(decl.meta, source_ref=found))
                 )
         new_theories.append(replace(th, decls=tuple(new_decls)))
     out = Library(lib.namespace, tuple(new_theories), lib.morphisms, deps=lib.deps)
-    return out, ImportReport(tuple(entries))
+    return out, CheckReport(tuple(rows))

@@ -752,9 +752,8 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Per-declaration outcome of checking one theory or morphism."""
+    """Per-declaration rows of an import, a theory check or a morphism check."""
 
-    subject: Ident
     results: tuple[CheckResult, ...]
 
     @property
@@ -897,7 +896,7 @@ def check_theory(
     """
     scope = lib if isinstance(lib, Scope) else Scope(lib, th)
     if scope.row is not None:
-        return CheckReport(th, (scope.row,))
+        return CheckReport((scope.row,))
     results: list[CheckResult] = []
     lookup = scope if scope.index else scope.lib  # the same answers, one call fewer
     todo = scope.decls if only is None else tuple(only)
@@ -912,7 +911,7 @@ def check_theory(
             results.append(CheckResult(decl.name, False, f"{type(err).__name__}: {err}"))
         if decl.name in hidden:
             visible.add(decl.name)
-    return CheckReport(th, tuple(results))
+    return CheckReport(tuple(results))
 
 
 def check_library(lib: Library, config: Config = DEFAULT_CONFIG) -> list[CheckReport]:

@@ -126,10 +126,10 @@ def check_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG) -
     for c, term in m.assignments:
         d = domain.get(c)
         if d is None:
-            results.append(CheckResult(c, False, "not a source constant"))
+            results.append(CheckResult(c, False, "UnknownIdent: not a source constant"))
             continue
         if d.tp is None:
-            results.append(CheckResult(c, False, "assigned constant has no type"))
+            results.append(CheckResult(c, False, "NotTyped: assigned constant has no type"))
             continue
         try:
             expected = go(d.tp)
@@ -145,7 +145,7 @@ def check_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG) -
         results.append(
             CheckResult(c, False, f"UnassignedConstant: {c} has no assignment")
         )
-    return CheckReport(m.name, tuple(results))
+    return CheckReport(tuple(results))
 
 
 def install_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG) -> Theory:

@@ -477,7 +477,7 @@ def _parse_theory(elem: ET.Element, path: str, namespace: str, idents: dict[str,
     _no_text(elem, path)
     meta_theory = _ident(a["meta"], f"{path}.meta", idents) if "meta" in a else None
     includes = []
-    decls = []
+    decls: dict[Ident, Declaration] = {}
     for i, kid in enumerate(elem):
         kpath = f"{path}.{kid.tag}[{i}]"
         if kid.tag == "include":
@@ -486,7 +486,10 @@ def _parse_theory(elem: ET.Element, path: str, namespace: str, idents: dict[str,
             ka = _leaf(kid, kpath, ("from",))
             includes.append(_ident(ka["from"], f"{kpath}.from", idents))
         elif kid.tag == "constant":
-            decls.append(_parse_constant(kid, kpath, namespace, a["name"], idents))
+            d = _parse_constant(kid, kpath, namespace, a["name"], idents)
+            if d.name in decls:
+                raise SchemaViolation(f"{kpath}.name", f"duplicate declaration {d.name}")
+            decls[d.name] = d
         else:
             raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     try:
@@ -494,7 +497,7 @@ def _parse_theory(elem: ET.Element, path: str, namespace: str, idents: dict[str,
             theory_ident(namespace, a["name"]),
             meta_theory=meta_theory,
             includes=tuple(includes),
-            decls=tuple(decls),
+            decls=tuple(decls.values()),
         )
     except ValueError as err:
         raise SchemaViolation(path, str(err)) from None
@@ -535,20 +538,20 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
     _no_text(root, "omdoc")
     namespace = root.get("namespace")
     idents: dict[str, Ident] = {}
-    theories = []
+    theories: dict[Ident, Theory] = {}
     morphisms = []
     for i, kid in enumerate(root):
         kpath = f"omdoc.{kid.tag}[{i}]"
         if kid.tag == "theory":
             if morphisms:
                 raise SchemaViolation(kpath, "theories must precede morphisms")
-            theories.append(_parse_theory(kid, kpath, namespace, idents))
+            th = _parse_theory(kid, kpath, namespace, idents)
+            if th.name in theories:
+                raise SchemaViolation(f"{kpath}.name", f"duplicate theory {th.name}")
+            theories[th.name] = th
         elif kid.tag == "morphism":
             morphisms.append(_parse_morphism(kid, kpath, idents))
         else:
             raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     lib_deps = deps if deps is not None else (logic_library(),)
-    try:
-        return Library(namespace, tuple(theories), tuple(morphisms), deps=lib_deps)
-    except ValueError as err:
-        raise SchemaViolation("omdoc", str(err)) from None
+    return Library(namespace, tuple(theories.values()), tuple(morphisms), deps=lib_deps)

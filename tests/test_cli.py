@@ -159,8 +159,8 @@ def _omdoc_theories(*theories: tuple[str, tuple[str, ...]]) -> bytes:
 @pytest.mark.parametrize("command", [("check",), ("export-rdf", "--output", "out.nt")],
                          ids=["check", "export-rdf"])
 @pytest.mark.parametrize("theories, where", [
-    ((("t", ("c", "d", "c")),), "omdoc.theory[0]: duplicate declaration lib://x?t?c"),
-    ((("t", ("c",)), ("u", ()), ("t", ("bad",))), "omdoc: duplicate theory lib://x?t?t"),
+    ((("t", ("c", "d", "c")),), "omdoc.theory[0].constant[2].name: duplicate declaration lib://x?t?c"),
+    ((("t", ("c",)), ("u", ()), ("t", ("bad",))), "omdoc.theory[2].name: duplicate theory lib://x?t?t"),
 ], ids=["constant", "theory"])
 def test_a_repeated_name_is_exit_2_naming_it(tmp_path, capsys, monkeypatch, command, theories, where):
     doc = tmp_path / "twice.omdoc.xml"
@@ -254,6 +254,26 @@ def test_import_with_failures_keeps_good_decls_and_exits_1(tmp_path, capsys):
     assert any(row[0] == "failure" and "bad" in row[1] for row in rows)
     assert ("theory", "m", "declarations", "1", "checked", "1", "failed", "0",
             "omitted", "0", "dependsOn", "0", "term", "0") in rows
+
+
+@pytest.mark.parametrize("name, text, row", [
+    ("apply.toyset.xml",
+     '<export version="1"><theory name="t"><constant name="a"/>'
+     '<theorem name="x"><papp name="a"><const name="a"/></papp></theorem></theory></export>',
+     ("failure", "lib://toyset?t?x", "NotAFunction: cannot apply a term of type set")),
+    ("include.toyhol.json",
+     '{"version": "1", "theories": [{"name": "t", "decls": ['
+     '{"kind": "constant", "name": "c", "type": "bool"}]},'
+     '{"name": "u", "includes": ["nope"], "decls": []}]}',
+     ("failure", "lib://toyhol?u?u", "UnknownIdent: included theory nope")),
+], ids=["kernel", "include"])
+def test_import_and_check_print_the_same_failure_row(tmp_path, capsys, name, text, row):
+    doc = tmp_path / name
+    doc.write_text(text)
+    for command in ("import", "check"):
+        code, out, _ = run_cli(capsys, command, str(doc))
+        assert code == 1
+        assert [r for r in lines(out) if r[0] == "failure"] == [row]
 
 
 # ---------------------------------------------------------------------------

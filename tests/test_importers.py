@@ -372,7 +372,7 @@ def test_import_ill_typed_definition_reported_rest_kept():
         ],
     }
     lib, report = import_toyhol(parse_toyhol(json.dumps(raw).encode()))
-    assert [e.ok for e in report.entries] == [True, False, True]
+    assert [e.ok for e in report.results] == [True, False, True]
     assert sum(len(t.decls) for t in lib.theories) == 2
 
 
@@ -409,8 +409,30 @@ def test_import_unknown_include_fails_whole_theory():
         ],
     }
     lib, report = import_toyhol(parse_toyhol(json.dumps(raw).encode()))
-    assert [e.ok for e in report.entries] == [False, True]
+    assert [e.ok for e in report.results] == [False, True]
     assert [t.name.module for t in lib.theories] == ["u"]
+
+
+def test_import_later_include_wins():
+    def th(name, includes, *decls):
+        return {"name": name, "includes": includes, "decls": list(decls)}
+
+    def z():
+        return {"kind": "definition", "name": "z", "definiens": {"name": "x"}}
+
+    raw = {"version": "1", "theories": [
+        th("c", [], {"kind": "type", "name": "i"}, {"kind": "constant", "name": "x", "type": "i"}),
+        th("a", ["c"], {"kind": "type", "name": "j"}, {"kind": "constant", "name": "x", "type": "j"}),
+        th("b", ["c"]),
+        th("d", ["a", "b"], z()),
+        th("e", ["b", "a"], z()),
+    ]}
+    lib, report = import_toyhol(parse_toyhol(json.dumps(raw).encode()))
+    assert report.ok
+    for user, owner, base in (("d", "c", "i"), ("e", "a", "j")):
+        decl = lib.find_decl(Ident(TOYHOL_NS, user, "z"))
+        assert decl.definiens == Const(Ident(TOYHOL_NS, owner, "x"))
+        assert decl.tp == Apply(TM, Const(Ident(TOYHOL_NS, owner, base)))
 
 
 def test_import_cross_theory_reference():
@@ -698,10 +720,10 @@ def test_import_after_a_duplicate_name_keeps_the_full_check_verdicts(monkeypatch
         b'<constant name="t"/><constant name="after"/></theory></export>'
     )
     got = import_toyset(doc)
-    assert [(e.subject.split("?")[-1], e.ok) for e in got[1].entries] == [
+    assert [(e.subject.name, e.ok) for e in got[1].results] == [
         ("d/fn", True), ("d", False), ("t", True), ("after", True)
     ]
-    assert got[1].entries[1].message == (
+    assert got[1].results[1].message == (
         f"CheckError: duplicate declaration {Ident(TOYSET_NS, 't', 'd/fn')}"
     )
     assert all(r.ok for r in check_library(omdoc.parse(omdoc.serialize(got[0]))))
@@ -771,7 +793,7 @@ def test_recover_marker_example():
     out, report = recover_source_refs(lib, {"a.txt": "x\ny\nfoo := bar\n"})
     ref = out.theories[0].decls[0].meta.source_ref
     assert ref == SourceRef("a.txt", 3, 1, 3, 3)
-    assert report.entries == ()
+    assert report.results == ()
 
 
 def test_recover_colon_marker_and_offset():
@@ -805,7 +827,7 @@ def test_recover_miss_is_reported_not_fatal():
     lib = _plain_lib(["ghost"])
     out, report = recover_source_refs(lib, {"a.txt": "nothing here\n"})
     assert out.theories[0].decls[0].meta.source_ref is None
-    (entry,) = report.entries
+    (entry,) = report.results
     assert not entry.ok
 
 

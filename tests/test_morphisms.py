@@ -353,6 +353,31 @@ def test_check_morphism_reports_gap():
     assert "UnassignedConstant" in gap.message
 
 
+def test_check_morphism_names_an_assignment_outside_the_source():
+    stray = Morphism(
+        _i("morphs", "stray"),
+        theory_ident(NS, "monoid"),
+        theory_ident(NS, "integers"),
+        TO_INT.assignments + ((_i("integers", "neg"), NEG),),
+    )
+    assert [(r.subject, r.message) for r in check_morphism(ALGEBRA, stray).failures] == [
+        (_i("integers", "neg"), "UnknownIdent: not a source constant"),
+    ]
+
+
+def test_check_morphism_names_an_assigned_constant_without_a_type():
+    untyped = Declaration(_i("loose", "k"), definiens=E, meta=Metadata(kind="definition"))
+    lib = algebra_library(extra_theories=(Theory(
+        theory_ident(NS, "loose"), meta_theory=FOL_SOFT,
+        includes=(theory_ident(NS, "monoid"),), decls=(untyped,),
+    ),))
+    m = Morphism(_i("morphs", "loose"), theory_ident(NS, "loose"), TO_INT.target,
+                 TO_INT.assignments + ((untyped.name, ZERO),))
+    assert [(r.subject, r.message) for r in check_morphism(lib, m).failures] == [
+        (untyped.name, "NotTyped: assigned constant has no type"),
+    ]
+
+
 def test_theorem_statements_translate_and_check():
     from proofport.kernel import TypeKind
 
