@@ -38,17 +38,19 @@ from .errors import (
 # identifiers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ident:
     """Fully qualified name: namespace, module, local name.
 
     Rendered as ``namespace?module?name``; no component may be empty or
-    contain the separator.
+    contain the separator. The hash is computed once, at construction:
+    identifiers are the keys of every kernel index and memo.
     """
 
     namespace: str
     module: str
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for part in (self.namespace, self.module, self.name):
@@ -56,6 +58,10 @@ class Ident:
                 raise ValueError("identifier components must be nonempty")
             if "?" in part:
                 raise ValueError(f"identifier component contains '?': {part!r}")
+        object.__setattr__(self, "_hash", hash((self.namespace, self.module, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.namespace}?{self.module}?{self.name}"

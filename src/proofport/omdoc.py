@@ -3,10 +3,13 @@
 The vocabulary is a small frozen OMDoc-inspired dialect, not the full
 external schema: omdoc > theory > include | constant, with terms as
 OMS/OMV/OMA/OMBIND and morphisms as assignment lists. Serialization is
-a pure function of the library value: fixed attribute order, two-space
-indentation, newline-terminated lines, UTF-8. No structure sharing is
-attempted; each subterm is inlined, and the serialized element count
-stays linear in the term node count.
+a pure function of the library value: fixed attribute order,
+newline-terminated lines, UTF-8. Theory, declaration and metadata
+elements take one line each, indented two spaces per level; each term
+is written on its wrapper's line without whitespace, so its bytes grow
+with its size, not its depth. The reader accepts any whitespace between
+elements. No structure sharing is attempted; each subterm is inlined,
+and the serialized element count stays linear in the term node count.
 
 Variables carry their de Bruijn index plus the binder's name hint. The
 index alone is authoritative; the hint is for human readers.
@@ -106,147 +109,140 @@ _BINDER_NAMED = {name: (cls, fields, binds) for cls, (name, fields, binds) in _B
 # for a dependsOn ref, which may also name a morphism.
 
 
-def _term_lines(t: Term, ind: int, lines: list[str], hints: tuple[str, ...], refs: dict) -> None:
-    sp = "  " * ind
-    cls = type(t)
-    if cls is Apply:
-        spine: list[Term] = []
-        head: Term = t
-        while isinstance(head, Apply):
-            spine.append(head.arg)
-            head = head.fn
-        spine.append(head)
-        spine.reverse()
-        lines.append(f"{sp}<OMA>")
-        for part in spine:
-            _term_lines(part, ind + 1, lines, hints, refs)
-        lines.append(f"{sp}</OMA>")
-    elif cls is Const:
-        refs["constant", t.ident] = None
-        lines.append(f'{sp}<OMS name="{_a(str(t.ident))}"/>')
-    elif cls is Var:
-        i = t.index
-        if i < len(hints):
-            lines.append(f'{sp}<OMV index="{i}" hint="{_a(hints[-1 - i])}"/>')
+def _term(t: Term, refs: dict) -> str:
+    """The term as one string without whitespace. It is written from an
+    explicit stack of pending terms and closing tags, not by recursion,
+    so no term is too deep to write. A pending term carries its binder
+    depth; a binder's last child also carries the name it binds, which
+    it writes into `names`, the binder names in scope, when it starts."""
+    out: list[str] = []
+    names: list[str] = []
+    stack: list = [(t, 0, None)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, depth, bound = item
+        if bound is not None:
+            names[depth - 1 :] = [bound]
+        cls = type(t)
+        if cls is Apply:
+            out.append("<OMA>")
+            stack.append("</OMA>")
+            while isinstance(t, Apply):
+                stack.append((t.arg, depth, None))
+                t = t.fn
+            stack.append((t, depth, None))
+        elif cls is Const:
+            refs["constant", t.ident] = None
+            out.append(f'<OMS name="{_a(str(t.ident))}"/>')
+        elif cls is Var:
+            i = t.index
+            if i < depth:
+                out.append(f'<OMV index="{i}" hint="{_a(names[depth - 1 - i])}"/>')
+            else:
+                out.append(f'<OMV index="{i}"/>')
+        elif cls in _BINDERS:
+            binder, fields, binds = _BINDERS[cls]
+            if not fields:
+                out.append(f'<OMBIND binder="{binder}"/>')
+                continue
+            var = f' var="{_a(t.hint)}"' if binds else ""
+            out.append(f'<OMBIND binder="{binder}"{var}>')
+            stack.append("</OMBIND>")
+            last = getattr(t, fields[-1])
+            stack.append((last, depth + 1, t.hint) if binds else (last, depth, None))
+            for f in reversed(fields[:-1]):
+                stack.append((getattr(t, f), depth, None))
         else:
-            lines.append(f'{sp}<OMV index="{i}"/>')
-    elif cls in _BINDERS:
-        binder, fields, binds = _BINDERS[cls]
-        if not fields:
-            lines.append(f'{sp}<OMBIND binder="{binder}"/>')
-            return
-        var = f' var="{_a(t.hint)}"' if binds else ""
-        lines.append(f'{sp}<OMBIND binder="{binder}"{var}>')
-        for f in fields[:-1]:
-            _term_lines(getattr(t, f), ind + 1, lines, hints, refs)
-        last = getattr(t, fields[-1])
-        _term_lines(last, ind + 1, lines, hints + (t.hint,) if binds else hints, refs)
-        lines.append(f"{sp}</OMBIND>")
-    else:
-        raise AssertionError(f"unserializable term {t!r}")
+            raise AssertionError(f"unserializable term {t!r}")
+    return "".join(out)
 
 
-def _metadata_lines(meta: Metadata, ind: int, lines: list[str]) -> None:
+def _metadata_lines(meta: Metadata, lines: list[str]) -> None:
     has_body = meta.source_ref or meta.comments or meta.notation is not None
     if not has_body and meta.origin is None:
         return
-    sp = "  " * ind
     origin = f' origin="{_a(str(meta.origin))}"' if meta.origin is not None else ""
     if not has_body:
-        lines.append(f"{sp}<metadata{origin}/>")
+        lines.append(f"      <metadata{origin}/>")
         return
-    lines.append(f"{sp}<metadata{origin}>")
-    sp2 = "  " * (ind + 1)
+    lines.append(f"      <metadata{origin}>")
     if meta.source_ref is not None:
         r = meta.source_ref
         lines.append(
-            f'{sp2}<srcref file="{_a(r.file)}" sl="{r.start_line}" sc="{r.start_col}"'
+            f'        <srcref file="{_a(r.file)}" sl="{r.start_line}" sc="{r.start_col}"'
             f' el="{r.end_line}" ec="{r.end_col}"/>'
         )
     for c in meta.comments:
-        lines.append(f"{sp2}<comment/>" if c == "" else f"{sp2}<comment>{_t(c)}</comment>")
+        lines.append("        <comment/>" if c == "" else f"        <comment>{_t(c)}</comment>")
     if meta.notation is not None:
         n = meta.notation
         lines.append(
-            f"{sp2}<notation/>" if n == "" else f"{sp2}<notation>{_t(n)}</notation>"
+            "        <notation/>" if n == "" else f"        <notation>{_t(n)}</notation>"
         )
-    lines.append(f"{sp}</metadata>")
+    lines.append("      </metadata>")
 
 
-def _decl_lines(d: Declaration, ind: int, lines: list[str], refs: dict) -> None:
-    sp = "  " * ind
-    lines.append(f'{sp}<constant name="{_a(d.name.name)}" kind="{d.meta.kind}">')
-    sp2 = "  " * (ind + 1)
+def _decl_lines(d: Declaration, lines: list[str], refs: dict) -> None:
+    lines.append(f'    <constant name="{_a(d.name.name)}" kind="{d.meta.kind}">')
     if d.tp is not None:
-        lines.append(f"{sp2}<type>")
-        _term_lines(d.tp, ind + 2, lines, (), refs)
-        lines.append(f"{sp2}</type>")
+        lines.append(f"      <type>{_term(d.tp, refs)}</type>")
     if d.definiens is not None:
-        lines.append(f"{sp2}<definition>")
-        _term_lines(d.definiens, ind + 2, lines, (), refs)
-        lines.append(f"{sp2}</definition>")
+        lines.append(f"      <definition>{_term(d.definiens, refs)}</definition>")
     match d.proof:
         case Omitted():
-            lines.append(f'{sp2}<proof style="omitted"/>')
+            lines.append('      <proof style="omitted"/>')
         case DependsOn(ids):
             if ids:
-                lines.append(f'{sp2}<proof style="dependsOn">')
+                lines.append('      <proof style="dependsOn">')
                 for i in ids:
                     refs["ref", i] = None
-                    lines.append(f'{"  " * (ind + 2)}<ref name="{_a(str(i))}"/>')
-                lines.append(f"{sp2}</proof>")
+                    lines.append(f'        <ref name="{_a(str(i))}"/>')
+                lines.append("      </proof>")
             else:
-                lines.append(f'{sp2}<proof style="dependsOn"/>')
+                lines.append('      <proof style="dependsOn"/>')
         case ProofTerm(t):
-            lines.append(f'{sp2}<proof style="term">')
-            _term_lines(t, ind + 2, lines, (), refs)
-            lines.append(f"{sp2}</proof>")
-        case _:
-            pass
+            lines.append(f'      <proof style="term">{_term(t, refs)}</proof>')
     # origin is provenance, not a reference: it may name a pattern
     # instance that elaboration replaced with generated decls
-    _metadata_lines(d.meta, ind + 1, lines)
-    lines.append(f"{sp}</constant>")
+    _metadata_lines(d.meta, lines)
+    lines.append("    </constant>")
 
 
-def _theory_lines(th: Theory, ind: int, lines: list[str], refs: dict) -> None:
-    sp = "  " * ind
+def _theory_lines(th: Theory, lines: list[str], refs: dict) -> None:
     meta = ""
     if th.meta_theory is not None:
         refs["theory", th.meta_theory] = None
         meta = f' meta="{_a(str(th.meta_theory))}"'
-    head = f'{sp}<theory name="{_a(th.name.name)}"{meta}'
+    head = f'  <theory name="{_a(th.name.name)}"{meta}'
     if not th.includes and not th.decls:
         lines.append(head + "/>")
         return
     lines.append(head + ">")
-    sp2 = "  " * (ind + 1)
     for inc in th.includes:
         refs["theory", inc] = None
-        lines.append(f'{sp2}<include from="{_a(str(inc))}"/>')
+        lines.append(f'    <include from="{_a(str(inc))}"/>')
     for d in th.decls:
-        _decl_lines(d, ind + 1, lines, refs)
-    lines.append(f"{sp}</theory>")
+        _decl_lines(d, lines, refs)
+    lines.append("  </theory>")
 
 
-def _morphism_lines(m: Morphism, ind: int, lines: list[str], refs: dict) -> None:
-    sp = "  " * ind
+def _morphism_lines(m: Morphism, lines: list[str], refs: dict) -> None:
     refs["theory", m.source] = refs["theory", m.target] = None
     head = (
-        f'{sp}<morphism name="{_a(str(m.name))}" from="{_a(str(m.source))}"'
+        f'  <morphism name="{_a(str(m.name))}" from="{_a(str(m.source))}"'
         f' to="{_a(str(m.target))}"'
     )
     if not m.assignments:
         lines.append(head + "/>")
         return
     lines.append(head + ">")
-    sp2 = "  " * (ind + 1)
     for c, t in m.assignments:
         refs["constant", c] = None
-        lines.append(f'{sp2}<assignment name="{_a(str(c))}">')
-        _term_lines(t, ind + 2, lines, (), refs)
-        lines.append(f"{sp2}</assignment>")
-    lines.append(f"{sp}</morphism>")
+        lines.append(f'    <assignment name="{_a(str(c))}">{_term(t, refs)}</assignment>')
+    lines.append("  </morphism>")
 
 
 def serialize(lib: Library) -> bytes:
@@ -261,9 +257,9 @@ def serialize(lib: Library) -> bytes:
     else:
         lines.append(f"<omdoc {attrs}>")
         for th in lib.theories:
-            _theory_lines(th, 1, lines, refs)
+            _theory_lines(th, lines, refs)
         for m in lib.morphisms:
-            _morphism_lines(m, 1, lines, refs)
+            _morphism_lines(m, lines, refs)
         lines.append("</omdoc>")
     for kind, i in refs:
         if kind == "theory":

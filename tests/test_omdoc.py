@@ -1,6 +1,7 @@
 """XML interchange: deterministic output, strict parsing, round-trips."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,16 @@ def test_shadowed_hints_use_the_innermost_binder():
     assert '<OMV index="1" hint="x"/>' in text
 
 
+def test_a_binder_in_a_domain_does_not_hint_the_body():
+    t = Lambda("outer", Pi("inner", TypeKind(), Var(0)), Var(0))
+    text = omdoc.serialize(_lib(_decl("d", tp=t))).decode()
+    assert (
+        '<type><OMBIND binder="lambda" var="outer"><OMBIND binder="pi" var="inner">'
+        '<OMBIND binder="type"/><OMV index="0" hint="inner"/></OMBIND>'
+        '<OMV index="0" hint="outer"/></OMBIND></type>'
+    ) in text
+
+
 def test_every_term_constructor_round_trips():
     k = Const(hol_ident("bool'"))
     t = Lambda(
@@ -201,6 +212,34 @@ def test_broken_dep_fixture_parses_but_does_not_reserialize():
         omdoc.serialize(lib)
 
 
+# fixtures/broken-dep.omdoc.xml as the writer lays it out now: each term
+# on its wrapper's line
+BROKEN_DEP_COMPACT = (
+    b'<omdoc version="1" namespace="lib://frag">\n'
+    b'  <theory name="frag" meta="lib://logics?holChurch?holChurch">\n'
+    b'    <constant name="c" kind="constant">\n'
+    b'      <type><OMA><OMS name="lib://logics?holChurch?tm"/>'
+    b'<OMS name="lib://logics?holChurch?bool\'"/></OMA></type>\n'
+    b"    </constant>\n"
+    b'    <constant name="t" kind="theorem">\n'
+    b'      <type><OMA><OMS name="lib://logics?holChurch?ded"/><OMA>'
+    b'<OMS name="lib://logics?holChurch?eq"/><OMS name="lib://logics?holChurch?bool\'"/>'
+    b'<OMS name="lib://frag?frag?c"/><OMS name="lib://frag?frag?c"/></OMA></OMA></type>\n'
+    b'      <proof style="dependsOn">\n'
+    b'        <ref name="lib://frag?frag?ghost"/>\n'
+    b"      </proof>\n"
+    b"    </constant>\n"
+    b"  </theory>\n"
+    b"</omdoc>\n"
+)
+
+
+def test_an_old_layout_document_reads_as_its_compact_rewrite():
+    old = (FIXTURES / "broken-dep.omdoc.xml").read_bytes()
+    assert old != BROKEN_DEP_COMPACT
+    assert omdoc.parse(old) == omdoc.parse(BROKEN_DEP_COMPACT)
+
+
 # ---------------------------------------------------------------------------
 # generated round-trips
 
@@ -249,6 +288,51 @@ def test_serialized_size_is_linear_in_term_nodes():
         assert term_elements <= _library_term_nodes(lib)
 
 
+TERM_LINE = re.compile(
+    rb' *<(?:type|definition|proof style="term"|assignment name="[^"]*")>(<OM.*)'
+    rb"</(?:type|definition|proof|assignment)>"
+)
+
+
+def test_each_term_sits_on_its_wrapper_line_without_whitespace():
+    for seed in range(30):
+        data = omdoc.serialize(generators.gen_library(random.Random(seed)))
+        for line in data.split(b"\n"):
+            if b"<OM" in line:
+                m = TERM_LINE.fullmatch(line)
+                assert m, line
+                assert not re.search(rb">\s+<", m[1]), line
+
+
+def _applications(n):
+    tm, t = Const(hol_ident("tm")), Const(hol_ident("bool'"))
+    for _ in range(n):
+        t = Apply(tm, t)
+    return t
+
+
+def _lambdas(n):
+    # the innermost variable is bound by the outermost binder
+    kind, t = TypeKind(), Var(n - 1)
+    for _ in range(n - 1):
+        t = Lambda("x", kind, t)
+    return Lambda("top", kind, t)
+
+
+@pytest.mark.parametrize("nest", [_applications, _lambdas])
+@pytest.mark.parametrize("depth", [1_200, 100_000])
+def test_deep_terms_serialize_in_bytes_linear_in_depth(depth, nest):
+    def size(n):
+        return len(omdoc.serialize(_lib(_decl("deep", tp=nest(n)))))
+
+    assert size(2 * depth) <= 2 * size(depth) * 1.01
+
+
+def test_a_variable_under_deep_binders_is_hinted_with_its_binder_name():
+    data = omdoc.serialize(_lib(_decl("deep", tp=_lambdas(100_000))))
+    assert b'<OMV index="99999" hint="top"/>' in data
+
+
 def test_parsing_is_deterministic():
     data = omdoc.serialize(generators.gen_library(random.Random(11)))
     assert omdoc.parse(data) == omdoc.parse(data)
@@ -271,10 +355,23 @@ MINIMAL = (
 )
 
 
+# MINIMAL as the writer lays it out: each term on its wrapper's line
+MINIMAL_COMPACT = (
+    b'<omdoc version="1" namespace="lib://tiny">\n'
+    b'  <theory name="t">\n'
+    b'    <constant name="a" kind="type">\n'
+    b'      <type><OMBIND binder="type"/></type>\n'
+    b"    </constant>\n"
+    b"  </theory>\n"
+    b"</omdoc>\n"
+)
+
+
 def test_minimal_handwritten_document_parses():
     lib = omdoc.parse(MINIMAL)
     assert lib.theories[0].decls[0].tp == TypeKind()
-    assert omdoc.serialize(lib) == MINIMAL
+    assert omdoc.serialize(lib) == MINIMAL_COMPACT
+    assert omdoc.serialize(omdoc.parse(MINIMAL_COMPACT)) == MINIMAL_COMPACT
 
 
 def expect_schema(data, fragment):
