@@ -147,6 +147,8 @@ def read_xml(data: bytes, tag: str, attrs: tuple[str, ...], version: str) -> ET.
         raise Malformed(str(err)) from err
     except ET.ParseError as err:
         raise Malformed(str(err), err.position[0] if err.position else None) from err
+    except OverflowError as err:  # the parser's size limits
+        raise Malformed(str(err)) from err
     if root.tag != tag:
         raise SchemaViolation(root.tag, f"root element must be <{tag}>")
     check_version(check_keys(root.attrib, tag, attrs)["version"], version)

@@ -10,6 +10,8 @@ is written on its wrapper's line without whitespace, so its bytes grow
 with its size, not its depth. The reader accepts any whitespace between
 elements. No structure sharing is attempted; each subterm is inlined,
 and the serialized element count stays linear in the term node count.
+The writer and the reader each walk a term with an explicit stack, not
+by recursion, so both take terms of any depth.
 
 Variables carry their de Bruijn index plus the binder's name hint. The
 index alone is authoritative; the hint is for human readers.
@@ -22,8 +24,10 @@ resolve. The reader resolves nothing; checking does.
 
 from __future__ import annotations
 
+import gc
 import xml.etree.ElementTree as ET
-from typing import Mapping, Optional
+from contextlib import contextmanager
+from typing import Iterator, Mapping, Optional
 
 from .encodings import logic_library
 from .errors import DanglingIdent, SchemaViolation, check_keys, read_xml
@@ -274,12 +278,21 @@ def serialize(lib: Library) -> bytes:
 # parsing
 
 
-def _no_text(elem: ET.Element, path: str) -> None:
-    if elem.text is not None and elem.text.strip():
-        raise SchemaViolation(path, "unexpected text content")
+def _stray_text(elem: ET.Element) -> bool:
+    """Whether `elem` holds non-whitespace text, its own or a child's tail."""
+    text = elem.text
+    if text and not text.isspace():
+        return True
     for kid in elem:
-        if kid.tail is not None and kid.tail.strip():
-            raise SchemaViolation(path, "unexpected text content")
+        text = kid.tail
+        if text and not text.isspace():
+            return True
+    return False
+
+
+def _no_text(elem: ET.Element, path: str) -> None:
+    if _stray_text(elem):
+        raise SchemaViolation(path, "unexpected text content")
 
 
 def _leaf(elem: ET.Element, path: str, required: tuple[str, ...]) -> Mapping[str, str]:
@@ -290,16 +303,17 @@ def _leaf(elem: ET.Element, path: str, required: tuple[str, ...]) -> Mapping[str
     return elem.attrib
 
 
-def _ident(text: str, path: str, idents: dict[str, Ident]) -> Ident:
-    """The identifier `text` names; `idents` holds those already read from
-    the same document, so each distinct text is validated once."""
-    ident = idents.get(text)
-    if ident is None:
+def _ident(text: str, path: str, consts: dict[str, Const]) -> Ident:
+    """The identifier `text` names. `consts` holds the constants already
+    read from the same document, by text, so each distinct text is
+    validated once and each OMS of it shares one Const."""
+    c = consts.get(text)
+    if c is None:
         try:
-            ident = idents[text] = Ident.parse(text)
+            c = consts[text] = Const(Ident.parse(text))
         except ValueError as err:
             raise SchemaViolation(path, str(err)) from None
-    return ident
+    return c.ident
 
 
 def _int_attr(value: str, path: str) -> int:
@@ -309,62 +323,121 @@ def _int_attr(value: str, path: str) -> int:
         raise SchemaViolation(path, "expected an integer") from None
 
 
-def _parse_term(elem: ET.Element, path: str, idents: dict[str, Ident]) -> Term:
-    tag = elem.tag
-    kids = list(elem)
-    if tag == "OMS":
-        a = check_keys(elem.attrib, path, ("name",))
-        _no_text(elem, path)
-        if kids:
-            raise SchemaViolation(path, "OMS takes no children")
-        return Const(_ident(a["name"], f"{path}.name", idents))
-    if tag == "OMV":
-        a = check_keys(elem.attrib, path, ("index",), ("hint",))
-        _no_text(elem, path)
-        if kids:
-            raise SchemaViolation(path, "OMV takes no children")
-        index = _int_attr(a["index"], f"{path}.index")
-        if index < 0:
-            raise SchemaViolation(f"{path}.index", "negative index")
-        return Var(index)
-    if tag == "OMA":
-        check_keys(elem.attrib, path, ())
-        _no_text(elem, path)
-        if len(kids) < 2:
-            raise SchemaViolation(path, "OMA needs a head and at least one argument")
-        parts = [
-            _parse_term(k, f"{path}.{k.tag}[{i}]", idents) for i, k in enumerate(kids)
-        ]
-        t = parts[0]
-        for arg in parts[1:]:
-            t = Apply(t, arg)
-        return t
-    if tag == "OMBIND":
-        a = check_keys(elem.attrib, path, ("binder",), ("var",))
-        _no_text(elem, path)
-        binder = a["binder"]
-        parts = [_parse_term(k, f"{path}.{k.tag}[{i}]", idents) for i, k in enumerate(kids)]
-        cls, fields, binds = _BINDER_NAMED.get(binder, (None, (), False))
-        if "var" in a and not binds:
-            raise SchemaViolation(f"{path}.var", f"binder {binder} takes no variable")
-        if cls is None:
-            raise SchemaViolation(f"{path}.binder", f"unknown binder {binder!r}")
-        if len(parts) != len(fields):
-            raise SchemaViolation(path, f"binder {binder} takes {len(fields)} children")
-        return cls(a.get("var", "_"), *parts) if binds else cls(*parts)
-    raise SchemaViolation(path, f"unknown element <{tag}>")
+def _path(path: str, frames: list, elem: ET.Element) -> str:
+    """The path of `elem`, the child being read of the last of `frames`.
+    The first frame is the term's wrapper, at `path`; each later frame's
+    element is the child being read of the frame before it, and a
+    frame's next child index is the number of parts it has built."""
+    elems = [f[0] for f in frames[1:]] + [elem]
+    steps = [path, ".", elems[0].tag]
+    for (_, _, built), kid in zip(frames[1:], elems[1:]):
+        steps.append(f".{kid.tag}[{len(built)}]")
+    return "".join(steps)
 
 
-def _one_term_child(elem: ET.Element, path: str, idents: dict[str, Ident]) -> Term:
-    kids = list(elem)
-    if len(kids) != 1:
+def _leaf_content(elem: ET.Element, path: str) -> SchemaViolation:
+    """The error for an OMS or OMV that holds text or children."""
+    if _stray_text(elem):
+        return SchemaViolation(path, "unexpected text content")
+    return SchemaViolation(path, f"{elem.tag} takes no children")
+
+
+def _parse_term(wrapper: ET.Element, path: str, consts: dict[str, Const]) -> Term:
+    """The one term inside `wrapper`, the element at `path`.
+
+    The term is read from an explicit stack of frames, not by recursion,
+    so no term is too deep to read. A frame holds an element, an
+    iterator over its children, and the parts built from the children
+    read so far. Each element is checked in the order its messages
+    rank: attributes, text, children (OMS, OMV and OMA), and, once an
+    OMBIND's children are built, its variable, binder name and arity.
+    A path is formatted only for an error.
+    """
+    if len(wrapper) != 1:
         raise SchemaViolation(path, "expected exactly one term")
-    return _parse_term(kids[0], f"{path}.{kids[0].tag}", idents)
+    elem, kids, parts = wrapper, iter(wrapper), []
+    stack = [(elem, kids, parts)]
+    while True:
+        for kid in kids:
+            tag = kid.tag
+            a = kid.attrib
+            if tag == "OMS":
+                name = a.get("name")
+                if name is None or len(a) != 1:
+                    check_keys(a, _path(path, stack, kid), ("name",))
+                if len(kid) or (text := kid.text) and not text.isspace():
+                    raise _leaf_content(kid, _path(path, stack, kid))
+                c = consts.get(name)
+                if c is None:
+                    try:
+                        c = consts[name] = Const(Ident.parse(name))
+                    except ValueError as err:
+                        raise SchemaViolation(f"{_path(path, stack, kid)}.name", str(err)) from None
+                parts.append(c)
+            elif tag == "OMV":
+                index = a.get("index")
+                if index is None or len(a) != 1 and (len(a) != 2 or "hint" not in a):
+                    check_keys(a, _path(path, stack, kid), ("index",), ("hint",))
+                if len(kid) or (text := kid.text) and not text.isspace():
+                    raise _leaf_content(kid, _path(path, stack, kid))
+                try:
+                    index = int(index)
+                except ValueError:
+                    raise SchemaViolation(
+                        f"{_path(path, stack, kid)}.index", "expected an integer"
+                    ) from None
+                if index < 0:
+                    raise SchemaViolation(f"{_path(path, stack, kid)}.index", "negative index")
+                parts.append(Var(index))
+            elif tag == "OMA" or tag == "OMBIND":
+                if tag == "OMA":
+                    if a:
+                        check_keys(a, _path(path, stack, kid), ())
+                elif "binder" not in a or len(a) != 1 and (len(a) != 2 or "var" not in a):
+                    check_keys(a, _path(path, stack, kid), ("binder",), ("var",))
+                if _stray_text(kid):
+                    raise SchemaViolation(_path(path, stack, kid), "unexpected text content")
+                if tag == "OMA" and len(kid) < 2:
+                    raise SchemaViolation(
+                        _path(path, stack, kid), "OMA needs a head and at least one argument"
+                    )
+                elem, kids, parts = kid, iter(kid), []
+                stack.append((elem, kids, parts))
+                break
+            else:
+                raise SchemaViolation(_path(path, stack, kid), f"unknown element <{tag}>")
+        else:
+            if elem is wrapper:
+                return parts[0]
+            stack.pop()
+            if elem.tag == "OMA":
+                t = parts[0]
+                for i in range(1, len(parts)):
+                    t = Apply(t, parts[i])
+            else:
+                a = elem.attrib
+                binder = a["binder"]
+                cls, fields, binds = _BINDER_NAMED.get(binder, (None, (), False))
+                if "var" in a and not binds:
+                    raise SchemaViolation(
+                        f"{_path(path, stack, elem)}.var", f"binder {binder} takes no variable"
+                    )
+                if cls is None:
+                    raise SchemaViolation(
+                        f"{_path(path, stack, elem)}.binder", f"unknown binder {binder!r}"
+                    )
+                if len(parts) != len(fields):
+                    raise SchemaViolation(
+                        _path(path, stack, elem), f"binder {binder} takes {len(fields)} children"
+                    )
+                t = cls(a.get("var", "_"), *parts) if binds else cls(*parts)
+            elem, kids, parts = stack[-1]
+            parts.append(t)
 
 
-def _parse_metadata(elem: ET.Element, path: str, idents: dict[str, Ident]):
+def _parse_metadata(elem: ET.Element, path: str, consts: dict[str, Const]):
     a = check_keys(elem.attrib, path, (), ("origin",))
-    origin = _ident(a["origin"], f"{path}.origin", idents) if "origin" in a else None
+    origin = _ident(a["origin"], f"{path}.origin", consts) if "origin" in a else None
     source_ref = None
     comments: list[str] = []
     notation = None
@@ -397,7 +470,7 @@ def _parse_metadata(elem: ET.Element, path: str, idents: dict[str, Ident]):
     return origin, source_ref, tuple(comments), notation
 
 
-def _parse_proof(elem: ET.Element, path: str, idents: dict[str, Ident]) -> Proof:
+def _parse_proof(elem: ET.Element, path: str, consts: dict[str, Const]) -> Proof:
     a = check_keys(elem.attrib, path, ("style",))
     _no_text(elem, path)
     style = a["style"]
@@ -413,18 +486,18 @@ def _parse_proof(elem: ET.Element, path: str, idents: dict[str, Ident]) -> Proof
             if kid.tag != "ref":
                 raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
             ka = _leaf(kid, kpath, ("name",))
-            ids.append(_ident(ka["name"], f"{kpath}.name", idents))
+            ids.append(_ident(ka["name"], f"{kpath}.name", consts))
         try:
             return DependsOn(tuple(ids))
         except ValueError as err:
             raise SchemaViolation(path, str(err)) from None
     if style == "term":
-        return ProofTerm(_one_term_child(elem, path, idents))
+        return ProofTerm(_parse_term(elem, path, consts))
     raise SchemaViolation(f"{path}.style", f"unknown proof style {style!r}")
 
 
 def _parse_constant(
-    elem: ET.Element, path: str, namespace: str, module: str, idents: dict[str, Ident]
+    elem: ET.Element, path: str, namespace: str, module: str, consts: dict[str, Const]
 ) -> Declaration:
     a = check_keys(elem.attrib, path, ("name", "kind"))
     _no_text(elem, path)
@@ -442,16 +515,16 @@ def _parse_constant(
         if kid.tag == "type":
             check_keys(kid.attrib, kpath, ())
             _no_text(kid, kpath)
-            tp = _one_term_child(kid, kpath, idents)
+            tp = _parse_term(kid, kpath, consts)
         elif kid.tag == "definition":
             check_keys(kid.attrib, kpath, ())
             _no_text(kid, kpath)
-            definiens = _one_term_child(kid, kpath, idents)
+            definiens = _parse_term(kid, kpath, consts)
         elif kid.tag == "proof":
-            proof = _parse_proof(kid, kpath, idents)
+            proof = _parse_proof(kid, kpath, consts)
         elif kid.tag == "metadata":
             _no_text(kid, kpath)
-            origin, source_ref, comments, notation = _parse_metadata(kid, kpath, idents)
+            origin, source_ref, comments, notation = _parse_metadata(kid, kpath, consts)
         else:
             raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     try:
@@ -468,10 +541,10 @@ def _parse_constant(
         raise SchemaViolation(path, str(err)) from None
 
 
-def _parse_theory(elem: ET.Element, path: str, namespace: str, idents: dict[str, Ident]) -> Theory:
+def _parse_theory(elem: ET.Element, path: str, namespace: str, consts: dict[str, Const]) -> Theory:
     a = check_keys(elem.attrib, path, ("name",), ("meta",))
     _no_text(elem, path)
-    meta_theory = _ident(a["meta"], f"{path}.meta", idents) if "meta" in a else None
+    meta_theory = _ident(a["meta"], f"{path}.meta", consts) if "meta" in a else None
     includes = []
     decls: dict[Ident, Declaration] = {}
     for i, kid in enumerate(elem):
@@ -480,9 +553,9 @@ def _parse_theory(elem: ET.Element, path: str, namespace: str, idents: dict[str,
             if decls:
                 raise SchemaViolation(kpath, "includes must precede constants")
             ka = _leaf(kid, kpath, ("from",))
-            includes.append(_ident(ka["from"], f"{kpath}.from", idents))
+            includes.append(_ident(ka["from"], f"{kpath}.from", consts))
         elif kid.tag == "constant":
-            d = _parse_constant(kid, kpath, namespace, a["name"], idents)
+            d = _parse_constant(kid, kpath, namespace, a["name"], consts)
             if d.name in decls:
                 raise SchemaViolation(f"{kpath}.name", f"duplicate declaration {d.name}")
             decls[d.name] = d
@@ -499,7 +572,7 @@ def _parse_theory(elem: ET.Element, path: str, namespace: str, idents: dict[str,
         raise SchemaViolation(path, str(err)) from None
 
 
-def _parse_morphism(elem: ET.Element, path: str, idents: dict[str, Ident]) -> Morphism:
+def _parse_morphism(elem: ET.Element, path: str, consts: dict[str, Const]) -> Morphism:
     a = check_keys(elem.attrib, path, ("name", "from", "to"))
     _no_text(elem, path)
     assignments = []
@@ -510,19 +583,34 @@ def _parse_morphism(elem: ET.Element, path: str, idents: dict[str, Ident]) -> Mo
         ka = check_keys(kid.attrib, kpath, ("name",))
         _no_text(kid, kpath)
         assignments.append(
-            (_ident(ka["name"], f"{kpath}.name", idents), _one_term_child(kid, kpath, idents))
+            (_ident(ka["name"], f"{kpath}.name", consts), _parse_term(kid, kpath, consts))
         )
     try:
         return Morphism(
-            _ident(a["name"], f"{path}.name", idents),
-            _ident(a["from"], f"{path}.from", idents),
-            _ident(a["to"], f"{path}.to", idents),
+            _ident(a["name"], f"{path}.name", consts),
+            _ident(a["from"], f"{path}.from", consts),
+            _ident(a["to"], f"{path}.to", consts),
             tuple(assignments),
         )
     except ValueError as err:
         raise SchemaViolation(path, str(err)) from None
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore the caller's
+    setting. The reader builds many small objects and no garbage cycles,
+    so while it runs the collector would only rescan the growing heap."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
     """Inverse of serialize, strict about the vocabulary.
 
@@ -533,7 +621,7 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
     root = read_xml(data, "omdoc", ("version", "namespace"), OMDOC_VERSION)
     _no_text(root, "omdoc")
     namespace = root.get("namespace")
-    idents: dict[str, Ident] = {}
+    consts: dict[str, Const] = {}
     theories: dict[Ident, Theory] = {}
     morphisms = []
     for i, kid in enumerate(root):
@@ -541,12 +629,12 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
         if kid.tag == "theory":
             if morphisms:
                 raise SchemaViolation(kpath, "theories must precede morphisms")
-            th = _parse_theory(kid, kpath, namespace, idents)
+            th = _parse_theory(kid, kpath, namespace, consts)
             if th.name in theories:
                 raise SchemaViolation(f"{kpath}.name", f"duplicate theory {th.name}")
             theories[th.name] = th
         elif kid.tag == "morphism":
-            morphisms.append(_parse_morphism(kid, kpath, idents))
+            morphisms.append(_parse_morphism(kid, kpath, consts))
         else:
             raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     lib_deps = deps if deps is not None else (logic_library(),)

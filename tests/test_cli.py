@@ -9,7 +9,7 @@ import pytest
 
 from test_morphisms import DED, E, EQ, OP, SET, TO_INT, _extension, _i, algebra_library
 
-from proofport import omdoc
+from proofport import errors, omdoc
 from proofport.cli import main, parse_cli
 from proofport.encodings import HOL_CHURCH, hol_ident, logic_library
 from proofport.importers import import_toyhol, parse_toyhol
@@ -128,6 +128,22 @@ def test_malformed_input_is_exit_2(tmp_path, capsys):
     doc = tmp_path / "junk.toyhol.json"
     doc.write_text("{not json")
     assert run_cli(capsys, "check", str(doc))[0] == 2
+
+
+@pytest.mark.parametrize("name", ["lib.omdoc.xml", "lib.toyset.xml"])
+def test_an_xml_parser_overflow_is_malformed_exit_2(tmp_path, capsys, monkeypatch, name):
+    # what the XML parser raises on a document past its size limits
+    def overflow(text):
+        raise OverflowError("size does not fit in an int")
+
+    monkeypatch.setattr(errors.ET, "fromstring", overflow)
+    with pytest.raises(errors.Malformed):
+        errors.read_xml(b"<omdoc/>", "omdoc", (), "1")
+    doc = tmp_path / name
+    doc.write_text("<export/>")
+    code, _, err = run_cli(capsys, "check", str(doc))
+    assert code == 2
+    assert "size does not fit in an int" in err
 
 
 def test_unsupported_version_is_exit_2(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """XML interchange: deterministic output, strict parsing, round-trips."""
 
+import collections
+import copy
+import gc
 import random
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ from proofport import omdoc
 from proofport.encodings import hol_ident, logic_library
 from proofport.errors import (
     DanglingIdent,
+    FormatError,
     Malformed,
     SchemaViolation,
     UnsupportedVersion,
@@ -333,6 +338,38 @@ def test_a_variable_under_deep_binders_is_hinted_with_its_binder_name():
     assert b'<OMV index="99999" hint="top"/>' in data
 
 
+@pytest.mark.parametrize("nest", [_applications, _lambdas])
+def test_deep_terms_parse_and_reserialize_bytewise(nest):
+    # bytes, not terms: dataclass == recurses along the term
+    data = omdoc.serialize(_lib(_decl("deep", tp=nest(100_000))))
+    assert omdoc.serialize(omdoc.parse(data)) == data
+
+
+def _old_layout_applications(n):
+    """The document of _applications(n) with one term element per line,
+    indented two spaces per level, as the writer laid terms out before."""
+    tm, bool_ = (omdoc._a(str(hol_ident(name))) for name in ("tm", "bool'"))
+    lines = [
+        f'<omdoc version="1" namespace="{NS}">',
+        '  <theory name="t">',
+        '    <constant name="deep" kind="constant">',
+        "      <type>",
+    ]
+    for k in range(n):
+        indent = " " * (8 + 2 * k)
+        lines += [f"{indent}<OMA>", f'{indent}  <OMS name="{tm}"/>']
+    lines.append(" " * (8 + 2 * n) + f'<OMS name="{bool_}"/>')
+    lines += [" " * (8 + 2 * k) + "</OMA>" for k in reversed(range(n))]
+    lines += ["      </type>", "    </constant>", "  </theory>", "</omdoc>", ""]
+    return "\n".join(lines).encode()
+
+
+def test_a_deep_old_layout_term_parses():
+    data = _old_layout_applications(2_000)
+    expected = omdoc.serialize(_lib(_decl("deep", tp=_applications(2_000))))
+    assert omdoc.serialize(omdoc.parse(data)) == expected
+
+
 def test_parsing_is_deterministic():
     data = omdoc.serialize(generators.gen_library(random.Random(11)))
     assert omdoc.parse(data) == omdoc.parse(data)
@@ -470,6 +507,94 @@ def test_malformed_ombind_messages(term, message):
     assert str(err.value) == message
 
 
+OMS_A = b'<OMS name="lib://tiny?t?a"/>'
+TYPE_PATH = "omdoc.theory[0].constant[0].type"
+# each malformed term below sits two levels deep, as the second child of
+# a lambda that is itself the second child of an application
+NESTED_PATH = f"{TYPE_PATH}.OMA.OMBIND[1]"
+
+
+def _nested(term):
+    lam = b'<OMBIND binder="lambda" var="v">' + OMS_A + term + b"</OMBIND>"
+    return b"<OMA>" + OMS_A + lam + b"</OMA>"
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        # unknown elements, before any check of their own
+        (_nested(b"<OMX/>"), f"{NESTED_PATH}.OMX[1]: unknown element <OMX>"),
+        (_nested(b'<foo colour="red">stray' + OMS_A + b"</foo>"),
+         f"{NESTED_PATH}.foo[1]: unknown element <foo>"),
+        # stray text: an element's own text, a child's tail, and a tail
+        # charged to the enclosing element before any of its children
+        (_nested(b"<OMA>stray" + OMS_A + OMS_A + b"</OMA>"),
+         f"{NESTED_PATH}.OMA[1]: unexpected text content"),
+        (_nested(b"<OMA>" + OMS_A + b"stray" + OMS_A + b"</OMA>"),
+         f"{NESTED_PATH}.OMA[1]: unexpected text content"),
+        (_nested(b'<OMS name="lib://tiny?t?a">stray</OMS>'),
+         f"{NESTED_PATH}.OMS[1]: unexpected text content"),
+        (_nested(OMS_A + b"stray"), f"{NESTED_PATH}: unexpected text content"),
+        (_nested(b"<OMA><OMX/>" + OMS_A + b"stray</OMA>"),
+         f"{NESTED_PATH}.OMA[1]: unexpected text content"),
+        (_nested(b'<OMBIND binder="exists">stray<OMX/></OMBIND>'),
+         f"{NESTED_PATH}.OMBIND[1]: unexpected text content"),
+        # OMS
+        (_nested(b'<OMS name="lib://tiny?t?a"><OMV index="0"/></OMS>'),
+         f"{NESTED_PATH}.OMS[1]: OMS takes no children"),
+        (_nested(b"<OMS/>"), f"{NESTED_PATH}.OMS[1].name: missing attribute"),
+        (_nested(b'<OMS name="lib://tiny?t?a" colour="red"/>'),
+         f"{NESTED_PATH}.OMS[1].colour: unknown attribute"),
+        (_nested(b'<OMS colour="red">stray<OMV index="0"/></OMS>'),
+         f"{NESTED_PATH}.OMS[1].colour: unknown attribute"),
+        (_nested(b'<OMS name="no-separators"/>'),
+         f"{NESTED_PATH}.OMS[1].name: not an identifier: 'no-separators'"),
+        (_nested(b'<OMS name="a??b"/>'),
+         f"{NESTED_PATH}.OMS[1].name: identifier components must be nonempty"),
+        # OMV
+        (_nested(b'<OMV index="zero"/>'), f"{NESTED_PATH}.OMV[1].index: expected an integer"),
+        (_nested(b'<OMV index="-1"/>'), f"{NESTED_PATH}.OMV[1].index: negative index"),
+        (_nested(b'<OMV index="0" colour="red"/>'),
+         f"{NESTED_PATH}.OMV[1].colour: unknown attribute"),
+        (_nested(b'<OMV hint="h"/>'), f"{NESTED_PATH}.OMV[1].index: missing attribute"),
+        (_nested(b'<OMV index="0"><OMV index="0"/></OMV>'),
+         f"{NESTED_PATH}.OMV[1]: OMV takes no children"),
+        (_nested(b'<OMV index="zero">stray</OMV>'),
+         f"{NESTED_PATH}.OMV[1]: unexpected text content"),
+        # OMA
+        (_nested(b'<OMA colour="red">' + OMS_A + OMS_A + b"</OMA>"),
+         f"{NESTED_PATH}.OMA[1].colour: unknown attribute"),
+        (_nested(b"<OMA>" + OMS_A + b"</OMA>"),
+         f"{NESTED_PATH}.OMA[1]: OMA needs a head and at least one argument"),
+        (_nested(b"<OMA/>"), f"{NESTED_PATH}.OMA[1]: OMA needs a head and at least one argument"),
+        (_nested(b"<OMA>" + OMS_A + b"<OMA><OMS/>" + OMS_A + b"</OMA></OMA>"),
+         f"{NESTED_PATH}.OMA[1].OMA[1].OMS[0].name: missing attribute"),
+        # the test_malformed_ombind_messages cases, one level deeper
+        (_nested(b'<OMBIND binder="exists" var="x"><OMV index="-1"/></OMBIND>'),
+         f"{NESTED_PATH}.OMBIND[1].OMV[0].index: negative index"),
+        (_nested(b'<OMBIND binder="exists" var="x"/>'),
+         f"{NESTED_PATH}.OMBIND[1].var: binder exists takes no variable"),
+        (_nested(b'<OMBIND binder="exists"><OMV index="0"/></OMBIND>'),
+         f"{NESTED_PATH}.OMBIND[1].binder: unknown binder 'exists'"),
+        (_nested(b'<OMBIND binder="sub" var="y"><OMV index="0"/></OMBIND>'),
+         f"{NESTED_PATH}.OMBIND[1].var: binder sub takes no variable"),
+        (_nested(b'<OMBIND binder="lambda" var="x"><OMV index="0"/></OMBIND>'),
+         f"{NESTED_PATH}.OMBIND[1]: binder lambda takes 2 children"),
+        (_nested(b'<OMBIND binder="subout"><OMV index="0"/><OMV index="1"/></OMBIND>'),
+         f"{NESTED_PATH}.OMBIND[1]: binder subout takes 1 children"),
+        (_nested(b'<OMBIND binder="type"><OMV index="0"/></OMBIND>'),
+         f"{NESTED_PATH}.OMBIND[1]: binder type takes 0 children"),
+        # the wrapper holds exactly one term
+        (b"", f"{TYPE_PATH}: expected exactly one term"),
+        (OMS_A + OMS_A, f"{TYPE_PATH}: expected exactly one term"),
+    ],
+)
+def test_malformed_term_messages(term, message):
+    with pytest.raises(SchemaViolation) as err:
+        omdoc.parse(_body(b"        " + term + b"\n"))
+    assert str(err.value) == message
+
+
 def test_negative_variable_index_is_rejected():
     expect_schema(_body(b'        <OMV index="-1"/>\n'), "index")
 
@@ -552,6 +677,100 @@ def test_invalid_utf8_is_malformed():
 def test_empty_input_is_malformed():
     with pytest.raises(Malformed):
         omdoc.parse(b"")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_leaves_the_collector_as_it_found_it(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        omdoc.parse(MINIMAL)
+        assert gc.isenabled() is enabled
+        with pytest.raises(Malformed):
+            omdoc.parse(b"")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _fixture_exports():
+    """The OMDoc export of each file in fixtures/: an OMDoc file as it
+    stands, a prover export once imported and serialized."""
+    docs = []
+    for path in sorted(FIXTURES.iterdir()):
+        if path.name.endswith(omdoc.FILE_EXTENSION):
+            docs.append(path.read_bytes())
+        else:
+            docs.append(omdoc.serialize(_import_fixture(path.name)))
+    return docs
+
+
+FUZZ_TAGS = (
+    "omdoc", "theory", "include", "constant", "type", "definition", "proof", "ref",
+    "metadata", "srcref", "comment", "notation", "morphism", "assignment",
+    "OMS", "OMV", "OMA", "OMBIND", "OMX",
+)
+FUZZ_VALUES = (
+    "", " ", "0", "-1", "1.5", "x", "a??b", "lib://tiny?t?a", "lib://logics?holChurch?tm",
+    "lambda", "pi", "type", "sub", "subout", "term", "dependsOn", "omitted", "theorem",
+    "definition", "\u0663", "9" * 5000,
+)
+
+
+def _mutate(data, rng):
+    """`data` with one to three element or attribute edits, then maybe a
+    few flipped bits."""
+    root = ET.fromstring(data)
+    for _ in range(rng.randint(1, 3)):
+        elems = list(root.iter())
+        parent = {kid: elem for elem in elems for kid in elem}
+        e = rng.choice(elems)
+        keys = sorted(e.attrib)
+        op = rng.randrange(8)
+        if op == 0 and e in parent:
+            parent[e].remove(e)
+        elif op == 1 and e in parent:
+            p = parent[e]
+            p.insert(list(p).index(e), copy.deepcopy(e))
+        elif op == 2:
+            e.tag = rng.choice(FUZZ_TAGS)
+        elif op == 3 and keys:
+            del e.attrib[rng.choice(keys)]
+        elif op == 4:
+            donor = rng.choice(elems)
+            if donor.attrib:
+                key = rng.choice(sorted(donor.attrib))
+                e.set(key, donor.get(key))
+        elif op == 5 and keys:
+            key = rng.choice(keys)
+            e.set(rng.choice(("name", "index", "binder", "var", "kind", "style", "hint", "x")),
+                  e.attrib.pop(key))
+        elif op == 6 and keys:
+            e.set(rng.choice(keys), rng.choice(FUZZ_VALUES))
+        elif op == 7:
+            if rng.random() < 0.5:
+                e.text = (e.text or "") + "stray"
+            else:
+                e.tail = (e.tail or "") + "stray"
+    out = bytearray(ET.tostring(root, encoding="utf-8"))
+    if rng.random() < 0.3:
+        for _ in range(rng.randint(1, 3)):
+            out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+    return bytes(out)
+
+
+def test_mutated_exports_parse_or_raise_a_format_error():
+    rng = random.Random(20201018)
+    docs = _fixture_exports()
+    outcomes = collections.Counter()
+    for _ in range(500):
+        try:
+            omdoc.parse(_mutate(rng.choice(docs), rng))
+            outcomes["parsed"] += 1
+        except FormatError as err:
+            outcomes[type(err).__name__] += 1
+    # the mutations reach both sides of the reader
+    assert outcomes["parsed"] and outcomes["SchemaViolation"] and outcomes["Malformed"], outcomes
 
 
 # ---------------------------------------------------------------------------
