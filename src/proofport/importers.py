@@ -8,7 +8,10 @@ the Church representation are reconstructed by first-order unification.
 toyset is a strict XML export of a set-theory-style prover: untyped
 constants, first-order formulas, second-order axiom schemes, and
 definition records that expand through the bundled func-definition
-pattern. Imported theories live under folSoft.
+pattern. The reader checks each formula element and keeps the element;
+the import converts it straight to a folSoft term, a connective by its
+element and a name by binder scope, then by the theory's constants.
+Imported theories live under folSoft.
 
 Both importers run through one driver. It walks the theories in
 document order, merges the names of included theories into each
@@ -143,8 +146,8 @@ SurfaceTerm = Union[SName, SApp, SAbs, SBinder]
 class DeclRecord:
     kind: str
     name: str
-    tp: object = None  # SurfaceType for constants, SurfaceTerm formula otherwise
-    definiens: Optional[SurfaceTerm] = None
+    tp: object = None  # a SurfaceType, a SurfaceTerm formula or a toyset formula element
+    definiens: Union[SurfaceTerm, ET.Element, None] = None
     deps: tuple[str, ...] = ()
     src: Optional[SourceRef] = None
     notation: Optional[str] = None
@@ -294,18 +297,31 @@ def _parse_toyhol_decl(obj, path: str) -> DeclRecord:
     return DeclRecord(kind, name, tp, definiens, deps, src, notation, comment)
 
 
+def _no_separator(name: str, path: str) -> None:
+    if "?" in name:
+        raise SchemaViolation(path, f"'?' in name {name!r}")
+
+
 def _theory_records(theories: Iterable, parse_decl: Callable) -> tuple[TheoryRecord, ...]:
     """The theory records of (path, name, includes, [(path, raw decl)]) items,
-    with unique theory names and unique declaration names per theory."""
+    with unique theory names, unique declaration names per theory, no `?`
+    (the identifier separator) in either, and no repeated dependency."""
     out: dict[str, TheoryRecord] = {}
     for path, name, includes, decls in theories:
+        _no_separator(name, f"{path}.name")
         if name in out:
             raise SchemaViolation(f"{path}.name", f"duplicate theory {name!r}")
         records: dict[str, DeclRecord] = {}
         for dpath, raw in decls:
             rec = parse_decl(raw, dpath)
+            _no_separator(rec.name, f"{dpath}.name")
             if rec.name in records:
                 raise SchemaViolation(f"{dpath}.name", f"duplicate {rec.name!r}")
+            seen: set[str] = set()
+            for dep in rec.deps:
+                if dep in seen:
+                    raise SchemaViolation(f"{dpath}.deps", f"repeated dependency {dep!r}")
+                seen.add(dep)
             records[rec.name] = rec
         out[name] = TheoryRecord(name, tuple(records.values()), includes)
     return tuple(out.values())
@@ -349,7 +365,15 @@ def parse_toyhol(data: bytes) -> ExportDoc:
 # ---------------------------------------------------------------------------
 # toyset XML parsing
 
-_FOL_BINARY = ("in", "eq", "and", "or", "impl")
+# connective element -> its folSoft constant
+_FOL_OPS = {
+    "in": Const(fol_ident("in'")),
+    "eq": Const(fol_ident("eq'")),
+    "and": Const(fol_ident("and'")),
+    "or": Const(fol_ident("or'")),
+    "impl": Const(fol_ident("impl'")),
+    "not": Const(fol_ident("not'")),
+}
 _TOYSET_COMMON = ("name", "src", "notation", "comment")
 
 
@@ -360,47 +384,34 @@ def _required(elem: ET.Element, key: str, path: str) -> str:
     return value
 
 
-def _parse_fol_formula(elem: ET.Element, path: str) -> SurfaceTerm:
+def _check_fol_formula(elem: ET.Element, path: str) -> ET.Element:
+    """Validate a formula or term element and return it: the import reads
+    the element itself, so a connective is known by its tag alone."""
     tag = elem.tag
-    kids = list(elem)
-    if tag in _FOL_BINARY:
+    if tag in _FOL_OPS:
         check_keys(elem.attrib, path, ())
-        if len(kids) != 2:
-            raise SchemaViolation(path, f"{tag} takes two subformulas")
-        return SApp(
-            SApp(
-                SName(tag),
-                _parse_fol_formula(kids[0], f"{path}.{tag}[0]"),
-            ),
-            _parse_fol_formula(kids[1], f"{path}.{tag}[1]"),
-        )
-    if tag == "not":
-        check_keys(elem.attrib, path, ())
-        if len(kids) != 1:
+        if tag == "not" and len(elem) != 1:
             raise SchemaViolation(path, "not takes one subformula")
-        return SApp(SName("not"), _parse_fol_formula(kids[0], f"{path}.not[0]"))
-    if tag == "forall":
+        if tag != "not" and len(elem) != 2:
+            raise SchemaViolation(path, f"{tag} takes two subformulas")
+    elif tag == "forall":
         check_keys(elem.attrib, path, (), ("var",))
-        var = _required(elem, "var", path)
-        if len(kids) != 1:
+        _required(elem, "var", path)
+        if len(elem) != 1:
             raise SchemaViolation(path, "forall takes one subformula")
-        return SBinder("forall", var, None, _parse_fol_formula(kids[0], f"{path}.forall[0]"))
-    if tag in ("var", "const"):
+    elif tag in ("var", "const"):
         check_keys(elem.attrib, path, (), ("name",))
-        if kids:
+        if len(elem):
             raise SchemaViolation(path, f"{tag} takes no children")
-        name = _required(elem, "name", path)
-        # bound variables and constants share the name syntax; scoping
-        # during import tells them apart
-        return SName(name)
-    if tag == "papp":
+        _required(elem, "name", path)
+    elif tag == "papp":
         check_keys(elem.attrib, path, (), ("name",))
-        name = _required(elem, "name", path)
-        t: SurfaceTerm = SName(name)
-        for k, kid in enumerate(kids):
-            t = SApp(t, _parse_fol_formula(kid, f"{path}.papp[{k}]"))
-        return t
-    raise SchemaViolation(path, f"unknown element <{tag}>")
+        _required(elem, "name", path)
+    else:
+        raise SchemaViolation(path, f"unknown element <{tag}>")
+    for k, kid in enumerate(elem):
+        _check_fol_formula(kid, f"{path}.{tag}[{k}]")
+    return elem
 
 
 def _parse_src_attr(value: str, path: str) -> SourceRef:
@@ -436,7 +447,7 @@ def _parse_toyset_decl(elem: ET.Element, path: str) -> DeclRecord:
         if len(kids) != 1:
             raise SchemaViolation(path, f"{tag} takes exactly one formula")
         deps = tuple((elem.get("deps") or "").split()) if tag == "theorem" else ()
-        formula = _parse_fol_formula(kids[0], f"{path}.{tag}")
+        formula = _check_fol_formula(kids[0], f"{path}.{tag}")
         return DeclRecord(tag, name, formula, deps=deps, src=src, notation=notation, comment=comment)
     if tag == "scheme":
         check_keys(elem.attrib, path, (), _TOYSET_COMMON)
@@ -457,7 +468,7 @@ def _parse_toyset_decl(elem: ET.Element, path: str) -> DeclRecord:
                     raise SchemaViolation(f"{kpath}.arity", "negative arity")
                 pvars.append((pname, arity))
             elif formula is None:
-                formula = _parse_fol_formula(kid, kpath)
+                formula = _check_fol_formula(kid, kpath)
             else:
                 raise SchemaViolation(kpath, "more than one formula")
         if formula is None:
@@ -474,7 +485,7 @@ def _parse_toyset_decl(elem: ET.Element, path: str) -> DeclRecord:
         vkids = list(kids[0])
         if len(vkids) != 1:
             raise SchemaViolation(f"{path}.value", "expected one term")
-        value = _parse_fol_formula(vkids[0], f"{path}.value")
+        value = _check_fol_formula(vkids[0], f"{path}.value")
         return DeclRecord(
             "definition", name, definiens=value, src=src, notation=notation, comment=comment
         )
@@ -880,14 +891,7 @@ def _stype_term(st: SurfaceType, base_types: Mapping[str, Ident]) -> Term:
 _FOL_SET = Const(fol_ident("set"))
 _FOL_PROP = Const(fol_ident("prop"))
 _FOL_DED = Const(fol_ident("ded"))
-_FOL_OPS = {
-    "in": Const(fol_ident("in'")),
-    "eq": Const(fol_ident("eq'")),
-    "and": Const(fol_ident("and'")),
-    "or": Const(fol_ident("or'")),
-    "impl": Const(fol_ident("impl'")),
-    "not": Const(fol_ident("not'")),
-}
+_FOL_FORALL = Const(fol_ident("forallSet"))
 
 
 def func_definition_pattern() -> Pattern:
@@ -915,38 +919,28 @@ _FUNC_DEFINITION = func_definition_pattern()
 _PATTERNS = {_FUNC_DEFINITION.name: _FUNC_DEFINITION}
 
 
-def _fol_term(
-    t: SurfaceTerm, scope: list[str], consts: Mapping[str, Ident], where: str
-) -> Term:
-    """First-order surface formula to a folSoft kernel term."""
-    match t:
-        case SName(x):
-            for k, n in enumerate(reversed(scope)):
-                if n == x:
-                    return Var(k)
-            if x in _FOL_OPS:
-                raise UnificationFailure(x, "connective must be applied")
-            if x in consts:
-                return Const(consts[x])
-            raise UnknownIdent(x)
-        case SApp():
-            head, args = _spine(t)
-            if isinstance(head, SName) and head.name in _FOL_OPS and head.name not in scope:
-                op = _FOL_OPS[head.name]
-                want = 1 if head.name == "not" else 2
-                if len(args) != want:
-                    raise UnificationFailure(head.name, f"takes {want} argument(s)")
-                return apps(op, *(_fol_term(a, scope, consts, where) for a in args))
-            return apps(
-                _fol_term(head, scope, consts, where),
-                *(_fol_term(a, scope, consts, where) for a in args),
-            )
-        case SBinder("forall", x, _, body):
-            inner = _fol_term(body, scope + [x], consts, where)
-            return Apply(
-                Const(fol_ident("forallSet")), Lambda(x, _FOL_SET, inner)
-            )
-    raise UnificationFailure(where, "unsupported formula form")
+def _fol_term(elem: ET.Element, scope: list[str], consts: Mapping[str, Ident]) -> Term:
+    """A checked toyset formula or term element to a folSoft kernel term.
+
+    A connective is known by its element. The name of a `var`, `const`
+    or `papp` resolves by binder scope, then to the theory's constants,
+    and a `papp` applies it to its children.
+    """
+    tag = elem.tag
+    if tag in _FOL_OPS:
+        return apps(_FOL_OPS[tag], *(_fol_term(kid, scope, consts) for kid in elem))
+    if tag == "forall":
+        x = elem.get("var")
+        inner = _fol_term(elem[0], scope + [x], consts)
+        return Apply(_FOL_FORALL, Lambda(x, _FOL_SET, inner))
+    x = elem.get("name")
+    if x in scope:
+        head: Term = Var(scope[::-1].index(x))
+    elif x in consts:
+        head = Const(consts[x])
+    else:
+        raise UnknownIdent(x)
+    return apps(head, *(_fol_term(kid, scope, consts) for kid in elem))
 
 
 def _pvar_type(arity: int) -> Term:
@@ -977,7 +971,7 @@ def _toyset_decl(
     if rec.kind == "constant":
         return (Declaration(ident, tp=_FOL_SET, meta=_meta(rec, "constant")),), {"consts": ident}
     if rec.kind in ("axiom", "theorem"):
-        tp = Apply(_FOL_DED, _fol_term(rec.tp, [], consts, rec.name))
+        tp = Apply(_FOL_DED, _fol_term(rec.tp, [], consts))
         proof = _depends_on(rec, env["stmts"])
         decl = Declaration(ident, tp=tp, proof=proof, meta=_meta(rec, rec.kind))
         return (decl,), {"stmts": ident}
@@ -987,14 +981,14 @@ def _toyset_decl(
         for pname, arity in rec.pvars:
             ctx = ctx.extend(pname, _pvar_type(arity))
             pnames.append(pname)
-        formula = _fol_term(rec.tp, pnames, consts, rec.name)
+        formula = _fol_term(rec.tp, pnames, consts)
         sd = SchematicDecl(ctx, Apply(_FOL_DED, formula))
         decl = Declaration(
             ident, tp=close_toplevel(sd), proof=Omitted(), meta=_meta(rec, "axiom")
         )
         return (decl,), {"stmts": ident}
     if rec.kind == "definition":
-        value = _fol_term(rec.definiens, [], consts, rec.name)
+        value = _fol_term(rec.definiens, [], consts)
         inst = PatternInstance(ident, _FUNC_DEFINITION.name, (value,))
         out = tuple(
             replace(d, meta=replace(_meta(rec, d.meta.kind), origin=d.meta.origin))

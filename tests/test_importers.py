@@ -6,6 +6,7 @@ import copy
 import inspect
 import json
 import random
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -774,6 +775,122 @@ def test_toyset_theorem_deps_resolve():
 
 def test_func_definition_pattern_is_builtin():
     assert func_definition_pattern().name in builtin_patterns()
+
+
+CONNECTIVE_NAMES = ("in", "eq", "and", "or", "impl", "not")
+FRESH_NAMES = tuple(f"n{i}" for i in range(len(CONNECTIVE_NAMES)))
+
+
+def _gen_named_toyset(rng: random.Random):
+    """A random toyset document over name slots 0..5; `render(names)`
+    writes it with slot i spelled names[i]. Constants, definitions, bound
+    variables, pvars and name references all draw from the slots, so the
+    documents mix well-typed records with ill-typed and unresolved ones."""
+    slots = range(len(CONNECTIVE_NAMES))
+    declared: list[int] = []
+
+    def some_name():
+        return rng.choice(declared) if declared and rng.random() < 0.9 else rng.choice(slots)
+
+    def term(bound):
+        if bound and rng.random() < 0.6:
+            return ("var", rng.choice(bound))
+        return ("const", some_name())
+
+    def formula(depth, bound, pvars):
+        roll = rng.random()
+        if depth <= 0 or roll < 0.25:
+            if pvars and rng.random() < 0.7:
+                name, arity = rng.choice(pvars)
+            else:
+                name, arity = some_name(), rng.randint(0, 2)
+            return ("papp", name, [term(bound) for _ in range(arity)])
+        if roll < 0.4:
+            return (rng.choice(("in", "eq")), [term(bound), term(bound)])
+        if roll < 0.55:
+            var = rng.choice(slots)
+            return ("forall", var, [formula(depth - 1, bound + [var], pvars)])
+        if roll < 0.65:
+            return ("not", [formula(depth - 1, bound, pvars)])
+        op = rng.choice(("and", "or", "impl"))
+        return (op, [formula(depth - 1, bound, pvars), formula(depth - 1, bound, pvars)])
+
+    records = []
+    for j in range(rng.randint(3, 10)):
+        roll = rng.random()
+        if roll < 0.3:
+            declared.append(rng.choice(slots))
+            records.append(("constant", declared[-1], None, ()))
+        elif roll < 0.45:
+            records.append(("definition", rng.choice(slots), term([]), ()))
+            declared.append(records[-1][1])
+        elif roll < 0.7:
+            pvars = [(rng.choice(slots), rng.randint(0, 2)) for _ in range(rng.randint(1, 2))]
+            records.append(("scheme", f"s{j}", formula(3, [], pvars), pvars))
+        else:
+            records.append((rng.choice(("axiom", "theorem")), f"s{j}", formula(3, [], []), ()))
+
+    def render(names):
+        def spell(slot):
+            return slot if isinstance(slot, str) else names[slot]
+
+        def node(n):
+            if n[0] in ("var", "const"):
+                return f'<{n[0]} name="{spell(n[1])}"/>'
+            if n[0] == "papp":
+                return f'<papp name="{spell(n[1])}">{"".join(map(node, n[2]))}</papp>'
+            if n[0] == "forall":
+                return f'<forall var="{spell(n[1])}">{node(n[2][0])}</forall>'
+            return f'<{n[0]}>{"".join(map(node, n[1]))}</{n[0]}>'
+
+        out, seen = [], set()
+        for kind, name, body, pvars in records:
+            if spell(name) in seen:  # declaration names are unique per theory
+                continue
+            seen.add(spell(name))
+            if kind == "constant":
+                out.append(f'<constant name="{spell(name)}"/>')
+            elif kind == "definition":
+                out.append(f'<definition name="{spell(name)}"><value>{node(body)}</value></definition>')
+            else:
+                heads = "".join(f'<pvar name="{spell(p)}" arity="{a}"/>' for p, a in pvars)
+                out.append(f'<{kind} name="{name}">{heads}{node(body)}</{kind}>')
+        return f'<export version="1"><theory name="t">{"".join(out)}</theory></export>'.encode()
+
+    return render
+
+
+def test_names_that_equal_connectives_import_as_fresh_names_do():
+    def spelled(local):
+        head, sep, rest = local.partition("/")
+        return (CONNECTIVE_NAMES[FRESH_NAMES.index(head)] if head in FRESH_NAMES else head) + sep + rest
+
+    def renamed(t):
+        if t is None:
+            return None
+        return kernel.map_consts(
+            t, lambda c: Const(Ident(c.namespace, c.module, spelled(c.name))) if c.namespace == TOYSET_NS else None
+        )
+
+    rng = random.Random(1218)
+    verdicts = set()
+    for _ in range(300):
+        render = _gen_named_toyset(rng)
+        fresh_lib, fresh = import_toyset(parse_toyset(render(FRESH_NAMES)), True)
+        lib, got = import_toyset(parse_toyset(render(CONNECTIVE_NAMES)), True)
+        fresh_rows = [
+            (spelled(r.subject.name), r.ok, r.message and re.sub(r"\bn\d\b", lambda m: spelled(m[0]), r.message))
+            for r in fresh.results
+        ]
+        assert [(r.subject.name, r.ok, r.message) for r in got.results] == fresh_rows
+        fresh_decls = [
+            (spelled(d.name.name), renamed(d.tp), renamed(d.definiens), d.proof)
+            for th in fresh_lib.theories for d in th.decls
+        ]
+        assert [(d.name.name, d.tp, d.definiens, d.proof)
+                for th in lib.theories for d in th.decls] == fresh_decls
+        verdicts.update(ok for _, ok, _ in fresh_rows)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
