@@ -118,6 +118,11 @@ class EmptyCorpus(FormatError):
 # ---------------------------------------------------------------------------
 # strict reading, shared by every input format
 
+# The deepest nesting an input may ask for, as a toyset pvar arity. The kernel
+# takes a few frames per level: at Python's default recursion limit a scheme
+# that applies its variable fails from about arity 500 on.
+MAX_DEPTH = 256
+
 
 def check_keys(obj: Mapping, path: str, required: tuple[str, ...],
                optional: tuple[str, ...] = (), noun: str = "attribute") -> Mapping:

@@ -3,7 +3,8 @@
 toyhol is a strict JSON export of a HOL-like prover: simply typed
 constants and definitions, formulas as surface terms. Imported theories
 live under the holChurch meta-theory; the missing type annotations of
-the Church representation are reconstructed by first-order unification.
+the Church representation are reconstructed by first-order unification
+of holChurch object types, each resolved once, where its record writes it.
 
 toyset is a strict XML export of a set-theory-style prover: untyped
 constants, first-order formulas, second-order axiom schemes, and
@@ -41,6 +42,7 @@ from .elaboration import (
 )
 from .encodings import FOL_SOFT, HOL_CHURCH, LOGIC_NS, fol_ident, hol_ident, logic_library
 from .errors import (
+    MAX_DEPTH,
     AmbiguousType,
     CheckError,
     EmptyCorpus,
@@ -75,6 +77,7 @@ from .kernel import (
     Var,
     apps,
     check_theory,
+    clashing_names,
     fn_type,
     theory_ident,
 )
@@ -99,14 +102,7 @@ class SArrow:
     cod: "SurfaceType"
 
 
-@dataclass(frozen=True)
-class SMeta:
-    """Inference-time unification variable; never escapes the importer."""
-
-    var_id: int
-
-
-SurfaceType = Union[SBase, SArrow, SMeta]
+SurfaceType = Union[SBase, SArrow]
 
 
 @dataclass(frozen=True)
@@ -466,6 +462,8 @@ def _parse_toyset_decl(elem: ET.Element, path: str) -> DeclRecord:
                     raise SchemaViolation(f"{kpath}.arity", "expected an integer") from None
                 if arity < 0:
                     raise SchemaViolation(f"{kpath}.arity", "negative arity")
+                if arity > MAX_DEPTH:
+                    raise SchemaViolation(f"{kpath}.arity", f"arity above {MAX_DEPTH}")
                 pvars.append((pname, arity))
             elif formula is None:
                 formula = _check_fol_formula(kid, kpath)
@@ -523,31 +521,45 @@ _HOL_IMPL = Const(hol_ident("impl"))
 _HOL_EQ = Const(hol_ident("eq"))
 _HOL_DED = Const(hol_ident("ded"))
 
-_BOOL_T = SBase("bool")
+
+@dataclass(frozen=True)
+class SMeta:
+    """Inference-time hole in a holChurch object type; never escapes the importer."""
+
+    var_id: int
+
+
+def _arrow_parts(t: Term) -> Optional[tuple[Term, Term]]:
+    """Domain and codomain of an object type `arrow d c`, else None."""
+    if type(t) is Apply and type(t.fn) is Apply and t.fn.fn == _HOL_ARROW:
+        return t.fn.arg, t.arg
+    return None
+
 
 class _Unifier:
+    """First-order unification of holChurch object types with SMeta holes."""
+
     def __init__(self) -> None:
-        self.subst: dict[int, SurfaceType] = {}
+        self.subst: dict[int, Term] = {}
         self.counter = 0
 
     def fresh(self) -> SMeta:
         self.counter += 1
         return SMeta(self.counter)
 
-    def walk(self, t: SurfaceType) -> SurfaceType:
+    def walk(self, t: Term) -> Term:
         while isinstance(t, SMeta) and t.var_id in self.subst:
             t = self.subst[t.var_id]
         return t
 
-    def occurs(self, m: SMeta, t: SurfaceType) -> bool:
+    def occurs(self, m: SMeta, t: Term) -> bool:
         t = self.walk(t)
         if isinstance(t, SMeta):
             return t.var_id == m.var_id
-        if isinstance(t, SArrow):
-            return self.occurs(m, t.dom) or self.occurs(m, t.cod)
-        return False
+        parts = _arrow_parts(t)
+        return parts is not None and any(self.occurs(m, p) for p in parts)
 
-    def unify(self, a: SurfaceType, b: SurfaceType, where: str) -> None:
+    def unify(self, a: Term, b: Term, where: str) -> None:
         a, b = self.walk(a), self.walk(b)
         if isinstance(a, SMeta):
             if isinstance(b, SMeta) and a.var_id == b.var_id:
@@ -559,33 +571,35 @@ class _Unifier:
         if isinstance(b, SMeta):
             self.unify(b, a, where)
             return
-        if isinstance(a, SBase) and isinstance(b, SBase):
-            if a.name != b.name:
-                raise UnificationFailure(where, f"{a.name} vs {b.name}")
-            return
-        if isinstance(a, SArrow) and isinstance(b, SArrow):
-            self.unify(a.dom, b.dom, where)
-            self.unify(a.cod, b.cod, where)
-            return
-        raise UnificationFailure(where, f"{_fmt_stype(a)} vs {_fmt_stype(b)}")
+        pa, pb = _arrow_parts(a), _arrow_parts(b)
+        if pa and pb:
+            self.unify(pa[0], pb[0], where)
+            self.unify(pa[1], pb[1], where)
+        elif a != b:
+            q = clashing_names(a, b)
+            raise UnificationFailure(where, f"{_fmt_stype(a, q)} vs {_fmt_stype(b, q)}")
 
-    def zonk(self, t: SurfaceType, owner: str) -> SurfaceType:
+    def zonk(self, t: Term, owner: str) -> Term:
         t = self.walk(t)
         if isinstance(t, SMeta):
             raise AmbiguousType(owner)
-        if isinstance(t, SArrow):
-            return SArrow(self.zonk(t.dom, owner), self.zonk(t.cod, owner))
+        parts = _arrow_parts(t)
+        if parts:
+            return apps(_HOL_ARROW, self.zonk(parts[0], owner), self.zonk(parts[1], owner))
         return t
 
 
-def _fmt_stype(t: SurfaceType) -> str:
-    match t:
-        case SBase(n):
-            return n
-        case SArrow(d, c):
-            return f"({_fmt_stype(d)} -> {_fmt_stype(c)})"
-        case SMeta(i):
-            return f"?{i}"
+def _fmt_stype(t: Term, qualify: frozenset[str]) -> str:
+    """An object type as written, `(j -> bool)`, qualified as in format_term."""
+    if isinstance(t, SMeta):
+        return f"?{t.var_id}"
+    parts = _arrow_parts(t)
+    if parts:
+        return f"({_fmt_stype(parts[0], qualify)} -> {_fmt_stype(parts[1], qualify)})"
+    if isinstance(t, Const):
+        if t.ident.name in qualify:
+            return str(t.ident)
+        return "bool" if t == _HOL_BOOL else t.ident.name
     return repr(t)
 
 
@@ -599,44 +613,39 @@ def _spine(t: SurfaceTerm) -> tuple[SurfaceTerm, list[SurfaceTerm]]:
 
 
 def infer_church_annotations(
-    env: Mapping[str, SurfaceType],
+    consts: Mapping[str, tuple[Term, Term]],
     t: SurfaceTerm,
     base_types: Mapping[str, Ident],
-    resolve: Callable[[str], Optional[Term]],
-) -> tuple[Term, SurfaceType]:
+) -> tuple[Term, Term]:
     """Reconstruct the type annotations of the Church representation.
 
-    Simple-type inference by first-order unification: `app` and `lam`
-    come back fully annotated, `forall` carries its domain, and the
-    logical heads impl/eq (when not shadowed by env) map to the
-    holChurch connectives, eq at a fresh instance type per occurrence.
+    Simple-type inference by first-order unification of holChurch object
+    types: `consts` binds each name to its kernel term and object type.
+    `app` and `lam` come back fully annotated, `forall` carries its
+    domain, and the logical heads impl/eq (when not shadowed by consts)
+    map to the holChurch connectives, eq at a fresh instance type per
+    occurrence. A binder's annotation resolves against `base_types`.
 
-    Returns the annotated kernel term and the inferred surface type.
+    Returns the annotated kernel term and its object type.
     Raises UnificationFailure on a type clash, AmbiguousType when no
     ground type is forced, UnknownIdent for unbound names.
     """
     uni = _Unifier()
 
-    def tt(st: SurfaceType, owner: str) -> Term:
-        return _stype_term(uni.zonk(st, owner), base_types)
-
-    def logical(name: str, scope: list[tuple[str, SurfaceType]]) -> bool:
-        return name in ("impl", "eq") and name not in env and not any(
+    def logical(name: str, scope: list[tuple[str, Term]]) -> bool:
+        return name in ("impl", "eq") and name not in consts and not any(
             n == name for n, _ in scope
         )
 
-    def ti(t: SurfaceTerm, scope: list[tuple[str, SurfaceType]]):
+    def ti(t: SurfaceTerm, scope: list[tuple[str, Term]]):
         """Returns (build, type): build() makes the kernel term."""
         match t:
             case SName(x):
                 for k, (n, st) in enumerate(reversed(scope)):
                     if n == x:
                         return (lambda: Var(k)), st
-                if x in env:
-                    st = env[x]
-                    term = resolve(x)
-                    if term is None:
-                        raise UnknownIdent(x)
+                if x in consts:
+                    term, st = consts[x]
                     return (lambda: term), st
                 if logical(x, scope):
                     raise UnificationFailure(x, "logical constant must be applied")
@@ -648,30 +657,30 @@ def infer_church_annotations(
                 fb, ft = ti(t.fn, scope)
                 ab, at = ti(t.arg, scope)
                 res = uni.fresh()
-                uni.unify(ft, SArrow(at, res), _where(t.fn))
+                uni.unify(ft, apps(_HOL_ARROW, at, res), _where(t.fn))
                 def build(fb=fb, ab=ab, at=at, res=res):
                     w = _where(t)
-                    return apps(_HOL_APP, tt(at, w), tt(res, w), fb(), ab())
+                    return apps(_HOL_APP, uni.zonk(at, w), uni.zonk(res, w), fb(), ab())
                 return build, res
             case SAbs(x, annot, body):
-                vt = annot or uni.fresh()
+                vt = uni.fresh() if annot is None else _stype_term(annot, base_types)
                 bb, bt = ti(body, scope + [(x, vt)])
                 def build(x=x, vt=vt, bb=bb, bt=bt):
-                    dom = tt(vt, x)
+                    dom = uni.zonk(vt, x)
                     return apps(
-                        _HOL_LAM, dom, tt(bt, x), Lambda(x, Apply(_HOL_TM, dom), bb())
+                        _HOL_LAM, dom, uni.zonk(bt, x), Lambda(x, Apply(_HOL_TM, dom), bb())
                     )
-                return build, SArrow(vt, bt)
+                return build, apps(_HOL_ARROW, vt, bt)
             case SBinder("forall", x, annot, body):
-                vt = annot or uni.fresh()
+                vt = uni.fresh() if annot is None else _stype_term(annot, base_types)
                 bb, bt = ti(body, scope + [(x, vt)])
-                uni.unify(bt, _BOOL_T, x)
+                uni.unify(bt, _HOL_BOOL, x)
                 def build(x=x, vt=vt, bb=bb):
-                    dom = tt(vt, x)
+                    dom = uni.zonk(vt, x)
                     return apps(
                         _HOL_FORALL, dom, Lambda(x, Apply(_HOL_TM, dom), bb())
                     )
-                return build, _BOOL_T
+                return build, _HOL_BOOL
         raise UnificationFailure(_where(t), "unsupported surface form")
 
     def ti_logical(name: str, args: list[SurfaceTerm], scope):
@@ -680,13 +689,13 @@ def infer_church_annotations(
         lb, lt = ti(args[0], scope)
         rb, rt = ti(args[1], scope)
         if name == "impl":
-            uni.unify(lt, _BOOL_T, name)
-            uni.unify(rt, _BOOL_T, name)
-            return (lambda: apps(_HOL_IMPL, lb(), rb())), _BOOL_T
+            uni.unify(lt, _HOL_BOOL, name)
+            uni.unify(rt, _HOL_BOOL, name)
+            return (lambda: apps(_HOL_IMPL, lb(), rb())), _HOL_BOOL
         inst = uni.fresh()
         uni.unify(lt, inst, name)
         uni.unify(rt, inst, name)
-        return (lambda: apps(_HOL_EQ, tt(inst, "eq"), lb(), rb())), _BOOL_T
+        return (lambda: apps(_HOL_EQ, uni.zonk(inst, "eq"), lb(), rb())), _HOL_BOOL
 
     build, ty = ti(t, [])
     term = build()
@@ -694,17 +703,9 @@ def infer_church_annotations(
 
 
 def _where(t: SurfaceTerm) -> str:
-    match t:
-        case SName(n):
-            return n
-        case SApp():
-            head, _ = _spine(t)
-            return _where(head)
-        case SAbs(v, _, _):
-            return v
-        case SBinder(_, v, _, _):
-            return v
-    return "term"
+    """The name an error in `t` is reported at: its head's, or its binder's."""
+    head, _ = _spine(t)
+    return head.name if isinstance(head, SName) else head.var
 
 
 # ---------------------------------------------------------------------------
@@ -817,43 +818,26 @@ def import_toyhol(
 def _toyhol_decl(
     rec: DeclRecord, ident: Ident, env: Env, scope: Scope, config: Config
 ) -> tuple[tuple[Declaration, ...], dict[str, object]]:
-    """Convert one record. Its name binds a base type, a term (and, in
-    `stypes`, the term's surface type for the annotation inference), or
-    a statement."""
+    """Convert one record. Its name binds a base type, a term (with its
+    object type, resolved here, for the annotation inference), or a
+    statement."""
     base_types = env["types"]
     terms = env["terms"]
-    stypes = env["stypes"]
-
-    def resolver(name: str) -> Optional[Term]:
-        if name in terms:
-            return Const(terms[name])
-        return None
-
     if rec.kind == "type":
         return (Declaration(ident, tp=_HOL_TP, meta=_meta(rec, "type")),), {"types": ident}
-    if rec.kind == "constant":
-        tp_term = _stype_term(rec.tp, base_types)
+    if rec.kind in ("constant", "definition"):
+        definiens = None
+        if rec.definiens is not None:
+            definiens, tp = infer_church_annotations(terms, rec.definiens, base_types)
+        if rec.tp is not None:
+            tp = _stype_term(rec.tp, base_types)
         decl = Declaration(
-            ident, tp=Apply(_HOL_TM, tp_term), meta=_meta(rec, "constant")
+            ident, tp=Apply(_HOL_TM, tp), definiens=definiens, meta=_meta(rec, rec.kind)
         )
-        return (decl,), {"terms": ident, "stypes": rec.tp}
-    if rec.kind == "definition":
-        term, inferred = infer_church_annotations(
-            stypes, rec.definiens, base_types, resolver
-        )
-        declared = rec.tp if rec.tp is not None else inferred
-        tp_term = _stype_term(declared, base_types)
-        decl = Declaration(
-            ident,
-            tp=Apply(_HOL_TM, tp_term),
-            definiens=term,
-            meta=_meta(rec, "definition"),
-        )
-        return (decl,), {"terms": ident, "stypes": declared}
+        return (decl,), {"terms": (Const(ident), tp)}
     # axiom or theorem: the type field is a formula
-    term, ftype = infer_church_annotations(stypes, rec.tp, base_types, resolver)
-    uni = _Unifier()
-    uni.unify(ftype, _BOOL_T, rec.name)
+    term, ftype = infer_church_annotations(terms, rec.tp, base_types)
+    _Unifier().unify(ftype, _HOL_BOOL, rec.name)
     proof = _depends_on(rec, env["stmts"])
     decl = Declaration(ident, tp=Apply(_HOL_DED, term), proof=proof, meta=_meta(rec, rec.kind))
     return (decl,), {"stmts": ident}
@@ -871,18 +855,14 @@ def _depends_on(rec: DeclRecord, stmts: Mapping[str, Ident]) -> Proof:
 
 
 def _stype_term(st: SurfaceType, base_types: Mapping[str, Ident]) -> Term:
-    match st:
-        case SBase("bool"):
-            return _HOL_BOOL
-        case SBase(n):
-            if n not in base_types:
-                raise UnknownIdent(f"base type {n}")
-            return Const(base_types[n])
-        case SArrow(d, c):
-            return apps(
-                _HOL_ARROW, _stype_term(d, base_types), _stype_term(c, base_types)
-            )
-    raise AmbiguousType(_fmt_stype(st))
+    """The holChurch object type a surface type denotes under `base_types`."""
+    if isinstance(st, SArrow):
+        return apps(_HOL_ARROW, _stype_term(st.dom, base_types), _stype_term(st.cod, base_types))
+    if st.name == "bool":
+        return _HOL_BOOL
+    if st.name not in base_types:
+        raise UnknownIdent(f"base type {st.name}")
+    return Const(base_types[st.name])
 
 
 # ---------------------------------------------------------------------------

@@ -678,9 +678,8 @@ def check(
         case (Lambda(h, d, b), Pi(_, pd, pc)):
             # annotation and expected domain must agree definitionally
             if not equal(lib, ctx, d, pd, config):
-                raise Mismatch(
-                    f"lambda domain {format_term(d)} vs expected {format_term(pd)}"
-                )
+                q = clashing_names(d, pd)
+                raise Mismatch(f"lambda domain {format_term(d, q)} vs expected {format_term(pd, q)}")
             check(lib, ctx.extend(h, pd), b, pc, config)
             return
         case (SubIn(e, w), SubType(base, pred)):
@@ -694,7 +693,8 @@ def check(
         raise SubtypeWitnessMissing(
             f"term of base type {format_term(exp.base)} needs an explicit witness"
         )
-    raise Mismatch(f"expected {format_term(exp)}, got {format_term(actual)}")
+    q = clashing_names(exp, actual)
+    raise Mismatch(f"expected {format_term(exp, q)}, got {format_term(actual, q)}")
 
 
 def check_kind(
@@ -928,14 +928,21 @@ def check_library(lib: Library, config: Config = DEFAULT_CONFIG) -> list[CheckRe
 # printing
 
 
-def format_term(t: Term, names: tuple[str, ...] = ()) -> str:
+def format_term(t: Term, qualify: frozenset[str] = frozenset()) -> str:
     """Concrete syntax for messages and docs.
 
     Binders print Twelf-style: `[x : A] b` for lambda, `{x : A} B` for
     Pi, with `A -> B` sugar when the codomain ignores its variable.
-    Subtypes print as `<A | P>`, `in(t, p)`, `out(t)`.
+    Subtypes print as `<A | P>`, `in(t, p)`, `out(t)`. A constant whose
+    local name is in `qualify` prints in full.
     """
-    return _fmt(t, list(names), 0)
+    return _fmt(t, [], 0, qualify)
+
+
+def clashing_names(*terms: Term) -> frozenset[str]:
+    """The local names that two or more distinct constants of `terms` share."""
+    names = [c.name for c in {c for t in terms for c in constants_of(t)}]
+    return frozenset(n for n in names if names.count(n) > 1)
 
 
 def _mentions(t: Term, k: int) -> bool:
@@ -961,11 +968,11 @@ def _bind_name(hint: str, names: list[str]) -> str:
     return name
 
 
-def _fmt(t: Term, names: list[str], prec: int) -> str:
+def _fmt(t: Term, names: list[str], prec: int, q: frozenset[str]) -> str:
     # prec 0: binder/arrow position, 1: application head, 2: atom
     match t:
         case Const(c):
-            return c.name
+            return str(c) if c.name in q else c.name
         case Var(k):
             if k < len(names):
                 return names[len(names) - 1 - k]
@@ -973,24 +980,24 @@ def _fmt(t: Term, names: list[str], prec: int) -> str:
         case TypeKind():
             return "type"
         case Apply(f, a):
-            s = f"{_fmt(f, names, 1)} {_fmt(a, names, 2)}"
+            s = f"{_fmt(f, names, 1, q)} {_fmt(a, names, 2, q)}"
             return f"({s})" if prec > 1 else s
         case Pi(h, d, c):
             if not _mentions(c, 0):
-                body = _fmt(shift(c, -1, 1), names, 0)
-                s = f"{_fmt(d, names, 1)} -> {body}"
+                body = _fmt(shift(c, -1, 1), names, 0, q)
+                s = f"{_fmt(d, names, 1, q)} -> {body}"
             else:
                 x = _bind_name(h, names)
-                s = f"{{{x} : {_fmt(d, names, 0)}}} {_fmt(c, names + [x], 0)}"
+                s = f"{{{x} : {_fmt(d, names, 0, q)}}} {_fmt(c, names + [x], 0, q)}"
             return f"({s})" if prec > 0 else s
         case Lambda(h, d, b):
             x = _bind_name(h, names)
-            s = f"[{x} : {_fmt(d, names, 0)}] {_fmt(b, names + [x], 0)}"
+            s = f"[{x} : {_fmt(d, names, 0, q)}] {_fmt(b, names + [x], 0, q)}"
             return f"({s})" if prec > 0 else s
         case SubType(b, p):
-            return f"<{_fmt(b, names, 0)} | {_fmt(p, names, 0)}>"
+            return f"<{_fmt(b, names, 0, q)} | {_fmt(p, names, 0, q)}>"
         case SubIn(e, w):
-            return f"in({_fmt(e, names, 0)}, {_fmt(w, names, 0)})"
+            return f"in({_fmt(e, names, 0, q)}, {_fmt(w, names, 0, q)})"
         case SubOut(e):
-            return f"out({_fmt(e, names, 0)})"
+            return f"out({_fmt(e, names, 0, q)})"
     return repr(t)

@@ -303,6 +303,12 @@ def surface_resolve(name: str):
     return None
 
 
+def surface_consts(env: dict[str, SurfaceType]) -> dict[str, tuple[Term, Term]]:
+    """The inference environment binding each name of `env` (a subset of
+    SURFACE_ENV) to its surface-library constant and object type."""
+    return {n: (Const(Ident(SURFACE_NS, "surface", n)), stype_term(st)) for n, st in env.items()}
+
+
 def stype_term(st: SurfaceType) -> Term:
     """The holChurch object type denoted by a surface type."""
     match st:
@@ -391,6 +397,62 @@ def gen_surface(
             body = gen_surface(rng, target.cod, scope + ((var, target.dom),), depth - 1)
             return SAbs(var, target.dom, body)
     raise AssertionError
+
+
+# ---------------------------------------------------------------------------
+# toyhol documents whose theories reuse local names
+
+CLASH_TYPES = ("j", "k")
+CLASH_TERMS = ("x", "y", "f", "g")
+CLASH_STMTS = ("p", "q")
+
+
+def gen_clash_toyhol(rng: random.Random, n_theories: int = 4) -> dict:
+    """A toyhol document (as JSON data) over a random include DAG whose
+    theories declare names from the same small pools: sibling theories
+    declare the same type and constant names, and a theory that
+    includes both sees the later include's. References go to names
+    visible by the include rule, so most of them resolve; terms are
+    random, so some definitions and axioms are ill-typed."""
+    seen: dict[str, set[str]] = {}  # theory -> names declared in it or its includes
+    theories = []
+    for i in range(n_theories):
+        includes = rng.sample(list(seen), rng.randint(0, min(3, len(seen))))
+        visible = set().union(*(seen[inc] for inc in includes))
+        decls = []
+
+        def stype(depth=1):
+            if depth and rng.random() < 0.3:
+                return {"arrow": [stype(0), stype(0)]}
+            return rng.choice(sorted(visible.intersection(CLASH_TYPES)) + ["bool"])
+
+        def term(depth=2, bound=()):
+            roll = rng.random()
+            if depth and roll < 0.35:
+                return {"app": [term(depth - 1, bound), term(depth - 1, bound)]}
+            if depth and roll < 0.45:
+                var = f"v{len(bound)}"
+                return {"abs": {"var": var, "annot": stype(0), "body": term(depth - 1, bound + (var,))}}
+            return {"name": rng.choice(sorted(visible.intersection(CLASH_TERMS)) + list(bound))}
+
+        for name in rng.sample(CLASH_TYPES, rng.randint(0, 2)):
+            decls.append({"kind": "type", "name": name})
+            visible.add(name)
+        for name in rng.sample(CLASH_TERMS, rng.randint(1, 4)):
+            if rng.random() < 0.5 or not visible.intersection(CLASH_TERMS):
+                decl = {"kind": "constant", "name": name, "type": stype()}
+            else:
+                decl = {"kind": "definition", "name": name, "definiens": term()}
+                if rng.random() < 0.5:
+                    decl["type"] = stype()
+            decls.append(decl)
+            visible.add(name)
+        if rng.random() < 0.5:
+            eq = {"app": [{"app": [{"name": "eq"}, term(1)]}, term(1)]}
+            decls.append({"kind": "axiom", "name": rng.choice(CLASH_STMTS), "type": eq})
+        seen[f"t{i}"] = visible
+        theories.append({"name": f"t{i}", "includes": includes, "decls": decls})
+    return {"version": "1", "theories": theories}
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from generators import (
     gen_typed_closed,
     mutate_hints,
     stype_term,
+    surface_consts,
     surface_library,
-    surface_resolve,
 )
 from test_encodings import identity_theorem
 from test_morphisms import (
@@ -253,12 +253,12 @@ def test_4_annotation_inference():
     for _ in range(200):
         target = gen_stype(rng, 2)
         t = gen_surface(rng, target, (), 3)
-        term, ty = infer_church_annotations(SURFACE_ENV, t, SURFACE_BASES, surface_resolve)
-        assert ty == target
+        term, ty = infer_church_annotations(surface_consts(SURFACE_ENV), t, SURFACE_BASES)
+        assert ty == stype_term(target)
         check(lib, CTX, term, Apply(tm, stype_term(target)))
 
     try:
-        infer_church_annotations({}, SAbs("x", None, SName("x")), SURFACE_BASES, surface_resolve)
+        infer_church_annotations({}, SAbs("x", None, SName("x")), SURFACE_BASES)
     except AmbiguousType:
         pass
     else:

@@ -226,6 +226,22 @@ def test_a_separator_in_a_name_or_a_repeated_dependency_is_exit_2(tmp_path, caps
     assert (code, out, err) == (2, "", f"error: {where}\n")
 
 
+def test_a_pvar_arity_above_the_depth_limit_is_exit_2(tmp_path, capsys):
+    def scheme(arity):
+        args = '<const name="c"/>' * arity
+        return _toyset(f'<theory name="t"><constant name="c"/><scheme name="s">'
+                       f'<pvar name="P" arity="{arity}"/><papp name="P">{args}</papp></scheme></theory>')
+
+    doc = tmp_path / "scheme.toyset.xml"
+    doc.write_text(scheme(errors.MAX_DEPTH))
+    for command in ("import", "check"):
+        assert run_cli(capsys, command, str(doc))[0] == 0
+    doc.write_text(scheme(errors.MAX_DEPTH + 1))
+    code, out, err = run_cli(capsys, "check", str(doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: theory[0].decl[1].scheme[0].arity: arity above {errors.MAX_DEPTH}\n"
+
+
 def test_a_second_theory_of_one_name_is_not_left_unchecked(tmp_path, capsys):
     # each theory alone: the first checks, the second fails on `bad`
     for theories, want in (((("t", ("c",)),), 0), ((("t", ("bad",)),), 1)):
@@ -349,19 +365,36 @@ def test_a_name_that_equals_a_connective_is_read_as_a_name(tmp_path, capsys, dec
     assert (code, [r for r in lines(out) if r[0] == "failure"], err) == (1 if rows else 0, rows, "")
 
 
-@pytest.mark.xfail(strict=True, reason="a toyhol constant's type is resolved in the importing "
-                                       "theory, where the later include's `j` wins")
 def test_a_constant_keeps_the_type_of_the_theory_that_declares_it(tmp_path, capsys):
+    # in d the written `j` is b's (the later include wins), but x and f keep a's `j`
+    def defn(name, definiens, **tp):
+        return {"kind": "definition", "name": name, **tp, "definiens": definiens}
+
+    x, y, f = {"name": "x"}, {"name": "y"}, {"name": "f"}
     doc = tmp_path / "clash.toyhol.json"
     doc.write_text(_toyhol(
         {"name": "a", "decls": [{"kind": "type", "name": "j"},
-                                {"kind": "constant", "name": "x", "type": "j"}]},
-        {"name": "b", "decls": [{"kind": "type", "name": "j"}]},
+                                {"kind": "constant", "name": "x", "type": "j"},
+                                {"kind": "constant", "name": "f", "type": {"arrow": ["j", "bool"]}}]},
+        {"name": "b", "decls": [{"kind": "type", "name": "j"},
+                                {"kind": "constant", "name": "y", "type": "j"}]},
         {"name": "d", "includes": ["a", "b"], "decls": [
-            {"kind": "definition", "name": "z", "type": "j", "definiens": {"name": "x"}}]},
+            defn("z", x, type="j"), defn("w", x), defn("v", {"app": [f, x]}),
+            defn("u", {"app": [f, y]})]},
     ))
-    code, out, _ = run_cli(capsys, "import", str(doc))
-    assert code == 0, out
+    out_path = tmp_path / "clash.omdoc.xml"
+    code, out, _ = run_cli(capsys, "import", str(doc), "--output", str(out_path))
+    assert code == 1
+    assert [r for r in lines(out) if r[0] == "failure"] == [
+        ("failure", "lib://toyhol?d?z",
+         "Mismatch: expected tm lib://toyhol?b?j, got tm lib://toyhol?a?j"),
+        ("failure", "lib://toyhol?d?u",
+         "UnificationFailure: f: lib://toyhol?a?j vs lib://toyhol?b?j"),
+    ]
+    lib = omdoc.parse(out_path.read_bytes())
+    tm = Const(hol_ident("tm"))
+    assert [lib.find_decl(Ident("lib://toyhol", "d", n)).tp for n in ("w", "v")] == [
+        Apply(tm, Const(Ident("lib://toyhol", "a", "j"))), Apply(tm, Const(hol_ident("bool'")))]
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ import pytest
 from generators import (
     SURFACE_BASES,
     SURFACE_ENV,
+    gen_clash_toyhol,
     gen_stype,
     gen_surface,
     stype_term,
+    surface_consts,
     surface_library,
     surface_resolve,
 )
@@ -207,7 +209,7 @@ def test_every_mutated_field_name_is_reported():
 
 
 def _infer(env, t):
-    return infer_church_annotations(env, t, SURFACE_BASES, surface_resolve)
+    return infer_church_annotations(surface_consts(env), t, SURFACE_BASES)
 
 
 def test_infer_application_annotations():
@@ -216,7 +218,7 @@ def test_infer_application_annotations():
     f = surface_resolve("f")
     c = surface_resolve("c")
     assert term == apps(APP, BOOL, BOOL, f, c)
-    assert ty == SBase("bool")
+    assert ty == stype_term(SBase("bool"))
 
 
 def test_infer_unannotated_identity_is_ambiguous():
@@ -228,14 +230,14 @@ def test_infer_unannotated_identity_is_ambiguous():
 def test_infer_annotated_identity():
     term, ty = _infer({}, SAbs("x", SBase("bool"), SName("x")))
     assert term == apps(LAM, BOOL, BOOL, Lambda("x", Apply(TM, BOOL), Var(0)))
-    assert ty == SArrow(SBase("bool"), SBase("bool"))
+    assert ty == stype_term(SArrow(SBase("bool"), SBase("bool")))
 
 
 def test_infer_application_pins_binder_type():
     # the body forces x : bool even without an annotation
     env = {"f": SArrow(SBase("bool"), SBase("bool"))}
     term, ty = _infer(env, SAbs("x", None, SApp(SName("f"), SName("x"))))
-    assert ty == SArrow(SBase("bool"), SBase("bool"))
+    assert ty == stype_term(SArrow(SBase("bool"), SBase("bool")))
     f = surface_resolve("f")
     assert term == apps(
         LAM, BOOL, BOOL, Lambda("x", Apply(TM, BOOL), apps(APP, BOOL, BOOL, f, Var(0)))
@@ -245,7 +247,7 @@ def test_infer_application_pins_binder_type():
 def test_infer_forall_defaults_to_bool_body():
     t = SBinder("forall", "x", SBase("bool"), SApp(SApp(SName("impl"), SName("x")), SName("x")))
     term, ty = _infer({}, t)
-    assert ty == SBase("bool")
+    assert ty == stype_term(SBase("bool"))
     assert term == Apply(
         Apply(FORALL, BOOL),
         Lambda("x", Apply(TM, BOOL), apps(IMPL, Var(0), Var(0))),
@@ -288,8 +290,8 @@ def test_infer_unapplied_logical_constant():
 def test_infer_env_shadows_logical_names():
     env = {"impl": SBase("bool")}
     mine = Const(Ident("lib://user", "m", "impl"))
-    term, ty = infer_church_annotations(env, SName("impl"), {}, lambda n: mine)
-    assert ty == SBase("bool")
+    term, ty = infer_church_annotations({"impl": (mine, stype_term(env["impl"]))}, SName("impl"), {})
+    assert ty == stype_term(SBase("bool"))
     assert term == mine
 
 
@@ -304,7 +306,7 @@ def test_infer_200_generated_terms_check():
         target = gen_stype(rng, 2)
         t = gen_surface(rng, target, (), 3)
         term, ty = _infer(SURFACE_ENV, t)
-        assert ty == target
+        assert ty == stype_term(target)
         check(lib, Context(), term, Apply(TM, stype_term(target)))
 
 
@@ -450,6 +452,92 @@ def test_import_cross_theory_reference():
     cc = lib.find_decl(Ident(TOYHOL_NS, "b", "cc"))
     assert cc.definiens == Const(Ident(TOYHOL_NS, "a", "c"))
     assert all(r.ok for r in check_library(lib))
+
+
+# ---------------------------------------------------------------------------
+# name resolution: clashing local names import like unique ones
+
+
+def _renamed(raw: dict, ok: set) -> dict:
+    """`raw` with each declaration `n` of theory `t` named `n_t` and each
+    reference renamed to the declaration that the include rule picks
+    among those that imported (`ok`, as (theory, name) pairs). An
+    unresolved reference keeps its name, which no renamed declaration has."""
+    envs: dict[str, dict[str, str]] = {}
+    theories = []
+    for th in raw["theories"]:
+        env: dict[str, str] = {}  # local name -> theory of the declaration it picks
+        for inc in th["includes"]:
+            env.update(envs[inc])
+
+        def ref(name):
+            return f"{name}_{env[name]}" if name in env else name
+
+        def rtype(st):
+            return {"arrow": [rtype(x) for x in st["arrow"]]} if isinstance(st, dict) else ref(st)
+
+        def rterm(t, bound=()):
+            if "name" in t:
+                return t if t["name"] in bound else {"name": ref(t["name"])}
+            if "app" in t:
+                return {"app": [rterm(x, bound) for x in t["app"]]}
+            var, annot, body = t["abs"]["var"], t["abs"]["annot"], t["abs"]["body"]
+            return {"abs": {"var": var, "annot": rtype(annot), "body": rterm(body, bound + (var,))}}
+
+        decls = []
+        for d in th["decls"]:
+            new = dict(d, name=f"{d['name']}_{th['name']}")
+            if "definiens" in d:
+                new["definiens"] = rterm(d["definiens"])
+            if "type" in d:
+                new["type"] = rterm(d["type"]) if d["kind"] == "axiom" else rtype(d["type"])
+            decls.append(new)
+            if (th["name"], d["name"]) in ok:
+                env[d["name"]] = th["name"]
+        envs[th["name"]] = env
+        theories.append(dict(th, decls=decls))
+    return dict(raw, theories=theories)
+
+
+def _original_name(ident: Ident) -> Ident:
+    return Ident(ident.namespace, ident.module, ident.name.split("_")[0])
+
+
+def _import_view(raw: dict, renamed: bool):
+    """The rows and imported terms of `raw`, with renamed names mapped back
+    and qualified names printed local, so that a document and its
+    uniquely renamed twin compare equal."""
+    lib, report = import_toyhol(parse_toyhol(json.dumps(raw).encode()), allow_empty=True)
+    name = _original_name if renamed else (lambda i: i)
+
+    def unqualified(msg):
+        if msg is None:
+            return None
+        if renamed:
+            return re.sub(r"\b([a-z])_t\d+\b", r"\1", msg)
+        return re.sub(r"lib://toyhol\?t\d+\?", "", msg)
+
+    def term(t):
+        def leaf(node, k):
+            if isinstance(node, Const) and node.ident.namespace == TOYHOL_NS:
+                return Const(name(node.ident))
+            return node
+        return None if t is None else kernel.rebuild(t, leaf)
+
+    rows = [(name(r.subject), r.ok, unqualified(r.message)) for r in report.results]
+    decls = [(name(d.name), term(d.tp), term(d.definiens)) for th in lib.theories for d in th.decls]
+    return rows, decls
+
+
+def test_clashing_local_names_import_like_unique_names():
+    """Each reference resolves where it is written, so renaming every
+    declaration apart changes nothing but the names."""
+    rng = random.Random(2020)
+    for _ in range(400):
+        raw = gen_clash_toyhol(rng)
+        rows, decls = _import_view(raw, renamed=False)
+        ok = {(subject.module, subject.name) for subject, good, _ in rows if good}
+        assert _import_view(_renamed(raw, ok), renamed=True) == (rows, decls), raw
 
 
 # ---------------------------------------------------------------------------

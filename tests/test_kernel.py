@@ -427,6 +427,26 @@ def test_check_lambda_domain_mismatch():
         check(BASE_LIB, CTX, Lambda("x", O, Var(0)), fn_type(NAT, NAT))
 
 
+def test_mismatch_qualifies_only_the_names_that_clash():
+    # a second theory declares its own `nat` and a constant `n` of it
+    nat2, n2 = Ident(NS, "other", "nat"), Ident(NS, "other", "n")
+    other = Theory(theory_ident(NS, "other"), decls=(
+        Declaration(nat2, tp=TypeKind(), meta=Metadata(kind="type")),
+        Declaration(n2, tp=Const(nat2), meta=Metadata(kind="constant")),
+    ))
+    lib = Library(NS, BASE_LIB.theories + (other,))
+    nat = _i("nat")
+    for t, tp, message in (
+        (Const(n2), NAT, f"expected {nat}, got {nat2}"),
+        (Lambda("x", Const(nat2), Var(0)), fn_type(NAT, NAT), f"lambda domain {nat2} vs expected {nat}"),
+        (TT, NAT, "expected nat, got o"),
+        (Lambda("x", O, Var(0)), fn_type(NAT, NAT), "lambda domain o vs expected nat"),
+    ):
+        with pytest.raises(Mismatch) as exc:
+            check(lib, CTX, t, tp)
+        assert str(exc.value) == message
+
+
 def test_infer_matches_generator_types():
     rng = random.Random(404)
     for _ in range(150):
