@@ -36,7 +36,14 @@ class NotTyped(CheckError):
 
 
 class UnknownIdent(CheckError):
-    """An identifier did not resolve to a visible declaration."""
+    """An identifier did not resolve to a visible declaration.
+
+    `name` is the unresolved name as the input document wrote it, when
+    an importer raised the error."""
+
+    def __init__(self, message: str, name: str | None = None):
+        self.name = name
+        super().__init__(message)
 
 
 class NotAFunction(CheckError):
@@ -103,7 +110,7 @@ class SchemaViolation(FormatError):
     """Structurally valid input that breaks the schema; path names the spot."""
 
     def __init__(self, path: str, message: str = ""):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"{path}: {message}" if message else path)
 
 

@@ -527,6 +527,7 @@ class SMeta:
     """Inference-time hole in a holChurch object type; never escapes the importer."""
 
     var_id: int
+    loose = 0  # read by the kernel terms built around a hole: it binds no index
 
 
 def _arrow_parts(t: Term) -> Optional[tuple[Term, Term]]:
@@ -649,7 +650,7 @@ def infer_church_annotations(
                     return (lambda: term), st
                 if logical(x, scope):
                     raise UnificationFailure(x, "logical constant must be applied")
-                raise UnknownIdent(x)
+                raise UnknownIdent(x, x)
             case SApp():
                 head, args = _spine(t)
                 if isinstance(head, SName) and logical(head.name, scope):
@@ -755,26 +756,34 @@ def _import(
     they check; `env` starts as the environments of the included
     theories merged in order, so a later include wins. A failure is
     recorded in the report, on the theory when an include did not
-    import, and the record or theory dropped; the rest continue. Raises
-    EmptyCorpus when a document with records ends up contributing
-    nothing (unless allow_empty).
+    import, and the record or theory dropped; the rest continue. A name
+    that does not resolve because its own record or theory was dropped
+    is reported as one that failed to import, not as a bare unknown
+    name. Raises EmptyCorpus when a document with records ends up
+    contributing nothing (unless allow_empty).
     """
     rows: list[CheckResult] = []
     done: list[Theory] = []
     envs: dict[str, Env] = {}
+    failed: dict[str, set[str]] = {}  # theory -> names dropped in it or its includes
+    dropped: set[str] = set()  # theories
 
     for trec in doc.theories:
         th = theory_ident(ns, trec.name)
         missing = next((inc for inc in trec.includes if inc not in envs), None)
         if missing is not None:
-            rows.append(CheckResult(th, False, f"UnknownIdent: included theory {missing}"))
+            cause = " failed to import" if missing in dropped else ""
+            rows.append(CheckResult(th, False, f"UnknownIdent: included theory {missing}{cause}"))
+            dropped.add(trec.name)
             continue
         empty = Theory(th, meta_theory, tuple(theory_ident(ns, inc) for inc in trec.includes))
         scope = Scope(Library(ns, tuple(done) + (empty,), deps=(_LOGICS,)), th)
         env: Env = defaultdict(dict)
+        lost: set[str] = set()
         for inc in trec.includes:
             for category, bound in envs[inc].items():
                 env[category].update(bound)
+            lost |= failed[inc]
 
         for rec in trec.decls:
             ident = Ident(ns, trec.name, rec.name)
@@ -782,14 +791,18 @@ def _import(
                 cands, bindings = convert(rec, ident, env, scope, config)
                 row = _try_add(scope, cands, config) or CheckResult(ident, True)
             except CheckError as err:
-                row = CheckResult(ident, False, f"{type(err).__name__}: {err}")
+                cascade = isinstance(err, UnknownIdent) and err.name in lost
+                cause = " failed to import" if cascade else ""
+                row = CheckResult(ident, False, f"{type(err).__name__}: {err}{cause}")
             rows.append(row)
             if row.ok:
                 for category, binding in bindings.items():
                     env[category][rec.name] = binding
+            else:
+                lost.add(rec.name)
 
         done.append(replace(empty, decls=tuple(scope.decls)))
-        envs[trec.name] = env
+        envs[trec.name], failed[trec.name] = env, lost
 
     lib = Library(ns, tuple(done), deps=(_LOGICS,))
     has_records = any(t.decls for t in doc.theories)
@@ -849,7 +862,7 @@ def _depends_on(rec: DeclRecord, stmts: Mapping[str, Ident]) -> Proof:
     ids = []
     for dep in rec.deps:
         if dep not in stmts:
-            raise UnknownIdent(f"dependency {dep}")
+            raise UnknownIdent(f"dependency {dep}", dep)
         ids.append(stmts[dep])
     return DependsOn(tuple(ids)) if ids else Omitted()
 
@@ -861,7 +874,7 @@ def _stype_term(st: SurfaceType, base_types: Mapping[str, Ident]) -> Term:
     if st.name == "bool":
         return _HOL_BOOL
     if st.name not in base_types:
-        raise UnknownIdent(f"base type {st.name}")
+        raise UnknownIdent(f"base type {st.name}", st.name)
     return Const(base_types[st.name])
 
 
@@ -919,7 +932,7 @@ def _fol_term(elem: ET.Element, scope: list[str], consts: Mapping[str, Ident]) -
     elif x in consts:
         head = Const(consts[x])
     else:
-        raise UnknownIdent(x)
+        raise UnknownIdent(x, x)
     return apps(head, *(_fol_term(kid, scope, consts) for kid in elem))
 
 

@@ -14,7 +14,14 @@ cross-library resolution.
 
 All values here are immutable after construction and safe to share,
 except a Scope: what one theory sees while it is built, which grows
-with each declaration added to it.
+with each declaration added to it. Readers share equal subterms, and
+`infer` relies on that: it memoizes the type of each closed application
+by the node's identity, on the Library or Scope asked. An entry holds
+its node, so the id cannot be reused while the entry lives; it holds
+the Config it was inferred under and serves no other; and only a
+successful inference is stored. A Library never changes, so its entries
+stay true; a Scope only grows, which keeps every success a success,
+and `Scope.add`'s undo clears the Scope's entries.
 """
 
 from __future__ import annotations
@@ -83,71 +90,129 @@ def theory_ident(namespace: str, name: str) -> Ident:
 # terms
 
 
-@dataclass(frozen=True)
+# Term nodes are slotted and frozen. Each takes a hand-written __init__ so
+# that its `loose` range costs no extra call: a generated __init__ plus a
+# __post_init__ made building an Apply about twice as slow.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class Term:
-    """Base class for framework terms."""
+    """Base class for framework terms.
+
+    `loose` is one more than the largest de Bruijn index free in the
+    term, or 0 when it is closed. It is computed once, when the node is
+    built; Const and TypeKind keep the class-level 0.
+    """
+
+    loose = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     ident: Ident
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Var(Term):
     index: int
+    loose: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
+    def __init__(self, index: int) -> None:
+        if index < 0:
             raise ValueError("de Bruijn index must be nonnegative")
+        _set(self, "index", index)
+        _set(self, "loose", index + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Apply(Term):
     fn: Term
     arg: Term
+    loose: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, fn: Term, arg: Term) -> None:
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        a, b = fn.loose, arg.loose
+        _set(self, "loose", a if a >= b else b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Lambda(Term):
     hint: str = field(compare=False)
     dom: Term = field()
     body: Term = field()
+    loose: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, hint: str, dom: Term, body: Term) -> None:
+        _set(self, "hint", hint)
+        _set(self, "dom", dom)
+        _set(self, "body", body)
+        a, b = dom.loose, body.loose - 1
+        _set(self, "loose", a if a >= b else b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Pi(Term):
     hint: str = field(compare=False)
     dom: Term = field()
     cod: Term = field()
+    loose: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, hint: str, dom: Term, cod: Term) -> None:
+        _set(self, "hint", hint)
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+        a, b = dom.loose, cod.loose - 1
+        _set(self, "loose", a if a >= b else b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeKind(Term):
     """The kind `type`. It classifies types and has itself no type."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SubType(Term):
     """Predicate subtype: elements of `base` satisfying `pred`."""
 
     base: Term
     pred: Term
+    loose: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, base: Term, pred: Term) -> None:
+        _set(self, "base", base)
+        _set(self, "pred", pred)
+        a, b = base.loose, pred.loose
+        _set(self, "loose", a if a >= b else b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SubIn(Term):
     """Introduce into a subtype: an element paired with a witness."""
 
     elem: Term
     witness: Term
+    loose: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, elem: Term, witness: Term) -> None:
+        _set(self, "elem", elem)
+        _set(self, "witness", witness)
+        a, b = elem.loose, witness.loose
+        _set(self, "loose", a if a >= b else b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SubOut(Term):
     """Project the underlying element out of a subtype."""
 
     elem: Term
+    loose: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, elem: Term) -> None:
+        _set(self, "elem", elem)
+        _set(self, "loose", elem.loose)
 
 
 def apps(fn: Term, *args: Term) -> Term:
@@ -358,6 +423,10 @@ class Library:
     def _decl_memo(self) -> dict[Ident, Optional[Declaration]]:
         return {}
 
+    @cached_property
+    def _infer_memo(self) -> dict[int, tuple[Term, Config, Term]]:
+        return {}
+
     def find_theory(self, ident: Ident) -> Optional[Theory]:
         for lib in self._scan:
             if lib.namespace == ident.namespace:
@@ -398,18 +467,25 @@ DEFAULT_CONFIG = Config()
 # traversal and substitution
 
 
-def rebuild(t: Term, leaf: Callable[[Term, int], Term], k: int = 0) -> Term:
+def rebuild(
+    t: Term, leaf: Callable[[Term, int], Term], k: int = 0, free_only: bool = False
+) -> Term:
     """Rebuild `t` with every Var and Const node replaced by leaf(node, j).
 
     `j` is `k` plus the number of binders between the root and the node.
     A node whose children all come back unchanged (`is`) is returned
     itself, so a leaf that changes nothing returns `t` without a copy.
+    With `free_only`, the leaf changes only a Var whose index is at least
+    its `j`; a subterm whose `loose` range is at most its `k` holds no
+    such Var and is returned at once, without visiting it.
 
     It dispatches on the exact class, most frequent first, and names each
     class's fields by hand: this is the kernel's hottest function, and
     with a structural `match` `constants_of` and `shift` took about 2.5
     times as long.
     """
+    if free_only and t.loose <= k:
+        return t
     cls = type(t)
     if cls is Apply:
         x, y = t.fn, t.arg
@@ -418,8 +494,8 @@ def rebuild(t: Term, leaf: Callable[[Term, int], Term], k: int = 0) -> Term:
     elif cls is Lambda or cls is Pi:
         d = t.dom
         b = t.body if cls is Lambda else t.cod
-        d2 = rebuild(d, leaf, k)
-        b2 = rebuild(b, leaf, k + 1)
+        d2 = rebuild(d, leaf, k, free_only)
+        b2 = rebuild(b, leaf, k + 1, free_only)
         return t if d2 is d and b2 is b else cls(t.hint, d2, b2)
     elif cls is SubType:
         x, y = t.base, t.pred
@@ -427,22 +503,22 @@ def rebuild(t: Term, leaf: Callable[[Term, int], Term], k: int = 0) -> Term:
         x, y = t.elem, t.witness
     elif cls is SubOut:
         e = t.elem
-        e2 = rebuild(e, leaf, k)
+        e2 = rebuild(e, leaf, k, free_only)
         return t if e2 is e else SubOut(e2)
     else:
         return t
-    x2 = rebuild(x, leaf, k)
-    y2 = rebuild(y, leaf, k)
+    x2 = rebuild(x, leaf, k, free_only)
+    y2 = rebuild(y, leaf, k, free_only)
     return t if x2 is x and y2 is y else cls(x2, y2)
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every free index at or above `cutoff`."""
 
-    def leaf(node: Term, k: int) -> Term:
-        return Var(node.index + by) if isinstance(node, Var) and node.index >= k else node
+    def leaf(node: Var, k: int) -> Term:
+        return Var(node.index + by)
 
-    return rebuild(t, leaf, cutoff)
+    return rebuild(t, leaf, cutoff, True)
 
 
 def substitute(t: Term, depth: int, s: Term) -> Term:
@@ -451,20 +527,15 @@ def substitute(t: Term, depth: int, s: Term) -> Term:
     Free indices above `depth` decrement (the binder at `depth` is
     consumed); `s` is shifted as it moves under binders. This is exactly
     the beta contraction when called with depth 0 on a redex body.
+    A closed `s` moves under binders unchanged, in O(1).
     """
-    shifted = {depth: s}  # k -> s moved under the k - depth binders above Var(k)
 
-    def leaf(node: Term, k: int) -> Term:
-        if isinstance(node, Var):
-            if node.index == k:
-                if k not in shifted:
-                    shifted[k] = shift(s, k - depth)
-                return shifted[k]
-            if node.index > k:
-                return Var(node.index - 1)
-        return node
+    def leaf(node: Var, k: int) -> Term:
+        if node.index == k:
+            return shift(s, k - depth)
+        return Var(node.index - 1)
 
-    return rebuild(t, leaf, depth)
+    return rebuild(t, leaf, depth, True)
 
 
 def map_consts(t: Term, fn) -> Term:
@@ -619,6 +690,8 @@ def infer(
 
     Binder domains are not sort-checked here; declaration-level checking
     (check_theory) enforces that declared classifiers are types or kinds.
+    The type of a closed application does not depend on `ctx`; it is
+    memoized (see the module docstring).
     """
     match t:
         case Var(k):
@@ -633,11 +706,20 @@ def infer(
         case TypeKind():
             raise NotTyped("the kind 'type' has no type")
         case Apply(f, a):
+            closed = t.loose == 0
+            if closed:
+                memo = lib._infer_memo
+                hit = memo.get(id(t))
+                if hit is not None and (hit[1] is config or hit[1] == config):
+                    return hit[2]
             ft = whnf(lib, infer(lib, ctx, f, config), config)
             match ft:
                 case Pi(_, dom, cod):
                     check(lib, ctx, a, dom, config)
-                    return substitute(cod, 0, a)
+                    tp = substitute(cod, 0, a)
+                    if closed:
+                        memo[id(t)] = (t, config, tp)
+                    return tp
                 case _:
                     raise NotAFunction(f"cannot apply a term of type {format_term(ft)}")
         case Lambda(h, d, b):
@@ -836,7 +918,8 @@ class Scope:
     `index`, which `find_decl` consults before the library: the added
     declarations it would look up in this theory. `row` is set when an
     include does not resolve; it is then the one row a full check gives.
-    The checker takes a Scope wherever it takes a Library.
+    The checker takes a Scope wherever it takes a Library, and `infer`
+    keeps its memo on the Scope as on a Library.
     """
 
     def __init__(self, lib: Library, th: Ident):
@@ -845,6 +928,7 @@ class Scope:
             raise UnknownIdent(f"theory {th} not found")
         self.lib, self.theory, self.decls = lib, theory, list(theory.decls)
         self.index: dict[Ident, Declaration] = {}
+        self._infer_memo: dict[int, tuple[Term, Config, Term]] = {}
         self.row: Optional[CheckResult] = None
         try:
             self.visible = _visible_idents(lib, theory, flatten(lib, th))
@@ -875,6 +959,7 @@ class Scope:
             self.visible.difference_update(names)
             for n in mine:
                 del self.index[n]
+            self._infer_memo.clear()
 
         return undo
 
@@ -949,12 +1034,12 @@ def _mentions(t: Term, k: int) -> bool:
     """Whether Var(k) occurs free in `t`."""
     hits: list[Term] = []
 
-    def leaf(node: Term, j: int) -> Term:
-        if isinstance(node, Var) and node.index == j:
+    def leaf(node: Var, j: int) -> Term:
+        if node.index == j:
             hits.append(node)
         return node
 
-    rebuild(t, leaf, k)
+    rebuild(t, leaf, k, True)
     return bool(hits)
 
 

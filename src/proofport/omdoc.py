@@ -8,10 +8,12 @@ newline-terminated lines, UTF-8. Theory, declaration and metadata
 elements take one line each, indented two spaces per level; each term
 is written on its wrapper's line without whitespace, so its bytes grow
 with its size, not its depth. The reader accepts any whitespace between
-elements. No structure sharing is attempted; each subterm is inlined,
-and the serialized element count stays linear in the term node count.
-The writer and the reader each walk a term with an explicit stack, not
-by recursion, so both take terms of any depth.
+elements. The file attempts no structure sharing; each subterm is
+inlined, and the serialized element count stays linear in the term node
+count. The writer and the reader each walk a term with an explicit
+stack, not by recursion, so both take terms of any depth. The reader
+returns the equal subterms of one document, hints included, as one
+shared object, so the checker can infer each type once.
 
 Variables carry their de Bruijn index plus the binder's name hint. The
 index alone is authoritative; the hint is for human readers.
@@ -303,33 +305,46 @@ def _leaf(elem: ET.Element, path: str, required: tuple[str, ...]) -> Mapping[str
     return elem.attrib
 
 
-def _ident(text: str, path: str, consts: dict[str, Const]) -> Ident:
-    """The identifier `text` names. `consts` holds the constants already
-    read from the same document, by text, so each distinct text is
-    validated once and each OMS of it shares one Const."""
-    c = consts.get(text)
+# Each reader below writes HERE for the element it reads at the head of
+# every path it raises; the caller, which knows where that element sits,
+# catches the SchemaViolation and puts the element's path in HERE's place.
+# So no path is formatted unless an error is raised.
+_HERE = "\0"
+
+
+def _moved(err: SchemaViolation, path: str) -> SchemaViolation:
+    """`err` with `path` in place of the HERE its path starts with."""
+    return SchemaViolation(path + err.path[1:], err.message)
+
+
+def _ident(attrs: Mapping[str, str], key: str, table: dict) -> Ident:
+    """The identifier that attribute `key` names. `table` holds the
+    constants already read from the same document, by text, so each
+    distinct text is validated once and each OMS of it shares one Const."""
+    text = attrs[key]
+    c = table.get(text)
     if c is None:
         try:
-            c = consts[text] = Const(Ident.parse(text))
+            c = table[text] = Const(Ident.parse(text))
         except ValueError as err:
-            raise SchemaViolation(path, str(err)) from None
+            raise SchemaViolation(f"{_HERE}.{key}", str(err)) from None
     return c.ident
 
 
-def _int_attr(value: str, path: str) -> int:
+def _int_attr(attrs: Mapping[str, str], key: str) -> int:
     try:
-        return int(value)
+        return int(attrs[key])
     except ValueError:
-        raise SchemaViolation(path, "expected an integer") from None
+        raise SchemaViolation(f"{_HERE}.{key}", "expected an integer") from None
 
 
-def _path(path: str, frames: list, elem: ET.Element) -> str:
+def _path(frames: list, elem: ET.Element) -> str:
     """The path of `elem`, the child being read of the last of `frames`.
-    The first frame is the term's wrapper, at `path`; each later frame's
+    The first frame is the term's wrapper, at HERE; each later frame's
     element is the child being read of the frame before it, and a
     frame's next child index is the number of parts it has built."""
     elems = [f[0] for f in frames[1:]] + [elem]
-    steps = [path, ".", elems[0].tag]
+    steps = [_HERE, ".", elems[0].tag]
     for (_, _, built), kid in zip(frames[1:], elems[1:]):
         steps.append(f".{kid.tag}[{len(built)}]")
     return "".join(steps)
@@ -342,8 +357,8 @@ def _leaf_content(elem: ET.Element, path: str) -> SchemaViolation:
     return SchemaViolation(path, f"{elem.tag} takes no children")
 
 
-def _parse_term(wrapper: ET.Element, path: str, consts: dict[str, Const]) -> Term:
-    """The one term inside `wrapper`, the element at `path`.
+def _parse_term(wrapper: ET.Element, table: dict) -> Term:
+    """The one term inside `wrapper`.
 
     The term is read from an explicit stack of frames, not by recursion,
     so no term is too deep to read. A frame holds an element, an
@@ -352,9 +367,14 @@ def _parse_term(wrapper: ET.Element, path: str, consts: dict[str, Const]) -> Ter
     rank: attributes, text, children (OMS, OMV and OMA), and, once an
     OMBIND's children are built, its variable, binder name and arity.
     A path is formatted only for an error.
+
+    Equal subterms of one document come back as one object: `table`
+    maps an identifier's text to its Const, an index to its Var, and a
+    node's class, hint and children's ids to the node. The ids stay
+    valid because each node in the table keeps its children alive.
     """
     if len(wrapper) != 1:
-        raise SchemaViolation(path, "expected exactly one term")
+        raise SchemaViolation(_HERE, "expected exactly one term")
     elem, kids, parts = wrapper, iter(wrapper), []
     stack = [(elem, kids, parts)]
     while True:
@@ -364,48 +384,51 @@ def _parse_term(wrapper: ET.Element, path: str, consts: dict[str, Const]) -> Ter
             if tag == "OMS":
                 name = a.get("name")
                 if name is None or len(a) != 1:
-                    check_keys(a, _path(path, stack, kid), ("name",))
+                    check_keys(a, _path(stack, kid), ("name",))
                 if len(kid) or (text := kid.text) and not text.isspace():
-                    raise _leaf_content(kid, _path(path, stack, kid))
-                c = consts.get(name)
+                    raise _leaf_content(kid, _path(stack, kid))
+                c = table.get(name)
                 if c is None:
                     try:
-                        c = consts[name] = Const(Ident.parse(name))
+                        c = table[name] = Const(Ident.parse(name))
                     except ValueError as err:
-                        raise SchemaViolation(f"{_path(path, stack, kid)}.name", str(err)) from None
+                        raise SchemaViolation(f"{_path(stack, kid)}.name", str(err)) from None
                 parts.append(c)
             elif tag == "OMV":
                 index = a.get("index")
                 if index is None or len(a) != 1 and (len(a) != 2 or "hint" not in a):
-                    check_keys(a, _path(path, stack, kid), ("index",), ("hint",))
+                    check_keys(a, _path(stack, kid), ("index",), ("hint",))
                 if len(kid) or (text := kid.text) and not text.isspace():
-                    raise _leaf_content(kid, _path(path, stack, kid))
+                    raise _leaf_content(kid, _path(stack, kid))
                 try:
                     index = int(index)
                 except ValueError:
                     raise SchemaViolation(
-                        f"{_path(path, stack, kid)}.index", "expected an integer"
+                        f"{_path(stack, kid)}.index", "expected an integer"
                     ) from None
-                if index < 0:
-                    raise SchemaViolation(f"{_path(path, stack, kid)}.index", "negative index")
-                parts.append(Var(index))
+                v = table.get(index)
+                if v is None:
+                    if index < 0:
+                        raise SchemaViolation(f"{_path(stack, kid)}.index", "negative index")
+                    v = table[index] = Var(index)
+                parts.append(v)
             elif tag == "OMA" or tag == "OMBIND":
                 if tag == "OMA":
                     if a:
-                        check_keys(a, _path(path, stack, kid), ())
+                        check_keys(a, _path(stack, kid), ())
                 elif "binder" not in a or len(a) != 1 and (len(a) != 2 or "var" not in a):
-                    check_keys(a, _path(path, stack, kid), ("binder",), ("var",))
+                    check_keys(a, _path(stack, kid), ("binder",), ("var",))
                 if _stray_text(kid):
-                    raise SchemaViolation(_path(path, stack, kid), "unexpected text content")
+                    raise SchemaViolation(_path(stack, kid), "unexpected text content")
                 if tag == "OMA" and len(kid) < 2:
                     raise SchemaViolation(
-                        _path(path, stack, kid), "OMA needs a head and at least one argument"
+                        _path(stack, kid), "OMA needs a head and at least one argument"
                     )
                 elem, kids, parts = kid, iter(kid), []
                 stack.append((elem, kids, parts))
                 break
             else:
-                raise SchemaViolation(_path(path, stack, kid), f"unknown element <{tag}>")
+                raise SchemaViolation(_path(stack, kid), f"unknown element <{tag}>")
         else:
             if elem is wrapper:
                 return parts[0]
@@ -413,120 +436,131 @@ def _parse_term(wrapper: ET.Element, path: str, consts: dict[str, Const]) -> Ter
             if elem.tag == "OMA":
                 t = parts[0]
                 for i in range(1, len(parts)):
-                    t = Apply(t, parts[i])
+                    key = (id(t), id(parts[i]))
+                    n = table.get(key)
+                    if n is None:
+                        n = table[key] = Apply(t, parts[i])
+                    t = n
             else:
                 a = elem.attrib
                 binder = a["binder"]
                 cls, fields, binds = _BINDER_NAMED.get(binder, (None, (), False))
                 if "var" in a and not binds:
                     raise SchemaViolation(
-                        f"{_path(path, stack, elem)}.var", f"binder {binder} takes no variable"
+                        f"{_path(stack, elem)}.var", f"binder {binder} takes no variable"
                     )
                 if cls is None:
                     raise SchemaViolation(
-                        f"{_path(path, stack, elem)}.binder", f"unknown binder {binder!r}"
+                        f"{_path(stack, elem)}.binder", f"unknown binder {binder!r}"
                     )
                 if len(parts) != len(fields):
                     raise SchemaViolation(
-                        _path(path, stack, elem), f"binder {binder} takes {len(fields)} children"
+                        _path(stack, elem), f"binder {binder} takes {len(fields)} children"
                     )
-                t = cls(a.get("var", "_"), *parts) if binds else cls(*parts)
+                hint = a.get("var", "_") if binds else None
+                key = (cls, hint, *map(id, parts))
+                t = table.get(key)
+                if t is None:
+                    t = table[key] = cls(hint, *parts) if binds else cls(*parts)
             elem, kids, parts = stack[-1]
             parts.append(t)
 
 
-def _parse_metadata(elem: ET.Element, path: str, consts: dict[str, Const]):
-    a = check_keys(elem.attrib, path, (), ("origin",))
-    origin = _ident(a["origin"], f"{path}.origin", consts) if "origin" in a else None
+def _parse_metadata(elem: ET.Element, table: dict):
+    a = check_keys(elem.attrib, _HERE, (), ("origin",))
+    origin = _ident(a, "origin", table) if "origin" in a else None
     source_ref = None
     comments: list[str] = []
     notation = None
     for i, kid in enumerate(elem):
-        kpath = f"{path}.{kid.tag}[{i}]"
-        if kid.tag == "srcref":
-            if source_ref is not None:
-                raise SchemaViolation(kpath, "duplicate srcref")
-            ka = _leaf(kid, kpath, ("file", "sl", "sc", "el", "ec"))
-            try:
-                source_ref = SourceRef(
-                    ka["file"],
-                    _int_attr(ka["sl"], f"{kpath}.sl"),
-                    _int_attr(ka["sc"], f"{kpath}.sc"),
-                    _int_attr(ka["el"], f"{kpath}.el"),
-                    _int_attr(ka["ec"], f"{kpath}.ec"),
-                )
-            except ValueError as err:
-                raise SchemaViolation(kpath, str(err)) from None
-        elif kid.tag == "comment":
-            _leaf(kid, kpath, ())
-            comments.append(kid.text or "")
-        elif kid.tag == "notation":
-            if notation is not None:
-                raise SchemaViolation(kpath, "duplicate notation")
-            _leaf(kid, kpath, ())
-            notation = kid.text or ""
-        else:
-            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
+        try:
+            if kid.tag == "srcref":
+                if source_ref is not None:
+                    raise SchemaViolation(_HERE, "duplicate srcref")
+                ka = _leaf(kid, _HERE, ("file", "sl", "sc", "el", "ec"))
+                try:
+                    source_ref = SourceRef(
+                        ka["file"],
+                        _int_attr(ka, "sl"),
+                        _int_attr(ka, "sc"),
+                        _int_attr(ka, "el"),
+                        _int_attr(ka, "ec"),
+                    )
+                except ValueError as err:
+                    raise SchemaViolation(_HERE, str(err)) from None
+            elif kid.tag == "comment":
+                _leaf(kid, _HERE, ())
+                comments.append(kid.text or "")
+            elif kid.tag == "notation":
+                if notation is not None:
+                    raise SchemaViolation(_HERE, "duplicate notation")
+                _leaf(kid, _HERE, ())
+                notation = kid.text or ""
+            else:
+                raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
+        except SchemaViolation as err:
+            raise _moved(err, f"{_HERE}.{kid.tag}[{i}]") from None
     return origin, source_ref, tuple(comments), notation
 
 
-def _parse_proof(elem: ET.Element, path: str, consts: dict[str, Const]) -> Proof:
-    a = check_keys(elem.attrib, path, ("style",))
-    _no_text(elem, path)
+def _parse_proof(elem: ET.Element, table: dict) -> Proof:
+    a = check_keys(elem.attrib, _HERE, ("style",))
+    _no_text(elem, _HERE)
     style = a["style"]
     kids = list(elem)
     if style == "omitted":
         if kids:
-            raise SchemaViolation(path, "omitted proof takes no children")
+            raise SchemaViolation(_HERE, "omitted proof takes no children")
         return Omitted()
     if style == "dependsOn":
         ids = []
         for i, kid in enumerate(kids):
-            kpath = f"{path}.{kid.tag}[{i}]"
-            if kid.tag != "ref":
-                raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
-            ka = _leaf(kid, kpath, ("name",))
-            ids.append(_ident(ka["name"], f"{kpath}.name", consts))
+            try:
+                if kid.tag != "ref":
+                    raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
+                ids.append(_ident(_leaf(kid, _HERE, ("name",)), "name", table))
+            except SchemaViolation as err:
+                raise _moved(err, f"{_HERE}.{kid.tag}[{i}]") from None
         try:
             return DependsOn(tuple(ids))
         except ValueError as err:
-            raise SchemaViolation(path, str(err)) from None
+            raise SchemaViolation(_HERE, str(err)) from None
     if style == "term":
-        return ProofTerm(_parse_term(elem, path, consts))
-    raise SchemaViolation(f"{path}.style", f"unknown proof style {style!r}")
+        return ProofTerm(_parse_term(elem, table))
+    raise SchemaViolation(f"{_HERE}.style", f"unknown proof style {style!r}")
 
 
-def _parse_constant(
-    elem: ET.Element, path: str, namespace: str, module: str, consts: dict[str, Const]
-) -> Declaration:
-    a = check_keys(elem.attrib, path, ("name", "kind"))
-    _no_text(elem, path)
+def _parse_constant(elem: ET.Element, namespace: str, module: str, table: dict) -> Declaration:
+    a = check_keys(elem.attrib, _HERE, ("name", "kind"))
+    _no_text(elem, _HERE)
     if a["kind"] not in KINDS:
-        raise SchemaViolation(f"{path}.kind", f"unknown kind {a['kind']!r}")
+        raise SchemaViolation(f"{_HERE}.kind", f"unknown kind {a['kind']!r}")
     tp = definiens = proof = None
     origin = source_ref = notation = None
     comments: tuple[str, ...] = ()
     seen = set()
     for kid in elem:
-        kpath = f"{path}.{kid.tag}"
-        if kid.tag in seen:
-            raise SchemaViolation(kpath, f"duplicate <{kid.tag}>")
-        seen.add(kid.tag)
-        if kid.tag == "type":
-            check_keys(kid.attrib, kpath, ())
-            _no_text(kid, kpath)
-            tp = _parse_term(kid, kpath, consts)
-        elif kid.tag == "definition":
-            check_keys(kid.attrib, kpath, ())
-            _no_text(kid, kpath)
-            definiens = _parse_term(kid, kpath, consts)
-        elif kid.tag == "proof":
-            proof = _parse_proof(kid, kpath, consts)
-        elif kid.tag == "metadata":
-            _no_text(kid, kpath)
-            origin, source_ref, comments, notation = _parse_metadata(kid, kpath, consts)
-        else:
-            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
+        try:
+            if kid.tag in seen:
+                raise SchemaViolation(_HERE, f"duplicate <{kid.tag}>")
+            seen.add(kid.tag)
+            if kid.tag == "type":
+                check_keys(kid.attrib, _HERE, ())
+                _no_text(kid, _HERE)
+                tp = _parse_term(kid, table)
+            elif kid.tag == "definition":
+                check_keys(kid.attrib, _HERE, ())
+                _no_text(kid, _HERE)
+                definiens = _parse_term(kid, table)
+            elif kid.tag == "proof":
+                proof = _parse_proof(kid, table)
+            elif kid.tag == "metadata":
+                _no_text(kid, _HERE)
+                origin, source_ref, comments, notation = _parse_metadata(kid, table)
+            else:
+                raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
+        except SchemaViolation as err:
+            raise _moved(err, f"{_HERE}.{kid.tag}") from None
     try:
         name = Ident(namespace, module, a["name"])
         meta = Metadata(
@@ -538,29 +572,30 @@ def _parse_constant(
         )
         return Declaration(name, tp=tp, definiens=definiens, proof=proof, meta=meta)
     except ValueError as err:
-        raise SchemaViolation(path, str(err)) from None
+        raise SchemaViolation(_HERE, str(err)) from None
 
 
-def _parse_theory(elem: ET.Element, path: str, namespace: str, consts: dict[str, Const]) -> Theory:
-    a = check_keys(elem.attrib, path, ("name",), ("meta",))
-    _no_text(elem, path)
-    meta_theory = _ident(a["meta"], f"{path}.meta", consts) if "meta" in a else None
+def _parse_theory(elem: ET.Element, namespace: str, table: dict) -> Theory:
+    a = check_keys(elem.attrib, _HERE, ("name",), ("meta",))
+    _no_text(elem, _HERE)
+    meta_theory = _ident(a, "meta", table) if "meta" in a else None
     includes = []
     decls: dict[Ident, Declaration] = {}
     for i, kid in enumerate(elem):
-        kpath = f"{path}.{kid.tag}[{i}]"
-        if kid.tag == "include":
-            if decls:
-                raise SchemaViolation(kpath, "includes must precede constants")
-            ka = _leaf(kid, kpath, ("from",))
-            includes.append(_ident(ka["from"], f"{kpath}.from", consts))
-        elif kid.tag == "constant":
-            d = _parse_constant(kid, kpath, namespace, a["name"], consts)
-            if d.name in decls:
-                raise SchemaViolation(f"{kpath}.name", f"duplicate declaration {d.name}")
-            decls[d.name] = d
-        else:
-            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
+        try:
+            if kid.tag == "include":
+                if decls:
+                    raise SchemaViolation(_HERE, "includes must precede constants")
+                includes.append(_ident(_leaf(kid, _HERE, ("from",)), "from", table))
+            elif kid.tag == "constant":
+                d = _parse_constant(kid, namespace, a["name"], table)
+                if d.name in decls:
+                    raise SchemaViolation(f"{_HERE}.name", f"duplicate declaration {d.name}")
+                decls[d.name] = d
+            else:
+                raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
+        except SchemaViolation as err:
+            raise _moved(err, f"{_HERE}.{kid.tag}[{i}]") from None
     try:
         return Theory(
             theory_ident(namespace, a["name"]),
@@ -569,31 +604,31 @@ def _parse_theory(elem: ET.Element, path: str, namespace: str, consts: dict[str,
             decls=tuple(decls.values()),
         )
     except ValueError as err:
-        raise SchemaViolation(path, str(err)) from None
+        raise SchemaViolation(_HERE, str(err)) from None
 
 
-def _parse_morphism(elem: ET.Element, path: str, consts: dict[str, Const]) -> Morphism:
-    a = check_keys(elem.attrib, path, ("name", "from", "to"))
-    _no_text(elem, path)
+def _parse_morphism(elem: ET.Element, table: dict) -> Morphism:
+    a = check_keys(elem.attrib, _HERE, ("name", "from", "to"))
+    _no_text(elem, _HERE)
     assignments = []
     for i, kid in enumerate(elem):
-        kpath = f"{path}.{kid.tag}[{i}]"
-        if kid.tag != "assignment":
-            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
-        ka = check_keys(kid.attrib, kpath, ("name",))
-        _no_text(kid, kpath)
-        assignments.append(
-            (_ident(ka["name"], f"{kpath}.name", consts), _parse_term(kid, kpath, consts))
-        )
+        try:
+            if kid.tag != "assignment":
+                raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
+            ka = check_keys(kid.attrib, _HERE, ("name",))
+            _no_text(kid, _HERE)
+            assignments.append((_ident(ka, "name", table), _parse_term(kid, table)))
+        except SchemaViolation as err:
+            raise _moved(err, f"{_HERE}.{kid.tag}[{i}]") from None
     try:
         return Morphism(
-            _ident(a["name"], f"{path}.name", consts),
-            _ident(a["from"], f"{path}.from", consts),
-            _ident(a["to"], f"{path}.to", consts),
+            _ident(a, "name", table),
+            _ident(a, "from", table),
+            _ident(a, "to", table),
             tuple(assignments),
         )
     except ValueError as err:
-        raise SchemaViolation(path, str(err)) from None
+        raise SchemaViolation(_HERE, str(err)) from None
 
 
 @contextmanager
@@ -621,21 +656,23 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
     root = read_xml(data, "omdoc", ("version", "namespace"), OMDOC_VERSION)
     _no_text(root, "omdoc")
     namespace = root.get("namespace")
-    consts: dict[str, Const] = {}
+    table: dict = {}  # one node per distinct subterm; see _parse_term
     theories: dict[Ident, Theory] = {}
     morphisms = []
     for i, kid in enumerate(root):
-        kpath = f"omdoc.{kid.tag}[{i}]"
-        if kid.tag == "theory":
-            if morphisms:
-                raise SchemaViolation(kpath, "theories must precede morphisms")
-            th = _parse_theory(kid, kpath, namespace, consts)
-            if th.name in theories:
-                raise SchemaViolation(f"{kpath}.name", f"duplicate theory {th.name}")
-            theories[th.name] = th
-        elif kid.tag == "morphism":
-            morphisms.append(_parse_morphism(kid, kpath, consts))
-        else:
-            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
+        try:
+            if kid.tag == "theory":
+                if morphisms:
+                    raise SchemaViolation(_HERE, "theories must precede morphisms")
+                th = _parse_theory(kid, namespace, table)
+                if th.name in theories:
+                    raise SchemaViolation(f"{_HERE}.name", f"duplicate theory {th.name}")
+                theories[th.name] = th
+            elif kid.tag == "morphism":
+                morphisms.append(_parse_morphism(kid, table))
+            else:
+                raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
+        except SchemaViolation as err:
+            raise _moved(err, f"omdoc.{kid.tag}[{i}]") from None
     lib_deps = deps if deps is not None else (logic_library(),)
     return Library(namespace, tuple(theories.values()), tuple(morphisms), deps=lib_deps)

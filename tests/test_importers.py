@@ -359,6 +359,59 @@ def test_import_unresolved_dep_reported_rest_kept():
     assert sum(len(t.decls) for t in lib.theories) == 4
 
 
+def _failure_messages(report) -> dict[str, str]:
+    return {f"{r.subject.module}.{r.subject.name}": r.message for r in report.failures}
+
+
+def test_a_use_of_a_dropped_toyhol_record_says_that_it_failed_to_import():
+    raw = {"version": "1", "theories": [
+        {"name": "t", "decls": [
+            {"kind": "constant", "name": "x", "type": "bool"},
+            {"kind": "definition", "name": "bad",
+             "definiens": {"app": [{"name": "x"}, {"name": "x"}]}},
+            {"kind": "definition", "name": "d", "definiens": {"name": "bad"}},
+            {"kind": "definition", "name": "e", "definiens": {"name": "typo"}},
+            {"kind": "axiom", "name": "a1", "type": {"name": "typo"}},
+            {"kind": "theorem", "name": "t1", "type": {"name": "x"}, "deps": ["a1"]},
+            {"kind": "theorem", "name": "t2", "type": {"name": "x"}, "deps": ["a2"]},
+        ]},
+        {"name": "u", "includes": ["t"], "decls": [
+            {"kind": "definition", "name": "g", "definiens": {"name": "bad"}},
+        ]},
+        {"name": "v", "includes": ["nope"], "decls": []},
+        {"name": "w", "includes": ["v"], "decls": []},
+    ]}
+    _, report = import_toyhol(parse_toyhol(json.dumps(raw).encode()))
+    assert _failure_messages(report) == {
+        "t.bad": "UnificationFailure: x: bool vs (bool -> ?1)",
+        "t.d": "UnknownIdent: bad failed to import",
+        "t.e": "UnknownIdent: typo",
+        "t.a1": "UnknownIdent: typo",
+        "t.t1": "UnknownIdent: dependency a1 failed to import",
+        "t.t2": "UnknownIdent: dependency a2",
+        "u.g": "UnknownIdent: bad failed to import",
+        "v.v": "UnknownIdent: included theory nope",
+        "w.w": "UnknownIdent: included theory v failed to import",
+    }
+
+
+def test_a_use_of_a_dropped_toyset_record_says_that_it_failed_to_import():
+    xml = (
+        b'<export version="1"><theory name="t"><constant name="a"/>'
+        b'<theorem name="x"><papp name="a"><const name="a"/></papp></theorem>'
+        b'<theorem name="y" deps="x"><in><const name="a"/><const name="a"/></in></theorem>'
+        b'<definition name="f"><value><papp name="a"><const name="a"/></papp></value></definition>'
+        b'<axiom name="z"><in><const name="f"/><const name="a"/></in></axiom>'
+        b'<axiom name="q"><in><const name="g"/><const name="a"/></in></axiom>'
+        b'</theory></export>'
+    )
+    _, report = import_toyset(parse_toyset(xml))
+    messages = _failure_messages(report)
+    assert messages["t.y"] == "UnknownIdent: dependency x failed to import"
+    assert messages["t.z"] == "UnknownIdent: f failed to import"
+    assert messages["t.q"] == "UnknownIdent: g"
+
+
 def test_import_ill_typed_definition_reported_rest_kept():
     raw = {
         "version": "1",
@@ -462,16 +515,24 @@ def _renamed(raw: dict, ok: set) -> dict:
     """`raw` with each declaration `n` of theory `t` named `n_t` and each
     reference renamed to the declaration that the include rule picks
     among those that imported (`ok`, as (theory, name) pairs). An
-    unresolved reference keeps its name, which no renamed declaration has."""
+    unresolved reference to a name that failed to import is renamed to
+    one such failed declaration, so that both rows name the failure. Any
+    other unresolved reference keeps its name, which no renamed
+    declaration has."""
     envs: dict[str, dict[str, str]] = {}
+    losts: dict[str, dict[str, str]] = {}
     theories = []
     for th in raw["theories"]:
         env: dict[str, str] = {}  # local name -> theory of the declaration it picks
+        lost: dict[str, str] = {}  # local name -> theory of a declaration that failed
         for inc in th["includes"]:
             env.update(envs[inc])
+            lost.update(losts[inc])
 
         def ref(name):
-            return f"{name}_{env[name]}" if name in env else name
+            if name in env:
+                return f"{name}_{env[name]}"
+            return f"{name}_{lost[name]}" if name in lost else name
 
         def rtype(st):
             return {"arrow": [rtype(x) for x in st["arrow"]]} if isinstance(st, dict) else ref(st)
@@ -494,7 +555,9 @@ def _renamed(raw: dict, ok: set) -> dict:
             decls.append(new)
             if (th["name"], d["name"]) in ok:
                 env[d["name"]] = th["name"]
-        envs[th["name"]] = env
+            else:
+                lost[d["name"]] = th["name"]
+        envs[th["name"]], losts[th["name"]] = env, lost
         theories.append(dict(th, decls=decls))
     return dict(raw, theories=theories)
 

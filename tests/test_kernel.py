@@ -7,7 +7,7 @@ iterated to fixpoint, both defined apart from the kernel's machinery.
 
 import random
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +29,7 @@ from generators import (
     gen_typed_closed,
     mutate_hints,
 )
-from proofport import omdoc
+from proofport import kernel, omdoc
 from proofport.errors import (
     CheckError,
     Cycle,
@@ -65,6 +65,7 @@ from proofport.kernel import (
     Var,
     apps,
     check,
+    check_library,
     check_theory,
     constants_of,
     equal,
@@ -210,6 +211,16 @@ def _ref_constants(t: Term) -> list[Ident]:
     return out
 
 
+def _subterms(t: Term):
+    """Every subterm occurrence of `t`; children are found by field."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        kids = (getattr(node, f.name) for f in fields(node))
+        stack.extend(v for v in kids if isinstance(v, Term))
+
+
 def test_traversals_agree_with_a_reference_recursion():
     def same(a: Term, b: Term) -> bool:
         return a == b and repr(a) == repr(b)  # repr shows the hints == ignores
@@ -225,11 +236,7 @@ def test_traversals_agree_with_a_reference_recursion():
     for _ in range(300):
         nfree = rng.randint(0, 3)
         t = mutate_hints(rng, gen_scoped(rng, nfree, depth=5))
-        stack = [t]
-        while stack:
-            node = stack.pop()
-            seen.add(type(node))
-            stack.extend(v for v in vars(node).values() if isinstance(v, Term))
+        seen.update(type(node) for node in _subterms(t))
         by, cutoff = rng.randint(0, 3), rng.randint(0, nfree)
         assert same(shift(t, by, cutoff), _ref_shift(t, by, cutoff))
         s, depth = gen_scoped(rng, rng.randint(0, 2), depth=2), rng.randint(0, 2)
@@ -249,6 +256,79 @@ def test_constants_of_commutes_with_renaming():
         t = gen_scoped(rng, rng.randint(0, 3))
         renamed = map_consts(t, lambda c: Const(rename(c)))
         assert constants_of(renamed) == [rename(c) for c in constants_of(t)]
+
+
+def _ref_loose(t: Term) -> int:
+    """One more than the largest free index of `t`, by plain recursion."""
+    match t:
+        case Var(k):
+            return k + 1
+        case Lambda(_, d, b) | Pi(_, d, b):
+            return max(_ref_loose(d), _ref_loose(b) - 1)
+        case Apply(x, y) | SubType(x, y) | SubIn(x, y):
+            return max(_ref_loose(x), _ref_loose(y))
+        case SubOut(e):
+            return _ref_loose(e)
+    return 0
+
+
+def test_loose_range_agrees_with_a_reference_recursion():
+    rng = random.Random(127)
+    seen: set[type] = set()
+    for _ in range(300):
+        for node in _subterms(gen_scoped(rng, rng.randint(0, 3), depth=5)):
+            seen.add(type(node))
+            assert node.loose == _ref_loose(node), node
+    assert {Apply, Lambda, Pi, SubType, SubIn, SubOut, Var, Const, TypeKind} <= seen
+
+
+def _free_vars_at_or_above(t: Term, k: int) -> int:
+    """How many Var occurrences of `t` are free and at least `k`, counted
+    at the binder depth where each occurs."""
+    hits = []
+
+    def leaf(n: Term, j: int) -> Term:
+        if isinstance(n, Var) and n.index >= j:
+            hits.append(n)
+        return n
+
+    _ref_rebuild(t, leaf, k)
+    return len(hits)
+
+
+def test_shift_and_substitute_call_their_leaf_only_on_free_variables(monkeypatch):
+    calls: list[Term] = []
+    real = kernel.rebuild
+
+    def counting(t, leaf, k=0, free_only=False):
+        if leaf.__name__ == "counted":  # a recursive call
+            return real(t, leaf, k, free_only)
+
+        def counted(node, j):
+            calls.append(node)
+            return leaf(node, j)
+
+        return real(t, counted, k, free_only)
+
+    monkeypatch.setattr(kernel, "rebuild", counting)
+    rng = random.Random(131)
+    for _ in range(200):
+        closed = gen_scoped(rng, 0, depth=5)
+        del calls[:]
+        assert shift(closed, 3) is closed
+        assert substitute(closed, 0, gen_scoped(rng, 2)) is closed
+        assert Pi("x", closed, shift(closed, 1)).cod is closed
+        assert calls == []
+        nfree = rng.randint(1, 3)
+        t = gen_scoped(rng, nfree, depth=5)
+        cutoff = rng.randint(0, nfree)
+        del calls[:]
+        assert shift(t, 2, cutoff) == _ref_shift(t, 2, cutoff)
+        assert len(calls) == _free_vars_at_or_above(t, cutoff)
+        del calls[:]
+        s = gen_scoped(rng, 0, depth=2)  # closed, so it moves under binders unvisited
+        assert substitute(t, 0, s) == _ref_substitute(t, 0, s)
+        assert len(calls) == _free_vars_at_or_above(t, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -830,6 +910,67 @@ def test_scope_add_refuses_a_repeated_name_and_changes_nothing():
     assert scope.row is not None
     with pytest.raises(CheckError, match="duplicate declaration"):
         scope.add(broken.decls[1:])
+
+
+def test_infer_forgets_a_declaration_whose_add_was_undone():
+    th = Theory(theory_ident(NS, "ext"), includes=(BASE_THEORY,))
+    scope = Scope(Library(NS, (BASE_LIB.theories[0], th)), th.name)
+    f = Declaration(Ident(NS, "ext", "f"), tp=fn_type(NAT, NAT), meta=Metadata(kind="constant"))
+    t = Apply(Const(f.name), ZERO)
+    undo = scope.add((f,))
+    assert infer(scope, Context(), t) == NAT
+    assert infer(scope, Context(), t) == NAT  # from the memo
+    undo()
+    with pytest.raises(UnknownIdent, match="f"):
+        infer(scope, Context(), t)
+
+
+def test_one_open_application_has_the_type_each_context_gives_it():
+    t = Apply(Var(0), ZERO)
+    for cod in (NAT, O, NAT):
+        assert infer(BASE_LIB, Context().extend("f", fn_type(NAT, cod)), t) == cod
+
+
+def _config_sensitive_document() -> bytes:
+    """A theory over the base signature in which `a` checks only with eta
+    and `b` only with a reduction budget of at least 2 steps. Each is a
+    closed application, so its type is memoized when it checks."""
+    def d(name, tp, definiens=None):
+        kind = "constant" if definiens is None else "definition"
+        return Declaration(
+            Ident(NS, "cfg", name), tp=tp, definiens=definiens, meta=Metadata(kind=kind)
+        )
+
+    def c(name):
+        return Const(Ident(NS, "cfg", name))
+
+    nn = fn_type(NAT, NAT)
+    decls = (
+        d("P", fn_type(nn, TypeKind())),
+        d("p", Apply(c("P"), SUCC)),
+        d("r", fn_type(Apply(c("P"), Lambda("x", NAT, Apply(SUCC, Var(0)))), NAT)),
+        d("a", NAT, Apply(c("r"), c("p"))),
+        d("Q", fn_type(NAT, TypeKind())),
+        d("n1", NAT, ZERO),
+        d("n2", NAT, c("n1")),
+        d("v", Apply(c("Q"), c("n2"))),
+        d("u", fn_type(Apply(c("Q"), ZERO), NAT)),
+        d("b", NAT, Apply(c("u"), c("v"))),
+    )
+    th = Theory(theory_ident(NS, "cfg"), includes=(BASE_THEORY,), decls=decls)
+    return omdoc.serialize(Library(NS, (BASE_LIB.theories[0], th)))
+
+
+def test_one_library_checked_under_each_config_gives_a_fresh_parse_reports():
+    data = _config_sensitive_document()
+    lib = omdoc.parse(data, deps=())
+    configs = (Config(), Config(eta_enabled=False), Config(reduction_budget=1), Config())
+    reports = []
+    for cfg in configs:
+        reports.append(check_library(lib, cfg))
+        assert reports[-1] == check_library(omdoc.parse(data, deps=()), cfg)
+    failed = [{r.subject.name for rep in reps for r in rep.failures} for reps in reports]
+    assert failed == [set(), {"a"}, {"b"}, set()]
 
 
 def test_declaration_invariants():

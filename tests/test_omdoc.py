@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import dataclasses
 import gc
 import random
 import re
@@ -40,7 +41,9 @@ from proofport.kernel import (
     Theory,
     TypeKind,
     Var,
+    check_library,
     constants_of,
+    Term,
     theory_ident,
 )
 
@@ -283,6 +286,104 @@ def test_generated_libraries_round_trip_100():
         back = omdoc.parse(data)
         assert back == lib, f"seed {seed}: value changed"
         assert omdoc.serialize(back) == data, f"seed {seed}: bytes changed"
+
+
+def _library_terms(lib):
+    for th in lib.theories:
+        for d in th.decls:
+            yield from (t for t in (d.tp, d.definiens) if t is not None)
+            if isinstance(d.proof, ProofTerm):
+                yield d.proof.term
+    for m in lib.morphisms:
+        yield from (t for _, t in m.assignments)
+
+
+def _occurrences(lib):
+    """Every subterm occurrence in the library's terms."""
+    stack = list(_library_terms(lib))
+    while stack:
+        t = stack.pop()
+        yield t
+        match t:
+            case Apply(x, y) | Lambda(_, x, y) | Pi(_, x, y) | SubType(x, y) | SubIn(x, y):
+                stack += (x, y)
+            case SubOut(e):
+                stack.append(e)
+
+
+def _shareable_documents():
+    """Serializer output: the fixtures' prover exports and generated libraries."""
+    docs = [omdoc.serialize(_import_fixture(p.name)) for p in sorted(FIXTURES.iterdir())
+            if not p.name.endswith(omdoc.FILE_EXTENSION)]
+    docs += [omdoc.serialize(generators.gen_library(random.Random(seed))) for seed in range(60)]
+    return docs
+
+
+def test_equal_subterms_with_equal_hints_parse_to_one_object():
+    # repr shows the hints, which == ignores
+    shared = 0
+    for data in _shareable_documents():
+        by_repr: dict[str, set[int]] = collections.defaultdict(set)
+        occurrences = 0
+        for t in _occurrences(omdoc.parse(data)):
+            by_repr[repr(t)].add(id(t))
+            occurrences += 1
+        assert all(len(ids) == 1 for ids in by_repr.values())
+        shared += occurrences - len(by_repr)
+    assert shared
+    lam = Lambda("x", TypeKind(), Var(0))
+    lib = omdoc.parse(omdoc.serialize(_lib(
+        _decl("a", tp=Pi("_", lam, lam)),
+        _decl("b", tp=Pi("_", Lambda("y", TypeKind(), Var(0)), lam)),
+    )))
+    a, b = (d.tp for d in lib.theories[0].decls)
+    assert a.dom is a.cod is b.cod
+    assert b.dom == a.dom and b.dom is not a.dom
+
+
+def test_a_shared_parse_reserializes_bytewise():
+    for data in _shareable_documents():
+        assert omdoc.serialize(omdoc.parse(data)) == data
+
+
+def _copy(t):
+    """`t` rebuilt node by node: equal to `t`, and sharing no node with it."""
+    args = (getattr(t, f.name) for f in dataclasses.fields(t) if f.init)
+    return type(t)(*(_copy(a) if isinstance(a, Term) else a for a in args))
+
+
+def _unshared(lib):
+    """`lib` with every term copied node by node, so nothing is shared."""
+    theories = []
+    for th in lib.theories:
+        decls = []
+        for d in th.decls:
+            proof = ProofTerm(_copy(d.proof.term)) if isinstance(d.proof, ProofTerm) else d.proof
+            decls.append(dataclasses.replace(
+                d, tp=d.tp and _copy(d.tp), definiens=d.definiens and _copy(d.definiens),
+                proof=proof,
+            ))
+        theories.append(dataclasses.replace(th, decls=tuple(decls)))
+    morphisms = tuple(
+        dataclasses.replace(m, assignments=tuple((c, _copy(t)) for c, t in m.assignments))
+        for m in lib.morphisms
+    )
+    return dataclasses.replace(lib, theories=tuple(theories), morphisms=morphisms)
+
+
+@pytest.mark.parametrize("make", [generators.gen_library, generators.gen_dep_library])
+def test_a_shared_parse_checks_like_the_unshared_library(make):
+    rng = random.Random(20201019)
+    failed = 0
+    for _ in range(40):
+        lib = make(rng)
+        shared = omdoc.parse(omdoc.serialize(lib), deps=lib.deps)
+        unshared = _unshared(shared)
+        assert all(a is not b for a, b in zip(_occurrences(shared), _occurrences(unshared)))
+        reports = check_library(unshared)
+        assert check_library(shared) == reports
+        failed += sum(len(r.failures) for r in reports)
+    assert failed  # the generators are not well typed, so some rows fail
 
 
 def test_serialized_size_is_linear_in_term_nodes():
