@@ -53,8 +53,8 @@ from .ontology import TripleStore, extract_triples, transitive_uses, used_by, wr
 # format name -> parse and import of the input bytes. The readers are looked
 # up by name on every call, so a rebinding of `parse_toyhol` is seen here.
 _READERS = {
-    "toyhol-json": lambda data, cfg: import_toyhol(parse_toyhol(data), cfg.allow_empty, cfg.checker),
-    "toyset-xml": lambda data, cfg: import_toyset(parse_toyset(data), cfg.allow_empty, cfg.checker),
+    "toyhol-json": lambda data, cfg: import_toyhol(parse_toyhol(data), cfg.checker),
+    "toyset-xml": lambda data, cfg: import_toyset(parse_toyset(data), cfg.checker),
     "omdoc": lambda data, cfg: (omdoc.parse(data), CheckReport(())),
 }
 FORMATS = tuple(_READERS)
@@ -224,7 +224,7 @@ def _read_sources(source_dir: str) -> dict[str, str]:
     return out
 
 
-def _load(cfg: CliConfig, guard_empty: bool) -> tuple[Library, tuple[CheckResult, ...]]:
+def _load(cfg: CliConfig) -> tuple[Library, tuple[CheckResult, ...]]:
     """Load the input as a library plus the failing rows of its import."""
     try:
         data = Path(cfg.input).read_bytes()
@@ -233,12 +233,13 @@ def _load(cfg: CliConfig, guard_empty: bool) -> tuple[Library, tuple[CheckResult
     lib, report = _READERS[cfg.format or _infer_format(cfg.input)](data, cfg)
     if cfg.source_dir is not None:
         lib, _ = recover_source_refs(lib, _read_sources(cfg.source_dir))
-    decls = sum(len(th.decls) for th in lib.theories)
-    if guard_empty and data.strip() and decls == 0 and not cfg.allow_empty:
-        raise EmptyCorpus(
-            f"{cfg.input}: nonempty input produced zero declarations"
-        )
     return lib, report.failures
+
+
+def _guard_empty(lib: Library, cfg: CliConfig) -> None:
+    """Reject a library without declarations, unless --allow-empty."""
+    if not cfg.allow_empty and not any(th.decls for th in lib.theories):
+        raise EmptyCorpus(f"{cfg.input}: nonempty input produced zero declarations")
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +285,9 @@ def _check_rows(lib: Library, cfg: CliConfig, out: TextIO) -> int:
 
 
 def run_check(cfg: CliConfig, out: TextIO) -> int:
-    lib, import_failures = _load(cfg, guard_empty=True)
+    lib, import_failures = _load(cfg)
     _write_failures(import_failures, out)
+    _guard_empty(lib, cfg)
     failed = _check_rows(lib, cfg, out) + len(import_failures)
     out.write(f"total\tfailed\t{failed}\n")
     return 1 if failed else 0
@@ -300,10 +302,11 @@ def _write(path: str, data: bytes) -> None:
 
 
 def run_import(cfg: CliConfig, out: TextIO) -> int:
-    lib, import_failures = _load(cfg, guard_empty=True)
+    lib, import_failures = _load(cfg)
     for th in lib.theories:
         out.write(f"imported\t{th.name.name}\t{len(th.decls)}\n")
     _write_failures(import_failures, out)
+    _guard_empty(lib, cfg)
     if cfg.output is not None:
         _write(cfg.output, omdoc.serialize(lib))
         out.write(f"written\t{cfg.output}\n")
@@ -311,7 +314,7 @@ def run_import(cfg: CliConfig, out: TextIO) -> int:
 
 
 def run_export_omdoc(cfg: CliConfig, out: TextIO) -> int:
-    lib, _ = _load(cfg, guard_empty=False)
+    lib, _ = _load(cfg)
     data = omdoc.serialize(lib)
     _write(cfg.output, data)
     out.write(f"written\t{cfg.output}\t{len(data)}\n")
@@ -319,7 +322,7 @@ def run_export_omdoc(cfg: CliConfig, out: TextIO) -> int:
 
 
 def run_export_rdf(cfg: CliConfig, out: TextIO) -> int:
-    lib, import_failures = _load(cfg, guard_empty=False)
+    lib, import_failures = _load(cfg)
     checked = False
     if not cfg.skip_check:
         clean = all(
@@ -344,7 +347,7 @@ def _parse_ident(text: str) -> Ident:
 
 def _run_query(cfg: CliConfig, out: TextIO, query: Callable[[TripleStore, Ident], set[Ident]]) -> int:
     """Print what `query` finds from `--ident`, sorted; an unknown one is an input error."""
-    lib, _ = _load(cfg, guard_empty=False)
+    lib, _ = _load(cfg)
     store = extract_triples(lib, include_proof_uses=cfg.include_proof_uses)
     try:
         found = query(store, _parse_ident(cfg.ident))
@@ -364,7 +367,7 @@ def run_used_by(cfg: CliConfig, out: TextIO) -> int:
 
 
 def run_translate(cfg: CliConfig, out: TextIO) -> int:
-    lib, _ = _load(cfg, guard_empty=False)
+    lib, _ = _load(cfg)
     m = lib.find_morphism(_parse_ident(cfg.morphism))
     if m is None:
         raise Malformed(f"morphism {cfg.morphism} not found")
@@ -383,7 +386,7 @@ def run_translate(cfg: CliConfig, out: TextIO) -> int:
 
 
 def run_stats(cfg: CliConfig, out: TextIO) -> int:
-    lib, _ = _load(cfg, guard_empty=False)
+    lib, _ = _load(cfg)
     decls = [d for th in lib.theories for d in th.decls]
     kinds = {k: 0 for k in KINDS}
     styles = _proof_styles(decls)

@@ -1,7 +1,9 @@
 """Readers for the two bundled prover export formats.
 
 toyhol is a strict JSON export of a HOL-like prover: simply typed
-constants and definitions, formulas as surface terms. Imported theories
+constants and definitions, formulas as surface terms. The reader checks
+each type, formula and definiens and keeps the JSON value; the import
+reads the checked JSON straight into holChurch terms. Imported theories
 live under the holChurch meta-theory; the missing type annotations of
 the Church representation are reconstructed by first-order unification
 of holChurch object types, each resolved once, where its record writes it.
@@ -20,8 +22,8 @@ theory's environment, converts each record with the format's converter
 and kernel-checks the result under the caller's checker Config. Each
 theory is checked in one kernel Scope that grows with every accepted
 record. Per-declaration failures are collected into a CheckReport and
-the successes kept. A nonempty document that yields no declarations at
-all is treated as a broken export and rejected.
+the successes kept, even when none succeeds: whether an empty library
+is an error is the caller's rule.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import re
 import xml.etree.ElementTree as ET
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional
 
 from .elaboration import (
     Pattern,
@@ -45,7 +47,6 @@ from .errors import (
     MAX_DEPTH,
     AmbiguousType,
     CheckError,
-    EmptyCorpus,
     Malformed,
     SchemaViolation,
     UnificationFailure,
@@ -88,53 +89,6 @@ SUPPORTED_VERSION = "1"
 
 
 # ---------------------------------------------------------------------------
-# surface syntax
-
-
-@dataclass(frozen=True)
-class SBase:
-    name: str
-
-
-@dataclass(frozen=True)
-class SArrow:
-    dom: "SurfaceType"
-    cod: "SurfaceType"
-
-
-SurfaceType = Union[SBase, SArrow]
-
-
-@dataclass(frozen=True)
-class SName:
-    name: str
-
-
-@dataclass(frozen=True)
-class SApp:
-    fn: "SurfaceTerm"
-    arg: "SurfaceTerm"
-
-
-@dataclass(frozen=True)
-class SAbs:
-    var: str
-    annot: Optional[SurfaceType]
-    body: "SurfaceTerm"
-
-
-@dataclass(frozen=True)
-class SBinder:
-    kind: str  # only "forall"
-    var: str
-    annot: Optional[SurfaceType]
-    body: "SurfaceTerm"
-
-
-SurfaceTerm = Union[SName, SApp, SAbs, SBinder]
-
-
-# ---------------------------------------------------------------------------
 # documents
 
 
@@ -142,8 +96,8 @@ SurfaceTerm = Union[SName, SApp, SAbs, SBinder]
 class DeclRecord:
     kind: str
     name: str
-    tp: object = None  # a SurfaceType, a SurfaceTerm formula or a toyset formula element
-    definiens: Union[SurfaceTerm, ET.Element, None] = None
+    tp: object = None  # a checked toyhol type or formula, or a toyset formula element
+    definiens: object = None  # a checked toyhol term or a toyset value element
     deps: tuple[str, ...] = ()
     src: Optional[SourceRef] = None
     notation: Optional[str] = None
@@ -178,38 +132,42 @@ def _get_str(obj: dict, key: str, path: str) -> str:
     return v
 
 
-def _parse_surface_type(obj, path: str) -> SurfaceType:
+def _check_surface_type(obj, path: str):
+    """Validate a toyhol type and return it: a base type name, or
+    `{"arrow": [dom, cod]}`."""
     if isinstance(obj, str):
         if not obj:
             raise SchemaViolation(path, "empty type name")
-        return SBase(obj)
+        return obj
     if isinstance(obj, dict):
         check_keys(obj, path, (), ("arrow",), "field")
         arrow = obj.get("arrow")
         if not isinstance(arrow, list) or len(arrow) != 2:
             raise SchemaViolation(f"{path}.arrow", "expected a two-element list")
-        return SArrow(
-            _parse_surface_type(arrow[0], f"{path}.arrow[0]"),
-            _parse_surface_type(arrow[1], f"{path}.arrow[1]"),
-        )
+        _check_surface_type(arrow[0], f"{path}.arrow[0]")
+        _check_surface_type(arrow[1], f"{path}.arrow[1]")
+        return obj
     raise SchemaViolation(path, "expected a type")
 
 
-def _parse_surface_term(obj, path: str) -> SurfaceTerm:
+def _check_surface_term(obj, path: str):
+    """Validate a toyhol term and return it: an object of one field, `name`,
+    `app` (function and argument), or `abs`/`forall` (`var`, optional
+    `annot`, `body`)."""
     if not isinstance(obj, dict):
         raise SchemaViolation(path, "expected a term object")
     if "name" in obj:
         check_keys(obj, path, (), ("name",), "field")
-        return SName(_get_str(obj, "name", path))
+        _get_str(obj, "name", path)
+        return obj
     if "app" in obj:
         check_keys(obj, path, (), ("app",), "field")
         pair = obj["app"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaViolation(f"{path}.app", "expected a two-element list")
-        return SApp(
-            _parse_surface_term(pair[0], f"{path}.app[0]"),
-            _parse_surface_term(pair[1], f"{path}.app[1]"),
-        )
+        _check_surface_term(pair[0], f"{path}.app[0]")
+        _check_surface_term(pair[1], f"{path}.app[1]")
+        return obj
     for head in ("abs", "forall"):
         if head in obj:
             check_keys(obj, path, (), (head,), "field")
@@ -217,14 +175,11 @@ def _parse_surface_term(obj, path: str) -> SurfaceTerm:
             if not isinstance(inner, dict):
                 raise SchemaViolation(f"{path}.{head}", "expected an object")
             check_keys(inner, f"{path}.{head}", (), ("var", "annot", "body"), "field")
-            var = _get_str(inner, "var", f"{path}.{head}")
-            annot = None
+            _get_str(inner, "var", f"{path}.{head}")
             if "annot" in inner:
-                annot = _parse_surface_type(inner["annot"], f"{path}.{head}.annot")
-            body = _parse_surface_term(inner.get("body"), f"{path}.{head}.body")
-            if head == "abs":
-                return SAbs(var, annot, body)
-            return SBinder("forall", var, annot, body)
+                _check_surface_type(inner["annot"], f"{path}.{head}.annot")
+            _check_surface_term(inner.get("body"), f"{path}.{head}.body")
+            return obj
     raise SchemaViolation(path, "unknown term constructor")
 
 
@@ -258,19 +213,19 @@ def _parse_toyhol_decl(obj, path: str) -> DeclRecord:
             raise SchemaViolation(f"{path}.type", "base types carry no type field")
     elif kind in ("constant", "definition"):
         if "type" in obj:
-            tp = _parse_surface_type(obj["type"], f"{path}.type")
+            tp = _check_surface_type(obj["type"], f"{path}.type")
         elif kind == "constant":
             raise SchemaViolation(f"{path}.type", "missing")
     else:
         if "type" not in obj:
             raise SchemaViolation(f"{path}.type", "missing")
-        tp = _parse_surface_term(obj["type"], f"{path}.type")
+        tp = _check_surface_term(obj["type"], f"{path}.type")
 
     definiens = None
     if "definiens" in obj:
         if kind != "definition":
             raise SchemaViolation(f"{path}.definiens", f"not allowed for kind {kind!r}")
-        definiens = _parse_surface_term(obj["definiens"], f"{path}.definiens")
+        definiens = _check_surface_term(obj["definiens"], f"{path}.definiens")
     elif kind == "definition":
         raise SchemaViolation(f"{path}.definiens", "missing")
 
@@ -604,21 +559,23 @@ def _fmt_stype(t: Term, qualify: frozenset[str]) -> str:
     return repr(t)
 
 
-def _spine(t: SurfaceTerm) -> tuple[SurfaceTerm, list[SurfaceTerm]]:
-    args: list[SurfaceTerm] = []
-    while isinstance(t, SApp):
-        args.append(t.arg)
-        t = t.fn
+def _spine(t: dict) -> tuple[dict, list[dict]]:
+    """The head of a checked toyhol term and the arguments it is applied to."""
+    args = []
+    while "app" in t:
+        t, arg = t["app"]
+        args.append(arg)
     args.reverse()
     return t, args
 
 
 def infer_church_annotations(
     consts: Mapping[str, tuple[Term, Term]],
-    t: SurfaceTerm,
+    t: dict,
     base_types: Mapping[str, Ident],
 ) -> tuple[Term, Term]:
-    """Reconstruct the type annotations of the Church representation.
+    """Reconstruct the type annotations of the Church representation of
+    a checked toyhol term.
 
     Simple-type inference by first-order unification of holChurch object
     types: `consts` binds each name to its kernel term and object type.
@@ -638,10 +595,10 @@ def infer_church_annotations(
             n == name for n, _ in scope
         )
 
-    def ti(t: SurfaceTerm, scope: list[tuple[str, Term]]):
+    def ti(t: dict, scope: list[tuple[str, Term]]):
         """Returns (build, type): build() makes the kernel term."""
         match t:
-            case SName(x):
+            case {"name": x}:
                 for k, (n, st) in enumerate(reversed(scope)):
                     if n == x:
                         return (lambda: Var(k)), st
@@ -651,20 +608,22 @@ def infer_church_annotations(
                 if logical(x, scope):
                     raise UnificationFailure(x, "logical constant must be applied")
                 raise UnknownIdent(x, x)
-            case SApp():
+            case {"app": _}:
                 head, args = _spine(t)
-                if isinstance(head, SName) and logical(head.name, scope):
-                    return ti_logical(head.name, args, scope)
-                fb, ft = ti(t.fn, scope)
-                ab, at = ti(t.arg, scope)
-                res = uni.fresh()
-                uni.unify(ft, apps(_HOL_ARROW, at, res), _where(t.fn))
-                def build(fb=fb, ab=ab, at=at, res=res):
-                    w = _where(t)
-                    return apps(_HOL_APP, uni.zonk(at, w), uni.zonk(res, w), fb(), ab())
-                return build, res
-            case SAbs(x, annot, body):
-                vt = uni.fresh() if annot is None else _stype_term(annot, base_types)
+                if "name" in head and logical(head["name"], scope):
+                    return ti_logical(head["name"], args, scope)
+                fb, ft = ti(head, scope)
+                w = _where(head)
+                for arg in args:
+                    ab, at = ti(arg, scope)
+                    res = uni.fresh()
+                    uni.unify(ft, apps(_HOL_ARROW, at, res), w)
+                    def build(fb=fb, ab=ab, at=at, res=res):
+                        return apps(_HOL_APP, uni.zonk(at, w), uni.zonk(res, w), fb(), ab())
+                    fb, ft = build, res
+                return fb, ft
+            case {"abs": {"var": x, "body": body} as b}:
+                vt = uni.fresh() if "annot" not in b else _stype_term(b["annot"], base_types)
                 bb, bt = ti(body, scope + [(x, vt)])
                 def build(x=x, vt=vt, bb=bb, bt=bt):
                     dom = uni.zonk(vt, x)
@@ -672,8 +631,8 @@ def infer_church_annotations(
                         _HOL_LAM, dom, uni.zonk(bt, x), Lambda(x, Apply(_HOL_TM, dom), bb())
                     )
                 return build, apps(_HOL_ARROW, vt, bt)
-            case SBinder("forall", x, annot, body):
-                vt = uni.fresh() if annot is None else _stype_term(annot, base_types)
+            case {"forall": {"var": x, "body": body} as b}:
+                vt = uni.fresh() if "annot" not in b else _stype_term(b["annot"], base_types)
                 bb, bt = ti(body, scope + [(x, vt)])
                 uni.unify(bt, _HOL_BOOL, x)
                 def build(x=x, vt=vt, bb=bb):
@@ -682,9 +641,8 @@ def infer_church_annotations(
                         _HOL_FORALL, dom, Lambda(x, Apply(_HOL_TM, dom), bb())
                     )
                 return build, _HOL_BOOL
-        raise UnificationFailure(_where(t), "unsupported surface form")
 
-    def ti_logical(name: str, args: list[SurfaceTerm], scope):
+    def ti_logical(name: str, args: list[dict], scope):
         if len(args) != 2:
             raise UnificationFailure(name, f"{name} takes two arguments")
         lb, lt = ti(args[0], scope)
@@ -703,10 +661,12 @@ def infer_church_annotations(
     return term, uni.zonk(ty, "result")
 
 
-def _where(t: SurfaceTerm) -> str:
-    """The name an error in `t` is reported at: its head's, or its binder's."""
-    head, _ = _spine(t)
-    return head.name if isinstance(head, SName) else head.var
+def _where(head: dict) -> str:
+    """The name an error in an application of `head` is reported at: the
+    head's, or its binder's."""
+    if "name" in head:
+        return head["name"]
+    return (head.get("abs") or head["forall"])["var"]
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +706,6 @@ def _import(
     ns: str,
     meta_theory: Ident,
     convert: Callable,
-    allow_empty: bool,
     config: Config,
 ) -> tuple[Library, CheckReport]:
     """Convert and kernel-check every record of `doc`, one at a time.
@@ -759,8 +718,7 @@ def _import(
     import, and the record or theory dropped; the rest continue. A name
     that does not resolve because its own record or theory was dropped
     is reported as one that failed to import, not as a bare unknown
-    name. Raises EmptyCorpus when a document with records ends up
-    contributing nothing (unless allow_empty).
+    name.
     """
     rows: list[CheckResult] = []
     done: list[Theory] = []
@@ -804,28 +762,21 @@ def _import(
         done.append(replace(empty, decls=tuple(scope.decls)))
         envs[trec.name], failed[trec.name] = env, lost
 
-    lib = Library(ns, tuple(done), deps=(_LOGICS,))
-    has_records = any(t.decls for t in doc.theories)
-    if has_records and not any(t.decls for t in done) and not allow_empty:
-        raise EmptyCorpus("document has records but the import produced nothing")
-    return lib, CheckReport(tuple(rows))
+    return Library(ns, tuple(done), deps=(_LOGICS,)), CheckReport(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
 # toyhol import
 
 
-def import_toyhol(
-    doc: ExportDoc, allow_empty: bool = False, config: Config = DEFAULT_CONFIG
-) -> tuple[Library, CheckReport]:
+def import_toyhol(doc: ExportDoc, config: Config = DEFAULT_CONFIG) -> tuple[Library, CheckReport]:
     """Build a holChurch-based Library from a parsed toyhol document.
 
     Declarations are converted and kernel-checked one at a time under
     `config`; a failure is recorded in the report and the declaration
-    dropped, the rest continue. Raises EmptyCorpus when a document with
-    records ends up contributing nothing (unless allow_empty).
+    dropped, the rest continue.
     """
-    return _import(doc, TOYHOL_NS, HOL_CHURCH, _toyhol_decl, allow_empty, config)
+    return _import(doc, TOYHOL_NS, HOL_CHURCH, _toyhol_decl, config)
 
 
 def _toyhol_decl(
@@ -867,15 +818,16 @@ def _depends_on(rec: DeclRecord, stmts: Mapping[str, Ident]) -> Proof:
     return DependsOn(tuple(ids)) if ids else Omitted()
 
 
-def _stype_term(st: SurfaceType, base_types: Mapping[str, Ident]) -> Term:
-    """The holChurch object type a surface type denotes under `base_types`."""
-    if isinstance(st, SArrow):
-        return apps(_HOL_ARROW, _stype_term(st.dom, base_types), _stype_term(st.cod, base_types))
-    if st.name == "bool":
+def _stype_term(st, base_types: Mapping[str, Ident]) -> Term:
+    """The holChurch object type a checked toyhol type denotes under `base_types`."""
+    if isinstance(st, dict):
+        dom, cod = st["arrow"]
+        return apps(_HOL_ARROW, _stype_term(dom, base_types), _stype_term(cod, base_types))
+    if st == "bool":
         return _HOL_BOOL
-    if st.name not in base_types:
-        raise UnknownIdent(f"base type {st.name}", st.name)
-    return Const(base_types[st.name])
+    if st not in base_types:
+        raise UnknownIdent(f"base type {st}", st)
+    return Const(base_types[st])
 
 
 # ---------------------------------------------------------------------------
@@ -943,16 +895,14 @@ def _pvar_type(arity: int) -> Term:
     return t
 
 
-def import_toyset(
-    doc: ExportDoc, allow_empty: bool = False, config: Config = DEFAULT_CONFIG
-) -> tuple[Library, CheckReport]:
+def import_toyset(doc: ExportDoc, config: Config = DEFAULT_CONFIG) -> tuple[Library, CheckReport]:
     """Build a folSoft-based Library from a parsed toyset document.
 
     Schemes close over their predicate variables with an explicit Pi
     prefix; definition records expand through the func-definition
     pattern. Failure handling matches import_toyhol.
     """
-    return _import(doc, TOYSET_NS, FOL_SOFT, _toyset_decl, allow_empty, config)
+    return _import(doc, TOYSET_NS, FOL_SOFT, _toyset_decl, config)
 
 
 def _toyset_decl(
@@ -995,9 +945,11 @@ def _toyset_decl(
 # source reference recovery
 
 _NAME_CHARS = re.compile(r"[A-Za-z0-9_']")
+# what may follow a declared name in a source line
+_MARKERS = (":=", ":")
 
 
-def _find_in_line(line: str, name: str, markers: tuple[str, ...]) -> Optional[int]:
+def _find_in_line(line: str, name: str) -> Optional[int]:
     """Column (0-based) of a token-boundary `name` followed by a marker."""
     start = 0
     while True:
@@ -1009,26 +961,21 @@ def _find_in_line(line: str, name: str, markers: tuple[str, ...]) -> Optional[in
         after_ok = end >= len(line) or not _NAME_CHARS.match(line[end])
         if before_ok and after_ok:
             rest = line[end:].lstrip()
-            if any(rest.startswith(m) for m in markers):
+            if rest.startswith(_MARKERS):
                 return col
         start = end
 
 
 def recover_source_refs(
-    lib: Library,
-    sources: Mapping[str, str],
-    markers: tuple[str, ...] = (":=", ":"),
+    lib: Library, sources: Mapping[str, str]
 ) -> tuple[Library, CheckReport]:
     """Attach source locations recovered by scanning exported sources.
 
     Declarations that already carry a SourceRef are untouched. For the
     rest, files are scanned in sorted name order for the first
-    token-boundary occurrence of the local name followed by one of the
-    markers; the match becomes a range covering the name. Longer
-    markers take precedence (`:=` before `:`).
+    token-boundary occurrence of the local name followed by `:=` or
+    `:`; the match becomes a range covering the name.
     """
-    # ":" is a prefix of ":=", so sort longest first for the startswith test
-    marks = tuple(sorted(markers, key=len, reverse=True))
     rows: list[CheckResult] = []
     new_theories = []
     for th in lib.theories:
@@ -1041,7 +988,7 @@ def recover_source_refs(
             hits = 0
             for fname in sorted(sources):
                 for lineno, line in enumerate(sources[fname].splitlines(), start=1):
-                    col = _find_in_line(line, decl.name.name, marks)
+                    col = _find_in_line(line, decl.name.name)
                     if col is not None:
                         hits += 1
                         if found is None:

@@ -9,6 +9,7 @@ return the recorded type up to definitional equality.
 from __future__ import annotations
 
 import random
+from typing import Optional, Union
 
 from proofport.kernel import (
     Apply,
@@ -270,16 +271,40 @@ def gen_dag_library(rng: random.Random, max_theories: int = 8) -> Library:
 # surface terms for the annotation-inference tests
 
 from proofport.encodings import HOL_CHURCH, hol_ident  # noqa: E402
-from proofport.importers import (  # noqa: E402
-    SAbs,
-    SApp,
-    SArrow,
-    SBase,
-    SBinder,
-    SName,
-    SurfaceTerm,
-    SurfaceType,
-)
+
+# Surface types and terms are toyhol JSON values, as the reader checks
+# and keeps them: a type is a base name or {"arrow": [dom, cod]}.
+SurfaceType = Union[str, dict]
+SurfaceTerm = dict
+
+
+def SBase(name: str) -> str:
+    return name
+
+
+def SArrow(dom: SurfaceType, cod: SurfaceType) -> dict:
+    return {"arrow": [dom, cod]}
+
+
+def SName(name: str) -> dict:
+    return {"name": name}
+
+
+def SApp(fn: SurfaceTerm, arg: SurfaceTerm) -> dict:
+    return {"app": [fn, arg]}
+
+
+def SBinder(kind: str, var: str, annot: Optional[SurfaceType], body: SurfaceTerm) -> dict:
+    """An `abs` or `forall` term; a None annotation is left out."""
+    inner = {"var": var, "body": body}
+    if annot is not None:
+        inner["annot"] = annot
+    return {kind: inner}
+
+
+def SAbs(var: str, annot: Optional[SurfaceType], body: SurfaceTerm) -> dict:
+    return SBinder("abs", var, annot, body)
+
 
 SURFACE_NS = "lib://surfacebase"
 _S_BOOL = SBase("bool")
@@ -312,11 +337,11 @@ def surface_consts(env: dict[str, SurfaceType]) -> dict[str, tuple[Term, Term]]:
 def stype_term(st: SurfaceType) -> Term:
     """The holChurch object type denoted by a surface type."""
     match st:
-        case SBase("bool"):
+        case "bool":
             return Const(hol_ident("bool'"))
-        case SBase(n):
+        case str(n):
             return Const(SURFACE_BASES[n])
-        case SArrow(d, c):
+        case {"arrow": [d, c]}:
             return Apply(Apply(Const(hol_ident("arrow")), stype_term(d)), stype_term(c))
     raise AssertionError(st)
 
@@ -367,7 +392,7 @@ def gen_surface(
         choices.append("app")
         if target == _S_BOOL:
             choices += ["impl", "eq", "forall"]
-    if isinstance(target, SArrow):
+    if isinstance(target, dict):
         choices += ["abs", "abs"]
     match rng.choice(choices):
         case "atom":
@@ -392,10 +417,10 @@ def gen_surface(
             body = gen_surface(rng, _S_BOOL, scope + ((var, vt),), depth - 1)
             return SBinder("forall", var, vt, body)
         case "abs":
-            assert isinstance(target, SArrow)
+            dom, cod = target["arrow"]
             var = f"v{len(scope)}"
-            body = gen_surface(rng, target.cod, scope + ((var, target.dom),), depth - 1)
-            return SAbs(var, target.dom, body)
+            body = gen_surface(rng, cod, scope + ((var, dom),), depth - 1)
+            return SAbs(var, dom, body)
     raise AssertionError
 
 

@@ -83,7 +83,7 @@ from proofport.kernel import (
 )
 from proofport.morphisms import compose, identity_morphism, install_morphism, translate
 from proofport.ontology import extract_triples, iri_of, read_ntriples, write_ntriples
-from proofport.importers import SAbs, SName
+from generators import SAbs, SName
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CTX = Context()

@@ -112,6 +112,28 @@ def test_empty_nonempty_input_hits_the_guard(tmp_path, capsys):
     assert "zero declarations" in err
 
 
+def test_all_failing_import_prints_its_rows_then_hits_the_guard(tmp_path, capsys):
+    raw = {
+        "version": "1",
+        "theories": [
+            {"name": "t", "decls": [{"kind": "axiom", "name": "a", "type": {"name": "zzz"}}]}
+        ],
+    }
+    doc = tmp_path / "allfail.toyhol.json"
+    doc.write_text(json.dumps(raw))
+    row = ("failure", "lib://toyhol?t?a", "UnknownIdent: zzz")
+    out_file = tmp_path / "out.omdoc.xml"
+    for command in (("check",), ("import", "--output", str(out_file))):
+        code, out, err = run_cli(capsys, *command, str(doc))
+        assert code == 2
+        assert row in lines(out)
+        assert err == f"error: {doc}: nonempty input produced zero declarations\n"
+        assert not out_file.exists()
+        code, out, _ = run_cli(capsys, *command, str(doc), "--allow-empty")
+        assert code == 1
+        assert row in lines(out)
+
+
 def test_allow_empty_flag_overrides_the_guard(tmp_path, capsys):
     doc = tmp_path / "empty.toyhol.json"
     doc.write_text('{"version": "1", "theories": []}')

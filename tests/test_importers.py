@@ -15,6 +15,12 @@ import pytest
 from generators import (
     SURFACE_BASES,
     SURFACE_ENV,
+    SAbs,
+    SApp,
+    SArrow,
+    SBase,
+    SBinder,
+    SName,
     gen_clash_toyhol,
     gen_stype,
     gen_surface,
@@ -34,7 +40,6 @@ from proofport.encodings import (
 )
 from proofport.errors import (
     AmbiguousType,
-    EmptyCorpus,
     Malformed,
     SchemaViolation,
     UnificationFailure,
@@ -42,12 +47,6 @@ from proofport.errors import (
     UnsupportedVersion,
 )
 from proofport.importers import (
-    SAbs,
-    SApp,
-    SArrow,
-    SBase,
-    SBinder,
-    SName,
     TOYHOL_NS,
     TOYSET_NS,
     ExportDoc,
@@ -202,6 +201,62 @@ def test_every_mutated_field_name_is_reported():
             parse_toyhol(json.dumps(mutated).encode())
         # either the unknown new key or the missing original is named
         assert bad_key in exc.value.path or str(path[-1]) in exc.value.path
+
+
+def test_malformed_toyhol_term_and_type_messages():
+    """Each malformed type or term in a field of the core fixture is
+    rejected with its exact path and message, at the top of the field and
+    two levels inside an arrow, app, abs or forall."""
+    base = json.loads(load("core.toyhol.json"))
+    ty = "theories[0].decls[1].type"  # the constant f
+    dfn = "theories[0].decls[2].definiens"  # the definition fq
+    fml = "theories[0].decls[3].type"  # the axiom p
+    x = {"name": "x"}
+    cases = [
+        (1, "type", "", f"{ty}: empty type name"),
+        (1, "type", 3, f"{ty}: expected a type"),
+        (1, "type", ["bool"], f"{ty}: expected a type"),
+        (1, "type", {}, f"{ty}.arrow: expected a two-element list"),
+        (1, "type", {"arrow": ["bool"]}, f"{ty}.arrow: expected a two-element list"),
+        (1, "type", {"arow": ["bool", "bool"]}, f"{ty}.arow: unknown field"),
+        (1, "type", {"arrow": [["bool"], "bool"]}, f"{ty}.arrow[0]: expected a type"),
+        (1, "type", {"arrow": ["bool", {"arrow": ["bool", ""]}]},
+         f"{ty}.arrow[1].arrow[1]: empty type name"),
+        (1, "type", {"arrow": [{"arrow": "bool"}, "bool"]},
+         f"{ty}.arrow[0].arrow: expected a two-element list"),
+        (2, "definiens", "q", f"{dfn}: expected a term object"),
+        (2, "definiens", {}, f"{dfn}: unknown term constructor"),
+        (2, "definiens", {"lam": x}, f"{dfn}: unknown term constructor"),
+        (2, "definiens", {"name": ""}, f"{dfn}.name: expected nonempty string"),
+        (2, "definiens", {"name": 1}, f"{dfn}.name: expected nonempty string"),
+        (2, "definiens", {"name": "q", "app": []}, f"{dfn}.app: unknown field"),
+        (2, "definiens", {"app": [x]}, f"{dfn}.app: expected a two-element list"),
+        (2, "definiens", {"app": [{"app": [{"name": "eq"}, {"nam": "q"}]}, x]},
+         f"{dfn}.app[0].app[1]: unknown term constructor"),
+        (2, "definiens", {"app": [x, {"abs": {"var": "x", "annot": {"arrow": "bool"}, "body": x}}]},
+         f"{dfn}.app[1].abs.annot.arrow: expected a two-element list"),
+        (2, "definiens", {"abs": []}, f"{dfn}.abs: expected an object"),
+        (2, "definiens", {"abs": {"var": "x", "type": "bool", "body": x}}, f"{dfn}.abs.type: unknown field"),
+        (2, "definiens", {"abs": {"body": x}}, f"{dfn}.abs.var: missing"),
+        (2, "definiens", {"abs": {"var": "x", "body": {"forall": {"var": "y", "body": 7}}}},
+         f"{dfn}.abs.body.forall.body: expected a term object"),
+        (2, "definiens", {"forall": {"var": "x"}}, f"{dfn}.forall.body: expected a term object"),
+        (2, "definiens", {"forall": {"var": "x", "annot": "", "body": x}}, f"{dfn}.forall.annot: empty type name"),
+        (2, "definiens", {"forall": {"var": "x", "annot": {"arrow": ["bool", 1]}, "body": x}},
+         f"{dfn}.forall.annot.arrow[1]: expected a type"),
+        (2, "definiens", {"forall": {"var": "x", "body": {"app": [x, {"abs": {}}]}}},
+         f"{dfn}.forall.body.app[1].abs.var: missing"),
+        (3, "type", [], f"{fml}: expected a term object"),
+        (3, "type", {"arrow": ["bool", "bool"]}, f"{fml}: unknown term constructor"),
+        (3, "type", {"app": [{"app": [{"name": "eq"}, x]}, {"name": ""}]},
+         f"{fml}.app[1].name: expected nonempty string"),
+    ]
+    for index, field, value, message in cases:
+        raw = copy.deepcopy(base)
+        raw["theories"][0]["decls"][index][field] = value
+        with pytest.raises(SchemaViolation) as exc:
+            parse_toyhol(json.dumps(raw).encode())
+        assert str(exc.value) == message, value
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +488,8 @@ def test_import_ill_typed_definition_reported_rest_kept():
 
 
 def test_import_empty_output_guard():
+    """A document whose every record fails imports to an empty library
+    and its rows; the command line's empty-corpus rule judges it."""
     raw = {
         "version": "1",
         "theories": [
@@ -440,9 +497,7 @@ def test_import_empty_output_guard():
         ],
     }
     doc = parse_toyhol(json.dumps(raw).encode())
-    with pytest.raises(EmptyCorpus):
-        import_toyhol(doc)
-    lib, report = import_toyhol(doc, allow_empty=True)
+    lib, report = import_toyhol(doc)
     assert sum(len(t.decls) for t in lib.theories) == 0
     assert not report.ok
 
@@ -570,7 +625,7 @@ def _import_view(raw: dict, renamed: bool):
     """The rows and imported terms of `raw`, with renamed names mapped back
     and qualified names printed local, so that a document and its
     uniquely renamed twin compare equal."""
-    lib, report = import_toyhol(parse_toyhol(json.dumps(raw).encode()), allow_empty=True)
+    lib, report = import_toyhol(parse_toyhol(json.dumps(raw).encode()))
     name = _original_name if renamed else (lambda i: i)
 
     def unqualified(msg):
@@ -719,8 +774,8 @@ def test_importers_check_with_the_given_config(monkeypatch):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(importers, name, spy)
-    import_toyhol(parse_toyhol(load("core.toyhol.json")), True, cfg)
-    import_toyset(parse_toyset(load("sets.toyset.xml")), True, cfg)
+    import_toyhol(parse_toyhol(load("core.toyhol.json")), cfg)
+    import_toyset(parse_toyset(load("sets.toyset.xml")), cfg)
     assert seen["check_theory"] and seen["elaborate_pattern"]
     assert all(c is cfg for calls in seen.values() for c in calls)
 
@@ -1027,8 +1082,8 @@ def test_names_that_equal_connectives_import_as_fresh_names_do():
     verdicts = set()
     for _ in range(300):
         render = _gen_named_toyset(rng)
-        fresh_lib, fresh = import_toyset(parse_toyset(render(FRESH_NAMES)), True)
-        lib, got = import_toyset(parse_toyset(render(CONNECTIVE_NAMES)), True)
+        fresh_lib, fresh = import_toyset(parse_toyset(render(FRESH_NAMES)))
+        lib, got = import_toyset(parse_toyset(render(CONNECTIVE_NAMES)))
         fresh_rows = [
             (spelled(r.subject.name), r.ok, r.message and re.sub(r"\bn\d\b", lambda m: spelled(m[0]), r.message))
             for r in fresh.results
