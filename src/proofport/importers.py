@@ -20,10 +20,11 @@ Both importers run through one driver. It walks the theories in
 document order, merges the names of included theories into each
 theory's environment, converts each record with the format's converter
 and kernel-checks the result under the caller's checker Config. Each
-theory is checked in one kernel Scope that grows with every accepted
-record. Per-declaration failures are collected into a CheckReport and
-the successes kept, even when none succeeds: whether an empty library
-is an error is the caller's rule.
+import builds its terms through one `kernel.Terms`, so equal subterms
+are one node, and each theory is checked in one kernel Scope that grows
+with every accepted record. Per-declaration failures are collected into
+a CheckReport and the successes kept, even when none succeeds: whether
+an empty library is an error is the caller's rule.
 """
 
 from __future__ import annotations
@@ -33,13 +34,11 @@ import re
 import xml.etree.ElementTree as ET
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .elaboration import (
     Pattern,
     PatternInstance,
-    SchematicDecl,
-    close_toplevel,
     elaborate_pattern,
 )
 from .encodings import FOL_SOFT, HOL_CHURCH, LOGIC_NS, fol_ident, hol_ident, logic_library
@@ -70,16 +69,17 @@ from .kernel import (
     Library,
     Metadata,
     Omitted,
+    Pi,
     Proof,
     Scope,
     SourceRef,
     Term,
+    Terms,
     Theory,
     Var,
     apps,
     check_theory,
     clashing_names,
-    fn_type,
     theory_ident,
 )
 
@@ -296,10 +296,22 @@ def _toyhol_theories(raw: list):
         yield path, name, tuple(includes), [(f"{path}.decls[{j}]", d) for j, d in enumerate(decls)]
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a key the object repeats is Malformed."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise Malformed(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def parse_toyhol(data: bytes) -> ExportDoc:
     """Parse and strictly validate a toyhol JSON export."""
     try:
-        obj = json.loads(data.decode("utf-8"))
+        obj = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise Malformed(str(err), getattr(err, "lineno", None)) from err
     if not isinstance(obj, dict):
@@ -493,9 +505,13 @@ def _arrow_parts(t: Term) -> Optional[tuple[Term, Term]]:
 
 
 class _Unifier:
-    """First-order unification of holChurch object types with SMeta holes."""
+    """First-order unification of holChurch object types with SMeta holes.
 
-    def __init__(self) -> None:
+    The terms unify compares are built without the factory, since they may
+    hold holes; `zonk` builds the ground type through `terms`."""
+
+    def __init__(self, terms: Terms) -> None:
+        self.terms = terms
         self.subst: dict[int, Term] = {}
         self.counter = 0
 
@@ -541,7 +557,8 @@ class _Unifier:
             raise AmbiguousType(owner)
         parts = _arrow_parts(t)
         if parts:
-            return apps(_HOL_ARROW, self.zonk(parts[0], owner), self.zonk(parts[1], owner))
+            dom, cod = self.zonk(parts[0], owner), self.zonk(parts[1], owner)
+            return self.terms.apps(_HOL_ARROW, dom, cod)
         return t
 
 
@@ -573,6 +590,7 @@ def infer_church_annotations(
     consts: Mapping[str, tuple[Term, Term]],
     t: dict,
     base_types: Mapping[str, Ident],
+    terms: Terms,
 ) -> tuple[Term, Term]:
     """Reconstruct the type annotations of the Church representation of
     a checked toyhol term.
@@ -583,12 +601,13 @@ def infer_church_annotations(
     domain, and the logical heads impl/eq (when not shadowed by consts)
     map to the holChurch connectives, eq at a fresh instance type per
     occurrence. A binder's annotation resolves against `base_types`.
+    Both results are built through `terms`.
 
     Returns the annotated kernel term and its object type.
     Raises UnificationFailure on a type clash, AmbiguousType when no
     ground type is forced, UnknownIdent for unbound names.
     """
-    uni = _Unifier()
+    uni = _Unifier(terms)
 
     def logical(name: str, scope: list[tuple[str, Term]]) -> bool:
         return name in ("impl", "eq") and name not in consts and not any(
@@ -601,7 +620,7 @@ def infer_church_annotations(
             case {"name": x}:
                 for k, (n, st) in enumerate(reversed(scope)):
                     if n == x:
-                        return (lambda: Var(k)), st
+                        return (lambda: terms.var(k)), st
                 if x in consts:
                     term, st = consts[x]
                     return (lambda: term), st
@@ -619,27 +638,25 @@ def infer_church_annotations(
                     res = uni.fresh()
                     uni.unify(ft, apps(_HOL_ARROW, at, res), w)
                     def build(fb=fb, ab=ab, at=at, res=res):
-                        return apps(_HOL_APP, uni.zonk(at, w), uni.zonk(res, w), fb(), ab())
+                        return terms.apps(_HOL_APP, uni.zonk(at, w), uni.zonk(res, w), fb(), ab())
                     fb, ft = build, res
                 return fb, ft
             case {"abs": {"var": x, "body": body} as b}:
-                vt = uni.fresh() if "annot" not in b else _stype_term(b["annot"], base_types)
+                vt = uni.fresh() if "annot" not in b else _stype_term(b["annot"], base_types, terms)
                 bb, bt = ti(body, scope + [(x, vt)])
                 def build(x=x, vt=vt, bb=bb, bt=bt):
                     dom = uni.zonk(vt, x)
-                    return apps(
-                        _HOL_LAM, dom, uni.zonk(bt, x), Lambda(x, Apply(_HOL_TM, dom), bb())
-                    )
+                    body = terms.node(Lambda, x, terms.apps(_HOL_TM, dom), bb())
+                    return terms.apps(_HOL_LAM, dom, uni.zonk(bt, x), body)
                 return build, apps(_HOL_ARROW, vt, bt)
             case {"forall": {"var": x, "body": body} as b}:
-                vt = uni.fresh() if "annot" not in b else _stype_term(b["annot"], base_types)
+                vt = uni.fresh() if "annot" not in b else _stype_term(b["annot"], base_types, terms)
                 bb, bt = ti(body, scope + [(x, vt)])
                 uni.unify(bt, _HOL_BOOL, x)
                 def build(x=x, vt=vt, bb=bb):
                     dom = uni.zonk(vt, x)
-                    return apps(
-                        _HOL_FORALL, dom, Lambda(x, Apply(_HOL_TM, dom), bb())
-                    )
+                    body = terms.node(Lambda, x, terms.apps(_HOL_TM, dom), bb())
+                    return terms.apps(_HOL_FORALL, dom, body)
                 return build, _HOL_BOOL
 
     def ti_logical(name: str, args: list[dict], scope):
@@ -650,11 +667,11 @@ def infer_church_annotations(
         if name == "impl":
             uni.unify(lt, _HOL_BOOL, name)
             uni.unify(rt, _HOL_BOOL, name)
-            return (lambda: apps(_HOL_IMPL, lb(), rb())), _HOL_BOOL
+            return (lambda: terms.apps(_HOL_IMPL, lb(), rb())), _HOL_BOOL
         inst = uni.fresh()
         uni.unify(lt, inst, name)
         uni.unify(rt, inst, name)
-        return (lambda: apps(_HOL_EQ, uni.zonk(inst, "eq"), lb(), rb())), _HOL_BOOL
+        return (lambda: terms.apps(_HOL_EQ, uni.zonk(inst, "eq"), lb(), rb())), _HOL_BOOL
 
     build, ty = ti(t, [])
     term = build()
@@ -710,7 +727,7 @@ def _import(
 ) -> tuple[Library, CheckReport]:
     """Convert and kernel-check every record of `doc`, one at a time.
 
-    `convert(rec, ident, env, scope, config)` returns the record's candidate
+    `convert(rec, ident, env, scope, terms, config)` returns the record's candidate
     declarations and what its name binds in each category of `env` once
     they check; `env` starts as the environments of the included
     theories merged in order, so a later include wins. A failure is
@@ -718,8 +735,11 @@ def _import(
     import, and the record or theory dropped; the rest continue. A name
     that does not resolve because its own record or theory was dropped
     is reported as one that failed to import, not as a bare unknown
-    name.
+    name. Every record's terms are built through one factory, `terms`, so
+    that the equal subterms of the import are one node and `infer`'s memo
+    serves them.
     """
+    terms = Terms()
     rows: list[CheckResult] = []
     done: list[Theory] = []
     envs: dict[str, Env] = {}
@@ -746,7 +766,7 @@ def _import(
         for rec in trec.decls:
             ident = Ident(ns, trec.name, rec.name)
             try:
-                cands, bindings = convert(rec, ident, env, scope, config)
+                cands, bindings = convert(rec, ident, env, scope, terms, config)
                 row = _try_add(scope, cands, config) or CheckResult(ident, True)
             except CheckError as err:
                 cascade = isinstance(err, UnknownIdent) and err.name in lost
@@ -780,30 +800,32 @@ def import_toyhol(doc: ExportDoc, config: Config = DEFAULT_CONFIG) -> tuple[Libr
 
 
 def _toyhol_decl(
-    rec: DeclRecord, ident: Ident, env: Env, scope: Scope, config: Config
+    rec: DeclRecord, ident: Ident, env: Env, scope: Scope, terms: Terms, config: Config
 ) -> tuple[tuple[Declaration, ...], dict[str, object]]:
     """Convert one record. Its name binds a base type, a term (with its
     object type, resolved here, for the annotation inference), or a
     statement."""
     base_types = env["types"]
-    terms = env["terms"]
+    consts = env["terms"]
     if rec.kind == "type":
         return (Declaration(ident, tp=_HOL_TP, meta=_meta(rec, "type")),), {"types": ident}
     if rec.kind in ("constant", "definition"):
         definiens = None
         if rec.definiens is not None:
-            definiens, tp = infer_church_annotations(terms, rec.definiens, base_types)
+            definiens, tp = infer_church_annotations(consts, rec.definiens, base_types, terms)
         if rec.tp is not None:
-            tp = _stype_term(rec.tp, base_types)
+            tp = _stype_term(rec.tp, base_types, terms)
         decl = Declaration(
-            ident, tp=Apply(_HOL_TM, tp), definiens=definiens, meta=_meta(rec, rec.kind)
+            ident, tp=terms.apps(_HOL_TM, tp), definiens=definiens, meta=_meta(rec, rec.kind)
         )
-        return (decl,), {"terms": (Const(ident), tp)}
+        return (decl,), {"terms": (terms.const(ident), tp)}
     # axiom or theorem: the type field is a formula
-    term, ftype = infer_church_annotations(terms, rec.tp, base_types)
-    _Unifier().unify(ftype, _HOL_BOOL, rec.name)
+    term, ftype = infer_church_annotations(consts, rec.tp, base_types, terms)
+    _Unifier(terms).unify(ftype, _HOL_BOOL, rec.name)
     proof = _depends_on(rec, env["stmts"])
-    decl = Declaration(ident, tp=Apply(_HOL_DED, term), proof=proof, meta=_meta(rec, rec.kind))
+    decl = Declaration(
+        ident, tp=terms.apps(_HOL_DED, term), proof=proof, meta=_meta(rec, rec.kind)
+    )
     return (decl,), {"stmts": ident}
 
 
@@ -818,16 +840,18 @@ def _depends_on(rec: DeclRecord, stmts: Mapping[str, Ident]) -> Proof:
     return DependsOn(tuple(ids)) if ids else Omitted()
 
 
-def _stype_term(st, base_types: Mapping[str, Ident]) -> Term:
+def _stype_term(st, base_types: Mapping[str, Ident], terms: Terms) -> Term:
     """The holChurch object type a checked toyhol type denotes under `base_types`."""
     if isinstance(st, dict):
         dom, cod = st["arrow"]
-        return apps(_HOL_ARROW, _stype_term(dom, base_types), _stype_term(cod, base_types))
+        return terms.apps(
+            _HOL_ARROW, _stype_term(dom, base_types, terms), _stype_term(cod, base_types, terms)
+        )
     if st == "bool":
         return _HOL_BOOL
     if st not in base_types:
         raise UnknownIdent(f"base type {st}", st)
-    return Const(base_types[st])
+    return terms.const(base_types[st])
 
 
 # ---------------------------------------------------------------------------
@@ -864,8 +888,11 @@ _FUNC_DEFINITION = func_definition_pattern()
 _PATTERNS = {_FUNC_DEFINITION.name: _FUNC_DEFINITION}
 
 
-def _fol_term(elem: ET.Element, scope: list[str], consts: Mapping[str, Ident]) -> Term:
-    """A checked toyset formula or term element to a folSoft kernel term.
+def _fol_term(
+    elem: ET.Element, scope: list[str], consts: Mapping[str, Const], terms: Terms
+) -> Term:
+    """A checked toyset formula or term element to a folSoft kernel term,
+    built through `terms`.
 
     A connective is known by its element. The name of a `var`, `const`
     or `papp` resolves by binder scope, then to the theory's constants,
@@ -873,25 +900,27 @@ def _fol_term(elem: ET.Element, scope: list[str], consts: Mapping[str, Ident]) -
     """
     tag = elem.tag
     if tag in _FOL_OPS:
-        return apps(_FOL_OPS[tag], *(_fol_term(kid, scope, consts) for kid in elem))
+        return terms.apps(_FOL_OPS[tag], *(_fol_term(kid, scope, consts, terms) for kid in elem))
     if tag == "forall":
         x = elem.get("var")
-        inner = _fol_term(elem[0], scope + [x], consts)
-        return Apply(_FOL_FORALL, Lambda(x, _FOL_SET, inner))
+        inner = _fol_term(elem[0], scope + [x], consts, terms)
+        return terms.apps(_FOL_FORALL, terms.node(Lambda, x, _FOL_SET, inner))
     x = elem.get("name")
     if x in scope:
-        head: Term = Var(scope[::-1].index(x))
+        head: Term = terms.var(scope[::-1].index(x))
     elif x in consts:
-        head = Const(consts[x])
+        head = consts[x]
     else:
         raise UnknownIdent(x, x)
-    return apps(head, *(_fol_term(kid, scope, consts) for kid in elem))
+    return terms.apps(head, *(_fol_term(kid, scope, consts, terms) for kid in elem))
 
 
-def _pvar_type(arity: int) -> Term:
+def _pvar_type(arity: int, terms: Terms) -> Term:
+    """`set -> ... -> set -> prop` with `arity` arrows; each codomain is
+    closed, so it goes under its binder unshifted."""
     t: Term = _FOL_PROP
     for _ in range(arity):
-        t = fn_type(_FOL_SET, t)
+        t = terms.node(Pi, "_", _FOL_SET, t)
     return t
 
 
@@ -906,38 +935,38 @@ def import_toyset(doc: ExportDoc, config: Config = DEFAULT_CONFIG) -> tuple[Libr
 
 
 def _toyset_decl(
-    rec: DeclRecord, ident: Ident, env: Env, scope: Scope, config: Config
+    rec: DeclRecord, ident: Ident, env: Env, scope: Scope, terms: Terms, config: Config
 ) -> tuple[tuple[Declaration, ...], dict[str, object]]:
-    """Convert one record. Its name binds a set constant (for a definition,
-    the generated `name/fn`) or a statement."""
+    """Convert one record. Its name binds the node of a set constant (for a
+    definition, of the generated `name/fn`) or a statement. A scheme closes over its
+    predicate variables with one Pi each, outermost first; a definition's
+    generated declarations are interned in `terms` with the rest."""
     consts = env["consts"]
     if rec.kind == "constant":
-        return (Declaration(ident, tp=_FOL_SET, meta=_meta(rec, "constant")),), {"consts": ident}
+        decl = Declaration(ident, tp=_FOL_SET, meta=_meta(rec, "constant"))
+        return (decl,), {"consts": terms.const(ident)}
     if rec.kind in ("axiom", "theorem"):
-        tp = Apply(_FOL_DED, _fol_term(rec.tp, [], consts))
+        tp = terms.apps(_FOL_DED, _fol_term(rec.tp, [], consts, terms))
         proof = _depends_on(rec, env["stmts"])
         decl = Declaration(ident, tp=tp, proof=proof, meta=_meta(rec, rec.kind))
         return (decl,), {"stmts": ident}
     if rec.kind == "scheme":
-        ctx = Context()
-        pnames = []
-        for pname, arity in rec.pvars:
-            ctx = ctx.extend(pname, _pvar_type(arity))
-            pnames.append(pname)
-        formula = _fol_term(rec.tp, pnames, consts)
-        sd = SchematicDecl(ctx, Apply(_FOL_DED, formula))
-        decl = Declaration(
-            ident, tp=close_toplevel(sd), proof=Omitted(), meta=_meta(rec, "axiom")
-        )
+        tp = terms.apps(_FOL_DED, _fol_term(rec.tp, [p for p, _ in rec.pvars], consts, terms))
+        for pname, arity in reversed(rec.pvars):
+            tp = terms.node(Pi, pname, _pvar_type(arity, terms), tp)
+        decl = Declaration(ident, tp=tp, proof=Omitted(), meta=_meta(rec, "axiom"))
         return (decl,), {"stmts": ident}
     if rec.kind == "definition":
-        value = _fol_term(rec.definiens, [], consts)
+        value = _fol_term(rec.definiens, [], consts, terms)
         inst = PatternInstance(ident, _FUNC_DEFINITION.name, (value,))
         out = tuple(
-            replace(d, meta=replace(_meta(rec, d.meta.kind), origin=d.meta.origin))
+            replace(
+                d, tp=terms.intern(d.tp),
+                meta=replace(_meta(rec, d.meta.kind), origin=d.meta.origin),
+            )
             for d in elaborate_pattern(scope, inst, _PATTERNS, config)
         )
-        return out, {"consts": out[0].name}
+        return out, {"consts": terms.const(out[0].name)}
     raise SchemaViolation(rec.kind, "unknown record kind")
 
 
@@ -966,6 +995,19 @@ def _find_in_line(line: str, name: str) -> Optional[int]:
         start = end
 
 
+def _marker_ends(line: str) -> Iterator[int]:
+    """Every index at which a name may end in `line`: where the rest of the
+    line, leading whitespace stripped, starts with a marker. Every marker
+    starts with ':'."""
+    p = line.find(":")
+    while p >= 0:
+        q = p
+        while q and line[q - 1].isspace():
+            q -= 1
+        yield from range(q, p + 1)
+        p = line.find(":", p + 1)
+
+
 def recover_source_refs(
     lib: Library, sources: Mapping[str, str]
 ) -> tuple[Library, CheckReport]:
@@ -975,7 +1017,23 @@ def recover_source_refs(
     rest, files are scanned in sorted name order for the first
     token-boundary occurrence of the local name followed by `:=` or
     `:`; the match becomes a range covering the name.
+
+    Each file is split once. Its lines are indexed by the wanted names
+    that end where a marker may follow, so each name is matched only
+    against the lines that index it, in scan order.
     """
+    wanted = {d.name.name for th in lib.theories for d in th.decls if d.meta.source_ref is None}
+    lengths = {len(n) for n in wanted}
+    candidates: dict[str, list[tuple[str, int, str]]] = defaultdict(list)
+    for fname in sorted(sources):
+        for lineno, line in enumerate(sources[fname].splitlines(), start=1):
+            for end in _marker_ends(line):
+                for n in lengths:
+                    name = line[end - n : end] if n <= end else None
+                    if name in wanted:
+                        lines = candidates[name]
+                        if not lines or lines[-1][:2] != (fname, lineno):
+                            lines.append((fname, lineno, line))
     rows: list[CheckResult] = []
     new_theories = []
     for th in lib.theories:
@@ -984,21 +1042,15 @@ def recover_source_refs(
             if decl.meta.source_ref is not None:
                 new_decls.append(decl)
                 continue
+            name = decl.name.name
             found = None
             hits = 0
-            for fname in sorted(sources):
-                for lineno, line in enumerate(sources[fname].splitlines(), start=1):
-                    col = _find_in_line(line, decl.name.name)
-                    if col is not None:
-                        hits += 1
-                        if found is None:
-                            found = SourceRef(
-                                fname,
-                                lineno,
-                                col + 1,
-                                lineno,
-                                col + len(decl.name.name),
-                            )
+            for fname, lineno, line in candidates.get(name, ()):
+                col = _find_in_line(line, name)
+                if col is not None:
+                    hits += 1
+                    if found is None:
+                        found = SourceRef(fname, lineno, col + 1, lineno, col + len(name))
             if found is None:
                 rows.append(CheckResult(decl.name, False, "no source location found"))
                 new_decls.append(decl)

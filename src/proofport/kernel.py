@@ -14,9 +14,14 @@ cross-library resolution.
 
 All values here are immutable after construction and safe to share,
 except a Scope: what one theory sees while it is built, which grows
-with each declaration added to it. Readers share equal subterms, and
-`infer` relies on that: it memoizes the type of each closed application
-by the node's identity, on the Library or Scope asked. An entry holds
+with each declaration added to it.
+
+Readers share equal subterms through `Terms`, the one hash-consing
+factory: `omdoc.parse` makes one per document and each import one per
+call, so the equal subterms, hints included, of one document or one
+import are one node. `infer` relies on that: it memoizes the type of
+each closed application by the node's identity, on the Library or Scope
+asked, and a node built outside the factory only misses. An entry holds
 its node, so the id cannot be reused while the entry lives; it holds
 the Config it was inferred under and serves no other; and only a
 successful inference is stored. A Library never changes, so its entries
@@ -225,6 +230,80 @@ def apps(fn: Term, *args: Term) -> Term:
 def fn_type(dom: Term, cod: Term) -> Pi:
     """Non-dependent function type: `cod` is shifted under the new binder."""
     return Pi("_", dom, shift(cod, 1))
+
+
+class Terms:
+    """The hash-consing term factory (Filliâtre and Conchon, "Type-Safe
+    Modular Hash-Consing", ML Workshop 2006).
+
+    It returns one node per distinct term built through it, hints
+    included: a Const per identifier, a Var per index, an Apply per pair
+    of children's ids, and any other node per class, hint and children's
+    ids. The ids stay valid because each node the table keeps keeps its
+    children alive. A child built elsewhere is taken as it is, so a node
+    is shared only as far as its children are. One Terms serves one
+    document or one import and goes with it.
+    """
+
+    __slots__ = ("_nodes",)
+
+    def __init__(self) -> None:
+        self._nodes: dict = {}
+
+    def const(self, ident: Ident) -> Const:
+        c = self._nodes.get(ident)
+        if c is None:
+            c = self._nodes[ident] = Const(ident)
+        return c
+
+    def named(self, text: str) -> Const:
+        """The constant of the identifier written `text`, keyed by the text
+        too, so each distinct text is parsed once; a ValueError if `text`
+        is not an identifier."""
+        c = self._nodes.get(text)
+        if c is None:
+            c = self._nodes[text] = self.const(Ident.parse(text))
+        return c
+
+    def var(self, index: int) -> Var:
+        v = self._nodes.get(index)
+        if v is None:
+            v = self._nodes[index] = Var(index)
+        return v
+
+    def apps(self, fn: Term, *args: Term) -> Term:
+        """The left-nested application spine of `fn` to `args`."""
+        nodes = self._nodes
+        for a in args:
+            key = (id(fn), id(a))
+            t = nodes.get(key)
+            if t is None:
+                t = nodes[key] = Apply(fn, a)
+            fn = t
+        return fn
+
+    def node(self, cls: type, hint: Optional[str], *parts: Term) -> Term:
+        """The `cls` node of `parts`, other than an Apply; `hint` is a
+        Lambda's or Pi's binder name and None for the other classes."""
+        key = (cls, hint, *map(id, parts))
+        t = self._nodes.get(key)
+        if t is None:
+            t = self._nodes[key] = cls(*parts) if hint is None else cls(hint, *parts)
+        return t
+
+    def intern(self, t: Term) -> Term:
+        """The table's node equal to `t`, hints included. A Const or Var
+        the table has none of yet becomes the table's own."""
+        cls = type(t)
+        if cls is Const:
+            return self._nodes.setdefault(t.ident, t)
+        if cls is Var:
+            return self._nodes.setdefault(t.index, t)
+        if cls is Apply:
+            return self.apps(self.intern(t.fn), self.intern(t.arg))
+        hint = getattr(t, "hint", None)
+        fields = t.__match_args__ if hint is None else t.__match_args__[1:]
+        return self.node(cls, hint, *(self.intern(getattr(t, f)) for f in fields))
 
 
 # ---------------------------------------------------------------------------

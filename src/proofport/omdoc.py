@@ -12,8 +12,9 @@ elements. The file attempts no structure sharing; each subterm is
 inlined, and the serialized element count stays linear in the term node
 count. The writer and the reader each walk a term with an explicit
 stack, not by recursion, so both take terms of any depth. The reader
-returns the equal subterms of one document, hints included, as one
-shared object, so the checker can infer each type once.
+builds each document's terms through one `kernel.Terms`, so the equal
+subterms of one document, hints included, are one shared object and
+the checker can infer each type once.
 
 Variables carry their de Bruijn index plus the binder's name hint. The
 index alone is authoritative; the hint is for human readers.
@@ -52,6 +53,7 @@ from .kernel import (
     SubOut,
     SubType,
     Term,
+    Terms,
     Theory,
     TypeKind,
     Var,
@@ -317,18 +319,13 @@ def _moved(err: SchemaViolation, path: str) -> SchemaViolation:
     return SchemaViolation(path + err.path[1:], err.message)
 
 
-def _ident(attrs: Mapping[str, str], key: str, table: dict) -> Ident:
-    """The identifier that attribute `key` names. `table` holds the
-    constants already read from the same document, by text, so each
-    distinct text is validated once and each OMS of it shares one Const."""
-    text = attrs[key]
-    c = table.get(text)
-    if c is None:
-        try:
-            c = table[text] = Const(Ident.parse(text))
-        except ValueError as err:
-            raise SchemaViolation(f"{_HERE}.{key}", str(err)) from None
-    return c.ident
+def _ident(attrs: Mapping[str, str], key: str, terms: Terms) -> Ident:
+    """The identifier that attribute `key` names, read through the
+    document's `terms`, so each distinct text is validated once."""
+    try:
+        return terms.named(attrs[key]).ident
+    except ValueError as err:
+        raise SchemaViolation(f"{_HERE}.{key}", str(err)) from None
 
 
 def _int_attr(attrs: Mapping[str, str], key: str) -> int:
@@ -357,7 +354,7 @@ def _leaf_content(elem: ET.Element, path: str) -> SchemaViolation:
     return SchemaViolation(path, f"{elem.tag} takes no children")
 
 
-def _parse_term(wrapper: ET.Element, table: dict) -> Term:
+def _parse_term(wrapper: ET.Element, terms: Terms) -> Term:
     """The one term inside `wrapper`.
 
     The term is read from an explicit stack of frames, not by recursion,
@@ -368,10 +365,9 @@ def _parse_term(wrapper: ET.Element, table: dict) -> Term:
     OMBIND's children are built, its variable, binder name and arity.
     A path is formatted only for an error.
 
-    Equal subterms of one document come back as one object: `table`
-    maps an identifier's text to its Const, an index to its Var, and a
-    node's class, hint and children's ids to the node. The ids stay
-    valid because each node in the table keeps its children alive.
+    Every node is built through `terms`, the document's one factory, so
+    the equal subterms of one document, hints included, come back as one
+    object; an OMS is looked up by its name's text.
     """
     if len(wrapper) != 1:
         raise SchemaViolation(_HERE, "expected exactly one term")
@@ -387,13 +383,10 @@ def _parse_term(wrapper: ET.Element, table: dict) -> Term:
                     check_keys(a, _path(stack, kid), ("name",))
                 if len(kid) or (text := kid.text) and not text.isspace():
                     raise _leaf_content(kid, _path(stack, kid))
-                c = table.get(name)
-                if c is None:
-                    try:
-                        c = table[name] = Const(Ident.parse(name))
-                    except ValueError as err:
-                        raise SchemaViolation(f"{_path(stack, kid)}.name", str(err)) from None
-                parts.append(c)
+                try:
+                    parts.append(terms.named(name))
+                except ValueError as err:
+                    raise SchemaViolation(f"{_path(stack, kid)}.name", str(err)) from None
             elif tag == "OMV":
                 index = a.get("index")
                 if index is None or len(a) != 1 and (len(a) != 2 or "hint" not in a):
@@ -406,12 +399,9 @@ def _parse_term(wrapper: ET.Element, table: dict) -> Term:
                     raise SchemaViolation(
                         f"{_path(stack, kid)}.index", "expected an integer"
                     ) from None
-                v = table.get(index)
-                if v is None:
-                    if index < 0:
-                        raise SchemaViolation(f"{_path(stack, kid)}.index", "negative index")
-                    v = table[index] = Var(index)
-                parts.append(v)
+                if index < 0:
+                    raise SchemaViolation(f"{_path(stack, kid)}.index", "negative index")
+                parts.append(terms.var(index))
             elif tag == "OMA" or tag == "OMBIND":
                 if tag == "OMA":
                     if a:
@@ -434,13 +424,7 @@ def _parse_term(wrapper: ET.Element, table: dict) -> Term:
                 return parts[0]
             stack.pop()
             if elem.tag == "OMA":
-                t = parts[0]
-                for i in range(1, len(parts)):
-                    key = (id(t), id(parts[i]))
-                    n = table.get(key)
-                    if n is None:
-                        n = table[key] = Apply(t, parts[i])
-                    t = n
+                t = terms.apps(*parts)
             else:
                 a = elem.attrib
                 binder = a["binder"]
@@ -457,18 +441,14 @@ def _parse_term(wrapper: ET.Element, table: dict) -> Term:
                     raise SchemaViolation(
                         _path(stack, elem), f"binder {binder} takes {len(fields)} children"
                     )
-                hint = a.get("var", "_") if binds else None
-                key = (cls, hint, *map(id, parts))
-                t = table.get(key)
-                if t is None:
-                    t = table[key] = cls(hint, *parts) if binds else cls(*parts)
+                t = terms.node(cls, a.get("var", "_") if binds else None, *parts)
             elem, kids, parts = stack[-1]
             parts.append(t)
 
 
-def _parse_metadata(elem: ET.Element, table: dict):
+def _parse_metadata(elem: ET.Element, terms: Terms):
     a = check_keys(elem.attrib, _HERE, (), ("origin",))
-    origin = _ident(a, "origin", table) if "origin" in a else None
+    origin = _ident(a, "origin", terms) if "origin" in a else None
     source_ref = None
     comments: list[str] = []
     notation = None
@@ -503,7 +483,7 @@ def _parse_metadata(elem: ET.Element, table: dict):
     return origin, source_ref, tuple(comments), notation
 
 
-def _parse_proof(elem: ET.Element, table: dict) -> Proof:
+def _parse_proof(elem: ET.Element, terms: Terms) -> Proof:
     a = check_keys(elem.attrib, _HERE, ("style",))
     _no_text(elem, _HERE)
     style = a["style"]
@@ -518,7 +498,7 @@ def _parse_proof(elem: ET.Element, table: dict) -> Proof:
             try:
                 if kid.tag != "ref":
                     raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
-                ids.append(_ident(_leaf(kid, _HERE, ("name",)), "name", table))
+                ids.append(_ident(_leaf(kid, _HERE, ("name",)), "name", terms))
             except SchemaViolation as err:
                 raise _moved(err, f"{_HERE}.{kid.tag}[{i}]") from None
         try:
@@ -526,11 +506,11 @@ def _parse_proof(elem: ET.Element, table: dict) -> Proof:
         except ValueError as err:
             raise SchemaViolation(_HERE, str(err)) from None
     if style == "term":
-        return ProofTerm(_parse_term(elem, table))
+        return ProofTerm(_parse_term(elem, terms))
     raise SchemaViolation(f"{_HERE}.style", f"unknown proof style {style!r}")
 
 
-def _parse_constant(elem: ET.Element, namespace: str, module: str, table: dict) -> Declaration:
+def _parse_constant(elem: ET.Element, namespace: str, module: str, terms: Terms) -> Declaration:
     a = check_keys(elem.attrib, _HERE, ("name", "kind"))
     _no_text(elem, _HERE)
     if a["kind"] not in KINDS:
@@ -547,16 +527,16 @@ def _parse_constant(elem: ET.Element, namespace: str, module: str, table: dict) 
             if kid.tag == "type":
                 check_keys(kid.attrib, _HERE, ())
                 _no_text(kid, _HERE)
-                tp = _parse_term(kid, table)
+                tp = _parse_term(kid, terms)
             elif kid.tag == "definition":
                 check_keys(kid.attrib, _HERE, ())
                 _no_text(kid, _HERE)
-                definiens = _parse_term(kid, table)
+                definiens = _parse_term(kid, terms)
             elif kid.tag == "proof":
-                proof = _parse_proof(kid, table)
+                proof = _parse_proof(kid, terms)
             elif kid.tag == "metadata":
                 _no_text(kid, _HERE)
-                origin, source_ref, comments, notation = _parse_metadata(kid, table)
+                origin, source_ref, comments, notation = _parse_metadata(kid, terms)
             else:
                 raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
         except SchemaViolation as err:
@@ -575,10 +555,10 @@ def _parse_constant(elem: ET.Element, namespace: str, module: str, table: dict) 
         raise SchemaViolation(_HERE, str(err)) from None
 
 
-def _parse_theory(elem: ET.Element, namespace: str, table: dict) -> Theory:
+def _parse_theory(elem: ET.Element, namespace: str, terms: Terms) -> Theory:
     a = check_keys(elem.attrib, _HERE, ("name",), ("meta",))
     _no_text(elem, _HERE)
-    meta_theory = _ident(a, "meta", table) if "meta" in a else None
+    meta_theory = _ident(a, "meta", terms) if "meta" in a else None
     includes = []
     decls: dict[Ident, Declaration] = {}
     for i, kid in enumerate(elem):
@@ -586,9 +566,9 @@ def _parse_theory(elem: ET.Element, namespace: str, table: dict) -> Theory:
             if kid.tag == "include":
                 if decls:
                     raise SchemaViolation(_HERE, "includes must precede constants")
-                includes.append(_ident(_leaf(kid, _HERE, ("from",)), "from", table))
+                includes.append(_ident(_leaf(kid, _HERE, ("from",)), "from", terms))
             elif kid.tag == "constant":
-                d = _parse_constant(kid, namespace, a["name"], table)
+                d = _parse_constant(kid, namespace, a["name"], terms)
                 if d.name in decls:
                     raise SchemaViolation(f"{_HERE}.name", f"duplicate declaration {d.name}")
                 decls[d.name] = d
@@ -607,7 +587,7 @@ def _parse_theory(elem: ET.Element, namespace: str, table: dict) -> Theory:
         raise SchemaViolation(_HERE, str(err)) from None
 
 
-def _parse_morphism(elem: ET.Element, table: dict) -> Morphism:
+def _parse_morphism(elem: ET.Element, terms: Terms) -> Morphism:
     a = check_keys(elem.attrib, _HERE, ("name", "from", "to"))
     _no_text(elem, _HERE)
     assignments = []
@@ -617,14 +597,14 @@ def _parse_morphism(elem: ET.Element, table: dict) -> Morphism:
                 raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
             ka = check_keys(kid.attrib, _HERE, ("name",))
             _no_text(kid, _HERE)
-            assignments.append((_ident(ka, "name", table), _parse_term(kid, table)))
+            assignments.append((_ident(ka, "name", terms), _parse_term(kid, terms)))
         except SchemaViolation as err:
             raise _moved(err, f"{_HERE}.{kid.tag}[{i}]") from None
     try:
         return Morphism(
-            _ident(a, "name", table),
-            _ident(a, "from", table),
-            _ident(a, "to", table),
+            _ident(a, "name", terms),
+            _ident(a, "from", terms),
+            _ident(a, "to", terms),
             tuple(assignments),
         )
     except ValueError as err:
@@ -656,7 +636,7 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
     root = read_xml(data, "omdoc", ("version", "namespace"), OMDOC_VERSION)
     _no_text(root, "omdoc")
     namespace = root.get("namespace")
-    table: dict = {}  # one node per distinct subterm; see _parse_term
+    terms = Terms()  # the document's one factory; see _parse_term
     theories: dict[Ident, Theory] = {}
     morphisms = []
     for i, kid in enumerate(root):
@@ -664,12 +644,12 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
             if kid.tag == "theory":
                 if morphisms:
                     raise SchemaViolation(_HERE, "theories must precede morphisms")
-                th = _parse_theory(kid, namespace, table)
+                th = _parse_theory(kid, namespace, terms)
                 if th.name in theories:
                     raise SchemaViolation(f"{_HERE}.name", f"duplicate theory {th.name}")
                 theories[th.name] = th
             elif kid.tag == "morphism":
-                morphisms.append(_parse_morphism(kid, table))
+                morphisms.append(_parse_morphism(kid, terms))
             else:
                 raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
         except SchemaViolation as err:

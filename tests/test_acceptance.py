@@ -70,6 +70,7 @@ from proofport.kernel import (
     SubIn,
     SubOut,
     Term,
+    Terms,
     Theory,
     apps,
     check,
@@ -253,12 +254,12 @@ def test_4_annotation_inference():
     for _ in range(200):
         target = gen_stype(rng, 2)
         t = gen_surface(rng, target, (), 3)
-        term, ty = infer_church_annotations(surface_consts(SURFACE_ENV), t, SURFACE_BASES)
+        term, ty = infer_church_annotations(surface_consts(SURFACE_ENV), t, SURFACE_BASES, Terms())
         assert ty == stype_term(target)
         check(lib, CTX, term, Apply(tm, stype_term(target)))
 
     try:
-        infer_church_annotations({}, SAbs("x", None, SName("x")), SURFACE_BASES)
+        infer_church_annotations({}, SAbs("x", None, SName("x")), SURFACE_BASES, Terms())
     except AmbiguousType:
         pass
     else:

@@ -156,6 +156,26 @@ def test_malformed_input_is_exit_2(tmp_path, capsys):
     assert run_cli(capsys, "check", str(doc))[0] == 2
 
 
+@pytest.mark.parametrize("text, key", [
+    # the first list would be dropped silently if the last key won
+    ('{"version": "1", "theories": [{"name": "t", "decls": [{"kind": "type", "name": "c"}],'
+     ' "decls": [{"kind": "type", "name": "d"}]}]}', "decls"),
+    ('{"version": "1", "version": "1", "theories": []}', "version"),
+    ('{"version": "1", "theories": [{"name": "t", "decls": [{"kind": "type", "name": "c",'
+     ' "name": "d"}]}]}', "name"),
+])
+def test_a_repeated_toyhol_key_is_exit_2_naming_it(tmp_path, capsys, text, key):
+    doc = tmp_path / "repeat.toyhol.json"
+    doc.write_text(text)
+    out_file = tmp_path / "out.omdoc.xml"
+    for command in (("check",), ("import", "--output", str(out_file))):
+        code, out, err = run_cli(capsys, *command, str(doc))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: repeated key {key!r}\n"
+        assert not out_file.exists()
+
+
 @pytest.mark.parametrize("name", ["lib.omdoc.xml", "lib.toyset.xml"])
 def test_an_xml_parser_overflow_is_malformed_exit_2(tmp_path, capsys, monkeypatch, name):
     # what the XML parser raises on a document past its size limits

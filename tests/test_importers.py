@@ -2,7 +2,10 @@
 source-reference scanner, each against an independent bookkeeping or
 hand-derived oracle."""
 
+import collections
 import copy
+import dataclasses
+import importlib.util
 import inspect
 import json
 import random
@@ -81,6 +84,7 @@ from proofport.kernel import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 LOGICS = logic_library()
 
 BOOL = Const(hol_ident("bool'"))
@@ -264,7 +268,7 @@ def test_malformed_toyhol_term_and_type_messages():
 
 
 def _infer(env, t):
-    return infer_church_annotations(surface_consts(env), t, SURFACE_BASES)
+    return infer_church_annotations(surface_consts(env), t, SURFACE_BASES, kernel.Terms())
 
 
 def test_infer_application_annotations():
@@ -345,7 +349,9 @@ def test_infer_unapplied_logical_constant():
 def test_infer_env_shadows_logical_names():
     env = {"impl": SBase("bool")}
     mine = Const(Ident("lib://user", "m", "impl"))
-    term, ty = infer_church_annotations({"impl": (mine, stype_term(env["impl"]))}, SName("impl"), {})
+    term, ty = infer_church_annotations(
+        {"impl": (mine, stype_term(env["impl"]))}, SName("impl"), {}, kernel.Terms()
+    )
     assert ty == stype_term(SBase("bool"))
     assert term == mine
 
@@ -1100,6 +1106,123 @@ def test_names_that_equal_connectives_import_as_fresh_names_do():
 
 
 # ---------------------------------------------------------------------------
+# one term factory per import
+
+
+def _bench_corpus():
+    """The benchmark's corpus generator, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_corpus", BENCH / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_imports(seeds=(7,)):
+    """(importer, parsed document) for the bench's hol and set corpora."""
+    corpus = _bench_corpus()
+    out = []
+    for seed in seeds:
+        out.append((import_toyhol, parse_toyhol(corpus.hol_corpus(seed, 220)[0])))
+        out.append((import_toyset, parse_toyset(corpus.set_corpus(seed, 260)[0])))
+    return out
+
+
+class _Unshared(kernel.Terms):
+    """A factory that shares nothing: every call builds a new node."""
+
+    def const(self, ident):
+        return Const(ident)
+
+    def named(self, text):
+        return Const(Ident.parse(text))
+
+    def var(self, index):
+        return Var(index)
+
+    def apps(self, fn, *args):
+        return apps(fn, *args)
+
+    def node(self, cls, hint, *parts):
+        return cls(*parts) if hint is None else cls(hint, *parts)
+
+    def intern(self, t):
+        return t
+
+
+def _occurrences(lib):
+    """Every subterm occurrence in the library's declarations."""
+    stack = [t for th in lib.theories for d in th.decls for t in (d.tp, d.definiens) if t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if type(t) is Apply:
+            stack += (t.fn, t.arg)
+        elif type(t) in (Lambda, Pi):
+            stack += (t.dom, t.body if type(t) is Lambda else t.cod)
+
+
+def test_the_import_infer_memo_serves_closed_applications(monkeypatch):
+    counts = collections.Counter()
+    infer = kernel.infer
+
+    def counted(lib, ctx, t, config=kernel.DEFAULT_CONFIG):
+        counts["infer"] += 1
+        if type(t) is Apply and t.loose == 0:
+            counts["closed"] += 1
+            counts["served"] += id(t) in lib._infer_memo
+        return infer(lib, ctx, t, config)
+
+    monkeypatch.setattr(kernel, "infer", counted)
+    (import_hol, hol), _ = _bench_imports()
+    got = import_hol(hol)
+    shared = dict(counts)
+    counts.clear()
+    monkeypatch.setattr(importers, "Terms", _Unshared)
+    assert import_hol(hol) == got
+    # a node built anew per use is never served from the memo
+    assert counts["served"] == 0
+    assert 0 < shared["served"] < shared["closed"]
+    assert shared["infer"] < counts["infer"]
+
+
+def test_equal_subterms_of_one_import_are_one_object():
+    # repr shows the hints, which == ignores
+    inputs = _bench_imports() + [
+        (import_toyhol, parse_toyhol(load("core.toyhol.json"))),
+        (import_toyset, parse_toyset(load("sets.toyset.xml"))),
+    ]
+    rng = random.Random(1019)
+    inputs += [(import_toyhol, parse_toyhol(json.dumps(gen_clash_toyhol(rng)).encode()))
+               for _ in range(40)]
+    shared = 0
+    for import_doc, doc in inputs:
+        by_repr = collections.defaultdict(set)
+        occurrences = 0
+        for t in _occurrences(import_doc(doc)[0]):
+            by_repr[repr(t)].add(id(t))
+            occurrences += 1
+        assert all(len(ids) == 1 for ids in by_repr.values())
+        shared += occurrences - len(by_repr)
+    assert shared
+
+
+def test_a_shared_import_equals_an_unshared_one(monkeypatch):
+    """The rows and the serialized library of every import are those of a
+    build that shares no node."""
+    inputs = _bench_imports(seeds=(1, 2, 3))
+    for seed in range(400):
+        raw = gen_clash_toyhol(random.Random(seed))
+        inputs.append((import_toyhol, parse_toyhol(json.dumps(raw).encode())))
+    shared = [import_doc(doc) for import_doc, doc in inputs]
+    monkeypatch.setattr(importers, "Terms", _Unshared)
+    for (import_doc, doc), (lib, report) in zip(inputs, shared):
+        unshared_lib, unshared_report = import_doc(doc)
+        assert report == unshared_report
+        assert omdoc.serialize(lib) == omdoc.serialize(unshared_lib)
+    assert any(not report.ok for _, report in shared)
+
+
+# ---------------------------------------------------------------------------
 # source reference recovery
 
 
@@ -1197,3 +1320,84 @@ def test_recover_50_generated_files():
             assert ref is not None, decl.name
             assert (ref.file, ref.start_line, ref.start_col) == (fname, line, col)
             assert ref.end_col == col + len(decl.name.name) - 1
+
+
+def _recover_reference(lib, sources):
+    """The scan as first written: every file re-split, every line tried,
+    for each declaration."""
+    rows, new_theories = [], []
+    for th in lib.theories:
+        new_decls = []
+        for decl in th.decls:
+            if decl.meta.source_ref is not None:
+                new_decls.append(decl)
+                continue
+            found, hits = None, 0
+            for fname in sorted(sources):
+                for lineno, line in enumerate(sources[fname].splitlines(), start=1):
+                    col = importers._find_in_line(line, decl.name.name)
+                    if col is not None:
+                        hits += 1
+                        if found is None:
+                            found = SourceRef(fname, lineno, col + 1, lineno,
+                                              col + len(decl.name.name))
+            if found is None:
+                rows.append(kernel.CheckResult(decl.name, False, "no source location found"))
+                new_decls.append(decl)
+            else:
+                if hits > 1:
+                    rows.append(kernel.CheckResult(
+                        decl.name, True, f"{hits} candidate locations, first taken"))
+                new_decls.append(dataclasses.replace(
+                    decl, meta=dataclasses.replace(decl.meta, source_ref=found)))
+        new_theories.append(dataclasses.replace(th, decls=tuple(new_decls)))
+    out = Library(lib.namespace, tuple(new_theories), lib.morphisms, deps=lib.deps)
+    return out, kernel.CheckReport(tuple(rows))
+
+
+def test_recover_equals_the_per_declaration_scan_on_seeded_libraries():
+    # a small alphabet, so names overlap themselves and each other, and
+    # hold spaces, markers and other characters that are not name characters
+    alphabet = ["a", "b", "'", " ", ":", "=", "/", "\t", "_"]
+    rng = random.Random(1610)
+    warned = 0
+    for _ in range(300):
+        names = sorted({"".join(rng.choices(alphabet[:3] + [" ", "/"], k=rng.randint(1, 4)))
+                        for _ in range(rng.randint(1, 8))})
+        sources = {}
+        for f in range(rng.randint(1, 3)):
+            lines = []
+            for _ in range(rng.randint(0, 12)):
+                if rng.random() < 0.5:
+                    lines.append("".join(rng.choices(alphabet, k=rng.randint(0, 12))))
+                else:
+                    pad = "".join(rng.choices([" ", "\t", ""], k=2))
+                    lines.append(f"{rng.choice(alphabet)}{rng.choice(names)}{pad}"
+                                 f"{rng.choice([':', ':=', '=', ''])} x")
+            sources[f"f{rng.randint(0, 3)}{f}.txt"] = "\n".join(lines)
+        lib = _plain_lib(names)
+        got = recover_source_refs(lib, sources)
+        assert got == _recover_reference(lib, sources), (names, sources)
+        warned += len(got[1].results)
+    assert warned
+
+
+def test_recover_tries_each_definiendum_line_once(monkeypatch):
+    calls = [0]
+    find_in_line = importers._find_in_line
+
+    def counted(line, name):
+        calls[0] += 1
+        return find_in_line(line, name)
+
+    monkeypatch.setattr(importers, "_find_in_line", counted)
+    counted_at = []
+    for n in (200, 400):
+        names = [f"item{k}" for k in range(n)]
+        sources = {"a.txt": "".join(f"{name} := {k}\n" for k, name in enumerate(names))}
+        calls[0] = 0
+        out, report = recover_source_refs(_plain_lib(names), sources)
+        assert report.results == ()
+        counted_at.append(calls[0])
+    # each declaration's one line, where the scan per declaration tried every line
+    assert counted_at == [200, 400]

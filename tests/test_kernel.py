@@ -60,6 +60,7 @@ from proofport.kernel import (
     SubOut,
     SubType,
     Term,
+    Terms,
     Theory,
     TypeKind,
     Var,
@@ -150,6 +151,53 @@ def test_traversals_return_unchanged_terms_themselves():
         closed = gen_scoped(rng, 0)
         assert shift(closed, 5) is closed
         assert substitute(closed, 0, gen_scoped(rng, rng.randint(0, 3))) is closed
+
+
+def _fresh_copy(t: Term) -> Term:
+    """`t` rebuilt with a new object for every node but TypeKind."""
+    return kernel.rebuild(t, lambda n, k: Const(n.ident) if type(n) is Const else Var(n.index))
+
+
+def test_terms_gives_equal_terms_with_equal_hints_one_node():
+    rng = random.Random(109)
+    terms = Terms()
+    for _ in range(300):
+        t = gen_scoped(rng, rng.randint(0, 3))
+        shared = terms.intern(t)
+        assert repr(shared) == repr(t)
+        assert terms.intern(_fresh_copy(t)) is shared
+        other = mutate_hints(rng, t)
+        assert other == t
+        assert (terms.intern(other) is shared) == (repr(other) == repr(t))
+
+
+def test_terms_builders_agree_with_intern():
+    terms = Terms()
+    f, x = terms.named("lib://t?m?f"), terms.var(0)
+    assert f is terms.const(Ident("lib://t", "m", "f")) is terms.intern(Const(f.ident))
+    assert terms.apps(f, x, x) is terms.apps(terms.apps(f, x), x)
+    assert terms.apps(f, x, x) is terms.intern(Apply(Apply(f, Var(0)), x))
+    lam = terms.node(Lambda, "y", f, x)
+    assert lam is terms.intern(Lambda("y", Const(f.ident), Var(0)))
+    assert lam is not terms.node(Lambda, "z", f, x)
+    kind = terms.node(TypeKind, None)
+    assert kind is terms.intern(TypeKind()) and kind == TypeKind()
+    assert terms.node(SubOut, None, f) is terms.intern(SubOut(f))
+    with pytest.raises(ValueError):
+        terms.named("not an identifier")
+    with pytest.raises(ValueError):
+        terms.var(-1)
+
+
+def test_terms_keeps_the_children_its_nodes_are_keyed_by():
+    # children built elsewhere die with their last reference; were the
+    # table not to hold them, their ids would be reused by the next pair
+    terms = Terms()
+    for i in range(2000):
+        f, x = Const(Ident("lib://t", "m", f"f{i % 7}")), Var(i % 5)
+        t = terms.apps(f, x)
+        assert t.fn is f and t.arg is x
+        del f, x, t
 
 
 def test_shift_then_unshift_is_identity():
