@@ -70,18 +70,10 @@ class SchematicDecl:
     statement: Term
 
 
-def builtin_patterns() -> dict[Ident, Pattern]:
-    """The patterns bundled with the toolchain, keyed by name."""
-    from . import encodings, importers
-
-    pats = (encodings.typedef_pattern(), importers.func_definition_pattern())
-    return {p.name: p for p in pats}
-
-
 def elaborate_pattern(
     lib: Library,
     inst: PatternInstance,
-    patterns: dict[Ident, Pattern] | None = None,
+    patterns: dict[Ident, Pattern],
     config: Config = DEFAULT_CONFIG,
 ) -> list[Declaration]:
     """Expand a pattern instance into plain declarations.
@@ -91,8 +83,7 @@ def elaborate_pattern(
     names `inst.name/templateName`. Generated declarations are marked
     kind=patternInstance with an origin pointing back at the instance.
     """
-    registry = builtin_patterns() if patterns is None else patterns
-    pat = registry.get(inst.pattern)
+    pat = patterns.get(inst.pattern)
     if pat is None:
         raise UnknownIdent(f"pattern {inst.pattern}")
     params = list(pat.params)

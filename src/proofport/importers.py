@@ -607,75 +607,86 @@ def infer_church_annotations(
     Raises UnificationFailure on a type clash, AmbiguousType when no
     ground type is forced, UnknownIdent for unbound names.
     """
-    uni = _Unifier(terms)
+    inference = _ChurchInference(consts, base_types, terms)
+    build, ty = inference.annotate(t, [])
+    return build(), inference.zonk(ty, "result")
 
-    def logical(name: str, scope: list[tuple[str, Term]]) -> bool:
-        return name in ("impl", "eq") and name not in consts and not any(
+
+class _ChurchInference(_Unifier):
+    """The unifier of one `infer_church_annotations` call and the names it
+    resolves. `annotate` returns (build, type); build() makes the kernel
+    term. Builds refer to the unifier and to each other, never back."""
+
+    def __init__(
+        self, consts: Mapping[str, tuple[Term, Term]], base_types: Mapping[str, Ident], terms: Terms
+    ) -> None:
+        super().__init__(terms)
+        self.consts, self.base_types = consts, base_types
+
+    def logical(self, name: str, scope: list[tuple[str, Term]]) -> bool:
+        return name in ("impl", "eq") and name not in self.consts and not any(
             n == name for n, _ in scope
         )
 
-    def ti(t: dict, scope: list[tuple[str, Term]]):
-        """Returns (build, type): build() makes the kernel term."""
+    def annotate(self, t: dict, scope: list[tuple[str, Term]]):
+        terms, base_types = self.terms, self.base_types
         match t:
             case {"name": x}:
                 for k, (n, st) in enumerate(reversed(scope)):
                     if n == x:
                         return (lambda: terms.var(k)), st
-                if x in consts:
-                    term, st = consts[x]
+                if x in self.consts:
+                    term, st = self.consts[x]
                     return (lambda: term), st
-                if logical(x, scope):
+                if self.logical(x, scope):
                     raise UnificationFailure(x, "logical constant must be applied")
                 raise UnknownIdent(x, x)
             case {"app": _}:
                 head, args = _spine(t)
-                if "name" in head and logical(head["name"], scope):
-                    return ti_logical(head["name"], args, scope)
-                fb, ft = ti(head, scope)
+                if "name" in head and self.logical(head["name"], scope):
+                    return self.annotate_logical(head["name"], args, scope)
+                fb, ft = self.annotate(head, scope)
                 w = _where(head)
                 for arg in args:
-                    ab, at = ti(arg, scope)
-                    res = uni.fresh()
-                    uni.unify(ft, apps(_HOL_ARROW, at, res), w)
+                    ab, at = self.annotate(arg, scope)
+                    res = self.fresh()
+                    self.unify(ft, apps(_HOL_ARROW, at, res), w)
                     def build(fb=fb, ab=ab, at=at, res=res):
-                        return terms.apps(_HOL_APP, uni.zonk(at, w), uni.zonk(res, w), fb(), ab())
+                        return terms.apps(_HOL_APP, self.zonk(at, w), self.zonk(res, w), fb(), ab())
                     fb, ft = build, res
                 return fb, ft
             case {"abs": {"var": x, "body": body} as b}:
-                vt = uni.fresh() if "annot" not in b else _stype_term(b["annot"], base_types, terms)
-                bb, bt = ti(body, scope + [(x, vt)])
+                vt = self.fresh() if "annot" not in b else _stype_term(b["annot"], base_types, terms)
+                bb, bt = self.annotate(body, scope + [(x, vt)])
                 def build(x=x, vt=vt, bb=bb, bt=bt):
-                    dom = uni.zonk(vt, x)
+                    dom = self.zonk(vt, x)
                     body = terms.node(Lambda, x, terms.apps(_HOL_TM, dom), bb())
-                    return terms.apps(_HOL_LAM, dom, uni.zonk(bt, x), body)
+                    return terms.apps(_HOL_LAM, dom, self.zonk(bt, x), body)
                 return build, apps(_HOL_ARROW, vt, bt)
             case {"forall": {"var": x, "body": body} as b}:
-                vt = uni.fresh() if "annot" not in b else _stype_term(b["annot"], base_types, terms)
-                bb, bt = ti(body, scope + [(x, vt)])
-                uni.unify(bt, _HOL_BOOL, x)
+                vt = self.fresh() if "annot" not in b else _stype_term(b["annot"], base_types, terms)
+                bb, bt = self.annotate(body, scope + [(x, vt)])
+                self.unify(bt, _HOL_BOOL, x)
                 def build(x=x, vt=vt, bb=bb):
-                    dom = uni.zonk(vt, x)
+                    dom = self.zonk(vt, x)
                     body = terms.node(Lambda, x, terms.apps(_HOL_TM, dom), bb())
                     return terms.apps(_HOL_FORALL, dom, body)
                 return build, _HOL_BOOL
 
-    def ti_logical(name: str, args: list[dict], scope):
+    def annotate_logical(self, name: str, args: list[dict], scope: list[tuple[str, Term]]):
         if len(args) != 2:
             raise UnificationFailure(name, f"{name} takes two arguments")
-        lb, lt = ti(args[0], scope)
-        rb, rt = ti(args[1], scope)
+        terms = self.terms
+        lb, lt = self.annotate(args[0], scope)
+        rb, rt = self.annotate(args[1], scope)
         if name == "impl":
-            uni.unify(lt, _HOL_BOOL, name)
-            uni.unify(rt, _HOL_BOOL, name)
+            self.unify(lt, _HOL_BOOL, name)
+            self.unify(rt, _HOL_BOOL, name)
             return (lambda: terms.apps(_HOL_IMPL, lb(), rb())), _HOL_BOOL
-        inst = uni.fresh()
-        uni.unify(lt, inst, name)
-        uni.unify(rt, inst, name)
-        return (lambda: terms.apps(_HOL_EQ, uni.zonk(inst, "eq"), lb(), rb())), _HOL_BOOL
-
-    build, ty = ti(t, [])
-    term = build()
-    return term, uni.zonk(ty, "result")
+        inst = self.fresh()
+        self.unify(lt, inst, name)
+        self.unify(rt, inst, name)
+        return (lambda: terms.apps(_HOL_EQ, self.zonk(inst, "eq"), lb(), rb())), _HOL_BOOL
 
 
 def _where(head: dict) -> str:

@@ -14,7 +14,8 @@ cross-library resolution.
 
 All values here are immutable after construction and safe to share,
 except a Scope: what one theory sees while it is built, which grows
-with each declaration added to it.
+with each declaration added to it. No value refers to itself, directly
+or through others, so reference counting frees each one.
 
 Readers share equal subterms through `Terms`, the one hash-consing
 factory: `omdoc.parse` makes one per document and each import one per
@@ -467,8 +468,8 @@ class Library:
     No two of a library's own theories share a name. Across libraries,
     lookups scan `libraries()` in order and the first match wins. A
     library, its theories and their tuples are frozen, so the scan order
-    is kept as a tuple and every `find_decl` answer, a miss included, is
-    memoized on the library asked.
+    of its dependencies is kept as a tuple and every `find_decl` answer,
+    a miss included, is memoized on the library asked.
     """
 
     namespace: str
@@ -495,8 +496,8 @@ class Library:
             stack.extend(lib.deps)
 
     @cached_property
-    def _scan(self) -> tuple["Library", ...]:
-        return tuple(self.libraries())
+    def _dep_scan(self) -> tuple["Library", ...]:
+        return tuple(self.libraries())[1:]
 
     @cached_property
     def _decl_memo(self) -> dict[Ident, Optional[Declaration]]:
@@ -507,7 +508,7 @@ class Library:
         return {}
 
     def find_theory(self, ident: Ident) -> Optional[Theory]:
-        for lib in self._scan:
+        for lib in (self, *self._dep_scan):
             if lib.namespace == ident.namespace:
                 th = lib._theory_index.get(ident)
                 if th is not None:
@@ -524,7 +525,7 @@ class Library:
             return d
 
     def find_morphism(self, ident: Ident):
-        for lib in self._scan:
+        for lib in (self, *self._dep_scan):
             for m in lib.morphisms:
                 if m.name == ident:
                     return m
@@ -888,25 +889,27 @@ def flatten(lib: Library, th: Ident) -> list[Declaration]:
     """
     order: list[Theory] = []
     done: set[Ident] = set()
-    path: list[Ident] = []
-
-    def visit(ident: Ident) -> None:
-        if ident in done:
-            return
-        if ident in path:
-            chain = " -> ".join(str(i) for i in path + [ident])
-            raise Cycle(f"include cycle: {chain}")
-        theory = lib.find_theory(ident)
-        if theory is None:
-            raise UnknownIdent(f"include target {ident} not found")
-        path.append(ident)
-        for inc in theory.includes:
-            visit(inc)
-        path.pop()
-        done.add(ident)
-        order.append(theory)
-
-    visit(th)
+    on_path: set[Ident] = set()
+    path: list[tuple[Theory, Iterator[Ident]]] = []  # each visit and its includes left
+    ident: Optional[Ident] = th
+    while True:
+        if ident is None:  # the innermost visit's includes are done
+            theory, _ = path.pop()
+            on_path.discard(theory.name)
+            done.add(theory.name)
+            order.append(theory)
+            if not path:
+                break
+        elif ident not in done:
+            if ident in on_path:
+                chain = " -> ".join([str(t.name) for t, _ in path] + [str(ident)])
+                raise Cycle(f"include cycle: {chain}")
+            theory = lib.find_theory(ident)
+            if theory is None:
+                raise UnknownIdent(f"include target {ident} not found")
+            on_path.add(ident)
+            path.append((theory, iter(theory.includes)))
+        ident = next(path[-1][1], None)
     return [d for theory in order for d in theory.decls]
 
 

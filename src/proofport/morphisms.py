@@ -11,9 +11,9 @@ shared meta-theory always map to themselves. Statement declarations
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
+import copy
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from .errors import CheckError, Mismatch, UnassignedConstant, UnknownIdent
 from .kernel import (
@@ -73,7 +73,8 @@ def _translator(m: Morphism, domain: dict[Ident, Declaration]) -> Callable[[Term
     definitions; splicing the shared images keeps the result a DAG of
     linear size. A constant whose image cannot be made (an unassigned
     primitive, or a definition that uses its own or a later domain
-    declaration) stores its CheckError, raised only where it is used.
+    declaration) stores its CheckError without a traceback; each use
+    raises a copy, so no stored error reaches a frame that holds `image`.
     """
     image: dict[Ident, Optional[Term] | CheckError] = dict(m.assignments)
     pending = domain.keys() - image.keys()
@@ -81,7 +82,7 @@ def _translator(m: Morphism, domain: dict[Ident, Declaration]) -> Callable[[Term
     def fn(c: Ident) -> Optional[Term]:
         img = image.get(c)
         if isinstance(img, CheckError):
-            raise img.with_traceback(None)
+            raise copy.copy(img)
         if img is None and c in pending:
             raise UnknownIdent(f"{c} is used before its declaration")
         return img
@@ -97,7 +98,7 @@ def _translator(m: Morphism, domain: dict[Ident, Declaration]) -> Callable[[Term
             else:
                 raise UnassignedConstant(str(c))
         except CheckError as err:
-            img = err
+            img = err.with_traceback(None)
         image[c] = img
         pending.discard(c)
     return lambda t: map_consts(t, fn)

@@ -27,10 +27,8 @@ resolve. The reader resolves nothing; checking does.
 
 from __future__ import annotations
 
-import gc
 import xml.etree.ElementTree as ET
-from contextlib import contextmanager
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .encodings import logic_library
 from .errors import DanglingIdent, SchemaViolation, check_keys, read_xml
@@ -611,27 +609,13 @@ def _parse_morphism(elem: ET.Element, terms: Terms) -> Morphism:
         raise SchemaViolation(_HERE, str(err)) from None
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector, then restore the caller's
-    setting. The reader builds many small objects and no garbage cycles,
-    so while it runs the collector would only rescan the growing heap."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-@_collector_paused()
 def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
     """Inverse of serialize, strict about the vocabulary.
 
     `deps` supplies the support libraries attached to the result so its
     references resolve for later checking or re-serialization; by
-    default the bundled logic encodings.
+    default the bundled logic encodings. In-process callers keep their
+    own collector setting.
     """
     root = read_xml(data, "omdoc", ("version", "namespace"), OMDOC_VERSION)
     _no_text(root, "omdoc")

@@ -1,20 +1,24 @@
 """Command line: exit codes, report formats, end-to-end stability."""
 
 import copy
+import gc
+import io
 import json
 import random
 import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from test_morphisms import DED, E, EQ, OP, SET, TO_INT, _extension, _i, algebra_library
+from test_importers import _bench_corpus
+from test_morphisms import DED, E, EQ, OP, SET, TO_INT, ZERO, _extension, _i, algebra_library
 
-from proofport import errors, omdoc
-from proofport.cli import main, parse_cli
+from proofport import cli, errors, omdoc
+from proofport.cli import main, parse_cli, run
 from proofport.encodings import HOL_CHURCH, hol_ident, logic_library
 from proofport.importers import import_toyhol, parse_toyhol
 from proofport.kernel import (
@@ -938,3 +942,179 @@ def test_mutated_fixtures_end_in_an_exit_code_not_a_traceback(tmp_path, capsys, 
             assert code in (0, 1, 2), (command, bytes(text))
             codes.add(code)
     assert 2 in codes and codes & {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# the collector policy and a pipeline without reference cycles
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("args, code", [
+    (("stats", CORE), 0),
+    (("check", BROKEN), 1),
+    (("deps", CORE, "--ident", "lib://toyhol?core?nope"), 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_main_pauses_the_collector_and_restores_the_callers_setting(
+    capsys, monkeypatch, enabled, args, code
+):
+    during = []
+
+    def recording_run(cfg, out):
+        during.append(gc.isenabled())
+        return run(cfg, out)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run_cli(capsys, *args)[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
+
+
+def test_an_include_chain_deeper_than_the_recursion_limit_checks(tmp_path, capsys):
+    depth = sys.getrecursionlimit() + 200
+    doc = tmp_path / "chain.omdoc.xml"
+    doc.write_text(
+        '<omdoc version="1" namespace="lib://x">'
+        + "".join(
+            f'<theory name="t{k}" meta="lib://logics?holChurch?holChurch">'
+            + (f'<include from="lib://x?t{k - 1}?t{k - 1}"/>' if k else "")
+            + f'<constant name="c{k}" kind="constant"><type><OMA>'
+            '<OMS name="lib://logics?holChurch?tm"/><OMS name="lib://logics?holChurch?bool\'"/>'
+            "</OMA></type></constant></theory>"
+            for k in range(depth)
+        )
+        + "</omdoc>"
+    )
+    code, out, err = run_cli(capsys, "check", str(doc))
+    assert (code, err) == (0, "")
+    rows = lines(out)
+    assert len(rows) == depth + 1 and rows[-1] == ("total", "failed", "0")
+    assert rows[-2][:6] == ("theory", f"t{depth - 1}", "declarations", "1", "checked", "1")
+
+
+def _cyclic_garbage(argv: list[str]) -> int:
+    """Run one command in process with the collector off, as `main` runs
+    it, and count the objects that only the collector could free."""
+    cfg = parse_cli(argv)
+    gc.collect()
+    try:
+        run(cfg, io.StringIO())
+    except errors.ProofportError:
+        pass
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        return gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def _every_command(path, out: Path, ident="lib://x?t?c", morphism="lib://x?m?m", theorem=None):
+    """One argv per command on `path`; the outputs are written to `out`."""
+    return [
+        ["check", path],
+        ["import", path, "--output", str(out / "import.omdoc.xml")],
+        ["export-omdoc", path, "--output", str(out / "export.omdoc.xml")],
+        ["export-rdf", path, "--output", str(out / "export.nt")],
+        ["deps", path, "--ident", ident],
+        ["used-by", path, "--ident", ident],
+        ["translate", path, "--morphism", morphism, "--theorem", theorem or ident],
+        ["stats", path],
+    ]
+
+
+def _gap_library() -> Library:
+    """A morphism with an unassigned constant `u`, which the type of the
+    assigned constant `k` uses: checking `k` raises the error stored for `u`."""
+    u, k = _i("gap", "u"), _i("gap", "k")
+    lib = _extension("gap", (
+        Declaration(u, tp=SET, meta=Metadata(kind="constant")),
+        Declaration(k, tp=Apply(DED, apps(EQ, Const(u), E)), meta=Metadata(kind="constant")),
+    ))
+    m = lib.morphisms[0]
+    return replace(lib, morphisms=(replace(m, assignments=m.assignments + ((k, ZERO),)),))
+
+
+def _loopy_library() -> Library:
+    """A definition that names itself: translating `about` raises the
+    error stored for `loop`."""
+    loop = _i("loopy", "loop")
+    return _extension("loopy", (
+        Declaration(loop, tp=SET, definiens=apps(OP, Const(loop), E),
+                    meta=Metadata(kind="definition")),
+        Declaration(_i("loopy", "about"), tp=Apply(DED, apps(EQ, Const(loop), Const(loop))),
+                    proof=Omitted(), meta=Metadata(kind="axiom")),
+    ))
+
+
+def _views(imported: Path, man: dict) -> Path:
+    """The bench's library for the downstream commands: the import's
+    output with the corpus's morphism appended."""
+    head, sep, _ = imported.read_text(encoding="utf-8").rpartition("</omdoc>")
+    views = imported.with_name("views-" + imported.name)
+    views.write_text(head + "\n".join(man["morphism"]["xml"]) + "\n" + sep + "\n", encoding="utf-8")
+    return views
+
+
+FAILING_INPUTS = {
+    "mixed.toyhol.json": _toyhol({"name": "m", "decls": [
+        {"kind": "constant", "name": "good", "type": "bool"},
+        {"kind": "definition", "name": "bad",
+         "definiens": {"app": [{"name": "good"}, {"name": "good"}]}},
+        {"kind": "axiom", "name": "eqs", "type": {"app": [{"name": "eq"}, {"name": "good"}]}},
+    ]}, {"name": "u", "includes": ["nope"], "decls": []}),
+    "allfail.toyhol.json": _toyhol({"name": "t", "decls": [
+        {"kind": "axiom", "name": "a", "type": {"name": "zzz"}}]}),
+    "apply.toyset.xml": _toyset('<theory name="t"><constant name="a"/><theorem name="x">'
+                                '<papp name="a"><const name="a"/></papp></theorem></theory>'),
+    "truncated.toyhol.json": '{"version": "1", "theories": [',
+    "truncated.omdoc.xml": '<omdoc version="1" namespace="lib://x"><theory',
+}
+
+
+def test_no_command_leaves_cyclic_garbage(tmp_path):
+    argvs = [a for p in sorted(FIXTURES.iterdir()) for a in _every_command(str(p), tmp_path)]
+    argvs += _every_command(CORE, tmp_path, ident="lib://toyhol?core?q")
+    for lib, theorem in ((_gap_library(), "lib://algebra?gap?k"),
+                         (_loopy_library(), "lib://algebra?loopy?about")):
+        path = tmp_path / f"{lib.morphisms[0].name.name}.omdoc.xml"
+        path.write_bytes(omdoc.serialize(lib))
+        argvs += _every_command(str(path), tmp_path, theorem, str(lib.morphisms[0].name))
+    for name, text in FAILING_INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        argvs += _every_command(str(tmp_path / name), tmp_path)
+    corpus = _bench_corpus()
+    bench = []
+    for make, n, name in ((corpus.hol_corpus, 220, "hol.json"),
+                          (corpus.set_corpus, 260, "set.toyset.xml")):
+        data, man = make(7, n)
+        (tmp_path / name).write_bytes(data)
+        bench.append((tmp_path / name, man))
+
+    found: dict[str, int] = {}
+
+    def count(argv: list[str]) -> None:
+        n = _cyclic_garbage(argv)
+        if n:
+            found[" ".join(argv)] = n
+
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in argvs:
+            count(argv)
+        for path, man in bench:
+            imported = path.with_name(path.name + ".omdoc.xml")
+            count(["import", str(path), "--output", str(imported)])
+            morph = man["morphism"]
+            for argv in _every_command(str(_views(imported, man)), tmp_path,
+                                       man["queries"]["deps"][0], morph["name"], morph["theorem"]):
+                count(argv)
+    finally:
+        if was:
+            gc.enable()
+    assert found == {}

@@ -308,13 +308,6 @@ def test_typedef_pattern_elaborates_and_checks():
     assert report.ok, report.failures
 
 
-def test_typedef_pattern_is_builtin():
-    from proofport.elaboration import builtin_patterns
-
-    pats = builtin_patterns()
-    assert typedef_pattern().name in pats
-
-
 # ---------------------------------------------------------------------------
 # size ratio
 

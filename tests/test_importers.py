@@ -33,7 +33,6 @@ from generators import (
     surface_resolve,
 )
 from proofport import importers, kernel, omdoc
-from proofport.elaboration import builtin_patterns
 from proofport.encodings import (
     FOL_SOFT,
     HOL_CHURCH,
@@ -983,10 +982,6 @@ def test_toyset_theorem_deps_resolve():
     lib, _ = import_toyset(parse_toyset(load("sets.toyset.xml")))
     thm = lib.find_decl(Ident(TOYSET_NS, "sets", "void_empty"))
     assert thm.proof == DependsOn((Ident(TOYSET_NS, "sets", "empty_ax"),))
-
-
-def test_func_definition_pattern_is_builtin():
-    assert func_definition_pattern().name in builtin_patterns()
 
 
 CONNECTIVE_NAMES = ("in", "eq", "and", "or", "impl", "not")

@@ -3,7 +3,6 @@
 import collections
 import copy
 import dataclasses
-import gc
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -778,20 +777,6 @@ def test_invalid_utf8_is_malformed():
 def test_empty_input_is_malformed():
     with pytest.raises(Malformed):
         omdoc.parse(b"")
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_parse_leaves_the_collector_as_it_found_it(enabled):
-    was = gc.isenabled()
-    try:
-        (gc.enable if enabled else gc.disable)()
-        omdoc.parse(MINIMAL)
-        assert gc.isenabled() is enabled
-        with pytest.raises(Malformed):
-            omdoc.parse(b"")
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
 
 
 def _fixture_exports():
