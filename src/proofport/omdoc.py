@@ -120,7 +120,9 @@ def _term(t: Term, refs: dict) -> str:
     explicit stack of pending terms and closing tags, not by recursion,
     so no term is too deep to write. A pending term carries its binder
     depth; a binder's last child also carries the name it binds, which
-    it writes into `names`, the binder names in scope, when it starts."""
+    it writes into `names`, the binder names in scope, when it starts.
+    An identifier's `<OMS>` text is escaped once per `serialize` call:
+    it is kept as the value of its ("constant", ident) key in `refs`."""
     out: list[str] = []
     names: list[str] = []
     stack: list = [(t, 0, None)]
@@ -141,8 +143,11 @@ def _term(t: Term, refs: dict) -> str:
                 t = t.fn
             stack.append((t, depth, None))
         elif cls is Const:
-            refs["constant", t.ident] = None
-            out.append(f'<OMS name="{_a(str(t.ident))}"/>')
+            key = "constant", t.ident
+            oms = refs.get(key)
+            if oms is None:
+                oms = refs[key] = f'<OMS name="{_a(str(t.ident))}"/>'
+            out.append(oms)
         elif cls is Var:
             i = t.index
             if i < depth:
@@ -257,7 +262,7 @@ def serialize(lib: Library) -> bytes:
     dependencies."""
     attrs = f'version="{OMDOC_VERSION}" namespace="{_a(lib.namespace)}"'
     lines: list[str] = []
-    refs: dict[tuple[str, Ident], None] = {}
+    refs: dict[tuple[str, Ident], Optional[str]] = {}
     if not lib.theories and not lib.morphisms:
         lines.append(f"<omdoc {attrs}/>")
     else:

@@ -14,9 +14,8 @@ docs/ontology-vocabulary.md for the full list.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import Malformed, UnknownIdent
 from .kernel import (
@@ -61,6 +60,8 @@ def _encode_component(s: str) -> str:
 
 
 def _decode_component(s: str) -> str:
+    if "%" not in s and s.isascii():
+        return s
     # round-trip through latin-1 keeps the raw bytes intact
     raw = re.sub(r"%([0-9A-Fa-f]{2})", lambda m: chr(int(m.group(1), 16)), s)
     return raw.encode("latin-1").decode("utf-8")
@@ -79,9 +80,9 @@ def ident_of_iri(iri: str) -> Ident:
     return Ident(*(_decode_component(p) for p in parts))
 
 
-@dataclass(frozen=True)
-class RdfTriple:
-    """One edge; `literal` marks the object as literal text, not an IRI."""
+class RdfTriple(NamedTuple):
+    """One edge; `literal` marks the object as literal text, not an IRI.
+    A named tuple, so it equals the plain tuple of its four fields."""
 
     subject: str
     predicate: str
@@ -155,7 +156,9 @@ def extract_triples(
     answer is recorded as a provenance triple rather than trusted
     blindly by later consumers. Constants inside proof terms count as
     uses only when `include_proof_uses` is set; dependency-only proofs
-    always contribute `justifiedBy` edges.
+    always contribute `justifiedBy` edges. Each declaration gets one
+    `uses` triple per distinct constant, in order of first occurrence
+    across its type, definiens and counted proof term.
     """
     store = TripleStore()
     if not lib.theories:
@@ -180,11 +183,9 @@ def extract_triples(
             used = [d.tp, d.definiens]
             if include_proof_uses and isinstance(d.proof, ProofTerm):
                 used.append(d.proof.term)
-            for t in used:
-                if t is None:
-                    continue
-                for c in constants_of(t):
-                    store.add(RdfTriple(d_iri, ULO_USES, iri(c)))
+            distinct = dict.fromkeys(c for t in used if t is not None for c in constants_of(t))
+            for c in distinct:
+                store.add(RdfTriple(d_iri, ULO_USES, iri(c)))
             if isinstance(d.proof, DependsOn):
                 for dep in d.proof.ids:
                     store.add(RdfTriple(d_iri, ULO_JUSTIFIED_BY, iri(dep)))
@@ -195,8 +196,12 @@ def extract_triples(
 # queries
 
 
+# The queries read the store's index lists in place; `with_subject` and
+# `with_object` would copy each into a tuple.
+
+
 def _known(store: TripleStore, iri: str) -> bool:
-    return bool(store.with_subject(iri)) or bool(store.with_object(iri))
+    return iri in store._by_subject or iri in store._by_object
 
 
 def transitive_uses(store: TripleStore, ident: Ident) -> set[Ident]:
@@ -208,7 +213,7 @@ def transitive_uses(store: TripleStore, ident: Ident) -> set[Ident]:
     frontier = [start]
     while frontier:
         cur = frontier.pop()
-        for t in store.with_subject(cur):
+        for t in store._by_subject.get(cur, ()):
             if t.predicate in _EDGE_PREDICATES and t.obj not in seen:
                 seen.add(t.obj)
                 frontier.append(t.obj)
@@ -230,7 +235,7 @@ def used_by(
     frontier = [start]
     while frontier:
         cur = frontier.pop()
-        for t in store.with_object(cur):
+        for t in store._by_object.get(cur, ()):
             if t.predicate in _EDGE_PREDICATES and t.subject not in seen:
                 seen.add(t.subject)
                 frontier.append(t.subject)
@@ -241,7 +246,7 @@ def used_by(
             for iri in seen
             if any(
                 t.predicate == ULO_KIND and t.literal and t.obj == kind_filter
-                for t in store.with_subject(iri)
+                for t in store._by_subject.get(iri, ())
             )
         }
     return {ident_of_iri(iri) for iri in seen}

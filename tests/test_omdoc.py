@@ -921,6 +921,67 @@ def test_the_first_dangling_reference_in_document_order_is_named():
     assert str(err.value) == str(zeta)
 
 
+def test_a_repeated_identifier_serializes_bytewise():
+    from proofport.morphisms import Morphism
+
+    # a name that needs escaping, used as a type, a definiens, a morphism
+    # assignment name and inside the assignment terms
+    odd = Ident(NS, "t", 'a&"<b')
+    a = Const(odd)
+    m = Morphism(
+        Ident(NS, "m", "v"),
+        theory_ident(NS, "t"),
+        theory_ident(NS, "t"),
+        ((odd, Apply(a, a)), (Ident(NS, "t", "c"), a)),
+    )
+    lib = _lib(
+        _decl('a&"<b', tp=TypeKind(), kind="type"),
+        _decl("c", tp=a, definiens=Apply(a, Apply(a, a))),
+        morphisms=(m,),
+    )
+    oms = '<OMS name="lib://tiny?t?a&amp;&quot;&lt;b"/>'
+    assert omdoc.serialize(lib) == (
+        '<omdoc version="1" namespace="lib://tiny">\n'
+        '  <theory name="t">\n'
+        '    <constant name="a&amp;&quot;&lt;b" kind="type">\n'
+        '      <type><OMBIND binder="type"/></type>\n'
+        "    </constant>\n"
+        '    <constant name="c" kind="constant">\n'
+        f"      <type>{oms}</type>\n"
+        f"      <definition><OMA>{oms}<OMA>{oms}{oms}</OMA></OMA></definition>\n"
+        "    </constant>\n"
+        "  </theory>\n"
+        '  <morphism name="lib://tiny?m?v" from="lib://tiny?t?t" to="lib://tiny?t?t">\n'
+        f'    <assignment name="lib://tiny?t?a&amp;&quot;&lt;b"><OMA>{oms}{oms}</OMA></assignment>\n'
+        f'    <assignment name="lib://tiny?t?c">{oms}</assignment>\n'
+        "  </morphism>\n"
+        "</omdoc>\n"
+    ).encode()
+    assert omdoc.serialize(lib) == omdoc.serialize(_unshared(lib))
+
+
+@pytest.mark.parametrize("first", ["term", "assignment"])
+def test_of_two_dangling_references_the_first_in_document_order_is_named(first):
+    from proofport.morphisms import Morphism
+
+    zeta, alpha = Ident(NS, "t", "zeta"), Ident(NS, "t", "alpha")
+    ghost = zeta if first == "term" else alpha
+    decls = [_decl("a", tp=TypeKind(), kind="type")]
+    if first == "term":
+        decls.append(_decl("b", tp=Apply(Const(zeta), Const(zeta))))
+    # the assignment names one dangling identifier and its term repeats the
+    # other, after the assignment has written its own key
+    m = Morphism(
+        Ident(NS, "m", "v"),
+        theory_ident(NS, "t"),
+        theory_ident(NS, "t"),
+        ((alpha, Apply(Const(zeta), Const(alpha))),),
+    )
+    with pytest.raises(DanglingIdent) as err:
+        omdoc.serialize(_lib(*decls, morphisms=(m,)))
+    assert str(err.value) == str(ghost)
+
+
 def test_serialize_resolves_each_distinct_reference_once(monkeypatch):
     lib = _import_fixture("core.toyhol.json")
     distinct: set = set()

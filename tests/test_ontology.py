@@ -42,6 +42,8 @@ from proofport.ontology import (
     ULO_META_THEORY,
     ULO_SOURCE_FILE,
     ULO_USES,
+    _decode_component,
+    _encode_component,
     extract_triples,
     ident_of_iri,
     iri_of,
@@ -99,29 +101,35 @@ def oracle_used_by(store, concept_iri, kind_filter=None):
 
 
 def oracle_decl_triples(lib, include_proof_uses=False):
-    """Independent traversal of the declaration tree, as a triple set."""
-    expected = set()
+    """Independent traversal of the declaration tree: the triples in
+    document order, each at its first occurrence."""
+    expected = []
+
+    def add(t):
+        if t not in expected:
+            expected.append(t)
+
     for th in lib.theories:
         for inc in th.includes:
-            expected.add(RdfTriple(iri_of(th.name), ULO_INCLUDES, iri_of(inc)))
+            add(RdfTriple(iri_of(th.name), ULO_INCLUDES, iri_of(inc)))
         if th.meta_theory is not None:
-            expected.add(RdfTriple(iri_of(th.name), ULO_META_THEORY, iri_of(th.meta_theory)))
+            add(RdfTriple(iri_of(th.name), ULO_META_THEORY, iri_of(th.meta_theory)))
         for d in th.decls:
             s = iri_of(d.name)
-            expected.add(RdfTriple(iri_of(th.name), ULO_DECLARES, s))
-            expected.add(RdfTriple(s, ULO_KIND, d.meta.kind, literal=True))
+            add(RdfTriple(iri_of(th.name), ULO_DECLARES, s))
+            add(RdfTriple(s, ULO_KIND, d.meta.kind, literal=True))
             if d.meta.source_ref is not None:
-                expected.add(RdfTriple(s, ULO_SOURCE_FILE, d.meta.source_ref.file, literal=True))
+                add(RdfTriple(s, ULO_SOURCE_FILE, d.meta.source_ref.file, literal=True))
             terms = [d.tp, d.definiens]
             if include_proof_uses and isinstance(d.proof, ProofTerm):
                 terms.append(d.proof.term)
             for t in terms:
                 if t is not None:
                     for c in constants_of(t):
-                        expected.add(RdfTriple(s, ULO_USES, iri_of(c)))
+                        add(RdfTriple(s, ULO_USES, iri_of(c)))
             if isinstance(d.proof, DependsOn):
                 for dep in d.proof.ids:
-                    expected.add(RdfTriple(s, ULO_JUSTIFIED_BY, iri_of(dep)))
+                    add(RdfTriple(s, ULO_JUSTIFIED_BY, iri_of(dep)))
     return expected
 
 
@@ -186,10 +194,11 @@ def test_theorem_triples_match_the_declaration_tree():
 def test_extraction_matches_the_traversal_oracle_on_generated_libraries():
     for seed in range(30):
         lib = generators.gen_library(random.Random(seed))
-        store = extract_triples(lib)
-        expected = oracle_decl_triples(lib)
-        got = {t for t in store if t.predicate != ULO_CHECK_STATUS}
-        assert got == expected, f"seed {seed}"
+        for proofs in (False, True):
+            store = extract_triples(lib, include_proof_uses=proofs)
+            expected = oracle_decl_triples(lib, include_proof_uses=proofs)
+            got = [t for t in store if t.predicate != ULO_CHECK_STATUS]
+            assert got == expected, f"seed {seed}, include_proof_uses={proofs}"
 
 
 def test_triple_count_at_least_twice_declaration_count():
@@ -220,6 +229,24 @@ def test_proof_term_constants_are_not_uses_by_default():
     assert not any(t.predicate == ULO_USES and t.obj == k_iri for t in plain)
     full = extract_triples(lib, include_proof_uses=True)
     assert any(t.predicate == ULO_USES and t.obj == k_iri for t in full)
+
+
+def _uses_of(store, name):
+    return [t.obj for t in store.with_subject(iri_of(_ident(name))) if t.predicate == ULO_USES]
+
+
+def test_one_uses_triple_per_distinct_constant_in_first_occurrence_order():
+    d = Declaration(
+        _ident("d"),
+        tp=_uses("c", "b", "c"),
+        definiens=_uses("b", "a", "c"),
+        proof=ProofTerm(_uses("e", "a", "e")),
+        meta=Metadata(kind="theorem"),
+    )
+    lib = _library(*(_decl(n) for n in "abce"), d)
+    assert _uses_of(extract_triples(lib), "d") == [iri_of(_ident(n)) for n in "cba"]
+    with_proofs = extract_triples(lib, include_proof_uses=True)
+    assert _uses_of(with_proofs, "d") == [iri_of(_ident(n)) for n in "cbae"]
 
 
 def test_includes_and_meta_theory_triples():
@@ -270,6 +297,23 @@ def test_iri_round_trips_on_hostile_names():
             continue
         ident = Ident(*(p.replace("?", "x") or "x" for p in parts))
         assert ident_of_iri(iri_of(ident)) == ident
+
+
+@pytest.mark.parametrize(
+    "component", ["plus", "lib://x", "100%", "δ a", "%41", "a\tb", "λ?%", "𝔸"]
+)
+def test_components_round_trip_through_the_percent_encoding(component):
+    encoded = _encode_component(component)
+    assert encoded.isascii()
+    assert _decode_component(encoded) == component
+
+
+def test_decoding_leaves_plain_ascii_alone_and_refuses_raw_non_ascii():
+    assert _decode_component("plain-name_1") == "plain-name_1"
+    assert _decode_component("caf%C3%A9") == "café"
+    for raw in ("δ", "é"):
+        with pytest.raises(UnicodeError):
+            _decode_component(raw)
 
 
 def test_non_identifier_iri_is_rejected():
@@ -382,6 +426,19 @@ def test_store_equality_ignores_insertion_order():
     b = RdfTriple("s2", "p", "o2")
     assert TripleStore([a, b]) == TripleStore([b, a])
     assert TripleStore([a]) != TripleStore([b])
+
+
+def test_triples_are_named_tuples_with_the_dataclass_surface():
+    t = RdfTriple("s", "p", "o")
+    assert RdfTriple._fields == ("subject", "predicate", "obj", "literal")
+    assert t.literal is False
+    assert repr(t) == "RdfTriple(subject='s', predicate='p', obj='o', literal=False)"
+    assert t == ("s", "p", "o", False) and hash(t) == hash(("s", "p", "o", False))
+    assert t != RdfTriple("s", "p", "o", literal=True)
+    store = TripleStore([t, RdfTriple("s", "p", "o", False), RdfTriple("s", "p", "o", True)])
+    assert len(store) == 2 and t in store
+    assert store.with_subject("s") == (t, RdfTriple("s", "p", "o", True))
+    assert store.with_object("o") == (t,)
 
 
 def test_duplicate_triples_are_dropped():
