@@ -279,7 +279,7 @@ def _check_rows(lib: Library, cfg: CliConfig, out: TextIO) -> int:
         ok = len(report.results) - len(bad)
         styles = _proof_styles(th.decls)
         out.write(
-            f"theory\t{th.name.name}\tdeclarations\t{len(report.results)}"
+            f"theory\t{th.name.name}\tdeclarations\t{len(th.decls)}"
             f"\tchecked\t{ok}\tfailed\t{len(bad)}"
             + "".join(f"\t{s}\t{styles[s]}" for s in PROOF_STYLES)
             + "\n"

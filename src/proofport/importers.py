@@ -762,7 +762,7 @@ def _import(
         missing = next((inc for inc in trec.includes if inc not in envs), None)
         if missing is not None:
             cause = " failed to import" if missing in dropped else ""
-            rows.append(CheckResult(th, False, f"UnknownIdent: included theory {missing}{cause}"))
+            rows.append(CheckResult.failed(th, UnknownIdent(f"included theory {missing}{cause}")))
             dropped.add(trec.name)
             continue
         empty = Theory(th, meta_theory, tuple(theory_ident(ns, inc) for inc in trec.includes))
@@ -780,9 +780,9 @@ def _import(
                 cands, bindings = convert(rec, ident, env, scope, terms, config)
                 row = _try_add(scope, cands, config) or CheckResult(ident, True)
             except CheckError as err:
-                cascade = isinstance(err, UnknownIdent) and err.name in lost
-                cause = " failed to import" if cascade else ""
-                row = CheckResult(ident, False, f"{type(err).__name__}: {err}{cause}")
+                if isinstance(err, UnknownIdent) and err.name in lost:
+                    err = UnknownIdent(f"{err} failed to import", err.name)
+                row = CheckResult.failed(ident, err)
             rows.append(row)
             if row.ok:
                 for category, binding in bindings.items():

@@ -15,7 +15,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import CheckError, Mismatch, UnassignedConstant, UnknownIdent
+from .errors import CheckError, Mismatch, NotTyped, UnassignedConstant, UnknownIdent
 from .kernel import (
     CheckReport,
     CheckResult,
@@ -125,27 +125,21 @@ def check_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG) -
     go = _translator(m, domain)
     results: list[CheckResult] = []
     for c, term in m.assignments:
-        d = domain.get(c)
-        if d is None:
-            results.append(CheckResult(c, False, "UnknownIdent: not a source constant"))
-            continue
-        if d.tp is None:
-            results.append(CheckResult(c, False, "NotTyped: assigned constant has no type"))
-            continue
         try:
-            expected = go(d.tp)
-            check(lib, Context(), term, expected, config)
+            d = domain.get(c)
+            if d is None:
+                raise UnknownIdent("not a source constant")
+            if d.tp is None:
+                raise NotTyped("assigned constant has no type")
+            check(lib, Context(), term, go(d.tp), config)
+            results.append(CheckResult(c, True))
         except CheckError as err:  # collected, not raised
-            results.append(CheckResult(c, False, f"{type(err).__name__}: {err}"))
-            continue
-        results.append(CheckResult(c, True))
+            results.append(CheckResult.failed(c, err))
     asg = dict(m.assignments)
     for c, d in domain.items():
         if c in asg or d.definiens is not None or d.meta.kind in STATEMENT_KINDS:
             continue
-        results.append(
-            CheckResult(c, False, f"UnassignedConstant: {c} has no assignment")
-        )
+        results.append(CheckResult.failed(c, UnassignedConstant(f"{c} has no assignment")))
     return CheckReport(tuple(results))
 
 

@@ -23,6 +23,12 @@ References are verified where they are written: each writer notes the
 identifiers it writes, and `serialize` resolves each distinct one once
 before it returns, raising DanglingIdent for the first that does not
 resolve. The reader resolves nothing; checking does.
+
+The reader raises SchemaViolation at the dotted path of the element or
+attribute at fault, as the other readers do: each element reader takes
+its element's path from its caller. Paths are formatted as elements are
+read down to each term's wrapper; a term node's path is formatted only
+for an error.
 """
 
 from __future__ import annotations
@@ -310,41 +316,30 @@ def _leaf(elem: ET.Element, path: str, required: tuple[str, ...]) -> Mapping[str
     return elem.attrib
 
 
-# Each reader below writes HERE for the element it reads at the head of
-# every path it raises; the caller, which knows where that element sits,
-# catches the SchemaViolation and puts the element's path in HERE's place.
-# So no path is formatted unless an error is raised.
-_HERE = "\0"
-
-
-def _moved(err: SchemaViolation, path: str) -> SchemaViolation:
-    """`err` with `path` in place of the HERE its path starts with."""
-    return SchemaViolation(path + err.path[1:], err.message)
-
-
-def _ident(attrs: Mapping[str, str], key: str, terms: Terms) -> Ident:
+def _ident(attrs: Mapping[str, str], key: str, path: str, terms: Terms) -> Ident:
     """The identifier that attribute `key` names, read through the
     document's `terms`, so each distinct text is validated once."""
     try:
         return terms.named(attrs[key]).ident
     except ValueError as err:
-        raise SchemaViolation(f"{_HERE}.{key}", str(err)) from None
+        raise SchemaViolation(f"{path}.{key}", str(err)) from None
 
 
-def _int_attr(attrs: Mapping[str, str], key: str) -> int:
+def _int_attr(attrs: Mapping[str, str], key: str, path: str) -> int:
     try:
         return int(attrs[key])
     except ValueError:
-        raise SchemaViolation(f"{_HERE}.{key}", "expected an integer") from None
+        raise SchemaViolation(f"{path}.{key}", "expected an integer") from None
 
 
 def _path(frames: list, elem: ET.Element) -> str:
     """The path of `elem`, the child being read of the last of `frames`.
-    The first frame is the term's wrapper, at HERE; each later frame's
-    element is the child being read of the frame before it, and a
-    frame's next child index is the number of parts it has built."""
+    The first frame holds the wrapper's path in place of an element;
+    each later frame's element is the child being read of the frame
+    before it, and a frame's next child index is the number of parts it
+    has built."""
     elems = [f[0] for f in frames[1:]] + [elem]
-    steps = [_HERE, ".", elems[0].tag]
+    steps = [frames[0][0], ".", elems[0].tag]
     for (_, _, built), kid in zip(frames[1:], elems[1:]):
         steps.append(f".{kid.tag}[{len(built)}]")
     return "".join(steps)
@@ -357,24 +352,25 @@ def _leaf_content(elem: ET.Element, path: str) -> SchemaViolation:
     return SchemaViolation(path, f"{elem.tag} takes no children")
 
 
-def _parse_term(wrapper: ET.Element, terms: Terms) -> Term:
-    """The one term inside `wrapper`.
+def _parse_term(wrapper: ET.Element, path: str, terms: Terms) -> Term:
+    """The one term inside `wrapper`, the element at `path`.
 
     The term is read from an explicit stack of frames, not by recursion,
     so no term is too deep to read. A frame holds an element, an
     iterator over its children, and the parts built from the children
-    read so far. Each element is checked in the order its messages
-    rank: attributes, text, children (OMS, OMV and OMA), and, once an
-    OMBIND's children are built, its variable, binder name and arity.
-    A path is formatted only for an error.
+    read so far; the first frame holds `path` in place of the wrapper.
+    Each element is checked in the order its messages rank: attributes,
+    text, children (OMS, OMV and OMA), and, once an OMBIND's children
+    are built, its variable, binder name and arity. A term node's path
+    is formatted only for an error.
 
     Every node is built through `terms`, the document's one factory, so
     the equal subterms of one document, hints included, come back as one
     object; an OMS is looked up by its name's text.
     """
     if len(wrapper) != 1:
-        raise SchemaViolation(_HERE, "expected exactly one term")
-    elem, kids, parts = wrapper, iter(wrapper), []
+        raise SchemaViolation(path, "expected exactly one term")
+    elem, kids, parts = path, iter(wrapper), []
     stack = [(elem, kids, parts)]
     while True:
         for kid in kids:
@@ -423,7 +419,7 @@ def _parse_term(wrapper: ET.Element, terms: Terms) -> Term:
             else:
                 raise SchemaViolation(_path(stack, kid), f"unknown element <{tag}>")
         else:
-            if elem is wrapper:
+            if elem is path:
                 return parts[0]
             stack.pop()
             if elem.tag == "OMA":
@@ -449,101 +445,97 @@ def _parse_term(wrapper: ET.Element, terms: Terms) -> Term:
             parts.append(t)
 
 
-def _parse_metadata(elem: ET.Element, terms: Terms):
-    a = check_keys(elem.attrib, _HERE, (), ("origin",))
-    origin = _ident(a, "origin", terms) if "origin" in a else None
+def _parse_metadata(elem: ET.Element, path: str, terms: Terms):
+    a = check_keys(elem.attrib, path, (), ("origin",))
+    origin = _ident(a, "origin", path, terms) if "origin" in a else None
     source_ref = None
     comments: list[str] = []
     notation = None
     for i, kid in enumerate(elem):
-        try:
-            if kid.tag == "srcref":
-                if source_ref is not None:
-                    raise SchemaViolation(_HERE, "duplicate srcref")
-                ka = _leaf(kid, _HERE, ("file", "sl", "sc", "el", "ec"))
-                try:
-                    source_ref = SourceRef(
-                        ka["file"],
-                        _int_attr(ka, "sl"),
-                        _int_attr(ka, "sc"),
-                        _int_attr(ka, "el"),
-                        _int_attr(ka, "ec"),
-                    )
-                except ValueError as err:
-                    raise SchemaViolation(_HERE, str(err)) from None
-            elif kid.tag == "comment":
-                _leaf(kid, _HERE, ())
-                comments.append(kid.text or "")
-            elif kid.tag == "notation":
-                if notation is not None:
-                    raise SchemaViolation(_HERE, "duplicate notation")
-                _leaf(kid, _HERE, ())
-                notation = kid.text or ""
-            else:
-                raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
-        except SchemaViolation as err:
-            raise _moved(err, f"{_HERE}.{kid.tag}[{i}]") from None
+        kpath = f"{path}.{kid.tag}[{i}]"
+        if kid.tag == "srcref":
+            if source_ref is not None:
+                raise SchemaViolation(kpath, "duplicate srcref")
+            ka = _leaf(kid, kpath, ("file", "sl", "sc", "el", "ec"))
+            try:
+                source_ref = SourceRef(
+                    ka["file"],
+                    _int_attr(ka, "sl", kpath),
+                    _int_attr(ka, "sc", kpath),
+                    _int_attr(ka, "el", kpath),
+                    _int_attr(ka, "ec", kpath),
+                )
+            except ValueError as err:
+                raise SchemaViolation(kpath, str(err)) from None
+        elif kid.tag == "comment":
+            _leaf(kid, kpath, ())
+            comments.append(kid.text or "")
+        elif kid.tag == "notation":
+            if notation is not None:
+                raise SchemaViolation(kpath, "duplicate notation")
+            _leaf(kid, kpath, ())
+            notation = kid.text or ""
+        else:
+            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     return origin, source_ref, tuple(comments), notation
 
 
-def _parse_proof(elem: ET.Element, terms: Terms) -> Proof:
-    a = check_keys(elem.attrib, _HERE, ("style",))
-    _no_text(elem, _HERE)
+def _parse_proof(elem: ET.Element, path: str, terms: Terms) -> Proof:
+    a = check_keys(elem.attrib, path, ("style",))
+    _no_text(elem, path)
     style = a["style"]
     kids = list(elem)
     if style == "omitted":
         if kids:
-            raise SchemaViolation(_HERE, "omitted proof takes no children")
+            raise SchemaViolation(path, "omitted proof takes no children")
         return Omitted()
     if style == "dependsOn":
         ids = []
         for i, kid in enumerate(kids):
-            try:
-                if kid.tag != "ref":
-                    raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
-                ids.append(_ident(_leaf(kid, _HERE, ("name",)), "name", terms))
-            except SchemaViolation as err:
-                raise _moved(err, f"{_HERE}.{kid.tag}[{i}]") from None
+            kpath = f"{path}.{kid.tag}[{i}]"
+            if kid.tag != "ref":
+                raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
+            ids.append(_ident(_leaf(kid, kpath, ("name",)), "name", kpath, terms))
         try:
             return DependsOn(tuple(ids))
         except ValueError as err:
-            raise SchemaViolation(_HERE, str(err)) from None
+            raise SchemaViolation(path, str(err)) from None
     if style == "term":
-        return ProofTerm(_parse_term(elem, terms))
-    raise SchemaViolation(f"{_HERE}.style", f"unknown proof style {style!r}")
+        return ProofTerm(_parse_term(elem, path, terms))
+    raise SchemaViolation(f"{path}.style", f"unknown proof style {style!r}")
 
 
-def _parse_constant(elem: ET.Element, namespace: str, module: str, terms: Terms) -> Declaration:
-    a = check_keys(elem.attrib, _HERE, ("name", "kind"))
-    _no_text(elem, _HERE)
+def _parse_constant(
+    elem: ET.Element, path: str, namespace: str, module: str, terms: Terms
+) -> Declaration:
+    a = check_keys(elem.attrib, path, ("name", "kind"))
+    _no_text(elem, path)
     if a["kind"] not in KINDS:
-        raise SchemaViolation(f"{_HERE}.kind", f"unknown kind {a['kind']!r}")
+        raise SchemaViolation(f"{path}.kind", f"unknown kind {a['kind']!r}")
     tp = definiens = proof = None
     origin = source_ref = notation = None
     comments: tuple[str, ...] = ()
     seen = set()
     for kid in elem:
-        try:
-            if kid.tag in seen:
-                raise SchemaViolation(_HERE, f"duplicate <{kid.tag}>")
-            seen.add(kid.tag)
-            if kid.tag == "type":
-                check_keys(kid.attrib, _HERE, ())
-                _no_text(kid, _HERE)
-                tp = _parse_term(kid, terms)
-            elif kid.tag == "definition":
-                check_keys(kid.attrib, _HERE, ())
-                _no_text(kid, _HERE)
-                definiens = _parse_term(kid, terms)
-            elif kid.tag == "proof":
-                proof = _parse_proof(kid, terms)
-            elif kid.tag == "metadata":
-                _no_text(kid, _HERE)
-                origin, source_ref, comments, notation = _parse_metadata(kid, terms)
-            else:
-                raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
-        except SchemaViolation as err:
-            raise _moved(err, f"{_HERE}.{kid.tag}") from None
+        kpath = f"{path}.{kid.tag}"
+        if kid.tag in seen:
+            raise SchemaViolation(kpath, f"duplicate <{kid.tag}>")
+        seen.add(kid.tag)
+        if kid.tag == "type":
+            check_keys(kid.attrib, kpath, ())
+            _no_text(kid, kpath)
+            tp = _parse_term(kid, kpath, terms)
+        elif kid.tag == "definition":
+            check_keys(kid.attrib, kpath, ())
+            _no_text(kid, kpath)
+            definiens = _parse_term(kid, kpath, terms)
+        elif kid.tag == "proof":
+            proof = _parse_proof(kid, kpath, terms)
+        elif kid.tag == "metadata":
+            _no_text(kid, kpath)
+            origin, source_ref, comments, notation = _parse_metadata(kid, kpath, terms)
+        else:
+            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     try:
         name = Ident(namespace, module, a["name"])
         meta = Metadata(
@@ -555,30 +547,28 @@ def _parse_constant(elem: ET.Element, namespace: str, module: str, terms: Terms)
         )
         return Declaration(name, tp=tp, definiens=definiens, proof=proof, meta=meta)
     except ValueError as err:
-        raise SchemaViolation(_HERE, str(err)) from None
+        raise SchemaViolation(path, str(err)) from None
 
 
-def _parse_theory(elem: ET.Element, namespace: str, terms: Terms) -> Theory:
-    a = check_keys(elem.attrib, _HERE, ("name",), ("meta",))
-    _no_text(elem, _HERE)
-    meta_theory = _ident(a, "meta", terms) if "meta" in a else None
+def _parse_theory(elem: ET.Element, path: str, namespace: str, terms: Terms) -> Theory:
+    a = check_keys(elem.attrib, path, ("name",), ("meta",))
+    _no_text(elem, path)
+    meta_theory = _ident(a, "meta", path, terms) if "meta" in a else None
     includes = []
     decls: dict[Ident, Declaration] = {}
     for i, kid in enumerate(elem):
-        try:
-            if kid.tag == "include":
-                if decls:
-                    raise SchemaViolation(_HERE, "includes must precede constants")
-                includes.append(_ident(_leaf(kid, _HERE, ("from",)), "from", terms))
-            elif kid.tag == "constant":
-                d = _parse_constant(kid, namespace, a["name"], terms)
-                if d.name in decls:
-                    raise SchemaViolation(f"{_HERE}.name", f"duplicate declaration {d.name}")
-                decls[d.name] = d
-            else:
-                raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
-        except SchemaViolation as err:
-            raise _moved(err, f"{_HERE}.{kid.tag}[{i}]") from None
+        kpath = f"{path}.{kid.tag}[{i}]"
+        if kid.tag == "include":
+            if decls:
+                raise SchemaViolation(kpath, "includes must precede constants")
+            includes.append(_ident(_leaf(kid, kpath, ("from",)), "from", kpath, terms))
+        elif kid.tag == "constant":
+            d = _parse_constant(kid, kpath, namespace, a["name"], terms)
+            if d.name in decls:
+                raise SchemaViolation(f"{kpath}.name", f"duplicate declaration {d.name}")
+            decls[d.name] = d
+        else:
+            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
     try:
         return Theory(
             theory_ident(namespace, a["name"]),
@@ -587,31 +577,29 @@ def _parse_theory(elem: ET.Element, namespace: str, terms: Terms) -> Theory:
             decls=tuple(decls.values()),
         )
     except ValueError as err:
-        raise SchemaViolation(_HERE, str(err)) from None
+        raise SchemaViolation(path, str(err)) from None
 
 
-def _parse_morphism(elem: ET.Element, terms: Terms) -> Morphism:
-    a = check_keys(elem.attrib, _HERE, ("name", "from", "to"))
-    _no_text(elem, _HERE)
+def _parse_morphism(elem: ET.Element, path: str, terms: Terms) -> Morphism:
+    a = check_keys(elem.attrib, path, ("name", "from", "to"))
+    _no_text(elem, path)
     assignments = []
     for i, kid in enumerate(elem):
-        try:
-            if kid.tag != "assignment":
-                raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
-            ka = check_keys(kid.attrib, _HERE, ("name",))
-            _no_text(kid, _HERE)
-            assignments.append((_ident(ka, "name", terms), _parse_term(kid, terms)))
-        except SchemaViolation as err:
-            raise _moved(err, f"{_HERE}.{kid.tag}[{i}]") from None
+        kpath = f"{path}.{kid.tag}[{i}]"
+        if kid.tag != "assignment":
+            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
+        ka = check_keys(kid.attrib, kpath, ("name",))
+        _no_text(kid, kpath)
+        assignments.append((_ident(ka, "name", kpath, terms), _parse_term(kid, kpath, terms)))
     try:
         return Morphism(
-            _ident(a, "name", terms),
-            _ident(a, "from", terms),
-            _ident(a, "to", terms),
+            _ident(a, "name", path, terms),
+            _ident(a, "from", path, terms),
+            _ident(a, "to", path, terms),
             tuple(assignments),
         )
     except ValueError as err:
-        raise SchemaViolation(_HERE, str(err)) from None
+        raise SchemaViolation(path, str(err)) from None
 
 
 def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
@@ -629,19 +617,17 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
     theories: dict[Ident, Theory] = {}
     morphisms = []
     for i, kid in enumerate(root):
-        try:
-            if kid.tag == "theory":
-                if morphisms:
-                    raise SchemaViolation(_HERE, "theories must precede morphisms")
-                th = _parse_theory(kid, namespace, terms)
-                if th.name in theories:
-                    raise SchemaViolation(f"{_HERE}.name", f"duplicate theory {th.name}")
-                theories[th.name] = th
-            elif kid.tag == "morphism":
-                morphisms.append(_parse_morphism(kid, terms))
-            else:
-                raise SchemaViolation(_HERE, f"unknown element <{kid.tag}>")
-        except SchemaViolation as err:
-            raise _moved(err, f"omdoc.{kid.tag}[{i}]") from None
+        path = f"omdoc.{kid.tag}[{i}]"
+        if kid.tag == "theory":
+            if morphisms:
+                raise SchemaViolation(path, "theories must precede morphisms")
+            th = _parse_theory(kid, path, namespace, terms)
+            if th.name in theories:
+                raise SchemaViolation(f"{path}.name", f"duplicate theory {th.name}")
+            theories[th.name] = th
+        elif kid.tag == "morphism":
+            morphisms.append(_parse_morphism(kid, path, terms))
+        else:
+            raise SchemaViolation(path, f"unknown element <{kid.tag}>")
     lib_deps = deps if deps is not None else (logic_library(),)
     return Library(namespace, tuple(theories.values()), tuple(morphisms), deps=lib_deps)

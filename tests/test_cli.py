@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ from test_morphisms import DED, E, EQ, OP, SET, TO_INT, ZERO, _extension, _i, al
 
 from proofport import cli, errors, omdoc
 from proofport.cli import main, parse_cli, run
-from proofport.encodings import HOL_CHURCH, hol_ident, logic_library
+from proofport.encodings import FOL_SOFT, HOL_CHURCH, hol_ident, logic_library
 from proofport.importers import import_toyhol, parse_toyhol
 from proofport.kernel import (
     Apply,
@@ -38,7 +39,7 @@ from proofport.kernel import (
     format_term,
     theory_ident,
 )
-from proofport.morphisms import identity_morphism, install_morphism
+from proofport.morphisms import Morphism, identity_morphism, install_morphism
 from proofport.ontology import extract_triples, read_ntriples
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -391,6 +392,84 @@ def test_import_and_check_print_the_same_failure_row(tmp_path, capsys, name, tex
         code, out, _ = run_cli(capsys, command, str(doc))
         assert code == 1
         assert [r for r in lines(out) if r[0] == "failure"] == [row]
+
+
+DANGLING_INCLUDE = (
+    '<omdoc version="1" namespace="lib://x">'
+    '<theory name="a" meta="lib://logics?holChurch?holChurch"><include from="lib://x?nope?nope"/>'
+    '<constant name="c" kind="constant"><type><OMS name="lib://logics?holChurch?tp"/></type></constant>'
+    '<constant name="d" kind="constant"><type><OMS name="lib://logics?holChurch?tp"/></type></constant>'
+    '</theory><theory name="b" meta="lib://logics?holChurch?holChurch">'
+    '<constant name="e" kind="constant"><type><OMS name="lib://logics?holChurch?tp"/></type></constant>'
+    "</theory></omdoc>"
+)
+
+
+def test_a_dangling_include_is_one_classed_row_under_a_full_theory_line(tmp_path, capsys):
+    doc = tmp_path / "dangling.omdoc.xml"
+    doc.write_text(DANGLING_INCLUDE)
+    assert run_cli(capsys, "check", str(doc)) == (1, (
+        "theory\ta\tdeclarations\t2\tchecked\t0\tfailed\t1\tomitted\t0\tdependsOn\t0\tterm\t0\n"
+        "failure\tlib://x?a?a\tUnknownIdent: include target lib://x?nope?nope not found\n"
+        "theory\tb\tdeclarations\t1\tchecked\t1\tfailed\t0\tomitted\t0\tdependsOn\t0\tterm\t0\n"
+        "total\tfailed\t1\n"
+    ), "")
+
+
+CHECK_ERRORS = {
+    name for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.CheckError)
+}
+
+
+def _failing_morphisms() -> Library:
+    """The algebra library with four morphisms into the integers that
+    fail their check: `stray` assigns a constant outside its source,
+    `loose` an untyped one, `gappy` leaves `op` unassigned, and `bad`
+    maps `op` to a unary constant."""
+    untyped = Declaration(_i("loose", "k"), definiens=E, meta=Metadata(kind="definition"))
+    loose = Theory(theory_ident("lib://algebra", "loose"), meta_theory=FOL_SOFT,
+                   includes=(TO_INT.source,), decls=(untyped,))
+    neg = Const(_i("integers", "neg"))
+    return algebra_library(extra_theories=(loose,), morphisms=(
+        Morphism(_i("morphs", "stray"), TO_INT.source, TO_INT.target,
+                 TO_INT.assignments + ((neg.ident, neg),)),
+        Morphism(_i("morphs", "loose"), loose.name, TO_INT.target,
+                 TO_INT.assignments + ((untyped.name, ZERO),)),
+        Morphism(_i("morphs", "gappy"), TO_INT.source, TO_INT.target, TO_INT.assignments[:1]),
+        Morphism(_i("morphs", "bad"), TO_INT.source, TO_INT.target,
+                 ((_i("monoid", "e"), ZERO), (_i("monoid", "op"), neg))),
+    ))
+
+
+def test_every_failure_row_starts_with_its_error_class(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    corpus = _bench_corpus()
+    inputs = [CORE, MINIMAL, SETS, BROKEN]
+    for name, (data, _) in [
+        ("hol.toyhol.json", corpus.hol_corpus(1, 220)),  # planted UnificationFailures
+        ("set.toyset.xml", corpus.set_corpus(1, 260)),  # planted NotAFunctions
+        ("library.omdoc.xml", corpus.omdoc_corpus(1, 100, deep=20)),
+    ]:
+        (tmp_path / name).write_bytes(data)
+        inputs.append(name)
+    (tmp_path / "dangling.omdoc.xml").write_text(DANGLING_INCLUDE)
+    lib = _failing_morphisms()
+    (tmp_path / "morphs.omdoc.xml").write_bytes(omdoc.serialize(lib))
+    inputs += ["dangling.omdoc.xml", "morphs.omdoc.xml"]
+    runs = [(command, i, *extra) for i in inputs for command, *extra in
+            (("check",), ("import",), ("export-rdf", "--output", "out.nt"))]
+    runs += [("translate", "morphs.omdoc.xml", "--morphism", str(m.name),
+              "--theorem", "lib://algebra?monoid?ee") for m in lib.morphisms]
+    seen = set()
+    for args in runs:
+        for row in lines(run_cli(capsys, *args)[1]):
+            if row[0] == "failure":
+                head = re.match(r"(\w+): ", row[2])
+                assert head and head[1] in CHECK_ERRORS, (args, row)
+                seen.add(head[1])
+    assert seen == {"UnificationFailure", "NotAFunction", "UnknownIdent", "NotTyped",
+                    "UnassignedConstant", "Mismatch"}
 
 
 @pytest.mark.parametrize("decls, rows", [

@@ -859,6 +859,43 @@ def test_mutated_exports_parse_or_raise_a_format_error():
     assert outcomes["parsed"] and outcomes["SchemaViolation"] and outcomes["Malformed"], outcomes
 
 
+def _follows(elem, rest: str, message: str) -> bool:
+    """Whether `rest`, what is left of a SchemaViolation path after the
+    steps that led to `elem`, follows existing elements: a `.tag[i]` step
+    is the i-th child, which has that tag; a `.tag` step is a child with
+    that tag; a final step that names no child is an attribute, present
+    unless it is the one reported missing."""
+    if not rest:
+        return True
+    for i, kid in enumerate(elem):
+        for step in (f".{kid.tag}[{i}]", f".{kid.tag}"):
+            after = rest[len(step):]
+            if rest.startswith(step) and after[:1] in ("", ".") and _follows(kid, after, message):
+                return True
+    return rest[0] == "." and (rest[1:] in elem.attrib or message == "missing attribute")
+
+
+def test_every_schema_violation_path_follows_the_mutated_input():
+    rng = random.Random(20261019)
+    docs = _fixture_exports()
+    paths = 0
+    for _ in range(1500):
+        data = _mutate(rng.choice(docs), rng)
+        try:
+            omdoc.parse(data)
+        except SchemaViolation as err:
+            root = ET.fromstring(data)
+            if root.tag != "omdoc":  # a misnamed root is named by its own tag
+                assert (err.path, err.message) == (root.tag, "root element must be <omdoc>")
+                continue
+            assert err.path.startswith("omdoc"), err
+            assert _follows(root, err.path[len("omdoc"):], err.message), err
+            paths += err.path.count(".") > 2  # below a theory or a morphism
+        except FormatError:
+            pass
+    assert paths > 500
+
+
 # ---------------------------------------------------------------------------
 # referential integrity at serialization time
 
