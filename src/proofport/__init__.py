@@ -9,7 +9,7 @@ console script drives the same pipeline from the shell.
 """
 
 from . import omdoc
-from .encodings import LogicId, logic_library
+from .encodings import logic_library
 from .errors import CheckError, FormatError
 from .importers import (
     import_toyhol,
@@ -84,7 +84,6 @@ __all__ = [
     "Ident",
     "Lambda",
     "Library",
-    "LogicId",
     "Metadata",
     "Morphism",
     "Omitted",

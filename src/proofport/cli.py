@@ -60,7 +60,7 @@ from .ontology import TripleStore, extract_triples, transitive_uses, used_by, wr
 _READERS = {
     "toyhol-json": lambda data, cfg: import_toyhol(parse_toyhol(data), cfg.checker),
     "toyset-xml": lambda data, cfg: import_toyset(parse_toyset(data), cfg.checker),
-    "omdoc": lambda data, cfg: (omdoc.parse(data), CheckReport(())),
+    "omdoc": lambda data, cfg: (omdoc.parse(data), None),
 }
 FORMATS = tuple(_READERS)
 PROOF_STYLES = ("omitted", "dependsOn", "term")
@@ -229,8 +229,9 @@ def _read_sources(source_dir: str) -> dict[str, str]:
     return out
 
 
-def _load(cfg: CliConfig) -> tuple[Library, tuple[CheckResult, ...]]:
-    """Load the input as a library plus the failing rows of its import."""
+def _load(cfg: CliConfig) -> tuple[Library, Optional[CheckReport]]:
+    """Load the input as a library plus its import's report, None for OMDoc.
+    The import keeps the declarations that pass, with a full check's verdicts."""
     try:
         data = Path(cfg.input).read_bytes()
     except OSError as err:
@@ -238,7 +239,7 @@ def _load(cfg: CliConfig) -> tuple[Library, tuple[CheckResult, ...]]:
     lib, report = _READERS[cfg.format or _infer_format(cfg.input)](data, cfg)
     if cfg.source_dir is not None:
         lib, _ = recover_source_refs(lib, _read_sources(cfg.source_dir))
-    return lib, report.failures
+    return lib, report
 
 
 def _guard_empty(lib: Library, cfg: CliConfig) -> None:
@@ -270,13 +271,16 @@ def _write_failures(rows: Iterable[CheckResult], out: TextIO) -> None:
         out.write(f"failure\t{r.subject}\t{r.message}\n")
 
 
-def _check_rows(lib: Library, cfg: CliConfig, out: TextIO) -> int:
+def _check_rows(lib: Library, cfg: CliConfig, out: TextIO, imported: bool) -> int:
     """Per-theory check report; returns the total failure count."""
     failed = 0
     for th in lib.theories:
-        report = check_theory(lib, th.name, cfg.checker)
-        bad = report.failures
-        ok = len(report.results) - len(bad)
+        if imported:
+            ok, bad = len(th.decls), ()
+        else:
+            report = check_theory(lib, th.name, cfg.checker)
+            bad = report.failures
+            ok = len(report.results) - len(bad)
         styles = _proof_styles(th.decls)
         out.write(
             f"theory\t{th.name.name}\tdeclarations\t{len(th.decls)}"
@@ -290,10 +294,11 @@ def _check_rows(lib: Library, cfg: CliConfig, out: TextIO) -> int:
 
 
 def run_check(cfg: CliConfig, out: TextIO) -> int:
-    lib, import_failures = _load(cfg)
+    lib, report = _load(cfg)
+    import_failures = () if report is None else report.failures
     _write_failures(import_failures, out)
     _guard_empty(lib, cfg)
-    failed = _check_rows(lib, cfg, out) + len(import_failures)
+    failed = _check_rows(lib, cfg, out, report is not None) + len(import_failures)
     out.write(f"total\tfailed\t{failed}\n")
     return 1 if failed else 0
 
@@ -307,7 +312,8 @@ def _write(path: str, data: bytes) -> None:
 
 
 def run_import(cfg: CliConfig, out: TextIO) -> int:
-    lib, import_failures = _load(cfg)
+    lib, report = _load(cfg)
+    import_failures = () if report is None else report.failures
     for th in lib.theories:
         out.write(f"imported\t{th.name.name}\t{len(th.decls)}\n")
     _write_failures(import_failures, out)
@@ -327,15 +333,14 @@ def run_export_omdoc(cfg: CliConfig, out: TextIO) -> int:
 
 
 def run_export_rdf(cfg: CliConfig, out: TextIO) -> int:
-    lib, import_failures = _load(cfg)
+    lib, report = _load(cfg)
     checked = False
     if not cfg.skip_check:
-        clean = all(
+        checked = report.ok if report is not None else all(
             r.ok
             for th in lib.theories
             for r in check_theory(lib, th.name, cfg.checker).results
         )
-        checked = clean and not import_failures
     store = extract_triples(lib, checked=checked, include_proof_uses=cfg.include_proof_uses)
     data = write_ntriples(store)
     _write(cfg.output, data)

@@ -1,21 +1,17 @@
-"""Structured declarations above the kernel: patterns and schemas.
+"""Structured declarations above the kernel: declaration patterns.
 
 Declaration patterns are substitution templates. A pattern binds a
 parameter context and carries a body of template declarations; an
 instance supplies one argument per parameter and elaborates into
 ordinary declarations, so higher-level definition principles (type
 definitions, function definitions) stay declarative and checkable.
-
-Schematic declarations capture toplevel implicit binding: a statement
-with free schematic variables is either closed by an explicit Pi prefix
-or expanded into ground substitution instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import ArityMismatch, ArityUnsupported, CheckError, Mismatch, UnknownIdent
+from .errors import ArityMismatch, CheckError, Mismatch, UnknownIdent
 from .kernel import (
     DEFAULT_CONFIG,
     Config,
@@ -24,7 +20,6 @@ from .kernel import (
     Declaration,
     Ident,
     Library,
-    Pi,
     Term,
     check,
     map_consts,
@@ -60,14 +55,6 @@ class PatternInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
-
-
-@dataclass(frozen=True)
-class SchematicDecl:
-    """A statement with implicitly bound toplevel variables."""
-
-    schematic_vars: Context
-    statement: Term
 
 
 def elaborate_pattern(
@@ -129,27 +116,3 @@ def elaborate_pattern(
             )
         )
     return out
-
-
-def close_toplevel(sd: SchematicDecl) -> Term:
-    """Wrap the statement in one Pi per schematic variable, outermost first."""
-    t = sd.statement
-    for binding in reversed(list(sd.schematic_vars)):
-        t = Pi(binding.hint, binding.tp, t)
-    return t
-
-
-def ground_instances(
-    sd: SchematicDecl, candidates: list[Term], limit: int
-) -> list[Term]:
-    """Instantiate a one-variable schema at up to `limit` candidates.
-
-    Deterministic in candidate order. Candidates are assumed closed and
-    well-typed at the schematic variable's type.
-    """
-    if len(sd.schematic_vars) != 1:
-        raise ArityUnsupported(
-            f"ground instantiation handles exactly one schematic variable, "
-            f"got {len(sd.schematic_vars)}"
-        )
-    return [substitute(sd.statement, 0, c) for c in candidates[:limit]]

@@ -10,8 +10,8 @@ supports:
   object terms, soft typing through the judgment `of`, and the
   refinement forms to carve `tmOf A` out of `expr`.
 * folSoft, untyped first-order set theory with propositions, membership
-  and a set quantifier; schematic toplevel binders supply the
-  second-order schemas.
+  and a set quantifier; a second-order schema is an axiom under one Pi
+  per predicate variable.
 
 All constructors return freshly built immutable theories under the
 `lib://logics` namespace. `logic_library()` bundles the three for
@@ -20,15 +20,12 @@ registration as a dependency of importer output.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 
-from .elaboration import Pattern
 from .errors import EmptyCorpus
 from .kernel import (
     Apply,
     Const,
-    Context,
     Declaration,
     Ident,
     Lambda,
@@ -52,16 +49,6 @@ LOGIC_NS = "lib://logics"
 HOL_CHURCH = theory_ident(LOGIC_NS, "holChurch")
 DTT_CURRY = theory_ident(LOGIC_NS, "dttCurry")
 FOL_SOFT = theory_ident(LOGIC_NS, "folSoft")
-
-
-class LogicId(Enum):
-    HOL_CHURCH = "holChurch"
-    DTT_CURRY = "dttCurry"
-    FOL_SOFT = "folSoft"
-
-
-def logic_ident(logic: LogicId) -> Ident:
-    return theory_ident(LOGIC_NS, logic.value)
 
 
 def hol_ident(name: str) -> Ident:
@@ -266,60 +253,9 @@ def fol_soft() -> Theory:
     return Theory(FOL_SOFT, decls=decls)
 
 
-def logic_theory(logic: LogicId) -> Theory:
-    match logic:
-        case LogicId.HOL_CHURCH:
-            return hol_church()
-        case LogicId.DTT_CURRY:
-            return dtt_curry()
-        case LogicId.FOL_SOFT:
-            return fol_soft()
-    raise ValueError(f"unknown logic {logic!r}")
-
-
 def logic_library() -> Library:
     """All built-in encodings in one library."""
     return Library(LOGIC_NS, (hol_church(), dtt_curry(), fol_soft()))
-
-
-def typedef_pattern() -> Pattern:
-    """HOL-style type definition over holChurch.
-
-    Parameters: a type `A : tp` and a predicate `P : tm A -> tm bool'`.
-    Produces a new type symbol `t : tp`, a representation function
-    `rep : tm t -> tm A`, and an axiom stating every representative
-    satisfies P.
-    """
-    tp = Const(hol_ident("tp"))
-    tm = Const(hol_ident("tm"))
-    bool_ = Const(hol_ident("bool'"))
-    ded = Const(hol_ident("ded"))
-
-    def pid(name: str) -> Ident:
-        return Ident(LOGIC_NS, "patterns", name)
-
-    t = Const(pid("t"))
-    rep = Const(pid("rep"))
-    params = (
-        Context()
-        .extend("A", tp)
-        .extend("P", Pi("x", Apply(tm, Var(0)), Apply(tm, bool_)))
-    )
-    body = (
-        Declaration(pid("t"), tp=tp, meta=Metadata(kind="constant")),
-        Declaration(
-            pid("rep"),
-            tp=fn_type(Apply(tm, t), Apply(tm, Var(1))),
-            meta=Metadata(kind="constant"),
-        ),
-        Declaration(
-            pid("ax"),
-            tp=Pi("x", Apply(tm, t),
-                  Apply(ded, Apply(Var(1), Apply(rep, Var(0))))),
-            meta=Metadata(kind="axiom"),
-        ),
-    )
-    return Pattern(pid("typedef"), params, body)
 
 
 def _node_count(t: Term) -> int:

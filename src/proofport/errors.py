@@ -70,10 +70,6 @@ class ArityMismatch(CheckError):
     """A pattern instance supplied the wrong number of arguments."""
 
 
-class ArityUnsupported(CheckError):
-    """Ground instantiation supports exactly one schematic variable."""
-
-
 class UnassignedConstant(CheckError):
     """A morphism has no assignment for an undefined source constant."""
 

@@ -672,9 +672,7 @@ def whnf(lib: Library | Scope, t: Term, config: Config = DEFAULT_CONFIG) -> Term
                 spine.append(_SUBOUT)
                 head = e
                 continue
-            case Lambda(_, _, b) | Pi(_, _, b) if spine and spine[-1] is not _SUBOUT:
-                # Pi-beta serves toplevel schema instantiation: applying a
-                # Pi-closure behaves like applying the matching Lambda
+            case Lambda(_, _, b) if spine and spine[-1] is not _SUBOUT:
                 steps += 1
                 if steps > budget:
                     raise ReductionDepthExceeded(f"no head normal form within {budget} steps")

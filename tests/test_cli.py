@@ -18,7 +18,7 @@ import pytest
 from test_importers import _bench_corpus
 from test_morphisms import DED, E, EQ, OP, SET, TO_INT, ZERO, _extension, _i, algebra_library
 
-from proofport import cli, errors, omdoc
+from proofport import cli, errors, kernel, omdoc
 from proofport.cli import main, parse_cli, run
 from proofport.encodings import FOL_SOFT, HOL_CHURCH, hol_ident, logic_library
 from proofport.importers import import_toyhol, parse_toyhol
@@ -520,6 +520,37 @@ def test_a_constant_keeps_the_type_of_the_theory_that_declares_it(tmp_path, caps
     tm = Const(hol_ident("tm"))
     assert [lib.find_decl(Ident("lib://toyhol", "d", n)).tp for n in ("w", "v")] == [
         Apply(tm, Const(Ident("lib://toyhol", "a", "j"))), Apply(tm, Const(hol_ident("bool'")))]
+
+
+def test_check_and_export_rdf_of_an_import_check_each_declaration_once(tmp_path, capsys, monkeypatch):
+    """`check` and `export-rdf` of toyhol or toyset input report the import's
+    verdicts, so they check as many declarations as `import`; OMDoc input,
+    read without a check, is checked in full."""
+    calls = []
+    check_declaration = kernel._check_declaration
+
+    def counted(*args):
+        calls.append(args)
+        return check_declaration(*args)
+
+    monkeypatch.setattr(kernel, "_check_declaration", counted)
+    corpus = _bench_corpus()
+    for name, (data, _) in (("hol.toyhol.json", corpus.hol_corpus(1, 220)),
+                            ("set.toyset.xml", corpus.set_corpus(1, 260))):
+        path = tmp_path / name
+        path.write_bytes(data)
+        exported = str(tmp_path / "export.omdoc.xml")
+        counts = {}
+        for args in (("import", str(path), "--output", exported), ("check", str(path)),
+                     ("export-rdf", str(path), "--output", str(tmp_path / "out.nt")),
+                     ("check", exported)):
+            calls.clear()
+            out = run_cli(capsys, *args)[1]
+            counts[args[0], args[1]] = len(calls)
+        declarations = sum(int(row[3]) for row in lines(out) if row[0] == "theory")
+        assert counts["check", str(path)] == counts["export-rdf", str(path)] \
+            == counts["import", str(path)] >= declarations > 0
+        assert counts["check", exported] == declarations
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Pattern elaboration and toplevel-binder closure."""
+"""Pattern elaboration."""
 
 import random
 
@@ -9,33 +9,25 @@ from generators import ARG_TYPES, BASE_LIB, DEFAULT_CONSTS, NAT, NS, O, gen_scop
 from proofport.elaboration import (
     Pattern,
     PatternInstance,
-    SchematicDecl,
-    close_toplevel,
     elaborate_pattern,
-    ground_instances,
 )
-from proofport.errors import ArityMismatch, ArityUnsupported, Mismatch, UnknownIdent
+from proofport.errors import ArityMismatch, Mismatch, UnknownIdent
 from proofport.kernel import (
     Apply,
-    Binding,
-    Config,
     Const,
     Context,
     Declaration,
     Ident,
-    Lambda,
     Library,
     Metadata,
     Pi,
     Theory,
     TypeKind,
     Var,
-    check,
     check_theory,
     fn_type,
     substitute,
     theory_ident,
-    whnf,
 )
 
 EMPTY = Library("lib://empty")
@@ -230,91 +222,3 @@ def test_elaboration_commutes_with_constant_renaming():
         right = [sigma(d.tp) for d in elaborate_pattern(BASE_LIB, base, reg)]
         assert left == right
 
-
-# ---------------------------------------------------------------------------
-# toplevel closure
-
-
-def test_close_toplevel_no_vars():
-    sd = SchematicDecl(Context(), NAT)
-    assert close_toplevel(sd) == NAT
-
-
-def test_close_toplevel_second_order_schema():
-    # schema over a predicate P : nat -> o
-    body = Pi("x", NAT, Apply(Var(1), Var(0)))
-    sd = SchematicDecl(Context().extend("P", fn_type(NAT, O)), body)
-    assert close_toplevel(sd) == Pi("P", fn_type(NAT, O), body)
-
-
-def test_close_toplevel_outermost_first():
-    sd = SchematicDecl(
-        Context().extend("A", TypeKind()).extend("x", Var(0)), Var(1)
-    )
-    closed = close_toplevel(sd)
-    assert closed == Pi("A", TypeKind(), Pi("x", Var(0), Var(1)))
-
-
-def test_closure_instantiation_equals_substitution():
-    rng = random.Random(1515)
-    for _ in range(100):
-        tp = rng.choice(ARG_TYPES)
-        stmt = gen_scoped(rng, 1, depth=3)
-        sd = SchematicDecl(Context().extend("v", tp), stmt)
-        arg = gen_term(rng, [], tp)
-        applied = whnf(BASE_LIB, Apply(close_toplevel(sd), arg), Config(reduction_budget=2000))
-        direct = whnf(BASE_LIB, substitute(stmt, 0, arg), Config(reduction_budget=2000))
-        assert applied == direct
-
-
-def test_closure_kind_status_tracks_open_statement():
-    # a type-valued statement closes to a kind-checkable Pi, a term-valued
-    # one does not
-    sd_type = SchematicDecl(Context().extend("n", NAT), fn_type(NAT, NAT))
-    closed = close_toplevel(sd_type)
-    check(BASE_LIB, Context(), closed, TypeKind())
-    sd_term = SchematicDecl(Context().extend("n", NAT), Var(0))
-    with pytest.raises(Mismatch):
-        check(BASE_LIB, Context(), close_toplevel(sd_term), TypeKind())
-
-
-# ---------------------------------------------------------------------------
-# ground instances
-
-
-def test_ground_instances_limit_zero():
-    sd = SchematicDecl(Context().extend("A", TypeKind()), fn_type(Var(0), Var(0)))
-    assert ground_instances(sd, [NAT, O], 0) == []
-
-
-def test_ground_instances_identity_schema():
-    sd = SchematicDecl(Context().extend("A", TypeKind()), fn_type(Var(0), Var(0)))
-    assert ground_instances(sd, [O], 5) == [fn_type(O, O)]
-
-
-def test_ground_instances_respects_order_and_limit():
-    sd = SchematicDecl(Context().extend("A", TypeKind()), fn_type(Var(0), Var(0)))
-    out = ground_instances(sd, [NAT, O, fn_type(NAT, NAT)], 2)
-    assert out == [fn_type(NAT, NAT), fn_type(O, O)]
-
-
-def test_ground_instances_multi_var_unsupported():
-    sd = SchematicDecl(
-        Context().extend("A", TypeKind()).extend("B", TypeKind()), Var(0)
-    )
-    with pytest.raises(ArityUnsupported):
-        ground_instances(sd, [NAT], 1)
-
-
-def test_ground_instances_match_closure_application():
-    rng = random.Random(1616)
-    for _ in range(100):
-        tp = rng.choice(ARG_TYPES)
-        stmt = gen_scoped(rng, 1, depth=3)
-        sd = SchematicDecl(Context().extend("v", tp), stmt)
-        cands = [gen_term(rng, [], tp) for _ in range(3)]
-        outs = ground_instances(sd, cands, 3)
-        closure = close_toplevel(sd)
-        cfg = Config(reduction_budget=2000)
-        for cand, out in zip(cands, outs):
-            assert whnf(BASE_LIB, out, cfg) == whnf(BASE_LIB, Apply(closure, cand), cfg)

@@ -4,18 +4,11 @@ import random
 
 import pytest
 
-from proofport.elaboration import (
-    PatternInstance,
-    SchematicDecl,
-    close_toplevel,
-    elaborate_pattern,
-)
 from proofport.encodings import (
     DTT_CURRY,
     FOL_SOFT,
     HOL_CHURCH,
     LOGIC_NS,
-    LogicId,
     church_curry_size_ratio,
     dtt_curry,
     dtt_ident,
@@ -23,10 +16,7 @@ from proofport.encodings import (
     fol_soft,
     hol_church,
     hol_ident,
-    logic_ident,
     logic_library,
-    logic_theory,
-    typedef_pattern,
 )
 from proofport.errors import EmptyCorpus, Mismatch
 from proofport.kernel import (
@@ -91,23 +81,10 @@ def ded(t: Term) -> Term:
     return Apply(DED, t)
 
 
-@pytest.mark.parametrize("logic", list(LogicId))
-def test_encoding_theories_check(logic):
-    report = check_theory(LOGICS, logic_ident(logic))
+@pytest.mark.parametrize("ident", [HOL_CHURCH, DTT_CURRY, FOL_SOFT], ids=lambda i: i.module)
+def test_encoding_theories_check(ident):
+    report = check_theory(LOGICS, ident)
     assert report.ok, report.failures
-
-
-@pytest.mark.parametrize(
-    "logic,ident",
-    [
-        (LogicId.HOL_CHURCH, HOL_CHURCH),
-        (LogicId.DTT_CURRY, DTT_CURRY),
-        (LogicId.FOL_SOFT, FOL_SOFT),
-    ],
-)
-def test_logic_ids_map_to_fixed_theories(logic, ident):
-    assert logic_ident(logic) == ident
-    assert logic_theory(logic).name == ident
 
 
 @pytest.mark.parametrize("build", [hol_church, dtt_curry, fol_soft])
@@ -255,9 +232,7 @@ def test_fol_separation_schema_closure_is_a_type():
             ),
         ),
     )
-    sd = SchematicDecl(Context().extend("P", sp), body)
-    closed = close_toplevel(sd)
-    check(LOGICS, Context(), closed, TypeKind())
+    check(LOGICS, Context(), Pi("P", sp, body), TypeKind())
 
 
 def test_fol_identity_implication_inhabited():
@@ -281,30 +256,6 @@ def test_fol_identity_implication_inhabited():
     )
     lib = Library(ns, (th,), deps=(LOGICS,))
     report = check_theory(lib, th.name)
-    assert report.ok, report.failures
-
-
-# ---------------------------------------------------------------------------
-# typedef pattern
-
-
-def test_typedef_pattern_elaborates_and_checks():
-    ns = "lib://user"
-    b = Ident(ns, "t", "b")
-    pat = typedef_pattern()
-    pred = Lambda("x", tm(Const(b)), apps(EQ, Const(b), Var(0), Var(0)))
-    inst = PatternInstance(Ident(ns, "t", "selfeq"), pat.name, (Const(b), pred))
-    base = Theory(
-        theory_ident(ns, "t"),
-        meta_theory=HOL_CHURCH,
-        decls=(Declaration(b, tp=TP, meta=Metadata(kind="constant")),),
-    )
-    lib = Library(ns, (base,), deps=(LOGICS,))
-    decls = elaborate_pattern(lib, inst, {pat.name: pat})
-    assert [d.name.name for d in decls] == ["selfeq/t", "selfeq/rep", "selfeq/ax"]
-    extended = Theory(base.name, meta_theory=HOL_CHURCH, decls=base.decls + tuple(decls))
-    lib2 = Library(ns, (extended,), deps=(LOGICS,))
-    report = check_theory(lib2, base.name)
     assert report.ok, report.failures
 
 

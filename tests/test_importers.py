@@ -1218,6 +1218,27 @@ def test_a_shared_import_equals_an_unshared_one(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the import's verdicts are a full check's
+
+
+@pytest.mark.parametrize("config", [
+    Config(), Config(eta_enabled=False), Config(reduction_budget=3), Config(reduction_budget=0),
+], ids=["default", "no-eta", "budget-3", "budget-0"])
+def test_every_declaration_the_import_keeps_passes_a_full_check(config):
+    """The command line reports the import's verdicts without a second check,
+    so what an import keeps must pass `check_library` under the same settings,
+    in the imported library and in its OMDoc round trip."""
+    for import_doc, doc in _bench_imports(seeds=(1, 2, 3, 4)):
+        lib, report = import_doc(doc, config)
+        assert not report.ok  # the corpora plant failures, which are dropped
+        kept = [d.name for th in lib.theories for d in th.decls]
+        for checked in (lib, omdoc.parse(omdoc.serialize(lib))):
+            results = [r for rep in check_library(checked, config) for r in rep.results]
+            assert [r.subject for r in results] == kept
+            assert [r for r in results if not r.ok] == []
+
+
+# ---------------------------------------------------------------------------
 # source reference recovery
 
 

@@ -386,7 +386,7 @@ def test_shift_and_substitute_call_their_leaf_only_on_free_variables(monkeypatch
 def head_step(lib, t):
     """Oracle: one leftmost head reduction, or None when head-stuck."""
     match t:
-        case Apply(Lambda(_, _, b), a) | Apply(Pi(_, _, b), a):
+        case Apply(Lambda(_, _, b), a):
             return substitute(b, 0, a)
         case Apply(f, a):
             f2 = head_step(lib, f)
@@ -419,6 +419,15 @@ def whnf_fixpoint(lib, t, budget):
 
 def test_whnf_beta_identity():
     assert whnf(EMPTY, Apply(Lambda("x", NAT, Var(0)), ZERO)) == ZERO
+
+
+def test_whnf_leaves_an_applied_pi_stuck():
+    # only a Lambda is a redex; `infer` rejects the head of Apply(Pi, a) with
+    # NotAFunction, so no well-typed term reduces one
+    stuck = Apply(Pi("x", NAT, NAT), ZERO)
+    assert whnf(BASE_LIB, stuck) == stuck
+    with pytest.raises(NotAFunction):
+        infer(BASE_LIB, CTX, stuck)
 
 
 def test_whnf_subtype_cancellation():

@@ -23,8 +23,10 @@ from proofport.kernel import (
     Library,
     Metadata,
     Omitted,
+    Pi,
     Term,
     Theory,
+    TypeKind,
     Var,
     apps,
     check,
@@ -378,9 +380,30 @@ def test_check_morphism_names_an_assigned_constant_without_a_type():
     ]
 
 
-def test_theorem_statements_translate_and_check():
-    from proofport.kernel import TypeKind
+def test_an_image_typed_by_an_applied_pi_is_not_reduced_to_fit():
+    # f : a -> type maps to a type, not a type family, so f's row fails; the
+    # image of g's type, (b -> b) m, is ill-formed and must not reduce to b
+    a, n, f = Const(_i("fam", "a")), Const(_i("fam", "n")), Const(_i("fam", "f"))
+    b, m = Const(_i("flat", "b")), Const(_i("flat", "m"))
 
+    def d(ident, tp):
+        return Declaration(ident, tp=tp, meta=Metadata(kind="constant"))
+
+    fam = Theory(theory_ident(NS, "fam"), decls=(
+        d(a.ident, TypeKind()), d(n.ident, a), d(f.ident, fn_type(a, TypeKind())),
+        d(_i("fam", "g"), Apply(f, n)),
+    ))
+    flat = Theory(theory_ident(NS, "flat"), decls=(d(b.ident, TypeKind()), d(m.ident, b)))
+    lib = Library(NS, (fam, flat))
+    mor = Morphism(_i("morphs", "flatten"), fam.name, flat.name, (
+        (a.ident, b), (n.ident, m), (f.ident, Pi("x", b, b)), (_i("fam", "g"), m),
+    ))
+    assert [(r.subject.name, r.message) for r in check_morphism(lib, mor).failures] == [
+        ("f", "Mismatch: expected b -> type, got type"),
+        ("g", "Mismatch: expected (b -> b) m, got b"),
+    ]
+
+def test_theorem_statements_translate_and_check():
     for d in ALGEBRA.find_theory(theory_ident(NS, "monoid")).decls:
         if d.meta.kind not in ("axiom", "theorem"):
             continue
