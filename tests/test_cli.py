@@ -553,6 +553,45 @@ def test_check_and_export_rdf_of_an_import_check_each_declaration_once(tmp_path,
         assert counts["check", exported] == declarations
 
 
+@pytest.mark.parametrize("fixture", [CORE, MINIMAL, SETS], ids=lambda p: Path(p).name)
+def test_check_of_an_import_equals_a_full_check_of_its_omdoc_export(tmp_path, capsys, fixture):
+    """The import's verdicts that `check` reports agree with a full check of
+    the same library read back from OMDoc."""
+    exported = str(tmp_path / "a.omdoc.xml")
+    assert run_cli(capsys, "export-omdoc", fixture, "--output", exported)[0] == 0
+    assert run_cli(capsys, "check", fixture) == run_cli(capsys, "check", exported)
+
+
+@pytest.mark.parametrize("fixture", [CORE, MINIMAL, SETS], ids=lambda p: Path(p).name)
+def test_export_rdf_of_an_import_equals_export_rdf_of_its_omdoc_export(tmp_path, capsys, fixture):
+    """`export-rdf` takes its check status from the import's report; a full
+    check of the OMDoc export writes the same triples."""
+    exported = str(tmp_path / "a.omdoc.xml")
+    assert run_cli(capsys, "export-omdoc", fixture, "--output", exported)[0] == 0
+    written = []
+    for source in (fixture, exported):
+        out_path = tmp_path / f"{len(written)}.nt"
+        assert run_cli(capsys, "export-rdf", source, "--output", str(out_path))[0] == 0
+        written.append(out_path.read_bytes())
+    assert written[0] == written[1]
+    assert any(t.obj == "checked" for t in read_ntriples(written[0]) if t.literal)
+
+
+def test_export_rdf_of_an_import_with_failures_is_unchecked(tmp_path, capsys):
+    """A failure the import dropped leaves the export unchecked, although
+    every declaration that was kept passes."""
+    data, _ = _bench_corpus().hol_corpus(1, 40)
+    path = tmp_path / "hol.toyhol.json"
+    path.write_bytes(data)
+    lib, report = import_toyhol(parse_toyhol(data))
+    assert not report.ok and lib.theories
+    out_path = tmp_path / "hol.nt"
+    run_cli(capsys, "export-rdf", str(path), "--output", str(out_path))
+    store = read_ntriples(out_path.read_bytes())
+    assert store == extract_triples(lib, checked=False)
+    assert any(t.obj == "unchecked" for t in store if t.literal)
+
+
 # ---------------------------------------------------------------------------
 # stats
 
