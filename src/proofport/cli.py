@@ -18,7 +18,6 @@ import argparse
 import gc
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, TextIO
 
@@ -49,6 +48,7 @@ from .kernel import (
     Library,
     Omitted,
     ProofTerm,
+    Record,
     check_theory,
     format_term,
 )
@@ -66,21 +66,24 @@ FORMATS = tuple(_READERS)
 PROOF_STYLES = ("omitted", "dependsOn", "term")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    input: str
-    output: Optional[str] = None
-    format: Optional[str] = None
-    checker: Config = DEFAULT_CONFIG
-    include_proof_uses: bool = False
-    source_dir: Optional[str] = None
-    allow_empty: bool = False
-    ident: Optional[str] = None
-    kind: Optional[str] = None
-    morphism: Optional[str] = None
-    theorem: Optional[str] = None
-    skip_check: bool = False
+class CliConfig(Record):
+    __match_args__ = _fields = (
+        "command", "input", "output", "format", "checker", "include_proof_uses",
+        "source_dir", "allow_empty", "ident", "kind", "morphism", "theorem", "skip_check",
+    )
+
+    def __init__(
+        self, command: str, input: str, output: Optional[str] = None,
+        format: Optional[str] = None, checker: Config = DEFAULT_CONFIG,
+        include_proof_uses: bool = False, source_dir: Optional[str] = None,
+        allow_empty: bool = False, ident: Optional[str] = None, kind: Optional[str] = None,
+        morphism: Optional[str] = None, theorem: Optional[str] = None, skip_check: bool = False,
+    ) -> None:
+        for name, value in zip(self._fields, (
+            command, input, output, format, checker, include_proof_uses,
+            source_dir, allow_empty, ident, kind, morphism, theorem, skip_check,
+        )):
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ definitions, function definitions) stay declarative and checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .errors import ArityMismatch, CheckError, Mismatch, UnknownIdent
 from .kernel import (
@@ -20,15 +20,16 @@ from .kernel import (
     Declaration,
     Ident,
     Library,
+    Record,
     Term,
     check,
     map_consts,
+    replace,
     substitute,
 )
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Record):
     """A parameterized family of declarations.
 
     Template types and definientia may reference the parameters through
@@ -36,25 +37,24 @@ class Pattern:
     of the template names.
     """
 
-    name: Ident
-    params: Context
-    body: tuple[Declaration, ...]
+    __match_args__ = _fields = ("name", "params", "body")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "body", tuple(self.body))
+    def __init__(self, name: Ident, params: Context, body: Iterable[Declaration]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "body", tuple(body))
         locals_ = [d.name.name for d in self.body]
         if len(set(locals_)) != len(locals_):
-            raise ValueError(f"{self.name}: duplicate template names")
+            raise ValueError(f"{name}: duplicate template names")
 
 
-@dataclass(frozen=True)
-class PatternInstance:
-    name: Ident
-    pattern: Ident
-    args: tuple[Term, ...]
+class PatternInstance(Record):
+    __match_args__ = _fields = ("name", "pattern", "args")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, name: Ident, pattern: Ident, args: Iterable[Term]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "args", tuple(args))
 
 
 def elaborate_pattern(

@@ -20,8 +20,6 @@ registration as a dependency of importer output.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import EmptyCorpus
 from .kernel import (
     Apply,
@@ -290,6 +288,8 @@ def church_curry_size_ratio(lib_church: Library, lib_curry: Library) -> Fraction
     Counts definiens nodes; the fully annotated Church encoding is
     strictly larger as soon as the corpus applies anything.
     """
+    from fractions import Fraction  # here, so that no command loads it at start-up
+
     church = _library_size(lib_church)
     curry = _library_size(lib_curry)
     if church == 0 or curry == 0:

@@ -33,7 +33,6 @@ import json
 import re
 import xml.etree.ElementTree as ET
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .elaboration import (
@@ -71,6 +70,7 @@ from .kernel import (
     Omitted,
     Pi,
     Proof,
+    Record,
     Scope,
     SourceRef,
     Term,
@@ -80,6 +80,7 @@ from .kernel import (
     apps,
     check_theory,
     clashing_names,
+    replace,
     theory_ident,
 )
 
@@ -92,32 +93,52 @@ SUPPORTED_VERSION = "1"
 # documents
 
 
-@dataclass(frozen=True)
-class DeclRecord:
-    kind: str
-    name: str
-    tp: object = None  # a checked toyhol type or formula, or a toyset formula element
-    definiens: object = None  # a checked toyhol term or a toyset value element
-    deps: tuple[str, ...] = ()
-    src: Optional[SourceRef] = None
-    notation: Optional[str] = None
-    comment: Optional[str] = None
-    pvars: tuple[tuple[str, int], ...] = ()  # toyset schemes only
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class TheoryRecord:
-    name: str
-    decls: tuple[DeclRecord, ...]
-    includes: tuple[str, ...] = ()
+class DeclRecord(Record):
+    __match_args__ = _fields = (
+        "kind", "name", "tp", "definiens", "deps", "src", "notation", "comment", "pvars"
+    )
+
+    # `tp`: a checked toyhol type or formula, or a toyset formula element;
+    # `definiens`: a checked toyhol term or a toyset value element; `pvars`: toyset schemes only
+    def __init__(
+        self, kind: str, name: str, tp: object = None, definiens: object = None,
+        deps: tuple[str, ...] = (), src: Optional[SourceRef] = None,
+        notation: Optional[str] = None, comment: Optional[str] = None,
+        pvars: tuple[tuple[str, int], ...] = (),
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "name", name)
+        _set(self, "tp", tp)
+        _set(self, "definiens", definiens)
+        _set(self, "deps", deps)
+        _set(self, "src", src)
+        _set(self, "notation", notation)
+        _set(self, "comment", comment)
+        _set(self, "pvars", pvars)
 
 
-@dataclass(frozen=True)
-class ExportDoc:
+class TheoryRecord(Record):
+    __match_args__ = _fields = ("name", "decls", "includes")
+
+    def __init__(
+        self, name: str, decls: tuple[DeclRecord, ...], includes: tuple[str, ...] = ()
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "decls", decls)
+        _set(self, "includes", includes)
+
+
+class ExportDoc(Record):
     """A parsed toyhol or toyset export."""
 
-    version: str
-    theories: tuple[TheoryRecord, ...]
+    __match_args__ = _fields = ("version", "theories")
+
+    def __init__(self, version: str, theories: tuple[TheoryRecord, ...]) -> None:
+        _set(self, "version", version)
+        _set(self, "theories", theories)
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +510,14 @@ _HOL_EQ = Const(hol_ident("eq"))
 _HOL_DED = Const(hol_ident("ded"))
 
 
-@dataclass(frozen=True)
-class SMeta:
+class SMeta(Record):
     """Inference-time hole in a holChurch object type; never escapes the importer."""
 
-    var_id: int
+    __match_args__ = _fields = ("var_id",)
     loose = 0  # read by the kernel terms built around a hole: it binds no index
+
+    def __init__(self, var_id: int) -> None:
+        _set(self, "var_id", var_id)
 
 
 def _arrow_parts(t: Term) -> Optional[tuple[Term, Term]]:

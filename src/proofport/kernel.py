@@ -32,7 +32,6 @@ and `Scope.add`'s undo clears the Scope's entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -48,11 +47,64 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
+# records
+
+
+_set = object.__setattr__  # how a constructor sets each field, once
+
+
+class Record:
+    """Base of the immutable records of every module.
+
+    `_fields` are the constructor's parameters in order: `repr` shows
+    them, `==` (within one class) and `hash` compare them, and `replace`
+    passes them back, with `_extra`, the parameters `==` ignores.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
+    _extra: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+    def __setstate__(self, state: object) -> None:
+        # `copy` and `pickle` pass a slotted record's fields as `(None, fields)`
+        for name, value in (state[1] if isinstance(state, tuple) else state).items():
+            _set(self, name, value)
+
+
+def replace(obj: Record, **changes: object) -> Record:
+    """`obj` with `changes` to its fields, built, and so checked, by its constructor."""
+    for f in obj._fields + obj._extra:
+        changes.setdefault(f, getattr(obj, f))
+    return type(obj)(**changes)
+
+
+# ---------------------------------------------------------------------------
 # identifiers
 
 
-@dataclass(frozen=True, slots=True)
-class Ident:
+class Ident(Record):
     """Fully qualified name: namespace, module, local name.
 
     Rendered as ``namespace?module?name``; no component may be empty or
@@ -60,18 +112,25 @@ class Ident:
     identifiers are the keys of every kernel index and memo.
     """
 
-    namespace: str
-    module: str
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("namespace", "module", "name", "_hash")
+    __match_args__ = _fields = ("namespace", "module", "name")
 
-    def __post_init__(self) -> None:
-        for part in (self.namespace, self.module, self.name):
+    def __init__(self, namespace: str, module: str, name: str) -> None:
+        for part in (namespace, module, name):
             if not part:
                 raise ValueError("identifier components must be nonempty")
             if "?" in part:
                 raise ValueError(f"identifier component contains '?': {part!r}")
-        object.__setattr__(self, "_hash", hash((self.namespace, self.module, self.name)))
+        _set(self, "namespace", namespace)
+        _set(self, "module", module)
+        _set(self, "name", name)
+        _set(self, "_hash", hash((namespace, module, name)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.namespace, self.module, self.name) == (
+                other.namespace, other.module, other.name)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -96,14 +155,12 @@ def theory_ident(namespace: str, name: str) -> Ident:
 # terms
 
 
-# Term nodes are slotted and frozen. Each takes a hand-written __init__ so
-# that its `loose` range costs no extra call: a generated __init__ plus a
-# __post_init__ made building an Apply about twice as slow.
-_set = object.__setattr__
+# Term nodes are slotted, and each writes its `__init__` and `==` out, so
+# that neither costs an extra call. No command hashes a term, so only a
+# Lambda and a Pi, whose hint takes no part, write `hash` out.
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(Record):
     """Base class for framework terms.
 
     `loose` is one more than the largest de Bruijn index free in the
@@ -111,18 +168,28 @@ class Term:
     built; Const and TypeKind keep the class-level 0.
     """
 
+    __slots__ = ()
     loose = 0
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Term):
-    ident: Ident
+    __slots__ = ("ident",)
+    __match_args__ = _fields = ("ident",)
+    __hash__ = Record.__hash__
+
+    def __init__(self, ident: Ident) -> None:
+        _set(self, "ident", ident)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.ident,) == (other.ident,)
+        return NotImplemented
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class Var(Term):
-    index: int
-    loose: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("index", "loose")
+    __match_args__ = _fields = ("index",)
+    __hash__ = Record.__hash__
 
     def __init__(self, index: int) -> None:
         if index < 0:
@@ -130,12 +197,16 @@ class Var(Term):
         _set(self, "index", index)
         _set(self, "loose", index + 1)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.index,) == (other.index,)
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True, init=False)
+
 class Apply(Term):
-    fn: Term
-    arg: Term
-    loose: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("fn", "arg", "loose")
+    __match_args__ = _fields = ("fn", "arg")
+    __hash__ = Record.__hash__
 
     def __init__(self, fn: Term, arg: Term) -> None:
         _set(self, "fn", fn)
@@ -143,13 +214,15 @@ class Apply(Term):
         a, b = fn.loose, arg.loose
         _set(self, "loose", a if a >= b else b)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.fn, self.arg) == (other.fn, other.arg)
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True, init=False)
+
 class Lambda(Term):
-    hint: str = field(compare=False)
-    dom: Term = field()
-    body: Term = field()
-    loose: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("hint", "dom", "body", "loose")
+    __match_args__ = _fields = ("hint", "dom", "body")
 
     def __init__(self, hint: str, dom: Term, body: Term) -> None:
         _set(self, "hint", hint)
@@ -158,13 +231,18 @@ class Lambda(Term):
         a, b = dom.loose, body.loose - 1
         _set(self, "loose", a if a >= b else b)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.dom, self.body) == (other.dom, other.body)
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True, init=False)
+    def __hash__(self) -> int:
+        return hash((self.dom, self.body))
+
+
 class Pi(Term):
-    hint: str = field(compare=False)
-    dom: Term = field()
-    cod: Term = field()
-    loose: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("hint", "dom", "cod", "loose")
+    __match_args__ = _fields = ("hint", "dom", "cod")
 
     def __init__(self, hint: str, dom: Term, cod: Term) -> None:
         _set(self, "hint", hint)
@@ -173,19 +251,27 @@ class Pi(Term):
         a, b = dom.loose, cod.loose - 1
         _set(self, "loose", a if a >= b else b)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.dom, self.cod) == (other.dom, other.cod)
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod))
+
+
 class TypeKind(Term):
     """The kind `type`. It classifies types and has itself no type."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True, init=False)
+
 class SubType(Term):
     """Predicate subtype: elements of `base` satisfying `pred`."""
 
-    base: Term
-    pred: Term
-    loose: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "pred", "loose")
+    __match_args__ = _fields = ("base", "pred")
+    __hash__ = Record.__hash__
 
     def __init__(self, base: Term, pred: Term) -> None:
         _set(self, "base", base)
@@ -193,14 +279,18 @@ class SubType(Term):
         a, b = base.loose, pred.loose
         _set(self, "loose", a if a >= b else b)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.base, self.pred) == (other.base, other.pred)
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True, init=False)
+
 class SubIn(Term):
     """Introduce into a subtype: an element paired with a witness."""
 
-    elem: Term
-    witness: Term
-    loose: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("elem", "witness", "loose")
+    __match_args__ = _fields = ("elem", "witness")
+    __hash__ = Record.__hash__
 
     def __init__(self, elem: Term, witness: Term) -> None:
         _set(self, "elem", elem)
@@ -208,17 +298,27 @@ class SubIn(Term):
         a, b = elem.loose, witness.loose
         _set(self, "loose", a if a >= b else b)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.elem, self.witness) == (other.elem, other.witness)
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True, init=False)
+
 class SubOut(Term):
     """Project the underlying element out of a subtype."""
 
-    elem: Term
-    loose: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("elem", "loose")
+    __match_args__ = _fields = ("elem",)
+    __hash__ = Record.__hash__
 
     def __init__(self, elem: Term) -> None:
         _set(self, "elem", elem)
         _set(self, "loose", elem.loose)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.elem,) == (other.elem,)
+        return NotImplemented
 
 
 def apps(fn: Term, *args: Term) -> Term:
@@ -311,17 +411,21 @@ class Terms:
 # contexts
 
 
-@dataclass(frozen=True)
-class Binding:
-    hint: str
-    tp: Term
+class Binding(Record):
+    __match_args__ = _fields = ("hint", "tp")
+
+    def __init__(self, hint: str, tp: Term) -> None:
+        _set(self, "hint", hint)
+        _set(self, "tp", tp)
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record):
     """Typing context; the innermost binder is the last entry."""
 
-    entries: tuple[Binding, ...] = ()
+    __match_args__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[Binding, ...] = ()) -> None:
+        _set(self, "entries", entries)
 
     def extend(self, hint: str, tp: Term) -> "Context":
         return Context(self.entries + (Binding(hint, tp),))
@@ -342,94 +446,101 @@ class Context:
 # proofs, metadata, declarations
 
 
-@dataclass(frozen=True)
-class Omitted:
+class Omitted(Record):
     """No proof was exported."""
 
 
-@dataclass(frozen=True)
-class DependsOn:
+class DependsOn(Record):
     """Dependency-only proof: the statements this one relies on."""
 
-    ids: tuple[Ident, ...]
+    __match_args__ = _fields = ("ids",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(self.ids))
+    def __init__(self, ids: Iterable[Ident]) -> None:
+        _set(self, "ids", tuple(ids))
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("dependency list contains duplicates")
 
 
-@dataclass(frozen=True)
-class ProofTerm:
-    term: Term
+class ProofTerm(Record):
+    __match_args__ = _fields = ("term",)
+
+    def __init__(self, term: Term) -> None:
+        _set(self, "term", term)
 
 
 Proof = Union[Omitted, DependsOn, ProofTerm]
 
 
-@dataclass(frozen=True)
-class SourceRef:
+class SourceRef(Record):
     """1-based physical location of a declaration in its source file."""
 
-    file: str
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
+    __match_args__ = _fields = ("file", "start_line", "start_col", "end_line", "end_col")
 
-    def __post_init__(self) -> None:
-        pos = (self.start_line, self.start_col, self.end_line, self.end_col)
-        if any(p < 1 for p in pos):
+    def __init__(
+        self, file: str, start_line: int, start_col: int, end_line: int, end_col: int
+    ) -> None:
+        if any(p < 1 for p in (start_line, start_col, end_line, end_col)):
             raise ValueError("source positions are 1-based")
-        if (self.start_line, self.start_col) > (self.end_line, self.end_col):
+        if (start_line, start_col) > (end_line, end_col):
             raise ValueError("source range end precedes start")
+        _set(self, "file", file)
+        _set(self, "start_line", start_line)
+        _set(self, "start_col", start_col)
+        _set(self, "end_line", end_line)
+        _set(self, "end_col", end_col)
 
 
 KINDS = ("type", "constant", "definition", "axiom", "theorem", "patternInstance")
 STATEMENT_KINDS = ("axiom", "theorem", "patternInstance")
 
 
-@dataclass(frozen=True)
-class Metadata:
+class Metadata(Record):
     """Non-logical attributes of a declaration.
 
     `origin` points back to the pattern instance (or schema) a generated
     declaration came from.
     """
 
-    kind: str
-    source_ref: Optional[SourceRef] = None
-    comments: tuple[str, ...] = ()
-    notation: Optional[str] = None
-    origin: Optional[Ident] = None
+    __match_args__ = _fields = ("kind", "source_ref", "comments", "notation", "origin")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown declaration kind {self.kind!r}")
-        object.__setattr__(self, "comments", tuple(self.comments))
+    def __init__(
+        self, kind: str, source_ref: Optional[SourceRef] = None, comments: Iterable[str] = (),
+        notation: Optional[str] = None, origin: Optional[Ident] = None,
+    ) -> None:
+        if kind not in KINDS:
+            raise ValueError(f"unknown declaration kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "source_ref", source_ref)
+        _set(self, "comments", tuple(comments))
+        _set(self, "notation", notation)
+        _set(self, "origin", origin)
 
 
-@dataclass(frozen=True)
-class Declaration:
+class Declaration(Record):
     """A named constant with an optional type, definiens, and proof."""
 
-    name: Ident
-    tp: Optional[Term] = None
-    definiens: Optional[Term] = None
-    proof: Optional[Proof] = None
-    meta: Metadata = field(kw_only=True)
+    _fields = ("name", "tp", "definiens", "proof", "meta")
+    __match_args__ = _fields[:4]
 
-    def __post_init__(self) -> None:
-        if self.tp is None and self.definiens is None:
-            raise ValueError(f"{self.name}: needs a type or a definiens")
-        kind = self.meta.kind
-        if kind == "theorem" and self.proof is None:
-            raise ValueError(f"{self.name}: a theorem carries a proof")
-        if self.proof is not None:
-            if kind == "axiom" and not isinstance(self.proof, Omitted):
-                raise ValueError(f"{self.name}: an axiom may only omit its proof")
+    def __init__(
+        self, name: Ident, tp: Optional[Term] = None, definiens: Optional[Term] = None,
+        proof: Optional[Proof] = None, *, meta: Metadata,
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "tp", tp)
+        _set(self, "definiens", definiens)
+        _set(self, "proof", proof)
+        _set(self, "meta", meta)
+        if tp is None and definiens is None:
+            raise ValueError(f"{name}: needs a type or a definiens")
+        kind = meta.kind
+        if kind == "theorem" and proof is None:
+            raise ValueError(f"{name}: a theorem carries a proof")
+        if proof is not None:
+            if kind == "axiom" and not isinstance(proof, Omitted):
+                raise ValueError(f"{name}: an axiom may only omit its proof")
             if kind not in ("axiom", "theorem"):
-                raise ValueError(f"{self.name}: kind {kind!r} carries no proof")
+                raise ValueError(f"{name}: kind {kind!r} carries no proof")
 
 
 def _index(items: Iterable, what: str) -> dict[Ident, object]:
@@ -442,28 +553,28 @@ def _index(items: Iterable, what: str) -> dict[Ident, object]:
     return index
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Record):
     """Declarations under one theory name; no two share a name."""
 
-    name: Ident
-    meta_theory: Optional[Ident] = None
-    includes: tuple[Ident, ...] = ()
-    decls: tuple[Declaration, ...] = ()
+    __match_args__ = _fields = ("name", "meta_theory", "includes", "decls")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "includes", tuple(self.includes))
-        object.__setattr__(self, "decls", tuple(self.decls))
-        object.__setattr__(self, "_decl_index", _index(self.decls, "declaration"))
+    def __init__(
+        self, name: Ident, meta_theory: Optional[Ident] = None,
+        includes: Iterable[Ident] = (), decls: Iterable[Declaration] = (),
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "meta_theory", meta_theory)
+        _set(self, "includes", tuple(includes))
+        _set(self, "decls", tuple(decls))
+        _set(self, "_decl_index", _index(self.decls, "declaration"))
 
 
-@dataclass(frozen=True)
-class Library:
+class Library(Record):
     """A namespace of theories and morphisms.
 
     `deps` registers supporting libraries (typically the logic encodings)
     for identifier resolution; it is not part of the library's value and
-    is excluded from equality.
+    is left out of equality and repr.
 
     No two of a library's own theories share a name. Across libraries,
     lookups scan `libraries()` in order and the first match wins. A
@@ -472,16 +583,19 @@ class Library:
     a miss included, is memoized on the library asked.
     """
 
-    namespace: str
-    theories: tuple[Theory, ...] = ()
-    morphisms: tuple = ()  # Morphism values; the type lives in morphisms.py
-    deps: tuple = field(default=(), compare=False, repr=False)
+    __match_args__ = ("namespace", "theories", "morphisms", "deps")
+    _fields, _extra = __match_args__[:3], ("deps",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theories", tuple(self.theories))
-        object.__setattr__(self, "morphisms", tuple(self.morphisms))
-        object.__setattr__(self, "deps", tuple(self.deps))
-        object.__setattr__(self, "_theory_index", _index(self.theories, "theory"))
+    # `morphisms` holds Morphism values; the type lives in morphisms.py
+    def __init__(
+        self, namespace: str, theories: Iterable[Theory] = (), morphisms: Iterable = (),
+        deps: Iterable[Library] = (),
+    ) -> None:
+        _set(self, "namespace", namespace)
+        _set(self, "theories", tuple(theories))
+        _set(self, "morphisms", tuple(morphisms))
+        _set(self, "deps", tuple(deps))
+        _set(self, "_theory_index", _index(self.theories, "theory"))
 
     def libraries(self) -> Iterator["Library"]:
         """This library and its registered dependencies, cycle-safe."""
@@ -532,12 +646,14 @@ class Library:
         return None
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Record):
     """Checker settings, shared by every stage that type-checks."""
 
-    eta_enabled: bool = True
-    reduction_budget: int = 100000
+    __match_args__ = _fields = ("eta_enabled", "reduction_budget")
+
+    def __init__(self, eta_enabled: bool = True, reduction_budget: int = 100000) -> None:
+        _set(self, "eta_enabled", eta_enabled)
+        _set(self, "reduction_budget", reduction_budget)
 
 
 DEFAULT_CONFIG = Config()
@@ -911,25 +1027,29 @@ def flatten(lib: Library, th: Ident) -> list[Declaration]:
     return [d for theory in order for d in theory.decls]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One row of a report: the subject, and for a failure a message
     `ErrorClass: message`, which only `failed` writes."""
 
-    subject: Ident
-    ok: bool
-    message: Optional[str] = None
+    __match_args__ = _fields = ("subject", "ok", "message")
+
+    def __init__(self, subject: Ident, ok: bool, message: Optional[str] = None) -> None:
+        _set(self, "subject", subject)
+        _set(self, "ok", ok)
+        _set(self, "message", message)
 
     @classmethod
     def failed(cls, subject: Ident, err: CheckError) -> CheckResult:
         return cls(subject, False, f"{type(err).__name__}: {err}")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Per-declaration rows of an import, a theory check or a morphism check."""
 
-    results: tuple[CheckResult, ...]
+    __match_args__ = _fields = ("results",)
+
+    def __init__(self, results: tuple[CheckResult, ...]) -> None:
+        _set(self, "results", results)
 
     @property
     def ok(self) -> bool:

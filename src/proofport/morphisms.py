@@ -12,8 +12,7 @@ shared meta-theory always map to themselves. Statement declarations
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import CheckError, Mismatch, NotTyped, UnassignedConstant, UnknownIdent
 from .kernel import (
@@ -28,6 +27,7 @@ from .kernel import (
     Ident,
     Library,
     Metadata,
+    Record,
     STATEMENT_KINDS,
     Term,
     Theory,
@@ -38,22 +38,24 @@ from .kernel import (
 )
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """`source` and `target` name theories; `assignments` maps source
     constants to closed terms over the target."""
 
-    name: Ident
-    source: Ident
-    target: Ident
-    assignments: tuple[tuple[Ident, Term], ...] = field(default=())
+    __match_args__ = _fields = ("name", "source", "target", "assignments")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignments", tuple(self.assignments))
+    def __init__(
+        self, name: Ident, source: Ident, target: Ident,
+        assignments: Iterable[tuple[Ident, Term]] = (),
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "assignments", tuple(assignments))
         seen = set()
         for c, _ in self.assignments:
             if c in seen:
-                raise ValueError(f"{self.name}: duplicate assignment for {c}")
+                raise ValueError(f"{name}: duplicate assignment for {c}")
             seen.add(c)
 
 

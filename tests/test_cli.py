@@ -4,13 +4,13 @@ import copy
 import gc
 import io
 import json
+import os
 import random
 import re
 import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,6 +37,7 @@ from proofport.kernel import (
     apps,
     flatten,
     format_term,
+    replace,
     theory_ident,
 )
 from proofport.morphisms import Morphism, identity_morphism, install_morphism
@@ -987,6 +988,15 @@ def test_module_is_runnable_as_a_script():
     )
     assert proc.returncode == 0
     assert "total\tfailed\t0" in proc.stdout
+
+
+def test_start_up_loads_no_dataclasses_inspect_or_fractions():
+    # each of these costs every process milliseconds no command needs
+    heavy = "{'dataclasses', 'inspect', 'fractions'}"
+    code = f"import sys, proofport.cli; print(sorted({heavy} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_translate_output_uses_the_kernel_formatter(algebra_file, capsys):

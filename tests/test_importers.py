@@ -4,7 +4,6 @@ hand-derived oracle."""
 
 import collections
 import copy
-import dataclasses
 import importlib.util
 import inspect
 import json
@@ -79,6 +78,7 @@ from proofport.kernel import (
     apps,
     check,
     check_library,
+    replace,
     theory_ident,
 )
 
@@ -1364,9 +1364,9 @@ def _recover_reference(lib, sources):
                 if hits > 1:
                     rows.append(kernel.CheckResult(
                         decl.name, True, f"{hits} candidate locations, first taken"))
-                new_decls.append(dataclasses.replace(
-                    decl, meta=dataclasses.replace(decl.meta, source_ref=found)))
-        new_theories.append(dataclasses.replace(th, decls=tuple(new_decls)))
+                new_decls.append(replace(
+                    decl, meta=replace(decl.meta, source_ref=found)))
+        new_theories.append(replace(th, decls=tuple(new_decls)))
     out = Library(lib.namespace, tuple(new_theories), lib.morphisms, deps=lib.deps)
     return out, kernel.CheckReport(tuple(rows))
 

@@ -5,9 +5,10 @@ substitutor (tests/named_terms.py) and a single-step head reducer
 iterated to fixpoint, both defined apart from the kernel's machinery.
 """
 
+import copy
+import pickle
 import random
 import re
-from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -58,6 +59,7 @@ from proofport.kernel import (
     Scope,
     SubIn,
     SubOut,
+    SourceRef,
     SubType,
     Term,
     Terms,
@@ -75,6 +77,7 @@ from proofport.kernel import (
     format_term,
     infer,
     map_consts,
+    replace,
     shift,
     substitute,
     theory_ident,
@@ -265,7 +268,7 @@ def _subterms(t: Term):
     while stack:
         node = stack.pop()
         yield node
-        kids = (getattr(node, f.name) for f in fields(node))
+        kids = (getattr(node, f) for f in node.__match_args__)
         stack.extend(v for v in kids if isinstance(v, Term))
 
 
@@ -495,7 +498,9 @@ def test_equal_unfolds_definitions():
 def test_equal_ignores_hints():
     a = Lambda("x", NAT, Var(0))
     b = Lambda("completely_else", NAT, Var(0))
-    assert a == b
+    assert a == b and hash(a) == hash(b)
+    c, d = Pi("x", NAT, NAT), Pi("y", NAT, NAT)
+    assert c == d and hash(c) == hash(d)
     assert equal(EMPTY, CTX, a, b)
 
 
@@ -1064,3 +1069,128 @@ def test_format_term_concrete_syntax():
     sub = SubType(TypeKind(), Lambda("e", TypeKind(), Var(0)))
     assert format_term(SubOut(SubIn(c, sub))) == "out(in(c, <type | [e : type] e>))"
     assert format_term(Var(3)) == "#3"
+
+
+# ---------------------------------------------------------------------------
+# records
+
+_ID = "Ident(namespace='ns', module='m', name='n')"
+_C = f"Const(ident={_ID})"
+_REF = "SourceRef(file='f', start_line=1, start_col=2, end_line=3, end_col=4)"
+_META = "Metadata(kind='type', source_ref=None, comments=(), notation=None, origin=None)"
+_DECL = f"Declaration(name={_ID}, tp={_C}, definiens=None, proof=None, meta={_META})"
+
+
+def _record_samples():
+    """One instance of each record class, its repr at the dataclass
+    version of the classes, and its `__match_args__`."""
+    from proofport import cli, elaboration, importers, morphisms
+
+    i = Ident("ns", "m", "n")
+    c, v = Const(i), Var(0)
+    ref = SourceRef("f", 1, 2, 3, 4)
+    decl = Declaration(i, c, meta=Metadata("type"))
+    decl_args = ("name", "tp", "definiens", "proof")
+    return [
+        (i, _ID, ("namespace", "module", "name")),
+        (kernel.Term(), "Term()", ()),
+        (c, _C, ("ident",)),
+        (v, "Var(index=0)", ("index",)),
+        (Apply(c, v), f"Apply(fn={_C}, arg=Var(index=0))", ("fn", "arg")),
+        (Lambda("x", c, v), f"Lambda(hint='x', dom={_C}, body=Var(index=0))",
+         ("hint", "dom", "body")),
+        (Pi("y", c, v), f"Pi(hint='y', dom={_C}, cod=Var(index=0))", ("hint", "dom", "cod")),
+        (TypeKind(), "TypeKind()", ()),
+        (SubType(c, v), f"SubType(base={_C}, pred=Var(index=0))", ("base", "pred")),
+        (SubIn(c, v), f"SubIn(elem={_C}, witness=Var(index=0))", ("elem", "witness")),
+        (SubOut(v), "SubOut(elem=Var(index=0))", ("elem",)),
+        (kernel.Binding("h", c), f"Binding(hint='h', tp={_C})", ("hint", "tp")),
+        (Context((kernel.Binding("h", c),)),
+         f"Context(entries=(Binding(hint='h', tp={_C}),))", ("entries",)),
+        (Omitted(), "Omitted()", ()),
+        (DependsOn([i]), f"DependsOn(ids=({_ID},))", ("ids",)),
+        (ProofTerm(c), f"ProofTerm(term={_C})", ("term",)),
+        (ref, _REF, ("file", "start_line", "start_col", "end_line", "end_col")),
+        (Metadata("axiom", ref, ["c"], "n", i),
+         f"Metadata(kind='axiom', source_ref={_REF}, comments=('c',), notation='n', "
+         f"origin={_ID})", ("kind", "source_ref", "comments", "notation", "origin")),
+        (decl, _DECL, decl_args),
+        (Theory(theory_ident("ns", "m"), i, [i], [decl]),
+         f"Theory(name=Ident(namespace='ns', module='m', name='m'), meta_theory={_ID}, "
+         f"includes=({_ID},), decls=({_DECL},))", ("name", "meta_theory", "includes", "decls")),
+        (Library("ns", deps=[Library("d")]), "Library(namespace='ns', theories=(), morphisms=())",
+         ("namespace", "theories", "morphisms", "deps")),
+        (Config(False, 3), "Config(eta_enabled=False, reduction_budget=3)",
+         ("eta_enabled", "reduction_budget")),
+        (kernel.CheckResult(i, False, "x"), f"CheckResult(subject={_ID}, ok=False, message='x')",
+         ("subject", "ok", "message")),
+        (kernel.CheckReport(()), "CheckReport(results=())", ("results",)),
+        (importers.DeclRecord("axiom", "n", "t", None, ("d",), None, "nt", "c", (("p", 1),)),
+         "DeclRecord(kind='axiom', name='n', tp='t', definiens=None, deps=('d',), src=None, "
+         "notation='nt', comment='c', pvars=(('p', 1),))",
+         ("kind", "name", "tp", "definiens", "deps", "src", "notation", "comment", "pvars")),
+        (importers.TheoryRecord("t", (), ("u",)),
+         "TheoryRecord(name='t', decls=(), includes=('u',))", ("name", "decls", "includes")),
+        (importers.ExportDoc("1", ()),
+         "ExportDoc(version='1', theories=())", ("version", "theories")),
+        (importers.SMeta(3), "SMeta(var_id=3)", ("var_id",)),
+        (elaboration.Pattern(i, Context(), [decl]),
+         f"Pattern(name={_ID}, params=Context(entries=()), body=({_DECL},))",
+         ("name", "params", "body")),
+        (elaboration.PatternInstance(i, i, [c]),
+         f"PatternInstance(name={_ID}, pattern={_ID}, args=({_C},))", ("name", "pattern", "args")),
+        (morphisms.Morphism(i, i, i, [(i, c)]),
+         f"Morphism(name={_ID}, source={_ID}, target={_ID}, assignments=(({_ID}, {_C}),))",
+         ("name", "source", "target", "assignments")),
+        (cli.CliConfig("check", "in.json", checker=Config(True, 5)),
+         "CliConfig(command='check', input='in.json', output=None, format=None, "
+         "checker=Config(eta_enabled=True, reduction_budget=5), include_proof_uses=False, "
+         "source_dir=None, allow_empty=False, ident=None, kind=None, morphism=None, "
+         "theorem=None, skip_check=False)", cli.CliConfig.__match_args__),
+    ]
+
+
+def test_records_keep_their_repr_match_args_equality_and_immutability():
+    samples = _record_samples()
+    assert len({type(r) for r, _, _ in samples}) == 32
+    for record, text, match_args in samples:
+        cls = type(record)
+        assert repr(record) == text
+        assert cls.__match_args__ == match_args
+        assert not hasattr(record, "__dataclass_fields__")
+        again = kernel.replace(record)
+        assert again is not record and again == record and hash(again) == hash(record)
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(twin) is cls and twin == record and repr(twin) == text
+        assert record != object() and (record == object()) is False
+        for name in (*match_args, "loose", "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        for name in match_args:
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    # `==` and `hash` go by the fields shown, never by `loose`, a hint or `deps`
+    c = Const(Ident("ns", "m", "n"))
+    assert hash(Apply(c, Var(2))) == hash((c, Var(2))) and hash(Var(2)) == hash((2,))
+    assert hash(Lambda("x", c, Var(0))) == hash((c, Var(0))) == hash(Pi("y", c, Var(0)))
+    assert hash(SubOut(Var(1))) == hash((Var(1),)) and Apply(c, Var(0)) != SubIn(c, Var(0))
+    lib = Library("ns", deps=(BASE_LIB,))
+    assert lib == Library("ns") and hash(lib) == hash(Library("ns"))
+
+
+def test_replace_rebuilds_through_the_constructor():
+    meta = Metadata("axiom", comments=["c"])
+    assert kernel.replace(meta, kind="theorem") == Metadata("theorem", comments=("c",))
+    with pytest.raises(ValueError, match="unknown declaration kind 'bogus'"):
+        kernel.replace(meta, kind="bogus")
+    with pytest.raises(TypeError):
+        kernel.replace(meta, colour="red")
+    i = Ident("ns", "m", "n")
+    with pytest.raises(ValueError, match="needs a type or a definiens"):
+        kernel.replace(Declaration(i, NAT, meta=Metadata("constant")), tp=None)
+    lib = Library("ns", deps=(BASE_LIB,))
+    th = Theory(theory_ident("ns", "m"), decls=[Declaration(i, NAT, meta=Metadata("constant"))])
+    grown = kernel.replace(lib, theories=[th])
+    assert grown.deps == (BASE_LIB,) and grown.find_decl(i) is th.decls[0]
+    with pytest.raises(ValueError, match="duplicate theory"):
+        kernel.replace(lib, theories=(th, th))

@@ -5,7 +5,6 @@ out by hand; the law tests compute both sides independently on random
 terms over the source signature."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -33,6 +32,7 @@ from proofport.kernel import (
     check_library,
     check_theory,
     fn_type,
+    replace,
     substitute,
     theory_ident,
 )

@@ -2,7 +2,6 @@
 
 import collections
 import copy
-import dataclasses
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -42,6 +41,7 @@ from proofport.kernel import (
     Var,
     check_library,
     constants_of,
+    replace,
     Term,
     theory_ident,
 )
@@ -347,7 +347,7 @@ def test_a_shared_parse_reserializes_bytewise():
 
 def _copy(t):
     """`t` rebuilt node by node: equal to `t`, and sharing no node with it."""
-    args = (getattr(t, f.name) for f in dataclasses.fields(t) if f.init)
+    args = (getattr(t, f) for f in t.__match_args__)
     return type(t)(*(_copy(a) if isinstance(a, Term) else a for a in args))
 
 
@@ -358,16 +358,16 @@ def _unshared(lib):
         decls = []
         for d in th.decls:
             proof = ProofTerm(_copy(d.proof.term)) if isinstance(d.proof, ProofTerm) else d.proof
-            decls.append(dataclasses.replace(
+            decls.append(replace(
                 d, tp=d.tp and _copy(d.tp), definiens=d.definiens and _copy(d.definiens),
                 proof=proof,
             ))
-        theories.append(dataclasses.replace(th, decls=tuple(decls)))
+        theories.append(replace(th, decls=tuple(decls)))
     morphisms = tuple(
-        dataclasses.replace(m, assignments=tuple((c, _copy(t)) for c, t in m.assignments))
+        replace(m, assignments=tuple((c, _copy(t)) for c, t in m.assignments))
         for m in lib.morphisms
     )
-    return dataclasses.replace(lib, theories=tuple(theories), morphisms=morphisms)
+    return replace(lib, theories=tuple(theories), morphisms=morphisms)
 
 
 @pytest.mark.parametrize("make", [generators.gen_library, generators.gen_dep_library])
@@ -440,7 +440,7 @@ def test_a_variable_under_deep_binders_is_hinted_with_its_binder_name():
 
 @pytest.mark.parametrize("nest", [_applications, _lambdas])
 def test_deep_terms_parse_and_reserialize_bytewise(nest):
-    # bytes, not terms: dataclass == recurses along the term
+    # bytes, not terms: term == recurses along the term
     data = omdoc.serialize(_lib(_decl("deep", tp=nest(100_000))))
     assert omdoc.serialize(omdoc.parse(data)) == data
 
