@@ -7,6 +7,11 @@ Flags can be preset via environment variables prefixed OAF_ (OAF_FORMAT,
 OAF_ETA_ENABLED, OAF_INCLUDE_PROOF_USES, OAF_REDUCTION_BUDGET,
 OAF_SOURCE_DIR, OAF_ALLOW_EMPTY); explicit flags win.
 
+`build_parser` declares every option and every command once: each
+subcommand's parser stores its runner as `runner`. `parse_cli` returns the
+parsed arguments with the checker settings attached as one `Config` in
+`checker`, and each runner reads only the options its own subcommand defines.
+
 Every command runs with the cyclic garbage collector paused, because the
 pipeline makes no reference cycles; `main` then restores the caller's
 setting. The collector would only rescan a heap that grows all along.
@@ -48,7 +53,6 @@ from .kernel import (
     Library,
     Omitted,
     ProofTerm,
-    Record,
     check_theory,
     format_term,
 )
@@ -58,32 +62,12 @@ from .ontology import TripleStore, extract_triples, transitive_uses, used_by, wr
 # format name -> parse and import of the input bytes. The readers are looked
 # up by name on every call, so a rebinding of `parse_toyhol` is seen here.
 _READERS = {
-    "toyhol-json": lambda data, cfg: import_toyhol(parse_toyhol(data), cfg.checker),
-    "toyset-xml": lambda data, cfg: import_toyset(parse_toyset(data), cfg.checker),
-    "omdoc": lambda data, cfg: (omdoc.parse(data), None),
+    "toyhol-json": lambda data, args: import_toyhol(parse_toyhol(data), args.checker),
+    "toyset-xml": lambda data, args: import_toyset(parse_toyset(data), args.checker),
+    "omdoc": lambda data, args: (omdoc.parse(data), None),
 }
 FORMATS = tuple(_READERS)
 PROOF_STYLES = ("omitted", "dependsOn", "term")
-
-
-class CliConfig(Record):
-    __match_args__ = _fields = (
-        "command", "input", "output", "format", "checker", "include_proof_uses",
-        "source_dir", "allow_empty", "ident", "kind", "morphism", "theorem", "skip_check",
-    )
-
-    def __init__(
-        self, command: str, input: str, output: Optional[str] = None,
-        format: Optional[str] = None, checker: Config = DEFAULT_CONFIG,
-        include_proof_uses: bool = False, source_dir: Optional[str] = None,
-        allow_empty: bool = False, ident: Optional[str] = None, kind: Optional[str] = None,
-        morphism: Optional[str] = None, theorem: Optional[str] = None, skip_check: bool = False,
-    ) -> None:
-        for name, value in zip(self._fields, (
-            command, input, output, format, checker, include_proof_uses,
-            source_dir, allow_empty, ident, kind, morphism, theorem, skip_check,
-        )):
-            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -160,47 +144,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("check", parents=[common], help="kernel-check every theory")
-    sub.add_parser("import", parents=[common], help="import and report, optionally write omdoc")
-    p = sub.add_parser("export-omdoc", parents=[common], help="write the library as omdoc XML")
+    def command(name: str, runner: Callable[[argparse.Namespace, TextIO], int], help: str):
+        """A subcommand with the common options; its parsed arguments carry `runner`."""
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(runner=runner)
+        return p
+
+    command("check", run_check, "kernel-check every theory")
+    p = command("import", run_import, "import and report, optionally write omdoc")
+    p.add_argument("--output", help="optional omdoc output path")
+    p = command("export-omdoc", run_export_omdoc, "write the library as omdoc XML")
     p.add_argument("--output", required=True, help="output file path")
-    p = sub.add_parser("export-rdf", parents=[common], help="write the library as N-Triples")
+    p = command("export-rdf", run_export_rdf, "write the library as N-Triples")
     p.add_argument("--output", required=True, help="output file path")
     p.add_argument(
         "--skip-check",
         action="store_true",
         help="record checkStatus=unchecked instead of checking first",
     )
-    for name, needs_kind in (("deps", False), ("used-by", True)):
-        p = sub.add_parser(name, parents=[common], help=f"{name} query over the dependency graph")
+    for name, runner in (("deps", run_deps), ("used-by", run_used_by)):
+        p = command(name, runner, f"{name} query over the dependency graph")
         p.add_argument("--ident", required=True, help="full identifier ns?module?name")
-        if needs_kind:
-            p.add_argument("--kind", help="restrict results to this declaration kind")
-    p = sub.add_parser("translate", parents=[common], help="translate a statement along a morphism")
+        if runner is run_used_by:
+            p.add_argument(
+                "--kind", choices=KINDS, help="restrict results to this declaration kind"
+            )
+    p = command("translate", run_translate, "translate a statement along a morphism")
     p.add_argument("--morphism", required=True, help="full morphism identifier")
     p.add_argument("--theorem", required=True, help="full statement identifier")
-    sub.add_parser("stats", parents=[common], help="print library statistics")
-    sub.choices["import"].add_argument("--output", help="optional omdoc output path")
+    command("stats", run_stats, "print library statistics")
     return parser
 
 
-def parse_cli(argv: list[str]) -> CliConfig:
-    ns = build_parser().parse_args(argv)
-    return CliConfig(
-        command=ns.command,
-        input=ns.input,
-        output=getattr(ns, "output", None),
-        format=ns.format,
-        checker=Config(eta_enabled=ns.eta, reduction_budget=ns.reduction_budget),
-        include_proof_uses=ns.include_proof_uses,
-        source_dir=ns.source_dir,
-        allow_empty=ns.allow_empty,
-        ident=getattr(ns, "ident", None),
-        kind=getattr(ns, "kind", None),
-        morphism=getattr(ns, "morphism", None),
-        theorem=getattr(ns, "theorem", None),
-        skip_check=getattr(ns, "skip_check", False),
-    )
+def parse_cli(argv: list[str]) -> argparse.Namespace:
+    """The parsed arguments, plus the checker settings as one `Config` in `checker`."""
+    args = build_parser().parse_args(argv)
+    args.checker = Config(eta_enabled=args.eta, reduction_budget=args.reduction_budget)
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +200,8 @@ def _infer_format(path: str) -> str:
 def _read_sources(source_dir: str) -> dict[str, str]:
     root = Path(source_dir)
     if not root.is_dir():
-        raise Malformed(f"source directory {source_dir!r} does not exist")
+        problem = "is not a directory" if root.exists() else "does not exist"
+        raise Malformed(f"source directory {source_dir!r} {problem}")
     out = {}
     for p in sorted(root.rglob("*")):
         if p.is_file():
@@ -232,23 +213,23 @@ def _read_sources(source_dir: str) -> dict[str, str]:
     return out
 
 
-def _load(cfg: CliConfig) -> tuple[Library, Optional[CheckReport]]:
+def _load(args: argparse.Namespace) -> tuple[Library, Optional[CheckReport]]:
     """Load the input as a library plus its import's report, None for OMDoc.
     The import keeps the declarations that pass, with a full check's verdicts."""
     try:
-        data = Path(cfg.input).read_bytes()
+        data = Path(args.input).read_bytes()
     except OSError as err:
         raise Malformed(str(err)) from err
-    lib, report = _READERS[cfg.format or _infer_format(cfg.input)](data, cfg)
-    if cfg.source_dir is not None:
-        lib, _ = recover_source_refs(lib, _read_sources(cfg.source_dir))
+    lib, report = _READERS[args.format or _infer_format(args.input)](data, args)
+    if args.source_dir is not None:
+        lib, _ = recover_source_refs(lib, _read_sources(args.source_dir))
     return lib, report
 
 
-def _guard_empty(lib: Library, cfg: CliConfig) -> None:
+def _guard_empty(lib: Library, args: argparse.Namespace) -> None:
     """Reject a library without declarations, unless --allow-empty."""
-    if not cfg.allow_empty and not any(th.decls for th in lib.theories):
-        raise EmptyCorpus(f"{cfg.input}: nonempty input produced zero declarations")
+    if not args.allow_empty and not any(th.decls for th in lib.theories):
+        raise EmptyCorpus(f"{args.input}: nonempty input produced zero declarations")
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +255,14 @@ def _write_failures(rows: Iterable[CheckResult], out: TextIO) -> None:
         out.write(f"failure\t{r.subject}\t{r.message}\n")
 
 
-def _check_rows(lib: Library, cfg: CliConfig, out: TextIO, imported: bool) -> int:
+def _check_rows(lib: Library, args: argparse.Namespace, out: TextIO, imported: bool) -> int:
     """Per-theory check report; returns the total failure count."""
     failed = 0
     for th in lib.theories:
         if imported:
             ok, bad = len(th.decls), ()
         else:
-            report = check_theory(lib, th.name, cfg.checker)
+            report = check_theory(lib, th.name, args.checker)
             bad = report.failures
             ok = len(report.results) - len(bad)
         styles = _proof_styles(th.decls)
@@ -296,12 +277,12 @@ def _check_rows(lib: Library, cfg: CliConfig, out: TextIO, imported: bool) -> in
     return failed
 
 
-def run_check(cfg: CliConfig, out: TextIO) -> int:
-    lib, report = _load(cfg)
+def run_check(args: argparse.Namespace, out: TextIO) -> int:
+    lib, report = _load(args)
     import_failures = () if report is None else report.failures
     _write_failures(import_failures, out)
-    _guard_empty(lib, cfg)
-    failed = _check_rows(lib, cfg, out, report is not None) + len(import_failures)
+    _guard_empty(lib, args)
+    failed = _check_rows(lib, args, out, report is not None) + len(import_failures)
     out.write(f"total\tfailed\t{failed}\n")
     return 1 if failed else 0
 
@@ -314,40 +295,40 @@ def _write(path: str, data: bytes) -> None:
         raise Malformed(f"cannot write {path}: {err.strerror or err}") from err
 
 
-def run_import(cfg: CliConfig, out: TextIO) -> int:
-    lib, report = _load(cfg)
+def run_import(args: argparse.Namespace, out: TextIO) -> int:
+    lib, report = _load(args)
     import_failures = () if report is None else report.failures
     for th in lib.theories:
         out.write(f"imported\t{th.name.name}\t{len(th.decls)}\n")
     _write_failures(import_failures, out)
-    _guard_empty(lib, cfg)
-    if cfg.output is not None:
-        _write(cfg.output, omdoc.serialize(lib))
-        out.write(f"written\t{cfg.output}\n")
+    _guard_empty(lib, args)
+    if args.output is not None:
+        _write(args.output, omdoc.serialize(lib))
+        out.write(f"written\t{args.output}\n")
     return 1 if import_failures else 0
 
 
-def run_export_omdoc(cfg: CliConfig, out: TextIO) -> int:
-    lib, _ = _load(cfg)
+def run_export_omdoc(args: argparse.Namespace, out: TextIO) -> int:
+    lib, _ = _load(args)
     data = omdoc.serialize(lib)
-    _write(cfg.output, data)
-    out.write(f"written\t{cfg.output}\t{len(data)}\n")
+    _write(args.output, data)
+    out.write(f"written\t{args.output}\t{len(data)}\n")
     return 0
 
 
-def run_export_rdf(cfg: CliConfig, out: TextIO) -> int:
-    lib, report = _load(cfg)
+def run_export_rdf(args: argparse.Namespace, out: TextIO) -> int:
+    lib, report = _load(args)
     checked = False
-    if not cfg.skip_check:
+    if not args.skip_check:
         checked = report.ok if report is not None else all(
             r.ok
             for th in lib.theories
-            for r in check_theory(lib, th.name, cfg.checker).results
+            for r in check_theory(lib, th.name, args.checker).results
         )
-    store = extract_triples(lib, checked=checked, include_proof_uses=cfg.include_proof_uses)
+    store = extract_triples(lib, checked=checked, include_proof_uses=args.include_proof_uses)
     data = write_ntriples(store)
-    _write(cfg.output, data)
-    out.write(f"written\t{cfg.output}\t{len(store)}\n")
+    _write(args.output, data)
+    out.write(f"written\t{args.output}\t{len(store)}\n")
     return 0
 
 
@@ -358,12 +339,14 @@ def _parse_ident(text: str) -> Ident:
         raise Malformed(str(err)) from None
 
 
-def _run_query(cfg: CliConfig, out: TextIO, query: Callable[[TripleStore, Ident], set[Ident]]) -> int:
+def _run_query(
+    args: argparse.Namespace, out: TextIO, query: Callable[[TripleStore, Ident], set[Ident]]
+) -> int:
     """Print what `query` finds from `--ident`, sorted; an unknown one is an input error."""
-    lib, _ = _load(cfg)
-    store = extract_triples(lib, include_proof_uses=cfg.include_proof_uses)
+    lib, _ = _load(args)
+    store = extract_triples(lib, include_proof_uses=args.include_proof_uses)
     try:
-        found = query(store, _parse_ident(cfg.ident))
+        found = query(store, _parse_ident(args.ident))
     except UnknownIdent as err:
         raise Malformed(str(err)) from None
     for ident in sorted(str(i) for i in found):
@@ -371,25 +354,25 @@ def _run_query(cfg: CliConfig, out: TextIO, query: Callable[[TripleStore, Ident]
     return 0
 
 
-def run_deps(cfg: CliConfig, out: TextIO) -> int:
-    return _run_query(cfg, out, transitive_uses)
+def run_deps(args: argparse.Namespace, out: TextIO) -> int:
+    return _run_query(args, out, transitive_uses)
 
 
-def run_used_by(cfg: CliConfig, out: TextIO) -> int:
-    return _run_query(cfg, out, lambda store, ident: used_by(store, ident, cfg.kind))
+def run_used_by(args: argparse.Namespace, out: TextIO) -> int:
+    return _run_query(args, out, lambda store, ident: used_by(store, ident, args.kind))
 
 
-def run_translate(cfg: CliConfig, out: TextIO) -> int:
-    lib, _ = _load(cfg)
-    m = lib.find_morphism(_parse_ident(cfg.morphism))
+def run_translate(args: argparse.Namespace, out: TextIO) -> int:
+    lib, _ = _load(args)
+    m = lib.find_morphism(_parse_ident(args.morphism))
     if m is None:
-        raise Malformed(f"morphism {cfg.morphism} not found")
-    decl = lib.find_decl(_parse_ident(cfg.theorem))
+        raise Malformed(f"morphism {args.morphism} not found")
+    decl = lib.find_decl(_parse_ident(args.theorem))
     if decl is None:
-        raise Malformed(f"statement {cfg.theorem} not found")
+        raise Malformed(f"statement {args.theorem} not found")
     if decl.tp is None:
-        raise Malformed(f"{cfg.theorem} has no statement to translate")
-    bad = check_morphism(lib, m, cfg.checker).failures
+        raise Malformed(f"{args.theorem} has no statement to translate")
+    bad = check_morphism(lib, m, args.checker).failures
     if bad:
         _write_failures(bad, out)
         return 1
@@ -398,8 +381,8 @@ def run_translate(cfg: CliConfig, out: TextIO) -> int:
     return 0
 
 
-def run_stats(cfg: CliConfig, out: TextIO) -> int:
-    lib, _ = _load(cfg)
+def run_stats(args: argparse.Namespace, out: TextIO) -> int:
+    lib, _ = _load(args)
     decls = [d for th in lib.theories for d in th.decls]
     kinds = {k: 0 for k in KINDS}
     styles = _proof_styles(decls)
@@ -408,7 +391,7 @@ def run_stats(cfg: CliConfig, out: TextIO) -> int:
         kinds[d.meta.kind] += 1
         if d.meta.source_ref is not None:
             with_src += 1
-    store = extract_triples(lib, include_proof_uses=cfg.include_proof_uses)
+    store = extract_triples(lib, include_proof_uses=args.include_proof_uses)
     coverage = 100.0 * with_src / len(decls) if decls else 0.0
     out.write(f"theories\t{len(lib.theories)}\n")
     out.write(f"declarations\t{len(decls)}\n")
@@ -425,28 +408,16 @@ def run_stats(cfg: CliConfig, out: TextIO) -> int:
 # entry point
 
 
-COMMANDS = {
-    "check": run_check,
-    "import": run_import,
-    "export-omdoc": run_export_omdoc,
-    "export-rdf": run_export_rdf,
-    "deps": run_deps,
-    "used-by": run_used_by,
-    "translate": run_translate,
-    "stats": run_stats,
-}
-
-
-def run(cfg: CliConfig, out: TextIO) -> int:
-    return COMMANDS[cfg.command](cfg, out)
+def run(args: argparse.Namespace, out: TextIO) -> int:
+    return args.runner(args, out)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    cfg = parse_cli(sys.argv[1:] if argv is None else argv)
+    args = parse_cli(sys.argv[1:] if argv is None else argv)
     enabled = gc.isenabled()
     gc.disable()  # the collector policy; see the module docstring
     try:
-        return run(cfg, sys.stdout)
+        return run(args, sys.stdout)
     except FormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -677,8 +677,7 @@ def rebuild(
 
     It dispatches on the exact class, most frequent first, and names each
     class's fields by hand: this is the kernel's hottest function, and
-    with a structural `match` `constants_of` and `shift` took about 2.5
-    times as long.
+    with a structural `match` `shift` took about 2.5 times as long.
     """
     if free_only and t.loose <= k:
         return t
@@ -749,15 +748,30 @@ def map_consts(t: Term, fn) -> Term:
 
 
 def constants_of(t: Term) -> list[Ident]:
-    """All constant identifiers in `t`, left to right, with repeats."""
+    """All constant identifiers in `t`, left to right, with repeats.
+
+    It walks an explicit stack, children pushed right to left, so a term
+    nested past the recursion limit costs no Python frame per level.
+    """
     out: list[Ident] = []
-
-    def leaf(node: Term, k: int) -> Term:
-        if isinstance(node, Const):
-            out.append(node.ident)
-        return node
-
-    rebuild(t, leaf)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is Apply:
+            stack += (t.arg, t.fn)
+        elif cls is Const:
+            out.append(t.ident)
+        elif cls is Lambda:
+            stack += (t.body, t.dom)
+        elif cls is Pi:
+            stack += (t.cod, t.dom)
+        elif cls is SubType:
+            stack += (t.pred, t.base)
+        elif cls is SubIn:
+            stack += (t.witness, t.elem)
+        elif cls is SubOut:
+            stack.append(t.elem)
     return out
 
 

@@ -23,10 +23,12 @@ from proofport.cli import main, parse_cli, run
 from proofport.encodings import FOL_SOFT, HOL_CHURCH, hol_ident, logic_library
 from proofport.importers import import_toyhol, parse_toyhol
 from proofport.kernel import (
+    KINDS,
     Apply,
     Const,
     Declaration,
     Ident,
+    Lambda,
     Library,
     Metadata,
     Omitted,
@@ -34,6 +36,7 @@ from proofport.kernel import (
     ProofTerm,
     Theory,
     TypeKind,
+    Var,
     apps,
     flatten,
     format_term,
@@ -658,6 +661,14 @@ def test_used_by_with_kind_filter(capsys):
     assert out.splitlines() == ["lib://toyhol?core?t"]
 
 
+def test_used_by_kind_outside_the_declaration_kinds_is_a_usage_error(capsys):
+    query = ("used-by", CORE, "--ident", "lib://toyhol?core?q", "--kind")
+    err = usage_error(capsys, *query, "bogus")
+    assert "--kind" in err and "'bogus'" in err
+    for kind in KINDS:
+        assert run_cli(capsys, *query, kind)[0] == 0
+
+
 def test_query_on_unknown_ident_is_exit_2(capsys):
     assert run_cli(capsys, "deps", CORE, "--ident", "lib://toyhol?core?nope")[0] == 2
 
@@ -833,6 +844,13 @@ def test_source_dir_recovers_references(tmp_path, capsys):
     assert '<srcref file="bits.hol" sl="2" sc="1"' in text
 
 
+def test_source_dir_that_is_no_directory_is_exit_2_saying_why(tmp_path, capsys):
+    for path, problem in ((tmp_path / "absent", "does not exist"), (CORE, "is not a directory")):
+        code, out, err = run_cli(capsys, "check", MINIMAL, "--source-dir", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: source directory {str(path)!r} {problem}\n"
+
+
 def test_non_utf8_source_file_is_exit_2_naming_the_file(tmp_path, capsys):
     src = tmp_path / "src"
     (src / "sub").mkdir(parents=True)
@@ -962,6 +980,91 @@ def test_env_boolean_spellings(monkeypatch):
     for text, value in (("1", True), (" Yes ", True), ("on", True), ("OFF", False), ("no", False)):
         monkeypatch.setenv("OAF_ETA_ENABLED", text)
         assert parse_cli(["check", "in.json"]).checker.eta_enabled is value
+
+
+def _holchurch_file(tmp_path, ns: str, decls: tuple) -> str:
+    """An OMDoc file of one holChurch theory `t` in namespace `ns`."""
+    th = Theory(theory_ident(ns, "t"), meta_theory=HOL_CHURCH, decls=decls)
+    path = tmp_path / f"{ns.removeprefix('lib://')}.omdoc.xml"
+    path.write_bytes(omdoc.serialize(Library(ns, (th,), deps=(logic_library(),))))
+    return str(path)
+
+
+def _eta_file(tmp_path) -> str:
+    """`k : fam F` defined as `h : fam ([x] F x)`, which checks only with eta."""
+    ns = "lib://eta"
+    f, fam, h, k = (Ident(ns, "t", n) for n in ("F", "fam", "h", "k"))
+    tm_bool = Apply(Const(hol_ident("tm")), Const(hol_ident("bool'")))
+    fn = Pi("x", tm_bool, tm_bool)
+    decls = (
+        Declaration(f, tp=fn, meta=Metadata(kind="constant")),
+        Declaration(fam, tp=Pi("f", fn, TypeKind()), meta=Metadata(kind="type")),
+        Declaration(h, tp=Apply(Const(fam), Lambda("x", tm_bool, Apply(Const(f), Var(0)))),
+                    meta=Metadata(kind="constant")),
+        Declaration(k, tp=Apply(Const(fam), Const(f)), definiens=Const(h),
+                    meta=Metadata(kind="definition")),
+    )
+    return _holchurch_file(tmp_path, ns, decls)
+
+
+def _proof_use_file(tmp_path) -> str:
+    """A theorem whose proof term names an axiom its statement does not."""
+    ns = "lib://proofuse"
+    c, ax, thm = (Ident(ns, "t", n) for n in ("c", "ax", "thm"))
+    stmt = Apply(Const(hol_ident("ded")),
+                 apps(Const(hol_ident("eq")), Const(hol_ident("bool'")), Const(c), Const(c)))
+    decls = (
+        Declaration(c, tp=Apply(Const(hol_ident("tm")), Const(hol_ident("bool'"))),
+                    meta=Metadata(kind="constant")),
+        Declaration(ax, tp=stmt, meta=Metadata(kind="axiom")),
+        Declaration(thm, tp=stmt, proof=ProofTerm(Const(ax)), meta=Metadata(kind="theorem")),
+    )
+    return _holchurch_file(tmp_path, ns, decls)
+
+
+@pytest.fixture()
+def presets(tmp_path, reducing_file):
+    """Per OAF_* variable: a command whose result depends on the setting,
+    the variable's value, the flag that says the same and a flag that differs."""
+    odd = tmp_path / "oddly.named"
+    odd.write_bytes(Path(MINIMAL).read_bytes())
+    empty = tmp_path / "empty.toyhol.json"
+    empty.write_text('{"version": "1", "theories": []}')
+    src, nosrc = tmp_path / "src", tmp_path / "nosrc"
+    src.mkdir()
+    nosrc.mkdir()
+    (src / "bits.hol").write_text("q irrelevant\nc : bool\nidb := [x] x\n")
+    return {
+        "OAF_FORMAT": (["check", str(odd)], "toyhol-json",
+                       ["--format", "toyhol-json"], ["--format", "omdoc"]),
+        "OAF_ETA_ENABLED": (["check", _eta_file(tmp_path)], "0", ["--no-eta"], ["--eta"]),
+        "OAF_INCLUDE_PROOF_USES": (["stats", _proof_use_file(tmp_path)], "1",
+                                   ["--include-proof-uses"], ["--no-include-proof-uses"]),
+        "OAF_REDUCTION_BUDGET": (["check", reducing_file], "0",
+                                 ["--reduction-budget", "0"], ["--reduction-budget", "1"]),
+        "OAF_SOURCE_DIR": (["stats", MINIMAL], str(src),
+                           ["--source-dir", str(src)], ["--source-dir", str(nosrc)]),
+        "OAF_ALLOW_EMPTY": (["check", str(empty)], "1", ["--allow-empty"], ["--no-allow-empty"]),
+    }
+
+
+@pytest.mark.parametrize("var", [
+    "OAF_FORMAT", "OAF_ETA_ENABLED", "OAF_INCLUDE_PROOF_USES",
+    "OAF_REDUCTION_BUDGET", "OAF_SOURCE_DIR", "OAF_ALLOW_EMPTY",
+])
+def test_each_preset_acts_as_its_flag_and_an_explicit_flag_wins(capsys, monkeypatch, presets, var):
+    argv, value, flag, other = presets[var]
+    for name in presets:
+        monkeypatch.delenv(name, raising=False)
+
+    def outcome(*extra):
+        return parse_cli([*argv, *extra]), run_cli(capsys, *argv, *extra)
+
+    as_flag, as_other = outcome(*flag), outcome(*other)
+    assert as_flag[1] != as_other[1]  # the command tells the two settings apart
+    monkeypatch.setenv(var, value)
+    assert outcome() == as_flag
+    assert outcome(*other) == as_other
 
 
 # ---------------------------------------------------------------------------
@@ -1153,6 +1256,47 @@ def test_an_include_chain_deeper_than_the_recursion_limit_checks(tmp_path, capsy
     rows = lines(out)
     assert len(rows) == depth + 1 and rows[-1] == ("total", "failed", "0")
     assert rows[-2][:6] == ("theory", f"t{depth - 1}", "declarations", "1", "checked", "1")
+
+
+def _nested_definiens_file(tmp_path, depth: int) -> str:
+    """A compact OMDoc file whose `d` applies `f` `depth` times to `c0`."""
+    def oms(name):
+        return f'<OMS name="{name}"/>'
+
+    hol = "lib://logics?holChurch?"
+    prop = oms(hol + "bool'")
+    tm_bool = f"<OMA>{oms(hol + 'tm')}{prop}</OMA>"
+    fn_type = f"<OMA>{oms(hol + 'tm')}<OMA>{oms(hol + 'arrow')}{prop}{prop}</OMA></OMA>"
+    apply_f = f"<OMA>{oms(hol + 'app')}{prop}{prop}{oms('lib://x?t?f')}"
+    path = tmp_path / f"nested{depth}.omdoc.xml"
+    path.write_text(
+        f'<omdoc version="1" namespace="lib://x"><theory name="t" meta="{hol}holChurch">'
+        f'<constant name="f" kind="constant"><type>{fn_type}</type></constant>'
+        f'<constant name="c0" kind="constant"><type>{tm_bool}</type></constant>'
+        f'<constant name="d" kind="definition"><type>{tm_bool}</type><definition>'
+        + apply_f * depth + oms("lib://x?t?c0") + "</OMA>" * depth
+        + "</definition></constant></theory></omdoc>"
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ("deps", "--ident", "lib://x?t?d"),
+    ("used-by", "--ident", "lib://x?t?f"),
+    ("stats",),
+    ("export-rdf", "--skip-check", "--output"),
+], ids=["deps", "used-by", "stats", "export-rdf-skip-check"])
+def test_rdf_path_commands_take_a_term_nested_past_the_recursion_limit(tmp_path, capsys, command):
+    # 3,000 applications deep, the definiens answers as it does 3 deep
+    out_file = tmp_path / "out.nt"
+    name, *rest = command + (str(out_file),) if command[-1] == "--output" else command
+    results = []
+    for depth in (3, 3000):
+        code, out, err = run_cli(capsys, name, _nested_definiens_file(tmp_path, depth), *rest)
+        written = out_file.read_bytes() if out_file.exists() else None
+        results.append((code, out, err, written))
+    assert results[0][0] == 0 and results[0][1]
+    assert results[1] == results[0]
 
 
 def _cyclic_garbage(argv: list[str]) -> int:
