@@ -86,6 +86,13 @@ def _budget(text: str) -> int:
     return int(text)
 
 
+def _source_dir(text: str) -> str:
+    # an empty path would be the current directory
+    if not text:
+        raise argparse.ArgumentTypeError("expected a directory path, got ''")
+    return text
+
+
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
@@ -129,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--source-dir",
+        type=_source_dir,
         default=os.environ.get("OAF_SOURCE_DIR"),
         help="directory of source files for reference recovery on import",
     )

@@ -28,12 +28,19 @@ the Config it was inferred under and serves no other; and only a
 successful inference is stored. A Library never changes, so its entries
 stay true; a Scope only grows, which keeps every success a success,
 and `Scope.add`'s undo clears the Scope's entries.
+
+The hot path has one dispatch idiom. `rebuild`, `constants_of` and the
+checker's per-node functions (`whnf`, `_conv`, `infer`, `check`,
+`check_kind`) test `type(t) is C`, most frequent class first, and read
+each class's fields by name. No class subclasses a term node, so this
+matches what a structural `match` would, at a fraction of its cost. Only
+the message printer `_fmt` and the per-declaration proof still `match`.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import (
     CheckError,
@@ -104,39 +111,40 @@ def replace(obj: Record, **changes: object) -> Record:
 # identifiers
 
 
-class Ident(Record):
+class _IdentFields(NamedTuple):
+    namespace: str
+    module: str
+    name: str
+
+
+class Ident(_IdentFields):
     """Fully qualified name: namespace, module, local name.
 
     Rendered as ``namespace?module?name``; no component may be empty or
-    contain the separator. The hash is computed once, at construction:
-    identifiers are the keys of every kernel index and memo.
+    contain the separator. A named tuple, so `hash` and `==` are the
+    plain tuple's, computed in C: identifiers are the keys of every
+    kernel index and memo. It equals the tuple of its three parts, and
+    it iterates and orders as that tuple does.
     """
 
-    __slots__ = ("namespace", "module", "name", "_hash")
-    __match_args__ = _fields = ("namespace", "module", "name")
+    __slots__ = ()
+    _extra: tuple[str, ...] = ()  # `replace` passes only the fields
 
-    def __init__(self, namespace: str, module: str, name: str) -> None:
+    def __new__(cls, namespace: str, module: str, name: str) -> "Ident":
         for part in (namespace, module, name):
             if not part:
                 raise ValueError("identifier components must be nonempty")
             if "?" in part:
                 raise ValueError(f"identifier component contains '?': {part!r}")
-        _set(self, "namespace", namespace)
-        _set(self, "module", module)
-        _set(self, "name", name)
-        _set(self, "_hash", hash((namespace, module, name)))
+        return tuple.__new__(cls, (namespace, module, name))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.namespace, self.module, self.name) == (
-                other.namespace, other.module, other.name)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+    @classmethod
+    def _make(cls, parts: Iterable[str]) -> "Ident":
+        # the named tuple's `_make`, which `_replace` calls, skips `__new__`
+        return cls(*parts)
 
     def __str__(self) -> str:
-        return f"{self.namespace}?{self.module}?{self.name}"
+        return "?".join(self)
 
     @classmethod
     def parse(cls, text: str) -> "Ident":
@@ -675,9 +683,9 @@ def rebuild(
     its `j`; a subterm whose `loose` range is at most its `k` holds no
     such Var and is returned at once, without visiting it.
 
-    It dispatches on the exact class, most frequent first, and names each
-    class's fields by hand: this is the kernel's hottest function, and
-    with a structural `match` `shift` took about 2.5 times as long.
+    It uses the hot path's dispatch idiom (see the module docstring):
+    this is the kernel's hottest function, and with a structural `match`
+    `shift` took about 2.5 times as long.
     """
     if free_only and t.loose <= k:
         return t
@@ -793,37 +801,38 @@ def whnf(lib: Library | Scope, t: Term, config: Config = DEFAULT_CONFIG) -> Term
     spine: list = []  # arguments and _SUBOUT markers, innermost last
     head = t
     while True:
-        match head:
-            case Apply(f, a):
-                spine.append(a)
-                head = f
-                continue
-            case SubOut(e):
-                spine.append(_SUBOUT)
-                head = e
-                continue
-            case Lambda(_, _, b) if spine and spine[-1] is not _SUBOUT:
-                steps += 1
-                if steps > budget:
-                    raise ReductionDepthExceeded(f"no head normal form within {budget} steps")
-                head = substitute(b, 0, spine.pop())
-                continue
-            case SubIn(e, _) if spine and spine[-1] is _SUBOUT:
-                steps += 1
-                if steps > budget:
-                    raise ReductionDepthExceeded(f"no head normal form within {budget} steps")
-                spine.pop()
-                head = e
-                continue
-            case Const(c):
-                d = lib.find_decl(c)
-                if d is not None and d.definiens is not None:
-                    steps += 1
-                    if steps > budget:
-                        raise ReductionDepthExceeded(f"no head normal form within {budget} steps")
-                    head = d.definiens
-                    continue
-        break
+        cls = type(head)
+        if cls is Apply:
+            spine.append(head.arg)
+            head = head.fn
+        elif cls is Const:
+            d = lib.find_decl(head.ident)
+            if d is None or d.definiens is None:
+                break
+            steps += 1
+            if steps > budget:
+                raise ReductionDepthExceeded(f"no head normal form within {budget} steps")
+            head = d.definiens
+        elif cls is Lambda:
+            if not spine or spine[-1] is _SUBOUT:
+                break
+            steps += 1
+            if steps > budget:
+                raise ReductionDepthExceeded(f"no head normal form within {budget} steps")
+            head = substitute(head.body, 0, spine.pop())
+        elif cls is SubOut:
+            spine.append(_SUBOUT)
+            head = head.elem
+        elif cls is SubIn:
+            if not spine or spine[-1] is not _SUBOUT:
+                break
+            steps += 1
+            if steps > budget:
+                raise ReductionDepthExceeded(f"no head normal form within {budget} steps")
+            spine.pop()
+            head = head.elem
+        else:
+            break
     while spine:
         e = spine.pop()
         head = SubOut(head) if e is _SUBOUT else Apply(head, e)
@@ -847,33 +856,33 @@ def equal(
 
 
 def _conv(lib: Library | Scope, a: Term, b: Term, cfg: Config) -> bool:
-    if a == b:  # structural, hint-insensitive
+    if a is b or a == b:  # structural, hint-insensitive
         return True
     a = whnf(lib, a, cfg)
     b = whnf(lib, b, cfg)
-    match (a, b):
-        case (Lambda(_, d1, b1), Lambda(_, d2, b2)):
-            return _conv(lib, d1, d2, cfg) and _conv(lib, b1, b2, cfg)
-        case (Pi(_, d1, c1), Pi(_, d2, c2)):
-            return _conv(lib, d1, d2, cfg) and _conv(lib, c1, c2, cfg)
-        case (SubType(b1, p1), SubType(b2, p2)):
-            return _conv(lib, b1, b2, cfg) and _conv(lib, p1, p2, cfg)
-        case (SubIn(e1, _), SubIn(e2, _)):
-            return _conv(lib, e1, e2, cfg)  # witnesses are irrelevant
-        case (SubOut(e1), SubOut(e2)):
-            return _conv(lib, e1, e2, cfg)
-        case (Var(i), Var(j)):
-            return i == j
-        case (Const(c1), Const(c2)):
-            return c1 == c2
-        case (TypeKind(), TypeKind()):
+    cls = type(a)
+    if cls is type(b):
+        if cls is Apply:
+            return _conv(lib, a.fn, b.fn, cfg) and _conv(lib, a.arg, b.arg, cfg)
+        if cls is Const:
+            return a.ident == b.ident
+        if cls is Pi:
+            return _conv(lib, a.dom, b.dom, cfg) and _conv(lib, a.cod, b.cod, cfg)
+        if cls is Var:
+            return a.index == b.index
+        if cls is Lambda:
+            return _conv(lib, a.dom, b.dom, cfg) and _conv(lib, a.body, b.body, cfg)
+        if cls is TypeKind:
             return True
-        case (Apply(f1, a1), Apply(f2, a2)):
-            return _conv(lib, f1, f2, cfg) and _conv(lib, a1, a2, cfg)
-        case (Lambda(_, _, bd), _) if cfg.eta_enabled:
-            return _conv(lib, bd, Apply(shift(b, 1), Var(0)), cfg)
-        case (_, Lambda(_, _, bd)) if cfg.eta_enabled:
-            return _conv(lib, Apply(shift(a, 1), Var(0)), bd, cfg)
+        if cls is SubType:
+            return _conv(lib, a.base, b.base, cfg) and _conv(lib, a.pred, b.pred, cfg)
+        if cls is SubIn or cls is SubOut:
+            return _conv(lib, a.elem, b.elem, cfg)  # SubIn witnesses are irrelevant
+    elif cfg.eta_enabled:
+        if cls is Lambda:
+            return _conv(lib, a.body, Apply(shift(b, 1), Var(0)), cfg)
+        if type(b) is Lambda:
+            return _conv(lib, Apply(shift(a, 1), Var(0)), b.body, cfg)
     return False
 
 
@@ -901,57 +910,55 @@ def infer(
     The type of a closed application does not depend on `ctx`; it is
     memoized (see the module docstring).
     """
-    match t:
-        case Var(k):
-            return shift(ctx.lookup(k).tp, k + 1)
-        case Const(c):
-            d = lib.find_decl(c)
-            if d is None:
-                raise UnknownIdent(str(c))
-            if d.tp is not None:
-                return d.tp
-            return infer(lib, Context(), d.definiens, config)
-        case TypeKind():
-            raise NotTyped("the kind 'type' has no type")
-        case Apply(f, a):
-            closed = t.loose == 0
-            if closed:
-                memo = lib._infer_memo
-                hit = memo.get(id(t))
-                if hit is not None and (hit[1] is config or hit[1] == config):
-                    return hit[2]
-            ft = whnf(lib, infer(lib, ctx, f, config), config)
-            match ft:
-                case Pi(_, dom, cod):
-                    check(lib, ctx, a, dom, config)
-                    tp = substitute(cod, 0, a)
-                    if closed:
-                        memo[id(t)] = (t, config, tp)
-                    return tp
-                case _:
-                    raise NotAFunction(f"cannot apply a term of type {format_term(ft)}")
-        case Lambda(h, d, b):
-            bt = infer(lib, ctx.extend(h, d), b, config)
-            return Pi(h, d, bt)
-        case Pi(h, d, c):
-            sort = infer(lib, ctx.extend(h, d), c, config)
-            if not equal(lib, ctx, sort, TypeKind(), config):
-                raise Mismatch("Pi codomain is not a type")
-            return TypeKind()
-        case SubType(b, p):
-            if not equal(lib, ctx, infer(lib, ctx, b, config), TypeKind(), config):
-                raise Mismatch("subtype base is not a type")
-            check(lib, ctx, p, Pi("x", b, TypeKind()), config)
-            return TypeKind()
-        case SubIn(_, _):
-            raise NotTyped("subtype introduction needs an expected subtype")
-        case SubOut(e):
-            et = whnf(lib, infer(lib, ctx, e, config), config)
-            match et:
-                case SubType(base, _):
-                    return base
-                case _:
-                    raise Mismatch(f"SubOut of a non-subtype: {format_term(et)}")
+    cls = type(t)
+    if cls is Apply:
+        closed = t.loose == 0
+        if closed:
+            memo = lib._infer_memo
+            hit = memo.get(id(t))
+            if hit is not None and (hit[1] is config or hit[1] == config):
+                return hit[2]
+        ft = whnf(lib, infer(lib, ctx, t.fn, config), config)
+        if type(ft) is not Pi:
+            raise NotAFunction(f"cannot apply a term of type {format_term(ft)}")
+        check(lib, ctx, t.arg, ft.dom, config)
+        tp = substitute(ft.cod, 0, t.arg)
+        if closed:
+            memo[id(t)] = (t, config, tp)
+        return tp
+    if cls is Const:
+        d = lib.find_decl(t.ident)
+        if d is None:
+            raise UnknownIdent(str(t.ident))
+        if d.tp is not None:
+            return d.tp
+        return infer(lib, Context(), d.definiens, config)
+    if cls is Var:
+        k = t.index
+        return shift(ctx.lookup(k).tp, k + 1)
+    if cls is Pi:
+        sort = infer(lib, ctx.extend(t.hint, t.dom), t.cod, config)
+        if not equal(lib, ctx, sort, TypeKind(), config):
+            raise Mismatch("Pi codomain is not a type")
+        return TypeKind()
+    if cls is Lambda:
+        bt = infer(lib, ctx.extend(t.hint, t.dom), t.body, config)
+        return Pi(t.hint, t.dom, bt)
+    if cls is SubOut:
+        et = whnf(lib, infer(lib, ctx, t.elem, config), config)
+        if type(et) is not SubType:
+            raise Mismatch(f"SubOut of a non-subtype: {format_term(et)}")
+        return et.base
+    if cls is SubType:
+        b = t.base
+        if not equal(lib, ctx, infer(lib, ctx, b, config), TypeKind(), config):
+            raise Mismatch("subtype base is not a type")
+        check(lib, ctx, t.pred, Pi("x", b, TypeKind()), config)
+        return TypeKind()
+    if cls is TypeKind:
+        raise NotTyped("the kind 'type' has no type")
+    if cls is SubIn:
+        raise NotTyped("subtype introduction needs an expected subtype")
     raise NotTyped(f"cannot infer: {format_term(t)}")
 
 
@@ -964,18 +971,20 @@ def check(
 ) -> None:
     """Check `t` against `expected` (which must itself classify)."""
     exp = whnf(lib, expected, config)
-    match (t, exp):
-        case (Lambda(h, d, b), Pi(_, pd, pc)):
-            # annotation and expected domain must agree definitionally
-            if not equal(lib, ctx, d, pd, config):
-                q = clashing_names(d, pd)
-                raise Mismatch(f"lambda domain {format_term(d, q)} vs expected {format_term(pd, q)}")
-            check(lib, ctx.extend(h, pd), b, pc, config)
-            return
-        case (SubIn(e, w), SubType(base, pred)):
-            check(lib, ctx, e, base, config)
-            check(lib, ctx, w, whnf(lib, Apply(pred, e), config), config)
-            return
+    cls = type(t)
+    if cls is Lambda and type(exp) is Pi:
+        # annotation and expected domain must agree definitionally
+        d, pd = t.dom, exp.dom
+        if not equal(lib, ctx, d, pd, config):
+            q = clashing_names(d, pd)
+            raise Mismatch(f"lambda domain {format_term(d, q)} vs expected {format_term(pd, q)}")
+        check(lib, ctx.extend(t.hint, pd), t.body, exp.cod, config)
+        return
+    if cls is SubIn and type(exp) is SubType:
+        e = t.elem
+        check(lib, ctx, e, exp.base, config)
+        check(lib, ctx, t.witness, whnf(lib, Apply(exp.pred, e), config), config)
+        return
     actual = infer(lib, ctx, t, config)
     if equal(lib, ctx, actual, exp, config):
         return
@@ -994,14 +1003,15 @@ def check_kind(
     config: Config = DEFAULT_CONFIG,
 ) -> None:
     """Validate a kind: a Pi telescope of proper types ending in TypeKind."""
-    match k:
-        case TypeKind():
-            return
-        case Pi(h, d, c):
-            if not equal(lib, ctx, infer(lib, ctx, d, config), TypeKind(), config):
-                raise Mismatch(f"kind domain is not a type: {format_term(d)}")
-            check_kind(lib, ctx.extend(h, d), c, config)
-            return
+    cls = type(k)
+    if cls is TypeKind:
+        return
+    if cls is Pi:
+        d = k.dom
+        if not equal(lib, ctx, infer(lib, ctx, d, config), TypeKind(), config):
+            raise Mismatch(f"kind domain is not a type: {format_term(d)}")
+        check_kind(lib, ctx.extend(k.hint, d), k.cod, config)
+        return
     raise NotTyped(f"not a kind: {format_term(k)}")
 
 

@@ -962,6 +962,21 @@ def test_negative_env_budget_is_a_usage_error(capsys, monkeypatch):
     assert "--reduction-budget" in err and "'-5'" in err
 
 
+def test_empty_source_dir_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # an empty path is the current directory, here one holding a non-UTF-8 file
+    (tmp_path / "bad.bin").write_bytes(b"\xff\xfe c : bool\n")
+    (tmp_path / "src").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OAF_SOURCE_DIR", raising=False)
+    err = usage_error(capsys, "check", MINIMAL, "--source-dir", "")
+    assert "argument --source-dir: expected a directory path, got ''" in err
+    monkeypatch.setenv("OAF_SOURCE_DIR", "")
+    assert usage_error(capsys, "check", MINIMAL) == err
+    # an explicit flag still wins over the empty preset
+    code, out, err = run_cli(capsys, "check", MINIMAL, "--source-dir", "src")
+    assert (code, err) == (0, "") and out
+
+
 @pytest.mark.parametrize(
     "var, flag",
     [

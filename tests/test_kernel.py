@@ -479,8 +479,61 @@ def test_equal_reflexive_on_random_terms():
 
 def test_equal_eta():
     lam = Lambda("x", NAT, Apply(SUCC, Var(0)))
-    assert equal(EMPTY, CTX, lam, SUCC)
-    assert not equal(EMPTY, CTX, lam, SUCC, Config(eta_enabled=False))
+    for eta, expected in ((True, True), (False, False)):
+        cfg = Config(eta_enabled=eta)
+        assert equal(EMPTY, CTX, lam, SUCC, cfg) is expected
+        assert equal(EMPTY, CTX, SUCC, lam, cfg) is expected
+    # the expanded side may be a bound variable or sit behind a definiens
+    under_x = Lambda("y", NAT, Apply(Var(1), Var(0)))
+    assert equal(EMPTY, CTX, under_x, Var(0)) and equal(EMPTY, CTX, Var(0), under_x)
+    twice_eta = Lambda("f", fn_type(NAT, NAT), Apply(TWICE, Var(0)))
+    assert equal(BASE_LIB, CTX, TWICE, twice_eta) and equal(BASE_LIB, CTX, twice_eta, TWICE)
+    # eta is tried only when the two heads differ; a wrong body stays unequal
+    wrong = Lambda("x", NAT, Apply(SUCC, ZERO))
+    assert not equal(EMPTY, CTX, wrong, SUCC) and not equal(EMPTY, CTX, SUCC, wrong)
+
+
+def test_a_term_class_the_kernel_does_not_know_falls_through():
+    from proofport.importers import SMeta
+
+    hole = SMeta(0)
+    with pytest.raises(NotTyped, match=r"^cannot infer: SMeta\(var_id=0\)$"):
+        infer(BASE_LIB, CTX, hole)
+    with pytest.raises(NotTyped, match=r"^cannot infer: SMeta\(var_id=0\)$"):
+        check(BASE_LIB, CTX, hole, NAT)
+    with pytest.raises(NotTyped, match=r"^not a kind: SMeta\(var_id=0\)$"):
+        kernel.check_kind(BASE_LIB, CTX, hole)
+    assert whnf(BASE_LIB, hole) is hole
+    assert whnf(BASE_LIB, Apply(hole, ZERO)) == Apply(hole, ZERO)
+    assert equal(BASE_LIB, CTX, hole, SMeta(0))  # structurally equal
+    for other in (SMeta(1), ZERO, Var(0), TypeKind(), SubOut(hole), Apply(hole, ZERO)):
+        assert not equal(BASE_LIB, CTX, hole, other)
+        assert not equal(BASE_LIB, CTX, other, hole)
+    lam = Lambda("x", NAT, Apply(SUCC, Var(0)))
+    assert not equal(BASE_LIB, CTX, hole, lam) and not equal(BASE_LIB, CTX, lam, hole)
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_subout_of_subin_cancels_within_the_budget(budget):
+    cfg = Config(reduction_budget=budget)
+    cancel = SubOut(SubIn(ZERO, TT))
+    if budget == 0:
+        with pytest.raises(ReductionDepthExceeded, match="within 0 steps"):
+            whnf(EMPTY, cancel, cfg)
+    else:
+        assert whnf(EMPTY, cancel, cfg) == ZERO
+        assert equal(EMPTY, CTX, cancel, ZERO, cfg)
+    # two steps each: a beta step or a second cancellation first
+    for two in (SubOut(Apply(Lambda("x", NAT, SubIn(Var(0), TT)), ZERO)),
+                SubOut(SubOut(SubIn(SubIn(ZERO, TT), TT)))):
+        with pytest.raises(ReductionDepthExceeded):
+            whnf(EMPTY, two, cfg)
+        assert whnf(EMPTY, two, Config(reduction_budget=2)) == ZERO
+    # a SubIn reduces only under SubOut and a Lambda only under an argument,
+    # so these are stuck and cost no step
+    for stuck in (Apply(SubIn(ZERO, TT), ONE), SubOut(Lambda("x", NAT, Var(0))),
+                  Apply(SubOut(Lambda("x", NAT, Var(0))), ZERO), SubOut(ZERO)):
+        assert whnf(EMPTY, stuck, cfg) == stuck
 
 
 def test_equal_witness_irrelevance():
@@ -1171,6 +1224,30 @@ def test_records_keep_their_repr_match_args_equality_and_immutability():
     assert hash(SubOut(Var(1))) == hash((Var(1),)) and Apply(c, Var(0)) != SubIn(c, Var(0))
     lib = Library("ns", deps=(BASE_LIB,))
     assert lib == Library("ns") and hash(lib) == hash(Library("ns"))
+    # an Ident is a named tuple, not a Record: it is the tuple of its parts
+    i = Ident("ns", "m", "n")
+    assert not isinstance(i, kernel.Record) and isinstance(i, tuple)
+    assert i == ("ns", "m", "n") and hash(i) == hash(("ns", "m", "n"))
+    assert list(i) == ["ns", "m", "n"] and (i.namespace, i.module, i.name) == tuple(i)
+    assert i != ("ns", "m") and i != ["ns", "m", "n"] and i != "ns?m?n"
+    unsorted = [Ident("b", "a", "a"), Ident("a", "b", "c"), Ident("a", "b", "a")]
+    assert sorted(unsorted) == [unsorted[2], unsorted[1], unsorted[0]]
+    assert Ident("a", "b", "c") < ("a", "c", "a") and max(unsorted) is unsorted[0]
+    assert type(i._replace(name="o")) is Ident and i._make(("ns", "m", "o")) == i._replace(name="o")
+    for bad in (lambda: i._replace(name=""), lambda: Ident._make(("ns", "m?", "n"))):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_the_checker_dispatches_on_the_exact_class_and_idents_hash_as_tuples():
+    import dis
+
+    for fn in (whnf, kernel._conv, infer, check, kernel.check_kind):
+        ops = {ins.opname for ins in dis.get_instructions(fn)}
+        assert "MATCH_CLASS" not in ops, fn.__name__
+    assert Ident.__hash__ is tuple.__hash__ and Ident.__eq__ is tuple.__eq__
+    for parts in (("a", "b", "c"), ("lib://x", "m", "n")):
+        assert hash(Ident(*parts)) == hash(parts)
 
 
 def test_replace_rebuilds_through_the_constructor():
