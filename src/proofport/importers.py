@@ -145,12 +145,37 @@ class ExportDoc(Record):
 # toyhol JSON parsing
 
 
+# what XML 1.0 cannot carry: C0 controls but tab, LF and CR, lone surrogates, U+FFFE, U+FFFF
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _xml_str(v: str, path: str) -> str:
+    bad = _NOT_XML.search(v)
+    if bad:
+        raise SchemaViolation(path, f"character U+{ord(bad.group()):04X} is not allowed in XML")
+    return v
+
+
 def _get_str(obj: dict, key: str, path: str) -> str:
     v = obj.get(key)
+    where = f"{path}.{key}" if path else key
     if not isinstance(v, str) or not v:
-        message = "expected nonempty string" if key in obj else "missing"
-        raise SchemaViolation(f"{path}.{key}" if path else key, message)
-    return v
+        raise SchemaViolation(where, "expected nonempty string" if key in obj else "missing")
+    return _xml_str(v, where)
+
+
+def _get_names(obj: dict, key: str, path: str) -> tuple[str, ...]:
+    raw = obj.get(key, [])
+    if not isinstance(raw, list) or not all(isinstance(x, str) and x for x in raw):
+        raise SchemaViolation(f"{path}.{key}", "expected a list of names")
+    return tuple(_xml_str(x, f"{path}.{key}[{k}]") for k, x in enumerate(raw))
+
+
+def _get_note(obj: dict, key: str, path: str) -> Optional[str]:
+    v = obj.get(key)
+    if v is not None and not isinstance(v, str):
+        raise SchemaViolation(f"{path}.{key}", "expected a string")
+    return v if v is None else _xml_str(v, f"{path}.{key}")
 
 
 def _check_surface_type(obj, path: str):
@@ -159,7 +184,7 @@ def _check_surface_type(obj, path: str):
     if isinstance(obj, str):
         if not obj:
             raise SchemaViolation(path, "empty type name")
-        return obj
+        return _xml_str(obj, path)
     if isinstance(obj, dict):
         check_keys(obj, path, (), ("arrow",), "field")
         arrow = obj.get("arrow")
@@ -254,18 +279,10 @@ def _parse_toyhol_decl(obj, path: str) -> DeclRecord:
     if "deps" in obj:
         if kind != "theorem":
             raise SchemaViolation(f"{path}.deps", f"not allowed for kind {kind!r}")
-        raw = obj["deps"]
-        if not isinstance(raw, list) or not all(isinstance(d, str) and d for d in raw):
-            raise SchemaViolation(f"{path}.deps", "expected a list of names")
-        deps = tuple(raw)
+        deps = _get_names(obj, "deps", path)
 
     src = _parse_src(obj["src"], f"{path}.src") if "src" in obj else None
-    notation = obj.get("notation")
-    if notation is not None and not isinstance(notation, str):
-        raise SchemaViolation(f"{path}.notation", "expected a string")
-    comment = obj.get("comment")
-    if comment is not None and not isinstance(comment, str):
-        raise SchemaViolation(f"{path}.comment", "expected a string")
+    notation, comment = _get_note(obj, "notation", path), _get_note(obj, "comment", path)
     return DeclRecord(kind, name, tp, definiens, deps, src, notation, comment)
 
 
@@ -306,15 +323,11 @@ def _toyhol_theories(raw: list):
             raise SchemaViolation(path, "expected an object")
         check_keys(th, path, (), ("name", "decls", "includes"), "field")
         name = _get_str(th, "name", path)
-        includes = th.get("includes", [])
-        if not isinstance(includes, list) or not all(
-            isinstance(x, str) and x for x in includes
-        ):
-            raise SchemaViolation(f"{path}.includes", "expected a list of names")
+        includes = _get_names(th, "includes", path)
         decls = th.get("decls")
         if not isinstance(decls, list):
             raise SchemaViolation(f"{path}.decls", "missing or not a list")
-        yield path, name, tuple(includes), [(f"{path}.decls[{j}]", d) for j, d in enumerate(decls)]
+        yield path, name, includes, [(f"{path}.decls[{j}]", d) for j, d in enumerate(decls)]
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

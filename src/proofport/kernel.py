@@ -562,7 +562,8 @@ def _index(items: Iterable, what: str) -> dict[Ident, object]:
 
 
 class Theory(Record):
-    """Declarations under one theory name; no two share a name."""
+    """Declarations under one theory name; no two share a name, and each
+    names this theory: theory `ns?T?T` holds `ns?T?x` and no `ns?U?x`."""
 
     __match_args__ = _fields = ("name", "meta_theory", "includes", "decls")
 
@@ -575,6 +576,9 @@ class Theory(Record):
         _set(self, "includes", tuple(includes))
         _set(self, "decls", tuple(decls))
         _set(self, "_decl_index", _index(self.decls, "declaration"))
+        for d in self.decls:
+            if d.name[:2] != name[:2]:
+                raise ValueError(f"declaration {d.name} is not named in theory {name}")
 
 
 class Library(Record):
@@ -584,11 +588,11 @@ class Library(Record):
     for identifier resolution; it is not part of the library's value and
     is left out of equality and repr.
 
-    No two of a library's own theories share a name. Across libraries,
-    lookups scan `libraries()` in order and the first match wins. A
-    library, its theories and their tuples are frozen, so the scan order
-    of its dependencies is kept as a tuple and every `find_decl` answer,
-    a miss included, is memoized on the library asked.
+    No two of a library's own theories share a name. Every lookup reads
+    one table of theories or one of morphisms, each built on its first
+    lookup from `libraries()` in order: a theory counts only in a library
+    of its own namespace, and the first of a name wins. A library, its
+    theories and their tuples are frozen, so the tables stay true.
     """
 
     __match_args__ = ("namespace", "theories", "morphisms", "deps")
@@ -603,10 +607,10 @@ class Library(Record):
         _set(self, "theories", tuple(theories))
         _set(self, "morphisms", tuple(morphisms))
         _set(self, "deps", tuple(deps))
-        _set(self, "_theory_index", _index(self.theories, "theory"))
+        _index(self.theories, "theory")
 
     def libraries(self) -> Iterator["Library"]:
-        """This library and its registered dependencies, cycle-safe."""
+        """This library and its registered dependencies, each once."""
         seen: set[int] = set()
         stack: list[Library] = [self]
         while stack:
@@ -618,40 +622,36 @@ class Library(Record):
             stack.extend(lib.deps)
 
     @cached_property
-    def _dep_scan(self) -> tuple["Library", ...]:
-        return tuple(self.libraries())[1:]
+    def _theories(self) -> dict[Ident, Theory]:
+        table: dict[Ident, Theory] = {}
+        for lib in self.libraries():
+            for th in lib.theories:
+                if th.name.namespace == lib.namespace:
+                    table.setdefault(th.name, th)
+        return table
 
     @cached_property
-    def _decl_memo(self) -> dict[Ident, Optional[Declaration]]:
-        return {}
+    def _morphisms(self) -> dict[Ident, object]:
+        table: dict[Ident, object] = {}
+        for lib in self.libraries():
+            for m in lib.morphisms:
+                table.setdefault(m.name, m)
+        return table
 
     @cached_property
     def _infer_memo(self) -> dict[int, tuple[Term, Config, Term]]:
         return {}
 
     def find_theory(self, ident: Ident) -> Optional[Theory]:
-        for lib in (self, *self._dep_scan):
-            if lib.namespace == ident.namespace:
-                th = lib._theory_index.get(ident)
-                if th is not None:
-                    return th
-        return None
+        return self._theories.get(ident)
 
     def find_decl(self, ident: Ident) -> Optional[Declaration]:
-        memo = self._decl_memo
-        try:
-            return memo[ident]
-        except KeyError:
-            th = self.find_theory(theory_ident(ident.namespace, ident.module))
-            d = memo[ident] = None if th is None else th._decl_index.get(ident)
-            return d
+        ns, module, _ = ident  # names its theory `ns?module?module`, see Theory
+        th = self._theories.get((ns, module, module))
+        return None if th is None else th._decl_index.get(ident)
 
     def find_morphism(self, ident: Ident):
-        for lib in (self, *self._dep_scan):
-            for m in lib.morphisms:
-                if m.name == ident:
-                    return m
-        return None
+        return self._morphisms.get(ident)
 
 
 class Config(Record):
@@ -1146,8 +1146,8 @@ class Scope:
 
     The visible set of the theory's include closure and meta-theory chain
     is computed once. `add` appends declarations to `decls`, `visible` and
-    `index`, which `find_decl` consults before the library: the added
-    declarations it would look up in this theory. `row` is set when an
+    `index`, which `find_decl` consults before the library; each names
+    this theory, as a Theory's declarations do. `row` is set when an
     include does not resolve; it is then the one row a full check gives.
     The checker takes a Scope wherever it takes a Library, and `infer`
     keeps its memo on the Scope as on a Library.
@@ -1171,24 +1171,26 @@ class Scope:
     def add(self, decls: Iterable[Declaration]) -> Callable[[], None]:
         """Append `decls`; returns the undo of this add, valid while it is the last.
 
-        A name the theory sees already, or one repeated in `decls`, is a
-        CheckError, raised before anything changes.
+        A name the theory sees already, one repeated in `decls`, or one
+        that does not name this theory (see `Theory`) is a CheckError,
+        raised before anything changes.
         """
-        decls, names = tuple(decls), set()
+        decls, names, th = tuple(decls), set(), self.theory.name
         for d in decls:
             if d.name in self.visible or d.name in names:
                 raise CheckError(f"duplicate declaration {d.name}")
+            if d.name[:2] != th[:2]:
+                raise CheckError(f"declaration {d.name} is not named in theory {th}")
             names.add(d.name)
-        th, size = self.theory.name, len(self.decls)
+        size = len(self.decls)
         self.decls.extend(decls)
         self.visible.update(names)
-        mine = {d.name: d for d in decls if theory_ident(d.name.namespace, d.name.module) == th}
-        self.index.update(mine)
+        self.index.update((d.name, d) for d in decls)
 
         def undo() -> None:
             del self.decls[size:]
             self.visible.difference_update(names)
-            for n in mine:
+            for n in names:
                 del self.index[n]
             self._infer_memo.clear()
 

@@ -75,9 +75,12 @@ def iri_of(ident: Ident) -> str:
 
 def ident_of_iri(iri: str) -> Ident:
     parts = iri.split("?")
-    if len(parts) != 3:
-        raise UnknownIdent(f"not a library identifier: {iri}")
-    return Ident(*(_decode_component(p) for p in parts))
+    try:
+        if len(parts) == 3:
+            return Ident(*(_decode_component(p) for p in parts))
+    except ValueError:  # a bad escape (UnicodeError) or a component Ident refuses
+        pass
+    raise UnknownIdent(f"not a library identifier: {iri}")
 
 
 class RdfTriple(NamedTuple):
@@ -98,18 +101,16 @@ class TripleStore:
     """
 
     def __init__(self, triples: Iterable[RdfTriple] = ()):
-        self._order: list[RdfTriple] = []
-        self._members: set[RdfTriple] = set()
+        self._triples: dict[RdfTriple, None] = {}  # an insertion-ordered set
         self._by_subject: dict[str, list[RdfTriple]] = {}
         self._by_object: dict[str, list[RdfTriple]] = {}
         for t in triples:
             self.add(t)
 
     def add(self, t: RdfTriple) -> bool:
-        if t in self._members:
+        if t in self._triples:
             return False
-        self._members.add(t)
-        self._order.append(t)
+        self._triples[t] = None
         self._by_subject.setdefault(t.subject, []).append(t)
         if not t.literal:
             self._by_object.setdefault(t.obj, []).append(t)
@@ -123,24 +124,24 @@ class TripleStore:
 
     @property
     def triples(self) -> tuple[RdfTriple, ...]:
-        return tuple(self._order)
+        return tuple(self._triples)
 
     def __iter__(self) -> Iterator[RdfTriple]:
-        return iter(self._order)
+        return iter(self._triples)
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._triples)
 
     def __contains__(self, t: RdfTriple) -> bool:
-        return t in self._members
+        return t in self._triples
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):
             return NotImplemented
-        return self._members == other._members
+        return self._triples.keys() == other._triples.keys()
 
     def __repr__(self) -> str:
-        return f"TripleStore({len(self._order)} triples)"
+        return f"TripleStore({len(self._triples)} triples)"
 
 
 # ---------------------------------------------------------------------------
@@ -196,28 +197,26 @@ def extract_triples(
 # queries
 
 
-# The queries read the store's index lists in place; `with_subject` and
-# `with_object` would copy each into a tuple.
-
-
-def _known(store: TripleStore, iri: str) -> bool:
-    return iri in store._by_subject or iri in store._by_object
+def _walk(store: TripleStore, ident: Ident, forward: bool) -> set[str]:
+    """`ident`'s IRI and every IRI that uses and justifiedBy edges reach
+    from it, each edge followed from subject to object if `forward`, else
+    from object to subject."""
+    start = iri_of(ident)
+    if start not in store._by_subject and start not in store._by_object:
+        raise UnknownIdent(str(ident))
+    edges, end = (store._by_subject, 2) if forward else (store._by_object, 0)
+    seen, frontier = {start}, [start]
+    while frontier:
+        for t in edges.get(frontier.pop(), ()):
+            if t.predicate in _EDGE_PREDICATES and t[end] not in seen:
+                seen.add(t[end])
+                frontier.append(t[end])
+    return seen
 
 
 def transitive_uses(store: TripleStore, ident: Ident) -> set[Ident]:
     """Reflexive-transitive closure over uses and justifiedBy edges."""
-    start = iri_of(ident)
-    if not _known(store, start):
-        raise UnknownIdent(str(ident))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for t in store._by_subject.get(cur, ()):
-            if t.predicate in _EDGE_PREDICATES and t.obj not in seen:
-                seen.add(t.obj)
-                frontier.append(t.obj)
-    return {ident_of_iri(iri) for iri in seen}
+    return {ident_of_iri(iri) for iri in _walk(store, ident, True)}
 
 
 def used_by(
@@ -228,27 +227,9 @@ def used_by(
     The concept itself never counts as its own user; with a kind
     filter, only subjects declared with that kind survive.
     """
-    start = iri_of(concept)
-    if not _known(store, start):
-        raise UnknownIdent(str(concept))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for t in store._by_object.get(cur, ()):
-            if t.predicate in _EDGE_PREDICATES and t.subject not in seen:
-                seen.add(t.subject)
-                frontier.append(t.subject)
-    seen.discard(start)
+    seen = _walk(store, concept, False) - {iri_of(concept)}
     if kind_filter is not None:
-        seen = {
-            iri
-            for iri in seen
-            if any(
-                t.predicate == ULO_KIND and t.literal and t.obj == kind_filter
-                for t in store._by_subject.get(iri, ())
-            )
-        }
+        seen = {iri for iri in seen if RdfTriple(iri, ULO_KIND, kind_filter, True) in store}
     return {ident_of_iri(iri) for iri in seen}
 
 

@@ -277,6 +277,77 @@ def test_a_separator_in_a_name_or_a_repeated_dependency_is_exit_2(tmp_path, caps
     assert (code, out, err) == (2, "", f"error: {where}\n")
 
 
+def _every_string_doc() -> dict:
+    """A toyhol document that imports cleanly and writes each kind of string the reader keeps."""
+    eq_cc = {"app": [{"app": [{"name": "eq"}, {"name": "c"}]}, {"name": "c"}]}
+    return {"version": "1", "theories": [
+        {"name": "b", "decls": [{"kind": "type", "name": "i"}]},
+        {"name": "t", "includes": ["b"], "decls": [
+            {"kind": "constant", "name": "c", "type": "i", "notation": "c", "comment": "an i",
+             "src": {"file": "t.hol", "line": 1, "col": 1}},
+            {"kind": "definition", "name": "f",
+             "definiens": {"abs": {"var": "x", "annot": "i", "body": {"name": "x"}}}},
+            {"kind": "axiom", "name": "a", "type": eq_cc},
+            {"kind": "theorem", "name": "p", "type": eq_cc, "deps": ["a"]},
+        ]},
+    ]}
+
+
+# each kind of string the toyhol reader keeps, by its keys in the document
+_STRING_SITES = {
+    "theory": ("theories", 1, "name"),
+    "include": ("theories", 1, "includes", 0),
+    "decl": ("theories", 1, "decls", 0, "name"),
+    "type": ("theories", 1, "decls", 0, "type"),
+    "annot": ("theories", 1, "decls", 1, "definiens", "abs", "annot"),
+    "var": ("theories", 1, "decls", 1, "definiens", "abs", "var"),
+    "term": ("theories", 1, "decls", 2, "type", "app", 1, "name"),
+    "deps": ("theories", 1, "decls", 3, "deps", 0),
+    "file": ("theories", 1, "decls", 0, "src", "file"),
+    "notation": ("theories", 1, "decls", 0, "notation"),
+    "comment": ("theories", 1, "decls", 0, "comment"),
+}
+
+
+@pytest.mark.parametrize("char", ["\x01", "\ud800"], ids=["control", "surrogate"])
+@pytest.mark.parametrize("site", _STRING_SITES)
+def test_a_toyhol_string_xml_cannot_carry_is_exit_2_at_its_path(tmp_path, capsys, site, char):
+    doc = tmp_path / "s.toyhol.json"
+    raw = _every_string_doc()
+    doc.write_text(json.dumps(raw))
+    assert run_cli(capsys, "check", str(doc))[0] == 0
+    *keys, last = _STRING_SITES[site]
+    holder = raw
+    for k in keys:
+        holder = holder[k]
+    holder[last] += char
+    doc.write_text(json.dumps(raw))  # ASCII: JSON escapes the character
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in _STRING_SITES[site])[1:]
+    message = f"error: {where}: character U+{ord(char):04X} is not allowed in XML\n"
+    for command in ("check", "export-omdoc", "export-rdf", "stats"):
+        out_file = tmp_path / ("out.nt" if command == "export-rdf" else "out.omdoc.xml")
+        args = ("--output", str(out_file)) if command.startswith("export") else ()
+        assert run_cli(capsys, command, str(doc), *args) == (2, "", message)
+        assert not out_file.exists()
+
+
+def test_an_astral_character_goes_through_export_omdoc_unchanged(tmp_path, capsys):
+    raw = _every_string_doc()
+    decl = raw["theories"][1]["decls"][0]
+    for key in ("notation", "comment"):
+        decl[key] += "\U0001F600"
+    decl["src"]["file"] = "\U0001F600.hol"
+    raw["theories"][0]["decls"].append({"kind": "type", "name": "j\U0001F600"})
+    doc = tmp_path / "astral.toyhol.json"
+    doc.write_text(json.dumps(raw))
+    assert "\\ud83d\\ude00" in doc.read_text()  # an escaped surrogate pair
+    first, second = tmp_path / "a.omdoc.xml", tmp_path / "b.omdoc.xml"
+    assert run_cli(capsys, "export-omdoc", str(doc), "--output", str(first))[0] == 0
+    assert run_cli(capsys, "export-omdoc", str(first), "--output", str(second))[0] == 0
+    assert "\U0001F600" in first.read_text(encoding="utf-8")
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_a_pvar_arity_above_the_depth_limit_is_exit_2(tmp_path, capsys):
     def scheme(arity):
         args = '<const name="c"/>' * arity

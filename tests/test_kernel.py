@@ -30,6 +30,8 @@ from generators import (
     gen_typed_closed,
     mutate_hints,
 )
+from test_morphisms import ALGEBRA, TO_INT
+
 from proofport import kernel, omdoc
 from proofport.errors import (
     CheckError,
@@ -83,6 +85,7 @@ from proofport.kernel import (
     theory_ident,
     whnf,
 )
+from proofport.morphisms import Morphism, install_morphism
 
 EMPTY = Library("lib://empty")
 CTX = Context()
@@ -945,14 +948,21 @@ def test_lookups_return_the_first_match_in_scan_order(monkeypatch):
     dep_t = Theory(t, decls=(decl("t", "ghost", "only in the shadowed theory"),))
     dep_u = Theory(u, decls=(decl("u", "q", "only in a dependency"),))
     w_early, w_late = Theory(w), Theory(w, decls=(decl("w", "r", "late"),))
+    m_early, m_late = (Morphism(Ident(ns, "m", "f"), x, x) for x in (u, w))
     elsewhere = Library("lib://elsewhere", (Theory(theory_ident(ns, "v")),))
     lib = Library(
         ns,
         (main_t,),
-        deps=(Library(ns, (w_late,)), Library(ns, (dep_t, dep_u, w_early)), elsewhere),
+        deps=(
+            Library(ns, (w_late,), (m_late,)),
+            Library(ns, (dep_t, dep_u, w_early), (m_early,)),
+            elsewhere,
+        ),
     )
     # libraries() pops its stack, so the last dependency is scanned first
     assert [len(x.theories) for x in lib.libraries()] == [1, 1, 3, 1]
+    assert lib.find_morphism(m_early.name) is m_early
+    assert lib.find_morphism(Ident(ns, "m", "g")) is None
     assert lib.find_theory(t) is main_t
     assert lib.find_decl(first.name) is first
     assert lib.find_decl(Ident(ns, "t", "ghost")) is None
@@ -964,8 +974,8 @@ def test_lookups_return_the_first_match_in_scan_order(monkeypatch):
     assert lib.find_theory(theory_ident(ns, "absent")) is None
     assert lib.find_decl(Ident(ns, "absent", "p")) is None
 
-    # every answer, hits and misses, equals an uncached scan, also once
-    # the memo is warm; then find_decl no longer looks for theories
+    # every answer, hits and misses, equals a plain scan, also once the
+    # tables are built; find_decl reads them and never calls find_theory
     probes = [d.name for x in lib.libraries() for th in x.theories for d in th.decls]
     probes += [Ident(ns, "absent", "p"), Ident(ns, "t", "nothing"), Ident(ns, "v", "p")]
     for _ in range(2):
@@ -1025,6 +1035,44 @@ def test_scope_add_refuses_a_repeated_name_and_changes_nothing():
     assert scope.row is not None
     with pytest.raises(CheckError, match="duplicate declaration"):
         scope.add(broken.decls[1:])
+
+
+def test_a_declaration_names_its_theory():
+    ns = "lib://home"
+    t = theory_ident(ns, "t")
+    own = Declaration(Ident(ns, "t", "x"), tp=TypeKind(), meta=Metadata(kind="type"))
+    strays = (Ident(ns, "u", "x"), Ident("lib://away", "t", "x"), Ident(ns, "tt", "t"))
+    for stray in strays:
+        with pytest.raises(ValueError, match=re.escape(
+            f"declaration {stray} is not named in theory {t}"
+        )):
+            Theory(t, decls=(own, replace(own, name=stray)))
+    # a Scope refuses one before anything changes, its well-named batch-mates included
+    base = _tiny_theory(ns, "b", ntypes=1)
+    whole = Scope(Library(ns, (base, _tiny_theory(ns, "t", includes=("b",), ntypes=2))), t)
+    broken = Scope(Library(ns, (_tiny_theory(ns, "t", includes=("absent",)),)), t)
+    assert broken.row is not None
+    for scope in (whole, broken):
+        scope.add((own,))
+        before = _scope_state(scope)
+        for stray in strays:
+            batch = (replace(own, name=Ident(ns, "t", "y")), replace(own, name=stray))
+            with pytest.raises(CheckError, match=re.escape(
+                f"declaration {stray} is not named in theory {t}"
+            )):
+                scope.add(batch)
+            assert _scope_state(scope) == before
+            assert scope.find_decl(Ident(ns, "t", "y")) is None
+
+
+def test_installed_morphisms_and_pattern_expansions_name_their_theories():
+    installed = install_morphism(ALGEBRA, TO_INT)
+    sets = _fixture_libraries()[2]
+    expanded = [d for th in sets.theories for d in th.decls if d.meta.kind == "patternInstance"]
+    assert installed.decls and expanded
+    for th in (installed, *sets.theories):
+        assert all(d.name[:2] == th.name[:2] for d in th.decls)
+    assert all(sets.find_decl(d.name) is d for d in expanded)
 
 
 def test_infer_forgets_a_declaration_whose_add_was_undone():

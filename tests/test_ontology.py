@@ -250,7 +250,8 @@ def test_one_uses_triple_per_distinct_constant_in_first_occurrence_order():
 
 
 def test_includes_and_meta_theory_triples():
-    t0 = Theory(theory_ident(NS, "t0"), decls=(_decl("x"),))
+    x = Declaration(Ident(NS, "t0", "x"), tp=TypeKind(), meta=Metadata(kind="constant"))
+    t0 = Theory(theory_ident(NS, "t0"), decls=(x,))
     t1 = Theory(
         theory_ident(NS, "t1"),
         meta_theory=theory_ident("lib://logics", "holChurch"),
@@ -319,6 +320,19 @@ def test_decoding_leaves_plain_ascii_alone_and_refuses_raw_non_ascii():
 def test_non_identifier_iri_is_rejected():
     with pytest.raises(UnknownIdent):
         ident_of_iri("http://example.org/flat")
+
+
+@pytest.mark.parametrize("iri", ["a?b?%C3", "a??c", "a?b?%3F", "a?b?λ"],
+                         ids=["truncated-utf8", "empty", "escaped-separator", "raw"])
+def test_an_iri_that_names_no_identifier_is_unknown_ident(iri):
+    with pytest.raises(UnknownIdent, match=re.escape(f"not a library identifier: {iri}")):
+        ident_of_iri(iri)
+    if not iri.isascii():  # N-Triples are ASCII
+        return
+    # nor does a query that reaches such an object end in another error
+    store = read_ntriples(f"<a?b?c> <{ULO_USES}> <{iri}> .\n".encode("ascii"))
+    with pytest.raises(UnknownIdent, match="not a library identifier"):
+        transitive_uses(store, Ident("a", "b", "c"))
 
 
 # ---------------------------------------------------------------------------
