@@ -3,14 +3,18 @@
 Every command reads one input file, writes machine-parsable
 tab-separated lines to stdout, and exits 0 on success, 1 on semantic
 check failures, 2 on format errors and unresolved command-line names.
-Flags can be preset via environment variables prefixed OAF_ (OAF_FORMAT,
-OAF_ETA_ENABLED, OAF_INCLUDE_PROOF_USES, OAF_REDUCTION_BUDGET,
-OAF_SOURCE_DIR, OAF_ALLOW_EMPTY); explicit flags win.
 
-`build_parser` declares every option and every command once: each
-subcommand's parser stores its runner as `runner`. `parse_cli` returns the
-parsed arguments with the checker settings attached as one `Config` in
-`checker`, and each runner reads only the options its own subcommand defines.
+`COMMANDS` is the command line's one table: each `Command` has its runner
+and its `Option`s, and each option its dest, converter, OAF_* preset
+variable, default, required flag and help string. The presets are
+OAF_FORMAT, OAF_ETA_ENABLED, OAF_INCLUDE_PROOF_USES, OAF_REDUCTION_BUDGET,
+OAF_SOURCE_DIR and OAF_ALLOW_EMPTY; a preset is read only when its flag is
+absent, so explicit flags win. `parse_cli` reads `argv` against the table in
+one pass, with argparse's syntax: options anywhere after the command, as
+`--opt value` or `--opt=value`, a unique prefix for a flag, `--` to end the
+options, and the last of a repeated option. It returns a namespace that
+carries the command's `runner` and its checker settings as one `Config` in
+`checker`; each runner reads only the options its own command defines.
 
 Every command runs with the cyclic garbage collector paused, because the
 pipeline makes no reference cycles; `main` then restores the caller's
@@ -19,12 +23,12 @@ setting. The collector would only rescan a heap that grows all along.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Optional, TextIO
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, NoReturn, Optional, TextIO
 
 from . import omdoc
 from .errors import (
@@ -74,22 +78,31 @@ PROOF_STYLES = ("omitted", "dependsOn", "term")
 # argument handling
 
 
-def _format(text: str) -> str:
-    if text not in FORMATS:
-        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {FORMATS})")
-    return text
+class _UsageError(Exception):
+    """A command line the table rejects; `parse_cli` prints it and exits 2."""
+
+
+def _choice(choices: tuple[str, ...], listed: str) -> Callable[[str], str]:
+    """A converter that accepts only `choices`; `listed` spells them in its message."""
+
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"invalid choice: {text!r} (choose from {listed})")
+        return text
+
+    return convert
 
 
 def _budget(text: str) -> int:
     if not text.strip().removeprefix("+").isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+        raise ValueError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 
 
 def _source_dir(text: str) -> str:
     # an empty path would be the current directory
     if not text:
-        raise argparse.ArgumentTypeError("expected a directory path, got ''")
+        raise ValueError("expected a directory path, got ''")
     return text
 
 
@@ -99,94 +112,221 @@ _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 def _boolean(text: str) -> bool:
     value = text.strip().lower()
     if value not in _TRUE + _FALSE:
-        raise argparse.ArgumentTypeError(f"expected one of {'/'.join(_TRUE + _FALSE)}, got {text!r}")
+        raise ValueError(f"expected one of {'/'.join(_TRUE + _FALSE)}, got {text!r}")
     return value in _TRUE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("input", help="input file path")
-    # An OAF_* value is a string default, which argparse converts with
-    # `type` as it does a command-line value. BooleanOptionalAction never
-    # converts its own flag, so its `type` is set afterwards.
-    common.add_argument(
-        "--format",
-        choices=FORMATS,
-        type=_format,
-        default=os.environ.get("OAF_FORMAT"),
-        help="input format; inferred from the file suffix when omitted",
-    )
-    common.add_argument(
-        "--eta",
-        action=argparse.BooleanOptionalAction,
-        default=os.environ.get("OAF_ETA_ENABLED", True),
-        help="enable eta in definitional equality",
-    ).type = _boolean
-    common.add_argument(
-        "--include-proof-uses",
-        action=argparse.BooleanOptionalAction,
-        default=os.environ.get("OAF_INCLUDE_PROOF_USES", False),
-        help="count constants inside proof terms as uses",
-    ).type = _boolean
-    common.add_argument(
-        "--reduction-budget",
-        type=_budget,
-        default=os.environ.get("OAF_REDUCTION_BUDGET", DEFAULT_CONFIG.reduction_budget),
-        help="reduction step budget",
-    )
-    common.add_argument(
-        "--source-dir",
-        type=_source_dir,
-        default=os.environ.get("OAF_SOURCE_DIR"),
-        help="directory of source files for reference recovery on import",
-    )
-    common.add_argument(
-        "--allow-empty",
-        action=argparse.BooleanOptionalAction,
-        default=os.environ.get("OAF_ALLOW_EMPTY", False),
-        help="accept nonempty input that yields zero declarations",
-    ).type = _boolean
+class Option:
+    """One row of the table: the positional `input`, a `--flag VALUE`, a
+    switch (`--flag`/`--no-flag`) or a bare `--flag`.
 
-    parser = argparse.ArgumentParser(
-        prog="proofport", description="proof library interchange pipeline"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    `convert` turns a value into the setting stored as `dest`, raising
+    ValueError with the reason for a bad one. A switch's `convert` reads only
+    its `env` preset; a bare flag has none. An option absent from the command
+    line takes its preset, converted, when `env` is set, else its `default`.
+    """
 
-    def command(name: str, runner: Callable[[argparse.Namespace, TextIO], int], help: str):
-        """A subcommand with the common options; its parsed arguments carry `runner`."""
-        p = sub.add_parser(name, parents=[common], help=help)
-        p.set_defaults(runner=runner)
-        return p
+    __slots__ = ("flag", "dest", "name", "help", "convert", "env", "default", "required", "switch")
 
-    command("check", run_check, "kernel-check every theory")
-    p = command("import", run_import, "import and report, optionally write omdoc")
-    p.add_argument("--output", help="optional omdoc output path")
-    p = command("export-omdoc", run_export_omdoc, "write the library as omdoc XML")
-    p.add_argument("--output", required=True, help="output file path")
-    p = command("export-rdf", run_export_rdf, "write the library as N-Triples")
-    p.add_argument("--output", required=True, help="output file path")
-    p.add_argument(
-        "--skip-check",
-        action="store_true",
-        help="record checkStatus=unchecked instead of checking first",
-    )
-    for name, runner in (("deps", run_deps), ("used-by", run_used_by)):
-        p = command(name, runner, f"{name} query over the dependency graph")
-        p.add_argument("--ident", required=True, help="full identifier ns?module?name")
-        if runner is run_used_by:
-            p.add_argument(
-                "--kind", choices=KINDS, help="restrict results to this declaration kind"
-            )
-    p = command("translate", run_translate, "translate a statement along a morphism")
-    p.add_argument("--morphism", required=True, help="full morphism identifier")
-    p.add_argument("--theorem", required=True, help="full statement identifier")
-    command("stats", run_stats, "print library statistics")
-    return parser
+    def __init__(self, flag: str, help: str, convert: Optional[Callable[[str], Any]] = str,
+                 env: Optional[str] = None, default: Any = None, required: bool = False,
+                 switch: bool = False) -> None:
+        self.flag, self.help, self.convert, self.env = flag, help, convert, env
+        self.default, self.required, self.switch = default, required, switch
+        self.dest = flag.lstrip("-").replace("-", "_")
+        # what error messages call the option
+        self.name = f"{flag}/--no-{flag[2:]}" if switch else flag
+
+    def read(self, text: str) -> Any:
+        try:
+            return self.convert(text)
+        except ValueError as err:
+            raise _UsageError(f"argument {self.name}: {err}") from None
 
 
-def parse_cli(argv: list[str]) -> argparse.Namespace:
-    """The parsed arguments, plus the checker settings as one `Config` in `checker`."""
-    args = build_parser().parse_args(argv)
+_HELP = (None, None)  # what -h and --help name in a table of flags
+
+# The options of every command: the input and how it is read.
+_INPUT_OPTIONS = (
+    Option("input", "input file path", required=True),
+    Option("--format", "input format: " + ", ".join(FORMATS) + "; inferred from the "
+           "file suffix when omitted", _choice(FORMATS, str(FORMATS)), "OAF_FORMAT"),
+    Option("--eta", "enable eta in definitional equality", _boolean, "OAF_ETA_ENABLED",
+           True, switch=True),
+    Option("--include-proof-uses", "count constants inside proof terms as uses", _boolean,
+           "OAF_INCLUDE_PROOF_USES", False, switch=True),
+    Option("--reduction-budget", "reduction step budget", _budget, "OAF_REDUCTION_BUDGET",
+           DEFAULT_CONFIG.reduction_budget),
+    Option("--source-dir", "directory of source files for reference recovery on import",
+           _source_dir, "OAF_SOURCE_DIR"),
+    Option("--allow-empty", "accept nonempty input that yields zero declarations", _boolean,
+           "OAF_ALLOW_EMPTY", False, switch=True),
+)
+
+
+class Command:
+    """One command: its name, its runner, a help line and its options.
+
+    `flags` maps each spelling of an option to the option and the value that
+    spelling sets, None where it reads one; -h and --help map to `_HELP`.
+    """
+
+    __slots__ = ("name", "runner", "help", "options", "flags")
+
+    def __init__(self, name: str, runner: Callable[[SimpleNamespace, TextIO], int], help: str,
+                 *options: Option) -> None:
+        self.name, self.runner, self.help = name, runner, help
+        self.options = _INPUT_OPTIONS + options
+        self.flags: dict[str, tuple] = {"-h": _HELP, "--help": _HELP}
+        for opt in self.options:
+            if opt.switch:
+                self.flags[opt.flag] = (opt, True)
+                self.flags[f"--no-{opt.flag[2:]}"] = (opt, False)
+            elif opt.flag.startswith("-"):
+                self.flags[opt.flag] = (opt, True if opt.convert is None else None)
+
+
+def _option(flags: dict[str, tuple], token: str) -> Optional[tuple[Optional[str], Optional[str]]]:
+    """The flag `token` spells and its `=` value, or None when `token` is a
+    value; the flag is None for an option not in `flags`.
+
+    As argparse reads a token: a unique prefix names a flag, and a token
+    that starts with `-` is a value only when it is `-` alone, looks like a
+    negative number or holds a space.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token[1] == "-":
+        found = [flag for flag in flags if flag.startswith(name)]
+        if len(found) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif token.startswith("-h"):  # -h, then the rest as more one-letter flags: -hh is -h -h
+        return "-h", token[1:].lstrip("h") or None
+    whole, dot, fraction = token[1:].partition(".")
+    negative = fraction.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+    return None if negative or " " in token else (None, None)
+
+
+def _help(command: Optional[Command], explicit: Optional[str], rest: Iterable[str] = ()) -> NoReturn:
+    """Print the help of `command`, or of the program when None, and exit 0;
+    an ambiguous prefix in the `rest` of the options still fails first."""
+    if explicit is not None:
+        raise _UsageError(f"argument -h/--help: ignored explicit argument {explicit!r}")
+    if command is None:
+        about = "proof library interchange pipeline; proofport <command> --help lists its options"
+        rows = [(name, c.help) for name, c in COMMANDS.items()]
+    else:
+        for token in rest:
+            _option(command.flags, token)
+        about, rows = command.help, [("-h, --help", "show this help message and exit")]
+        for opt in command.options:
+            left = opt.flag
+            if opt.switch:
+                left += f", --no-{opt.flag[2:]}"
+            elif opt.convert is not None and opt.flag.startswith("-"):
+                left += f" {opt.dest.upper()}"
+            rows.append((left, opt.help + (f" (preset: {opt.env})" if opt.env else "")))
+    sys.stdout.write(f"{_usage(command)}\n\n{about}\n\n"
+                     + "".join(f"  {left}\n      {text}\n" for left, text in rows))
+    raise SystemExit(0)
+
+
+def _usage(command: Optional[Command]) -> str:
+    if command is None:
+        return f"usage: proofport [-h] {{{','.join(COMMANDS)}}} ..."
+    required = "".join(f" {o.flag} {o.dest.upper()}" for o in command.options
+                       if o.required and o.flag.startswith("-"))
+    return f"usage: proofport {command.name} [-h] [options]{required} input"
+
+
+def _parse(command: Command, argv: list[str], extras: list[str]) -> SimpleNamespace:
+    """The namespace of `command` from the tokens after its name; `extras`
+    holds the unknown options met before the name."""
+    flags, values, positionals = command.flags, {}, []
+    end = argv.index("--") if "--" in argv else len(argv)
+    i = 0
+    while i < end:
+        token = argv[i]
+        i += 1
+        hit = _option(flags, token)
+        if hit is None:
+            positionals.append(token)
+            continue
+        flag, value = hit
+        if flag is None:
+            extras.append(token)
+            continue
+        opt, setting = flags[flag]
+        if opt is None:
+            _help(command, value, argv[i:end])
+        if setting is not None:
+            if value is not None:
+                raise _UsageError(f"argument {opt.name}: ignored explicit argument {value!r}")
+            values[opt.dest] = setting
+            continue
+        if value is None:
+            if i == end or _option(flags, argv[i]) is not None:
+                raise _UsageError(f"argument {opt.name}: expected one argument")
+            value = argv[i]
+            i += 1
+        values[opt.dest] = opt.read(value)
+    positionals += argv[end + 1:]
+    if positionals:
+        values["input"] = positionals[0]
+        extras += positionals[1:]
+    missing = []
+    for opt in command.options:
+        if opt.dest in values:
+            continue
+        preset = os.environ.get(opt.env) if opt.env else None
+        if preset is not None:
+            values[opt.dest] = opt.read(preset)
+        elif opt.required:
+            missing.append(opt.flag)
+        else:
+            values[opt.dest] = opt.default
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command.name, runner=command.runner, **values)
+
+
+def parse_cli(argv: list[str]) -> SimpleNamespace:
+    """The parsed arguments, plus the checker settings as one `Config` in `checker`.
+
+    -h or --help prints the help and exits 0; a usage error prints the usage
+    and the reason to stderr and exits 2.
+    """
+    command = None
+    try:
+        extras = []
+        for i, token in enumerate(argv):
+            hit = None if token == "--" else _option(_TOP_FLAGS, token)
+            if hit is None:
+                command = COMMANDS.get(token)
+                if command is None:
+                    raise _UsageError(f"argument command: invalid choice: {token!r} "
+                                      f"(choose from {', '.join(map(repr, COMMANDS))})")
+                args = _parse(command, argv[i + 1:], extras)
+                break
+            if hit[0] is None:
+                extras.append(token)
+            else:
+                _help(None, hit[1])
+        else:
+            raise _UsageError("the following arguments are required: command")
+    except _UsageError as err:
+        prog = "proofport" if command is None else f"proofport {command.name}"
+        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {err}\n")
+        raise SystemExit(2) from None
     args.checker = Config(eta_enabled=args.eta, reduction_budget=args.reduction_budget)
     return args
 
@@ -216,12 +356,12 @@ def _read_sources(source_dir: str) -> dict[str, str]:
             rel = str(p.relative_to(root))
             try:
                 out[rel] = p.read_text(encoding="utf-8")
-            except UnicodeDecodeError as err:
+            except (OSError, UnicodeDecodeError) as err:
                 raise Malformed(f"{rel}: {err}") from err
     return out
 
 
-def _load(args: argparse.Namespace) -> tuple[Library, Optional[CheckReport]]:
+def _load(args: SimpleNamespace) -> tuple[Library, Optional[CheckReport]]:
     """Load the input as a library plus its import's report, None for OMDoc.
     The import keeps the declarations that pass, with a full check's verdicts."""
     try:
@@ -234,7 +374,7 @@ def _load(args: argparse.Namespace) -> tuple[Library, Optional[CheckReport]]:
     return lib, report
 
 
-def _guard_empty(lib: Library, args: argparse.Namespace) -> None:
+def _guard_empty(lib: Library, args: SimpleNamespace) -> None:
     """Reject a library without declarations, unless --allow-empty."""
     if not args.allow_empty and not any(th.decls for th in lib.theories):
         raise EmptyCorpus(f"{args.input}: nonempty input produced zero declarations")
@@ -263,7 +403,7 @@ def _write_failures(rows: Iterable[CheckResult], out: TextIO) -> None:
         out.write(f"failure\t{r.subject}\t{r.message}\n")
 
 
-def _check_rows(lib: Library, args: argparse.Namespace, out: TextIO, imported: bool) -> int:
+def _check_rows(lib: Library, args: SimpleNamespace, out: TextIO, imported: bool) -> int:
     """Per-theory check report; returns the total failure count."""
     failed = 0
     for th in lib.theories:
@@ -285,7 +425,7 @@ def _check_rows(lib: Library, args: argparse.Namespace, out: TextIO, imported: b
     return failed
 
 
-def run_check(args: argparse.Namespace, out: TextIO) -> int:
+def run_check(args: SimpleNamespace, out: TextIO) -> int:
     lib, report = _load(args)
     import_failures = () if report is None else report.failures
     _write_failures(import_failures, out)
@@ -303,7 +443,7 @@ def _write(path: str, data: bytes) -> None:
         raise Malformed(f"cannot write {path}: {err.strerror or err}") from err
 
 
-def run_import(args: argparse.Namespace, out: TextIO) -> int:
+def run_import(args: SimpleNamespace, out: TextIO) -> int:
     lib, report = _load(args)
     import_failures = () if report is None else report.failures
     for th in lib.theories:
@@ -316,7 +456,7 @@ def run_import(args: argparse.Namespace, out: TextIO) -> int:
     return 1 if import_failures else 0
 
 
-def run_export_omdoc(args: argparse.Namespace, out: TextIO) -> int:
+def run_export_omdoc(args: SimpleNamespace, out: TextIO) -> int:
     lib, _ = _load(args)
     data = omdoc.serialize(lib)
     _write(args.output, data)
@@ -324,7 +464,7 @@ def run_export_omdoc(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def run_export_rdf(args: argparse.Namespace, out: TextIO) -> int:
+def run_export_rdf(args: SimpleNamespace, out: TextIO) -> int:
     lib, report = _load(args)
     checked = False
     if not args.skip_check:
@@ -348,7 +488,7 @@ def _parse_ident(text: str) -> Ident:
 
 
 def _run_query(
-    args: argparse.Namespace, out: TextIO, query: Callable[[TripleStore, Ident], set[Ident]]
+    args: SimpleNamespace, out: TextIO, query: Callable[[TripleStore, Ident], set[Ident]]
 ) -> int:
     """Print what `query` finds from `--ident`, sorted; an unknown one is an input error."""
     lib, _ = _load(args)
@@ -362,15 +502,15 @@ def _run_query(
     return 0
 
 
-def run_deps(args: argparse.Namespace, out: TextIO) -> int:
+def run_deps(args: SimpleNamespace, out: TextIO) -> int:
     return _run_query(args, out, transitive_uses)
 
 
-def run_used_by(args: argparse.Namespace, out: TextIO) -> int:
+def run_used_by(args: SimpleNamespace, out: TextIO) -> int:
     return _run_query(args, out, lambda store, ident: used_by(store, ident, args.kind))
 
 
-def run_translate(args: argparse.Namespace, out: TextIO) -> int:
+def run_translate(args: SimpleNamespace, out: TextIO) -> int:
     lib, _ = _load(args)
     m = lib.find_morphism(_parse_ident(args.morphism))
     if m is None:
@@ -389,7 +529,7 @@ def run_translate(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def run_stats(args: argparse.Namespace, out: TextIO) -> int:
+def run_stats(args: SimpleNamespace, out: TextIO) -> int:
     lib, _ = _load(args)
     decls = [d for th in lib.theories for d in th.decls]
     kinds = {k: 0 for k in KINDS}
@@ -413,10 +553,35 @@ def run_stats(args: argparse.Namespace, out: TextIO) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the command table
+
+_OUTPUT = Option("--output", "output file path", required=True)
+_IDENT = Option("--ident", "full identifier ns?module?name", required=True)
+COMMANDS = {c.name: c for c in (
+    Command("check", run_check, "kernel-check every theory"),
+    Command("import", run_import, "import and report, optionally write omdoc",
+            Option("--output", "optional omdoc output path")),
+    Command("export-omdoc", run_export_omdoc, "write the library as omdoc XML", _OUTPUT),
+    Command("export-rdf", run_export_rdf, "write the library as N-Triples", _OUTPUT,
+            Option("--skip-check", "record checkStatus=unchecked instead of checking first",
+                   None, default=False)),
+    Command("deps", run_deps, "deps query over the dependency graph", _IDENT),
+    Command("used-by", run_used_by, "used-by query over the dependency graph", _IDENT,
+            Option("--kind", "restrict results to this declaration kind: " + ", ".join(KINDS),
+                   _choice(KINDS, ", ".join(map(repr, KINDS))))),
+    Command("translate", run_translate, "translate a statement along a morphism",
+            Option("--morphism", "full morphism identifier", required=True),
+            Option("--theorem", "full statement identifier", required=True)),
+    Command("stats", run_stats, "print library statistics"),
+)}
+_TOP_FLAGS = {"-h": _HELP, "--help": _HELP}
+
+
+# ---------------------------------------------------------------------------
 # entry point
 
 
-def run(args: argparse.Namespace, out: TextIO) -> int:
+def run(args: SimpleNamespace, out: TextIO) -> int:
     return args.runner(args, out)
 
 

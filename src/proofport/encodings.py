@@ -15,7 +15,8 @@ supports:
 
 All constructors return freshly built immutable theories under the
 `lib://logics` namespace. `logic_library()` bundles the three for
-registration as a dependency of importer output.
+registration as a dependency of a library; `LOGICS` is the one such
+bundle that the readers attach to what they read.
 """
 
 from __future__ import annotations
@@ -254,6 +255,11 @@ def fol_soft() -> Theory:
 def logic_library() -> Library:
     """All built-in encodings in one library."""
     return Library(LOGIC_NS, (hol_church(), dtt_curry(), fol_soft()))
+
+
+# Built once per process and shared: a Library is immutable, and a check
+# keeps its memo on the library it checks, never on a dependency.
+LOGICS = logic_library()
 
 
 def _node_count(t: Term) -> int:

@@ -95,11 +95,13 @@ class AmbiguousType(CheckError):
 
 
 class Malformed(FormatError):
-    """Input is not syntactically valid for its format."""
+    """Input is not syntactically valid for its format; `line` and `column`,
+    both 1-based, say where when they are known."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.line, self.column = line, column
+        where = f"line {line}" if column is None else f"line {line}, column {column}"
+        super().__init__(f"{where}: {message}" if line is not None else message)
 
 
 class SchemaViolation(FormatError):
@@ -154,7 +156,10 @@ def read_xml(data: bytes, tag: str, attrs: tuple[str, ...], version: str) -> ET.
     except UnicodeDecodeError as err:
         raise Malformed(str(err)) from err
     except ET.ParseError as err:
-        raise Malformed(str(err), err.position[0] if err.position else None) from err
+        from xml.parsers.expat import ErrorString  # only on this error path
+
+        line, column = err.position  # expat's column counts from 0
+        raise Malformed(ErrorString(err.code), line, column + 1) from err
     except OverflowError as err:  # the parser's size limits
         raise Malformed(str(err)) from err
     if root.tag != tag:

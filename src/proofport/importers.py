@@ -40,7 +40,7 @@ from .elaboration import (
     PatternInstance,
     elaborate_pattern,
 )
-from .encodings import FOL_SOFT, HOL_CHURCH, LOGIC_NS, fol_ident, hol_ident, logic_library
+from .encodings import FOL_SOFT, HOL_CHURCH, LOGIC_NS, LOGICS, fol_ident, hol_ident
 from .errors import (
     MAX_DEPTH,
     AmbiguousType,
@@ -346,8 +346,10 @@ def parse_toyhol(data: bytes) -> ExportDoc:
     """Parse and strictly validate a toyhol JSON export."""
     try:
         obj = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise Malformed(str(err), getattr(err, "lineno", None)) from err
+    except UnicodeDecodeError as err:
+        raise Malformed(str(err)) from err
+    except json.JSONDecodeError as err:
+        raise Malformed(err.msg, err.lineno, err.colno) from err
     if not isinstance(obj, dict):
         raise SchemaViolation("", "top level must be an object")
     check_keys(obj, "", (), ("version", "theories"), "field")
@@ -736,8 +738,6 @@ def _where(head: dict) -> str:
 # ---------------------------------------------------------------------------
 # the import driver, shared by both formats
 
-_LOGICS = logic_library()
-
 
 def _try_add(
     scope: Scope, cands: tuple[Declaration, ...], config: Config
@@ -802,7 +802,7 @@ def _import(
             dropped.add(trec.name)
             continue
         empty = Theory(th, meta_theory, tuple(theory_ident(ns, inc) for inc in trec.includes))
-        scope = Scope(Library(ns, tuple(done) + (empty,), deps=(_LOGICS,)), th)
+        scope = Scope(Library(ns, tuple(done) + (empty,), deps=(LOGICS,)), th)
         env: Env = defaultdict(dict)
         lost: set[str] = set()
         for inc in trec.includes:
@@ -829,7 +829,7 @@ def _import(
         done.append(replace(empty, decls=tuple(scope.decls)))
         envs[trec.name], failed[trec.name] = env, lost
 
-    return Library(ns, tuple(done), deps=(_LOGICS,)), CheckReport(tuple(rows))
+    return Library(ns, tuple(done), deps=(LOGICS,)), CheckReport(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import Mapping, Optional
 
-from .encodings import logic_library
+from .encodings import LOGICS
 from .errors import DanglingIdent, SchemaViolation, check_keys, read_xml
 from .kernel import (
     Apply,
@@ -629,5 +629,5 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
             morphisms.append(_parse_morphism(kid, path, terms))
         else:
             raise SchemaViolation(path, f"unknown element <{kid.tag}>")
-    lib_deps = deps if deps is not None else (logic_library(),)
+    lib_deps = deps if deps is not None else (LOGICS,)
     return Library(namespace, tuple(theories.values()), tuple(morphisms), deps=lib_deps)

@@ -15,13 +15,14 @@ from pathlib import Path
 
 import pytest
 
+import argparse_reference
 from test_importers import _bench_corpus
 from test_morphisms import DED, E, EQ, OP, SET, TO_INT, ZERO, _extension, _i, algebra_library
 
 from proofport import cli, errors, kernel, omdoc
 from proofport.cli import main, parse_cli, run
 from proofport.encodings import FOL_SOFT, HOL_CHURCH, hol_ident, logic_library
-from proofport.importers import import_toyhol, parse_toyhol
+from proofport.importers import import_toyhol, parse_toyhol, parse_toyset
 from proofport.kernel import (
     KINDS,
     Apply,
@@ -163,6 +164,27 @@ def test_malformed_input_is_exit_2(tmp_path, capsys):
     doc = tmp_path / "junk.toyhol.json"
     doc.write_text("{not json")
     assert run_cli(capsys, "check", str(doc))[0] == 2
+
+
+@pytest.mark.parametrize("name, text, read, line, column, reason", [
+    ("bad.toyhol.json", '{\n  "version": "1",\n  "theories": [,]\n}', parse_toyhol,
+     3, 16, "Expecting value"),
+    ("bad.toyset.xml", '<export version="1">\n  <theory name="t">\n</export>', parse_toyset,
+     3, 3, "mismatched tag"),
+    ("bad.omdoc.xml", '<omdoc version="1" namespace="lib://x">\n  <theory name="t" a="1" a="2"/>',
+     omdoc.parse, 2, 26, "duplicate attribute"),
+], ids=["toyhol", "toyset", "omdoc"])
+def test_a_syntax_error_names_its_line_and_column_once(
+    tmp_path, capsys, name, text, read, line, column, reason
+):
+    with pytest.raises(errors.Malformed) as exc:
+        read(text.encode())
+    assert (exc.value.line, exc.value.column) == (line, column)
+    doc = tmp_path / name
+    doc.write_text(text)
+    assert run_cli(capsys, "check", str(doc)) == (
+        2, "", f"error: line {line}, column {column}: {reason}\n"
+    )
 
 
 @pytest.mark.parametrize("text, key", [
@@ -931,6 +953,24 @@ def test_non_utf8_source_file_is_exit_2_naming_the_file(tmp_path, capsys):
     assert err.startswith("error: sub/bad.hol: 'utf-8' codec can't decode")
 
 
+def test_an_unreadable_source_file_is_exit_2_naming_the_file(tmp_path, capsys, monkeypatch):
+    # a file without read permission is readable for root, so the error is staged
+    src = tmp_path / "src"
+    (src / "sub").mkdir(parents=True)
+    (src / "sub" / "locked.hol").write_text("c : bool\n")
+    read_text = Path.read_text
+
+    def refusing_read_text(path, *args, **kwargs):
+        if path.name == "locked.hol":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refusing_read_text)
+    code, out, err = run_cli(capsys, "check", CORE, "--source-dir", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sub/locked.hol: [Errno 13] Permission denied")
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -1003,7 +1043,7 @@ def test_env_format_fills_the_flag(tmp_path, capsys, monkeypatch):
 
 
 def usage_error(capsys, *args) -> str:
-    """The message of an argparse usage error, after checking its exit 2."""
+    """The message of a usage error, after checking its exit 2."""
     with pytest.raises(SystemExit) as exc:
         main(list(args))
     assert exc.value.code == 2
@@ -1154,6 +1194,145 @@ def test_each_preset_acts_as_its_flag_and_an_explicit_flag_wins(capsys, monkeypa
 
 
 # ---------------------------------------------------------------------------
+# the option table against the argparse parser it replaced
+
+# per OAF_* variable, presets to try: good ones, bad ones and the empty one
+_PRESETS = {
+    "OAF_FORMAT": ("omdoc", "toyset-xml", "bogus", ""),
+    "OAF_ETA_ENABLED": ("0", " Yes ", "maybe", ""),
+    "OAF_INCLUDE_PROOF_USES": ("1", "off", "2"),
+    "OAF_REDUCTION_BUDGET": ("7", "+3", " 12 ", "-5", "abc", ""),
+    "OAF_SOURCE_DIR": ("src", ""),
+    "OAF_ALLOW_EMPTY": ("yes", "NO", "maybe"),
+}
+
+# per flag, spellings of it (full, prefixes, some of them ambiguous for some
+# commands) and values to give it; a switch or bare flag takes none
+_SPELLINGS = {
+    "--format": (("--format", "--form", "--f"), ("omdoc", "toyhol-json", "bogus", "")),
+    "--reduction-budget": (("--reduction-budget", "--red", "--r"),
+                           ("5", "0", "-5", "+2", "x", "1.5", "-.5")),
+    "--source-dir": (("--source-dir", "--source", "--s"), ("src", "", "-1", "-x y")),
+    "--output": (("--output", "--out", "--o"), ("out.xml", "-", "-3", "a b")),
+    "--ident": (("--ident", "--ide", "--i"), ("lib://a?b?c", "-2")),
+    "--kind": (("--kind", "--k"), ("theorem", "patternInstance", "bogus")),
+    "--morphism": (("--morphism", "--morph", "--m"), ("lib://a?m?f",)),
+    "--theorem": (("--theorem", "--theo", "--t"), ("lib://a?t?x",)),
+    "--eta": (("--eta", "--e", "--no-eta", "--no-e"), ()),
+    "--include-proof-uses": (("--include-proof-uses", "--inc", "--no-include-proof-uses",
+                              "--no-i"), ()),
+    "--allow-empty": (("--allow-empty", "--allow", "--no-allow-empty", "--no-a"), ()),
+    "--skip-check": (("--skip-check", "--sk"), ()),
+}
+_NOISE = ("--bogus", "--no", "-x", "--bogus=1", "--eta=1", "--no-eta=", "--skip-check=x")
+_FLAGS_OF = {
+    "check": (), "import": ("--output",), "export-omdoc": ("--output",),
+    "export-rdf": ("--output", "--skip-check"), "deps": ("--ident",),
+    "used-by": ("--ident", "--kind"), "translate": ("--morphism", "--theorem"), "stats": (),
+}
+_COMMON_FLAGS = ("--format", "--eta", "--include-proof-uses", "--reduction-budget",
+                 "--source-dir", "--allow-empty")
+
+
+def _random_command_line(rng: random.Random) -> list[str]:
+    """An argument list, mostly well formed, sometimes not in one of the ways
+    a user gets wrong: a bad value, a missing one, a prefix, an unknown flag."""
+    if rng.random() < 0.03:
+        return rng.choice(([], ["-h"], ["--he"], ["bogus", "x"], ["--bogus"],
+                           ["--bogus", "-h"], ["--bogus", "stats", "x"], ["-5"]))
+    command = rng.choice(tuple(_FLAGS_OF))
+    pieces = []
+    flags = _COMMON_FLAGS + _FLAGS_OF[command]
+    # the required options usually, and a few others
+    for flag in _FLAGS_OF[command] + tuple(rng.sample(flags, rng.randint(0, 3))):
+        if flag in ("--ident", "--morphism", "--theorem", "--output") and rng.random() < 0.1:
+            continue  # a required one left out
+        spellings, values = _SPELLINGS[flag]
+        spelling = rng.choice(spellings) if rng.random() < 0.4 else spellings[0]
+        if not values:
+            pieces.append([spelling])
+        elif rng.random() < 0.3:
+            pieces.append([f"{spelling}={rng.choice(values)}"])
+        else:
+            pieces.append([spelling, rng.choice(values)])
+    if rng.random() < 0.15:
+        pieces.append([rng.choice(_NOISE)])
+    if rng.random() < 0.04:
+        pieces.append([rng.choice(("-h", "--help", "--he"))])
+    inputs = rng.choice((["in.json"],) * 8 + ([], ["-7"], ["in.json", "extra"]))
+    rng.shuffle(pieces)
+    if inputs and rng.random() < 0.1:
+        pieces.append(["--", *inputs])  # "--" then the input, last
+    else:
+        for token in inputs:
+            pieces.insert(rng.randint(0, len(pieces)), [token])
+    if rng.random() < 0.05 and pieces and len(pieces[-1]) == 2:
+        pieces[-1] = pieces[-1][:1]  # a value left out
+    return [command, *(token for piece in pieces for token in piece)]
+
+
+# the converter messages, which must read as they did under argparse
+_CONVERTER_MESSAGE = re.compile(
+    r"proofport [\w-]+: error: argument --[\w/-]+: "
+    r"(expected a nonnegative integer|expected a directory path|expected one of"
+    r"|invalid choice: .* \(choose from \('toyhol-json').*"
+)
+
+
+def _parsed_or_exit(parse, argv, capsys):
+    """`parse(argv)` as a dict, or its exit code and last line of stderr."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().err.splitlines()[-1:]
+    return vars(args)
+
+
+def test_the_table_parses_as_argparse_did(capsys, monkeypatch, seed=0, cases=400):
+    rng = random.Random(seed)
+    tried = {"parsed": 0, "exit 0": 0, "exit 2": 0, "messages": 0}
+    for _ in range(cases):
+        argv = _random_command_line(rng)
+        presets = rng.sample(tuple(_PRESETS), rng.choice((0, 0, 1, 2)))
+        for var in _PRESETS:
+            if var in presets:
+                monkeypatch.setenv(var, rng.choice(_PRESETS[var]))
+            else:
+                monkeypatch.delenv(var, raising=False)
+        want = _parsed_or_exit(argparse_reference.parse_cli, argv, capsys)
+        got = _parsed_or_exit(parse_cli, argv, capsys)
+        where = (argv, {var: os.environ[var] for var in presets})
+        if isinstance(want, dict):
+            assert got == want, where
+            tried["parsed"] += 1
+            continue
+        assert isinstance(got, tuple) and got[0] == want[0], (where, want, got)
+        tried[f"exit {want[0]}"] += 1
+        if want[0] == 2 and _CONVERTER_MESSAGE.fullmatch(want[1][0]):
+            assert got[1] == want[1], where
+            tried["messages"] += 1
+    # the lists reach every outcome
+    assert all(tried.values()), tried
+
+
+def test_help_exits_0_and_names_every_command_and_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith("usage: proofport ")
+    assert set(_FLAGS_OF) <= set(out.split())
+    for command, flags in _FLAGS_OF.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and out.startswith(f"usage: proofport {command} ")
+        words = set(out.replace(",", " ").split())
+        switches = ("--eta", "--include-proof-uses", "--allow-empty")
+        assert {"input", "-h", "--help", *_COMMON_FLAGS, *flags} <= words, command
+        assert {f"--no-{flag[2:]}" for flag in switches} <= words, command
+
+
+# ---------------------------------------------------------------------------
 # end to end
 
 
@@ -1183,6 +1362,26 @@ def test_start_up_loads_no_dataclasses_inspect_or_fractions():
     # each of these costs every process milliseconds no command needs
     heavy = "{'dataclasses', 'inspect', 'fractions'}"
     code = f"import sys, proofport.cli; print(sorted({heavy} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_parsing_any_command_line_loads_no_argparse_gettext_or_locale():
+    # argparse, with the gettext and locale it loads, cost each command milliseconds
+    code = "\n".join((
+        "import contextlib, io, sys",
+        "from proofport.cli import COMMANDS, parse_cli",
+        "lines = [[name, 'in.json', '--output=o', '--ident=i', '--morphism=m', '--theorem=t']",
+        "         for name in COMMANDS] + [['check', '--bogus'], ['--help'], ['deps', '--help']]",
+        "for argv in lines:",
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        "        try:",
+        "            parse_cli(argv)",
+        "        except SystemExit:",
+        "            pass",
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))",
+    ))
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
