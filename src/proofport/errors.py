@@ -66,10 +66,6 @@ class DanglingIdent(CheckError):
     """Serialization found an identifier that does not resolve."""
 
 
-class ArityMismatch(CheckError):
-    """A pattern instance supplied the wrong number of arguments."""
-
-
 class UnassignedConstant(CheckError):
     """A morphism has no assignment for an undefined source constant."""
 

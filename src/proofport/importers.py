@@ -10,10 +10,11 @@ of holChurch object types, each resolved once, where its record writes it.
 
 toyset is a strict XML export of a set-theory-style prover: untyped
 constants, first-order formulas, second-order axiom schemes, and
-definition records that expand through the bundled func-definition
-pattern. The reader checks each formula element and keeps the element;
-the import converts it straight to a folSoft term, a connective by its
-element and a name by binder scope, then by the theory's constants.
+Mizar-style functor definitions, which the import expands into a set
+constant `name/fn` and its defining axiom `name/def`. The reader checks
+each formula element and keeps the element; the import converts it
+straight to a folSoft term, a connective by its element and a name by
+binder scope, then by the theory's constants.
 Imported theories live under folSoft.
 
 Both importers run through one driver. It walks the theories in
@@ -35,17 +36,13 @@ import xml.etree.ElementTree as ET
 from collections import defaultdict
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .elaboration import (
-    Pattern,
-    PatternInstance,
-    elaborate_pattern,
-)
-from .encodings import FOL_SOFT, HOL_CHURCH, LOGIC_NS, LOGICS, fol_ident, hol_ident
+from .encodings import FOL_SOFT, HOL_CHURCH, LOGICS, fol_ident, hol_ident
 from .errors import (
     MAX_DEPTH,
     AmbiguousType,
     CheckError,
     Malformed,
+    Mismatch,
     SchemaViolation,
     UnificationFailure,
     UnknownIdent,
@@ -76,8 +73,8 @@ from .kernel import (
     Term,
     Terms,
     Theory,
-    Var,
     apps,
+    check,
     check_theory,
     clashing_names,
     replace,
@@ -751,12 +748,13 @@ def _try_add(
     return None
 
 
-def _meta(rec: DeclRecord, kind: str) -> Metadata:
+def _meta(rec: DeclRecord, kind: str, origin: Optional[Ident] = None) -> Metadata:
     return Metadata(
         kind=kind,
         source_ref=rec.src,
         comments=(rec.comment,) if rec.comment else (),
         notation=rec.notation,
+        origin=origin,
     )
 
 
@@ -910,31 +908,6 @@ _FOL_DED = Const(fol_ident("ded"))
 _FOL_FORALL = Const(fol_ident("forallSet"))
 
 
-def func_definition_pattern() -> Pattern:
-    """Mizar-style functor definition over folSoft.
-
-    One parameter (the defining value); produces the new constant and
-    its defining equation as an axiom.
-    """
-    def pid(name: str) -> Ident:
-        return Ident(LOGIC_NS, "patterns", name)
-
-    fn = Const(pid("fn"))
-    body = (
-        Declaration(pid("fn"), tp=_FOL_SET, meta=Metadata(kind="constant")),
-        Declaration(
-            pid("def"),
-            tp=Apply(_FOL_DED, apps(_FOL_OPS["eq"], fn, Var(0))),
-            meta=Metadata(kind="axiom"),
-        ),
-    )
-    return Pattern(pid("func-definition"), Context().extend("value", _FOL_SET), body)
-
-
-_FUNC_DEFINITION = func_definition_pattern()
-_PATTERNS = {_FUNC_DEFINITION.name: _FUNC_DEFINITION}
-
-
 def _fol_term(
     elem: ET.Element, scope: list[str], consts: Mapping[str, Const], terms: Terms
 ) -> Term:
@@ -975,8 +948,10 @@ def import_toyset(doc: ExportDoc, config: Config = DEFAULT_CONFIG) -> tuple[Libr
     """Build a folSoft-based Library from a parsed toyset document.
 
     Schemes close over their predicate variables with an explicit Pi
-    prefix; definition records expand through the func-definition
-    pattern. Failure handling matches import_toyhol.
+    prefix. A definition record, once its value checks as a set, becomes
+    `name/fn : set` and `name/def : ded (eq' name/fn value)`, both of kind
+    patternInstance with origin the record. Failure handling matches
+    import_toyhol.
     """
     return _import(doc, TOYSET_NS, FOL_SOFT, _toyset_decl, config)
 
@@ -986,8 +961,9 @@ def _toyset_decl(
 ) -> tuple[tuple[Declaration, ...], dict[str, object]]:
     """Convert one record. Its name binds the node of a set constant (for a
     definition, of the generated `name/fn`) or a statement. A scheme closes over its
-    predicate variables with one Pi each, outermost first; a definition's
-    generated declarations are interned in `terms` with the rest."""
+    predicate variables with one Pi each, outermost first. A definition's value
+    that is not a set is a Mismatch, and so is one that does not check at all,
+    whose message calls it `argument 0 of` the record."""
     consts = env["consts"]
     if rec.kind == "constant":
         decl = Declaration(ident, tp=_FOL_SET, meta=_meta(rec, "constant"))
@@ -1005,15 +981,20 @@ def _toyset_decl(
         return (decl,), {"stmts": ident}
     if rec.kind == "definition":
         value = _fol_term(rec.definiens, [], consts, terms)
-        inst = PatternInstance(ident, _FUNC_DEFINITION.name, (value,))
-        out = tuple(
-            replace(
-                d, tp=terms.intern(d.tp),
-                meta=replace(_meta(rec, d.meta.kind), origin=d.meta.origin),
-            )
-            for d in elaborate_pattern(scope, inst, _PATTERNS, config)
-        )
-        return out, {"consts": terms.const(out[0].name)}
+        try:
+            check(scope, Context(), value, _FOL_SET, config)
+        except Mismatch:
+            raise
+        except CheckError as err:
+            raise Mismatch(f"argument 0 of {ident}: {err}") from err
+        fn = terms.const(Ident(ident.namespace, ident.module, f"{ident.name}/fn"))
+        axiom = Ident(ident.namespace, ident.module, f"{ident.name}/def")
+        eq = terms.apps(_FOL_DED, terms.apps(_FOL_OPS["eq"], fn, value))
+        meta = _meta(rec, "patternInstance", origin=ident)
+        return (
+            Declaration(fn.ident, tp=_FOL_SET, meta=meta),
+            Declaration(axiom, tp=eq, meta=meta),
+        ), {"consts": fn}
     raise SchemaViolation(rec.kind, "unknown record kind")
 
 

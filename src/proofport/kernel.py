@@ -400,20 +400,6 @@ class Terms:
             t = self._nodes[key] = cls(*parts) if hint is None else cls(hint, *parts)
         return t
 
-    def intern(self, t: Term) -> Term:
-        """The table's node equal to `t`, hints included. A Const or Var
-        the table has none of yet becomes the table's own."""
-        cls = type(t)
-        if cls is Const:
-            return self._nodes.setdefault(t.ident, t)
-        if cls is Var:
-            return self._nodes.setdefault(t.index, t)
-        if cls is Apply:
-            return self.apps(self.intern(t.fn), self.intern(t.arg))
-        hint = getattr(t, "hint", None)
-        fields = t.__match_args__ if hint is None else t.__match_args__[1:]
-        return self.node(cls, hint, *(self.intern(getattr(t, f)) for f in fields))
-
 
 # ---------------------------------------------------------------------------
 # contexts
@@ -442,12 +428,6 @@ class Context(Record):
         if 0 <= index < len(self.entries):
             return self.entries[len(self.entries) - 1 - index]
         raise NotTyped(f"unbound variable index {index}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[Binding]:
-        return iter(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +485,9 @@ STATEMENT_KINDS = ("axiom", "theorem", "patternInstance")
 class Metadata(Record):
     """Non-logical attributes of a declaration.
 
-    `origin` points back to the pattern instance (or schema) a generated
-    declaration came from.
+    `origin` points back to the source record a generated declaration came
+    from, such as the toyset definition that `name/fn` and `name/def`
+    expand.
     """
 
     __match_args__ = _fields = ("kind", "source_ref", "comments", "notation", "origin")

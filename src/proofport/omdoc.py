@@ -222,8 +222,8 @@ def _decl_lines(d: Declaration, lines: list[str], refs: dict) -> None:
                 lines.append('      <proof style="dependsOn"/>')
         case ProofTerm(t):
             lines.append(f'      <proof style="term">{_term(t, refs)}</proof>')
-    # origin is provenance, not a reference: it may name a pattern
-    # instance that elaboration replaced with generated decls
+    # origin is provenance, not a reference: it may name a source record,
+    # such as a toyset definition, that the import expanded into other decls
     _metadata_lines(d.meta, lines)
     lines.append("    </constant>")
 

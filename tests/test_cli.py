@@ -16,12 +16,12 @@ from pathlib import Path
 import pytest
 
 import argparse_reference
-from test_importers import _bench_corpus
+from test_importers import _bench_corpus, fixture_paths
 from test_morphisms import DED, E, EQ, OP, SET, TO_INT, ZERO, _extension, _i, algebra_library
 
 from proofport import cli, errors, kernel, omdoc
 from proofport.cli import main, parse_cli, run
-from proofport.encodings import FOL_SOFT, HOL_CHURCH, hol_ident, logic_library
+from proofport.encodings import FOL_SOFT, HOL_CHURCH, fol_ident, hol_ident, logic_library
 from proofport.importers import import_toyhol, parse_toyhol, parse_toyset
 from proofport.kernel import (
     KINDS,
@@ -489,6 +489,42 @@ def test_import_and_check_print_the_same_failure_row(tmp_path, capsys, name, tex
         code, out, _ = run_cli(capsys, command, str(doc))
         assert code == 1
         assert [r for r in lines(out) if r[0] == "failure"] == [row]
+
+
+ILL_TYPED_DEFINITIONS = _toyset(
+    '<theory name="t"><constant name="s"/>'
+    '<definition name="d1"><value><papp name="s"><const name="s"/></papp></value></definition>'
+    '<definition name="d2"><value><in><const name="s"/><const name="s"/></in></value></definition>'
+    '<definition name="dz"><value><const name="zz"/></value></definition>'
+    '<definition name="d3" notation="D" comment="kept"><value><const name="s"/></value></definition>'
+    "</theory>"
+)
+
+
+def test_a_definition_checks_its_value_as_a_set_and_expands_to_two_declarations(
+    tmp_path, capsys
+):
+    doc = tmp_path / "definitions.toyset.xml"
+    doc.write_text(ILL_TYPED_DEFINITIONS)
+    written = tmp_path / "out.omdoc.xml"
+    rows = [
+        ("failure", "lib://toyset?t?d1",
+         "Mismatch: argument 0 of lib://toyset?t?d1: cannot apply a term of type set"),
+        ("failure", "lib://toyset?t?d2", "Mismatch: expected set, got prop"),
+        ("failure", "lib://toyset?t?dz", "UnknownIdent: zz"),
+    ]
+    for argv in (["check", str(doc)], ["import", str(doc), "--output", str(written)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert [r for r in lines(out) if r[0] == "failure"] == rows
+    (theory,) = omdoc.parse(written.read_bytes()).theories
+    d3 = Ident("lib://toyset", "t", "d3")
+    fn, axiom = (Ident("lib://toyset", "t", f"d3/{part}") for part in ("fn", "def"))
+    assert [d.name for d in theory.decls] == [Ident("lib://toyset", "t", "s"), fn, axiom]
+    for decl in theory.decls[1:]:
+        assert decl.meta == Metadata("patternInstance", comments=("kept",), notation="D", origin=d3)
+    eq, ded = Const(fol_ident("eq'")), Const(fol_ident("ded"))
+    assert theory.decls[2].tp == Apply(ded, apps(eq, Const(fn), Const(theory.decls[0].name)))
 
 
 DANGLING_INCLUDE = (
@@ -1470,7 +1506,7 @@ def _json_mutant(data: bytes, rng) -> bytes:
     return json.dumps(doc).encode()
 
 
-@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.iterdir()))
+@pytest.mark.parametrize("fixture", [p.name for p in fixture_paths()])
 def test_mutated_fixtures_end_in_an_exit_code_not_a_traceback(tmp_path, capsys, fixture):
     rng = random.Random(fixture)
     data = (FIXTURES / fixture).read_bytes()
@@ -1665,7 +1701,7 @@ FAILING_INPUTS = {
 
 
 def test_no_command_leaves_cyclic_garbage(tmp_path):
-    argvs = [a for p in sorted(FIXTURES.iterdir()) for a in _every_command(str(p), tmp_path)]
+    argvs = [a for p in fixture_paths() for a in _every_command(str(p), tmp_path)]
     argvs += _every_command(CORE, tmp_path, ident="lib://toyhol?core?q")
     for lib, theorem in ((_gap_library(), "lib://algebra?gap?k"),
                          (_loopy_library(), "lib://algebra?loopy?about")):

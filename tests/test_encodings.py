@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from proofport.elaboration import Pattern, PatternInstance, elaborate_pattern
 from proofport.encodings import (
     DTT_CURRY,
     FOL_SOFT,
@@ -49,7 +48,6 @@ from proofport.kernel import (
 
 LOGICS = logic_library()
 
-TP = Const(hol_ident("tp"))
 TM = Const(hol_ident("tm"))
 BOOL = Const(hol_ident("bool'"))
 ARROW = Const(hol_ident("arrow"))
@@ -57,7 +55,6 @@ LAM = Const(hol_ident("lam"))
 APP = Const(hol_ident("app"))
 FORALL = Const(hol_ident("forall"))
 IMPL = Const(hol_ident("impl"))
-EQ = Const(hol_ident("eq"))
 DED = Const(hol_ident("ded"))
 IMPLI = Const(hol_ident("implI"))
 FORALLI = Const(hol_ident("forallI"))
@@ -257,49 +254,6 @@ def test_fol_identity_implication_inhabited():
     )
     lib = Library(ns, (th,), deps=(LOGICS,))
     report = check_theory(lib, th.name)
-    assert report.ok, report.failures
-
-
-# ---------------------------------------------------------------------------
-# typedef pattern
-
-
-def typedef_pattern() -> Pattern:
-    """HOL-style type definition over holChurch: from a type `A : tp` and a
-    predicate `P : tm A -> tm bool'`, a type `t`, a representation
-    `rep : tm t -> tm A` and an axiom that every representative satisfies P."""
-
-    def pid(name: str) -> Ident:
-        return Ident("lib://patterns", "hol", name)
-
-    t, rep = Const(pid("t")), Const(pid("rep"))
-    params = Context().extend("A", TP).extend("P", Pi("x", tm(Var(0)), tm(BOOL)))
-    body = (
-        Declaration(pid("t"), tp=TP, meta=Metadata(kind="constant")),
-        Declaration(pid("rep"), tp=fn_type(tm(t), tm(Var(1))), meta=Metadata(kind="constant")),
-        Declaration(pid("ax"), tp=Pi("x", tm(t), ded(Apply(Var(1), Apply(rep, Var(0))))),
-                    meta=Metadata(kind="axiom")),
-    )
-    return Pattern(pid("typedef"), params, body)
-
-
-def test_typedef_pattern_elaborates_and_checks():
-    ns = "lib://user"
-    b = Ident(ns, "t", "b")
-    pat = typedef_pattern()
-    pred = Lambda("x", tm(Const(b)), apps(EQ, Const(b), Var(0), Var(0)))
-    inst = PatternInstance(Ident(ns, "t", "selfeq"), pat.name, (Const(b), pred))
-    base = Theory(
-        theory_ident(ns, "t"),
-        meta_theory=HOL_CHURCH,
-        decls=(Declaration(b, tp=TP, meta=Metadata(kind="constant")),),
-    )
-    lib = Library(ns, (base,), deps=(LOGICS,))
-    decls = elaborate_pattern(lib, inst, {pat.name: pat})
-    assert [d.name.name for d in decls] == ["selfeq/t", "selfeq/rep", "selfeq/ax"]
-    extended = Theory(base.name, meta_theory=HOL_CHURCH, decls=base.decls + tuple(decls))
-    lib2 = Library(ns, (extended,), deps=(LOGICS,))
-    report = check_theory(lib2, base.name)
     assert report.ok, report.failures
 
 

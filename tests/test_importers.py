@@ -51,7 +51,6 @@ from proofport.importers import (
     TOYHOL_NS,
     TOYSET_NS,
     ExportDoc,
-    func_definition_pattern,
     import_toyhol,
     import_toyset,
     infer_church_annotations,
@@ -101,6 +100,12 @@ PROP = Const(fol_ident("prop"))
 
 def load(name: str) -> bytes:
     return (FIXTURES / name).read_bytes()
+
+
+def fixture_paths() -> list[Path]:
+    """The fixture documents in name order: the JSON and XML files of
+    fixtures/, and nothing else that may lie there."""
+    return sorted(p for p in FIXTURES.iterdir() if p.suffix in (".json", ".xml"))
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +775,7 @@ def test_toyset_fixture_imports_and_checks():
 
 def test_importers_check_with_the_given_config(monkeypatch):
     cfg = Config(eta_enabled=False, reduction_budget=7)
-    seen: dict[str, list] = {"check_theory": [], "elaborate_pattern": []}
+    seen: dict[str, list] = {"check_theory": [], "check": []}
     for name, calls in seen.items():
         real = getattr(importers, name)
 
@@ -781,7 +786,7 @@ def test_importers_check_with_the_given_config(monkeypatch):
         monkeypatch.setattr(importers, name, spy)
     import_toyhol(parse_toyhol(load("core.toyhol.json")), cfg)
     import_toyset(parse_toyset(load("sets.toyset.xml")), cfg)
-    assert seen["check_theory"] and seen["elaborate_pattern"]
+    assert seen["check_theory"] and seen["check"]
     assert all(c is cfg for calls in seen.values() for c in calls)
 
 
@@ -960,14 +965,13 @@ def test_toyset_scheme_closes_over_predicate():
 
 def test_toyset_definition_expands_to_template_count():
     lib, _ = import_toyset(parse_toyset(load("sets.toyset.xml")))
-    pattern = func_definition_pattern()
     generated = [
         d
         for t in lib.theories
         for d in t.decls
         if d.meta.origin == Ident(TOYSET_NS, "sets", "void")
     ]
-    assert len(generated) == len(pattern.body) == 2
+    assert len(generated) == 2
     assert {d.name.name for d in generated} == {"void/fn", "void/def"}
     empty = Const(Ident(TOYSET_NS, "sets", "empty"))
     eq = Const(fol_ident("eq'"))
@@ -1139,9 +1143,6 @@ class _Unshared(kernel.Terms):
 
     def node(self, cls, hint, *parts):
         return cls(*parts) if hint is None else cls(hint, *parts)
-
-    def intern(self, t):
-        return t
 
 
 def _occurrences(lib):

@@ -164,31 +164,47 @@ def _fresh_copy(t: Term) -> Term:
     return kernel.rebuild(t, lambda n, k: Const(n.ident) if type(n) is Const else Var(n.index))
 
 
+def _built(terms: Terms, t: Term) -> Term:
+    """`t` built node by node through the builders of `terms`."""
+    cls = type(t)
+    if cls is Const:
+        return terms.const(t.ident)
+    if cls is Var:
+        return terms.var(t.index)
+    if cls is Apply:
+        return terms.apps(_built(terms, t.fn), _built(terms, t.arg))
+    hint = getattr(t, "hint", None)
+    fields = t.__match_args__ if hint is None else t.__match_args__[1:]
+    return terms.node(cls, hint, *(_built(terms, getattr(t, f)) for f in fields))
+
+
 def test_terms_gives_equal_terms_with_equal_hints_one_node():
     rng = random.Random(109)
     terms = Terms()
     for _ in range(300):
         t = gen_scoped(rng, rng.randint(0, 3))
-        shared = terms.intern(t)
+        shared = _built(terms, t)
         assert repr(shared) == repr(t)
-        assert terms.intern(_fresh_copy(t)) is shared
+        assert _built(terms, _fresh_copy(t)) is shared
         other = mutate_hints(rng, t)
         assert other == t
-        assert (terms.intern(other) is shared) == (repr(other) == repr(t))
+        assert (_built(terms, other) is shared) == (repr(other) == repr(t))
 
 
-def test_terms_builders_agree_with_intern():
+def test_terms_builders_give_one_node_per_term():
     terms = Terms()
     f, x = terms.named("lib://t?m?f"), terms.var(0)
-    assert f is terms.const(Ident("lib://t", "m", "f")) is terms.intern(Const(f.ident))
+    assert f is terms.const(Ident("lib://t", "m", "f")) and f == Const(f.ident)
     assert terms.apps(f, x, x) is terms.apps(terms.apps(f, x), x)
-    assert terms.apps(f, x, x) is terms.intern(Apply(Apply(f, Var(0)), x))
+    assert terms.apps(f, x, x) == Apply(Apply(f, Var(0)), x)
     lam = terms.node(Lambda, "y", f, x)
-    assert lam is terms.intern(Lambda("y", Const(f.ident), Var(0)))
+    assert lam is terms.node(Lambda, "y", terms.const(f.ident), terms.var(0))
+    assert lam == Lambda("y", Const(f.ident), Var(0))
     assert lam is not terms.node(Lambda, "z", f, x)
     kind = terms.node(TypeKind, None)
-    assert kind is terms.intern(TypeKind()) and kind == TypeKind()
-    assert terms.node(SubOut, None, f) is terms.intern(SubOut(f))
+    assert kind is terms.node(TypeKind, None) and kind == TypeKind()
+    out = terms.node(SubOut, None, f)
+    assert out is terms.node(SubOut, None, terms.named("lib://t?m?f")) and out == SubOut(f)
     with pytest.raises(ValueError):
         terms.named("not an identifier")
     with pytest.raises(ValueError):
@@ -1185,7 +1201,7 @@ _DECL = f"Declaration(name={_ID}, tp={_C}, definiens=None, proof=None, meta={_ME
 def _record_samples():
     """One instance of each record class, its repr at the dataclass
     version of the classes, and its `__match_args__`."""
-    from proofport import elaboration, importers, morphisms
+    from proofport import importers, morphisms
 
     i = Ident("ns", "m", "n")
     c, v = Const(i), Var(0)
@@ -1235,11 +1251,6 @@ def _record_samples():
         (importers.ExportDoc("1", ()),
          "ExportDoc(version='1', theories=())", ("version", "theories")),
         (importers.SMeta(3), "SMeta(var_id=3)", ("var_id",)),
-        (elaboration.Pattern(i, Context(), [decl]),
-         f"Pattern(name={_ID}, params=Context(entries=()), body=({_DECL},))",
-         ("name", "params", "body")),
-        (elaboration.PatternInstance(i, i, [c]),
-         f"PatternInstance(name={_ID}, pattern={_ID}, args=({_C},))", ("name", "pattern", "args")),
         (morphisms.Morphism(i, i, i, [(i, c)]),
          f"Morphism(name={_ID}, source={_ID}, target={_ID}, assignments=(({_ID}, {_C}),))",
          ("name", "source", "target", "assignments")),
@@ -1248,7 +1259,7 @@ def _record_samples():
 
 def test_records_keep_their_repr_match_args_equality_and_immutability():
     samples = _record_samples()
-    assert len({type(r) for r, _, _ in samples}) == 31
+    assert len({type(r) for r, _, _ in samples}) == 29
     for record, text, match_args in samples:
         cls = type(record)
         assert repr(record) == text

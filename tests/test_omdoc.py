@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import generators
+from test_importers import fixture_paths
 from test_morphisms import TO_INT, algebra_library
 
 from proofport import omdoc
@@ -312,7 +313,7 @@ def _occurrences(lib):
 
 def _shareable_documents():
     """Serializer output: the fixtures' prover exports and generated libraries."""
-    docs = [omdoc.serialize(_import_fixture(p.name)) for p in sorted(FIXTURES.iterdir())
+    docs = [omdoc.serialize(_import_fixture(p.name)) for p in fixture_paths()
             if not p.name.endswith(omdoc.FILE_EXTENSION)]
     docs += [omdoc.serialize(generators.gen_library(random.Random(seed))) for seed in range(60)]
     return docs
@@ -783,7 +784,7 @@ def _fixture_exports():
     """The OMDoc export of each file in fixtures/: an OMDoc file as it
     stands, a prover export once imported and serialized."""
     docs = []
-    for path in sorted(FIXTURES.iterdir()):
+    for path in fixture_paths():
         if path.name.endswith(omdoc.FILE_EXTENSION):
             docs.append(path.read_bytes())
         else:
