@@ -48,6 +48,7 @@ from proofport.kernel import (
 
 LOGICS = logic_library()
 
+TP = Const(hol_ident("tp"))
 TM = Const(hol_ident("tm"))
 BOOL = Const(hol_ident("bool'"))
 ARROW = Const(hol_ident("arrow"))
@@ -55,6 +56,7 @@ LAM = Const(hol_ident("lam"))
 APP = Const(hol_ident("app"))
 FORALL = Const(hol_ident("forall"))
 IMPL = Const(hol_ident("impl"))
+EQ = Const(hol_ident("eq"))
 DED = Const(hol_ident("ded"))
 IMPLI = Const(hol_ident("implI"))
 FORALLI = Const(hol_ident("forallI"))
@@ -255,6 +257,46 @@ def test_fol_identity_implication_inhabited():
     lib = Library(ns, (th,), deps=(LOGICS,))
     report = check_theory(lib, th.name)
     assert report.ok, report.failures
+
+
+# ---------------------------------------------------------------------------
+# a HOL type definition, written out by hand
+
+
+def _typedef_library(pred_domain: Term) -> tuple[Library, Ident]:
+    """A holChurch theory with a type `b`, and a type `t` carved out of it:
+    `t : tp`, `rep : tm t -> tm b` and the axiom that every `rep x`
+    satisfies a predicate over `tm pred_domain` (`λy. y = y`)."""
+    ns = "lib://user"
+
+    def i(name: str) -> Ident:
+        return Ident(ns, "td", name)
+
+    b, t, rep = Const(i("b")), Const(i("t")), Const(i("rep"))
+    pred = Lambda("y", tm(pred_domain), apps(EQ, pred_domain, Var(0), Var(0)))
+    decls = (
+        Declaration(b.ident, tp=TP, meta=Metadata(kind="constant")),
+        Declaration(t.ident, tp=TP, meta=Metadata(kind="constant")),
+        Declaration(rep.ident, tp=fn_type(tm(t), tm(b)), meta=Metadata(kind="constant")),
+        Declaration(i("ax"), tp=Pi("x", tm(t), ded(Apply(pred, Apply(rep, Var(0))))),
+                    meta=Metadata(kind="axiom")),
+    )
+    th = Theory(theory_ident(ns, "td"), meta_theory=HOL_CHURCH, decls=decls)
+    return Library(ns, (th,), deps=(LOGICS,)), th.name
+
+
+def test_hol_type_definition_checks():
+    lib, name = _typedef_library(Const(Ident("lib://user", "td", "b")))
+    report = check_theory(lib, name)
+    assert report.ok, report.failures
+
+
+def test_hol_type_definition_with_a_predicate_on_another_type_fails():
+    lib, name = _typedef_library(BOOL)
+    report = check_theory(lib, name)
+    assert [(f.subject.name, f.message) for f in report.failures] == [
+        ("ax", "Mismatch: expected tm bool', got tm b")
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -102,10 +102,12 @@ def load(name: str) -> bytes:
     return (FIXTURES / name).read_bytes()
 
 
-def fixture_paths() -> list[Path]:
+def fixture_paths(directory: Path = FIXTURES) -> list[Path]:
     """The fixture documents in name order: the JSON and XML files of
-    fixtures/, and nothing else that may lie there."""
-    return sorted(p for p in FIXTURES.iterdir() if p.suffix in (".json", ".xml"))
+    `directory`, and nothing else that may lie there."""
+    return sorted(
+        p for p in directory.iterdir() if p.suffix in (".json", ".xml") and p.is_file()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -986,6 +988,190 @@ def test_toyset_theorem_deps_resolve():
     lib, _ = import_toyset(parse_toyset(load("sets.toyset.xml")))
     thm = lib.find_decl(Ident(TOYSET_NS, "sets", "void_empty"))
     assert thm.proof == DependsOn((Ident(TOYSET_NS, "sets", "empty_ax"),))
+
+
+# ---------------------------------------------------------------------------
+# toyset definitions
+
+
+def _toyset_doc(*theories: str) -> bytes:
+    return f'<export version="1">{"".join(theories)}</export>'.encode()
+
+
+def _gen_definition_chain(rng: random.Random) -> tuple[bytes, list[tuple[str, str | None]]]:
+    """A theory `t` of constants and definitions, each definition's value
+    naming an earlier record: (the document, [(name, value name or None)])."""
+    records: list[tuple[str, str | None]] = []
+    for k in range(rng.randint(1, 8)):
+        if records and rng.random() < 0.6:
+            records.append((f"d{k}", rng.choice(records)[0]))
+        else:
+            records.append((f"c{k}", None))
+    body = "".join(
+        f'<constant name="{name}"/>' if value is None
+        else f'<definition name="{name}"><value><const name="{value}"/></value></definition>'
+        for name, value in records
+    )
+    return _toyset_doc(f'<theory name="t">{body}</theory>'), records
+
+
+def _toyset_ident(name: str) -> Ident:
+    return Ident(TOYSET_NS, "t", name)
+
+
+def test_toyset_definitions_expand_as_an_independent_oracle_builds_them():
+    rng = random.Random(2801)
+    ded, eq = Const(fol_ident("ded")), Const(fol_ident("eq'"))
+    for _ in range(100):
+        xml, records = _gen_definition_chain(rng)
+        lib, report = import_toyset(parse_toyset(xml))
+        assert report.ok, report.failures
+        defined = {name for name, value in records if value is not None}
+
+        def named(name):
+            return Const(_toyset_ident(f"{name}/fn" if name in defined else name))
+
+        expected = []
+        for name, value in records:
+            if value is None:
+                expected.append((_toyset_ident(name), SET, "constant", None))
+                continue
+            origin = _toyset_ident(name)
+            expected.append((_toyset_ident(f"{name}/fn"), SET, "patternInstance", origin))
+            expected.append((_toyset_ident(f"{name}/def"),
+                             Apply(ded, apps(eq, named(name), named(value))),
+                             "patternInstance", origin))
+        (theory,) = lib.theories
+        assert [(d.name, d.tp, d.meta.kind, d.meta.origin) for d in theory.decls] == expected
+
+
+def test_expanded_toyset_definitions_pass_the_library_check():
+    rng = random.Random(2802)
+    docs = [load("sets.toyset.xml")] + [_gen_definition_chain(rng)[0] for _ in range(40)]
+    for xml in docs:
+        lib, report = import_toyset(parse_toyset(xml))
+        assert report.ok, report.failures
+        for checked in (lib, omdoc.parse(omdoc.serialize(lib))):
+            assert all(r.ok for r in check_library(checked))
+
+
+def test_a_toyset_definition_whose_value_is_a_formula_is_a_mismatch():
+    s = '<const name="s"/>'
+    formulas = [f"<in>{s}{s}</in>", f"<eq>{s}{s}</eq>", f"<not><in>{s}{s}</in></not>",
+                f"<and><in>{s}{s}</in><eq>{s}{s}</eq></and>",
+                f'<forall var="x"><in><var name="x"/>{s}</in></forall>']
+    for formula in formulas:
+        xml = _toyset_doc(f'<theory name="t"><constant name="s"/><definition name="d">'
+                          f"<value>{formula}</value></definition></theory>")
+        _, report = import_toyset(parse_toyset(xml))
+        assert _failure_messages(report) == {"t.d": "Mismatch: expected set, got prop"}
+
+
+def test_a_toyset_definition_value_that_does_not_check_is_argument_0_of_the_record():
+    s = '<const name="s"/>'
+    for value in (f'<papp name="s">{s}</papp>', f'<papp name="s">{s}{s}</papp>',
+                  f'<papp name="s"><in>{s}{s}</in></papp>'):
+        xml = _toyset_doc(f'<theory name="t"><constant name="s"/><definition name="d">'
+                          f"<value>{value}</value></definition></theory>")
+        _, report = import_toyset(parse_toyset(xml))
+        assert _failure_messages(report) == {
+            "t.d": f"Mismatch: argument 0 of {_toyset_ident('d')}: cannot apply a term of type set"
+        }
+
+
+def test_a_toyset_definition_value_names_earlier_and_included_records_only():
+    xml = _toyset_doc(
+        '<theory name="t"><constant name="s"/>'
+        '<definition name="ahead"><value><const name="later"/></value></definition>'
+        '<definition name="dz"><value><const name="zz"/></value></definition>'
+        '<constant name="later"/></theory>',
+        '<theory name="u" includes="t">'
+        '<definition name="d"><value><const name="s"/></value></definition></theory>',
+    )
+    lib, report = import_toyset(parse_toyset(xml))
+    assert _failure_messages(report) == {
+        "t.ahead": "UnknownIdent: later", "t.dz": "UnknownIdent: zz",
+    }
+    d_def = lib.find_decl(Ident(TOYSET_NS, "u", "d/def"))
+    assert d_def.tp == Apply(Const(fol_ident("ded")), apps(
+        Const(fol_ident("eq'")), Const(Ident(TOYSET_NS, "u", "d/fn")), Const(_toyset_ident("s"))
+    ))
+
+
+def test_a_failed_toyset_definition_adds_no_declarations():
+    xml = _toyset_doc(
+        '<theory name="t"><constant name="s"/>'
+        '<definition name="bad"><value><in><const name="s"/><const name="s"/></in></value></definition>'
+        '<axiom name="d/def"><in><const name="s"/><const name="s"/></in></axiom>'
+        '<definition name="d"><value><const name="s"/></value></definition>'
+        '<axiom name="uses"><in><const name="bad"/><const name="s"/></in></axiom>'
+        '<constant name="after"/></theory>'
+    )
+    lib, report = import_toyset(parse_toyset(xml))
+    assert _failure_messages(report) == {
+        "t.bad": "Mismatch: expected set, got prop",
+        "t.d": f"CheckError: duplicate declaration {_toyset_ident('d/def')}",
+        "t.uses": "UnknownIdent: bad failed to import",
+    }
+    (theory,) = lib.theories
+    assert [d.name.name for d in theory.decls] == ["s", "d/def", "after"]
+    assert theory.decls[1].meta.kind == "axiom"
+
+
+def test_later_toyset_records_share_the_fn_node_of_a_definition():
+    xml = _toyset_doc(
+        '<theory name="t"><constant name="s"/>'
+        '<definition name="d"><value><const name="s"/></value></definition>'
+        '<definition name="e"><value><const name="d"/></value></definition>'
+        '<axiom name="a"><in><const name="d"/><const name="s"/></in></axiom></theory>'
+    )
+    lib, report = import_toyset(parse_toyset(xml))
+    assert report.ok, report.failures
+    by_name = {d.name.name: d for d in lib.theories[0].decls}
+
+    def operands(decl):
+        """The two operands of the binary formula under `ded`."""
+        formula = decl.tp.arg
+        return formula.fn.arg, formula.arg
+
+    d_fn, s = operands(by_name["d/def"])
+    e_fn, e_value = operands(by_name["e/def"])
+    assert d_fn == Const(_toyset_ident("d/fn")) and e_fn == Const(_toyset_ident("e/fn"))
+    assert e_value is d_fn
+    a_left, a_right = operands(by_name["a"])
+    assert a_left is d_fn and a_right is s
+
+
+def test_a_toyset_definition_keeps_its_source_ref_comment_and_notation():
+    xml = _toyset_doc(
+        '<theory name="t"><constant name="s"/>'
+        '<definition name="d" src="sets.miz:12:3" comment="the empty set" notation="{}">'
+        '<value><const name="s"/></value></definition>'
+        '<definition name="bare"><value><const name="s"/></value></definition></theory>'
+    )
+    lib, report = import_toyset(parse_toyset(xml))
+    assert report.ok, report.failures
+    metas = {d.name.name: d.meta for d in lib.theories[0].decls}
+    kept = Metadata("patternInstance", source_ref=SourceRef("sets.miz", 12, 3, 12, 3),
+                    comments=("the empty set",), notation="{}", origin=_toyset_ident("d"))
+    assert metas["d/fn"] == metas["d/def"] == kept
+    assert metas["bare/fn"] == metas["bare/def"] == Metadata(
+        "patternInstance", origin=_toyset_ident("bare")
+    )
+
+
+def test_fixture_paths_take_only_json_and_xml_files(tmp_path):
+    for name in ("b.toyset.xml", "a.toyhol.json", "c.omdoc.xml", "notes.txt",
+                 "a.toyhol.json.swp", "b.toyset.xml~", ".hidden.json.orig"):
+        (tmp_path / name).write_text("")
+    (tmp_path / "__pycache__").mkdir()
+    (tmp_path / "dir.xml").mkdir()
+    assert [p.name for p in fixture_paths(tmp_path)] == [
+        "a.toyhol.json", "b.toyset.xml", "c.omdoc.xml"
+    ]
+    assert {p.name for p in fixture_paths()} == {
+        p.name for p in FIXTURES.iterdir() if p.name.endswith((".json", ".xml"))
+    }
 
 
 CONNECTIVE_NAMES = ("in", "eq", "and", "or", "impl", "not")
