@@ -57,7 +57,6 @@ from .kernel import (
     CheckResult,
     Config,
     Const,
-    Context,
     Declaration,
     DependsOn,
     Ident,
@@ -236,7 +235,7 @@ def _parse_src(obj, path: str) -> SourceRef:
     check_keys(obj, path, (), ("file", "line", "col"), "field")
     f = _get_str(obj, "file", path)
     for key in ("line", "col"):
-        if not isinstance(obj.get(key), int) or obj[key] < 1:
+        if type(obj.get(key)) is not int or obj[key] < 1:  # a bool is an int too
             raise SchemaViolation(f"{path}.{key}", "expected a positive integer")
     return SourceRef(f, obj["line"], obj["col"], obj["line"], obj["col"])
 
@@ -347,6 +346,8 @@ def parse_toyhol(data: bytes) -> ExportDoc:
         raise Malformed(str(err)) from err
     except json.JSONDecodeError as err:
         raise Malformed(err.msg, err.lineno, err.colno) from err
+    except ValueError as err:  # the interpreter's limit on int() of a digit string
+        raise Malformed("an integer literal is too long") from err
     if not isinstance(obj, dict):
         raise SchemaViolation("", "top level must be an object")
     check_keys(obj, "", (), ("version", "theories"), "field")
@@ -982,7 +983,7 @@ def _toyset_decl(
     if rec.kind == "definition":
         value = _fol_term(rec.definiens, [], consts, terms)
         try:
-            check(scope, Context(), value, _FOL_SET, config)
+            check(scope, (), value, _FOL_SET, config)
         except Mismatch:
             raise
         except CheckError as err:

@@ -30,7 +30,7 @@ stay true; a Scope only grows, which keeps every success a success,
 and `Scope.add`'s undo clears the Scope's entries.
 
 The hot path has one dispatch idiom. `rebuild`, `constants_of` and the
-checker's per-node functions (`whnf`, `_conv`, `infer`, `check`,
+checker's per-node functions (`whnf`, `equal`, `infer`, `check`,
 `check_kind`) test `type(t) is C`, most frequent class first, and read
 each class's fields by name. No class subclasses a term node, so this
 matches what a structural `match` would, at a fraction of its cost. Only
@@ -399,35 +399,6 @@ class Terms:
         if t is None:
             t = self._nodes[key] = cls(*parts) if hint is None else cls(hint, *parts)
         return t
-
-
-# ---------------------------------------------------------------------------
-# contexts
-
-
-class Binding(Record):
-    __match_args__ = _fields = ("hint", "tp")
-
-    def __init__(self, hint: str, tp: Term) -> None:
-        _set(self, "hint", hint)
-        _set(self, "tp", tp)
-
-
-class Context(Record):
-    """Typing context; the innermost binder is the last entry."""
-
-    __match_args__ = _fields = ("entries",)
-
-    def __init__(self, entries: tuple[Binding, ...] = ()) -> None:
-        _set(self, "entries", entries)
-
-    def extend(self, hint: str, tp: Term) -> "Context":
-        return Context(self.entries + (Binding(hint, tp),))
-
-    def lookup(self, index: int) -> Binding:
-        if 0 <= index < len(self.entries):
-            return self.entries[len(self.entries) - 1 - index]
-        raise NotTyped(f"unbound variable index {index}")
 
 
 # ---------------------------------------------------------------------------
@@ -820,23 +791,11 @@ def whnf(lib: Library | Scope, t: Term, config: Config = DEFAULT_CONFIG) -> Term
     return head
 
 
-def equal(
-    lib: Library | Scope,
-    ctx: Context,
-    t1: Term,
-    t2: Term,
-    config: Config = DEFAULT_CONFIG,
-) -> bool:
-    """Definitional equality: beta, delta, eta, and witness irrelevance.
-
-    On de Bruijn terms the context carries no information the algorithm
-    needs; it is accepted for interface symmetry with infer/check.
-    """
-    del ctx
-    return _conv(lib, t1, t2, config)
-
-
-def _conv(lib: Library | Scope, a: Term, b: Term, cfg: Config) -> bool:
+def equal(lib: Library | Scope, a: Term, b: Term, cfg: Config = DEFAULT_CONFIG) -> bool:
+    """Definitional equality of `a` and `b` in `lib`: beta, delta (definiens
+    unfolding), the subtype computation rule, eta when `cfg` enables it, and
+    SubIn witness irrelevance. Bound variables are de Bruijn indices, so the
+    answer needs no typing context."""
     if a is b or a == b:  # structural, hint-insensitive
         return True
     a = whnf(lib, a, cfg)
@@ -844,26 +803,26 @@ def _conv(lib: Library | Scope, a: Term, b: Term, cfg: Config) -> bool:
     cls = type(a)
     if cls is type(b):
         if cls is Apply:
-            return _conv(lib, a.fn, b.fn, cfg) and _conv(lib, a.arg, b.arg, cfg)
+            return equal(lib, a.fn, b.fn, cfg) and equal(lib, a.arg, b.arg, cfg)
         if cls is Const:
             return a.ident == b.ident
         if cls is Pi:
-            return _conv(lib, a.dom, b.dom, cfg) and _conv(lib, a.cod, b.cod, cfg)
+            return equal(lib, a.dom, b.dom, cfg) and equal(lib, a.cod, b.cod, cfg)
         if cls is Var:
             return a.index == b.index
         if cls is Lambda:
-            return _conv(lib, a.dom, b.dom, cfg) and _conv(lib, a.body, b.body, cfg)
+            return equal(lib, a.dom, b.dom, cfg) and equal(lib, a.body, b.body, cfg)
         if cls is TypeKind:
             return True
         if cls is SubType:
-            return _conv(lib, a.base, b.base, cfg) and _conv(lib, a.pred, b.pred, cfg)
+            return equal(lib, a.base, b.base, cfg) and equal(lib, a.pred, b.pred, cfg)
         if cls is SubIn or cls is SubOut:
-            return _conv(lib, a.elem, b.elem, cfg)  # SubIn witnesses are irrelevant
+            return equal(lib, a.elem, b.elem, cfg)  # SubIn witnesses are irrelevant
     elif cfg.eta_enabled:
         if cls is Lambda:
-            return _conv(lib, a.body, Apply(shift(b, 1), Var(0)), cfg)
+            return equal(lib, a.body, Apply(shift(b, 1), Var(0)), cfg)
         if type(b) is Lambda:
-            return _conv(lib, Apply(shift(a, 1), Var(0)), b.body, cfg)
+            return equal(lib, Apply(shift(a, 1), Var(0)), b.body, cfg)
     return False
 
 
@@ -880,11 +839,12 @@ def is_kind(t: Term) -> bool:
 
 def infer(
     lib: Library | Scope,
-    ctx: Context,
+    ctx: tuple[Term, ...],
     t: Term,
     config: Config = DEFAULT_CONFIG,
 ) -> Term:
-    """Synthesize the type of `t`.
+    """Synthesize the type of `t` under `ctx`, the types of the enclosing
+    binders, innermost last.
 
     Binder domains are not sort-checked here; declaration-level checking
     (check_theory) enforces that declared classifiers are types or kinds.
@@ -913,17 +873,19 @@ def infer(
             raise UnknownIdent(str(t.ident))
         if d.tp is not None:
             return d.tp
-        return infer(lib, Context(), d.definiens, config)
+        return infer(lib, (), d.definiens, config)
     if cls is Var:
         k = t.index
-        return shift(ctx.lookup(k).tp, k + 1)
+        if k >= len(ctx):
+            raise NotTyped(f"unbound variable index {k}")
+        return shift(ctx[-1 - k], k + 1)
     if cls is Pi:
-        sort = infer(lib, ctx.extend(t.hint, t.dom), t.cod, config)
-        if not equal(lib, ctx, sort, TypeKind(), config):
+        sort = infer(lib, ctx + (t.dom,), t.cod, config)
+        if not equal(lib, sort, TypeKind(), config):
             raise Mismatch("Pi codomain is not a type")
         return TypeKind()
     if cls is Lambda:
-        bt = infer(lib, ctx.extend(t.hint, t.dom), t.body, config)
+        bt = infer(lib, ctx + (t.dom,), t.body, config)
         return Pi(t.hint, t.dom, bt)
     if cls is SubOut:
         et = whnf(lib, infer(lib, ctx, t.elem, config), config)
@@ -932,7 +894,7 @@ def infer(
         return et.base
     if cls is SubType:
         b = t.base
-        if not equal(lib, ctx, infer(lib, ctx, b, config), TypeKind(), config):
+        if not equal(lib, infer(lib, ctx, b, config), TypeKind(), config):
             raise Mismatch("subtype base is not a type")
         check(lib, ctx, t.pred, Pi("x", b, TypeKind()), config)
         return TypeKind()
@@ -945,7 +907,7 @@ def infer(
 
 def check(
     lib: Library | Scope,
-    ctx: Context,
+    ctx: tuple[Term, ...],
     t: Term,
     expected: Term,
     config: Config = DEFAULT_CONFIG,
@@ -956,10 +918,10 @@ def check(
     if cls is Lambda and type(exp) is Pi:
         # annotation and expected domain must agree definitionally
         d, pd = t.dom, exp.dom
-        if not equal(lib, ctx, d, pd, config):
+        if not equal(lib, d, pd, config):
             q = clashing_names(d, pd)
             raise Mismatch(f"lambda domain {format_term(d, q)} vs expected {format_term(pd, q)}")
-        check(lib, ctx.extend(t.hint, pd), t.body, exp.cod, config)
+        check(lib, ctx + (pd,), t.body, exp.cod, config)
         return
     if cls is SubIn and type(exp) is SubType:
         e = t.elem
@@ -967,9 +929,9 @@ def check(
         check(lib, ctx, t.witness, whnf(lib, Apply(exp.pred, e), config), config)
         return
     actual = infer(lib, ctx, t, config)
-    if equal(lib, ctx, actual, exp, config):
+    if equal(lib, actual, exp, config):
         return
-    if isinstance(exp, SubType) and equal(lib, ctx, actual, exp.base, config):
+    if isinstance(exp, SubType) and equal(lib, actual, exp.base, config):
         raise SubtypeWitnessMissing(
             f"term of base type {format_term(exp.base)} needs an explicit witness"
         )
@@ -979,7 +941,7 @@ def check(
 
 def check_kind(
     lib: Library | Scope,
-    ctx: Context,
+    ctx: tuple[Term, ...],
     k: Term,
     config: Config = DEFAULT_CONFIG,
 ) -> None:
@@ -989,9 +951,9 @@ def check_kind(
         return
     if cls is Pi:
         d = k.dom
-        if not equal(lib, ctx, infer(lib, ctx, d, config), TypeKind(), config):
+        if not equal(lib, infer(lib, ctx, d, config), TypeKind(), config):
             raise Mismatch(f"kind domain is not a type: {format_term(d)}")
-        check_kind(lib, ctx.extend(k.hint, d), k.cod, config)
+        check_kind(lib, ctx + (d,), k.cod, config)
         return
     raise NotTyped(f"not a kind: {format_term(k)}")
 
@@ -1094,19 +1056,18 @@ def _check_declaration(
         for c in constants_of(term):
             if c not in visible:
                 raise UnknownIdent(str(c))
-    empty = Context()
     if decl.tp is not None:
         if is_kind(decl.tp):
-            check_kind(lib, empty, decl.tp, cfg)
+            check_kind(lib, (), decl.tp, cfg)
         else:
-            sort = infer(lib, empty, decl.tp, cfg)
-            if not equal(lib, empty, sort, TypeKind(), cfg):
+            sort = infer(lib, (), decl.tp, cfg)
+            if not equal(lib, sort, TypeKind(), cfg):
                 raise Mismatch(f"{decl.name}: declared type is not a type")
     if decl.definiens is not None:
         if decl.tp is not None:
-            check(lib, empty, decl.definiens, decl.tp, cfg)
+            check(lib, (), decl.definiens, decl.tp, cfg)
         else:
-            infer(lib, empty, decl.definiens, cfg)
+            infer(lib, (), decl.definiens, cfg)
     match decl.proof:
         case DependsOn(ids):
             # referential validation only; targets may live anywhere in
@@ -1117,7 +1078,7 @@ def _check_declaration(
         case ProofTerm(pt):
             if decl.tp is None:
                 raise NotTyped(f"{decl.name}: proof term without a statement")
-            check(lib, empty, pt, decl.tp, cfg)
+            check(lib, (), pt, decl.tp, cfg)
         case _:
             pass
 

@@ -20,7 +20,6 @@ from .kernel import (
     CheckResult,
     Config,
     Const,
-    Context,
     DEFAULT_CONFIG,
     Declaration,
     DependsOn,
@@ -133,7 +132,7 @@ def check_morphism(lib: Library, m: Morphism, config: Config = DEFAULT_CONFIG) -
                 raise UnknownIdent("not a source constant")
             if d.tp is None:
                 raise NotTyped("assigned constant has no type")
-            check(lib, Context(), term, go(d.tp), config)
+            check(lib, (), term, go(d.tp), config)
             results.append(CheckResult(c, True))
         except CheckError as err:  # collected, not raised
             results.append(CheckResult.failed(c, err))

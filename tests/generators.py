@@ -98,7 +98,7 @@ def gen_term(rng: random.Random, ctx_types: list[Term], target: Term, depth: int
     """A well-typed term of the given (closed) simple type.
 
     ctx_types lists the types of free variables, innermost last, as in a
-    kernel Context. The result has type `target` by construction.
+    kernel typing context. The result has type `target` by construction.
     """
     atoms: list[Term] = []
     n = len(ctx_types)

@@ -61,7 +61,6 @@ from proofport.kernel import (
     Apply,
     Config,
     Const,
-    Context,
     Declaration,
     Ident,
     Library,
@@ -87,7 +86,7 @@ from proofport.ontology import extract_triples, iri_of, read_ntriples, write_ntr
 from generators import SAbs, SName
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-CTX = Context()
+CTX = ()
 LOGICS = logic_library()
 
 
@@ -124,7 +123,7 @@ def test_1_kernel_properties():
     for _ in range(500):  # subject reduction
         t, tp = gen_typed_closed(rng)
         reduced = whnf(BASE_LIB, t)
-        assert equal(BASE_LIB, CTX, infer(BASE_LIB, CTX, reduced), tp)
+        assert equal(BASE_LIB, infer(BASE_LIB, CTX, reduced), tp)
 
     rng = random.Random(33)
     cfg = Config(reduction_budget=400)
@@ -190,12 +189,12 @@ def test_3_refinement_rules_enumerated():
     for t in _enumerate_nats():
         check(BASE_LIB, CTX, t, NAT)
         for w in (tt, neg_tt):
-            assert equal(BASE_LIB, CTX, SubOut(SubIn(t, w)), t)
+            assert equal(BASE_LIB, SubOut(SubIn(t, w)), t)
             instances += 1
         # witness irrelevance: proofs never separate refined terms,
         # but distinct elements stay distinct
-        assert equal(BASE_LIB, CTX, SubIn(t, tt), SubIn(t, neg_tt))
-        assert not equal(BASE_LIB, CTX, SubIn(t, tt), SubIn(Apply(succ, t), tt))
+        assert equal(BASE_LIB, SubIn(t, tt), SubIn(t, neg_tt))
+        assert not equal(BASE_LIB, SubIn(t, tt), SubIn(Apply(succ, t), tt))
     assert instances >= 100
 
     # tmOf membership is exactly possession of an `of e A` proof

@@ -207,6 +207,35 @@ def test_a_repeated_toyhol_key_is_exit_2_naming_it(tmp_path, capsys, text, key):
         assert not out_file.exists()
 
 
+def test_a_toyhol_integer_past_the_digit_limit_is_exit_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError here, not a JSONDecodeError; the
+    # integer is spliced into the text, because json.dumps of it raises too
+    doc = tmp_path / "long.toyhol.json"
+    doc.write_text(Path(MINIMAL).read_text().replace('"line": 12', f'"line": {"1" * 5000}'))
+    out_file = tmp_path / "out.omdoc.xml"
+    for command in (("check",), ("import", "--output", str(out_file)), ("stats",),
+                    ("export-omdoc", "--output", str(out_file))):
+        assert run_cli(capsys, command[0], str(doc), *command[1:]) == (
+            2, "", "error: an integer literal is too long\n"
+        ), command
+        assert not out_file.exists()
+
+
+@pytest.mark.parametrize("key", ["line", "col"])
+def test_a_boolean_source_position_is_exit_2(tmp_path, capsys, key):
+    # a JSON true is an int to isinstance, and once was read as line 1
+    data = json.loads(Path(MINIMAL).read_text())
+    data["theories"][0]["decls"][2]["src"][key] = True
+    doc = tmp_path / "bool.toyhol.json"
+    doc.write_text(json.dumps(data))
+    out_file = tmp_path / "out.omdoc.xml"
+    for command in (("check",), ("import", "--output", str(out_file))):
+        assert run_cli(capsys, command[0], str(doc), *command[1:]) == (
+            2, "", f"error: theories[0].decls[2].src.{key}: expected a positive integer\n"
+        ), command
+        assert not out_file.exists()
+
+
 @pytest.mark.parametrize("name", ["lib.omdoc.xml", "lib.toyset.xml"])
 def test_an_xml_parser_overflow_is_malformed_exit_2(tmp_path, capsys, monkeypatch, name):
     # what the XML parser raises on a document past its size limits
@@ -1394,6 +1423,17 @@ def test_module_is_runnable_as_a_script():
     assert "total\tfailed\t0" in proc.stdout
 
 
+def test_the_readme_library_example_runs_verbatim():
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S)
+    assert block, "README has no Library use example"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", block[1]], capture_output=True, text=True,
+                          env=env, cwd=root)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_start_up_loads_no_dataclasses_inspect_or_fractions():
     # each of these costs every process milliseconds no command needs
     heavy = "{'dataclasses', 'inspect', 'fractions'}"
@@ -1484,14 +1524,20 @@ def _json_slots(doc):
             stack.append(node[key])
 
 
+# what a scalar mutation may write; the long integer is spliced into the text,
+# because json.dumps of an int past the interpreter's digit limit raises
+_LONG_INT = "<a 5,000-digit integer>"
+_SCALARS = (True, False, None, -1, 0.5, _LONG_INT)
+
+
 def _json_mutant(data: bytes, rng) -> bytes:
     """One to three value drops, list item duplications, value swaps, key
-    renames and string edits."""
+    renames, string edits and scalar replacements."""
     doc = json.loads(data)
     for _ in range(rng.randint(1, 3)):
         slots = list(_json_slots(doc))
         node, key = rng.choice(slots)
-        op = rng.randrange(5)
+        op = rng.randrange(6)
         if op == 0:
             del node[key]
         elif op == 1 and isinstance(node, list):
@@ -1503,7 +1549,9 @@ def _json_mutant(data: bytes, rng) -> bytes:
             node[rng.choice([k for n, k in slots if isinstance(n, dict)])] = node.pop(key)
         elif op == 4 and isinstance(node[key], str):
             node[key] = _edited(rng, node[key])
-    return json.dumps(doc).encode()
+        elif op == 5:
+            node[key] = rng.choice(_SCALARS)
+    return json.dumps(doc).replace(json.dumps(_LONG_INT), "1" * 5000).encode()
 
 
 @pytest.mark.parametrize("fixture", [p.name for p in fixture_paths()])
@@ -1512,7 +1560,9 @@ def test_mutated_fixtures_end_in_an_exit_code_not_a_traceback(tmp_path, capsys, 
     data = (FIXTURES / fixture).read_bytes()
     mutant = _json_mutant if fixture.endswith(".json") else _xml_mutant
     doc = tmp_path / fixture
-    commands = (("check",), ("import",), ("export-rdf", "--output", str(tmp_path / "out.nt")))
+    exported = tmp_path / "out.omdoc.xml"
+    commands = (("check",), ("import", "--output", str(exported)),
+                ("export-rdf", "--output", str(tmp_path / "out.nt")))
     codes = set()
     for _ in range(100):
         text = bytearray(mutant(data, rng))
@@ -1520,10 +1570,14 @@ def test_mutated_fixtures_end_in_an_exit_code_not_a_traceback(tmp_path, capsys, 
             for _ in range(rng.randint(1, 3)):
                 text[rng.randrange(len(text))] ^= 1 << rng.randrange(8)
         doc.write_bytes(text)
+        exported.unlink(missing_ok=True)
         for command in commands:
             code, _, _ = run_cli(capsys, command[0], str(doc), *command[1:])
             assert code in (0, 1, 2), (command, bytes(text))
             codes.add(code)
+            if command[0] == "import" and exported.exists():
+                # what an import writes, the OMDoc reader takes back
+                assert run_cli(capsys, "check", str(exported))[0] in (0, 1), bytes(text)
     assert 2 in codes and codes & {0, 1}
 
 

@@ -22,7 +22,6 @@ from proofport.errors import EmptyCorpus, Mismatch
 from proofport.kernel import (
     Apply,
     Const,
-    Context,
     Declaration,
     Ident,
     Lambda,
@@ -100,10 +99,10 @@ def test_encoding_theories_are_closed(build):
 
 
 def test_identity_application_infers():
-    ctx = Context().extend("c", tm(BOOL))
+    ctx = (tm(BOOL),)
     ident_fn = apps(LAM, BOOL, BOOL, Lambda("x", tm(BOOL), Var(0)))
     t = apps(APP, BOOL, BOOL, ident_fn, Var(0))
-    assert equal(LOGICS, ctx, infer(LOGICS, ctx, t), tm(BOOL))
+    assert equal(LOGICS, infer(LOGICS, ctx, t), tm(BOOL))
 
 
 def identity_theorem() -> tuple[Term, Term]:
@@ -125,7 +124,7 @@ def identity_theorem() -> tuple[Term, Term]:
 
 def test_hol_identity_theorem_checks():
     statement, proof = identity_theorem()
-    check(LOGICS, Context(), proof, statement)
+    check(LOGICS, (), proof, statement)
 
 
 def test_hol_identity_theorem_as_declaration():
@@ -159,9 +158,9 @@ def test_hol_app_inference_on_random_simple_types():
     for _ in range(100):
         a = gen_obj_type(2)
         b = gen_obj_type(2)
-        ctx = Context().extend("f", tm(apps(ARROW, a, b))).extend("x", tm(a))
+        ctx = (tm(apps(ARROW, a, b)), tm(a))
         got = infer(LOGICS, ctx, apps(APP, a, b, Var(1), Var(0)))
-        assert equal(LOGICS, ctx, got, tm(b))
+        assert equal(LOGICS, got, tm(b))
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +201,8 @@ def test_curry_refined_constant_checks():
 def test_curry_refined_constant_projects_to_expr():
     lib = _curry_user_lib()
     c = Const(Ident("lib://user", "c", "c"))
-    got = infer(lib, Context(), SubOut(c))
-    assert equal(lib, Context(), got, EXPR)
+    got = infer(lib, (), SubOut(c))
+    assert equal(lib, got, EXPR)
 
 
 def test_curry_membership_requires_witnessed_term():
@@ -211,10 +210,10 @@ def test_curry_membership_requires_witnessed_term():
     a = Const(Ident("lib://user", "c", "A"))
     c0 = Const(Ident("lib://user", "c", "c0"))
     pf = Const(Ident("lib://user", "c", "pf"))
-    check(lib, Context(), SubIn(c0, pf), Apply(TMOF, a))
+    check(lib, (), SubIn(c0, pf), Apply(TMOF, a))
     with pytest.raises(Mismatch):
         # wrong witness type: pf proves `of c0 A`, not `of A A`
-        check(lib, Context(), SubIn(a, pf), Apply(TMOF, a))
+        check(lib, (), SubIn(a, pf), Apply(TMOF, a))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +231,7 @@ def test_fol_separation_schema_closure_is_a_type():
             ),
         ),
     )
-    check(LOGICS, Context(), Pi("P", sp, body), TypeKind())
+    check(LOGICS, (), Pi("P", sp, body), TypeKind())
 
 
 def test_fol_identity_implication_inhabited():

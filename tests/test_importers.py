@@ -62,7 +62,6 @@ from proofport.kernel import (
     Apply,
     Config,
     Const,
-    Context,
     Declaration,
     DependsOn,
     Ident,
@@ -374,7 +373,7 @@ def test_infer_200_generated_terms_check():
         t = gen_surface(rng, target, (), 3)
         term, ty = _infer(SURFACE_ENV, t)
         assert ty == stype_term(target)
-        check(lib, Context(), term, Apply(TM, stype_term(target)))
+        check(lib, (), term, Apply(TM, stype_term(target)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ from proofport.kernel import (
     Apply,
     Config,
     Const,
-    Context,
     Declaration,
     DependsOn,
     Ident,
@@ -88,7 +87,7 @@ from proofport.kernel import (
 from proofport.morphisms import Morphism, install_morphism
 
 EMPTY = Library("lib://empty")
-CTX = Context()
+CTX = ()
 
 
 def _i(name: str) -> Ident:
@@ -493,23 +492,23 @@ def test_equal_reflexive_on_random_terms():
     rng = random.Random(303)
     for _ in range(50):
         t = gen_scoped(rng, 0)
-        assert equal(BASE_LIB, CTX, t, t)
+        assert equal(BASE_LIB, t, t)
 
 
 def test_equal_eta():
     lam = Lambda("x", NAT, Apply(SUCC, Var(0)))
     for eta, expected in ((True, True), (False, False)):
         cfg = Config(eta_enabled=eta)
-        assert equal(EMPTY, CTX, lam, SUCC, cfg) is expected
-        assert equal(EMPTY, CTX, SUCC, lam, cfg) is expected
+        assert equal(EMPTY, lam, SUCC, cfg) is expected
+        assert equal(EMPTY, SUCC, lam, cfg) is expected
     # the expanded side may be a bound variable or sit behind a definiens
     under_x = Lambda("y", NAT, Apply(Var(1), Var(0)))
-    assert equal(EMPTY, CTX, under_x, Var(0)) and equal(EMPTY, CTX, Var(0), under_x)
+    assert equal(EMPTY, under_x, Var(0)) and equal(EMPTY, Var(0), under_x)
     twice_eta = Lambda("f", fn_type(NAT, NAT), Apply(TWICE, Var(0)))
-    assert equal(BASE_LIB, CTX, TWICE, twice_eta) and equal(BASE_LIB, CTX, twice_eta, TWICE)
+    assert equal(BASE_LIB, TWICE, twice_eta) and equal(BASE_LIB, twice_eta, TWICE)
     # eta is tried only when the two heads differ; a wrong body stays unequal
     wrong = Lambda("x", NAT, Apply(SUCC, ZERO))
-    assert not equal(EMPTY, CTX, wrong, SUCC) and not equal(EMPTY, CTX, SUCC, wrong)
+    assert not equal(EMPTY, wrong, SUCC) and not equal(EMPTY, SUCC, wrong)
 
 
 def test_a_term_class_the_kernel_does_not_know_falls_through():
@@ -524,12 +523,12 @@ def test_a_term_class_the_kernel_does_not_know_falls_through():
         kernel.check_kind(BASE_LIB, CTX, hole)
     assert whnf(BASE_LIB, hole) is hole
     assert whnf(BASE_LIB, Apply(hole, ZERO)) == Apply(hole, ZERO)
-    assert equal(BASE_LIB, CTX, hole, SMeta(0))  # structurally equal
+    assert equal(BASE_LIB, hole, SMeta(0))  # structurally equal
     for other in (SMeta(1), ZERO, Var(0), TypeKind(), SubOut(hole), Apply(hole, ZERO)):
-        assert not equal(BASE_LIB, CTX, hole, other)
-        assert not equal(BASE_LIB, CTX, other, hole)
+        assert not equal(BASE_LIB, hole, other)
+        assert not equal(BASE_LIB, other, hole)
     lam = Lambda("x", NAT, Apply(SUCC, Var(0)))
-    assert not equal(BASE_LIB, CTX, hole, lam) and not equal(BASE_LIB, CTX, lam, hole)
+    assert not equal(BASE_LIB, hole, lam) and not equal(BASE_LIB, lam, hole)
 
 
 @pytest.mark.parametrize("budget", [0, 1])
@@ -541,7 +540,7 @@ def test_subout_of_subin_cancels_within_the_budget(budget):
             whnf(EMPTY, cancel, cfg)
     else:
         assert whnf(EMPTY, cancel, cfg) == ZERO
-        assert equal(EMPTY, CTX, cancel, ZERO, cfg)
+        assert equal(EMPTY, cancel, ZERO, cfg)
     # two steps each: a beta step or a second cancellation first
     for two in (SubOut(Apply(Lambda("x", NAT, SubIn(Var(0), TT)), ZERO)),
                 SubOut(SubOut(SubIn(SubIn(ZERO, TT), TT)))):
@@ -558,13 +557,13 @@ def test_subout_of_subin_cancels_within_the_budget(budget):
 def test_equal_witness_irrelevance():
     a = SubIn(ZERO, TT)
     b = SubIn(ZERO, Apply(Const(_i("neg")), TT))
-    assert equal(EMPTY, CTX, a, b)
-    assert not equal(EMPTY, CTX, a, SubIn(ONE, TT))
+    assert equal(EMPTY, a, b)
+    assert not equal(EMPTY, a, SubIn(ONE, TT))
 
 
 def test_equal_unfolds_definitions():
-    assert equal(BASE_LIB, CTX, ONE, Apply(SUCC, ZERO))
-    assert not equal(BASE_LIB, CTX, ONE, ZERO)
+    assert equal(BASE_LIB, ONE, Apply(SUCC, ZERO))
+    assert not equal(BASE_LIB, ONE, ZERO)
 
 
 def test_equal_ignores_hints():
@@ -573,7 +572,7 @@ def test_equal_ignores_hints():
     assert a == b and hash(a) == hash(b)
     c, d = Pi("x", NAT, NAT), Pi("y", NAT, NAT)
     assert c == d and hash(c) == hash(d)
-    assert equal(EMPTY, CTX, a, b)
+    assert equal(EMPTY, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +587,11 @@ def test_infer_lambda_identity():
 
 def test_infer_var_shifts_context_types():
     # under x : (nat -> nat), y : nat the variable x keeps its type
-    ctx = CTX.extend("x", fn_type(NAT, NAT)).extend("y", NAT)
+    ctx = (fn_type(NAT, NAT), NAT)
     assert infer(BASE_LIB, ctx, Var(1)) == fn_type(NAT, NAT)
     assert infer(BASE_LIB, ctx, Var(0)) == NAT
+    with pytest.raises(NotTyped, match="^unbound variable index 2$"):
+        infer(BASE_LIB, ctx, Var(2))
 
 
 def test_infer_const_and_apply():
@@ -610,7 +611,7 @@ def test_infer_typekind_has_no_type():
 
 def test_infer_subout():
     sub = SubType(NAT, Lambda("n", NAT, O))
-    ctx = CTX.extend("s", sub)
+    ctx = (sub,)
     assert infer(BASE_LIB, ctx, SubOut(Var(0))) == shift(NAT, 1)
 
 
@@ -665,7 +666,7 @@ def test_infer_matches_generator_types():
     rng = random.Random(404)
     for _ in range(150):
         t, tp = gen_typed_closed(rng)
-        assert equal(BASE_LIB, CTX, infer(BASE_LIB, CTX, t), tp)
+        assert equal(BASE_LIB, infer(BASE_LIB, CTX, t), tp)
         check(BASE_LIB, CTX, t, tp)
 
 
@@ -689,7 +690,7 @@ def test_subject_reduction():
     for _ in range(120):
         t, tp = gen_typed_closed(rng)
         reduced = whnf(BASE_LIB, t)
-        assert equal(BASE_LIB, CTX, infer(BASE_LIB, CTX, reduced), tp)
+        assert equal(BASE_LIB, infer(BASE_LIB, CTX, reduced), tp)
 
 
 def test_whnf_idempotent():
@@ -710,7 +711,7 @@ def test_alpha_invariance_of_hints():
         t, tp = gen_typed_closed(rng)
         mutated = mutate_hints(rng, t)
         assert mutated == t
-        assert equal(BASE_LIB, CTX, mutated, t)
+        assert equal(BASE_LIB, mutated, t)
         assert infer(BASE_LIB, CTX, mutated) == infer(BASE_LIB, CTX, t)
 
 
@@ -720,14 +721,14 @@ def test_equal_is_congruence_under_apply():
         f = gen_term(rng, [], fn_type(NAT, NAT))
         a = gen_term(rng, [], NAT)
         b = whnf(BASE_LIB, a)
-        assert equal(BASE_LIB, CTX, Apply(f, a), Apply(f, b))
+        assert equal(BASE_LIB, Apply(f, a), Apply(f, b))
 
 
 def test_refinement_cancellation():
     rng = random.Random(111)
     for _ in range(100):
         t, _tp = gen_typed_closed(rng)
-        assert equal(BASE_LIB, CTX, SubOut(SubIn(t, TT)), t)
+        assert equal(BASE_LIB, SubOut(SubIn(t, TT)), t)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,17 +1098,17 @@ def test_infer_forgets_a_declaration_whose_add_was_undone():
     f = Declaration(Ident(NS, "ext", "f"), tp=fn_type(NAT, NAT), meta=Metadata(kind="constant"))
     t = Apply(Const(f.name), ZERO)
     undo = scope.add((f,))
-    assert infer(scope, Context(), t) == NAT
-    assert infer(scope, Context(), t) == NAT  # from the memo
+    assert infer(scope, (), t) == NAT
+    assert infer(scope, (), t) == NAT  # from the memo
     undo()
     with pytest.raises(UnknownIdent, match="f"):
-        infer(scope, Context(), t)
+        infer(scope, (), t)
 
 
 def test_one_open_application_has_the_type_each_context_gives_it():
     t = Apply(Var(0), ZERO)
     for cod in (NAT, O, NAT):
-        assert infer(BASE_LIB, Context().extend("f", fn_type(NAT, cod)), t) == cod
+        assert infer(BASE_LIB, (fn_type(NAT, cod),), t) == cod
 
 
 def _config_sensitive_document() -> bytes:
@@ -1221,9 +1222,6 @@ def _record_samples():
         (SubType(c, v), f"SubType(base={_C}, pred=Var(index=0))", ("base", "pred")),
         (SubIn(c, v), f"SubIn(elem={_C}, witness=Var(index=0))", ("elem", "witness")),
         (SubOut(v), "SubOut(elem=Var(index=0))", ("elem",)),
-        (kernel.Binding("h", c), f"Binding(hint='h', tp={_C})", ("hint", "tp")),
-        (Context((kernel.Binding("h", c),)),
-         f"Context(entries=(Binding(hint='h', tp={_C}),))", ("entries",)),
         (Omitted(), "Omitted()", ()),
         (DependsOn([i]), f"DependsOn(ids=({_ID},))", ("ids",)),
         (ProofTerm(c), f"ProofTerm(term={_C})", ("term",)),
@@ -1259,7 +1257,7 @@ def _record_samples():
 
 def test_records_keep_their_repr_match_args_equality_and_immutability():
     samples = _record_samples()
-    assert len({type(r) for r, _, _ in samples}) == 29
+    assert len({type(r) for r, _, _ in samples}) == 27
     for record, text, match_args in samples:
         cls = type(record)
         assert repr(record) == text
@@ -1301,7 +1299,7 @@ def test_records_keep_their_repr_match_args_equality_and_immutability():
 def test_the_checker_dispatches_on_the_exact_class_and_idents_hash_as_tuples():
     import dis
 
-    for fn in (whnf, kernel._conv, infer, check, kernel.check_kind):
+    for fn in (whnf, kernel.equal, infer, check, kernel.check_kind):
         ops = {ins.opname for ins in dis.get_instructions(fn)}
         assert "MATCH_CLASS" not in ops, fn.__name__
     assert Ident.__hash__ is tuple.__hash__ and Ident.__eq__ is tuple.__eq__

@@ -14,7 +14,6 @@ from proofport.errors import Mismatch, UnassignedConstant, UnknownIdent
 from proofport.kernel import (
     Apply,
     Const,
-    Context,
     Declaration,
     DependsOn,
     Ident,
@@ -409,16 +408,16 @@ def test_theorem_statements_translate_and_check():
             continue
         translated = translate(ALGEBRA, TO_INT, d.tp)
         # a statement's translation is again a wellformed statement type
-        check(ALGEBRA, Context(), translated, TypeKind())
+        check(ALGEBRA, (), translated, TypeKind())
 
 
 def test_typing_preservation_on_generated_terms():
     rng = random.Random(7003)
     for _ in range(100):
         t = gen_monoid_term(rng, 3)
-        check(ALGEBRA, Context(), t, SET)
+        check(ALGEBRA, (), t, SET)
         translated = translate(ALGEBRA, TO_INT, t)
-        check(ALGEBRA, Context(), translated, SET)
+        check(ALGEBRA, (), translated, SET)
 
 
 def test_install_morphism_fixture():
