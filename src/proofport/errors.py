@@ -139,6 +139,21 @@ def check_keys(obj: Mapping, path: str, required: tuple[str, ...],
     return obj
 
 
+TOO_LONG = "an integer literal is too long"
+
+
+def to_int(text: str, expected: str) -> int:
+    """`int(text)`, or a ValueError that says why not: `expected`, or
+    TOO_LONG for a decimal literal past the interpreter's digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        if digits[:1] in ("+", "-"):
+            digits = digits[1:]
+        raise ValueError(TOO_LONG if digits.isdecimal() else expected) from None
+
+
 def check_version(version: str, supported: str) -> None:
     if version != supported:
         raise UnsupportedVersion(version)
@@ -146,7 +161,8 @@ def check_version(version: str, supported: str) -> None:
 
 def read_xml(data: bytes, tag: str, attrs: tuple[str, ...], version: str) -> ET.Element:
     """The root element of UTF-8 XML `data`: a `<tag>` with exactly the
-    attributes `attrs`, among them a `version` equal to `version`."""
+    attributes `attrs`, among them a `version` equal to `version`. The
+    toyset reader enters here; the OMDoc reader reads in one expat pass."""
     try:
         root = ET.fromstring(data.decode("utf-8"))
     except UnicodeDecodeError as err:

@@ -39,6 +39,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 from .encodings import FOL_SOFT, HOL_CHURCH, LOGICS, fol_ident, hol_ident
 from .errors import (
     MAX_DEPTH,
+    TOO_LONG,
     AmbiguousType,
     CheckError,
     Malformed,
@@ -49,6 +50,7 @@ from .errors import (
     check_keys,
     check_version,
     read_xml,
+    to_int,
 )
 from .kernel import (
     DEFAULT_CONFIG,
@@ -347,7 +349,7 @@ def parse_toyhol(data: bytes) -> ExportDoc:
     except json.JSONDecodeError as err:
         raise Malformed(err.msg, err.lineno, err.colno) from err
     except ValueError as err:  # the interpreter's limit on int() of a digit string
-        raise Malformed("an integer literal is too long") from err
+        raise Malformed(TOO_LONG) from err
     if not isinstance(obj, dict):
         raise SchemaViolation("", "top level must be an object")
     check_keys(obj, "", (), ("version", "theories"), "field")
@@ -416,10 +418,11 @@ def _parse_src_attr(value: str, path: str) -> SourceRef:
     if len(parts) != 3:
         raise SchemaViolation(path, "expected file:line:col")
     f, line, col = parts
+    expected = "line/col must be integers"
     try:
-        ln, co = int(line), int(col)
-    except ValueError:
-        raise SchemaViolation(path, "line/col must be integers") from None
+        ln, co = to_int(line, expected), to_int(col, expected)
+    except ValueError as err:
+        raise SchemaViolation(path, str(err)) from None
     if not f or ln < 1 or co < 1:
         raise SchemaViolation(path, "expected file:line:col with positive positions")
     return SourceRef(f, ln, co, ln, co)

@@ -10,11 +10,11 @@ is written on its wrapper's line without whitespace, so its bytes grow
 with its size, not its depth. The reader accepts any whitespace between
 elements. The file attempts no structure sharing; each subterm is
 inlined, and the serialized element count stays linear in the term node
-count. The writer and the reader each walk a term with an explicit
-stack, not by recursion, so both take terms of any depth. The reader
-builds each document's terms through one `kernel.Terms`, so the equal
-subterms of one document, hints included, are one shared object and
-the checker can infer each type once.
+count. The writer walks a term with an explicit stack and the reader
+keeps one of the open elements, neither recursing, so both take terms
+of any depth. The reader builds each document's terms through one
+`kernel.Terms`, so the equal subterms of one document, hints included,
+are one shared object and the checker can infer each type once.
 
 Variables carry their de Bruijn index plus the binder's name hint. The
 index alone is authoritative; the hint is for human readers.
@@ -24,20 +24,27 @@ identifiers it writes, and `serialize` resolves each distinct one once
 before it returns, raising DanglingIdent for the first that does not
 resolve. The reader resolves nothing; checking does.
 
-The reader raises SchemaViolation at the dotted path of the element or
-attribute at fault, as the other readers do: each element reader takes
-its element's path from its caller. Paths are formatted as elements are
-read down to each term's wrapper; a term node's path is formatted only
-for an error.
+The reader is one expat pass that builds no tree of the document (see
+"parsing" below). It raises SchemaViolation at the dotted path of the
+element or attribute at fault, as the other readers do; a path is
+formatted only for the fault that is raised.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from typing import Mapping, Optional
+from typing import Optional
+from xml.parsers.expat import ErrorString, ExpatError, ParserCreate
+from xml.parsers.expat.errors import XML_ERROR_UNDEFINED_ENTITY
 
 from .encodings import LOGICS
-from .errors import DanglingIdent, SchemaViolation, check_keys, read_xml
+from .errors import (
+    DanglingIdent,
+    Malformed,
+    SchemaViolation,
+    UnsupportedVersion,
+    check_keys,
+    to_int,
+)
 from .kernel import (
     Apply,
     Const,
@@ -290,316 +297,526 @@ def serialize(lib: Library) -> bytes:
 # ---------------------------------------------------------------------------
 # parsing
 
+# The reader is one expat pass, with no tree of the document: its handlers
+# keep a stack of the open elements' frames, build each term through the
+# document's one `Terms` as its element ends (an OMS or OMV as it starts),
+# and each Declaration, Theory and Morphism at its end tag.
+#
+# Faults rank in the order of a depth-first reading: syntax errors first,
+# then for each element its attributes, its text, the values its attributes
+# give, its number of children, its children in document order, and last
+# what needs them all (an OMBIND's binder and arity, a record's own checks).
+# Once the document has a fault, every element that starts later ranks
+# after it and is skipped. The open elements go on counting their children
+# and reading their text, and a fault of an element's own, kept at its
+# lowest rank, replaces the document's, which can only be one of its
+# descendants'. The fault is raised once expat has read the whole document,
+# so that a later syntax error still wins.
 
-def _stray_text(elem: ET.Element) -> bool:
-    """Whether `elem` holds non-whitespace text, its own or a child's tail."""
-    text = elem.text
-    if text and not text.isspace():
-        return True
-    for kid in elem:
-        text = kid.tail
-        if text and not text.isspace():
-            return True
-    return False
+# the rank of a fault in its element; a leaf's value is read after its
+# count of children, a child's fault and a record's own checks come last
+_KEYS, _TEXT, _VALUE, _COUNT, _LEAF, _CHILD, _POST, _NONE = range(8)
 
+# element -> (required attributes, optional ones)
+_ATTRIBUTES = {
+    "omdoc": (("version", "namespace"), ()),
+    "theory": (("name",), ("meta",)),
+    "include": (("from",), ()),
+    "constant": (("name", "kind"), ()),
+    "type": ((), ()),
+    "definition": ((), ()),
+    "proof": (("style",), ()),
+    "ref": (("name",), ()),
+    "metadata": ((), ("origin",)),
+    "srcref": (("file", "sl", "sc", "el", "ec"), ()),
+    "comment": ((), ()),
+    "notation": ((), ()),
+    "morphism": (("name", "from", "to"), ()),
+    "assignment": (("name",), ()),
+    "OMS": (("name",), ()),
+    "OMV": (("index",), ("hint",)),
+    "OMA": ((), ()),
+    "OMBIND": (("binder",), ("var",)),
+}
+# element -> the sets of attribute names it takes, without and with its optional one
+_NAME_SETS = {tag: (frozenset(req), frozenset(req + opt)) for tag, (req, opt) in _ATTRIBUTES.items()}
 
-def _no_text(elem: ET.Element, path: str) -> None:
-    if _stray_text(elem):
-        raise SchemaViolation(path, "unexpected text content")
+# the stack entry of an element whose content no check reads
+_SKIP = object()
 
-
-def _leaf(elem: ET.Element, path: str, required: tuple[str, ...]) -> Mapping[str, str]:
-    """The attributes of an element that takes no children."""
-    check_keys(elem.attrib, path, required)
-    if len(elem):
-        raise SchemaViolation(path, f"{elem.tag} takes no children")
-    return elem.attrib
-
-
-def _ident(attrs: Mapping[str, str], key: str, path: str, terms: Terms) -> Ident:
-    """The identifier that attribute `key` names, read through the
-    document's `terms`, so each distinct text is validated once."""
-    try:
-        return terms.named(attrs[key]).ident
-    except ValueError as err:
-        raise SchemaViolation(f"{path}.{key}", str(err)) from None
-
-
-def _int_attr(attrs: Mapping[str, str], key: str, path: str) -> int:
-    try:
-        return int(attrs[key])
-    except ValueError:
-        raise SchemaViolation(f"{path}.{key}", "expected an integer") from None
-
-
-def _path(frames: list, elem: ET.Element) -> str:
-    """The path of `elem`, the child being read of the last of `frames`.
-    The first frame holds the wrapper's path in place of an element;
-    each later frame's element is the child being read of the frame
-    before it, and a frame's next child index is the number of parts it
-    has built."""
-    elems = [f[0] for f in frames[1:]] + [elem]
-    steps = [frames[0][0], ".", elems[0].tag]
-    for (_, _, built), kid in zip(frames[1:], elems[1:]):
-        steps.append(f".{kid.tag}[{len(built)}]")
-    return "".join(steps)
+# the leaves whose text is not read
+_TEXT_FREE = frozenset({"include", "ref", "srcref"})
 
 
-def _leaf_content(elem: ET.Element, path: str) -> SchemaViolation:
-    """The error for an OMS or OMV that holds text or children."""
-    if _stray_text(elem):
-        return SchemaViolation(path, "unexpected text content")
-    return SchemaViolation(path, f"{elem.tag} takes no children")
+class _Frame:
+    """An open element. `node` is its path node (see `_path`); `kids`
+    says what its children are: the tag of the element that reads them,
+    "term" below a type, definition, assignment or term proof, "terms"
+    below an OMA or OMBIND, or None for children that are only counted.
+    `parts` takes their values, one per child where they are terms, and
+    `count` counts the others; `value` is what the element keeps by key.
+    `stray` says whether it holds text, and `fault` is its own
+    lowest-ranked fault, of rank `rank`."""
+
+    __slots__ = ("tag", "attrs", "node", "kids", "parts", "count", "value", "fault", "stray", "rank")
+
+    def __init__(self, tag: Optional[str], attrs: dict, node, kids: Optional[str]) -> None:
+        self.tag = tag
+        self.attrs = attrs
+        self.node = node
+        self.kids = kids
+        self.parts: list = []
+        self.count = 0
+        self.value = self.fault = None
+        self.stray = False
+        self.rank = _NONE
 
 
-def _parse_term(wrapper: ET.Element, path: str, terms: Terms) -> Term:
-    """The one term inside `wrapper`, the element at `path`.
+class _Bind(list):
+    """The terms so far of an OMBIND whose attributes are the ones it
+    takes, in a document without a fault; `attrs` are its attributes."""
 
-    The term is read from an explicit stack of frames, not by recursion,
-    so no term is too deep to read. A frame holds an element, an
-    iterator over its children, and the parts built from the children
-    read so far; the first frame holds `path` in place of the wrapper.
-    Each element is checked in the order its messages rank: attributes,
-    text, children (OMS, OMV and OMA), and, once an OMBIND's children
-    are built, its variable, binder name and arity. A term node's path
-    is formatted only for an error.
-
-    Every node is built through `terms`, the document's one factory, so
-    the equal subterms of one document, hints included, come back as one
-    object; an OMS is looked up by its name's text.
-    """
-    if len(wrapper) != 1:
-        raise SchemaViolation(path, "expected exactly one term")
-    elem, kids, parts = path, iter(wrapper), []
-    stack = [(elem, kids, parts)]
-    while True:
-        for kid in kids:
-            tag = kid.tag
-            a = kid.attrib
-            if tag == "OMS":
-                name = a.get("name")
-                if name is None or len(a) != 1:
-                    check_keys(a, _path(stack, kid), ("name",))
-                if len(kid) or (text := kid.text) and not text.isspace():
-                    raise _leaf_content(kid, _path(stack, kid))
-                try:
-                    parts.append(terms.named(name))
-                except ValueError as err:
-                    raise SchemaViolation(f"{_path(stack, kid)}.name", str(err)) from None
-            elif tag == "OMV":
-                index = a.get("index")
-                if index is None or len(a) != 1 and (len(a) != 2 or "hint" not in a):
-                    check_keys(a, _path(stack, kid), ("index",), ("hint",))
-                if len(kid) or (text := kid.text) and not text.isspace():
-                    raise _leaf_content(kid, _path(stack, kid))
-                try:
-                    index = int(index)
-                except ValueError:
-                    raise SchemaViolation(
-                        f"{_path(stack, kid)}.index", "expected an integer"
-                    ) from None
-                if index < 0:
-                    raise SchemaViolation(f"{_path(stack, kid)}.index", "negative index")
-                parts.append(terms.var(index))
-            elif tag == "OMA" or tag == "OMBIND":
-                if tag == "OMA":
-                    if a:
-                        check_keys(a, _path(stack, kid), ())
-                elif "binder" not in a or len(a) != 1 and (len(a) != 2 or "var" not in a):
-                    check_keys(a, _path(stack, kid), ("binder",), ("var",))
-                if _stray_text(kid):
-                    raise SchemaViolation(_path(stack, kid), "unexpected text content")
-                if tag == "OMA" and len(kid) < 2:
-                    raise SchemaViolation(
-                        _path(stack, kid), "OMA needs a head and at least one argument"
-                    )
-                elem, kids, parts = kid, iter(kid), []
-                stack.append((elem, kids, parts))
-                break
-            else:
-                raise SchemaViolation(_path(stack, kid), f"unknown element <{tag}>")
-        else:
-            if elem is path:
-                return parts[0]
-            stack.pop()
-            if elem.tag == "OMA":
-                t = terms.apps(*parts)
-            else:
-                a = elem.attrib
-                binder = a["binder"]
-                cls, fields, binds = _BINDER_NAMED.get(binder, (None, (), False))
-                if "var" in a and not binds:
-                    raise SchemaViolation(
-                        f"{_path(stack, elem)}.var", f"binder {binder} takes no variable"
-                    )
-                if cls is None:
-                    raise SchemaViolation(
-                        f"{_path(stack, elem)}.binder", f"unknown binder {binder!r}"
-                    )
-                if len(parts) != len(fields):
-                    raise SchemaViolation(
-                        _path(stack, elem), f"binder {binder} takes {len(fields)} children"
-                    )
-                t = terms.node(cls, a.get("var", "_") if binds else None, *parts)
-            elem, kids, parts = stack[-1]
-            parts.append(t)
+    __slots__ = ("attrs",)
 
 
-def _parse_metadata(elem: ET.Element, path: str, terms: Terms):
-    a = check_keys(elem.attrib, path, (), ("origin",))
-    origin = _ident(a, "origin", path, terms) if "origin" in a else None
-    source_ref = None
-    comments: list[str] = []
-    notation = None
-    for i, kid in enumerate(elem):
-        kpath = f"{path}.{kid.tag}[{i}]"
-        if kid.tag == "srcref":
-            if source_ref is not None:
-                raise SchemaViolation(kpath, "duplicate srcref")
-            ka = _leaf(kid, kpath, ("file", "sl", "sc", "el", "ec"))
-            try:
-                source_ref = SourceRef(
-                    ka["file"],
-                    _int_attr(ka, "sl", kpath),
-                    _int_attr(ka, "sc", kpath),
-                    _int_attr(ka, "el", kpath),
-                    _int_attr(ka, "ec", kpath),
-                )
-            except ValueError as err:
-                raise SchemaViolation(kpath, str(err)) from None
-        elif kid.tag == "comment":
-            _leaf(kid, kpath, ())
-            comments.append(kid.text or "")
-        elif kid.tag == "notation":
-            if notation is not None:
-                raise SchemaViolation(kpath, "duplicate notation")
-            _leaf(kid, kpath, ())
-            notation = kid.text or ""
-        else:
-            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
-    return origin, source_ref, tuple(comments), notation
+def _path(node) -> str:
+    """The dotted path of a path node: a root element's tag, or a tuple
+    of the parent's node, a tag or attribute, and an index or None."""
+    steps = []
+    while type(node) is tuple:
+        node, name, index = node
+        steps.append(f".{name}" if index is None else f".{name}[{index}]")
+    return node + "".join(reversed(steps))
 
 
-def _parse_proof(elem: ET.Element, path: str, terms: Terms) -> Proof:
-    a = check_keys(elem.attrib, path, ("style",))
-    _no_text(elem, path)
-    style = a["style"]
-    kids = list(elem)
-    if style == "omitted":
-        if kids:
-            raise SchemaViolation(path, "omitted proof takes no children")
-        return Omitted()
-    if style == "dependsOn":
-        ids = []
-        for i, kid in enumerate(kids):
-            kpath = f"{path}.{kid.tag}[{i}]"
-            if kid.tag != "ref":
-                raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
-            ids.append(_ident(_leaf(kid, kpath, ("name",)), "name", kpath, terms))
+def _universal(name: str) -> str:
+    """`name` as ElementTree spells it: expat writes `uri}local` for a
+    name in a namespace, ElementTree `{uri}local`."""
+    return "{" + name if "}" in name else name
+
+
+def _record(r: _Reader, f: _Frame, rank: int, node, message: str) -> None:
+    """A fault of `f` at `node`, the document's if it is `f`'s first or
+    ranks before `f`'s others; a node of None is an unsupported version."""
+    if rank < f.rank:
+        f.fault = r.fault = node, message
+        f.rank = rank
+
+
+def _frame(r: _Reader, tag: str, attrs: dict, node, kids: Optional[str], rank=_KEYS) -> _Frame:
+    """The frame of an element, whose attributes are checked at `rank`."""
+    f = _Frame(tag, attrs, node, kids)
+    names = attrs.keys()
+    bare, full = _NAME_SETS[tag]
+    if names != bare and names != full:
         try:
-            return DependsOn(tuple(ids))
-        except ValueError as err:
-            raise SchemaViolation(path, str(err)) from None
-    if style == "term":
-        return ProofTerm(_parse_term(elem, path, terms))
-    raise SchemaViolation(f"{path}.style", f"unknown proof style {style!r}")
+            check_keys(attrs, "", *_ATTRIBUTES[tag])
+        except SchemaViolation as err:  # at the path of the attribute alone
+            _record(r, f, rank, (node, _universal(err.path), None), err.message)
+    return f
 
 
-def _parse_constant(
-    elem: ET.Element, path: str, namespace: str, module: str, terms: Terms
-) -> Declaration:
-    a = check_keys(elem.attrib, path, ("name", "kind"))
-    _no_text(elem, path)
-    if a["kind"] not in KINDS:
-        raise SchemaViolation(f"{path}.kind", f"unknown kind {a['kind']!r}")
-    tp = definiens = proof = None
-    origin = source_ref = notation = None
-    comments: tuple[str, ...] = ()
-    seen = set()
-    for kid in elem:
-        kpath = f"{path}.{kid.tag}"
-        if kid.tag in seen:
-            raise SchemaViolation(kpath, f"duplicate <{kid.tag}>")
-        seen.add(kid.tag)
-        if kid.tag == "type":
-            check_keys(kid.attrib, kpath, ())
-            _no_text(kid, kpath)
-            tp = _parse_term(kid, kpath, terms)
-        elif kid.tag == "definition":
-            check_keys(kid.attrib, kpath, ())
-            _no_text(kid, kpath)
-            definiens = _parse_term(kid, kpath, terms)
-        elif kid.tag == "proof":
-            proof = _parse_proof(kid, kpath, terms)
-        elif kid.tag == "metadata":
-            _no_text(kid, kpath)
-            origin, source_ref, comments, notation = _parse_metadata(kid, kpath, terms)
-        else:
-            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
+def _ident(r: _Reader, f: _Frame, key: str, rank: int) -> Optional[Ident]:
+    """The identifier that attribute `key` of `f` names, or None after a fault."""
     try:
-        name = Ident(namespace, module, a["name"])
-        meta = Metadata(
-            kind=a["kind"],
-            source_ref=source_ref,
-            comments=comments,
-            notation=notation,
-            origin=origin,
-        )
-        return Declaration(name, tp=tp, definiens=definiens, proof=proof, meta=meta)
+        return r.terms.named(f.attrs[key]).ident
     except ValueError as err:
-        raise SchemaViolation(path, str(err)) from None
+        _record(r, f, rank, (f.node, key, None), str(err))
+        return None
 
 
-def _parse_theory(elem: ET.Element, path: str, namespace: str, terms: Terms) -> Theory:
-    a = check_keys(elem.attrib, path, ("name",), ("meta",))
-    _no_text(elem, path)
-    meta_theory = _ident(a, "meta", path, terms) if "meta" in a else None
-    includes = []
-    decls: dict[Ident, Declaration] = {}
-    for i, kid in enumerate(elem):
-        kpath = f"{path}.{kid.tag}[{i}]"
-        if kid.tag == "include":
-            if decls:
-                raise SchemaViolation(kpath, "includes must precede constants")
-            includes.append(_ident(_leaf(kid, kpath, ("from",)), "from", kpath, terms))
-        elif kid.tag == "constant":
-            d = _parse_constant(kid, kpath, namespace, a["name"], terms)
-            if d.name in decls:
-                raise SchemaViolation(f"{kpath}.name", f"duplicate declaration {d.name}")
-            decls[d.name] = d
-        else:
-            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
+def _last_node(f: _Frame, tag: str) -> tuple:
+    """The path node of the last child of `f`, a `tag`."""
+    kids = f.kids
+    if kids == "term" or kids == "constant":  # its children are named by their tag alone
+        return f.node, tag, None
+    return f.node, tag, len(f.parts) - 1 if kids == "terms" else f.count - 1
+
+
+def _open(r: _Reader, f: _Frame, tag: str, attrs: dict):
+    """The stack entry of the last child of `f`, which starts with `tag`
+    and `attrs`, once that child's start tag is checked."""
+    kids = f.kids
+    node = _last_node(f, tag)
+    if kids == "term" or kids == "terms":
+        if tag == "OMA" or tag == "OMBIND":
+            return _frame(r, tag, attrs, node, "terms")
+        if tag == "OMS" or tag == "OMV":
+            kid = _frame(r, tag, attrs, node, None)
+            if kid.fault is None:
+                key = "name" if tag == "OMS" else "index"
+                try:
+                    if tag == "OMS":
+                        f.parts[-1] = r.terms.named(attrs[key])
+                    elif (index := to_int(attrs[key], "expected an integer")) < 0:
+                        raise ValueError("negative index")
+                    else:
+                        f.parts[-1] = r.terms.var(index)
+                    return tag
+                except ValueError as err:
+                    _record(r, kid, _LEAF, (node, key, None), str(err))
+            return kid
+    elif kids == "constant":
+        if tag in f.value:
+            _record(r, f, _CHILD, node, f"duplicate <{tag}>")
+            return _SKIP
+        if tag == "type" or tag == "definition":
+            return _frame(r, tag, attrs, node, "term")
+        if tag == "proof":
+            kid = _frame(r, tag, attrs, node, None)
+            style = attrs.get("style")
+            if kid.fault is not None:
+                return kid
+            if style == "omitted":
+                f.value[tag] = Omitted()
+                return tag
+            if style == "term" or style == "dependsOn":
+                kid.kids = "term" if style == "term" else tag
+            else:
+                _record(r, kid, _VALUE, (node, "style", None), f"unknown proof style {style!r}")
+            return kid
+        if tag == "metadata":
+            kid = _frame(r, tag, attrs, node, tag, _VALUE)  # its text ranks before its attributes
+            kid.value = {}  # its srcref and notation; `parts` takes its comments
+            if kid.fault is None and "origin" in attrs:
+                _ident(r, kid, "origin", _VALUE)
+            return kid
+    elif kids == "omdoc":
+        if tag == "theory":
+            if f.parts:
+                _record(r, f, _CHILD, node, "theories must precede morphisms")
+                return _SKIP
+            kid = _frame(r, tag, attrs, node, tag)
+            kid.value = {}  # its declarations by name; `parts` takes its includes
+            if kid.fault is None and "meta" in attrs:
+                _ident(r, kid, "meta", _VALUE)
+            return kid
+        if tag == "morphism":
+            return _frame(r, tag, attrs, node, tag)
+    elif kids == "theory":
+        if tag == "constant":
+            kid = _frame(r, tag, attrs, node, tag)
+            kid.value = {}  # its sections by tag
+            if kid.fault is None and attrs["kind"] not in KINDS:
+                _record(r, kid, _VALUE, (node, "kind", None), f"unknown kind {attrs['kind']!r}")
+            return kid
+        if tag == "include":
+            if f.value:
+                _record(r, f, _CHILD, node, "includes must precede constants")
+                return _SKIP
+            kid = _frame(r, tag, attrs, node, None)
+            if kid.fault is None and (ident := _ident(r, kid, "from", _LEAF)) is not None:
+                f.parts.append(ident)
+                return tag
+            return kid
+    elif kids == "proof":  # a dependsOn proof
+        if tag == "ref":
+            kid = _frame(r, tag, attrs, node, None)
+            if kid.fault is None and (ident := _ident(r, kid, "name", _LEAF)) is not None:
+                f.parts.append(ident)
+                return tag
+            return kid
+    elif kids == "metadata":
+        if tag in f.value:  # a second srcref or notation
+            _record(r, f, _CHILD, node, f"duplicate {tag}")
+            return _SKIP
+        if tag == "srcref":
+            kid = _frame(r, tag, attrs, node, None)
+            if kid.fault is None:
+                at = node
+                try:
+                    lines = []
+                    for key in ("sl", "sc", "el", "ec"):
+                        at = node, key, None
+                        lines.append(to_int(attrs[key], "expected an integer"))
+                    at = node
+                    f.value[tag] = SourceRef(attrs["file"], *lines)
+                    return tag
+                except ValueError as err:
+                    _record(r, kid, _LEAF, at, str(err))
+            return kid
+        if tag == "comment" or tag == "notation":
+            return _frame(r, tag, attrs, node, None)
+    elif kids == "morphism":
+        if tag == "assignment":
+            kid = _frame(r, tag, attrs, node, "term")
+            if kid.fault is None:
+                kid.value = _ident(r, kid, "name", _VALUE)
+            return kid
+    elif kids == "root":
+        if tag != "omdoc":
+            _record(r, f, _KEYS, _universal(tag), "root element must be <omdoc>")
+            return _SKIP
+        kid = _frame(r, tag, attrs, tag, tag)
+        kid.value = {}  # its theories by name; `parts` takes its morphisms
+        if kid.fault is None:
+            if attrs["version"] != OMDOC_VERSION:
+                _record(r, kid, _KEYS, None, attrs["version"])
+            r.namespace = attrs["namespace"]
+        return kid
+    else:  # a leaf or an omitted proof
+        return _SKIP
+    tag = _universal(tag)
+    _record(r, f, _CHILD, (node[0], tag, node[2]), f"unknown element <{tag}>")
+    return _SKIP
+
+
+def _close(r: _Reader, f: _Frame, parent: _Frame) -> None:
+    """Read the end tag of `f`: its checks that need its whole content,
+    then, if the document has no fault, the value it hands to `parent`."""
+    tag, kids = f.tag, f.kids
+    count = len(f.parts) if kids == "term" or kids == "terms" else f.count
+    if f.stray and tag not in _TEXT_FREE:
+        _record(r, f, _TEXT, f.node, "unexpected text content")
+    if kids is None and count:
+        what = "omitted proof" if tag == "proof" else tag
+        _record(r, f, _COUNT, f.node, f"{what} takes no children")
+    elif kids == "term" and count != 1:
+        _record(r, f, _COUNT, f.node, "expected exactly one term")
+    elif tag == "OMA" and count < 2:
+        _record(r, f, _COUNT, f.node, "OMA needs a head and at least one argument")
+    if r.fault is not None:
+        return
+    a, parts, value = f.attrs, f.parts, f.value
     try:
-        return Theory(
-            theory_ident(namespace, a["name"]),
-            meta_theory=meta_theory,
-            includes=tuple(includes),
-            decls=tuple(decls.values()),
-        )
-    except ValueError as err:
-        raise SchemaViolation(path, str(err)) from None
+        if tag == "constant":
+            fields = value.get("metadata", ())  # a Metadata's after its kind
+            d = Declaration(
+                Ident(r.namespace, parent.attrs["name"], a["name"]),
+                tp=value.get("type"),
+                definiens=value.get("definition"),
+                proof=value.get("proof"),
+                meta=Metadata(a["kind"], *fields),
+            )
+            if d.name in parent.value:
+                node = f.node, "name", None
+                _record(r, parent, _CHILD, node, f"duplicate declaration {d.name}")
+            parent.value[d.name] = d
+        elif tag == "OMBIND":
+            binder = a["binder"]
+            cls, fields, binds = _BINDER_NAMED.get(binder, (None, (), False))
+            if "var" in a and not binds:
+                _record(r, f, _POST, (f.node, "var", None), f"binder {binder} takes no variable")
+            elif cls is None:
+                _record(r, f, _POST, (f.node, "binder", None), f"unknown binder {binder!r}")
+            elif len(parts) != len(fields):
+                _record(r, f, _POST, f.node, f"binder {binder} takes {len(fields)} children")
+            else:
+                parent.parts[-1] = r.terms.node(cls, a.get("var", "_") if binds else None, *parts)
+        elif tag == "OMA":
+            parent.parts[-1] = r.terms.apps(*parts)
+        elif tag == "type" or tag == "definition":
+            parent.value[tag] = parts[0]
+        elif tag == "proof":  # one with a term or with references
+            parent.value[tag] = ProofTerm(parts[0]) if f.kids == "term" else DependsOn(parts)
+        elif tag == "notation":
+            parent.value[tag] = "".join(parts)
+        elif tag == "comment":
+            parent.parts.append("".join(parts))
+        elif tag == "metadata":
+            origin = _ident(r, f, "origin", _POST) if "origin" in a else None
+            parent.value[tag] = value.get("srcref"), tuple(parts), value.get("notation"), origin
+        elif tag == "theory":
+            meta = _ident(r, f, "meta", _POST) if "meta" in a else None
+            th = Theory(theory_ident(r.namespace, a["name"]), meta_theory=meta,
+                        includes=tuple(parts), decls=tuple(value.values()))
+            if th.name in parent.value:
+                _record(r, parent, _CHILD, (f.node, "name", None), f"duplicate theory {th.name}")
+            parent.value[th.name] = th
+        elif tag == "assignment":
+            parent.parts.append((value, parts[0]))
+        elif tag == "morphism":
+            # its own identifiers are read after its assignments
+            ends = [_ident(r, f, key, _POST) for key in ("name", "from", "to")]
+            if r.fault is None:
+                parent.parts.append(Morphism(*ends, tuple(parts)))
+        elif tag == "omdoc":
+            parent.value = tuple(value.values()), tuple(parts)
+    except ValueError as err:  # a record's own checks
+        _record(r, f, _POST, f.node, str(err))
 
 
-def _parse_morphism(elem: ET.Element, path: str, terms: Terms) -> Morphism:
-    a = check_keys(elem.attrib, path, ("name", "from", "to"))
-    _no_text(elem, path)
-    assignments = []
-    for i, kid in enumerate(elem):
-        kpath = f"{path}.{kid.tag}[{i}]"
-        if kid.tag != "assignment":
-            raise SchemaViolation(kpath, f"unknown element <{kid.tag}>")
-        ka = check_keys(kid.attrib, kpath, ("name",))
-        _no_text(kid, kpath)
-        assignments.append((_ident(ka, "name", kpath, terms), _parse_term(kid, kpath, terms)))
+class _Reader:
+    """The state of one pass: the document's `Terms`, its namespace, its
+    fault so far as a path node and a message, and the stack of open
+    elements, whose first frame takes the root's value."""
+
+    def __init__(self) -> None:
+        self.terms = Terms()
+        self.namespace: Optional[str] = None
+        self.fault: Optional[tuple] = None
+        self.stack: list = [_Frame(None, {}, None, "root")]
+
+    def top(self):
+        """The top of the stack as a frame. A valid leaf (an OMS, OMV,
+        include, ref, srcref or omitted proof) stands on the stack as its
+        tag, its value already handed to its parent; an OMA, type or
+        definition without attributes, valid so far, as the list of its
+        children's terms, and such an OMBIND as a `_Bind`.
+        Each becomes a frame once text, a fault or a child that is not one
+        of them needs one, and each such entry below it too. These entries
+        are only on the stack of a document without a fault."""
+        stack = self.stack
+        k = len(stack) - 1
+        while type(stack[k]) is not _Frame:
+            k -= 1
+        for k in range(k + 1, len(stack)):
+            entry, parent = stack[k], stack[k - 1]
+            if type(entry) is str:
+                f = _Frame(entry, {}, _last_node(parent, entry), None)
+            elif type(entry) is _Bind:
+                f = _Frame("OMBIND", entry.attrs, _last_node(parent, "OMBIND"), "terms")
+            elif parent.kids == "constant":  # the section it opened last
+                tag = next(reversed(parent.value))
+                f = _Frame(tag, {}, (parent.node, tag, None), "term")
+            else:
+                f = _Frame("OMA", {}, _last_node(parent, "OMA"), "terms")
+            if type(entry) is not str:
+                f.parts = list(entry)
+            stack[k] = f
+        return stack[-1]
+
+    def flush(self, text: list[str]) -> None:
+        """Hand the text since the last tag to the element that holds it."""
+        joined = "".join(text)
+        text.clear()
+        f = self.stack[-1]
+        if f is _SKIP or type(f) is str and f in _TEXT_FREE:
+            return
+        if type(f) is not _Frame and joined.isspace():
+            return
+        f = self.top()
+        if f.tag == "comment" or f.tag == "notation":
+            f.parts.append(joined)
+        elif not joined.isspace():
+            f.stray = True
+
+    def handlers(self):
+        """Expat's start-tag, end-tag and text handlers. The text handler
+        is a list's append, so that text costs no call of Python code,
+        and each tag reads the text before it. The handlers read the
+        valid terms below a list or a `_Bind`, and a constant's type and
+        definition without attributes, themselves (see `top`); every
+        other element goes through `_open` and `_close`. They hold no
+        reference to the parser, so a parse leaves no cycle."""
+        r, stack, text = self, self.stack, []
+        named, apps, var = self.terms.named, self.terms.apps, self.terms.var
+        omv, ombind = _NAME_SETS["OMV"][1], _NAME_SETS["OMBIND"][1]  # the attributes each takes
+
+        def start(tag: str, attrs: dict) -> None:
+            if text:  # mostly one piece of whitespace, dropped here
+                piece = text.pop()
+                if text or not piece.isspace():
+                    text.append(piece)
+                    r.flush(text)
+            f = stack[-1]
+            if type(f) is list or type(f) is _Bind:  # only in a document without a fault
+                if tag == "OMS":
+                    if len(attrs) == 1 and "name" in attrs:
+                        try:
+                            f.append(named(attrs["name"]))
+                            stack.append(tag)
+                            return
+                        except ValueError:
+                            pass
+                elif tag == "OMA" and not attrs:
+                    f.append(None)  # its term, once it ends
+                    stack.append([])
+                    return
+                elif tag == "OMV" and "index" in attrs and attrs.keys() <= omv:
+                    try:
+                        index = int(attrs["index"])
+                    except ValueError:
+                        index = -1
+                    if index >= 0:
+                        f.append(var(index))
+                        stack.append(tag)
+                        return
+                elif tag == "OMBIND" and "binder" in attrs and attrs.keys() <= ombind:
+                    f.append(None)
+                    bind = _Bind()
+                    bind.attrs = attrs
+                    stack.append(bind)
+                    return
+                f = r.top()
+            elif type(f) is not _Frame:
+                if f is _SKIP:
+                    stack.append(_SKIP)
+                    return
+                f = r.top()
+            kids = f.kids
+            if kids == "terms" or kids == "term":  # it counts its children by their parts
+                f.parts.append(None)
+                if tag == "OMA" and not attrs and r.fault is None:
+                    stack.append([])
+                    return
+            elif (kids == "constant" and (tag == "type" or tag == "definition") and not attrs
+                  and tag not in f.value and r.fault is None):
+                f.value[tag] = None  # seen, and open
+                stack.append([])
+                return
+            else:
+                f.count += 1
+            stack.append(_SKIP if r.fault is not None else _open(r, f, tag, attrs))
+
+        def end(tag: str) -> None:
+            if text:  # a comment's or a notation's is its content
+                piece = text.pop()
+                if text or not piece.isspace() or tag == "comment" or tag == "notation":
+                    text.append(piece)
+                    r.flush(text)
+            f = stack.pop()
+            if type(f) is _Bind:  # `_close` reads the OMBIND that is not valid
+                a = f.attrs
+                cls, fields, binds = _BINDER_NAMED.get(a["binder"], (None, (), False))
+                if cls is not None and len(f) == len(fields) and (binds or "var" not in a):
+                    parent = stack[-1]
+                    t = r.terms.node(cls, a.get("var", "_") if binds else None, *f)
+                    (parent.parts if type(parent) is _Frame else parent)[-1] = t
+                    return
+                stack.append(f)
+                f = r.top()
+                stack.pop()
+            elif type(f) is list:
+                if tag != "OMA" and len(f) == 1:  # a type or a definition
+                    stack[-1].value[tag] = f[0]
+                    return
+                if tag == "OMA" and len(f) > 1:
+                    parent = stack[-1]
+                    (parent.parts if type(parent) is _Frame else parent)[-1] = apps(*f)
+                    return
+                stack.append(f)
+                f = r.top()
+                stack.pop()
+            elif type(f) is not _Frame:
+                return
+            _close(r, f, stack[-1])
+
+        return start, end, text.append
+
+
+class _Unexpanded(Exception):
+    """Expat met an entity reference, the argument, that it could not expand."""
+
+
+def _default(text: str) -> None:
+    """What expat reports to no other handler. An entity reference that it
+    could not expand is an error, as in ElementTree."""
+    if text[:1] == "&":
+        raise _Unexpanded(text)
+
+
+_PIECE = 1 << 16  # bytes
+
+
+def _malformed(data: bytes, message: str, line: int, column: int) -> Malformed:
+    """The error for a document expat rejects; input that is not UTF-8 is
+    named as such, wherever expat stopped."""
     try:
-        return Morphism(
-            _ident(a, "name", path, terms),
-            _ident(a, "from", path, terms),
-            _ident(a, "to", path, terms),
-            tuple(assignments),
-        )
-    except ValueError as err:
-        raise SchemaViolation(path, str(err)) from None
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        return Malformed(str(err))
+    return Malformed(message, line, column + 1)  # expat's column counts from 0
 
 
 def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
@@ -610,24 +827,28 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
     default the bundled logic encodings. In-process callers keep their
     own collector setting.
     """
-    root = read_xml(data, "omdoc", ("version", "namespace"), OMDOC_VERSION)
-    _no_text(root, "omdoc")
-    namespace = root.get("namespace")
-    terms = Terms()  # the document's one factory; see _parse_term
-    theories: dict[Ident, Theory] = {}
-    morphisms = []
-    for i, kid in enumerate(root):
-        path = f"omdoc.{kid.tag}[{i}]"
-        if kid.tag == "theory":
-            if morphisms:
-                raise SchemaViolation(path, "theories must precede morphisms")
-            th = _parse_theory(kid, path, namespace, terms)
-            if th.name in theories:
-                raise SchemaViolation(f"{path}.name", f"duplicate theory {th.name}")
-            theories[th.name] = th
-        elif kid.tag == "morphism":
-            morphisms.append(_parse_morphism(kid, path, terms))
-        else:
-            raise SchemaViolation(path, f"unknown element <{kid.tag}>")
-    lib_deps = deps if deps is not None else (LOGICS,)
-    return Library(namespace, tuple(theories.values()), tuple(morphisms), deps=lib_deps)
+    r = _Reader()
+    parser = ParserCreate("utf-8", "}")  # ElementTree's namespace separator
+    parser.buffer_text = True
+    parser.StartElementHandler, parser.EndElementHandler, parser.CharacterDataHandler = r.handlers()
+    parser.DefaultHandlerExpand = _default
+    view = memoryview(data)
+    try:
+        # fed in pieces, so that expat copies a piece at a time, not the document
+        for i in range(0, len(view), _PIECE):
+            parser.Parse(view[i : i + _PIECE], False)
+        parser.Parse(b"", True)
+    except ExpatError as err:
+        raise _malformed(data, ErrorString(err.code), err.lineno, err.offset) from None
+    except OverflowError as err:  # the parser's size limits
+        raise Malformed(str(err)) from None
+    except _Unexpanded as err:
+        # expat stops at the reference's end, which is on its line
+        column = parser.ErrorColumnNumber - len(err.args[0])
+        line = parser.ErrorLineNumber
+        raise _malformed(data, XML_ERROR_UNDEFINED_ENTITY, line, column) from None
+    if r.fault is not None:
+        node, message = r.fault
+        raise UnsupportedVersion(message) if node is None else SchemaViolation(_path(node), message)
+    theories, morphisms = r.stack[0].value
+    return Library(r.namespace, theories, morphisms, deps=deps if deps is not None else (LOGICS,))

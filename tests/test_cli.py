@@ -221,6 +221,25 @@ def test_a_toyhol_integer_past_the_digit_limit_is_exit_2(tmp_path, capsys):
         assert not out_file.exists()
 
 
+def test_an_omdoc_source_position_past_the_digit_limit_is_exit_2(tmp_path, capsys):
+    lib = tmp_path / "lib.omdoc.xml"
+    assert run_cli(capsys, "export-omdoc", MINIMAL, "--output", str(lib))[0] == 0
+    lib.write_text(lib.read_text().replace('sl="12"', f'sl="{"1" * 5000}"'))
+    assert run_cli(capsys, "check", str(lib)) == (
+        2, "", "error: omdoc.theory[0].constant[2].metadata.srcref[0].sl: "
+        "an integer literal is too long\n"
+    )
+
+
+def test_a_toyset_source_position_past_the_digit_limit_is_exit_2(tmp_path, capsys):
+    doc = tmp_path / "long.toyset.xml"
+    long = f'src="sets.mz:{"1" * 5000}:1"'
+    doc.write_text(Path(SETS).read_text().replace('src="sets.mz:2:1"', long))
+    assert run_cli(capsys, "check", str(doc)) == (
+        2, "", "error: theory[0].decl[0].src: an integer literal is too long\n"
+    )
+
+
 @pytest.mark.parametrize("key", ["line", "col"])
 def test_a_boolean_source_position_is_exit_2(tmp_path, capsys, key):
     # a JSON true is an int to isinstance, and once was read as line 1
@@ -238,11 +257,16 @@ def test_a_boolean_source_position_is_exit_2(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("name", ["lib.omdoc.xml", "lib.toyset.xml"])
 def test_an_xml_parser_overflow_is_malformed_exit_2(tmp_path, capsys, monkeypatch, name):
-    # what the XML parser raises on a document past its size limits
-    def overflow(text):
+    # what the XML parser raises on a document past its size limits; the
+    # toyset reader parses through read_xml, the OMDoc reader with expat
+    def overflow(*args):
         raise OverflowError("size does not fit in an int")
 
+    class Parser:
+        Parse = staticmethod(overflow)
+
     monkeypatch.setattr(errors.ET, "fromstring", overflow)
+    monkeypatch.setattr(omdoc, "ParserCreate", lambda *args: Parser())
     with pytest.raises(errors.Malformed):
         errors.read_xml(b"<omdoc/>", "omdoc", (), "1")
     doc = tmp_path / name

@@ -4,13 +4,14 @@ import collections
 import copy
 import random
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 import generators
-from test_importers import fixture_paths
+from test_importers import _bench_corpus, fixture_paths
 from test_morphisms import TO_INT, algebra_library
 
 from proofport import omdoc
@@ -688,6 +689,10 @@ def _nested(term):
         # the wrapper holds exactly one term
         (b"", f"{TYPE_PATH}: expected exactly one term"),
         (OMS_A + OMS_A, f"{TYPE_PATH}: expected exactly one term"),
+        # an index past the interpreter's limit on integer strings
+        pytest.param(_nested(b'<OMV index="' + b"9" * 5000 + b'"/>'),
+                     f"{NESTED_PATH}.OMV[1].index: an integer literal is too long",
+                     id="OMV-index-past-the-digit-limit"),
     ],
 )
 def test_malformed_term_messages(term, message):
@@ -778,6 +783,37 @@ def test_invalid_utf8_is_malformed():
 def test_empty_input_is_malformed():
     with pytest.raises(Malformed):
         omdoc.parse(b"")
+
+
+def test_a_schema_fault_before_a_syntax_error_is_the_syntax_error():
+    doc = MINIMAL.replace(b'name="t"', b'name="t" colour="red"') + b"<omdoc"
+    with pytest.raises(Malformed) as err:
+        omdoc.parse(doc)
+    assert (err.value.line, err.value.column) == (doc.count(b"\n") + 1, 1), str(err.value)
+
+
+def test_an_undefined_entity_under_an_external_dtd_is_malformed():
+    # expat leaves such an entity to the external DTD and skips it unread
+    doc = b'<!DOCTYPE omdoc SYSTEM "x.dtd">\n' + MINIMAL.replace(b"<type>", b"<type>&foo;")
+    with pytest.raises(Malformed) as err:
+        omdoc.parse(doc)
+    line = doc[: doc.index(b"&foo;")].count(b"\n") + 1
+    column = doc.index(b"&foo;") - doc.rindex(b"\n", 0, doc.index(b"&foo;"))
+    assert str(err.value) == f"line {line}, column {column}: undefined entity"
+
+
+def test_parse_memory_follows_the_library_not_the_document():
+    # the reader holds its open elements and expat's buffer, not a tree of
+    # the document: 1.9 on this corpus, where the tree made it 23
+    data = _bench_corpus().omdoc_corpus(1, 300)[0]
+    tracemalloc.start()
+    try:
+        lib = omdoc.parse(data)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lib.theories) > 1
+    assert peak / retained < 4, (peak, retained)
 
 
 def _fixture_exports():
