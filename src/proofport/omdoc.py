@@ -298,24 +298,24 @@ def serialize(lib: Library) -> bytes:
 # parsing
 
 # The reader is one expat pass, with no tree of the document: its handlers
-# keep a stack of the open elements' frames, build each term through the
-# document's one `Terms` as its element ends (an OMS or OMV as it starts),
-# and each Declaration, Theory and Morphism at its end tag.
+# keep a stack of the open elements, build each term through the document's
+# one `Terms` as its element ends (an OMS or OMV as it starts), and each
+# Declaration, Theory and Morphism at its end tag.
 #
 # Faults rank in the order of a depth-first reading: syntax errors first,
 # then for each element its attributes, its text, the values its attributes
 # give, its number of children, its children in document order, and last
 # what needs them all (an OMBIND's binder and arity, a record's own checks).
 # Once the document has a fault, every element that starts later ranks
-# after it and is skipped. The open elements go on counting their children
-# and reading their text, and a fault of an element's own, kept at its
-# lowest rank, replaces the document's, which can only be one of its
-# descendants'. The fault is raised once expat has read the whole document,
-# so that a later syntax error still wins.
+# after it and is skipped. The open elements, all ancestors of the fault,
+# go on counting their children and reading their text, and a fault of an
+# element's own replaces the document's if that is a descendant's or ranks
+# later among the element's own. The fault is raised once expat has read
+# the whole document, so that a later syntax error still wins.
 
 # the rank of a fault in its element; a leaf's value is read after its
 # count of children, a child's fault and a record's own checks come last
-_KEYS, _TEXT, _VALUE, _COUNT, _LEAF, _CHILD, _POST, _NONE = range(8)
+_KEYS, _TEXT, _VALUE, _COUNT, _LEAF, _CHILD, _POST = range(7)
 
 # element -> (required attributes, optional ones)
 _ATTRIBUTES = {
@@ -341,42 +341,63 @@ _ATTRIBUTES = {
 # element -> the sets of attribute names it takes, without and with its optional one
 _NAME_SETS = {tag: (frozenset(req), frozenset(req + opt)) for tag, (req, opt) in _ATTRIBUTES.items()}
 
+# every tag and attribute name; expat hands them back as these very strings,
+# which compare with the constants of the code by identity
+_NAMES = frozenset(_ATTRIBUTES).union(*(req + opt for req, opt in _ATTRIBUTES.values()))
+
 # the stack entry of an element whose content no check reads
 _SKIP = object()
 
-# the leaves whose text is not read
+# A leaf, an element that takes no children and hands its value to its
+# parent as it starts (an OMS, OMV, include, ref or srcref), has no frame:
+# its stack entry is its tag. Only the text of an OMS or OMV is read.
 _TEXT_FREE = frozenset({"include", "ref", "srcref"})
 
 
 class _Frame:
-    """An open element. `node` is its path node (see `_path`); `kids`
-    says what its children are: the tag of the element that reads them,
-    "term" below a type, definition, assignment or term proof, "terms"
-    below an OMA or OMBIND, or None for children that are only counted.
-    `parts` takes their values, one per child where they are terms, and
-    `count` counts the others; `value` is what the element keeps by key.
-    `stray` says whether it holds text, and `fault` is its own
-    lowest-ranked fault, of rank `rank`."""
+    """An open element that holds records or text. `node` is its path node
+    (see `_path`); `kids` says what its children are: the tag of the
+    element that reads them, or None if it takes none. `count` counts them;
+    `parts` takes the values it keeps in order, `value` those it keeps by
+    key."""
 
-    __slots__ = ("tag", "attrs", "node", "kids", "parts", "count", "value", "fault", "stray", "rank")
+    __slots__ = ("tag", "attrs", "node", "kids", "count", "parts", "value")
 
-    def __init__(self, tag: Optional[str], attrs: dict, node, kids: Optional[str]) -> None:
+    def __init__(self, tag: Optional[str], attrs: dict, node, kids: Optional[str], value=None) -> None:
         self.tag = tag
         self.attrs = attrs
         self.node = node
         self.kids = kids
-        self.parts: list = []
         self.count = 0
-        self.value = self.fault = None
-        self.stray = False
-        self.rank = _NONE
+        self.parts: list = []
+        self.value = value
+
+    def kid(self, tag: str) -> tuple:
+        """The path node of its last child, a `tag`; the children of a
+        constant are named by their tag alone."""
+        return self.node, tag, None if self.kids == "constant" else self.count - 1
 
 
-class _Bind(list):
-    """The terms so far of an OMBIND whose attributes are the ones it
-    takes, in a document without a fault; `attrs` are its attributes."""
+class _Terms(list):
+    """An open element that holds terms, an item per child: an OMA or
+    OMBIND, whose `kids` are "terms", or a type, definition, assignment
+    or term proof, which holds one "term". An item is None until its
+    child's term is built, and stays None after a fault. `value` is an
+    assignment's name."""
 
-    __slots__ = ("attrs",)
+    __slots__ = ("attrs", "node", "kids", "value")
+
+    def kid(self, tag: str) -> tuple:
+        """The path node of its last child, a `tag`; the term of a wrapper
+        is named by its tag alone."""
+        return self.node, tag, None if self.kids == "term" else len(self) - 1
+
+
+def _terms(attrs: dict, node, kids: str) -> _Terms:
+    """An empty `_Terms` (a list subclass builds no faster with an `__init__`)."""
+    f = _Terms()
+    f.attrs, f.node, f.kids, f.value = attrs, node, kids, None
+    return f
 
 
 def _path(node) -> str:
@@ -395,313 +416,220 @@ def _universal(name: str) -> str:
     return "{" + name if "}" in name else name
 
 
-def _record(r: _Reader, f: _Frame, rank: int, node, message: str) -> None:
-    """A fault of `f` at `node`, the document's if it is `f`'s first or
-    ranks before `f`'s others; a node of None is an unsupported version."""
-    if rank < f.rank:
-        f.fault = r.fault = node, message
-        f.rank = rank
-
-
-def _frame(r: _Reader, tag: str, attrs: dict, node, kids: Optional[str], rank=_KEYS) -> _Frame:
-    """The frame of an element, whose attributes are checked at `rank`."""
-    f = _Frame(tag, attrs, node, kids)
-    names = attrs.keys()
-    bare, full = _NAME_SETS[tag]
-    if names != bare and names != full:
-        try:
-            check_keys(attrs, "", *_ATTRIBUTES[tag])
-        except SchemaViolation as err:  # at the path of the attribute alone
-            _record(r, f, rank, (node, _universal(err.path), None), err.message)
-    return f
-
-
-def _ident(r: _Reader, f: _Frame, key: str, rank: int) -> Optional[Ident]:
-    """The identifier that attribute `key` of `f` names, or None after a fault."""
-    try:
-        return r.terms.named(f.attrs[key]).ident
-    except ValueError as err:
-        _record(r, f, rank, (f.node, key, None), str(err))
-        return None
-
-
-def _last_node(f: _Frame, tag: str) -> tuple:
-    """The path node of the last child of `f`, a `tag`."""
-    kids = f.kids
-    if kids == "term" or kids == "constant":  # its children are named by their tag alone
-        return f.node, tag, None
-    return f.node, tag, len(f.parts) - 1 if kids == "terms" else f.count - 1
-
-
-def _open(r: _Reader, f: _Frame, tag: str, attrs: dict):
-    """The stack entry of the last child of `f`, which starts with `tag`
-    and `attrs`, once that child's start tag is checked."""
-    kids = f.kids
-    node = _last_node(f, tag)
-    if kids == "term" or kids == "terms":
-        if tag == "OMA" or tag == "OMBIND":
-            return _frame(r, tag, attrs, node, "terms")
-        if tag == "OMS" or tag == "OMV":
-            kid = _frame(r, tag, attrs, node, None)
-            if kid.fault is None:
-                key = "name" if tag == "OMS" else "index"
-                try:
-                    if tag == "OMS":
-                        f.parts[-1] = r.terms.named(attrs[key])
-                    elif (index := to_int(attrs[key], "expected an integer")) < 0:
-                        raise ValueError("negative index")
-                    else:
-                        f.parts[-1] = r.terms.var(index)
-                    return tag
-                except ValueError as err:
-                    _record(r, kid, _LEAF, (node, key, None), str(err))
-            return kid
-    elif kids == "constant":
-        if tag in f.value:
-            _record(r, f, _CHILD, node, f"duplicate <{tag}>")
-            return _SKIP
-        if tag == "type" or tag == "definition":
-            return _frame(r, tag, attrs, node, "term")
-        if tag == "proof":
-            kid = _frame(r, tag, attrs, node, None)
-            style = attrs.get("style")
-            if kid.fault is not None:
-                return kid
-            if style == "omitted":
-                f.value[tag] = Omitted()
-                return tag
-            if style == "term" or style == "dependsOn":
-                kid.kids = "term" if style == "term" else tag
-            else:
-                _record(r, kid, _VALUE, (node, "style", None), f"unknown proof style {style!r}")
-            return kid
-        if tag == "metadata":
-            kid = _frame(r, tag, attrs, node, tag, _VALUE)  # its text ranks before its attributes
-            kid.value = {}  # its srcref and notation; `parts` takes its comments
-            if kid.fault is None and "origin" in attrs:
-                _ident(r, kid, "origin", _VALUE)
-            return kid
-    elif kids == "omdoc":
-        if tag == "theory":
-            if f.parts:
-                _record(r, f, _CHILD, node, "theories must precede morphisms")
-                return _SKIP
-            kid = _frame(r, tag, attrs, node, tag)
-            kid.value = {}  # its declarations by name; `parts` takes its includes
-            if kid.fault is None and "meta" in attrs:
-                _ident(r, kid, "meta", _VALUE)
-            return kid
-        if tag == "morphism":
-            return _frame(r, tag, attrs, node, tag)
-    elif kids == "theory":
-        if tag == "constant":
-            kid = _frame(r, tag, attrs, node, tag)
-            kid.value = {}  # its sections by tag
-            if kid.fault is None and attrs["kind"] not in KINDS:
-                _record(r, kid, _VALUE, (node, "kind", None), f"unknown kind {attrs['kind']!r}")
-            return kid
-        if tag == "include":
-            if f.value:
-                _record(r, f, _CHILD, node, "includes must precede constants")
-                return _SKIP
-            kid = _frame(r, tag, attrs, node, None)
-            if kid.fault is None and (ident := _ident(r, kid, "from", _LEAF)) is not None:
-                f.parts.append(ident)
-                return tag
-            return kid
-    elif kids == "proof":  # a dependsOn proof
-        if tag == "ref":
-            kid = _frame(r, tag, attrs, node, None)
-            if kid.fault is None and (ident := _ident(r, kid, "name", _LEAF)) is not None:
-                f.parts.append(ident)
-                return tag
-            return kid
-    elif kids == "metadata":
-        if tag in f.value:  # a second srcref or notation
-            _record(r, f, _CHILD, node, f"duplicate {tag}")
-            return _SKIP
-        if tag == "srcref":
-            kid = _frame(r, tag, attrs, node, None)
-            if kid.fault is None:
-                at = node
-                try:
-                    lines = []
-                    for key in ("sl", "sc", "el", "ec"):
-                        at = node, key, None
-                        lines.append(to_int(attrs[key], "expected an integer"))
-                    at = node
-                    f.value[tag] = SourceRef(attrs["file"], *lines)
-                    return tag
-                except ValueError as err:
-                    _record(r, kid, _LEAF, at, str(err))
-            return kid
-        if tag == "comment" or tag == "notation":
-            return _frame(r, tag, attrs, node, None)
-    elif kids == "morphism":
-        if tag == "assignment":
-            kid = _frame(r, tag, attrs, node, "term")
-            if kid.fault is None:
-                kid.value = _ident(r, kid, "name", _VALUE)
-            return kid
-    elif kids == "root":
-        if tag != "omdoc":
-            _record(r, f, _KEYS, _universal(tag), "root element must be <omdoc>")
-            return _SKIP
-        kid = _frame(r, tag, attrs, tag, tag)
-        kid.value = {}  # its theories by name; `parts` takes its morphisms
-        if kid.fault is None:
-            if attrs["version"] != OMDOC_VERSION:
-                _record(r, kid, _KEYS, None, attrs["version"])
-            r.namespace = attrs["namespace"]
-        return kid
-    else:  # a leaf or an omitted proof
-        return _SKIP
-    tag = _universal(tag)
-    _record(r, f, _CHILD, (node[0], tag, node[2]), f"unknown element <{tag}>")
-    return _SKIP
-
-
-def _close(r: _Reader, f: _Frame, parent: _Frame) -> None:
-    """Read the end tag of `f`: its checks that need its whole content,
-    then, if the document has no fault, the value it hands to `parent`."""
-    tag, kids = f.tag, f.kids
-    count = len(f.parts) if kids == "term" or kids == "terms" else f.count
-    if f.stray and tag not in _TEXT_FREE:
-        _record(r, f, _TEXT, f.node, "unexpected text content")
-    if kids is None and count:
-        what = "omitted proof" if tag == "proof" else tag
-        _record(r, f, _COUNT, f.node, f"{what} takes no children")
-    elif kids == "term" and count != 1:
-        _record(r, f, _COUNT, f.node, "expected exactly one term")
-    elif tag == "OMA" and count < 2:
-        _record(r, f, _COUNT, f.node, "OMA needs a head and at least one argument")
-    if r.fault is not None:
-        return
-    a, parts, value = f.attrs, f.parts, f.value
-    try:
-        if tag == "constant":
-            fields = value.get("metadata", ())  # a Metadata's after its kind
-            d = Declaration(
-                Ident(r.namespace, parent.attrs["name"], a["name"]),
-                tp=value.get("type"),
-                definiens=value.get("definition"),
-                proof=value.get("proof"),
-                meta=Metadata(a["kind"], *fields),
-            )
-            if d.name in parent.value:
-                node = f.node, "name", None
-                _record(r, parent, _CHILD, node, f"duplicate declaration {d.name}")
-            parent.value[d.name] = d
-        elif tag == "OMBIND":
-            binder = a["binder"]
-            cls, fields, binds = _BINDER_NAMED.get(binder, (None, (), False))
-            if "var" in a and not binds:
-                _record(r, f, _POST, (f.node, "var", None), f"binder {binder} takes no variable")
-            elif cls is None:
-                _record(r, f, _POST, (f.node, "binder", None), f"unknown binder {binder!r}")
-            elif len(parts) != len(fields):
-                _record(r, f, _POST, f.node, f"binder {binder} takes {len(fields)} children")
-            else:
-                parent.parts[-1] = r.terms.node(cls, a.get("var", "_") if binds else None, *parts)
-        elif tag == "OMA":
-            parent.parts[-1] = r.terms.apps(*parts)
-        elif tag == "type" or tag == "definition":
-            parent.value[tag] = parts[0]
-        elif tag == "proof":  # one with a term or with references
-            parent.value[tag] = ProofTerm(parts[0]) if f.kids == "term" else DependsOn(parts)
-        elif tag == "notation":
-            parent.value[tag] = "".join(parts)
-        elif tag == "comment":
-            parent.parts.append("".join(parts))
-        elif tag == "metadata":
-            origin = _ident(r, f, "origin", _POST) if "origin" in a else None
-            parent.value[tag] = value.get("srcref"), tuple(parts), value.get("notation"), origin
-        elif tag == "theory":
-            meta = _ident(r, f, "meta", _POST) if "meta" in a else None
-            th = Theory(theory_ident(r.namespace, a["name"]), meta_theory=meta,
-                        includes=tuple(parts), decls=tuple(value.values()))
-            if th.name in parent.value:
-                _record(r, parent, _CHILD, (f.node, "name", None), f"duplicate theory {th.name}")
-            parent.value[th.name] = th
-        elif tag == "assignment":
-            parent.parts.append((value, parts[0]))
-        elif tag == "morphism":
-            # its own identifiers are read after its assignments
-            ends = [_ident(r, f, key, _POST) for key in ("name", "from", "to")]
-            if r.fault is None:
-                parent.parts.append(Morphism(*ends, tuple(parts)))
-        elif tag == "omdoc":
-            parent.value = tuple(value.values()), tuple(parts)
-    except ValueError as err:  # a record's own checks
-        _record(r, f, _POST, f.node, str(err))
-
-
 class _Reader:
-    """The state of one pass: the document's `Terms`, its namespace, its
-    fault so far as a path node and a message, and the stack of open
-    elements, whose first frame takes the root's value."""
+    """One pass: the document's `Terms`, its namespace, its fault so far,
+    and the stack of open elements, whose first frame is the document's
+    and takes the root's value.
+
+    The handlers (see `handlers`) read the term elements, OMS, OMV, OMA
+    and OMBIND, themselves, and every other element through `open` and
+    `close`."""
 
     def __init__(self) -> None:
         self.terms = Terms()
         self.namespace: Optional[str] = None
+        # the depth of the element at fault, the fault's rank there, its
+        # path node (None for an unsupported version) and its message
         self.fault: Optional[tuple] = None
         self.stack: list = [_Frame(None, {}, None, "root")]
 
-    def top(self):
-        """The top of the stack as a frame. A valid leaf (an OMS, OMV,
-        include, ref, srcref or omitted proof) stands on the stack as its
-        tag, its value already handed to its parent; an OMA, type or
-        definition without attributes, valid so far, as the list of its
-        children's terms, and such an OMBIND as a `_Bind`.
-        Each becomes a frame once text, a fault or a child that is not one
-        of them needs one, and each such entry below it too. These entries
-        are only on the stack of a document without a fault."""
-        stack = self.stack
-        k = len(stack) - 1
-        while type(stack[k]) is not _Frame:
-            k -= 1
-        for k in range(k + 1, len(stack)):
-            entry, parent = stack[k], stack[k - 1]
-            if type(entry) is str:
-                f = _Frame(entry, {}, _last_node(parent, entry), None)
-            elif type(entry) is _Bind:
-                f = _Frame("OMBIND", entry.attrs, _last_node(parent, "OMBIND"), "terms")
-            elif parent.kids == "constant":  # the section it opened last
-                tag = next(reversed(parent.value))
-                f = _Frame(tag, {}, (parent.node, tag, None), "term")
-            else:
-                f = _Frame("OMA", {}, _last_node(parent, "OMA"), "terms")
-            if type(entry) is not str:
-                f.parts = list(entry)
-            stack[k] = f
-        return stack[-1]
+    def record(self, depth: int, rank: int, node, message: str) -> None:
+        """A fault of the open element at `depth` of the stack. It is the
+        document's unless the document's is the element's own and ranks
+        first; any other is a descendant's, since elements that start
+        after a fault are skipped."""
+        fault = self.fault
+        if fault is None or fault[0] > depth or fault[0] == depth and rank < fault[1]:
+            self.fault = depth, rank, node, message
+
+    def bad_keys(self, depth: int, tag: str, attrs: dict, node, rank: int = _KEYS) -> None:
+        """A fault at the first attribute that the element at `depth`, a
+        `tag` whose attributes are not those it takes, lacks or should not have."""
+        try:
+            check_keys(attrs, "", *_ATTRIBUTES[tag])
+        except SchemaViolation as err:
+            self.record(depth, rank, (node, _universal(err.path), None), err.message)
+
+    def has_keys(self, depth: int, tag: str, attrs: dict, node, rank: int = _KEYS) -> bool:
+        """Whether the element at `depth` has the attributes its tag takes."""
+        if attrs.keys() in _NAME_SETS[tag]:
+            return True
+        self.bad_keys(depth, tag, attrs, node, rank)
+        return False
+
+    def ident(self, depth: int, node, attrs: dict, key: str, rank: int) -> Optional[Ident]:
+        """The identifier that attribute `key` names, or None after a fault."""
+        try:
+            return self.terms.named(attrs[key]).ident
+        except ValueError as err:
+            self.record(depth, rank, (node, key, None), str(err))
+            return None
 
     def flush(self, text: list[str]) -> None:
         """Hand the text since the last tag to the element that holds it."""
-        joined = "".join(text)
+        content = "".join(text)
         text.clear()
-        f = self.stack[-1]
-        if f is _SKIP or type(f) is str and f in _TEXT_FREE:
+        stack = self.stack
+        f = stack[-1]
+        if f is _SKIP:
             return
-        if type(f) is not _Frame and joined.isspace():
+        if type(f) is str:  # a leaf
+            if f not in _TEXT_FREE and not content.isspace():
+                self.record(len(stack) - 1, _TEXT, stack[-2].kid(f), "unexpected text content")
+        elif type(f) is _Frame and (f.tag == "comment" or f.tag == "notation"):
+            f.parts.append(content)
+        elif not content.isspace():
+            self.record(len(stack) - 1, _TEXT, f.node, "unexpected text content")
+
+    def open(self, f: _Frame, tag: str, attrs: dict):
+        """The stack entry of a child of `f`, an element that holds
+        records, once its start tag is read, or None if `f` takes no
+        `tag`; the document has no fault."""
+        depth = len(self.stack)  # the child's; `f`'s is one less
+        kids = f.kids
+        node = f.node, tag, None if kids == "constant" else f.count - 1
+        if kids == "constant":
+            if tag in f.value:
+                self.record(depth - 1, _CHILD, node, f"duplicate <{tag}>")
+                return _SKIP
+            if tag == "type" or tag == "definition":
+                self.has_keys(depth, tag, attrs, node)
+                return _terms(attrs, node, "term")
+            if tag == "proof":
+                if self.has_keys(depth, tag, attrs, node):
+                    style = attrs["style"]
+                    if style == "term":
+                        return _terms(attrs, node, "term")
+                    if style == "dependsOn":
+                        return _Frame(tag, attrs, node, tag)
+                    if style != "omitted":
+                        self.record(depth, _VALUE, (node, "style", None), f"unknown proof style {style!r}")
+                return _Frame(tag, attrs, node, None)
+            if tag == "metadata":
+                # its text ranks before its attributes
+                if self.has_keys(depth, tag, attrs, node, _VALUE) and "origin" in attrs:
+                    self.ident(depth, node, attrs, "origin", _VALUE)
+                return _Frame(tag, attrs, node, tag, {})  # its srcref and notation; `parts` takes its comments
+        elif kids == "theory":
+            if tag == "constant":
+                if self.has_keys(depth, tag, attrs, node) and attrs["kind"] not in KINDS:
+                    self.record(depth, _VALUE, (node, "kind", None), f"unknown kind {attrs['kind']!r}")
+                return _Frame(tag, attrs, node, tag, {})  # its sections by tag
+            if tag == "include":
+                if f.value:
+                    self.record(depth - 1, _CHILD, node, "includes must precede constants")
+                    return _SKIP
+                if self.has_keys(depth, tag, attrs, node):
+                    f.parts.append(self.ident(depth, node, attrs, "from", _LEAF))
+                return tag
+        elif kids == "proof":  # a dependsOn proof
+            if tag == "ref":
+                if self.has_keys(depth, tag, attrs, node):
+                    f.parts.append(self.ident(depth, node, attrs, "name", _LEAF))
+                return tag
+        elif kids == "metadata":
+            if tag in f.value:  # a second srcref or notation
+                self.record(depth - 1, _CHILD, node, f"duplicate {tag}")
+                return _SKIP
+            if tag == "srcref":
+                if self.has_keys(depth, tag, attrs, node):
+                    at = node
+                    try:
+                        lines = []
+                        for key in ("sl", "sc", "el", "ec"):
+                            at = node, key, None
+                            lines.append(to_int(attrs[key], "expected an integer"))
+                        at = node
+                        f.value[tag] = SourceRef(attrs["file"], *lines)
+                    except ValueError as err:
+                        self.record(depth, _LEAF, at, str(err))
+                return tag
+            if tag == "comment" or tag == "notation":
+                self.has_keys(depth, tag, attrs, node)
+                return _Frame(tag, attrs, node, None)
+        elif kids == "omdoc":
+            if tag == "theory":
+                if f.parts:
+                    self.record(depth - 1, _CHILD, node, "theories must precede morphisms")
+                    return _SKIP
+                if self.has_keys(depth, tag, attrs, node) and "meta" in attrs:
+                    self.ident(depth, node, attrs, "meta", _VALUE)
+                return _Frame(tag, attrs, node, tag, {})  # its declarations by name; `parts` takes its includes
+            if tag == "morphism":
+                self.has_keys(depth, tag, attrs, node)
+                return _Frame(tag, attrs, node, tag)
+        elif kids == "morphism":
+            if tag == "assignment":
+                kid = _terms(attrs, node, "term")
+                if self.has_keys(depth, tag, attrs, node):
+                    kid.value = self.ident(depth, node, attrs, "name", _VALUE)
+                return kid
+        elif kids == "root":
+            if tag != "omdoc":
+                self.record(depth - 1, _KEYS, _universal(tag), "root element must be <omdoc>")
+                return _SKIP
+            if self.has_keys(depth, tag, attrs, tag):
+                if attrs["version"] != OMDOC_VERSION:
+                    self.record(depth, _KEYS, None, attrs["version"])
+                self.namespace = attrs["namespace"]
+            return _Frame(tag, attrs, tag, tag, {})  # its theories by name; `parts` takes its morphisms
+        return None
+
+    def close(self, f: _Frame, tag: str) -> None:
+        """Read the end tag of `f`, an element that holds records: if the
+        document has no fault, hand its value to its parent."""
+        if self.fault is not None:
             return
-        f = self.top()
-        if f.tag == "comment" or f.tag == "notation":
-            f.parts.append(joined)
-        elif not joined.isspace():
-            f.stray = True
+        stack = self.stack
+        depth = len(stack)
+        parent, a = stack[-1], f.attrs
+        try:
+            if tag == "constant":
+                value = f.value
+                fields = value.get("metadata", ())  # a Metadata's after its kind
+                d = Declaration(
+                    Ident(self.namespace, parent.attrs["name"], a["name"]),
+                    tp=value.get("type"),
+                    definiens=value.get("definition"),
+                    proof=value.get("proof"),
+                    meta=Metadata(a["kind"], *fields),
+                )
+                if d.name in parent.value:
+                    self.record(depth - 1, _CHILD, (f.node, "name", None), f"duplicate declaration {d.name}")
+                parent.value[d.name] = d
+            elif tag == "proof":
+                parent.value[tag] = DependsOn(f.parts) if f.kids == tag else Omitted()
+            elif tag == "notation":
+                parent.value[tag] = "".join(f.parts)
+            elif tag == "comment":
+                parent.parts.append("".join(f.parts))
+            elif tag == "metadata":
+                origin = self.ident(depth, f.node, a, "origin", _POST) if "origin" in a else None
+                parent.value[tag] = f.value.get("srcref"), tuple(f.parts), f.value.get("notation"), origin
+            elif tag == "theory":
+                meta = self.ident(depth, f.node, a, "meta", _POST) if "meta" in a else None
+                th = Theory(theory_ident(self.namespace, a["name"]), meta_theory=meta,
+                            includes=tuple(f.parts), decls=tuple(f.value.values()))
+                if th.name in parent.value:
+                    self.record(depth - 1, _CHILD, (f.node, "name", None), f"duplicate theory {th.name}")
+                parent.value[th.name] = th
+            elif tag == "morphism":
+                # its own identifiers are read after its assignments
+                ends = [self.ident(depth, f.node, a, key, _POST) for key in ("name", "from", "to")]
+                if self.fault is None:
+                    parent.parts.append(Morphism(*ends, tuple(f.parts)))
+            elif tag == "omdoc":
+                parent.value = tuple(f.value.values()), tuple(f.parts)
+        except ValueError as err:  # a record's own checks
+            self.record(depth, _POST, f.node, str(err))
 
     def handlers(self):
         """Expat's start-tag, end-tag and text handlers. The text handler
         is a list's append, so that text costs no call of Python code,
-        and each tag reads the text before it. The handlers read the
-        valid terms below a list or a `_Bind`, and a constant's type and
-        definition without attributes, themselves (see `top`); every
-        other element goes through `_open` and `_close`. They hold no
-        reference to the parser, so a parse leaves no cycle."""
+        and each tag reads the text before it. They hold no reference to
+        the parser, so a parse leaves no cycle."""
         r, stack, text = self, self.stack, []
-        named, apps, var = self.terms.named, self.terms.apps, self.terms.var
-        omv, ombind = _NAME_SETS["OMV"][1], _NAME_SETS["OMBIND"][1]  # the attributes each takes
+        named, var, apps, build = self.terms.named, self.terms.var, self.terms.apps, self.terms.node
 
         def start(tag: str, attrs: dict) -> None:
             if text:  # mostly one piece of whitespace, dropped here
@@ -710,54 +638,67 @@ class _Reader:
                     text.append(piece)
                     r.flush(text)
             f = stack[-1]
-            if type(f) is list or type(f) is _Bind:  # only in a document without a fault
-                if tag == "OMS":
-                    if len(attrs) == 1 and "name" in attrs:
-                        try:
-                            f.append(named(attrs["name"]))
-                            stack.append(tag)
-                            return
-                        except ValueError:
-                            pass
-                elif tag == "OMA" and not attrs:
-                    f.append(None)  # its term, once it ends
-                    stack.append([])
-                    return
-                elif tag == "OMV" and "index" in attrs and attrs.keys() <= omv:
-                    try:
-                        index = int(attrs["index"])
-                    except ValueError:
-                        index = -1
-                    if index >= 0:
-                        f.append(var(index))
-                        stack.append(tag)
-                        return
-                elif tag == "OMBIND" and "binder" in attrs and attrs.keys() <= ombind:
+            kind = type(f)
+            if kind is _Terms:  # each child is counted by an item, its term or None
+                if r.fault is not None:
                     f.append(None)
-                    bind = _Bind()
-                    bind.attrs = attrs
-                    stack.append(bind)
-                    return
-                f = r.top()
-            elif type(f) is not _Frame:
-                if f is _SKIP:
                     stack.append(_SKIP)
                     return
-                f = r.top()
-            kids = f.kids
-            if kids == "terms" or kids == "term":  # it counts its children by their parts
-                f.parts.append(None)
-                if tag == "OMA" and not attrs and r.fault is None:
-                    stack.append([])
+                if tag == "OMS":
+                    stack.append(tag)
+                    if len(attrs) == 1 and "name" in attrs:  # it takes its name alone
+                        try:
+                            f.append(named(attrs["name"]))
+                            return
+                        except ValueError as err:
+                            f.append(None)
+                            r.record(len(stack) - 1, _LEAF, (f.kid(tag), "name", None), str(err))
+                    else:
+                        f.append(None)
+                        r.bad_keys(len(stack) - 1, tag, attrs, f.kid(tag))
                     return
-            elif (kids == "constant" and (tag == "type" or tag == "definition") and not attrs
-                  and tag not in f.value and r.fault is None):
-                f.value[tag] = None  # seen, and open
-                stack.append([])
+                f.append(None)  # the term, once it is built
+                if tag == "OMV":
+                    stack.append(tag)
+                    if attrs.keys() not in _NAME_SETS[tag]:
+                        r.bad_keys(len(stack) - 1, tag, attrs, f.kid(tag))
+                        return
+                    try:
+                        index = to_int(attrs["index"], "expected an integer")
+                        if index < 0:
+                            raise ValueError("negative index")
+                        f[-1] = var(index)
+                    except ValueError as err:
+                        r.record(len(stack) - 1, _LEAF, (f.kid(tag), "index", None), str(err))
+                    return
+                if tag == "OMA" or tag == "OMBIND":
+                    kid = _terms(attrs, f.kid(tag), "terms")
+                    if attrs if tag == "OMA" else attrs.keys() not in _NAME_SETS[tag]:
+                        r.bad_keys(len(stack), tag, attrs, kid.node)
+                    stack.append(kid)
+                    return
+                kid = None
+            elif f is _SKIP:
+                stack.append(_SKIP)
+                return
+            elif kind is str or f.kids is None:  # an element that takes no children
+                at, what = (stack[-2].kid(f), f) if kind is str else (f.node, f.tag)
+                what = "omitted proof" if what == "proof" else what
+                r.record(len(stack) - 1, _COUNT, at, f"{what} takes no children")
+                stack.append(_SKIP)
                 return
             else:
                 f.count += 1
-            stack.append(_SKIP if r.fault is not None else _open(r, f, tag, attrs))
+                if r.fault is not None:
+                    stack.append(_SKIP)
+                    return
+                kid = r.open(f, tag, attrs)
+            if kid is None:
+                tag = _universal(tag)
+                at = f.kid(tag)
+                r.record(len(stack) - 1, _CHILD, at, f"unknown element <{tag}>")
+                kid = _SKIP
+            stack.append(kid)
 
         def end(tag: str) -> None:
             if text:  # a comment's or a notation's is its content
@@ -766,31 +707,41 @@ class _Reader:
                     text.append(piece)
                     r.flush(text)
             f = stack.pop()
-            if type(f) is _Bind:  # `_close` reads the OMBIND that is not valid
-                a = f.attrs
-                cls, fields, binds = _BINDER_NAMED.get(a["binder"], (None, (), False))
-                if cls is not None and len(f) == len(fields) and (binds or "var" not in a):
-                    parent = stack[-1]
-                    t = r.terms.node(cls, a.get("var", "_") if binds else None, *f)
-                    (parent.parts if type(parent) is _Frame else parent)[-1] = t
-                    return
-                stack.append(f)
-                f = r.top()
-                stack.pop()
-            elif type(f) is list:
-                if tag != "OMA" and len(f) == 1:  # a type or a definition
-                    stack[-1].value[tag] = f[0]
-                    return
-                if tag == "OMA" and len(f) > 1:
-                    parent = stack[-1]
-                    (parent.parts if type(parent) is _Frame else parent)[-1] = apps(*f)
-                    return
-                stack.append(f)
-                f = r.top()
-                stack.pop()
-            elif type(f) is not _Frame:
+            if type(f) is str:
                 return
-            _close(r, f, stack[-1])
+            if type(f) is _Frame:
+                r.close(f, tag)
+                return
+            if f is _SKIP:
+                return
+            depth = len(stack)
+            if tag == "OMA":
+                if len(f) < 2:
+                    r.record(depth, _COUNT, f.node, "OMA needs a head and at least one argument")
+                elif r.fault is None:
+                    stack[-1][-1] = apps(*f)
+                return
+            if f.kids == "term" and len(f) != 1:
+                r.record(depth, _COUNT, f.node, "expected exactly one term")
+            if r.fault is not None:
+                return
+            parent = stack[-1]
+            if tag == "OMBIND":
+                a = f.attrs
+                binder = a["binder"]
+                cls, fields, binds = _BINDER_NAMED.get(binder, (None, (), False))
+                if "var" in a and not binds:
+                    r.record(depth, _POST, (f.node, "var", None), f"binder {binder} takes no variable")
+                elif cls is None:
+                    r.record(depth, _POST, (f.node, "binder", None), f"unknown binder {binder!r}")
+                elif len(f) != len(fields):
+                    r.record(depth, _POST, f.node, f"binder {binder} takes {len(fields)} children")
+                else:
+                    parent[-1] = build(cls, a.get("var", "_") if binds else None, *f)
+            elif tag == "assignment":
+                parent.parts.append((f.value, f[0]))
+            else:  # a type, a definition or a term proof
+                parent.value[tag] = ProofTerm(f[0]) if tag == "proof" else f[0]
 
         return start, end, text.append
 
@@ -828,7 +779,8 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
     own collector setting.
     """
     r = _Reader()
-    parser = ParserCreate("utf-8", "}")  # ElementTree's namespace separator
+    # ElementTree's namespace separator, and the strings expat gives names as
+    parser = ParserCreate("utf-8", "}", {name: name for name in _NAMES})
     parser.buffer_text = True
     parser.StartElementHandler, parser.EndElementHandler, parser.CharacterDataHandler = r.handlers()
     parser.DefaultHandlerExpand = _default
@@ -840,15 +792,13 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
         parser.Parse(b"", True)
     except ExpatError as err:
         raise _malformed(data, ErrorString(err.code), err.lineno, err.offset) from None
-    except OverflowError as err:  # the parser's size limits
-        raise Malformed(str(err)) from None
     except _Unexpanded as err:
         # expat stops at the reference's end, which is on its line
         column = parser.ErrorColumnNumber - len(err.args[0])
         line = parser.ErrorLineNumber
         raise _malformed(data, XML_ERROR_UNDEFINED_ENTITY, line, column) from None
     if r.fault is not None:
-        node, message = r.fault
+        _, _, node, message = r.fault
         raise UnsupportedVersion(message) if node is None else SchemaViolation(_path(node), message)
     theories, morphisms = r.stack[0].value
     return Library(r.namespace, theories, morphisms, deps=deps if deps is not None else (LOGICS,))

@@ -804,7 +804,7 @@ def test_an_undefined_entity_under_an_external_dtd_is_malformed():
 
 def test_parse_memory_follows_the_library_not_the_document():
     # the reader holds its open elements and expat's buffer, not a tree of
-    # the document: 1.9 on this corpus, where the tree made it 23
+    # the document: about 2 on this corpus, where the tree made it 23
     data = _bench_corpus().omdoc_corpus(1, 300)[0]
     tracemalloc.start()
     try:
