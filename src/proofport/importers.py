@@ -290,14 +290,20 @@ def _no_separator(name: str, path: str) -> None:
 
 
 def _theory_records(theories: Iterable, parse_decl: Callable) -> tuple[TheoryRecord, ...]:
-    """The theory records of (path, name, includes, [(path, raw decl)]) items,
-    with unique theory names, unique declaration names per theory, no `?`
-    (the identifier separator) in either, and no repeated dependency."""
+    """The theory records of (path, name, [(path, include)], [(path, raw
+    decl)]) items, with unique theory names, unique declaration names per
+    theory, no `?` (the identifier separator) in either, and no repeated
+    include or dependency."""
     out: dict[str, TheoryRecord] = {}
     for path, name, includes, decls in theories:
         _no_separator(name, f"{path}.name")
         if name in out:
             raise SchemaViolation(f"{path}.name", f"duplicate theory {name!r}")
+        names: dict[str, None] = {}
+        for ipath, include in includes:
+            if include in names:
+                raise SchemaViolation(ipath, f"duplicate include {include!r}")
+            names[include] = None
         records: dict[str, DeclRecord] = {}
         for dpath, raw in decls:
             rec = parse_decl(raw, dpath)
@@ -310,7 +316,7 @@ def _theory_records(theories: Iterable, parse_decl: Callable) -> tuple[TheoryRec
                     raise SchemaViolation(f"{dpath}.deps", f"repeated dependency {dep!r}")
                 seen.add(dep)
             records[rec.name] = rec
-        out[name] = TheoryRecord(name, tuple(records.values()), includes)
+        out[name] = TheoryRecord(name, tuple(records.values()), tuple(names))
     return tuple(out.values())
 
 
@@ -321,7 +327,8 @@ def _toyhol_theories(raw: list):
             raise SchemaViolation(path, "expected an object")
         check_keys(th, path, (), ("name", "decls", "includes"), "field")
         name = _get_str(th, "name", path)
-        includes = _get_names(th, "includes", path)
+        names = _get_names(th, "includes", path)
+        includes = [(f"{path}.includes[{k}]", inc) for k, inc in enumerate(names)]
         decls = th.get("decls")
         if not isinstance(decls, list):
             raise SchemaViolation(f"{path}.decls", "missing or not a list")
@@ -501,7 +508,7 @@ def _toyset_theories(root: ET.Element):
             raise SchemaViolation(path, f"unknown element <{th.tag}>")
         check_keys(th.attrib, path, (), ("name", "includes"))
         name = _required(th, "name", path)
-        includes = tuple((th.get("includes") or "").split())
+        includes = [(f"{path}.includes", inc) for inc in (th.get("includes") or "").split()]
         yield path, name, includes, [(f"{path}.decl[{j}]", d) for j, d in enumerate(th)]
 
 

@@ -25,9 +25,9 @@ before it returns, raising DanglingIdent for the first that does not
 resolve. The reader resolves nothing; checking does.
 
 The reader is one expat pass that builds no tree of the document (see
-"parsing" below). It raises SchemaViolation at the dotted path of the
-element or attribute at fault, as the other readers do; a path is
-formatted only for the fault that is raised.
+"parsing" below). A syntax error wins wherever it is; otherwise the first
+fault the pass meets is raised, a SchemaViolation at the dotted path of
+the element or attribute at fault, as the other readers raise.
 """
 
 from __future__ import annotations
@@ -302,20 +302,10 @@ def serialize(lib: Library) -> bytes:
 # one `Terms` as its element ends (an OMS or OMV as it starts), and each
 # Declaration, Theory and Morphism at its end tag.
 #
-# Faults rank in the order of a depth-first reading: syntax errors first,
-# then for each element its attributes, its text, the values its attributes
-# give, its number of children, its children in document order, and last
-# what needs them all (an OMBIND's binder and arity, a record's own checks).
-# Once the document has a fault, every element that starts later ranks
-# after it and is skipped. The open elements, all ancestors of the fault,
-# go on counting their children and reading their text, and a fault of an
-# element's own replaces the document's if that is a descendant's or ranks
-# later among the element's own. The fault is raised once expat has read
-# the whole document, so that a later syntax error still wins.
-
-# the rank of a fault in its element; a leaf's value is read after its
-# count of children, a child's fault and a record's own checks come last
-_KEYS, _TEXT, _VALUE, _COUNT, _LEAF, _CHILD, _POST = range(7)
+# The first fault the pass meets is the document's, and a handler raises it
+# at once: every element on its path is still open, so the stack is the
+# path (see `_path`). A syntax error anywhere still wins, so `parse` reads
+# a faulty document once more, for its syntax alone.
 
 # element -> (required attributes, optional ones)
 _ATTRIBUTES = {
@@ -345,69 +335,83 @@ _NAME_SETS = {tag: (frozenset(req), frozenset(req + opt)) for tag, (req, opt) in
 # which compare with the constants of the code by identity
 _NAMES = frozenset(_ATTRIBUTES).union(*(req + opt for req, opt in _ATTRIBUTES.values()))
 
-# the stack entry of an element whose content no check reads
-_SKIP = object()
-
 # A leaf, an element that takes no children and hands its value to its
 # parent as it starts (an OMS, OMV, include, ref or srcref), has no frame:
 # its stack entry is its tag. Only the text of an OMS or OMV is read.
 _TEXT_FREE = frozenset({"include", "ref", "srcref"})
 
+# element -> the attributes whose values it reads as it starts: a srcref's
+# are integers, every other names an identifier
+_VALUES = {
+    "theory": ("meta",), "include": ("from",), "ref": ("name",), "metadata": ("origin",),
+    "srcref": ("sl", "sc", "el", "ec"), "morphism": ("name", "from", "to"), "assignment": ("name",),
+}
+
+# element -> the elements it takes as children, for those that hold records;
+# "root" is the document, and "proof" a dependsOn proof
+_CHILDREN = {
+    "root": ("omdoc",),
+    "omdoc": ("theory", "morphism"),
+    "theory": ("include", "constant"),
+    "constant": ("type", "definition", "proof", "metadata"),
+    "proof": ("ref",),
+    "metadata": ("srcref", "comment", "notation"),
+    "morphism": ("assignment",),
+}
+
 
 class _Frame:
-    """An open element that holds records or text. `node` is its path node
-    (see `_path`); `kids` says what its children are: the tag of the
-    element that reads them, or None if it takes none. `count` counts them;
-    `parts` takes the values it keeps in order, `value` those it keeps by
-    key."""
+    """An open element that holds records or text. `kids` says what its
+    children are: its key in `_CHILDREN`, or None if it takes none.
+    `count` counts them; `parts` takes the values it keeps in order,
+    `value` those it keeps by key."""
 
-    __slots__ = ("tag", "attrs", "node", "kids", "count", "parts", "value")
+    __slots__ = ("tag", "attrs", "kids", "count", "parts", "value")
 
-    def __init__(self, tag: Optional[str], attrs: dict, node, kids: Optional[str], value=None) -> None:
+    def __init__(self, tag: Optional[str], attrs: dict, kids: Optional[str], value=None) -> None:
         self.tag = tag
         self.attrs = attrs
-        self.node = node
         self.kids = kids
         self.count = 0
         self.parts: list = []
         self.value = value
-
-    def kid(self, tag: str) -> tuple:
-        """The path node of its last child, a `tag`; the children of a
-        constant are named by their tag alone."""
-        return self.node, tag, None if self.kids == "constant" else self.count - 1
 
 
 class _Terms(list):
     """An open element that holds terms, an item per child: an OMA or
     OMBIND, whose `kids` are "terms", or a type, definition, assignment
     or term proof, which holds one "term". An item is None until its
-    child's term is built, and stays None after a fault. `value` is an
-    assignment's name."""
+    child's term is built."""
 
-    __slots__ = ("attrs", "node", "kids", "value")
-
-    def kid(self, tag: str) -> tuple:
-        """The path node of its last child, a `tag`; the term of a wrapper
-        is named by its tag alone."""
-        return self.node, tag, None if self.kids == "term" else len(self) - 1
+    __slots__ = ("tag", "attrs", "kids")
 
 
-def _terms(attrs: dict, node, kids: str) -> _Terms:
+def _terms(tag: str, attrs: dict, kids: str) -> _Terms:
     """An empty `_Terms` (a list subclass builds no faster with an `__init__`)."""
     f = _Terms()
-    f.attrs, f.node, f.kids, f.value = attrs, node, kids, None
+    f.tag, f.attrs, f.kids = tag, attrs, kids
     return f
 
 
-def _path(node) -> str:
-    """The dotted path of a path node: a root element's tag, or a tuple
-    of the parent's node, a tag or attribute, and an index or None."""
-    steps = []
-    while type(node) is tuple:
-        node, name, index = node
-        steps.append(f".{name}" if index is None else f".{name}[{index}]")
-    return node + "".join(reversed(steps))
+def _path(stack: list, tag: Optional[str] = None, key: Optional[str] = None) -> str:
+    """The dotted path of the element atop `stack` below the document's
+    frame, or of `tag`, its last child, then of attribute `key` there. An
+    element's index is its parent's count of children so far, less one;
+    the root, a constant's children and a wrapper's term go by their tag
+    alone."""
+    names = [f if type(f) is str else f.tag for f in stack[1:]]
+    if tag is not None:
+        names.append(tag)
+    steps = names[:1]
+    for parent, name in zip(stack[1:], names[1:]):
+        if parent.kids == "constant" or parent.kids == "term":
+            steps.append(name)
+        else:
+            count = parent.count if type(parent) is _Frame else len(parent)
+            steps.append(f"{name}[{count - 1}]")
+    if key is not None:
+        steps.append(key)
+    return ".".join(steps)
 
 
 def _universal(name: str) -> str:
@@ -416,10 +420,20 @@ def _universal(name: str) -> str:
     return "{" + name if "}" in name else name
 
 
+def _check_keys(stack: list, tag: str, attrs: dict) -> None:
+    """Raise at the first attribute that `tag`, the last child of the
+    element atop `stack`, lacks or should not have."""
+    if attrs.keys() not in _NAME_SETS[tag]:
+        try:
+            check_keys(attrs, "", *_ATTRIBUTES[tag])
+        except SchemaViolation as err:
+            raise SchemaViolation(_path(stack, tag, _universal(err.path)), err.message) from None
+
+
 class _Reader:
-    """One pass: the document's `Terms`, its namespace, its fault so far,
-    and the stack of open elements, whose first frame is the document's
-    and takes the root's value.
+    """One pass: the document's `Terms`, its namespace, and the stack of
+    open elements, whose first frame is the document's and takes the
+    root's value.
 
     The handlers (see `handlers`) read the term elements, OMS, OMV, OMA
     and OMBIND, themselves, and every other element through `open` and
@@ -428,160 +442,85 @@ class _Reader:
     def __init__(self) -> None:
         self.terms = Terms()
         self.namespace: Optional[str] = None
-        # the depth of the element at fault, the fault's rank there, its
-        # path node (None for an unsupported version) and its message
-        self.fault: Optional[tuple] = None
-        self.stack: list = [_Frame(None, {}, None, "root")]
-
-    def record(self, depth: int, rank: int, node, message: str) -> None:
-        """A fault of the open element at `depth` of the stack. It is the
-        document's unless the document's is the element's own and ranks
-        first; any other is a descendant's, since elements that start
-        after a fault are skipped."""
-        fault = self.fault
-        if fault is None or fault[0] > depth or fault[0] == depth and rank < fault[1]:
-            self.fault = depth, rank, node, message
-
-    def bad_keys(self, depth: int, tag: str, attrs: dict, node, rank: int = _KEYS) -> None:
-        """A fault at the first attribute that the element at `depth`, a
-        `tag` whose attributes are not those it takes, lacks or should not have."""
-        try:
-            check_keys(attrs, "", *_ATTRIBUTES[tag])
-        except SchemaViolation as err:
-            self.record(depth, rank, (node, _universal(err.path), None), err.message)
-
-    def has_keys(self, depth: int, tag: str, attrs: dict, node, rank: int = _KEYS) -> bool:
-        """Whether the element at `depth` has the attributes its tag takes."""
-        if attrs.keys() in _NAME_SETS[tag]:
-            return True
-        self.bad_keys(depth, tag, attrs, node, rank)
-        return False
-
-    def ident(self, depth: int, node, attrs: dict, key: str, rank: int) -> Optional[Ident]:
-        """The identifier that attribute `key` names, or None after a fault."""
-        try:
-            return self.terms.named(attrs[key]).ident
-        except ValueError as err:
-            self.record(depth, rank, (node, key, None), str(err))
-            return None
+        self.stack: list = [_Frame(None, {}, "root")]
 
     def flush(self, text: list[str]) -> None:
         """Hand the text since the last tag to the element that holds it."""
         content = "".join(text)
         text.clear()
-        stack = self.stack
-        f = stack[-1]
-        if f is _SKIP:
-            return
-        if type(f) is str:  # a leaf
-            if f not in _TEXT_FREE and not content.isspace():
-                self.record(len(stack) - 1, _TEXT, stack[-2].kid(f), "unexpected text content")
-        elif type(f) is _Frame and (f.tag == "comment" or f.tag == "notation"):
+        f = self.stack[-1]
+        if type(f) is _Frame and (f.tag == "comment" or f.tag == "notation"):
             f.parts.append(content)
-        elif not content.isspace():
-            self.record(len(stack) - 1, _TEXT, f.node, "unexpected text content")
+        elif (type(f) is not str or f not in _TEXT_FREE) and not content.isspace():
+            raise SchemaViolation(_path(self.stack), "unexpected text content")
 
     def open(self, f: _Frame, tag: str, attrs: dict):
-        """The stack entry of a child of `f`, an element that holds
-        records, once its start tag is read, or None if `f` takes no
-        `tag`; the document has no fault."""
-        depth = len(self.stack)  # the child's; `f`'s is one less
-        kids = f.kids
-        node = f.node, tag, None if kids == "constant" else f.count - 1
-        if kids == "constant":
-            if tag in f.value:
-                self.record(depth - 1, _CHILD, node, f"duplicate <{tag}>")
-                return _SKIP
-            if tag == "type" or tag == "definition":
-                self.has_keys(depth, tag, attrs, node)
-                return _terms(attrs, node, "term")
-            if tag == "proof":
-                if self.has_keys(depth, tag, attrs, node):
-                    style = attrs["style"]
-                    if style == "term":
-                        return _terms(attrs, node, "term")
-                    if style == "dependsOn":
-                        return _Frame(tag, attrs, node, tag)
-                    if style != "omitted":
-                        self.record(depth, _VALUE, (node, "style", None), f"unknown proof style {style!r}")
-                return _Frame(tag, attrs, node, None)
-            if tag == "metadata":
-                # its text ranks before its attributes
-                if self.has_keys(depth, tag, attrs, node, _VALUE) and "origin" in attrs:
-                    self.ident(depth, node, attrs, "origin", _VALUE)
-                return _Frame(tag, attrs, node, tag, {})  # its srcref and notation; `parts` takes its comments
-        elif kids == "theory":
-            if tag == "constant":
-                if self.has_keys(depth, tag, attrs, node) and attrs["kind"] not in KINDS:
-                    self.record(depth, _VALUE, (node, "kind", None), f"unknown kind {attrs['kind']!r}")
-                return _Frame(tag, attrs, node, tag, {})  # its sections by tag
-            if tag == "include":
-                if f.value:
-                    self.record(depth - 1, _CHILD, node, "includes must precede constants")
-                    return _SKIP
-                if self.has_keys(depth, tag, attrs, node):
-                    f.parts.append(self.ident(depth, node, attrs, "from", _LEAF))
-                return tag
-        elif kids == "proof":  # a dependsOn proof
-            if tag == "ref":
-                if self.has_keys(depth, tag, attrs, node):
-                    f.parts.append(self.ident(depth, node, attrs, "name", _LEAF))
-                return tag
-        elif kids == "metadata":
-            if tag in f.value:  # a second srcref or notation
-                self.record(depth - 1, _CHILD, node, f"duplicate {tag}")
-                return _SKIP
-            if tag == "srcref":
-                if self.has_keys(depth, tag, attrs, node):
-                    at = node
-                    try:
-                        lines = []
-                        for key in ("sl", "sc", "el", "ec"):
-                            at = node, key, None
-                            lines.append(to_int(attrs[key], "expected an integer"))
-                        at = node
-                        f.value[tag] = SourceRef(attrs["file"], *lines)
-                    except ValueError as err:
-                        self.record(depth, _LEAF, at, str(err))
-                return tag
-            if tag == "comment" or tag == "notation":
-                self.has_keys(depth, tag, attrs, node)
-                return _Frame(tag, attrs, node, None)
-        elif kids == "omdoc":
-            if tag == "theory":
-                if f.parts:
-                    self.record(depth - 1, _CHILD, node, "theories must precede morphisms")
-                    return _SKIP
-                if self.has_keys(depth, tag, attrs, node) and "meta" in attrs:
-                    self.ident(depth, node, attrs, "meta", _VALUE)
-                return _Frame(tag, attrs, node, tag, {})  # its declarations by name; `parts` takes its includes
-            if tag == "morphism":
-                self.has_keys(depth, tag, attrs, node)
-                return _Frame(tag, attrs, node, tag)
-        elif kids == "morphism":
-            if tag == "assignment":
-                kid = _terms(attrs, node, "term")
-                if self.has_keys(depth, tag, attrs, node):
-                    kid.value = self.ident(depth, node, attrs, "name", _VALUE)
-                return kid
-        elif kids == "root":
-            if tag != "omdoc":
-                self.record(depth - 1, _KEYS, _universal(tag), "root element must be <omdoc>")
-                return _SKIP
-            if self.has_keys(depth, tag, attrs, tag):
-                if attrs["version"] != OMDOC_VERSION:
-                    self.record(depth, _KEYS, None, attrs["version"])
-                self.namespace = attrs["namespace"]
-            return _Frame(tag, attrs, tag, tag, {})  # its theories by name; `parts` takes its morphisms
-        return None
+        """The stack entry of a `tag` just started, a child of `f`, an
+        element that holds records; or None if `f` takes no `tag`. The
+        values its attributes give replace their text in `attrs`."""
+        stack, kids = self.stack, f.kids
+        if tag not in _CHILDREN[kids]:
+            if kids == "root":
+                raise SchemaViolation(_universal(tag), "root element must be <omdoc>")
+            return None
+        if (kids == "constant" or kids == "metadata") and tag in f.value:
+            message = f"duplicate <{tag}>" if kids == "constant" else f"duplicate {tag}"
+            raise SchemaViolation(_path(stack, tag), message)
+        if tag == "include" and f.value:
+            raise SchemaViolation(_path(stack, tag), "includes must precede constants")
+        if tag == "theory" and f.parts:
+            raise SchemaViolation(_path(stack, tag), "theories must precede morphisms")
+        _check_keys(stack, tag, attrs)
+        for key in _VALUES.get(tag, ()):
+            if key in attrs:
+                try:
+                    attrs[key] = (to_int(attrs[key], "expected an integer") if tag == "srcref"
+                                  else self.terms.named(attrs[key]).ident)
+                except ValueError as err:
+                    raise SchemaViolation(_path(stack, tag, key), str(err)) from None
+        if tag == "proof":
+            style = attrs["style"]
+            if style == "dependsOn":
+                return _Frame(tag, attrs, tag)
+            if style == "omitted":
+                return _Frame(tag, attrs, None)
+            if style != "term":
+                raise SchemaViolation(_path(stack, tag, "style"), f"unknown proof style {style!r}")
+        if tag == "type" or tag == "definition" or tag == "proof" or tag == "assignment":
+            return _terms(tag, attrs, "term")
+        if tag == "constant":
+            if attrs["kind"] not in KINDS:
+                raise SchemaViolation(_path(stack, tag, "kind"), f"unknown kind {attrs['kind']!r}")
+        elif tag == "include":
+            include = attrs["from"]
+            if include in f.parts:
+                raise SchemaViolation(_path(stack, tag, "from"), f"duplicate include {include}")
+            f.parts.append(include)
+            return tag
+        elif tag == "ref":
+            f.parts.append(attrs["name"])
+            return tag
+        elif tag == "srcref":
+            try:
+                f.value[tag] = SourceRef(*(attrs[key] for key in ("file", "sl", "sc", "el", "ec")))
+            except ValueError as err:
+                raise SchemaViolation(_path(stack, tag), str(err)) from None
+            return tag
+        elif tag == "comment" or tag == "notation":
+            return _Frame(tag, attrs, None)
+        elif tag == "omdoc":
+            if attrs["version"] != OMDOC_VERSION:
+                raise UnsupportedVersion(attrs["version"])
+            self.namespace = attrs["namespace"]
+        # a constant's sections, a metadata's srcref and notation, the
+        # declarations of a theory and the theories of the document, by key;
+        # `parts` takes comments, includes, morphisms and assignments
+        return _Frame(tag, attrs, tag, {})
 
     def close(self, f: _Frame, tag: str) -> None:
-        """Read the end tag of `f`, an element that holds records: if the
-        document has no fault, hand its value to its parent."""
-        if self.fault is not None:
-            return
+        """Read the end tag of `f`, an element that holds records, once it
+        is off the stack: hand its value to its parent."""
         stack = self.stack
-        depth = len(stack)
         parent, a = stack[-1], f.attrs
         try:
             if tag == "constant":
@@ -595,7 +534,7 @@ class _Reader:
                     meta=Metadata(a["kind"], *fields),
                 )
                 if d.name in parent.value:
-                    self.record(depth - 1, _CHILD, (f.node, "name", None), f"duplicate declaration {d.name}")
+                    raise SchemaViolation(_path(stack, tag, "name"), f"duplicate declaration {d.name}")
                 parent.value[d.name] = d
             elif tag == "proof":
                 parent.value[tag] = DependsOn(f.parts) if f.kids == tag else Omitted()
@@ -604,24 +543,19 @@ class _Reader:
             elif tag == "comment":
                 parent.parts.append("".join(f.parts))
             elif tag == "metadata":
-                origin = self.ident(depth, f.node, a, "origin", _POST) if "origin" in a else None
-                parent.value[tag] = f.value.get("srcref"), tuple(f.parts), f.value.get("notation"), origin
+                parent.value[tag] = f.value.get("srcref"), tuple(f.parts), f.value.get("notation"), a.get("origin")
             elif tag == "theory":
-                meta = self.ident(depth, f.node, a, "meta", _POST) if "meta" in a else None
-                th = Theory(theory_ident(self.namespace, a["name"]), meta_theory=meta,
+                th = Theory(theory_ident(self.namespace, a["name"]), meta_theory=a.get("meta"),
                             includes=tuple(f.parts), decls=tuple(f.value.values()))
                 if th.name in parent.value:
-                    self.record(depth - 1, _CHILD, (f.node, "name", None), f"duplicate theory {th.name}")
+                    raise SchemaViolation(_path(stack, tag, "name"), f"duplicate theory {th.name}")
                 parent.value[th.name] = th
             elif tag == "morphism":
-                # its own identifiers are read after its assignments
-                ends = [self.ident(depth, f.node, a, key, _POST) for key in ("name", "from", "to")]
-                if self.fault is None:
-                    parent.parts.append(Morphism(*ends, tuple(f.parts)))
+                parent.parts.append(Morphism(a["name"], a["from"], a["to"], tuple(f.parts)))
             elif tag == "omdoc":
                 parent.value = tuple(f.value.values()), tuple(f.parts)
         except ValueError as err:  # a record's own checks
-            self.record(depth, _POST, f.node, str(err))
+            raise SchemaViolation(_path(stack, tag), str(err)) from None
 
     def handlers(self):
         """Expat's start-tag, end-tag and text handlers. The text handler
@@ -640,65 +574,42 @@ class _Reader:
             f = stack[-1]
             kind = type(f)
             if kind is _Terms:  # each child is counted by an item, its term or None
-                if r.fault is not None:
-                    f.append(None)
-                    stack.append(_SKIP)
-                    return
-                if tag == "OMS":
-                    stack.append(tag)
-                    if len(attrs) == 1 and "name" in attrs:  # it takes its name alone
-                        try:
-                            f.append(named(attrs["name"]))
-                            return
-                        except ValueError as err:
-                            f.append(None)
-                            r.record(len(stack) - 1, _LEAF, (f.kid(tag), "name", None), str(err))
-                    else:
-                        f.append(None)
-                        r.bad_keys(len(stack) - 1, tag, attrs, f.kid(tag))
-                    return
                 f.append(None)  # the term, once it is built
-                if tag == "OMV":
+                if tag == "OMS":
+                    if len(attrs) != 1 or "name" not in attrs:  # it takes its name alone
+                        _check_keys(stack, tag, attrs)
+                    try:
+                        f[-1] = named(attrs["name"])
+                    except ValueError as err:
+                        raise SchemaViolation(_path(stack, tag, "name"), str(err)) from None
                     stack.append(tag)
-                    if attrs.keys() not in _NAME_SETS[tag]:
-                        r.bad_keys(len(stack) - 1, tag, attrs, f.kid(tag))
-                        return
+                    return
+                if tag == "OMV":
+                    _check_keys(stack, tag, attrs)
                     try:
                         index = to_int(attrs["index"], "expected an integer")
                         if index < 0:
                             raise ValueError("negative index")
-                        f[-1] = var(index)
                     except ValueError as err:
-                        r.record(len(stack) - 1, _LEAF, (f.kid(tag), "index", None), str(err))
+                        raise SchemaViolation(_path(stack, tag, "index"), str(err)) from None
+                    f[-1] = var(index)
+                    stack.append(tag)
                     return
                 if tag == "OMA" or tag == "OMBIND":
-                    kid = _terms(attrs, f.kid(tag), "terms")
-                    if attrs if tag == "OMA" else attrs.keys() not in _NAME_SETS[tag]:
-                        r.bad_keys(len(stack), tag, attrs, kid.node)
-                    stack.append(kid)
+                    _check_keys(stack, tag, attrs)
+                    stack.append(_terms(tag, attrs, "terms"))
                     return
-                kid = None
-            elif f is _SKIP:
-                stack.append(_SKIP)
-                return
             elif kind is str or f.kids is None:  # an element that takes no children
-                at, what = (stack[-2].kid(f), f) if kind is str else (f.node, f.tag)
-                what = "omitted proof" if what == "proof" else what
-                r.record(len(stack) - 1, _COUNT, at, f"{what} takes no children")
-                stack.append(_SKIP)
-                return
+                what = f if kind is str else "omitted proof" if f.tag == "proof" else f.tag
+                raise SchemaViolation(_path(stack), f"{what} takes no children")
             else:
                 f.count += 1
-                if r.fault is not None:
-                    stack.append(_SKIP)
-                    return
                 kid = r.open(f, tag, attrs)
-            if kid is None:
-                tag = _universal(tag)
-                at = f.kid(tag)
-                r.record(len(stack) - 1, _CHILD, at, f"unknown element <{tag}>")
-                kid = _SKIP
-            stack.append(kid)
+                if kid is not None:
+                    stack.append(kid)
+                    return
+            tag = _universal(tag)
+            raise SchemaViolation(_path(stack, tag), f"unknown element <{tag}>")
 
         def end(tag: str) -> None:
             if text:  # a comment's or a notation's is its content
@@ -712,34 +623,27 @@ class _Reader:
             if type(f) is _Frame:
                 r.close(f, tag)
                 return
-            if f is _SKIP:
-                return
-            depth = len(stack)
             if tag == "OMA":
                 if len(f) < 2:
-                    r.record(depth, _COUNT, f.node, "OMA needs a head and at least one argument")
-                elif r.fault is None:
-                    stack[-1][-1] = apps(*f)
+                    raise SchemaViolation(_path(stack, tag), "OMA needs a head and at least one argument")
+                stack[-1][-1] = apps(*f)
                 return
             if f.kids == "term" and len(f) != 1:
-                r.record(depth, _COUNT, f.node, "expected exactly one term")
-            if r.fault is not None:
-                return
+                raise SchemaViolation(_path(stack, tag), "expected exactly one term")
             parent = stack[-1]
             if tag == "OMBIND":
                 a = f.attrs
                 binder = a["binder"]
                 cls, fields, binds = _BINDER_NAMED.get(binder, (None, (), False))
                 if "var" in a and not binds:
-                    r.record(depth, _POST, (f.node, "var", None), f"binder {binder} takes no variable")
-                elif cls is None:
-                    r.record(depth, _POST, (f.node, "binder", None), f"unknown binder {binder!r}")
-                elif len(f) != len(fields):
-                    r.record(depth, _POST, f.node, f"binder {binder} takes {len(fields)} children")
-                else:
-                    parent[-1] = build(cls, a.get("var", "_") if binds else None, *f)
+                    raise SchemaViolation(_path(stack, tag, "var"), f"binder {binder} takes no variable")
+                if cls is None:
+                    raise SchemaViolation(_path(stack, tag, "binder"), f"unknown binder {binder!r}")
+                if len(f) != len(fields):
+                    raise SchemaViolation(_path(stack, tag), f"binder {binder} takes {len(fields)} children")
+                parent[-1] = build(cls, a.get("var", "_") if binds else None, *f)
             elif tag == "assignment":
-                parent.parts.append((f.value, f[0]))
+                parent.parts.append((f.attrs["name"], f[0]))
             else:  # a type, a definition or a term proof
                 parent.value[tag] = ProofTerm(f[0]) if tag == "proof" else f[0]
 
@@ -770,19 +674,14 @@ def _malformed(data: bytes, message: str, line: int, column: int) -> Malformed:
     return Malformed(message, line, column + 1)  # expat's column counts from 0
 
 
-def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
-    """Inverse of serialize, strict about the vocabulary.
-
-    `deps` supplies the support libraries attached to the result so its
-    references resolve for later checking or re-serialization; by
-    default the bundled logic encodings. In-process callers keep their
-    own collector setting.
-    """
-    r = _Reader()
+def _read(data: bytes, handlers: tuple = (None, None, len)) -> None:
+    """Run expat over `data` with `handlers` (start, end, text); by default
+    for its syntax alone, with text dropped, not left to `_default`. A
+    syntax error raises Malformed."""
     # ElementTree's namespace separator, and the strings expat gives names as
     parser = ParserCreate("utf-8", "}", {name: name for name in _NAMES})
     parser.buffer_text = True
-    parser.StartElementHandler, parser.EndElementHandler, parser.CharacterDataHandler = r.handlers()
+    parser.StartElementHandler, parser.EndElementHandler, parser.CharacterDataHandler = handlers
     parser.DefaultHandlerExpand = _default
     view = memoryview(data)
     try:
@@ -797,8 +696,21 @@ def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
         column = parser.ErrorColumnNumber - len(err.args[0])
         line = parser.ErrorLineNumber
         raise _malformed(data, XML_ERROR_UNDEFINED_ENTITY, line, column) from None
-    if r.fault is not None:
-        _, _, node, message = r.fault
-        raise UnsupportedVersion(message) if node is None else SchemaViolation(_path(node), message)
+
+
+def parse(data: bytes, deps: Optional[tuple[Library, ...]] = None) -> Library:
+    """Inverse of serialize, strict about the vocabulary.
+
+    `deps` supplies the support libraries attached to the result so its
+    references resolve for later checking or re-serialization; by
+    default the bundled logic encodings. In-process callers keep their
+    own collector setting.
+    """
+    r = _Reader()
+    try:
+        _read(data, r.handlers())
+    except (SchemaViolation, UnsupportedVersion):
+        _read(data)  # a syntax error anywhere wins over the first fault
+        raise
     theories, morphisms = r.stack[0].value
     return Library(r.namespace, theories, morphisms, deps=deps if deps is not None else (LOGICS,))

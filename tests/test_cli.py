@@ -348,6 +348,24 @@ def test_a_separator_in_a_name_or_a_repeated_dependency_is_exit_2(tmp_path, caps
     assert (code, out, err) == (2, "", f"error: {where}\n")
 
 
+@pytest.mark.parametrize("name, text, where", [
+    ("twice.toyhol.json", _toyhol({"name": "a", "decls": []},
+                                  {"name": "b", "includes": ["a", "a"], "decls": []}),
+     "theories[1].includes[1]: duplicate include 'a'"),
+    ("twice.toyset.xml", _toyset('<theory name="a"/><theory name="b" includes="a a"/>'),
+     "theory[1].includes: duplicate include 'a'"),
+    ("twice.omdoc.xml", '<omdoc version="1" namespace="lib://x"><theory name="a"/><theory name="b">'
+                        '<include from="lib://x?a?a"/><include from="lib://x?a?a"/></theory></omdoc>',
+     "omdoc.theory[1].include[1].from: duplicate include lib://x?a?a"),
+], ids=["toyhol", "toyset", "omdoc"])
+def test_a_repeated_include_is_exit_2_at_the_repeat(tmp_path, capsys, name, text, where):
+    doc, written = tmp_path / name, tmp_path / "out.omdoc.xml"
+    doc.write_text(text)
+    code, out, err = run_cli(capsys, "export-omdoc", str(doc), "--output", str(written))
+    assert (code, out, err) == (2, "", f"error: {where}\n")
+    assert not written.exists()
+
+
 def _every_string_doc() -> dict:
     """A toyhol document that imports cleanly and writes each kind of string the reader keeps."""
     eq_cc = {"app": [{"app": [{"name": "eq"}, {"name": "c"}]}, {"name": "c"}]}
@@ -1771,6 +1789,10 @@ FAILING_INPUTS = {
                                 '<papp name="a"><const name="a"/></papp></theorem></theory>'),
     "truncated.toyhol.json": '{"version": "1", "theories": [',
     "truncated.omdoc.xml": '<omdoc version="1" namespace="lib://x"><theory',
+    # a schema fault with elements after it: the reader stops there and reads on for syntax
+    "bogus-kind.omdoc.xml": '<omdoc version="1" namespace="lib://x"><theory name="t">'
+                            '<constant name="c" kind="bogus"><type><OMBIND binder="type"/></type></constant>'
+                            '<constant name="d" kind="type"/></theory><theory name="u"/></omdoc>',
 }
 
 

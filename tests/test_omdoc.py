@@ -638,7 +638,7 @@ def _nested(term):
          f"{NESTED_PATH}.OMS[1]: unexpected text content"),
         (_nested(OMS_A + b"stray"), f"{NESTED_PATH}: unexpected text content"),
         (_nested(b"<OMA><OMX/>" + OMS_A + b"stray</OMA>"),
-         f"{NESTED_PATH}.OMA[1]: unexpected text content"),
+         f"{NESTED_PATH}.OMA[1].OMX[0]: unknown element <OMX>"),
         (_nested(b'<OMBIND binder="exists">stray<OMX/></OMBIND>'),
          f"{NESTED_PATH}.OMBIND[1]: unexpected text content"),
         # OMS
@@ -662,7 +662,7 @@ def _nested(term):
         (_nested(b'<OMV index="0"><OMV index="0"/></OMV>'),
          f"{NESTED_PATH}.OMV[1]: OMV takes no children"),
         (_nested(b'<OMV index="zero">stray</OMV>'),
-         f"{NESTED_PATH}.OMV[1]: unexpected text content"),
+         f"{NESTED_PATH}.OMV[1].index: expected an integer"),
         # OMA
         (_nested(b'<OMA colour="red">' + OMS_A + OMS_A + b"</OMA>"),
          f"{NESTED_PATH}.OMA[1].colour: unknown attribute"),
@@ -800,6 +800,22 @@ def test_an_undefined_entity_under_an_external_dtd_is_malformed():
     line = doc[: doc.index(b"&foo;")].count(b"\n") + 1
     column = doc.index(b"&foo;") - doc.rindex(b"\n", 0, doc.index(b"&foo;"))
     assert str(err.value) == f"line {line}, column {column}: undefined entity"
+
+
+def test_a_schema_fault_before_an_undefined_entity_is_the_entity():
+    # the schema fault stops the reading pass; the entity must still win
+    doc = b'<!DOCTYPE omdoc SYSTEM "x.dtd">\n' + MINIMAL.replace(
+        b'name="t"', b'name="t" colour="red"').replace(b"<type>", b"<type>&foo;")
+    with pytest.raises(Malformed) as err:
+        omdoc.parse(doc)
+    at = doc.index(b"&foo;")
+    assert (err.value.line, err.value.column) == (doc[:at].count(b"\n") + 1, at - doc.rindex(b"\n", 0, at))
+    assert str(err.value).endswith(": undefined entity")
+
+
+def test_a_defined_entity_after_a_schema_fault_leaves_the_fault():
+    doc = MINIMAL.replace(b'name="t"', b'name="t" colour="red"').replace(b"<type>", b"<type>&amp;&#65;")
+    expect_schema(doc, "omdoc.theory[0].colour: unknown attribute")
 
 
 def test_parse_memory_follows_the_library_not_the_document():
