@@ -299,11 +299,11 @@ def _theory_records(theories: Iterable, parse_decl: Callable) -> tuple[TheoryRec
         _no_separator(name, f"{path}.name")
         if name in out:
             raise SchemaViolation(f"{path}.name", f"duplicate theory {name!r}")
-        names: dict[str, None] = {}
+        included: dict[str, None] = {}
         for ipath, include in includes:
-            if include in names:
+            if include in included:
                 raise SchemaViolation(ipath, f"duplicate include {include!r}")
-            names[include] = None
+            included[include] = None
         records: dict[str, DeclRecord] = {}
         for dpath, raw in decls:
             rec = parse_decl(raw, dpath)
@@ -316,7 +316,7 @@ def _theory_records(theories: Iterable, parse_decl: Callable) -> tuple[TheoryRec
                     raise SchemaViolation(f"{dpath}.deps", f"repeated dependency {dep!r}")
                 seen.add(dep)
             records[rec.name] = rec
-        out[name] = TheoryRecord(name, tuple(records.values()), tuple(names))
+        out[name] = TheoryRecord(name, tuple(records.values()), tuple(included))
     return tuple(out.values())
 
 
