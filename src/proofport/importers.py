@@ -4,9 +4,10 @@ toyhol is a strict JSON export of a HOL-like prover: simply typed
 constants and definitions, formulas as surface terms. The reader checks
 each type, formula and definiens and keeps the JSON value; the import
 reads the checked JSON straight into holChurch terms. Imported theories
-live under the holChurch meta-theory; the missing type annotations of
+live under the holChurch meta-theory. The missing type annotations of
 the Church representation are reconstructed by first-order unification
-of holChurch object types, each resolved once, where its record writes it.
+of object types held as plain values, a hole an int and an arrow a pair;
+only the annotated term and its resolved types become kernel terms.
 
 toyset is a strict XML export of a set-theory-style prover: untyped
 constants, first-order formulas, second-order axiom schemes, and
@@ -23,9 +24,10 @@ theory's environment, converts each record with the format's converter
 and kernel-checks the result under the caller's checker Config. Each
 import builds its terms through one `kernel.Terms`, so equal subterms
 are one node, and each theory is checked in one kernel Scope that grows
-with every accepted record. Per-declaration failures are collected into
-a CheckReport and the successes kept, even when none succeeds: whether
-an empty library is an error is the caller's rule.
+with every accepted record; the Scopes share one `infer` memo.
+Per-declaration failures are collected into a CheckReport and the
+successes kept, even when none succeeds: whether an empty library is an
+error is the caller's rule.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from .kernel import (
     Term,
     Terms,
     Theory,
-    apps,
     check,
     check_theory,
     clashing_names,
@@ -533,85 +534,34 @@ _HOL_EQ = Const(hol_ident("eq"))
 _HOL_DED = Const(hol_ident("ded"))
 
 
-class SMeta(Record):
-    """Inference-time hole in a holChurch object type; never escapes the importer."""
-
-    __match_args__ = _fields = ("var_id",)
-    loose = 0  # read by the kernel terms built around a hole: it binds no index
-
-    def __init__(self, var_id: int) -> None:
-        _set(self, "var_id", var_id)
-
-
-def _arrow_parts(t: Term) -> Optional[tuple[Term, Term]]:
-    """Domain and codomain of an object type `arrow d c`, else None."""
-    if type(t) is Apply and type(t.fn) is Apply and t.fn.fn == _HOL_ARROW:
-        return t.fn.arg, t.arg
+def _arrow_parts(t) -> Optional[tuple]:
+    """Domain and codomain of an object type that is an arrow, else None."""
+    if type(t) is tuple:
+        return t
+    if type(t) is Apply:
+        f = t.fn
+        if type(f) is Apply and (f.fn is _HOL_ARROW or f.fn == _HOL_ARROW):
+            return f.arg, t.arg
     return None
 
 
-class _Unifier:
-    """First-order unification of holChurch object types with SMeta holes.
-
-    The terms unify compares are built without the factory, since they may
-    hold holes; `zonk` builds the ground type through `terms`."""
-
-    def __init__(self, terms: Terms) -> None:
-        self.terms = terms
-        self.subst: dict[int, Term] = {}
-        self.counter = 0
-
-    def fresh(self) -> SMeta:
-        self.counter += 1
-        return SMeta(self.counter)
-
-    def walk(self, t: Term) -> Term:
-        while isinstance(t, SMeta) and t.var_id in self.subst:
-            t = self.subst[t.var_id]
-        return t
-
-    def occurs(self, m: SMeta, t: Term) -> bool:
-        t = self.walk(t)
-        if isinstance(t, SMeta):
-            return t.var_id == m.var_id
-        parts = _arrow_parts(t)
-        return parts is not None and any(self.occurs(m, p) for p in parts)
-
-    def unify(self, a: Term, b: Term, where: str) -> None:
-        a, b = self.walk(a), self.walk(b)
-        if isinstance(a, SMeta):
-            if isinstance(b, SMeta) and a.var_id == b.var_id:
-                return
-            if self.occurs(a, b):
-                raise UnificationFailure(where, "occurs check failed")
-            self.subst[a.var_id] = b
-            return
-        if isinstance(b, SMeta):
-            self.unify(b, a, where)
-            return
-        pa, pb = _arrow_parts(a), _arrow_parts(b)
-        if pa and pb:
-            self.unify(pa[0], pb[0], where)
-            self.unify(pa[1], pb[1], where)
-        elif a != b:
-            q = clashing_names(a, b)
-            raise UnificationFailure(where, f"{_fmt_stype(a, q)} vs {_fmt_stype(b, q)}")
-
-    def zonk(self, t: Term, owner: str) -> Term:
-        t = self.walk(t)
-        if isinstance(t, SMeta):
-            raise AmbiguousType(owner)
-        parts = _arrow_parts(t)
-        if parts:
-            dom, cod = self.zonk(parts[0], owner), self.zonk(parts[1], owner)
-            return self.terms.apps(_HOL_ARROW, dom, cod)
-        return t
+def _kernel_parts(t) -> list[Term]:
+    """The kernel terms of an object type, as written."""
+    if type(t) is tuple:
+        return _kernel_parts(t[0]) + _kernel_parts(t[1])
+    return [] if type(t) is int else [t]
 
 
-def _fmt_stype(t: Term, qualify: frozenset[str]) -> str:
-    """An object type as written, `(j -> bool)`, qualified as in format_term."""
-    if isinstance(t, SMeta):
-        return f"?{t.var_id}"
+def _clash(where: str, a, b) -> UnificationFailure:
+    """The failure to unify object types `a` and `b`, each printed as written."""
+    q = clashing_names(*_kernel_parts(a), *_kernel_parts(b))
+    return UnificationFailure(where, f"{_fmt_stype(a, q)} vs {_fmt_stype(b, q)}")
+
+
+def _fmt_stype(t, qualify: frozenset[str]) -> str:
+    """An object type as written, `(j -> ?1)`, qualified as in format_term."""
+    if type(t) is int:
+        return f"?{t}"
     parts = _arrow_parts(t)
     if parts:
         return f"({_fmt_stype(parts[0], qualify)} -> {_fmt_stype(parts[1], qualify)})"
@@ -620,16 +570,6 @@ def _fmt_stype(t: Term, qualify: frozenset[str]) -> str:
             return str(t.ident)
         return "bool" if t == _HOL_BOOL else t.ident.name
     return repr(t)
-
-
-def _spine(t: dict) -> tuple[dict, list[dict]]:
-    """The head of a checked toyhol term and the arguments it is applied to."""
-    args = []
-    while "app" in t:
-        t, arg = t["app"]
-        args.append(arg)
-    args.reverse()
-    return t, args
 
 
 def infer_church_annotations(
@@ -654,93 +594,152 @@ def infer_church_annotations(
     ground type is forced, UnknownIdent for unbound names.
     """
     inference = _ChurchInference(consts, base_types, terms)
-    build, ty = inference.annotate(t, [])
-    return build(), inference.zonk(ty, "result")
+    plan, ty = inference.annotate(t, [])
+    return inference.build(plan), inference.zonk(ty, "result")
 
 
-class _ChurchInference(_Unifier):
-    """The unifier of one `infer_church_annotations` call and the names it
-    resolves. `annotate` returns (build, type); build() makes the kernel
-    term. Builds refer to the unifier and to each other, never back."""
+class _ChurchInference:
+    """One `infer_church_annotations` call. An object type is a hole, the
+    `int` it is numbered with, from 1 in the order of making; an arrow
+    made here, a (dom, cod) tuple; or a ground kernel type. `annotate`
+    unifies as it reads and returns a plan: a name's kernel term, or a
+    tuple of the node's kind, plans and types, which `build` turns into
+    kernel terms once every hole is bound."""
 
     def __init__(
         self, consts: Mapping[str, tuple[Term, Term]], base_types: Mapping[str, Ident], terms: Terms
     ) -> None:
-        super().__init__(terms)
-        self.consts, self.base_types = consts, base_types
+        self.consts, self.base_types, self.terms = consts, base_types, terms
+        self.subst: dict[int, object] = {}
+        self.holes = 0
 
-    def logical(self, name: str, scope: list[tuple[str, Term]]) -> bool:
-        return name in ("impl", "eq") and name not in self.consts and not any(
-            n == name for n, _ in scope
-        )
+    def fresh(self) -> int:
+        self.holes += 1
+        return self.holes
 
-    def annotate(self, t: dict, scope: list[tuple[str, Term]]):
-        terms, base_types = self.terms, self.base_types
-        match t:
-            case {"name": x}:
-                for k, (n, st) in enumerate(reversed(scope)):
-                    if n == x:
-                        return (lambda: terms.var(k)), st
-                if x in self.consts:
-                    term, st = self.consts[x]
-                    return (lambda: term), st
-                if self.logical(x, scope):
-                    raise UnificationFailure(x, "logical constant must be applied")
-                raise UnknownIdent(x, x)
-            case {"app": _}:
-                head, args = _spine(t)
-                if "name" in head and self.logical(head["name"], scope):
-                    return self.annotate_logical(head["name"], args, scope)
-                fb, ft = self.annotate(head, scope)
-                w = _where(head)
-                for arg in args:
-                    ab, at = self.annotate(arg, scope)
-                    res = self.fresh()
-                    self.unify(ft, apps(_HOL_ARROW, at, res), w)
-                    def build(fb=fb, ab=ab, at=at, res=res):
-                        return terms.apps(_HOL_APP, self.zonk(at, w), self.zonk(res, w), fb(), ab())
-                    fb, ft = build, res
-                return fb, ft
-            case {"abs": {"var": x, "body": body} as b}:
-                vt = self.fresh() if "annot" not in b else _stype_term(b["annot"], base_types, terms)
-                bb, bt = self.annotate(body, scope + [(x, vt)])
-                def build(x=x, vt=vt, bb=bb, bt=bt):
-                    dom = self.zonk(vt, x)
-                    body = terms.node(Lambda, x, terms.apps(_HOL_TM, dom), bb())
-                    return terms.apps(_HOL_LAM, dom, self.zonk(bt, x), body)
-                return build, apps(_HOL_ARROW, vt, bt)
-            case {"forall": {"var": x, "body": body} as b}:
-                vt = self.fresh() if "annot" not in b else _stype_term(b["annot"], base_types, terms)
-                bb, bt = self.annotate(body, scope + [(x, vt)])
-                self.unify(bt, _HOL_BOOL, x)
-                def build(x=x, vt=vt, bb=bb):
-                    dom = self.zonk(vt, x)
-                    body = terms.node(Lambda, x, terms.apps(_HOL_TM, dom), bb())
-                    return terms.apps(_HOL_FORALL, dom, body)
-                return build, _HOL_BOOL
+    def walk(self, t):
+        subst = self.subst
+        while type(t) is int and t in subst:
+            t = subst[t]
+        return t
 
-    def annotate_logical(self, name: str, args: list[dict], scope: list[tuple[str, Term]]):
+    def occurs(self, hole: int, t) -> bool:
+        t = self.walk(t)
+        if type(t) is int:
+            return t == hole
+        return type(t) is tuple and (self.occurs(hole, t[0]) or self.occurs(hole, t[1]))
+
+    def unify(self, a, b, where: str) -> None:
+        subst = self.subst
+        while type(a) is int and a in subst:
+            a = subst[a]
+        while type(b) is int and b in subst:
+            b = subst[b]
+        if a is b:
+            return
+        if type(a) is not int and type(b) is int:
+            a, b = b, a
+        if type(a) is int:
+            if type(b) is int and a == b:
+                return
+            if type(b) is tuple and self.occurs(a, b):  # a kernel type holds no hole
+                raise UnificationFailure(where, "occurs check failed")
+            subst[a] = b
+            return
+        pa, pb = _arrow_parts(a), _arrow_parts(b)
+        if pa and pb:
+            self.unify(pa[0], pb[0], where)
+            self.unify(pa[1], pb[1], where)
+        elif pa or pb or a != b:
+            raise _clash(where, a, b)
+
+    def zonk(self, t, owner: str) -> Term:
+        if type(t) is int:
+            t = self.walk(t)
+            if type(t) is int:
+                raise AmbiguousType(owner)
+        if type(t) is Const:
+            return t
+        parts = _arrow_parts(t)
+        if parts:
+            return self.terms.apps(_HOL_ARROW, self.zonk(parts[0], owner), self.zonk(parts[1], owner))
+        return t
+
+    def logical(self, name: str, scope: list[tuple[str, object]]) -> bool:
+        return name in ("impl", "eq") and name not in self.consts and all(n != name for n, _ in scope)
+
+    def annotate(self, t: dict, scope: list[tuple[str, object]]):
+        if "name" in t:
+            x = t["name"]
+            for k, (n, st) in enumerate(reversed(scope)):
+                if n == x:
+                    return self.terms.var(k), st
+            if x in self.consts:
+                return self.consts[x]
+            if self.logical(x, scope):
+                raise UnificationFailure(x, "logical constant must be applied")
+            raise UnknownIdent(x, x)
+        if "app" in t:
+            head, args = t, []
+            while "app" in head:  # to the head and the arguments it is applied to
+                head, arg = head["app"]
+                args.append(arg)
+            args.reverse()
+            if "name" in head and self.logical(head["name"], scope):
+                return self.annotate_logical(head["name"], args, scope)
+            plan, ft = self.annotate(head, scope)
+            w = head["name"] if "name" in head else (head.get("abs") or head["forall"])["var"]
+            for arg in args:
+                ap, at = self.annotate(arg, scope)
+                res = self.fresh()
+                self.unify(ft, (at, res), w)
+                plan, ft = ("app", plan, ap, at, res, w), res
+            return plan, ft
+        kind = "abs" if "abs" in t else "forall"
+        b = t[kind]
+        x = b["var"]
+        vt = self.fresh() if "annot" not in b else _stype_term(b["annot"], self.base_types, self.terms)
+        bp, bt = self.annotate(b["body"], scope + [(x, vt)])
+        if kind == "abs":
+            return ("abs", x, vt, bp, bt), (vt, bt)
+        self.unify(bt, _HOL_BOOL, x)
+        return ("forall", x, vt, bp), _HOL_BOOL
+
+    def annotate_logical(self, name: str, args: list[dict], scope: list[tuple[str, object]]):
         if len(args) != 2:
             raise UnificationFailure(name, f"{name} takes two arguments")
-        terms = self.terms
-        lb, lt = self.annotate(args[0], scope)
-        rb, rt = self.annotate(args[1], scope)
+        lp, lt = self.annotate(args[0], scope)
+        rp, rt = self.annotate(args[1], scope)
         if name == "impl":
             self.unify(lt, _HOL_BOOL, name)
             self.unify(rt, _HOL_BOOL, name)
-            return (lambda: terms.apps(_HOL_IMPL, lb(), rb())), _HOL_BOOL
+            return ("impl", lp, rp), _HOL_BOOL
         inst = self.fresh()
         self.unify(lt, inst, name)
         self.unify(rt, inst, name)
-        return (lambda: terms.apps(_HOL_EQ, self.zonk(inst, "eq"), lb(), rb())), _HOL_BOOL
+        return ("eq", inst, lp, rp), _HOL_BOOL
 
-
-def _where(head: dict) -> str:
-    """The name an error in an application of `head` is reported at: the
-    head's, or its binder's."""
-    if "name" in head:
-        return head["name"]
-    return (head.get("abs") or head["forall"])["var"]
+    def build(self, plan) -> Term:
+        """The kernel term of `plan`. Its types are zonked in the order
+        this code reads them; the first one left ambiguous is reported."""
+        if type(plan) is not tuple:
+            return plan
+        terms, kind = self.terms, plan[0]
+        if kind == "app":
+            _, fp, ap, at, res, w = plan
+            at, res = self.zonk(at, w), self.zonk(res, w)
+            return terms.apps(_HOL_APP, at, res, self.build(fp), self.build(ap))
+        if kind == "impl":
+            return terms.apps(_HOL_IMPL, self.build(plan[1]), self.build(plan[2]))
+        if kind == "eq":
+            _, inst, lp, rp = plan
+            return terms.apps(_HOL_EQ, self.zonk(inst, "eq"), self.build(lp), self.build(rp))
+        x, vt, bp = plan[1:4]
+        dom = self.zonk(vt, x)
+        body = terms.node(Lambda, x, terms.apps(_HOL_TM, dom), self.build(bp))
+        if kind == "forall":
+            return terms.apps(_HOL_FORALL, dom, body)
+        return terms.apps(_HOL_LAM, dom, self.zonk(plan[4], x), body)
 
 
 # ---------------------------------------------------------------------------
@@ -792,10 +791,11 @@ def _import(
     that does not resolve because its own record or theory was dropped
     is reported as one that failed to import, not as a bare unknown
     name. Every record's terms are built through one factory, `terms`, so
-    that the equal subterms of the import are one node and `infer`'s memo
-    serves them.
+    that the equal subterms of the import are one node, and every theory's
+    Scope shares one `infer` memo, which serves them once per import.
     """
     terms = Terms()
+    memo: dict = {}  # `infer`'s, shared by every theory's Scope
     rows: list[CheckResult] = []
     done: list[Theory] = []
     envs: dict[str, Env] = {}
@@ -811,7 +811,7 @@ def _import(
             dropped.add(trec.name)
             continue
         empty = Theory(th, meta_theory, tuple(theory_ident(ns, inc) for inc in trec.includes))
-        scope = Scope(Library(ns, tuple(done) + (empty,), deps=(LOGICS,)), th)
+        scope = Scope(Library(ns, tuple(done) + (empty,), deps=(LOGICS,)), th, memo)
         env: Env = defaultdict(dict)
         lost: set[str] = set()
         for inc in trec.includes:
@@ -861,8 +861,7 @@ def _toyhol_decl(
     """Convert one record. Its name binds a base type, a term (with its
     object type, resolved here, for the annotation inference), or a
     statement."""
-    base_types = env["types"]
-    consts = env["terms"]
+    base_types, consts = env["types"], env["terms"]
     if rec.kind == "type":
         return (Declaration(ident, tp=_HOL_TP, meta=_meta(rec, "type")),), {"types": ident}
     if rec.kind in ("constant", "definition"):
@@ -877,7 +876,8 @@ def _toyhol_decl(
         return (decl,), {"terms": (terms.const(ident), tp)}
     # axiom or theorem: the type field is a formula
     term, ftype = infer_church_annotations(consts, rec.tp, base_types, terms)
-    _Unifier(terms).unify(ftype, _HOL_BOOL, rec.name)
+    if ftype != _HOL_BOOL:
+        raise _clash(rec.name, ftype, _HOL_BOOL)
     proof = _depends_on(rec, env["stmts"])
     decl = Declaration(
         ident, tp=terms.apps(_HOL_DED, term), proof=proof, meta=_meta(rec, rec.kind)

@@ -27,7 +27,10 @@ its node, so the id cannot be reused while the entry lives; it holds
 the Config it was inferred under and serves no other; and only a
 successful inference is stored. A Library never changes, so its entries
 stay true; a Scope only grows, which keeps every success a success,
-and `Scope.add`'s undo clears the Scope's entries.
+and `Scope.add`'s undo clears the Scope's entries. The Scopes of one
+import share one memo, as the theories of a Library do: a constant is
+the same declaration in every theory that sees it, and what a theory
+sees is checked apart from `infer`.
 
 The hot path has one dispatch idiom. `rebuild`, `constants_of` and the
 checker's per-node functions (`whnf`, `equal`, `infer`, `check`,
@@ -1092,16 +1095,17 @@ class Scope:
     this theory, as a Theory's declarations do. `row` is set when an
     include does not resolve; it is then the one row a full check gives.
     The checker takes a Scope wherever it takes a Library, and `infer`
-    keeps its memo on the Scope as on a Library.
+    keeps its memo on the Scope as on a Library: `memo`, which the Scopes
+    of one import share, or one of its own.
     """
 
-    def __init__(self, lib: Library, th: Ident):
+    def __init__(self, lib: Library, th: Ident, memo: Optional[dict] = None):
         theory = lib.find_theory(th)
         if theory is None:
             raise UnknownIdent(f"theory {th} not found")
         self.lib, self.theory, self.decls = lib, theory, list(theory.decls)
         self.index: dict[Ident, Declaration] = {}
-        self._infer_memo: dict[int, tuple[Term, Config, Term]] = {}
+        self._infer_memo: dict[int, tuple[Term, Config, Term]] = {} if memo is None else memo
         self.row: Optional[CheckResult] = None
         try:
             self.visible = _visible_idents(lib, theory, flatten(lib, th))
@@ -1166,7 +1170,7 @@ def check_theory(
     results: list[CheckResult] = []
     # The same answers either way, but not the same `infer` memo: a full
     # check uses the Library's, which every theory of the library shares,
-    # and an import the Scope's. Checking 700 parsed OMDoc declarations
+    # and an import the one its Scopes share. Checking 700 parsed OMDoc declarations
     # calls `infer` 5,576 times this way and 5,766 times with `scope`.
     lookup = scope if scope.index else scope.lib
     todo = scope.decls if only is None else tuple(only)

@@ -337,8 +337,7 @@ _NAMES = frozenset(_ATTRIBUTES).union(*(req + opt for req, opt in _ATTRIBUTES.va
 
 # A leaf, an element that takes no children and hands its value to its
 # parent as it starts (an OMS, OMV, include, ref or srcref), has no frame:
-# its stack entry is its tag. Only the text of an OMS or OMV is read.
-_TEXT_FREE = frozenset({"include", "ref", "srcref"})
+# its stack entry is its tag.
 
 # element -> the attributes whose values it reads as it starts: a srcref's
 # are integers, every other names an identifier
@@ -451,7 +450,7 @@ class _Reader:
         f = self.stack[-1]
         if type(f) is _Frame and (f.tag == "comment" or f.tag == "notation"):
             f.parts.append(content)
-        elif (type(f) is not str or f not in _TEXT_FREE) and not content.isspace():
+        elif not content.isspace():
             raise SchemaViolation(_path(self.stack), "unexpected text content")
 
     def open(self, f: _Frame, tag: str, attrs: dict):

@@ -437,6 +437,60 @@ def test_an_astral_character_goes_through_export_omdoc_unchanged(tmp_path, capsy
     assert first.read_bytes() == second.read_bytes()
 
 
+_EMPTY_LEAVES = {
+    "include": "omdoc.theory[1].include[0]",
+    "ref": "omdoc.theory[0].constant[2].proof.ref[0]",
+    "srcref": "omdoc.theory[0].constant[0].metadata.srcref[0]",
+}
+
+
+@pytest.mark.parametrize("element", sorted(_EMPTY_LEAVES))
+def test_text_inside_an_empty_omdoc_element_is_exit_2(tmp_path, capsys, element):
+    # docs/omdoc.dtd declares include, ref and srcref EMPTY; whitespace stays legal
+    source = tmp_path / "leaves.toyhol.json"
+    source.write_text(json.dumps({"version": "1", "theories": [
+        {"name": "a", "decls": [
+            {"kind": "constant", "name": "p", "type": "bool",
+             "src": {"file": "a.hol", "line": 1, "col": 1}},
+            {"kind": "axiom", "name": "ax", "type": {"name": "p"}},
+            {"kind": "theorem", "name": "t", "type": {"name": "p"}, "deps": ["ax"]},
+        ]},
+        {"name": "b", "includes": ["a"], "decls": [{"kind": "constant", "name": "q", "type": "bool"}]},
+    ]}))
+    lib, doc, out_file = (tmp_path / n for n in ("lib.omdoc.xml", "text.omdoc.xml", "out.omdoc.xml"))
+    assert run_cli(capsys, "export-omdoc", str(source), "--output", str(lib))[0] == 0
+    leaf = re.compile(f"(<{element} [^>]*)/>")
+    assert len(leaf.findall(lib.read_text())) == 1
+    for content in (" \n\t ", "stray", " stray "):
+        doc.write_text(leaf.sub(lambda m: f"{m.group(1)}>{content}</{element}>", lib.read_text()))
+        got = run_cli(capsys, "export-omdoc", str(doc), "--output", str(out_file))
+        if content.isspace():
+            assert got[0] == 0
+            assert out_file.read_bytes() == lib.read_bytes()
+            out_file.unlink()
+        else:
+            assert got == (2, "", f"error: {_EMPTY_LEAVES[element]}: unexpected text content\n")
+            assert not out_file.exists()
+
+
+def test_two_comments_go_through_export_omdoc_unchanged(tmp_path, capsys):
+    hol = "lib://logics?holChurch?"
+    doc = tmp_path / "comments.omdoc.xml"
+    doc.write_text(
+        f'<omdoc version="1" namespace="lib://notes"><theory name="t" meta="{hol}holChurch">'
+        f'<constant name="c" kind="constant"><type><OMA><OMS name="{hol}tm"/>'
+        f'<OMS name="{hol}bool\'"/></OMA></type><metadata><comment>first</comment>'
+        "<comment>second &amp; last</comment></metadata></constant></theory></omdoc>"
+    )
+    first, second = tmp_path / "a.omdoc.xml", tmp_path / "b.omdoc.xml"
+    assert run_cli(capsys, "export-omdoc", str(doc), "--output", str(first))[0] == 0
+    assert run_cli(capsys, "export-omdoc", str(first), "--output", str(second))[0] == 0
+    assert first.read_bytes() == second.read_bytes()
+    (decl,) = omdoc.parse(first.read_bytes()).theories[0].decls
+    assert decl.meta.comments == ("first", "second & last")
+    assert first.read_text().count("<comment>") == 2
+
+
 def test_a_pvar_arity_above_the_depth_limit_is_exit_2(tmp_path, capsys):
     def scheme(arity):
         args = '<const name="c"/>' * arity

@@ -376,6 +376,98 @@ def test_infer_200_generated_terms_check():
         check(lib, (), term, Apply(TM, stype_term(target)))
 
 
+def _fmt_surface_type(st) -> str:
+    if isinstance(st, dict):
+        dom, cod = st["arrow"]
+        return f"({_fmt_surface_type(dom)} -> {_fmt_surface_type(cod)})"
+    return st
+
+
+def _gen_ill_typed(rng: random.Random, kind: str):
+    """A surface term whose first fault is of `kind`, in a well-typed
+    context, with the (class, where, message pattern) inference raises."""
+    def good():
+        return gen_surface(rng, SBase("bool"), (), 2)
+
+    if kind == "wrong argument":
+        fn = rng.choice(["f", "g", "h", "r"])
+        doms = [SURFACE_ENV[fn]["arrow"][0]]
+        if fn == "r":
+            doms.append(SURFACE_ENV["r"]["arrow"][1]["arrow"][0])
+        bad = rng.randrange(len(doms))
+        arg_type = rng.choice([t for t in (SBase("bool"), SBase("i")) if t != doms[bad]])
+        t = SName(fn)
+        for k, dom in enumerate(doms):
+            t = SApp(t, gen_surface(rng, arg_type if k == bad else dom, (), 2))
+        expected = (UnificationFailure, fn, re.escape(
+            f"{fn}: {_fmt_surface_type(doms[bad])} vs {_fmt_surface_type(arg_type)}"))
+    elif kind == "applied non-function":
+        head = rng.choice(["c", "d"])
+        t = SApp(SName(head), gen_surface(rng, gen_stype(rng, 1), (), 2))
+        expected = (UnificationFailure, head,
+                    rf"{head}: {SURFACE_ENV[head]} vs \(.+ -> \?\d+\)")
+    elif kind == "unannotated identity":
+        x = rng.choice(["x", "y", "v7"])
+        return (SAbs(x, None, SName(x)), (AmbiguousType, x, re.escape(x)))
+    elif kind == "occurs check":
+        x = rng.choice(["x", "y", "v7"])
+        t = SAbs(x, None, SApp(SName(x), SName(x)))
+        return (t, (UnificationFailure, x, re.escape(f"{x}: occurs check failed")))
+    else:  # impl or eq with the wrong number of arguments
+        head = rng.choice(["impl", "eq"])
+        t = SName(head)
+        for _ in range(rng.choice([1, 3, 4])):
+            t = SApp(t, good())
+        expected = (UnificationFailure, head, re.escape(f"{head}: {head} takes two arguments"))
+    # a well-typed context the fault's bool-typed term sits in, read after it or before
+    context = rng.choice(["none", "impl", "eq", "forall", "abs"])
+    if context == "impl":
+        t = SApp(SApp(SName("impl"), good()), t)
+    elif context == "eq":
+        t = SApp(SApp(SName("eq"), t), good()) if rng.random() < 0.5 else SApp(
+            SApp(SName("eq"), good()), t)
+    elif context in ("forall", "abs"):
+        t = SBinder(context, "w", gen_stype(rng, 1), t)
+    return t, expected
+
+
+_FAULTS = ("wrong argument", "applied non-function", "unannotated identity", "occurs check",
+           "logical arity")
+
+
+def test_infer_raises_the_first_fault_of_generated_ill_typed_terms():
+    rng = random.Random(3201)
+    seen = collections.Counter()
+    for _ in range(400):
+        kind = rng.choice(_FAULTS)
+        t, (cls, where, pattern) = _gen_ill_typed(rng, kind)
+        with pytest.raises(cls) as exc:
+            _infer(SURFACE_ENV, t)
+        assert type(exc.value) is cls, (kind, t)
+        assert (exc.value.where if cls is UnificationFailure else exc.value.name) == where
+        assert re.fullmatch(pattern, str(exc.value)), (kind, str(exc.value))
+        seen[kind] += 1
+    assert set(seen) == set(_FAULTS)
+
+
+def test_infer_messages_number_holes_in_creation_order():
+    c, f = SName("c"), SName("f")
+    env = {"c": SBase("bool"), "f": SArrow(SBase("bool"), SBase("bool"))}
+    cases = [
+        # `f c` makes ?1, which is bool by then, and is printed as written
+        (SApp(c, SApp(f, c)), "c: bool vs (?1 -> ?2)"),
+        (SAbs("x", None, SApp(c, SName("x"))), "c: bool vs (?1 -> ?2)"),
+        # eq's arguments come before its instance: `f c` makes ?1, `c c` ?2
+        (SApp(SApp(SName("eq"), SApp(f, c)), SApp(c, c)), "c: bool vs (bool -> ?2)"),
+        # x is ?1, `x c` makes ?2 and binds x to (bool -> ?2)
+        (SAbs("x", None, SApp(c, SApp(SName("x"), c))), "c: bool vs (?2 -> ?3)"),
+    ]
+    for t, message in cases:
+        with pytest.raises(UnificationFailure) as exc:
+            _infer(env, t)
+        assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # toyhol import
 
@@ -832,6 +924,38 @@ def test_import_checks_each_record_once(monkeypatch):
         counts.update(offered=0, checked=0)
         import_doc(doc)
         assert counts["checked"] == counts["offered"] > 0
+
+
+def test_a_closed_node_is_inferred_once_per_import(monkeypatch):
+    missed = []
+    infer = kernel.infer
+
+    def counted(lib, ctx, t, config=kernel.DEFAULT_CONFIG):
+        if type(t) is Apply and t.loose == 0 and id(t) not in lib._infer_memo:
+            missed.append(t)  # held, so that no two of them share an id
+        return infer(lib, ctx, t, config)
+
+    monkeypatch.setattr(kernel, "infer", counted)
+    fc = {"app": [{"name": "f"}, {"name": "c"}]}
+    raw = {"version": "1", "theories": [
+        {"name": "t0", "decls": [
+            {"kind": "constant", "name": "f", "type": {"arrow": ["bool", "bool"]}},
+            {"kind": "constant", "name": "c", "type": "bool"},
+            {"kind": "definition", "name": "d", "definiens": fc},
+        ]},
+        {"name": "t1", "includes": ["t0"], "decls": [
+            {"kind": "definition", "name": "e", "definiens": fc},
+        ]},
+    ]}
+    lib, report = import_toyhol(parse_toyhol(json.dumps(raw).encode()))
+    assert report.ok
+    shared = lib.find_decl(Ident(TOYHOL_NS, "t1", "e")).definiens
+    assert shared is lib.find_decl(Ident(TOYHOL_NS, "t0", "d")).definiens
+    assert [id(t) for t in missed].count(id(shared)) == 1
+    assert len({id(t) for t in missed}) == len(missed)
+    missed.clear()
+    assert import_toyhol(parse_toyhol(_toyhol_chain(40)))[1].ok
+    assert len({id(t) for t in missed}) == len(missed) > 0
 
 
 def test_candidate_only_check_keeps_every_import(monkeypatch):

@@ -511,20 +511,27 @@ def test_equal_eta():
     assert not equal(EMPTY, wrong, SUCC) and not equal(EMPTY, SUCC, wrong)
 
 
-def test_a_term_class_the_kernel_does_not_know_falls_through():
-    from proofport.importers import SMeta
+class Hole(Term):
+    """A term class that no kernel stage knows: one field, closed (`loose` 0)."""
 
-    hole = SMeta(0)
-    with pytest.raises(NotTyped, match=r"^cannot infer: SMeta\(var_id=0\)$"):
+    __match_args__ = _fields = ("var_id",)
+
+    def __init__(self, var_id: int) -> None:
+        object.__setattr__(self, "var_id", var_id)
+
+
+def test_a_term_class_the_kernel_does_not_know_falls_through():
+    hole = Hole(0)
+    with pytest.raises(NotTyped, match=r"^cannot infer: Hole\(var_id=0\)$"):
         infer(BASE_LIB, CTX, hole)
-    with pytest.raises(NotTyped, match=r"^cannot infer: SMeta\(var_id=0\)$"):
+    with pytest.raises(NotTyped, match=r"^cannot infer: Hole\(var_id=0\)$"):
         check(BASE_LIB, CTX, hole, NAT)
-    with pytest.raises(NotTyped, match=r"^not a kind: SMeta\(var_id=0\)$"):
+    with pytest.raises(NotTyped, match=r"^not a kind: Hole\(var_id=0\)$"):
         kernel.check_kind(BASE_LIB, CTX, hole)
     assert whnf(BASE_LIB, hole) is hole
     assert whnf(BASE_LIB, Apply(hole, ZERO)) == Apply(hole, ZERO)
-    assert equal(BASE_LIB, hole, SMeta(0))  # structurally equal
-    for other in (SMeta(1), ZERO, Var(0), TypeKind(), SubOut(hole), Apply(hole, ZERO)):
+    assert equal(BASE_LIB, hole, Hole(0))  # structurally equal
+    for other in (Hole(1), ZERO, Var(0), TypeKind(), SubOut(hole), Apply(hole, ZERO)):
         assert not equal(BASE_LIB, hole, other)
         assert not equal(BASE_LIB, other, hole)
     lam = Lambda("x", NAT, Apply(SUCC, Var(0)))
@@ -1248,7 +1255,6 @@ def _record_samples():
          "TheoryRecord(name='t', decls=(), includes=('u',))", ("name", "decls", "includes")),
         (importers.ExportDoc("1", ()),
          "ExportDoc(version='1', theories=())", ("version", "theories")),
-        (importers.SMeta(3), "SMeta(var_id=3)", ("var_id",)),
         (morphisms.Morphism(i, i, i, [(i, c)]),
          f"Morphism(name={_ID}, source={_ID}, target={_ID}, assignments=(({_ID}, {_C}),))",
          ("name", "source", "target", "assignments")),
@@ -1257,7 +1263,7 @@ def _record_samples():
 
 def test_records_keep_their_repr_match_args_equality_and_immutability():
     samples = _record_samples()
-    assert len({type(r) for r, _, _ in samples}) == 27
+    assert len({type(r) for r, _, _ in samples}) == 26
     for record, text, match_args in samples:
         cls = type(record)
         assert repr(record) == text
