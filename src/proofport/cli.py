@@ -26,9 +26,11 @@ from __future__ import annotations
 import gc
 import os
 import sys
+from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, NoReturn, Optional, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NoReturn, Optional, TextIO
 
 from . import omdoc
 from .errors import (
@@ -61,7 +63,14 @@ from .kernel import (
     format_term,
 )
 from .morphisms import check_morphism, translate
-from .ontology import TripleStore, extract_triples, transitive_uses, used_by, write_ntriples
+from .ontology import (
+    TripleStore,
+    extract_triples,
+    transitive_uses,
+    triples,
+    used_by,
+    write_ntriples,
+)
 
 # format name -> parse and import of the input bytes. The readers are looked
 # up by name on every call, so a rebinding of `parse_toyhol` is seen here.
@@ -435,12 +444,19 @@ def run_check(args: SimpleNamespace, out: TextIO) -> int:
     return 1 if failed else 0
 
 
-def _write(path: str, data: bytes) -> None:
-    """Write an output file; a path that cannot be written is a usage error."""
+@contextmanager
+def _output(path: str) -> Iterator[BinaryIO]:
+    """An output file open for writing; a path that cannot be written is a usage error."""
     try:
-        Path(path).write_bytes(data)
+        with open(path, "wb") as f:
+            yield f
     except OSError as err:
         raise Malformed(f"cannot write {path}: {err.strerror or err}") from err
+
+
+def _write(path: str, data: bytes) -> None:
+    with _output(path) as f:
+        f.write(data)
 
 
 def run_import(args: SimpleNamespace, out: TextIO) -> int:
@@ -473,10 +489,14 @@ def run_export_rdf(args: SimpleNamespace, out: TextIO) -> int:
             for th in lib.theories
             for r in check_theory(lib, th.name, args.checker).results
         )
-    store = extract_triples(lib, checked=checked, include_proof_uses=args.include_proof_uses)
-    data = write_ntriples(store)
-    _write(args.output, data)
-    out.write(f"written\t{args.output}\t{len(store)}\n")
+    # the file is opened only once the check is done, and written as the
+    # triples are extracted, a few thousand at a time
+    rows, written = triples(lib, checked, args.include_proof_uses), 0
+    with _output(args.output) as f:
+        while chunk := write_ntriples(islice(rows, 4096)):
+            f.write(chunk)
+            written += chunk.count(b"\n")  # a line per triple
+    out.write(f"written\t{args.output}\t{written}\n")
     return 0
 
 
@@ -539,7 +559,7 @@ def run_stats(args: SimpleNamespace, out: TextIO) -> int:
         kinds[d.meta.kind] += 1
         if d.meta.source_ref is not None:
             with_src += 1
-    store = extract_triples(lib, include_proof_uses=args.include_proof_uses)
+    rdf = sum(1 for _ in triples(lib, include_proof_uses=args.include_proof_uses))
     coverage = 100.0 * with_src / len(decls) if decls else 0.0
     out.write(f"theories\t{len(lib.theories)}\n")
     out.write(f"declarations\t{len(decls)}\n")
@@ -547,7 +567,7 @@ def run_stats(args: SimpleNamespace, out: TextIO) -> int:
         out.write(f"kind:{k}\t{kinds[k]}\n")
     for s in PROOF_STYLES:
         out.write(f"proof:{s}\t{styles[s]}\n")
-    out.write(f"rdfTriples\t{len(store)}\n")
+    out.write(f"rdfTriples\t{rdf}\n")
     out.write(f"sourceRefCoverage\t{coverage:.1f}\n")
     return 0
 

@@ -518,7 +518,8 @@ def _index(items: Iterable, what: str) -> dict[Ident, object]:
 
 class Theory(Record):
     """Declarations under one theory name; no two share a name, and each
-    names this theory: theory `ns?T?T` holds `ns?T?x` and no `ns?U?x`."""
+    names this theory: theory `ns?T?T` holds `ns?T?x` and no `ns?U?x`.
+    No theory is included twice."""
 
     __match_args__ = _fields = ("name", "meta_theory", "includes", "decls")
 
@@ -529,6 +530,9 @@ class Theory(Record):
         _set(self, "name", name)
         _set(self, "meta_theory", meta_theory)
         _set(self, "includes", tuple(includes))
+        if len(set(self.includes)) < len(self.includes):
+            repeat = next(inc for k, inc in enumerate(self.includes) if inc in self.includes[:k])
+            raise ValueError(f"duplicate include {repeat}")
         _set(self, "decls", tuple(decls))
         _set(self, "_decl_index", _index(self.decls, "declaration"))
         for d in self.decls:

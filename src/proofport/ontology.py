@@ -100,11 +100,11 @@ class TripleStore:
     insertion order, which is what keeps output deterministic.
     """
 
-    def __init__(self, triples: Iterable[RdfTriple] = ()):
+    def __init__(self, triples: Iterable[tuple[str, str, str, bool]] = ()):
         self._triples: dict[RdfTriple, None] = {}  # an insertion-ordered set
         self._by_subject: dict[str, list[RdfTriple]] = {}
         self._by_object: dict[str, list[RdfTriple]] = {}
-        for t in triples:
+        for t in map(RdfTriple._make, triples):
             self.add(t)
 
     def add(self, t: RdfTriple) -> bool:
@@ -148,10 +148,11 @@ class TripleStore:
 # extraction
 
 
-def extract_triples(
+def triples(
     lib: Library, checked: bool = False, include_proof_uses: bool = False
-) -> TripleStore:
-    """Abstract a library to its identifier graph.
+) -> Iterator[tuple[str, str, str, bool]]:
+    """Abstract a library to its identifier graph, as plain
+    `(subject, predicate, obj, literal)` tuples, each one distinct.
 
     The caller states whether the library passed kernel checking; the
     answer is recorded as a provenance triple rather than trusted
@@ -161,36 +162,38 @@ def extract_triples(
     `uses` triple per distinct constant, in order of first occurrence
     across its type, definiens and counted proof term.
     """
-    store = TripleStore()
     if not lib.theories:
-        return store
+        return
     iri = cache(iri_of)  # each identifier is encoded once per call
     status = "checked" if checked else "unchecked"
-    store.add(RdfTriple(_encode_component(lib.namespace), ULO_CHECK_STATUS, status, literal=True))
+    yield _encode_component(lib.namespace), ULO_CHECK_STATUS, status, True
     for th in lib.theories:
         th_iri = iri(th.name)
         for inc in th.includes:
-            store.add(RdfTriple(th_iri, ULO_INCLUDES, iri(inc)))
+            yield th_iri, ULO_INCLUDES, iri(inc), False
         if th.meta_theory is not None:
-            store.add(RdfTriple(th_iri, ULO_META_THEORY, iri(th.meta_theory)))
+            yield th_iri, ULO_META_THEORY, iri(th.meta_theory), False
         for d in th.decls:
             d_iri = iri(d.name)
-            store.add(RdfTriple(th_iri, ULO_DECLARES, d_iri))
-            store.add(RdfTriple(d_iri, ULO_KIND, d.meta.kind, literal=True))
+            yield th_iri, ULO_DECLARES, d_iri, False
+            yield d_iri, ULO_KIND, d.meta.kind, True
             if d.meta.source_ref is not None:
-                store.add(
-                    RdfTriple(d_iri, ULO_SOURCE_FILE, d.meta.source_ref.file, literal=True)
-                )
+                yield d_iri, ULO_SOURCE_FILE, d.meta.source_ref.file, True
             used = [d.tp, d.definiens]
             if include_proof_uses and isinstance(d.proof, ProofTerm):
                 used.append(d.proof.term)
-            distinct = dict.fromkeys(c for t in used if t is not None for c in constants_of(t))
-            for c in distinct:
-                store.add(RdfTriple(d_iri, ULO_USES, iri(c)))
+            for c in dict.fromkeys(c for t in used if t is not None for c in constants_of(t)):
+                yield d_iri, ULO_USES, iri(c), False
             if isinstance(d.proof, DependsOn):
                 for dep in d.proof.ids:
-                    store.add(RdfTriple(d_iri, ULO_JUSTIFIED_BY, iri(dep)))
-    return store
+                    yield d_iri, ULO_JUSTIFIED_BY, iri(dep), False
+
+
+def extract_triples(
+    lib: Library, checked: bool = False, include_proof_uses: bool = False
+) -> TripleStore:
+    """The `triples` of a library in a store, for queries."""
+    return TripleStore(triples(lib, checked, include_proof_uses))
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +243,17 @@ FILE_EXTENSION = ".nt"
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+# one character a literal escapes: `"`, `\` or one outside printable ASCII
+_LITERAL_UNSAFE = re.compile(r'[^ !#-\[\]-~]')
+
+
+def _escape_char(m: re.Match) -> str:
+    ch = m.group()
+    return _ESCAPES.get(ch) or (f"\\u{ord(ch):04X}" if ord(ch) <= 0xFFFF else f"\\U{ord(ch):08X}")
 
 
 def _escape_literal(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif 0x20 <= ord(ch) <= 0x7E:
-            out.append(ch)
-        elif ord(ch) <= 0xFFFF:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(f"\\U{ord(ch):08X}")
-    return "".join(out)
+    return _LITERAL_UNSAFE.sub(_escape_char, s)
 
 
 def _unescape_literal(s: str, line_no: int) -> str:
@@ -283,12 +283,12 @@ def _unescape_literal(s: str, line_no: int) -> str:
     return "".join(out)
 
 
-def write_ntriples(store: TripleStore) -> bytes:
-    lines = []
-    for t in store:
-        obj = f'"{_escape_literal(t.obj)}"' if t.literal else f"<{t.obj}>"
-        lines.append(f"<{t.subject}> <{t.predicate}> {obj} .")
-    return ("\n".join(lines) + "\n").encode("ascii") if lines else b""
+def write_ntriples(rows: Iterable[tuple[str, str, str, bool]]) -> bytes:
+    """N-Triples lines of `rows`, a store or any 4-tuples, in their order."""
+    return "".join([
+        f'<{s}> <{p}> "{_escape_literal(o)}" .\n' if literal else f"<{s}> <{p}> <{o}> .\n"
+        for s, p, o, literal in rows
+    ]).encode("ascii")
 
 
 _LINE = re.compile(

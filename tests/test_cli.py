@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import argparse_reference
+import generators
 from test_importers import _bench_corpus, fixture_paths
 from test_morphisms import DED, E, EQ, OP, SET, TO_INT, ZERO, _extension, _i, algebra_library
 
@@ -45,7 +46,7 @@ from proofport.kernel import (
     theory_ident,
 )
 from proofport.morphisms import Morphism, identity_morphism, install_morphism
-from proofport.ontology import extract_triples, read_ntriples
+from proofport.ontology import extract_triples, read_ntriples, triples, write_ntriples
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CORE = str(FIXTURES / "core.toyhol.json")
@@ -1073,6 +1074,62 @@ def test_export_rdf_skip_check_is_unchecked(tmp_path, capsys):
     assert code == 0
     store = read_ntriples(out_path.read_bytes())
     assert any(t.obj == "unchecked" for t in store if t.literal)
+
+
+@pytest.mark.parametrize("proof_uses", [False, True], ids=["uses", "proof-uses"])
+def test_streamed_export_rdf_writes_the_store_of_distinct_triples(tmp_path, capsys, proof_uses):
+    """`export-rdf` writes the triples as it extracts them, in chunks; the
+    bytes are those of the store `extract_triples` builds, and no triple
+    comes twice, so the store drops none. The benchmark's library spans two
+    chunks."""
+    paths = [str(p) for p in fixture_paths()]
+    for seed in range(8):
+        paths.append(str(tmp_path / f"gen{seed}.omdoc.xml"))
+        Path(paths[-1]).write_bytes(omdoc.serialize(generators.gen_library(random.Random(seed))))
+    paths.append(str(tmp_path / "bench.omdoc.xml"))
+    Path(paths[-1]).write_bytes(_bench_corpus().omdoc_corpus(1, 700)[0])
+    flags = ["--include-proof-uses"] if proof_uses else []
+    out_path = tmp_path / "out.nt"
+    for path in paths:
+        lib, report = cli._load(parse_cli(["check", path]))
+        for checked in (False, True):
+            rows = list(triples(lib, checked, proof_uses))
+            assert len(set(rows)) == len(rows), (path, checked)
+            assert write_ntriples(rows) == write_ntriples(extract_triples(lib, checked, proof_uses))
+        passes = report.ok if report is not None else all(
+            r.ok for th_report in kernel.check_library(lib) for r in th_report.results)
+        for skip in ([], ["--skip-check"]):
+            code, out, err = run_cli(capsys, "export-rdf", path, "--output", str(out_path),
+                                     *flags, *skip)
+            want = write_ntriples(extract_triples(lib, passes and not skip, proof_uses))
+            lines_written = want.count(b"\n")
+            assert (code, out, err) == (0, f"written\t{out_path}\t{lines_written}\n", ""), path
+            assert out_path.read_bytes() == want, (path, skip)
+    assert lines_written > 4096
+
+
+def test_export_rdf_of_an_include_cycle_leaves_the_output_file_as_it_was(tmp_path, capsys):
+    hol = "lib://logics?holChurch?"
+    doc = tmp_path / "cycle.omdoc.xml"
+    doc.write_text('<omdoc version="1" namespace="lib://x">' + "".join(
+        f'<theory name="{t}" meta="{hol}holChurch"><include from="lib://x?{u}?{u}"/>'
+        f'<constant name="c" kind="constant"><type><OMS name="{hol}bool\'"/></type></constant>'
+        "</theory>" for t, u in (("a", "b"), ("b", "a"))) + "</omdoc>")
+    out_path = tmp_path / "out.nt"
+    out_path.write_bytes(b"an earlier export\n")
+    code, out, err = run_cli(capsys, "export-rdf", str(doc), "--output", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == "error: include cycle: lib://x?a?a -> lib://x?b?b -> lib://x?a?a\n"
+    assert out_path.read_bytes() == b"an earlier export\n"
+
+
+@pytest.mark.parametrize("command", ["export-rdf", "export-omdoc"])
+def test_an_output_in_a_missing_directory_is_exit_2_cannot_write(tmp_path, capsys, command):
+    out_path = tmp_path / "absent" / "out"
+    code, out, err = run_cli(capsys, command, CORE, "--output", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {out_path}: No such file or directory\n"
+    assert not out_path.parent.exists()
 
 
 def test_source_dir_recovers_references(tmp_path, capsys):

@@ -1034,6 +1034,20 @@ def test_theory_and_library_reject_a_repeated_name():
     assert Library(ns, (t,), deps=(Library(ns, (Theory(t.name),)),)).find_theory(t.name) is t
 
 
+def test_a_theory_rejects_a_repeated_include():
+    """An include listed twice would give the RDF export one `includes`
+    triple twice; the readers name the repeat first, the record refuses it."""
+    ns = "lib://rep"
+    a, b, c = (theory_ident(ns, n) for n in "abc")
+    for includes, repeat in (((a, a), a), ((a, b, b, a), b)):
+        with pytest.raises(ValueError, match=f"^duplicate include {re.escape(str(repeat))}$"):
+            Theory(c, includes=includes)
+    th = Theory(c, includes=(a, b))
+    with pytest.raises(ValueError, match=r"^duplicate include lib://rep\?a\?a$"):
+        replace(th, includes=(a, b, a))
+    assert th.includes == (a, b)
+
+
 def test_scope_add_refuses_a_repeated_name_and_changes_nothing():
     ns = "lib://rep"
     base = _tiny_theory(ns, "b", ntypes=1)

@@ -44,6 +44,7 @@ from proofport.ontology import (
     ULO_USES,
     _decode_component,
     _encode_component,
+    _escape_literal,
     extract_triples,
     ident_of_iri,
     iri_of,
@@ -506,6 +507,45 @@ def test_escaping_of_hostile_literals():
     data = write_ntriples(store)
     assert b'\\"' in data and b"\\n" in data and b"\\u03BB" in data and b"\\U0001F40D" in data
     assert read_ntriples(data) == store
+
+
+def _escape_by_character(s):
+    """The literal escape spelled out one character at a time."""
+    escapes = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    out = []
+    for ch in s:
+        if ch in escapes:
+            out.append(escapes[ch])
+        elif 0x20 <= ord(ch) <= 0x7E:
+            out.append(ch)
+        elif ord(ch) <= 0xFFFF:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(f"\\U{ord(ch):08X}")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("text", [
+    "", "plain.hol", "with space/and-dashes_1.txt", 'q"uote', "back\\slash", "new\nline",
+    "carriage\rreturn", "tab\there", "ctl\x00\x01\x1f\x7f", "caf\u00e9", "\u03bb\uffff",
+    "astral \U0001f40d \U0010ffff", '\\"\\n mixed é\n"',
+], ids=["empty", "plain", "printable", "quote", "backslash", "newline", "cr", "tab", "control",
+        "latin1", "bmp", "astral", "mixed"])
+def test_literals_escape_as_the_character_loop_does(text):
+    assert _escape_literal(text) == _escape_by_character(text)
+    store = TripleStore([RdfTriple("lib://x?m?n", ULO_SOURCE_FILE, text, literal=True)])
+    assert read_ntriples(write_ntriples(store)) == store
+
+
+def test_every_character_escapes_as_the_character_loop_does():
+    rng = random.Random(0)
+    chars = [chr(c) for c in range(0x300)] + [chr(rng.randrange(0x300, 0x110000))
+                                             for _ in range(2000)]
+    for ch in chars:
+        assert _escape_literal(ch) == _escape_by_character(ch), hex(ord(ch))
+    for _ in range(200):
+        text = "".join(rng.choices(chars, k=rng.randrange(12)))
+        assert _escape_literal(text) == _escape_by_character(text), repr(text)
 
 
 def test_missing_terminal_dot_reports_the_line():
