@@ -63,14 +63,7 @@ from .kernel import (
     format_term,
 )
 from .morphisms import check_morphism, translate
-from .ontology import (
-    TripleStore,
-    extract_triples,
-    transitive_uses,
-    triples,
-    used_by,
-    write_ntriples,
-)
+from .ontology import UseGraph, transitive_uses, triples, used_by, write_ntriples
 
 # format name -> parse and import of the input bytes. The readers are looked
 # up by name on every call, so a rebinding of `parse_toyhol` is seen here.
@@ -508,13 +501,12 @@ def _parse_ident(text: str) -> Ident:
 
 
 def _run_query(
-    args: SimpleNamespace, out: TextIO, query: Callable[[TripleStore, Ident], set[Ident]]
+    args: SimpleNamespace, out: TextIO, query: Callable[[UseGraph, Ident], set[Ident]]
 ) -> int:
     """Print what `query` finds from `--ident`, sorted; an unknown one is an input error."""
     lib, _ = _load(args)
-    store = extract_triples(lib, include_proof_uses=args.include_proof_uses)
     try:
-        found = query(store, _parse_ident(args.ident))
+        found = query(UseGraph(lib, args.include_proof_uses), _parse_ident(args.ident))
     except UnknownIdent as err:
         raise Malformed(str(err)) from None
     for ident in sorted(str(i) for i in found):
@@ -527,7 +519,7 @@ def run_deps(args: SimpleNamespace, out: TextIO) -> int:
 
 
 def run_used_by(args: SimpleNamespace, out: TextIO) -> int:
-    return _run_query(args, out, lambda store, ident: used_by(store, ident, args.kind))
+    return _run_query(args, out, lambda graph, ident: used_by(graph, ident, args.kind))
 
 
 def run_translate(args: SimpleNamespace, out: TextIO) -> int:

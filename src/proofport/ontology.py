@@ -2,8 +2,9 @@
 
 Every symbolic expression is dropped; what remains is which module
 declares what, what each declaration uses, and how statements justify
-each other. Queries answer the resulting reachability questions, and
-the store round-trips through N-Triples.
+each other. Queries answer the resulting reachability questions, over a
+library's `UseGraph` or a `TripleStore`, and the store round-trips
+through N-Triples.
 
 IRIs follow the library's own naming scheme: the three identifier
 components joined by `?`, each percent-encoded to plain ASCII. The
@@ -14,11 +15,12 @@ docs/ontology-vocabulary.md for the full list.
 from __future__ import annotations
 
 import re
-from functools import cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from functools import cache, cached_property
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import Malformed, UnknownIdent
 from .kernel import (
+    Declaration,
     DependsOn,
     Ident,
     Library,
@@ -104,6 +106,8 @@ class TripleStore:
         self._triples: dict[RdfTriple, None] = {}  # an insertion-ordered set
         self._by_subject: dict[str, list[RdfTriple]] = {}
         self._by_object: dict[str, list[RdfTriple]] = {}
+        # the other end of each uses and justifiedBy edge: by subject, then by IRI object
+        self._edges: tuple[dict[str, list[str]], dict[str, list[str]]] = ({}, {})
         for t in map(RdfTriple._make, triples):
             self.add(t)
 
@@ -114,6 +118,10 @@ class TripleStore:
         self._by_subject.setdefault(t.subject, []).append(t)
         if not t.literal:
             self._by_object.setdefault(t.obj, []).append(t)
+        if t.predicate in _EDGE_PREDICATES:
+            self._edges[0].setdefault(t.subject, []).append(t.obj)
+            if not t.literal:
+                self._edges[1].setdefault(t.obj, []).append(t.subject)
         return True
 
     def with_subject(self, iri: str) -> tuple[RdfTriple, ...]:
@@ -143,9 +151,37 @@ class TripleStore:
     def __repr__(self) -> str:
         return f"TripleStore({len(self._triples)} triples)"
 
+    # what the queries ask of a source, here by IRI
+    def _start(self, ident: Ident) -> str:
+        iri = iri_of(ident)
+        if iri not in self._by_subject and iri not in self._by_object:
+            raise UnknownIdent(str(ident))
+        return iri
+
+    def _step(self, forward: bool) -> Callable[[str], Iterable[str]]:
+        edges = self._edges[not forward]
+        return lambda iri: edges.get(iri, ())
+
+    def _idents(self, iris: set[str], kind: Optional[str]) -> set[Ident]:
+        return {ident_of_iri(iri) for iri in iris
+                if kind is None or RdfTriple(iri, ULO_KIND, kind, True) in self._triples}
+
 
 # ---------------------------------------------------------------------------
 # extraction
+
+
+def decl_edges(
+    d: Declaration, include_proof_uses: bool = False
+) -> tuple[tuple[Ident, ...], tuple[Ident, ...]]:
+    """The targets of a declaration's `uses` edges, each distinct constant
+    in order of first occurrence across its type, definiens and (if
+    `include_proof_uses`) proof term; then those of its `justifiedBy` edges."""
+    used = [d.tp, d.definiens]
+    if include_proof_uses and isinstance(d.proof, ProofTerm):
+        used.append(d.proof.term)
+    uses = tuple(dict.fromkeys(c for t in used if t is not None for c in constants_of(t)))
+    return uses, d.proof.ids if isinstance(d.proof, DependsOn) else ()
 
 
 def triples(
@@ -156,11 +192,8 @@ def triples(
 
     The caller states whether the library passed kernel checking; the
     answer is recorded as a provenance triple rather than trusted
-    blindly by later consumers. Constants inside proof terms count as
-    uses only when `include_proof_uses` is set; dependency-only proofs
-    always contribute `justifiedBy` edges. Each declaration gets one
-    `uses` triple per distinct constant, in order of first occurrence
-    across its type, definiens and counted proof term.
+    blindly by later consumers. A declaration's `uses` and `justifiedBy`
+    triples are its `decl_edges`, in that order.
     """
     if not lib.theories:
         return
@@ -179,14 +212,11 @@ def triples(
             yield d_iri, ULO_KIND, d.meta.kind, True
             if d.meta.source_ref is not None:
                 yield d_iri, ULO_SOURCE_FILE, d.meta.source_ref.file, True
-            used = [d.tp, d.definiens]
-            if include_proof_uses and isinstance(d.proof, ProofTerm):
-                used.append(d.proof.term)
-            for c in dict.fromkeys(c for t in used if t is not None for c in constants_of(t)):
+            uses, deps = decl_edges(d, include_proof_uses)
+            for c in uses:
                 yield d_iri, ULO_USES, iri(c), False
-            if isinstance(d.proof, DependsOn):
-                for dep in d.proof.ids:
-                    yield d_iri, ULO_JUSTIFIED_BY, iri(dep), False
+            for dep in deps:
+                yield d_iri, ULO_JUSTIFIED_BY, iri(dep), False
 
 
 def extract_triples(
@@ -200,51 +230,86 @@ def extract_triples(
 # queries
 
 
-def _walk(store: TripleStore, ident: Ident, forward: bool) -> set[str]:
-    """`ident`'s IRI and every IRI that uses and justifiedBy edges reach
-    from it, each edge followed from subject to object if `forward`, else
-    from object to subject."""
-    start = iri_of(ident)
-    if start not in store._by_subject and start not in store._by_object:
+class UseGraph:
+    """What the queries walk, read off a library by identifier, with no IRI
+    and no store: the targets of each declaration's `decl_edges`. As in a
+    store of the library's `triples`, an identifier is known exactly when
+    some triple names it as a subject or an IRI object."""
+
+    def __init__(self, lib: Library, include_proof_uses: bool = False) -> None:
+        self.lib, self.include_proof_uses = lib, include_proof_uses
+        self.decls = {d.name: d for th in lib.theories for d in th.decls}
+
+    def targets(self, ident: Ident) -> tuple[Ident, ...]:
+        d = self.decls.get(ident)
+        if d is None:
+            return ()
+        uses, deps = decl_edges(d, self.include_proof_uses)
+        return uses + deps
+
+    @cached_property
+    def users(self) -> dict[Ident, list[Ident]]:
+        """The graph reversed, built once."""
+        users: dict[Ident, list[Ident]] = {}
+        for name in self.decls:
+            for t in self.targets(name):
+                users.setdefault(t, []).append(name)
+        return users
+
+    def _start(self, ident: Ident) -> Ident:
+        # a declaration, else the rare rest: a theory's subject or object, or a target
+        if ident in self.decls or any(
+            ident in th.includes or ident == th.meta_theory
+            or ident == th.name and (th.includes or th.meta_theory is not None or th.decls)
+            for th in self.lib.theories
+        ) or ident in self.users:
+            return ident
         raise UnknownIdent(str(ident))
-    edges, end = (store._by_subject, 2) if forward else (store._by_object, 0)
+
+    def _step(self, forward: bool) -> Callable[[Ident], Iterable[Ident]]:
+        return self.targets if forward else lambda ident: self.users.get(ident, ())
+
+    def _idents(self, idents: set[Ident], kind: Optional[str]) -> set[Ident]:
+        return {i for i in idents if kind is None or self.decls[i].meta.kind == kind}
+
+
+def _walk(step: Callable, start) -> set:
+    """`start` and every node that `step` reaches from it, transitively."""
     seen, frontier = {start}, [start]
     while frontier:
-        for t in edges.get(frontier.pop(), ()):
-            if t.predicate in _EDGE_PREDICATES and t[end] not in seen:
-                seen.add(t[end])
-                frontier.append(t[end])
+        for node in step(frontier.pop()):
+            if node not in seen:
+                seen.add(node)
+                frontier.append(node)
     return seen
 
 
-def transitive_uses(store: TripleStore, ident: Ident) -> set[Ident]:
+def transitive_uses(source: UseGraph | TripleStore, ident: Ident) -> set[Ident]:
     """Reflexive-transitive closure over uses and justifiedBy edges."""
-    return {ident_of_iri(iri) for iri in _walk(store, ident, True)}
+    return source._idents(_walk(source._step(True), source._start(ident)), None)
 
 
 def used_by(
-    store: TripleStore, concept: Ident, kind_filter: Optional[str] = None
+    source: UseGraph | TripleStore, concept: Ident, kind_filter: Optional[str] = None
 ) -> set[Ident]:
     """Everything whose transitive uses reach the concept.
 
     The concept itself never counts as its own user; with a kind
     filter, only subjects declared with that kind survive.
     """
-    seen = _walk(store, concept, False) - {iri_of(concept)}
-    if kind_filter is not None:
-        seen = {iri for iri in seen if RdfTriple(iri, ULO_KIND, kind_filter, True) in store}
-    return {ident_of_iri(iri) for iri in seen}
+    start = source._start(concept)
+    return source._idents(_walk(source._step(False), start) - {start}, kind_filter)
 
 
 # ---------------------------------------------------------------------------
 # N-Triples
 
-FILE_EXTENSION = ".nt"
-
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 # one character a literal escapes: `"`, `\` or one outside printable ASCII
 _LITERAL_UNSAFE = re.compile(r'[^ !#-\[\]-~]')
+# one escape in a literal: \u and four hex digits, \U and eight, else one character or none
+_ESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.?)", re.DOTALL)
 
 
 def _escape_char(m: re.Match) -> str:
@@ -257,30 +322,16 @@ def _escape_literal(s: str) -> str:
 
 
 def _unescape_literal(s: str, line_no: int) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(s):
-            raise Malformed("bad escape in literal", line_no)
-        esc = s[i + 1]
+    def unescape(m: re.Match) -> str:
+        esc = m.group(1)
         if esc in _UNESCAPES:
-            out.append(_UNESCAPES[esc])
-            i += 2
-        elif esc in ("u", "U"):
-            width = 4 if esc == "u" else 8
-            digits = s[i + 2 : i + 2 + width]
-            if len(digits) != width or not all(c in "0123456789abcdefABCDEF" for c in digits):
-                raise Malformed("bad unicode escape in literal", line_no)
-            out.append(chr(int(digits, 16)))
-            i += 2 + width
-        else:
-            raise Malformed("bad escape in literal", line_no)
-    return "".join(out)
+            return _UNESCAPES[esc]
+        if len(esc) > 1 and int(esc[1:], 16) <= 0x10FFFF:
+            return chr(int(esc[1:], 16))
+        bad = "bad unicode escape" if esc[:1] in ("u", "U") else "bad escape"
+        raise Malformed(f"{bad} in literal", line_no)
+
+    return _ESCAPE.sub(unescape, s)
 
 
 def write_ntriples(rows: Iterable[tuple[str, str, str, bool]]) -> bytes:

@@ -3,6 +3,7 @@
 import copy
 import gc
 import io
+import itertools
 import json
 import os
 import random
@@ -29,6 +30,7 @@ from proofport.kernel import (
     Apply,
     Const,
     Declaration,
+    DependsOn,
     Ident,
     Lambda,
     Library,
@@ -46,7 +48,7 @@ from proofport.kernel import (
     theory_ident,
 )
 from proofport.morphisms import Morphism, identity_morphism, install_morphism
-from proofport.ontology import extract_triples, read_ntriples, triples, write_ntriples
+from proofport.ontology import decl_edges, extract_triples, read_ntriples, triples, write_ntriples
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CORE = str(FIXTURES / "core.toyhol.json")
@@ -926,6 +928,82 @@ def test_query_on_unknown_ident_is_exit_2(capsys):
 
 def test_query_on_malformed_ident_is_exit_2(capsys):
     assert run_cli(capsys, "deps", CORE, "--ident", "not-an-ident")[0] == 2
+
+
+def _query_inputs(tmp_path, capsys) -> list[Path]:
+    """Query inputs: the fixtures; the bench's omdoc corpus and its import
+    corpora, as imported OMDoc with the corpus's morphism, at small N and
+    seeds 1-3; generated dependency DAGs; and an algebra library with a
+    `dependsOn` ref that names a morphism and two empty theories, one of
+    them included."""
+    paths = sorted(FIXTURES.iterdir())
+    corpus = _bench_corpus()
+    for seed in (1, 2, 3):
+        path = tmp_path / f"omdoc{seed}.omdoc.xml"
+        path.write_bytes(corpus.omdoc_corpus(seed, 60, deep=8)[0])
+        paths.append(path)
+        for make, name in ((corpus.hol_corpus, "hol.json"), (corpus.set_corpus, "set.toyset.xml")):
+            data, man = make(seed, 40)
+            source, imported = tmp_path / f"{seed}{name}", tmp_path / f"{seed}{name}.omdoc.xml"
+            source.write_bytes(data)
+            assert main(["import", str(source), "--output", str(imported)]) in (0, 1)
+            paths.append(_views(imported, man))
+    capsys.readouterr()
+    libs = [generators.gen_dep_library(random.Random(seed), 40) for seed in range(3)]
+    base, empty = (Theory(theory_ident("lib://algebra", name)) for name in ("base", "empty"))
+    user = Theory(theory_ident("lib://algebra", "user"), meta_theory=FOL_SOFT,
+                  includes=(theory_ident("lib://algebra", "monoid"), base.name), decls=(
+                      Declaration(_i("user", "via"), tp=SET, proof=DependsOn((TO_INT.name,)),
+                                  meta=Metadata(kind="theorem")),))
+    libs.append(algebra_library((base, user, empty), (TO_INT,)))
+    for k, lib in enumerate(libs):
+        paths.append(tmp_path / f"lib{k}.omdoc.xml")
+        paths[-1].write_bytes(omdoc.serialize(lib))
+    return paths
+
+
+def _query_starts(lib: Library, rng: random.Random) -> list[str]:
+    """Starts that reach every case of the known-identifier rule: some
+    declarations, every identifier that is only a target, every theory,
+    include and meta-theory, an unknown name and a malformed one."""
+    decls = [d.name for th in lib.theories for d in th.decls]
+    targets = {t for th in lib.theories for d in th.decls for t in sum(decl_edges(d, True), ())}
+    starts = set(rng.sample(decls, min(4, len(decls)))) | (targets - set(decls))
+    for th in lib.theories:
+        starts |= {th.name, *th.includes} | ({th.meta_theory} if th.meta_theory else set())
+    return sorted(map(str, starts)) + [f"{lib.namespace}?nope?nope", "not-an-ident"]
+
+
+def test_queries_answer_from_the_use_graph_as_from_the_triple_store(tmp_path, capsys, monkeypatch):
+    # each input is read once; then the rest of `main` runs twice, the
+    # second time on a store of the library's triples in place of its use
+    # graph, as the queries ran before they walked the graph
+    load, loaded = cli._load, {}
+
+    def load_once(args):
+        if args.input not in loaded:
+            loaded[args.input] = load(args)
+        return loaded[args.input]
+
+    monkeypatch.setattr(cli, "_load", load_once)
+    store = lambda lib, include_proof_uses: extract_triples(lib, include_proof_uses=include_proof_uses)
+    kinds = itertools.cycle([()] + [("--kind", k) for k in KINDS])
+    seen = {"codes": set(), "kinds": set(), "logics": 0}
+    for path in _query_inputs(tmp_path, capsys):
+        lib, _ = cli._load(parse_cli(["check", str(path)]))
+        for ident in _query_starts(lib, random.Random(path.name)):
+            seen["logics"] += ident.startswith("lib://logics?")
+            for proof_uses in ("--include-proof-uses", "--no-include-proof-uses"):
+                kind = next(kinds)
+                seen["kinds"].add(kind)
+                for argv in (["deps", str(path), "--ident", ident, proof_uses],
+                             ["used-by", str(path), "--ident", ident, proof_uses, *kind]):
+                    graph = run_cli(capsys, *argv)
+                    with monkeypatch.context() as m:
+                        m.setattr(cli, "UseGraph", store)
+                        assert run_cli(capsys, *argv) == graph, argv
+                    seen["codes"].add(graph[0])
+    assert seen["codes"] == {0, 2} and len(seen["kinds"]) == len(KINDS) + 1 and seen["logics"]
 
 
 # ---------------------------------------------------------------------------

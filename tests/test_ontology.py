@@ -42,6 +42,7 @@ from proofport.ontology import (
     ULO_META_THEORY,
     ULO_SOURCE_FILE,
     ULO_USES,
+    UseGraph,
     _decode_component,
     _encode_component,
     _escape_literal,
@@ -301,6 +302,17 @@ def test_iri_round_trips_on_hostile_names():
         assert ident_of_iri(iri_of(ident)) == ident
 
 
+def test_identifiers_read_back_from_their_iri_unchanged():
+    # the queries print identifiers they never encoded, so an identifier
+    # must read back from its IRI as the same value with the same text
+    rng = random.Random(34)
+    alphabet = ["a", "Z", "4", "1", "C", "%", " ", "é", "λ", " ", "𝔸", "😀", "\U0010fffd"]
+    for _ in range(500):
+        ident = Ident(*("".join(rng.choices(alphabet, k=rng.randint(1, 8))) for _ in range(3)))
+        back = ident_of_iri(iri_of(ident))
+        assert (back, str(back), type(back)) == (ident, str(ident), Ident), ident
+
+
 @pytest.mark.parametrize(
     "component", ["plus", "lib://x", "100%", "δ a", "%41", "a\tb", "λ?%", "𝔸"]
 )
@@ -430,6 +442,36 @@ def test_used_by_matches_the_inversion_oracle_on_dags():
             assert got == oracle_used_by(store, iri_of(concept), kf), (
                 f"seed {seed} concept {concept} filter {kf}"
             )
+
+
+def test_use_graph_answers_as_the_store_on_generated_libraries():
+    kinds = (None, "theorem", "axiom", "constant")
+    for seed in range(20):
+        rng = random.Random(2000 + seed)
+        lib = (generators.gen_library if seed % 2 else generators.gen_dep_library)(rng)
+        for proofs in (False, True):
+            graph, store = UseGraph(lib, proofs), extract_triples(lib, include_proof_uses=proofs)
+            for d in (d for th in lib.theories for d in th.decls):
+                edges = store.with_subject(iri_of(d.name))
+                assert [iri_of(i) for i in graph.targets(d.name)] == [
+                    t.obj for t in edges if t.predicate in (ULO_USES, ULO_JUSTIFIED_BY)]
+                kf = rng.choice(kinds)
+                assert transitive_uses(graph, d.name) == transitive_uses(store, d.name)
+                assert used_by(graph, d.name, kf) == used_by(store, d.name, kf), (seed, d.name, kf)
+
+
+def test_use_graph_knows_what_a_triple_names():
+    lone = Theory(theory_ident(NS, "lone"))
+    lib = Library(NS, CHAIN.theories + (lone, Theory(theory_ident(NS, "u"), meta_theory=lone.name)))
+    graph = UseGraph(lib)
+    for ident in (_ident("a"), theory_ident(NS, "t"), lone.name):
+        assert transitive_uses(graph, ident) == transitive_uses(extract_triples(lib), ident)
+    lib = Library(NS, CHAIN.theories + (lone,))
+    for ident in (lone.name, _ident("nope")):
+        with pytest.raises(UnknownIdent, match=re.escape(str(ident))):
+            transitive_uses(UseGraph(lib), ident)
+        with pytest.raises(UnknownIdent, match=re.escape(str(ident))):
+            used_by(extract_triples(lib), ident)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +605,17 @@ def test_garbage_line_is_malformed():
 def test_bad_literal_escape_is_malformed():
     with pytest.raises(Malformed):
         read_ntriples(b'<lib://a?b?c> <lib://a?b?p> "bad \\q escape" .\n')
+
+
+@pytest.mark.parametrize("escape, message", [
+    ("\\q", "bad escape"), ("\\u12", "bad unicode escape"), ("\\U0000004", "bad unicode escape"),
+    ("\\U00110000", "bad unicode escape"), ("\\UFFFFFFFF", "bad unicode escape"),
+])
+def test_each_bad_literal_escape_names_its_line(escape, message):
+    # a code point past U+10FFFF is a bad escape too, not a ValueError from `chr`
+    data = f'# c\n<a?b?c> <a?b?p> "ok \\u00E9 \\U0001D538 then {escape} x" .\n'.encode("ascii")
+    with pytest.raises(Malformed, match=re.escape(f"line 2: {message} in literal")):
+        read_ntriples(data)
 
 
 def test_non_ascii_bytes_are_malformed():
